@@ -17,19 +17,21 @@ type BatchOp struct {
 	Del     bool
 }
 
-// PutBatch applies ops as one WAL unit: every op is framed into the log
-// under a single WAL-mutex hold — so the batch occupies one contiguous
-// sequence-number interval in log order — and, with Options.SyncWrites,
-// the whole batch rides one group-commit rendezvous, amortizing a single
-// fsync over every op (and over any concurrent writers that landed in the
-// same commit window). The memtable inserts still fan out across the
-// memtable's key-band shards.
+// PutBatch is the engine's one write body (Put and Delete are one-op
+// batches). It applies ops as one WAL unit: every op is framed into the
+// log under a single WAL-mutex hold — so the batch occupies one
+// contiguous sequence-number interval in log order — and, with
+// Options.SyncWrites, the whole batch rides one group-commit rendezvous,
+// amortizing a single fsync over every op (and over any concurrent
+// writers that landed in the same commit window). The memtable inserts
+// happen outside the WAL mutex, so concurrent writers contend only on
+// their keys' memtable shards.
 //
 // Acknowledgement is all-or-nothing: a nil return means every op is
-// acknowledged under the same durability rules as Put. On error no op is
+// acknowledged under the same durability rules. On error no op is
 // acknowledged; ops already framed before the failure have indeterminate
-// durability, exactly like a single failed Put — each frame is CRC-guarded,
-// so recovery keeps a clean per-op prefix of the batch and never a torn op.
+// durability — each frame is CRC-guarded, so recovery keeps a clean
+// per-op prefix of the batch and never a torn op.
 //
 // An op whose Point lies outside the universe rejects the whole batch
 // before anything is written.
@@ -50,17 +52,17 @@ func (e *Engine) PutBatch(ops []BatchOp) error {
 		e.mu.RUnlock()
 		return ErrClosed
 	}
-	// One walMu hold for the whole batch: sequence order equals log order
-	// equals slice order, and concurrent writers see the batch as one
-	// contiguous block.
+	// Sequence numbers are assigned under walMu, one hold for the whole
+	// batch: sequence order equals log order equals slice order, and
+	// concurrent writers see the batch as one contiguous block.
 	e.walMu.Lock()
 	w := e.wal
-	prevN := w.n
+	prevN := w.Bytes()
 	firstSeq := e.seq + 1
 	var err error
 	for i := range ops {
 		e.seq++
-		if err = w.append(walOp{pt: ops[i].Point, payload: ops[i].Payload, del: ops[i].Del}); err != nil {
+		if err = w.append(ops[i]); err != nil {
 			// Frames after a failed append would sit beyond a torn region
 			// recovery cannot cross; stop framing here. The sequence
 			// numbers already assigned are committed below so the
@@ -72,23 +74,30 @@ func (e *Engine) PutBatch(ops []BatchOp) error {
 		}
 	}
 	lastSeq := e.seq
-	pos := w.n
-	if err == nil && e.opts.SyncWrites && e.opts.noGroupCommit {
-		err = e.timedWALSync(w)
-	}
+	pos := w.Bytes()
 	e.walMu.Unlock()
-	if err == nil && e.opts.SyncWrites && !e.opts.noGroupCommit {
+	if err == nil && e.opts.SyncWrites {
 		// One rendezvous for the batch: the leader's single fsync covers
 		// every frame up to pos — the whole batch, plus whatever other
-		// writers appended in the window.
+		// writers appended in the window. The caller still holds
+		// e.mu.RLock, so the log cannot rotate out from under it.
 		err = e.groupCommit(w, pos)
 	}
 	if err != nil {
+		// The writes never happened (the caller gets the error), but their
+		// sequence numbers exist.
 		for s := firstSeq; s <= lastSeq; s++ {
 			e.com.commit(s)
 		}
 		e.mu.RUnlock()
 		if errors.Is(err, ErrWAL) || errors.Is(err, ErrQuorum) {
+			// The log's tail is unknowable (failed append, failed fsync,
+			// or a group-commit batch poisoned by either), or the batch
+			// is durable here but stranded off a replication quorum:
+			// acknowledging any further write would be lying about
+			// durability. Degrade to ReadOnly — sticky until a guarded
+			// recovery — and surface the transition on this error, cause
+			// attached.
 			e.degrade(ReadOnly, err)
 			return fmt.Errorf("%w: %w", ErrReadOnly, err)
 		}

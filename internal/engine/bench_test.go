@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,34 +103,6 @@ func BenchmarkEngineMixedReadWrite(b *testing.B) {
 	})
 }
 
-// benchSyncIngest drives durable (SyncWrites) puts from at least four
-// concurrent writers — the workload group commit exists for.
-func benchSyncIngest(b *testing.B, noGroup bool) {
-	opts := benchOpts()
-	opts.SyncWrites = true
-	opts.noGroupCommit = noGroup
-	e := benchEngine(b, opts)
-	side := int32(e.c.Universe().Side())
-	if p := (4 + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0); p > 1 {
-		b.SetParallelism(p)
-	}
-	var seq atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := rand.New(rand.NewSource(seq.Add(1)))
-		for pb.Next() {
-			pt := geom.Point{uint32(rng.Int31n(side)), uint32(rng.Int31n(side))}
-			if err := e.Put(pt, rng.Uint64()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkEngineIngestSyncSolo is the pre-group-commit baseline: every
-// durable write pays its own fsync.
-func BenchmarkEngineIngestSyncSolo(b *testing.B) { benchSyncIngest(b, true) }
-
 // benchSyncIngestProducers drives exactly b.N durable puts split across
 // an explicit number of producer goroutines, each blocking on its own
 // write — the closed-loop synchronous baseline the async ingest pipeline
@@ -166,7 +137,7 @@ func benchSyncIngestProducers(b *testing.B, producers int) {
 }
 
 // BenchmarkEngineIngestSyncGroup batches concurrent durable writes into
-// one flush + fsync per group; the throughput gain over Solo is the
+// one flush + fsync per group; the throughput gain over p1 is the
 // number of frames a disk barrier amortizes across, growing with the
 // producer count.
 func BenchmarkEngineIngestSyncGroup(b *testing.B) {

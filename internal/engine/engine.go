@@ -79,10 +79,6 @@ type Options struct {
 	// meaningful together with SyncWrites.
 	CommitHook CommitHook
 
-	// noGroupCommit reverts SyncWrites to one fsync per write — the
-	// pre-group-commit behavior, kept for benchmark baselines.
-	noGroupCommit bool
-
 	// noTelemetry disables hot-path metric recording (the registry stays,
 	// empty). Unexported: only the benchmark baseline that quantifies the
 	// telemetry overhead sets it.
@@ -316,7 +312,7 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 				}
 			}
 			e.seq++
-			recovered.put(c.Index(op.pt), op.pt, op.payload, e.seq, op.del)
+			recovered.put(c.Index(op.Point), op.Point, op.Payload, e.seq, op.Del)
 		}
 	}
 	e.com.visible.Store(e.seq)
@@ -336,17 +332,10 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 			return nil, err
 		}
 	}
-	e.mem, err = newMemtable(c, opts.Shards, e.gen)
-	if err != nil {
+	if _, _, err := e.rotateLocked(); err != nil {
 		e.releaseSegments()
 		return nil, err
 	}
-	e.wal, err = createWAL(fsys, walPath(dir, e.gen), dims)
-	if err != nil {
-		e.releaseSegments()
-		return nil, err
-	}
-	e.gen++
 	e.bg = make(chan struct{}, 1)
 	e.bgStop = make(chan struct{})
 	e.bgDone = make(chan struct{})
@@ -478,88 +467,15 @@ func (e *Engine) memEntries() int64 {
 // acknowledged after it is framed into the WAL and inserted into the
 // memtable; with Options.SyncWrites it is also fsynced first.
 func (e *Engine) Put(p geom.Point, payload uint64) error {
-	return e.write(p, payload, false)
+	op := [1]BatchOp{{Point: p, Payload: payload}}
+	return e.PutBatch(op[:])
 }
 
 // Delete removes the record at point p (a blind tombstone write: deleting
 // an absent point is not an error, matching LSM semantics).
 func (e *Engine) Delete(p geom.Point) error {
-	return e.write(p, 0, true)
-}
-
-func (e *Engine) write(p geom.Point, payload uint64, del bool) error {
-	if !e.c.Universe().Contains(p) {
-		return fmt.Errorf("%w: %v in %v", ErrPoint, p, e.c.Universe())
-	}
-	if Health(e.health.state.Load()) >= ReadOnly {
-		return e.readOnlyErr()
-	}
-	key := e.c.Index(p)
-	e.mu.RLock()
-	if e.closed || e.closing {
-		e.mu.RUnlock()
-		return ErrClosed
-	}
-	// Sequence numbers are assigned under walMu so WAL order equals
-	// sequence order; the memtable insert happens outside it so concurrent
-	// writers contend only on their key's shard.
-	e.walMu.Lock()
-	e.seq++
-	seq := e.seq
-	w := e.wal
-	prevN := w.n
-	err := w.append(walOp{pt: p, payload: payload, del: del})
-	pos := w.n
-	if err == nil {
-		if h := e.hook; h != nil {
-			h.Append(seq, BatchOp{Point: p, Payload: payload, Del: del})
-		}
-	}
-	if err == nil && e.opts.SyncWrites && e.opts.noGroupCommit {
-		err = e.timedWALSync(w)
-	}
-	e.walMu.Unlock()
-	if err == nil && e.opts.SyncWrites && !e.opts.noGroupCommit {
-		// Group commit: wait until a single batched flush + fsync covers
-		// this frame. The caller still holds e.mu.RLock, so the log
-		// cannot rotate out from under the rendezvous.
-		err = e.groupCommit(w, pos)
-	}
-	if err != nil {
-		// The write never happened (the caller gets the error), but its
-		// sequence number exists: commit it anyway so the visibility
-		// watermark is not wedged below every later successful write.
-		e.com.commit(seq)
-		e.mu.RUnlock()
-		if errors.Is(err, ErrWAL) || errors.Is(err, ErrQuorum) {
-			// The log's tail is unknowable (failed append, failed fsync,
-			// or a group-commit batch poisoned by either), or the batch
-			// is durable here but stranded off a replication quorum:
-			// acknowledging any further write would be lying about
-			// durability. Degrade to ReadOnly — sticky until a guarded
-			// recovery — and surface the transition on this error, cause
-			// attached.
-			e.degrade(ReadOnly, err)
-			return fmt.Errorf("%w: %w", ErrReadOnly, err)
-		}
-		return err
-	}
-	mem := e.mem
-	mem.put(key, p, payload, seq, del)
-	e.com.commit(seq)
-	entries := mem.entries.Load()
-	e.mu.RUnlock()
-	if tel := e.tel; tel != nil {
-		tel.walAppends.Inc()
-		tel.walAppendBytes.Add(uint64(pos - prevN))
-	}
-	if e.opts.FlushEntries > 0 && entries >= int64(e.opts.FlushEntries) {
-		select {
-		case e.bg <- struct{}{}:
-		default:
-		}
-	}
-	return nil
+	op := [1]BatchOp{{Point: p, Del: true}}
+	return e.PutBatch(op[:])
 }
 
 // groupCommit blocks until the log is durably synced past pos — the byte
@@ -599,10 +515,10 @@ func (e *Engine) groupCommit(w *wal, pos int64) error {
 		runtime.Gosched()
 
 		e.walMu.Lock()
-		target := w.n
-		targetFrames := w.frames
+		target := w.Bytes()
+		targetFrames := w.Frames()
 		seqTarget := e.seq
-		err := w.flushBuf()
+		err := walErr(w.Flush())
 		e.walMu.Unlock()
 		tel := e.tel
 		if err == nil {
@@ -619,10 +535,10 @@ func (e *Engine) groupCommit(w *wal, pos int64) error {
 			if tel != nil {
 				syncStart = time.Now()
 			}
-			if serr := w.f.Sync(); serr != nil {
-				err = fmt.Errorf("%w: %w", ErrWAL, serr)
+			if serr := w.Fsync(); serr != nil {
+				err = walErr(serr)
 				e.walMu.Lock()
-				w.failed = true
+				w.Fail(serr)
 				e.walMu.Unlock()
 			} else if tel != nil {
 				tel.walFsyncs.Inc()
@@ -645,10 +561,10 @@ func (e *Engine) groupCommit(w *wal, pos int64) error {
 		g.mu.Lock()
 		g.syncing = false
 		if err != nil {
-			// Poison the rendezvous: like wal.failed, a torn flush leaves
-			// the tail unknown, so every waiter (and every later sync
-			// attempt on this log) reports failure until a flush rotates
-			// in a fresh log.
+			// Poison the rendezvous: like the log's own latch, a torn flush
+			// leaves the tail unknown, so every waiter (and every later
+			// sync attempt on this log) reports failure until a flush
+			// rotates in a fresh log.
 			g.err = err
 		} else if target > g.synced {
 			// The batch this single fsync made durable is every frame
@@ -674,9 +590,14 @@ func (e *Engine) Sync() error {
 		return ErrClosed
 	}
 	e.walMu.Lock()
-	err := e.timedWALSync(e.wal)
+	start := time.Now()
+	err := walErr(e.wal.Sync())
 	e.walMu.Unlock()
 	e.mu.RUnlock()
+	if tel := e.tel; tel != nil && err == nil {
+		tel.walFsyncs.Inc()
+		tel.walFsyncUS.Record(uint64(time.Since(start).Microseconds()))
+	}
 	if err != nil {
 		e.degrade(ReadOnly, err)
 		return fmt.Errorf("%w: %w", ErrReadOnly, err)
@@ -1024,6 +945,26 @@ func (e *Engine) Flush() error {
 	return e.flushLocked()
 }
 
+// rotateLocked swaps in a fresh WAL and memtable for generation e.gen and
+// returns the pair they replace. The caller holds e.mu exclusively (or is
+// Open, before the engine is shared).
+func (e *Engine) rotateLocked() (*wal, *memtable, error) {
+	w, err := createWAL(e.fs, walPath(e.dir, e.gen), e.c.Universe().Dims())
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := newMemtable(e.c, e.opts.Shards, e.gen)
+	if err != nil {
+		w.Abandon()
+		e.fs.Remove(walPath(e.dir, e.gen)) //nolint:errcheck
+		return nil, nil, err
+	}
+	oldWal, oldMem := e.wal, e.mem
+	e.wal, e.mem = w, m
+	e.gen++
+	return oldWal, oldMem, nil
+}
+
 func (e *Engine) flushLocked() error {
 	// Freeze: swap in a fresh memtable + WAL under the exclusive lock.
 	e.mu.Lock()
@@ -1033,25 +974,13 @@ func (e *Engine) flushLocked() error {
 	}
 	var oldWal *wal
 	if e.mem.entries.Load() > 0 {
-		frozen := e.mem
-		dims := e.c.Universe().Dims()
-		newWal, err := createWAL(e.fs, walPath(e.dir, e.gen), dims)
+		w, frozen, err := e.rotateLocked()
 		if err != nil {
 			e.mu.Unlock()
 			return err
 		}
-		newMem, err := newMemtable(e.c, e.opts.Shards, e.gen)
-		if err != nil {
-			newWal.close() //nolint:errcheck
-			e.fs.Remove(walPath(e.dir, e.gen)) //nolint:errcheck
-			e.mu.Unlock()
-			return err
-		}
-		oldWal = e.wal
-		e.wal = newWal
-		e.mem = newMem
+		oldWal = w
 		e.imm = append(e.imm, frozen)
-		e.gen++
 	}
 	// Flush every frozen memtable, oldest first — including leftovers of
 	// an earlier failed flush, so a transient write error never strands
@@ -1132,7 +1061,7 @@ func (e *Engine) Stats() EngineStats {
 		st.SegmentRecords += s.recs
 	}
 	e.walMu.Lock()
-	st.WALBytes = e.wal.n
+	st.WALBytes = e.wal.Bytes()
 	st.LastSeq = e.seq
 	e.walMu.Unlock()
 	return st
@@ -1145,6 +1074,10 @@ func (e *Engine) Stats() EngineStats {
 // here rather than trust a configuration copy that may not match the
 // options the engine was actually opened with.
 func (e *Engine) WALRetention() int { return e.opts.WALRetention }
+
+// FS returns the filesystem the engine's files live on; the replication
+// state record kept inside the engine directory is written through it.
+func (e *Engine) FS() vfs.FS { return e.fs }
 
 // CacheStats summarizes the engine's segment page cache: hit/miss
 // counts, resident bytes and evictions. It is zero when caching is

@@ -20,13 +20,13 @@ func FuzzWALReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, cutSeed uint16) {
 		const dims = 2
 		// Decode a deterministic op stream out of the raw bytes.
-		var ops []walOp
+		var ops []BatchOp
 		for i := 0; i+2 < len(raw) && len(ops) < 64; i += 3 {
 			pt := geom.Point{uint32(raw[i]), uint32(raw[i+1])}
 			if raw[i+2]%4 == 0 {
-				ops = append(ops, walOp{pt: pt, del: true})
+				ops = append(ops, BatchOp{Point: pt, Del: true})
 			} else {
-				ops = append(ops, walOp{pt: pt, payload: uint64(raw[i+2]) << 3})
+				ops = append(ops, BatchOp{Point: pt, Payload: uint64(raw[i+2]) << 3})
 			}
 		}
 		dir := t.TempDir()
@@ -68,7 +68,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		complete, off := 0, 0
 		for _, op := range ops {
-			off += 8 + walPayloadSize(dims, op.del)
+			off += 8 + walPayloadSize(dims, op.Del)
 			if off > cut {
 				break
 			}

@@ -348,28 +348,19 @@ func (e *Engine) recoverRotateLocked() error {
 		e.mu.Unlock()
 		return ErrClosed
 	}
-	dims := e.c.Universe().Dims()
-	nw, err := createWAL(e.fs, walPath(e.dir, e.gen), dims)
+	old, oldMem, err := e.rotateLocked()
 	if err != nil {
 		e.mu.Unlock()
 		return err
 	}
-	nm, err := newMemtable(e.c, e.opts.Shards, e.gen)
-	if err != nil {
-		nw.close()                         //nolint:errcheck
-		e.fs.Remove(walPath(e.dir, e.gen)) //nolint:errcheck
-		e.mu.Unlock()
-		return err
-	}
-	old, oldMem := e.wal, e.mem
-	e.wal, e.mem = nw, nm
 	frozen := oldMem.entries.Load() > 0
 	if frozen {
 		e.imm = append(e.imm, oldMem)
 	}
-	e.gen++
 	e.mu.Unlock()
-	old.f.Close() //nolint:errcheck // condemned log; sync errors expected
+	// Condemned log: whatever it still buffers belongs to failed,
+	// unacknowledged writes and must not reach the file; errors expected.
+	old.Abandon()
 	if !frozen {
 		if err := e.fs.Remove(walPath(e.dir, oldMem.gen)); err != nil {
 			return fmt.Errorf("engine: %w", err)

@@ -59,45 +59,49 @@ type PreCommitHook interface {
 	PreCommit(seq uint64)
 }
 
+const (
+	walOpPut = byte(1)
+	walOpDel = byte(2)
+)
+
+// walPayloadSize returns the EncodeOp length of an op: op byte, coords,
+// and (for puts) the 8-byte payload.
+func walPayloadSize(dims int, del bool) int {
+	if del {
+		return 1 + 4*dims
+	}
+	return 1 + 4*dims + 8
+}
+
 // EncodeOp appends the WAL payload encoding of op to dst and returns the
 // extended slice: op byte, 4*dims little-endian coords, and the 8-byte
-// payload for puts. This is byte-identical to the payload the engine
-// frames into its own log, so a replication stream built from it is
-// decoded by the same rules as WAL replay.
+// payload for puts. It is the store's only op codec: the engine frames
+// exactly these bytes into its own log, and a replication stream carries
+// them, so both are decoded by DecodeOp.
 func EncodeOp(dst []byte, op BatchOp, dims int) []byte {
 	if op.Del {
 		dst = append(dst, walOpDel)
 	} else {
 		dst = append(dst, walOpPut)
 	}
-	var c [4]byte
 	for d := 0; d < dims; d++ {
-		binary.LittleEndian.PutUint32(c[:], op.Point[d])
-		dst = append(dst, c[:]...)
+		dst = binary.LittleEndian.AppendUint32(dst, op.Point[d])
 	}
 	if !op.Del {
-		var p [8]byte
-		binary.LittleEndian.PutUint64(p[:], op.Payload)
-		dst = append(dst, p[:]...)
+		dst = binary.LittleEndian.AppendUint64(dst, op.Payload)
 	}
 	return dst
 }
 
-// DecodeOp parses one EncodeOp payload — the same validation WAL replay
-// applies to a frame body, minus the CRC (the transport or log carrying
-// the payload guards integrity).
+// DecodeOp parses one EncodeOp payload, rejecting an unknown op byte or
+// a length that disagrees with it. Integrity is the carrier's job (the
+// framed log's CRC, the transport).
 func DecodeOp(b []byte, dims int) (BatchOp, error) {
-	var op BatchOp
-	if len(b) < 1 {
-		return op, fmt.Errorf("%w: empty op payload", ErrWAL)
+	if len(b) == 0 || (b[0] != walOpPut && b[0] != walOpDel) || len(b) != walPayloadSize(dims, b[0] == walOpDel) {
+		return BatchOp{}, fmt.Errorf("%w: malformed op payload (%d bytes)", ErrWAL, len(b))
 	}
-	op.Del = b[0] == walOpDel
-	want := walPayloadSize(dims, op.Del)
-	if (b[0] != walOpPut && b[0] != walOpDel) || len(b) != want {
-		return op, fmt.Errorf("%w: malformed op payload (%d bytes, op %d)", ErrWAL, len(b), b[0])
-	}
-	op.Point = make(geom.Point, dims)
-	for d := 0; d < dims; d++ {
+	op := BatchOp{Point: make(geom.Point, dims), Del: b[0] == walOpDel}
+	for d := range op.Point {
 		op.Point[d] = binary.LittleEndian.Uint32(b[1+4*d:])
 	}
 	if !op.Del {

@@ -376,7 +376,7 @@ func TestGroupCommitDurability(t *testing.T) {
 		}
 		for i, op := range ops {
 			w := full[i]
-			if !op.pt.Equal(w.pt) || op.payload != w.payload || op.del != w.del {
+			if !op.Point.Equal(w.Point) || op.Payload != w.Payload || op.Del != w.Del {
 				t.Fatalf("cut %d: op %d = %+v, want %+v", b, i, op, w)
 			}
 		}

@@ -138,7 +138,7 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 				}
 			}
 			seq++
-			mem.put(c.Index(op.pt), op.pt, op.payload, seq, op.del)
+			mem.put(c.Index(op.Point), op.Point, op.Payload, seq, op.Del)
 			rep.Replayed++
 		}
 	}

@@ -130,7 +130,7 @@ func openSegment(fsys vfs.FS, dir string, c curve.Curve, id segID, cache *pageds
 }
 
 // writeSegment materializes sorted entries as the segment id: records
-// plus tombstone marks and the pruning footer in a version-3 pagedstore
+// plus tombstone marks and the pruning footer in a version-4 pagedstore
 // file, written to a temporary name, synced, then atomically renamed
 // into place.
 func writeSegment(fsys vfs.FS, dir string, c curve.Curve, id segID, ents []memEntry, pageBytes int, cache *pagedstore.Cache) (*segment, error) {

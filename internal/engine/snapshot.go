@@ -324,37 +324,11 @@ func (e *Engine) snapshotSinceLocked(dir, parent string) (SnapshotReport, error)
 	if err := syncDir(e.fs, dir); err != nil {
 		return SnapshotReport{}, err
 	}
-	if err := writeSnapshotManifest(e.fs, dir, man); err != nil {
-		return SnapshotReport{}, err
+	// The manifest's rename into place is the snapshot's commit point.
+	if err := vfs.WriteFileAtomic(e.fs, filepath.Join(dir, snapshotManifestName), []byte(man.body())); err != nil {
+		return SnapshotReport{}, fmt.Errorf("engine: snapshot: %w", err)
 	}
 	return rep, nil
-}
-
-// writeSnapshotManifest commits the manifest: tmp + fsync + rename +
-// directory fsync, the same discipline as every other install in the
-// store. The rename is the snapshot's commit point.
-func writeSnapshotManifest(fsys vfs.FS, dir string, m *snapManifest) error {
-	path := filepath.Join(dir, snapshotManifestName)
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("engine: snapshot: %w", err)
-	}
-	if _, err := f.Write([]byte(m.body())); err != nil {
-		f.Close()
-		return fmt.Errorf("engine: snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("engine: snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("engine: snapshot: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return fmt.Errorf("engine: snapshot: %w", err)
-	}
-	return syncDir(fsys, dir)
 }
 
 // resolveSnapshotSegment finds the file backing a manifest segment: the

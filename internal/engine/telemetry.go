@@ -164,7 +164,7 @@ func (e *Engine) registerSampledTelemetry(ownedCache bool) {
 			return 0
 		}
 		e.walMu.Lock()
-		n := e.wal.n
+		n := e.wal.Bytes()
 		e.walMu.Unlock()
 		return n
 	})
@@ -225,19 +225,4 @@ func errString(err error) string {
 		return ""
 	}
 	return err.Error()
-}
-
-// timedWALSync is wal.sync with fsync telemetry; the caller holds walMu.
-func (e *Engine) timedWALSync(w *wal) error {
-	tel := e.tel
-	if tel == nil {
-		return w.sync()
-	}
-	start := time.Now()
-	err := w.sync()
-	if err == nil {
-		tel.walFsyncs.Inc()
-		tel.walFsyncUS.Record(uint64(time.Since(start).Microseconds()))
-	}
-	return err
 }

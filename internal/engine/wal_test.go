@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,35 +13,35 @@ import (
 )
 
 // walOpsEqual compares two op slices structurally.
-func walOpsEqual(a, b []walOp) bool {
+func walOpsEqual(a, b []BatchOp) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].del != b[i].del || a[i].payload != b[i].payload || !a[i].pt.Equal(b[i].pt) {
+		if a[i].Del != b[i].Del || a[i].Payload != b[i].Payload || !a[i].Point.Equal(b[i].Point) {
 			return false
 		}
 	}
 	return true
 }
 
-func sampleOps(dims, n int) []walOp {
-	ops := make([]walOp, n)
+func sampleOps(dims, n int) []BatchOp {
+	ops := make([]BatchOp, n)
 	for i := range ops {
 		pt := make(geom.Point, dims)
 		for d := range pt {
 			pt[d] = uint32(i*7+d) % 16
 		}
 		if i%3 == 2 {
-			ops[i] = walOp{pt: pt, del: true}
+			ops[i] = BatchOp{Point: pt, Del: true}
 		} else {
-			ops[i] = walOp{pt: pt, payload: uint64(i) * 1000003}
+			ops[i] = BatchOp{Point: pt, Payload: uint64(i) * 1000003}
 		}
 	}
 	return ops
 }
 
-func writeOps(t *testing.T, path string, dims int, ops []walOp) {
+func writeOps(t *testing.T, path string, dims int, ops []BatchOp) {
 	t.Helper()
 	w, err := createWAL(vfs.OS{}, path, dims)
 	if err != nil {
@@ -87,7 +89,7 @@ func TestWALTornTail(t *testing.T) {
 	// Frame boundaries, for computing how many complete frames a cut keeps.
 	bounds := []int{0}
 	for _, op := range ops {
-		bounds = append(bounds, bounds[len(bounds)-1]+8+walPayloadSize(dims, op.del))
+		bounds = append(bounds, bounds[len(bounds)-1]+8+walPayloadSize(dims, op.Del))
 	}
 	if bounds[len(bounds)-1] != len(data) {
 		t.Fatalf("frame accounting: %d vs file %d", bounds[len(bounds)-1], len(data))
@@ -122,7 +124,7 @@ func TestWALCorruptTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := len(data) - walPayloadSize(dims, ops[4].del)
+	last := len(data) - walPayloadSize(dims, ops[4].Del)
 	data[last] ^= 0x40 // corrupt inside the final payload
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -159,5 +161,50 @@ func TestWALGarbageLength(t *testing.T) {
 	}
 	if !walOpsEqual(got, ops) {
 		t.Fatalf("recovered %d ops, want %d", len(got), len(ops))
+	}
+}
+
+// goldenWAL is the file the framing before internal/framedlog produced
+// for goldenOps (dims 2), byte for byte: four frames of
+// len(4) | crc32c(4) | op(1) | coords(4*dims) | payload(8, puts only).
+const goldenWAL = "11000000" + "29783641" + "01" + "03000000" + "05000000" + "8877665544332211" +
+	"09000000" + "96745c9c" + "02" + "efbeadde" + "07000000" +
+	"11000000" + "b67f0985" + "01" + "00000000" + "00000000" + "0000000000000000" +
+	"11000000" + "e7a3d97e" + "01" + "01000000" + "ffffffff" + "2a00000000000000"
+
+var goldenOps = []BatchOp{
+	{Point: geom.Point{3, 5}, Payload: 0x1122334455667788},
+	{Point: geom.Point{0xdeadbeef, 7}, Del: true},
+	{Point: geom.Point{0, 0}, Payload: 0},
+	{Point: geom.Point{1, 0xffffffff}, Payload: 42},
+}
+
+// TestWALGoldenBytes pins the on-disk format across the move to the
+// shared framed log: the same op sequence produces the same file, and a
+// WAL archived before the change still replays.
+func TestWALGoldenBytes(t *testing.T) {
+	want, err := hex.DecodeString(goldenWAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "wal.log")
+	writeOps(t, path, 2, goldenOps)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("WAL bytes changed:\n got %x\nwant %x", got, want)
+	}
+	old := filepath.Join(t.TempDir(), "archived.log")
+	if err := os.WriteFile(old, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ops, err := replayWAL(vfs.OS{}, old, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !walOpsEqual(ops, goldenOps) {
+		t.Fatalf("archived WAL replayed as %+v", ops)
 	}
 }

@@ -1,9 +1,11 @@
 package pagedstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/core"
@@ -158,6 +160,30 @@ func TestV4MetadataCorruptionDetectedAtOpen(t *testing.T) {
 				t.Fatalf("open with metadata flip at %d = %v, want ErrCorrupt", off, err)
 			}
 		}()
+	}
+}
+
+// TestRetiredVersionsRejected: nothing writes format versions 2 and 3
+// any more and Open no longer reads them — a header naming either is an
+// unsupported version, not a file to reinterpret.
+func TestRetiredVersionsRejected(t *testing.T) {
+	path := writeV4(t, 300)
+	o, _ := core.NewOnion2D(64)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ver := range []uint32{2, 3} {
+		mut := append([]byte(nil), orig...)
+		binary.LittleEndian.PutUint32(mut[8:], ver)
+		p := filepath.Join(t.TempDir(), "retired.pst")
+		if err := os.WriteFile(p, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(p, o)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("open of a version-%d header = %v, want ErrCorrupt: unsupported version", ver, err)
+		}
 	}
 }
 

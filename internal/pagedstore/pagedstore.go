@@ -9,21 +9,21 @@
 // each range to a run of pages via the index, and reads each run with one
 // positioned read — seeks and pages are counted and returned.
 //
-// Format version 2 (historical WriteMarked output) appends a mark bitmap
-// after the pages: one bit per record, in key order. The page layout
-// itself is unchanged. Marks are opaque to this package; the LSM storage
-// engine (internal/engine) uses them as tombstones in its immutable
-// segments. Format version 3 (historical WriteMarked output) additionally
-// appends a pruning footer: a fence table of per-page maximum keys and a
-// Bloom filter over all keys. Format version 4 (current WriteMarked
-// output) extends the footer with integrity checksums: a crc32c per page,
-// verified on every physical page fetch, and a trailing crc32c over all
-// metadata (header, page index, marks, fences, page checksums, filter),
-// verified at open — so any single flipped byte anywhere in a v4 file is
-// detected, either immediately at open or at the first read of the
-// damaged page, and surfaces as ErrCorrupt. Versions 1–3 still open fine:
-// the fences degrade to the page index bounds, the filter to "maybe", and
-// the checksums to "unverified".
+// That is format version 1 (Write output): the bare reference layout the
+// tests compare every other path against. Format version 4 (WriteMarked
+// output) appends three things after the pages. A mark bitmap: one bit
+// per record, in key order; marks are opaque to this package, and the LSM
+// storage engine (internal/engine) uses them as tombstones in its
+// immutable segments. A pruning footer: a fence table of per-page maximum
+// keys and a Bloom filter over all keys. Integrity checksums: a crc32c
+// per page, verified on every physical page fetch, and a trailing crc32c
+// over all metadata (header, page index, marks, fences, page checksums,
+// filter), verified at open — so any single flipped byte anywhere in a v4
+// file is detected, either immediately at open or at the first read of
+// the damaged page, and surfaces as ErrCorrupt. A version-1 file has
+// none of the three: its fences are the page index bounds, its filter
+// answers "maybe", its pages are unverified. Versions 2 and 3 were
+// intermediate layouts nothing writes any more; Open rejects them.
 //
 // Logical vs physical accounting. Stats counts the LOGICAL access
 // pattern: the positioned reads, pages and record scans the query plan
@@ -60,17 +60,12 @@ import (
 const (
 	magic = uint64(0x4f4e494f4e435256) // "ONIONCRV"
 	// version 1: header, page index, pages.
-	// version 2: version 1 plus a mark bitmap (one bit per record, key
-	// order) appended after the pages.
-	// version 3: version 2 plus a pruning footer (per-page max-key
-	// fences and a key Bloom filter) appended after the bitmap.
-	// version 4: version 3 plus integrity checksums (a crc32c per page
-	// between the fences and the filter, and a trailing crc32c over all
-	// metadata).
-	version         = uint32(1)
-	versionMarked   = uint32(2)
-	versionFiltered = uint32(3)
-	versionChecked  = uint32(4)
+	// version 4: version 1 plus, after the pages, a mark bitmap (one bit
+	// per record, key order), a pruning footer (per-page max-key fences,
+	// a crc32c per page, a key Bloom filter) and a trailing crc32c over
+	// all metadata. Versions 2 and 3 are retired.
+	version        = uint32(1)
+	versionChecked = uint32(4)
 )
 
 // pageCRC is the checksum polynomial of the v4 integrity footer —
@@ -110,7 +105,7 @@ type Stats struct {
 // pruning footer have been consulted.
 type IOStats struct {
 	// PagesFetched counts pages read from the file (cache misses
-	// included). Without a cache and without a v3 footer it equals the
+	// included). Without a cache and without a v4 footer it equals the
 	// logical Stats.PagesRead.
 	PagesFetched int
 	// CacheHits counts logical page visits served from a Cache.
@@ -253,7 +248,7 @@ func writeFile(fsys vfs.FS, path string, c curve.Curve, recs []Record, marked []
 		}
 		binary.LittleEndian.PutUint32(crcs[4*p:], crc32.Checksum(buf, pageCRC))
 	}
-	// Mark bitmap (version >= 2 only), one bit per record in key order.
+	// Mark bitmap (version 4 only), one bit per record in key order.
 	if marked != nil {
 		bm := make([]byte, (len(ks)+7)/8)
 		for i, k := range ks {
@@ -313,14 +308,14 @@ type Store struct {
 	count     uint64
 	firstKeys []uint64
 	dataOff   int64
-	marks     []byte // version >= 2: one bit per record in key order; nil otherwise
+	marks     []byte // version 4: one bit per record in key order; nil otherwise
 	anyMarked bool
 
-	// Pruning footer (version 3+; nil/absent for earlier versions).
+	// Pruning footer (version 4; nil/absent for version 1).
 	pageMax []uint64   // fence: max key of each page
 	filter  *keyFilter // Bloom filter over all keys
-	// Integrity footer (version 4; nil for earlier versions): crc32c of
-	// every page, verified on each physical fetch.
+	// Integrity footer (version 4; nil for version 1): crc32c of every
+	// page, verified on each physical fetch.
 	pageSums []uint32
 
 	id      uint64 // process-unique cache identity
@@ -329,7 +324,7 @@ type Store struct {
 }
 
 // Open validates the file against the curve and loads the page index
-// (and, for version-3+ files, the pruning footer). The store is
+// (and, for version-4 files, the pruning footer). The store is
 // uncached; see OpenCached.
 func Open(path string, c curve.Curve) (*Store, error) {
 	return OpenCached(path, c, nil)
@@ -370,7 +365,7 @@ func OpenCachedFS(fsys vfs.FS, path string, c curve.Curve, cache *Cache) (*Store
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	ver := binary.LittleEndian.Uint32(head[8:])
-	if ver < version || ver > versionChecked {
+	if ver != version && ver != versionChecked {
 		f.Close()
 		return nil, fmt.Errorf("%w: unsupported version", ErrCorrupt)
 	}
@@ -409,8 +404,18 @@ func OpenCachedFS(fsys vfs.FS, path string, c curve.Curve, cache *Cache) (*Store
 	dataOff := int64(40 + 8*pageCount)
 	var marks []byte
 	anyMarked := false
+	var pageMax []uint64
+	var filter *keyFilter
+	var pageSums []uint32
 	marksOff := dataOff + int64(pageCount)*int64(pageBytes)
-	if ver >= versionMarked {
+	// Every version has an exact expected length; trailing bytes mean the
+	// version field itself is suspect (a v4 file whose header rotted down
+	// to v1 must not silently serve its tombstoned records).
+	if ver == version && fileSize != marksOff {
+		f.Close()
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, fileSize-marksOff)
+	}
+	if ver == versionChecked {
 		marks = make([]byte, (count+7)/8)
 		if _, err := f.ReadAt(marks, marksOff); err != nil && count > 0 {
 			f.Close()
@@ -422,25 +427,9 @@ func OpenCachedFS(fsys vfs.FS, path string, c curve.Curve, cache *Cache) (*Store
 				break
 			}
 		}
-	}
-	var pageMax []uint64
-	var filter *keyFilter
-	var pageSums []uint32
-	// Every version has an exact expected length; trailing bytes mean the
-	// version field itself is suspect (a v4 file whose header rotted down
-	// to v1 must not silently serve its tombstoned records).
-	if ver < versionFiltered && fileSize != marksOff+int64(len(marks)) {
-		f.Close()
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt,
-			fileSize-marksOff-int64(len(marks)))
-	}
-	if ver >= versionFiltered {
 		footOff := marksOff + int64(len(marks))
-		sumLen := int64(0)
-		if ver >= versionChecked {
-			sumLen = 4*int64(pageCount) + 4 // page checksums + metadata checksum
-		}
-		if fileSize < footOff+8*int64(pageCount)+sumLen+8 {
+		// fences + page checksums + filter header + metadata checksum
+		if fileSize < footOff+8*int64(pageCount)+4*int64(pageCount)+8+4 {
 			f.Close()
 			return nil, fmt.Errorf("%w: short pruning footer", ErrCorrupt)
 		}
@@ -449,31 +438,29 @@ func OpenCachedFS(fsys vfs.FS, path string, c curve.Curve, cache *Cache) (*Store
 			f.Close()
 			return nil, fmt.Errorf("%w: short pruning footer", ErrCorrupt)
 		}
-		filterOff := 8 * pageCount
-		if ver >= versionChecked {
-			// Verify the metadata checksum before trusting anything in
-			// the footer (the fences and page sums steer query
-			// execution; a silent flip there would misroute reads).
-			body := foot[:len(foot)-4]
-			sum := crc32.Update(0, pageCRC, head)
-			sum = crc32.Update(sum, pageCRC, idx)
-			sum = crc32.Update(sum, pageCRC, marks)
-			sum = crc32.Update(sum, pageCRC, body)
-			if sum != binary.LittleEndian.Uint32(foot[len(foot)-4:]) {
-				f.Close()
-				return nil, fmt.Errorf("%w: metadata checksum mismatch", ErrCorrupt)
-			}
-			pageSums = make([]uint32, pageCount)
-			for p := range pageSums {
-				pageSums[p] = binary.LittleEndian.Uint32(foot[filterOff+4*uint64(p):])
-			}
-			filterOff += 4 * pageCount
-			foot = body
+		// Verify the metadata checksum before trusting anything in the
+		// footer (the fences and page sums steer query execution; a
+		// silent flip there would misroute reads).
+		body := foot[:len(foot)-4]
+		sum := crc32.Update(0, pageCRC, head)
+		sum = crc32.Update(sum, pageCRC, idx)
+		sum = crc32.Update(sum, pageCRC, marks)
+		sum = crc32.Update(sum, pageCRC, body)
+		if sum != binary.LittleEndian.Uint32(foot[len(foot)-4:]) {
+			f.Close()
+			return nil, fmt.Errorf("%w: metadata checksum mismatch", ErrCorrupt)
 		}
+		foot = body
 		pageMax = make([]uint64, pageCount)
 		for p := range pageMax {
 			pageMax[p] = binary.LittleEndian.Uint64(foot[8*p:])
 		}
+		sumsOff := 8 * pageCount
+		pageSums = make([]uint32, pageCount)
+		for p := range pageSums {
+			pageSums[p] = binary.LittleEndian.Uint32(foot[sumsOff+4*uint64(p):])
+		}
+		filterOff := sumsOff + 4*pageCount
 		var ok bool
 		filter, ok = unmarshalFilter(foot[filterOff:])
 		if !ok {
@@ -541,7 +528,7 @@ func (s *Store) EstimateSeeks(r geom.Rect) (uint64, error) {
 // per cluster range and counting the logical access pattern. The range
 // decomposition routes through the curve's analytic planner when one
 // exists, so planning cost scales with the number of clusters rather than
-// the query surface. Records whose mark bit is set (version >= 2 files)
+// the query surface. Records whose mark bit is set (version-4 files)
 // are scanned but not returned. Query is safe to call from many
 // goroutines at once; each call drives its own Cursor.
 func (s *Store) Query(r geom.Rect) ([]Record, Stats, error) {
@@ -588,7 +575,7 @@ func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) 
 // tail of one range and the head of the next is read once, and every
 // record of every visited page counts as scanned. That accounting is
 // logical — computed against the in-memory page index — while the page
-// bytes themselves come from the cache, from disk, or (when the v3
+// bytes themselves come from the cache, from disk, or (when the v4
 // fences prove a visited page holds no key of the range) from nowhere at
 // all; IO reports the physical remainder. Each Cursor owns its page
 // state, so any number of cursors can run over the same Store
@@ -704,7 +691,7 @@ func (s *Store) residentCount(p int) int {
 }
 
 // pageMaxBound returns an upper bound on the keys of page p: the exact
-// fence for v3 files, the next page's first key otherwise (keys are
+// fence for v4 files, the next page's first key otherwise (keys are
 // globally sorted, so nothing in p exceeds it).
 func (s *Store) pageMaxBound(p int) uint64 {
 	if s.pageMax != nil {
@@ -880,7 +867,7 @@ func pageReadErr(p int, err error) error {
 // disk bytes have since rotted — and checked against its v4 checksum and
 // the global key ordering. The first damaged page is reported as
 // ErrCorrupt; a nil return means every byte of page data on disk is sound.
-// For pre-v4 files only the structural key-order check runs.
+// For version-1 files only the structural key-order check runs.
 func (s *Store) VerifyPages() error {
 	buf := make([]byte, s.pageBytes)
 	rs := recordSize(s.dims)

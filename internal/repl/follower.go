@@ -8,6 +8,7 @@ import (
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/telemetry"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 // Follower holds a replica: a durable replication log (the follower's
@@ -24,6 +25,7 @@ type Follower struct {
 	dir  string
 	c    curve.Curve
 	opts FollowerOptions
+	fsys vfs.FS // opts.Engine.FS: the log and state share the engine's filesystem
 
 	mu      sync.Mutex
 	eng     *engine.Engine
@@ -31,9 +33,11 @@ type Follower struct {
 	st      nodeState
 	applied uint64 // in-memory apply watermark; >= st.applied, persisted lazily
 	// mustSeed latches when the durable state says this node was a
-	// leader: its engine holds writes no quorum may have acknowledged,
-	// and an LSM cannot truncate, so the only way back into the group is
-	// a full re-seed. Every Append is answered NeedSeed until then.
+	// leader — its engine holds writes no quorum may have acknowledged,
+	// and an LSM cannot truncate — or sits beside a log in the retired
+	// frame layout. The only way back into the group is a full re-seed:
+	// every Append is answered NeedSeed until then, and nothing is
+	// persisted before it, so the latch survives a reopen.
 	mustSeed bool
 	closed   bool
 	seeds    uint64
@@ -54,38 +58,48 @@ type FollowerStatus struct {
 // id the leader routes to; the curve must match the leader's.
 func OpenFollower(id, dir string, c curve.Curve, opts FollowerOptions) (*Follower, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	fsys := vfs.Or(opts.Engine.FS)
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("repl: follower %s: %w", id, err)
 	}
-	st, ok, err := readState(dir)
+	st, ok, err := readState(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
 	mustSeed := false
-	if ok && st.role == "leader" {
+	if ok && (st.role == "leader" || st.version < stateVersion) {
 		// An ex-leader's engine may hold a divergent, un-acknowledged
-		// suffix; latch until the current leader re-seeds us.
+		// suffix, and a version-1 state sits beside a log this code cannot
+		// read; latch until the current leader re-seeds us.
 		mustSeed = true
 		st = nodeState{role: "follower", epoch: st.epoch}
 	}
 	if !ok {
 		st = nodeState{role: "follower"}
 	}
-	log, err := openReplLog(dir)
-	if err != nil {
+	f := &Follower{
+		id: id, dir: dir, c: c, opts: opts, fsys: fsys,
+		st: st, applied: st.applied, mustSeed: mustSeed,
+	}
+	if err := f.open(); err != nil {
 		return nil, err
 	}
-	eng, err := engine.Open(dir, c, opts.Engine)
+	return f, nil
+}
+
+// open opens the log and engine handles over f.dir.
+func (f *Follower) open() error {
+	log, err := openReplLog(f.fsys, f.dir)
+	if err != nil {
+		return err
+	}
+	eng, err := engine.Open(f.dir, f.c, f.opts.Engine)
 	if err != nil {
 		log.close() //nolint:errcheck
-		return nil, err
+		return err
 	}
-	return &Follower{
-		id: id, dir: dir, c: c, opts: opts,
-		eng: eng, log: log, st: st,
-		applied:  st.applied,
-		mustSeed: mustSeed,
-	}, nil
+	f.log, f.eng = log, eng
+	return nil
 }
 
 // Engine exposes the replica's engine for reads. Treat it as read-only:
@@ -96,13 +110,9 @@ func (f *Follower) Engine() *engine.Engine { return f.eng }
 func (f *Follower) Status() FollowerStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	last := f.st.base
-	if li, _, ok := f.log.last(); ok {
-		last = li
-	}
 	return FollowerStatus{
 		ID: f.id, Epoch: f.st.epoch, Base: f.st.base,
-		Applied: f.applied, Last: last, MustSeed: f.mustSeed, Seeds: f.seeds,
+		Applied: f.applied, Last: f.lastIndex(), MustSeed: f.mustSeed, Seeds: f.seeds,
 	}
 }
 
@@ -115,9 +125,12 @@ func (f *Follower) Close() error {
 	}
 	f.closed = true
 	err := f.eng.Close()
-	if f.applied > f.st.applied {
+	// The applied watermark may lag the engine, never lead it: entries at
+	// or below it are not re-applied, and compaction drops them from the
+	// log. Persist it only once the engine has made them durable.
+	if err == nil && f.applied > f.st.applied {
 		f.st.applied = f.applied
-		if serr := writeState(f.dir, f.st); err == nil {
+		if serr := writeState(f.fsys, f.dir, f.st); err == nil {
 			err = serr
 		}
 	}
@@ -152,33 +165,24 @@ func (f *Follower) HandleAppend(req AppendRequest) (AppendResponse, error) {
 	if req.Epoch < f.st.epoch {
 		return AppendResponse{Epoch: f.st.epoch}, nil
 	}
+	if f.mustSeed {
+		return AppendResponse{Epoch: req.Epoch, NeedSeed: true}, nil
+	}
 	if req.Epoch > f.st.epoch {
 		f.st.epoch = req.Epoch
-		if err := writeState(f.dir, f.persistable()); err != nil {
+		if err := writeState(f.fsys, f.dir, f.persistable()); err != nil {
 			return AppendResponse{}, err
 		}
-	}
-	if f.mustSeed {
-		return AppendResponse{Epoch: f.st.epoch, NeedSeed: true}, nil
-	}
-
-	last := f.st.base
-	if li, _, ok := f.log.last(); ok {
-		last = li
 	}
 
 	// Locate PrevIndex in our history.
 	prevEpoch, held := f.epochAt(req.PrevIndex)
 	if !held {
-		if req.PrevIndex < f.st.base {
-			// Below our compacted horizon: either a stale re-delivery
-			// (harmless — the resend hint recovers) or a leader whose
-			// history diverges under our applied state; the resend from
-			// our ack will tell which.
-			return AppendResponse{Epoch: f.st.epoch, Ack: last}, nil
-		}
-		// Behind: we never saw PrevIndex. Hint a resend from our ack.
-		return AppendResponse{Epoch: f.st.epoch, Ack: last}, nil
+		// Behind (we never saw PrevIndex) or below our compacted horizon
+		// (a stale re-delivery, or a leader whose history diverges under
+		// our applied state): hint a resend from our ack, which tells
+		// which.
+		return AppendResponse{Epoch: f.st.epoch, Ack: f.lastIndex()}, nil
 	}
 	if prevEpoch != req.PrevEpoch {
 		// We hold a different history at PrevIndex itself.
@@ -188,8 +192,7 @@ func (f *Follower) HandleAppend(req AppendRequest) (AppendResponse, error) {
 		if err := f.log.truncateAfter(req.PrevIndex - 1); err != nil {
 			return AppendResponse{}, err
 		}
-		last = f.lastIndex()
-		return AppendResponse{Epoch: f.st.epoch, Ack: last}, nil
+		return AppendResponse{Epoch: f.st.epoch, Ack: f.lastIndex()}, nil
 	}
 
 	// Tandem walk: our entries after PrevIndex against the shipped run.
@@ -227,7 +230,7 @@ func (f *Follower) HandleAppend(req AppendRequest) (AppendResponse, error) {
 			return AppendResponse{}, err
 		}
 	}
-	last = f.lastIndex()
+	last := f.lastIndex()
 
 	// The ack means log durability; folding the committed prefix into
 	// the engine is kept off the entry-bearing path, where it would put
@@ -319,7 +322,7 @@ func (f *Follower) compact() error {
 	f.st.base = f.applied
 	f.st.baseEpoch = baseEpoch
 	f.st.applied = f.applied
-	return writeState(f.dir, f.st)
+	return writeState(f.fsys, f.dir, f.st)
 }
 
 // HandleSeed wipes the replica and restores it from the leader's
@@ -346,7 +349,8 @@ func (f *Follower) HandleSeed(req SeedRequest) (SeedResponse, error) {
 	restored := f.dir + ".seed-restore"
 	os.RemoveAll(restored) //nolint:errcheck // debris from an interrupted seed
 	if _, err := engine.Restore(req.Snapshot, restored, -1, f.c, f.opts.Engine); err != nil {
-		return SeedResponse{}, f.reopen(fmt.Errorf("repl: follower %s: seed restore: %w", f.id, err))
+		f.open() //nolint:errcheck // back onto the untouched directory; the restore error is the one to report
+		return SeedResponse{}, fmt.Errorf("repl: follower %s: seed restore: %w", f.id, err)
 	}
 	if err := os.RemoveAll(f.dir); err != nil {
 		return SeedResponse{}, fmt.Errorf("repl: follower %s: seed: %w", f.id, err)
@@ -359,10 +363,10 @@ func (f *Follower) HandleSeed(req SeedRequest) (SeedResponse, error) {
 		base: req.Base, baseEpoch: req.BaseEpoch, applied: req.Base,
 	}
 	f.applied = req.Base
-	if err := writeState(f.dir, f.st); err != nil {
+	if err := writeState(f.fsys, f.dir, f.st); err != nil {
 		return SeedResponse{}, err
 	}
-	if err := f.reopen(nil); err != nil {
+	if err := f.open(); err != nil {
 		return SeedResponse{}, err
 	}
 	f.mustSeed = false
@@ -372,27 +376,4 @@ func (f *Follower) HandleSeed(req SeedRequest) (SeedResponse, error) {
 		Detail: fmt.Sprintf("seeded from %s through index %d epoch %d", req.LeaderID, req.Base, req.Epoch),
 	})
 	return SeedResponse{Epoch: f.st.epoch, Ok: true, Ack: req.Base}, nil
-}
-
-// reopen rebuilds the log and engine handles after a seed (or restores
-// them after a failed one, keeping the passed error primary).
-func (f *Follower) reopen(prior error) error {
-	log, err := openReplLog(f.dir)
-	if err != nil {
-		if prior != nil {
-			return prior
-		}
-		return err
-	}
-	eng, err := engine.Open(f.dir, f.c, f.opts.Engine)
-	if err != nil {
-		log.close() //nolint:errcheck
-		if prior != nil {
-			return prior
-		}
-		return err
-	}
-	f.log = log
-	f.eng = eng
-	return prior
 }

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 // FuzzReplLog builds a replication log from fuzz-derived entries, damages
@@ -24,7 +26,7 @@ func FuzzReplLog(f *testing.F) {
 	f.Add([]byte{}, uint16(5), false)
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16, flip bool) {
 		dir := t.TempDir()
-		l, err := openReplLog(dir)
+		l, err := openReplLog(vfs.OS{}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +68,7 @@ func FuzzReplLog(f *testing.F) {
 		}
 
 		// Invariant 1–2: recovery succeeds and yields a sane log.
-		l2, err := openReplLog(dir)
+		l2, err := openReplLog(vfs.OS{}, dir)
 		if err != nil {
 			t.Fatalf("recovery failed: %v", err)
 		}
@@ -108,7 +110,7 @@ func FuzzReplLog(f *testing.F) {
 		}
 
 		// Invariant 3: reopening is stable.
-		l3, err := openReplLog(dir)
+		l3, err := openReplLog(vfs.OS{}, dir)
 		if err != nil {
 			t.Fatalf("second recovery failed: %v", err)
 		}

@@ -12,6 +12,7 @@ import (
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/telemetry"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 // Hook is the engine.CommitHook a leader engine is opened with. It is
@@ -151,7 +152,7 @@ type Group struct {
 // follower (OpenFollower re-seeds it) instead of resuming.
 func Lead(dir string, c curve.Curve, cfg Config) (*Group, error) {
 	cfg = cfg.withDefaults()
-	st, ok, err := readState(dir)
+	st, ok, err := readState(vfs.Or(cfg.Engine.FS), dir)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +189,7 @@ func Lead(dir string, c curve.Curve, cfg Config) (*Group, error) {
 // trusted to already cover the restarted namespace.
 func LeadEngine(eng *engine.Engine, dir string, hook *Hook, cfg Config) (*Group, error) {
 	cfg = cfg.withDefaults()
-	st, ok, err := readState(dir)
+	st, ok, err := readState(eng.FS(), dir)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +232,7 @@ func newGroup(eng *engine.Engine, dir string, hook *Hook, cfg Config, init group
 	if cfg.Quorum > 1+len(cfg.Peers) {
 		return nil, fmt.Errorf("repl: quorum %d exceeds group size %d", cfg.Quorum, 1+len(cfg.Peers))
 	}
-	if err := writeState(dir, nodeState{role: "leader", epoch: init.epoch}); err != nil {
+	if err := writeState(eng.FS(), dir, nodeState{role: "leader", epoch: init.epoch}); err != nil {
 		return nil, err
 	}
 	g := &Group{
@@ -1081,30 +1082,27 @@ func Promote(f *Follower, upTo uint64, cfg Config) (*Group, error) {
 		epoch = f.st.epoch + 1
 	}
 	f.closed = true // the follower identity ends here, whatever happens next
-
-	if err := f.log.truncateAfter(upTo); err != nil {
+	fail := func(err error) (*Group, error) {
 		f.eng.Close() //nolint:errcheck
 		f.log.close() //nolint:errcheck
 		return nil, err
+	}
+
+	if err := f.log.truncateAfter(upTo); err != nil {
+		return fail(err)
 	}
 	// Point of no return: once the durable role says leader, a crash
 	// rejoins as an ex-leader (full re-seed) instead of replaying a
 	// partially promoted follower state.
-	if err := writeState(f.dir, nodeState{role: "leader", epoch: epoch}); err != nil {
-		f.eng.Close() //nolint:errcheck
-		f.log.close() //nolint:errcheck
-		return nil, err
+	if err := writeState(f.fsys, f.dir, nodeState{role: "leader", epoch: epoch}); err != nil {
+		return fail(err)
 	}
 	last := f.lastIndex()
 	if err := f.applyCommitted(last); err != nil {
-		f.eng.Close() //nolint:errcheck
-		f.log.close() //nolint:errcheck
-		return nil, err
+		return fail(err)
 	}
 	if err := f.eng.Sync(); err != nil {
-		f.eng.Close() //nolint:errcheck
-		f.log.close() //nolint:errcheck
-		return nil, err
+		return fail(err)
 	}
 
 	// Preload the leader history from the log so surviving followers
@@ -1126,7 +1124,7 @@ func Promote(f *Follower, upTo uint64, cfg Config) (*Group, error) {
 		f.eng.Close() //nolint:errcheck
 		return nil, err
 	}
-	os.Remove(f.log.path) //nolint:errcheck // applied and synced; leaders keep no replication log
+	f.fsys.Remove(f.log.path) //nolint:errcheck // applied and synced; leaders keep no replication log
 
 	// Reopen the engine as a leader engine: commit hook installed,
 	// synchronous writes on.

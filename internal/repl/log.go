@@ -1,131 +1,118 @@
 package repl
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
+	"sort"
+
+	"github.com/onioncurve/onion/internal/framedlog"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
-// The follower's replication log is a single append-only file of
-// CRC-framed entries:
+// The follower's replication log is a framedlog file — the engine WAL's
+// frame format, torn-tail rule and failure latch — whose payloads are
 //
-//	entry := index(8 LE) | epoch(8 LE) | len(4 LE) | crc32c(4 LE, payload) | payload
+//	entry := index(8 LE) | epoch(8 LE) | op
 //
-// Replay keeps the longest valid prefix and truncates torn tails, the
-// same rule the engine WAL applies, so an entry acknowledged to the
-// leader (appended + fsynced) always survives and a torn entry never
-// resurrects partially. Truncation and compaction rewrite the file
-// through a tmp + rename, so the log is always either the old or the
-// new version.
+// so the frame CRC covers index and epoch as well as the op. The file is
+// only ever appended to or replaced whole: open, truncation and
+// compaction publish the surviving entries through a tmp + rename and
+// keep appending on that handle.
 
 const (
 	logName   = "REPL_LOG"
 	stateName = "REPL_STATE"
 
-	entryHeader = 8 + 8 + 4 + 4
+	entryHeader = 8 + 8
 )
 
-var logCRC = crc32.MakeTable(crc32.Castagnoli)
-
 var errLog = errors.New("repl: replication log failure")
+
+// logErr marks a log I/O error as errLog (nil stays nil).
+func logErr(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", errLog, err)
+}
+
+func encodeEntry(dst []byte, e Entry) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, e.Index)
+	dst = binary.LittleEndian.AppendUint64(dst, e.Epoch)
+	return append(dst, e.Op...)
+}
+
+func decodeEntry(p []byte) (Entry, bool) {
+	if len(p) <= entryHeader {
+		return Entry{}, false
+	}
+	return Entry{
+		Index: binary.LittleEndian.Uint64(p[0:]),
+		Epoch: binary.LittleEndian.Uint64(p[8:]),
+		Op:    append([]byte(nil), p[entryHeader:]...),
+	}, true
+}
 
 // replLog is the durable entry store plus its in-memory index. The
 // caller (Follower) serializes access.
 type replLog struct {
+	fsys    vfs.FS
 	path    string
-	f       *os.File
+	w       *framedlog.Writer
+	enc     []byte  // encodeEntry scratch
 	entries []Entry // in log order; indices strictly increasing, gaps legal
 }
 
-func openReplLog(dir string) (*replLog, error) {
-	l := &replLog{path: filepath.Join(dir, logName)}
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", errLog, err)
+// openReplLog replays the log in dir (a missing file is an empty log),
+// keeping the longest prefix of intact, index-ordered entries, and
+// republishes that prefix so appends land right after it.
+func openReplLog(fsys vfs.FS, dir string) (*replLog, error) {
+	l := &replLog{fsys: fsys, path: filepath.Join(dir, logName)}
+	var valid []Entry
+	err := framedlog.Replay(fsys, l.path, func(p []byte) bool {
+		e, ok := decodeEntry(p)
+		if !ok || (len(valid) > 0 && e.Index <= valid[len(valid)-1].Index) {
+			return false // not an entry, or an ordering violation: tail damage
+		}
+		valid = append(valid, e)
+		return true
+	})
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, logErr(err)
 	}
-	l.f = f
-	valid, err := l.replay()
-	if err != nil {
-		f.Close()
+	if err := l.rewrite(valid); err != nil {
+		if l.w != nil {
+			l.w.Abandon()
+		}
 		return nil, err
-	}
-	// Drop a torn tail now, so appends land after the last valid entry.
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: %w", errLog, err)
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: %w", errLog, err)
 	}
 	return l, nil
 }
 
-// replay loads every intact entry and returns the byte offset of the end
-// of the valid prefix.
-func (l *replLog) replay() (int64, error) {
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("%w: %w", errLog, err)
+// write frames the entries into w and fsyncs it.
+func (l *replLog) write(w *framedlog.Writer, es []Entry) error {
+	for _, e := range es {
+		l.enc = encodeEntry(l.enc[:0], e)
+		if err := w.Append(l.enc); err != nil {
+			return err
+		}
 	}
-	r := bufio.NewReader(l.f)
-	head := make([]byte, entryHeader)
-	var off int64
-	for {
-		if _, err := io.ReadFull(r, head); err != nil {
-			return off, nil // clean EOF or torn header
-		}
-		pl := int(binary.LittleEndian.Uint32(head[16:]))
-		if pl <= 0 || pl > 1<<20 {
-			return off, nil // garbage length: torn tail
-		}
-		body := make([]byte, pl)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return off, nil // torn payload
-		}
-		if crc32.Checksum(body, logCRC) != binary.LittleEndian.Uint32(head[20:]) {
-			return off, nil // corrupt payload
-		}
-		e := Entry{
-			Index: binary.LittleEndian.Uint64(head[0:]),
-			Epoch: binary.LittleEndian.Uint64(head[8:]),
-			Op:    body,
-		}
-		if n := len(l.entries); n > 0 && e.Index <= l.entries[n-1].Index {
-			return off, nil // ordering violation: treat as tail damage
-		}
-		l.entries = append(l.entries, e)
-		off += int64(entryHeader + pl)
-	}
+	return w.Sync()
 }
 
-// append frames the entries and fsyncs; on return every entry is durable.
+// append makes the entries durable. A failed write or fsync latches the
+// log failed: the file's tail is unknowable, and acknowledging an entry
+// written behind a torn region replay cannot cross would be lying, so
+// every later append is refused until the follower is reopened.
 func (l *replLog) append(es []Entry) error {
 	if len(es) == 0 {
 		return nil
 	}
-	if l.f == nil {
-		return fmt.Errorf("%w: log handle lost by a failed rewrite", errLog)
-	}
-	var buf []byte
-	for _, e := range es {
-		var h [entryHeader]byte
-		binary.LittleEndian.PutUint64(h[0:], e.Index)
-		binary.LittleEndian.PutUint64(h[8:], e.Epoch)
-		binary.LittleEndian.PutUint32(h[16:], uint32(len(e.Op)))
-		binary.LittleEndian.PutUint32(h[20:], crc32.Checksum(e.Op, logCRC))
-		buf = append(buf, h[:]...)
-		buf = append(buf, e.Op...)
-	}
-	if _, err := l.f.Write(buf); err != nil {
-		return fmt.Errorf("%w: %w", errLog, err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("%w: %w", errLog, err)
+	if err := l.write(l.w, es); err != nil {
+		return logErr(err)
 	}
 	l.entries = append(l.entries, es...)
 	return nil
@@ -152,16 +139,7 @@ func (l *replLog) at(index uint64) (uint64, bool) {
 
 // search returns the position of the first entry with Index >= index.
 func (l *replLog) search(index uint64) int {
-	lo, hi := 0, len(l.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l.entries[mid].Index < index {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return sort.Search(len(l.entries), func(i int) bool { return l.entries[i].Index >= index })
 }
 
 // slice returns the entries with lo < Index <= hi, aliasing the log's
@@ -172,42 +150,43 @@ func (l *replLog) slice(lo, hi uint64) []Entry {
 	return l.entries[i:j]
 }
 
-// rewrite replaces the log's content with keep via tmp + fsync + rename.
+// rewrite replaces the log's content with keep: a fresh file is written
+// and fsynced beside the log, renamed over it, and becomes the handle
+// appends continue on. A failure before the rename leaves the old log
+// and handle in place; a failed log is not rewritten.
 func (l *replLog) rewrite(keep []Entry) error {
+	if l.w != nil {
+		if err := l.w.Err(); err != nil {
+			return logErr(err)
+		}
+	}
 	tmp := l.path + ".tmp"
-	f, err := os.Create(tmp)
+	nw, err := framedlog.Create(l.fsys, tmp)
 	if err != nil {
-		return fmt.Errorf("%w: %w", errLog, err)
+		return logErr(err)
 	}
-	nl := &replLog{path: tmp, f: f}
-	if err := nl.append(keep); err != nil {
-		f.Close()
-		os.Remove(tmp) //nolint:errcheck
-		return err
+	if err = l.write(nw, keep); err == nil {
+		err = l.fsys.Rename(tmp, l.path)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp) //nolint:errcheck
-		return fmt.Errorf("%w: %w", errLog, err)
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		return fmt.Errorf("%w: %w", errLog, err)
+	if err != nil {
+		nw.Abandon()
+		l.fsys.Remove(tmp) //nolint:errcheck // debris of a failed rewrite
+		return logErr(err)
 	}
 	// The rename replaced the path: the old handle now points at an
 	// unlinked inode, where appends (and their fsyncs) would "succeed"
 	// invisibly and the acknowledged entries would vanish on restart.
-	// Drop it before anything else can fail, so an error below leaves
-	// l.f nil and later appends fail loudly instead of lying.
-	l.f.Close() //nolint:errcheck
-	l.f = nil
+	if l.w != nil {
+		l.w.Abandon()
+	}
+	l.w = nw
 	l.entries = append(l.entries[:0], keep...)
-	if err := syncDir(filepath.Dir(l.path)); err != nil {
-		return err
+	if err := l.fsys.SyncDir(filepath.Dir(l.path)); err != nil {
+		// The rename may not survive a crash, and entries appended to the
+		// new inode would vanish with it: no ack may rest on this handle.
+		nw.Fail(err)
+		return logErr(err)
 	}
-	f, err = os.OpenFile(l.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("%w: %w", errLog, err)
-	}
-	l.f = f
 	return nil
 }
 
@@ -230,39 +209,18 @@ func (l *replLog) compactThrough(index uint64) error {
 	return l.rewrite(append([]Entry{}, l.entries[i:]...))
 }
 
-func (l *replLog) close() error {
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Close()
-	l.f = nil
-	if err != nil {
-		return fmt.Errorf("%w: %w", errLog, err)
-	}
-	return nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("%w: %w", errLog, err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("%w: %w", errLog, err)
-	}
-	return nil
-}
+func (l *replLog) close() error { return logErr(l.w.Close()) }
 
 // nodeState is the small durable identity record both roles keep inside
 // the engine directory: who we last were, under which epoch, and (for
 // followers) how the replication log relates to the engine. It is
-// written through tmp + fsync + rename on role and epoch changes and on
-// log compaction — never on the per-batch path.
+// published atomically on role and epoch changes and on log compaction —
+// never on the per-batch path.
 type nodeState struct {
+	// version is the header version read (writeState always writes
+	// stateVersion). Version 1 sat beside a log in the retired frame
+	// layout, which must not be replayed.
+	version   int
 	role      string // "leader" | "follower"
 	epoch     uint64
 	base      uint64 // entries <= base are durably applied in the engine
@@ -270,52 +228,36 @@ type nodeState struct {
 	applied   uint64 // highest index applied (may lag after a crash; re-apply is idempotent)
 }
 
+const (
+	stateVersion = 2
+	stateFormat  = "onion repl state v%d\nrole %s\nepoch %d\nbase %d\nbaseEpoch %d\napplied %d\n"
+)
+
 func statePath(dir string) string { return filepath.Join(dir, stateName) }
 
-func readState(dir string) (nodeState, bool, error) {
-	b, err := os.ReadFile(statePath(dir))
+func readState(fsys vfs.FS, dir string) (nodeState, bool, error) {
+	b, err := vfs.ReadFile(fsys, statePath(dir))
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nodeState{}, false, nil
 		}
 		return nodeState{}, false, fmt.Errorf("repl: state: %w", err)
 	}
 	var st nodeState
-	var header string
-	n, err := fmt.Sscanf(string(b), "onion repl state v1\nrole %s\nepoch %d\nbase %d\nbaseEpoch %d\napplied %d\n",
-		&header, &st.epoch, &st.base, &st.baseEpoch, &st.applied)
-	if err != nil || n != 5 {
+	n, err := fmt.Sscanf(string(b), stateFormat,
+		&st.version, &st.role, &st.epoch, &st.base, &st.baseEpoch, &st.applied)
+	if err != nil || n != 6 || st.version < 1 || st.version > stateVersion {
 		return nodeState{}, false, fmt.Errorf("repl: state %s: malformed", statePath(dir))
 	}
-	st.role = header
 	if st.role != "leader" && st.role != "follower" {
 		return nodeState{}, false, fmt.Errorf("repl: state %s: unknown role %q", statePath(dir), st.role)
 	}
 	return st, true, nil
 }
 
-func writeState(dir string, st nodeState) error {
-	body := fmt.Sprintf("onion repl state v1\nrole %s\nepoch %d\nbase %d\nbaseEpoch %d\napplied %d\n",
-		st.role, st.epoch, st.base, st.baseEpoch, st.applied)
-	tmp := statePath(dir) + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("repl: state: %w", err)
-	}
-	if _, err = f.WriteString(body); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, statePath(dir))
-	}
-	if err == nil {
-		err = syncDir(dir)
-	}
-	if err != nil {
-		os.Remove(tmp) //nolint:errcheck
+func writeState(fsys vfs.FS, dir string, st nodeState) error {
+	body := fmt.Sprintf(stateFormat, stateVersion, st.role, st.epoch, st.base, st.baseEpoch, st.applied)
+	if err := vfs.WriteFileAtomic(fsys, statePath(dir), []byte(body)); err != nil {
 		return fmt.Errorf("repl: state: %w", err)
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/onioncurve/onion/internal/engine"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 // leadEngineCluster wires followers plus a LeadEngine-led leader whose
@@ -285,7 +286,7 @@ func TestReplBatchLargerThanHistory(t *testing.T) {
 // it), append must fail loudly — never "succeed" against a missing or
 // unlinked file and let acknowledged entries vanish on restart.
 func TestReplLogAppendAfterHandleLoss(t *testing.T) {
-	l, err := openReplLog(t.TempDir())
+	l, err := openReplLog(vfs.OS{}, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

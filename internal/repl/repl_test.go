@@ -12,6 +12,7 @@ import (
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/geom"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 const rtSide = 32
@@ -298,7 +299,7 @@ func TestReplSeedCatchup(t *testing.T) {
 // across torn tails, and truncate/compact round-trip durably.
 func TestReplLogRecovery(t *testing.T) {
 	dir := t.TempDir()
-	l, err := openReplLog(dir)
+	l, err := openReplLog(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,7 @@ func TestReplLogRecovery(t *testing.T) {
 	if err := os.Truncate(path, fi.Size()-2); err != nil {
 		t.Fatal(err)
 	}
-	l, err = openReplLog(dir)
+	l, err = openReplLog(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func TestReplLogRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.close() //nolint:errcheck
-	l, err = openReplLog(dir)
+	l, err = openReplLog(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

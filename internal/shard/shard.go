@@ -252,9 +252,9 @@ func manifestBody(c curve.Curve, shards int) string {
 
 // checkOrWriteManifest verifies an existing manifest against the opening
 // configuration, or durably creates one for a fresh directory. The write
-// is tmp + fsync + rename + directory fsync, so a crash at any point
-// leaves either no manifest (next open recreates it) or the complete one
-// — never a torn prefix that would spuriously fail the identity check.
+// is atomic, so a crash at any point leaves either no manifest (next open
+// recreates it) or the complete one — never a torn prefix that would
+// spuriously fail the identity check.
 func checkOrWriteManifest(fsys vfs.FS, dir string, c curve.Curve, shards int) error {
 	path := filepath.Join(dir, manifestName)
 	want := manifestBody(c, shards)
@@ -267,26 +267,7 @@ func checkOrWriteManifest(fsys vfs.FS, dir string, c curve.Curve, shards int) er
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("shard: %w", err)
 	}
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	if _, err := f.Write([]byte(want)); err != nil {
-		f.Close()
-		return fmt.Errorf("shard: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("shard: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
+	if err := vfs.WriteFileAtomic(fsys, path, []byte(want)); err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
 	return nil

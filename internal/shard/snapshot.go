@@ -126,40 +126,11 @@ func (s *Sharded) SnapshotSince(dir, parent string) (SnapshotReport, error) {
 		rep.Reused += pr.Reused
 		rep.Records += pr.Records
 	}
-	if err := writeFileAtomic(fsys, dir, snapshotManifestName,
-		snapshotManifestBody(s.c, len(s.engines), rep.Epoch)); err != nil {
-		return rep, err
+	if err := vfs.WriteFileAtomic(fsys, filepath.Join(dir, snapshotManifestName),
+		[]byte(snapshotManifestBody(s.c, len(s.engines), rep.Epoch))); err != nil {
+		return rep, fmt.Errorf("shard: snapshot: %w", err)
 	}
 	return rep, nil
-}
-
-// writeFileAtomic commits name under dir with the store's install
-// discipline: tmp + fsync + rename + directory fsync.
-func writeFileAtomic(fsys vfs.FS, dir, name, body string) error {
-	path := filepath.Join(dir, name)
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("shard: snapshot: %w", err)
-	}
-	if _, err := f.Write([]byte(body)); err != nil {
-		f.Close()
-		return fmt.Errorf("shard: snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("shard: snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("shard: snapshot: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return fmt.Errorf("shard: snapshot: %w", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("shard: snapshot: %w", err)
-	}
-	return nil
 }
 
 // Restore materializes a fresh sharded directory at targetDir from the
@@ -221,8 +192,8 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 	}
 	// Stamp the directory MANIFEST so the restored service reopens with
 	// the identity it was snapshotted with, then commit the whole tree.
-	if err := writeFileAtomic(fsys, tmp, manifestName, manifestBody(c, opts.Shards)); err != nil {
-		return reps, err
+	if err := vfs.WriteFileAtomic(fsys, filepath.Join(tmp, manifestName), []byte(manifestBody(c, opts.Shards))); err != nil {
+		return reps, fmt.Errorf("shard: restore: %w", err)
 	}
 	if err := fsys.Rename(tmp, targetDir); err != nil {
 		return reps, fmt.Errorf("shard: restore: %w", err)

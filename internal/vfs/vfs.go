@@ -1,6 +1,7 @@
 // Package vfs is the storage stack's seam to the filesystem: a small
-// interface over the handful of operations the engine, the paged store
-// and the shard manifest actually perform, with a passthrough OS
+// interface over the handful of operations the engine, the paged store,
+// the shard manifest and the replication log and state actually perform,
+// with a passthrough OS
 // implementation for production and an Injecting implementation that
 // turns every operation into a deterministic fault point — fail the Nth
 // operation, run out of space, tear a write short, lose unsynced bytes
@@ -18,6 +19,7 @@ package vfs
 import (
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // File is an open file. Writers append sequentially with Write and make
@@ -102,6 +104,33 @@ func ReadFile(fs FS, name string) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// WriteFileAtomic publishes data as the file at path with the store's
+// replace discipline — write path.tmp, fsync it, rename it over path,
+// fsync the directory — so after a crash at any point path holds either
+// its previous content (or is absent) or all of data, never a prefix.
+func WriteFileAtomic(fs FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fs.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp, path)
+	}
+	if err != nil {
+		fs.Remove(tmp) //nolint:errcheck // debris of a failed publish; the cause is what matters
+		return err
+	}
+	return fs.SyncDir(filepath.Dir(path))
 }
 
 // Or returns fs, or the passthrough OS filesystem when fs is nil — the
