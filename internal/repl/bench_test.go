@@ -21,32 +21,39 @@ func benchEngOpts() engine.Options {
 // benchProducers drives exactly b.N durable puts split across 16
 // closed-loop producer goroutines — the group-commit workload both
 // variants below share, so the only delta between them is the
-// replication tax per committed batch.
+// replication tax per committed batch. Before the clock starts the same
+// producers put one more than the default resend window: the timed
+// region runs against a full window that trims on every append, which
+// is the state a leader spends its life in.
 func benchProducers(b *testing.B, put func(geom.Point, uint64) error) {
 	b.Helper()
 	const producers = 16
-	base, extra := b.N/producers, b.N%producers
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for w := 0; w < producers; w++ {
-		n := base
-		if w < extra {
-			n++
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w) + 1))
-			for i := 0; i < n; i++ {
-				pt := geom.Point{uint32(rng.Int31n(benchSide)), uint32(rng.Int31n(benchSide))}
-				if err := put(pt, rng.Uint64()); err != nil {
-					b.Error(err)
-					return
-				}
+	drive := func(total int) {
+		base, extra := total/producers, total%producers
+		var wg sync.WaitGroup
+		for w := 0; w < producers; w++ {
+			n := base
+			if w < extra {
+				n++
 			}
-		}(w, n)
+			wg.Add(1)
+			go func(w, n int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w) + 1))
+				for i := 0; i < n; i++ {
+					pt := geom.Point{uint32(rng.Int31n(benchSide)), uint32(rng.Int31n(benchSide))}
+					if err := put(pt, rng.Uint64()); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(w, n)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	drive(Config{}.withDefaults().HistoryEntries + 1)
+	b.ResetTimer()
+	drive(b.N)
 }
 
 // BenchmarkReplIngest compares durable group-committed ingest without

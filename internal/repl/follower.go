@@ -1,8 +1,8 @@
 package repl
 
 import (
+	"errors"
 	"fmt"
-	"os"
 	"sync"
 
 	"github.com/onioncurve/onion/internal/curve"
@@ -37,7 +37,10 @@ type Follower struct {
 	// and an LSM cannot truncate — or sits beside a log in the retired
 	// frame layout. The only way back into the group is a full re-seed:
 	// every Append is answered NeedSeed until then, and nothing is
-	// persisted before it, so the latch survives a reopen.
+	// persisted before it, so the latch survives a reopen. It also
+	// latches, for this process only, when a seed fails after it began
+	// replacing the directory: eng and log are closed then, and the next
+	// seed starts over on whatever is left.
 	mustSeed bool
 	closed   bool
 	seeds    uint64
@@ -125,6 +128,9 @@ func (f *Follower) Close() error {
 	}
 	f.closed = true
 	err := f.eng.Close()
+	if f.mustSeed && errors.Is(err, engine.ErrClosed) {
+		err = nil // a failed seed closed it already
+	}
 	// The applied watermark may lag the engine, never lead it: entries at
 	// or below it are not re-applied, and compaction drops them from the
 	// log. Persist it only once the engine has made them durable.
@@ -332,7 +338,9 @@ func (f *Follower) compact() error {
 // idempotent). The replication log restarts empty at base = req.Base.
 //
 // The wipe-and-rename is not crash-atomic; a process crash mid-seed
-// leaves a fresh follower that simply seeds again.
+// leaves a fresh follower that simply seeds again. A seed that fails
+// after the wipe began leaves this one latched mustSeed over closed
+// handles, and the leader's next seed starts over.
 func (f *Follower) HandleSeed(req SeedRequest) (SeedResponse, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -342,33 +350,31 @@ func (f *Follower) HandleSeed(req SeedRequest) (SeedResponse, error) {
 	if req.Epoch < f.st.epoch {
 		return SeedResponse{Epoch: f.st.epoch}, nil
 	}
-	if err := f.eng.Close(); err != nil {
-		return SeedResponse{}, fmt.Errorf("repl: follower %s: seed: %w", f.id, err)
-	}
+	// Everything the handles hold is about to be discarded, so neither
+	// how their close goes nor that a failed seed closed them already
+	// matters.
+	f.eng.Close() //nolint:errcheck
 	f.log.close() //nolint:errcheck
 	restored := f.dir + ".seed-restore"
-	os.RemoveAll(restored) //nolint:errcheck // debris from an interrupted seed
+	vfs.RemoveAll(f.fsys, restored) //nolint:errcheck // debris from an interrupted seed; Restore refuses a target that is left
 	if _, err := engine.Restore(req.Snapshot, restored, -1, f.c, f.opts.Engine); err != nil {
-		f.open() //nolint:errcheck // back onto the untouched directory; the restore error is the one to report
+		// The directory is as the handles left it: carry on from it.
+		if f.open() != nil {
+			f.mustSeed = true
+		}
 		return SeedResponse{}, fmt.Errorf("repl: follower %s: seed restore: %w", f.id, err)
 	}
-	if err := os.RemoveAll(f.dir); err != nil {
-		return SeedResponse{}, fmt.Errorf("repl: follower %s: seed: %w", f.id, err)
-	}
-	if err := os.Rename(restored, f.dir); err != nil {
-		return SeedResponse{}, fmt.Errorf("repl: follower %s: seed: %w", f.id, err)
-	}
-	f.st = nodeState{
+	st := nodeState{
 		role: "follower", epoch: req.Epoch,
 		base: req.Base, baseEpoch: req.BaseEpoch, applied: req.Base,
 	}
-	f.applied = req.Base
-	if err := writeState(f.fsys, f.dir, f.st); err != nil {
-		return SeedResponse{}, err
+	if err := f.install(restored, st); err != nil {
+		f.mustSeed = true
+		f.st = nodeState{role: "follower", epoch: f.st.epoch}
+		f.applied = 0
+		return SeedResponse{}, fmt.Errorf("repl: follower %s: seed: %w", f.id, err)
 	}
-	if err := f.open(); err != nil {
-		return SeedResponse{}, err
-	}
+	f.st, f.applied = st, st.applied
 	f.mustSeed = false
 	f.seeds++
 	f.eng.Events().Emit(telemetry.Event{
@@ -376,4 +382,19 @@ func (f *Follower) HandleSeed(req SeedRequest) (SeedResponse, error) {
 		Detail: fmt.Sprintf("seeded from %s through index %d epoch %d", req.LeaderID, req.Base, req.Epoch),
 	})
 	return SeedResponse{Epoch: f.st.epoch, Ok: true, Ack: req.Base}, nil
+}
+
+// install replaces the replica's directory with the restored one,
+// publishes st in it and reopens the handles there.
+func (f *Follower) install(restored string, st nodeState) error {
+	if err := vfs.RemoveAll(f.fsys, f.dir); err != nil {
+		return err
+	}
+	if err := f.fsys.Rename(restored, f.dir); err != nil {
+		return err
+	}
+	if err := writeState(f.fsys, f.dir, st); err != nil {
+		return err
+	}
+	return f.open()
 }

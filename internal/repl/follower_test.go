@@ -1,0 +1,248 @@
+package repl
+
+import (
+	"fmt"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"github.com/onioncurve/onion/internal/engine"
+	"github.com/onioncurve/onion/internal/vfs"
+)
+
+// reopenFollower replaces follower i by one opened over the same
+// directory with other engine options.
+func (cl *cluster) reopenFollower(i int, opts engine.Options) *Follower {
+	cl.t.Helper()
+	if err := cl.fs[i].Close(); err != nil {
+		cl.t.Fatal(err)
+	}
+	f, err := OpenFollower(cl.ids[i], cl.fs[i].dir, cl.c, FollowerOptions{Engine: opts})
+	if err != nil {
+		cl.t.Fatal(err)
+	}
+	cl.fs[i] = f
+	cl.lb.Register(cl.ids[i], f)
+	return f
+}
+
+// seedFaultRun builds a three-replica group whose f2 sits on a
+// fault-injecting filesystem, lets f2 fall behind the resend window,
+// hands it one seed directly with fault armed, and then lets the leader
+// bring it back. It reports how many operations of the fault's class the
+// direct seed performed, whether that seed failed, and whether the
+// failure left f2 latched. Whatever the first seed did, f2 must converge.
+func seedFaultRun(t *testing.T, fault vfs.Fault) (matched int64, failed, latched bool) {
+	cl := newCluster(t, 2, Config{
+		HistoryEntries: 4,
+		RetryBase:      time.Millisecond, RetryCap: 2 * time.Millisecond, RetryAttempts: 2,
+	})
+	inj := vfs.NewInjecting(vfs.OS{})
+	opts := rtEngOpts()
+	opts.FS = inj
+	f2 := cl.reopenFollower(1, opts)
+	dir := f2.dir
+
+	e := cl.g.Engine()
+	put := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := e.Put(rtPoint(i), uint64(100+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(0, 5)
+	cl.g.Heartbeat()
+	cl.tr.Partition("f2")
+	put(5, 25)
+
+	// Still partitioned, so the catch-up loop cannot get a seed of its
+	// own in: the armed fault meets the seed handed over here.
+	snap, base, baseEpoch, err := cl.g.ensureSeed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Path = dir
+	inj.SetFaults(fault)
+	_, err = f2.HandleSeed(SeedRequest{
+		Epoch: cl.g.Epoch(), LeaderID: "leader",
+		Snapshot: snap, Base: base, BaseEpoch: baseEpoch,
+	})
+	matched = inj.Matched(0)
+	inj.SetFaults()
+	failed, latched = err != nil, f2.Status().MustSeed
+	cl.tr.Heal()
+	if latched && !failed {
+		t.Fatalf("seed succeeded but left the follower latched")
+	}
+
+	// The leader still has f2 flagged behind the window: it seeds again.
+	for i := 0; i < 30; i++ {
+		cl.g.Heartbeat()
+		if st := f2.Status(); !st.MustSeed && st.Applied == st.Last && cl.g.Lag()["f2"] == 0 {
+			break
+		}
+	}
+	put(25, 30)
+	cl.g.Heartbeat()
+	if st := f2.Status(); st.MustSeed || st.Applied != st.Last || cl.g.Lag()["f2"] != 0 {
+		t.Fatalf("f2 did not recover after a seed that failed=%v (%v): %+v, lag %d", failed, err, st, cl.g.Lag()["f2"])
+	}
+	assertSameState(t, cl.c, stateOf(t, cl.c, e), f2.Engine(), "f2")
+	return matched, failed, latched
+}
+
+// TestSeedFailureDoesNotWedgeFollower fails, one at a time, every rename
+// and every remove a seed performs on the follower's filesystem — the
+// swap of the restored directory into place among them. A seed that
+// fails after the old handles were closed must leave the follower
+// re-seedable: the leader's next seed succeeds and the replica
+// converges, without reopening the process.
+func TestSeedFailureDoesNotWedgeFollower(t *testing.T) {
+	for _, op := range []vfs.Op{vfs.OpRename, vfs.OpRemove} {
+		points, _, _ := seedFaultRun(t, vfs.Fault{Op: op}) // N = 0: count only
+		if points == 0 {
+			t.Fatalf("a seed performed no %v: nothing to inject", op)
+		}
+		anyLatched := false
+		for n := int64(1); n <= points; n++ {
+			t.Run(fmt.Sprintf("%v%d", op, n), func(t *testing.T) {
+				// Not every point fails the seed: what the old engine's
+				// close does is discarded with it.
+				_, _, latched := seedFaultRun(t, vfs.Fault{Op: op, N: n, Kind: vfs.KindFail})
+				anyLatched = anyLatched || latched
+			})
+		}
+		if !anyLatched {
+			t.Fatalf("no failed %v left the follower latched: the directory swap was not reached", op)
+		}
+	}
+}
+
+func archivedWALs(t *testing.T, dir string) int {
+	t.Helper()
+	wals, err := filepath.Glob(filepath.Join(dir, "archive", "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(wals)
+}
+
+// TestFollowerKeepsNoWALArchive pins the single-copy rule and what
+// follows from it. A follower's engine deletes the WALs it retires, so
+// after flushes and rotations its directory holds no archive, and a
+// snapshot of it restores to the snapshot's own boundary and no further.
+// Promote reopens the engine with the leader's options: the same
+// directory archives from then on, and a cached seed snapshot is still
+// reused for a follower that falls behind shortly after it was taken.
+func TestFollowerKeepsNoWALArchive(t *testing.T) {
+	opts := rtEngOpts()
+	opts.FlushEntries = 8 // frequent flushes retire WALs
+	cfg := Config{
+		HistoryEntries: 4, SeedRefreshEntries: 1 << 20, Engine: opts,
+		RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond, RetryAttempts: 2,
+	}
+	cl := newCluster(t, 3, cfg)
+	for i := range cl.fs {
+		cl.reopenFollower(i, opts)
+	}
+	e := cl.g.Engine()
+	put := func(e *engine.Engine, from, to int) {
+		for i := from; i < to; i++ {
+			if err := e.Put(rtPoint(i%40), uint64(100+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	put(e, 0, 40)
+	cl.g.Heartbeat()
+	f2 := cl.fs[1]
+	atSnapshot := stateOf(t, cl.c, f2.Engine())
+	snap := filepath.Join(t.TempDir(), "snap")
+	if _, err := f2.Engine().Snapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	put(e, 40, 80) // overwrites every key the snapshot holds
+	cl.g.Heartbeat()
+	for i, f := range cl.fs {
+		if err := f.Engine().Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// f1 is the fast peer: it took every entry by append, never by seed.
+		if st := f.Engine().Stats(); i == 0 && st.Flushes < 2 {
+			t.Fatalf("f1 flushed %d times: the test must retire WALs", st.Flushes)
+		}
+		if n := archivedWALs(t, f.dir); n != 0 {
+			t.Fatalf("%s archived %d WALs; a follower keeps none", cl.ids[i], n)
+		}
+	}
+	if archivedWALs(t, cl.g.dir) == 0 {
+		t.Fatal("the leader archived no WAL under the same workload")
+	}
+
+	restored := filepath.Join(t.TempDir(), "restored")
+	if _, err := engine.Restore(snap, restored, -1, cl.c, opts); err != nil {
+		t.Fatal(err)
+	}
+	re, err := engine.Open(restored, cl.c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameState(t, cl.c, atSnapshot, re, "restore of a follower snapshot")
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The leader dies; f1 takes over f2 and f3.
+	cl.g.Close() //nolint:errcheck
+	cl.g = nil
+	f1, f3 := cl.fs[0], cl.fs[2]
+	w := QuorumWatermark([]uint64{f1.Status().Last, f2.Status().Last, f3.Status().Last}, 2)
+	cl.lb.Unregister("f1")
+	cfg.ID, cfg.Peers, cfg.Transport = "leader2", []string{"f2", "f3"}, cl.tr
+	ng, err := Promote(f1, w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ng.Close() //nolint:errcheck
+	if r := ng.Engine().WALRetention(); r != 0 {
+		t.Fatalf("promoted engine runs with WAL retention %d, want Config.Engine's 0", r)
+	}
+
+	ng.Heartbeat() // find out where the survivors are before the window moves
+
+	// f3 drops behind the resend window, and the seed it gets when it
+	// returns is a cached one the leader has since moved past: either
+	// the catch-up loop exported it while trying to reach f3, or the
+	// call below does and two more entries age it.
+	seeds := f3.Status().Seeds
+	cl.tr.Partition("f3")
+	put(ng.Engine(), 80, 100)
+	_, base, _, err := ng.ensureSeed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ng.mu.Lock()
+	fresh := base == ng.nextIndex
+	ng.mu.Unlock()
+	if fresh {
+		put(ng.Engine(), 100, 102)
+	}
+	if archivedWALs(t, f1.dir) == 0 {
+		t.Fatal("the promoted leader archived no WAL")
+	}
+	cl.tr.Heal()
+	for i := 0; i < 30; i++ {
+		ng.Heartbeat()
+		if st := f3.Status(); st.Seeds > seeds && st.Applied == st.Last && ng.Lag()["f3"] == 0 {
+			break
+		}
+	}
+	if st := f3.Status(); st.Seeds != seeds+1 || st.Base != base || st.Applied != st.Last || ng.Lag()["f3"] != 0 {
+		t.Fatalf("f3 after the stale seed at %d: %+v, lag %d", base, st, ng.Lag()["f3"])
+	}
+	want := stateOf(t, cl.c, ng.Engine())
+	assertSameState(t, cl.c, want, f2.Engine(), "f2")
+	assertSameState(t, cl.c, want, f3.Engine(), "f3")
+}

@@ -88,11 +88,6 @@ func (h *Hook) bind(g *Group) {
 	}
 }
 
-type histEntry struct {
-	e    Entry
-	eseq uint64 // engine sequence number the entry was appended under
-}
-
 type epochMark struct {
 	from  uint64
 	epoch uint64
@@ -126,7 +121,7 @@ type Group struct {
 	epoch     uint64
 	nextIndex uint64 // last assigned index; gaps are legal and permanent
 	commit    uint64 // highest quorum-committed index
-	hist      []histEntry
+	hist      window
 	histBase  uint64 // highest index trimmed off the front of hist
 	marks     []epochMark
 	peers     []*peerState
@@ -166,7 +161,9 @@ func Lead(dir string, c curve.Curve, cfg Config) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := newGroup(eng, dir, hook, cfg, groupInit{epoch: cfg.Epoch, seedPeers: engineNonEmpty(eng)})
+	g, err := newGroup(eng, dir, hook, cfg, groupInit{
+		epoch: cfg.Epoch, hist: newWindow(cfg.HistoryEntries), seedPeers: engineNonEmpty(eng),
+	})
 	if err != nil {
 		eng.Close() //nolint:errcheck
 		return nil, err
@@ -196,7 +193,9 @@ func LeadEngine(eng *engine.Engine, dir string, hook *Hook, cfg Config) (*Group,
 	if ok && st.role == "leader" && st.epoch >= cfg.Epoch {
 		return nil, fmt.Errorf("repl: %s already led epoch %d; rejoin as a follower and promote instead", dir, st.epoch)
 	}
-	return newGroup(eng, dir, hook, cfg, groupInit{epoch: cfg.Epoch, seedPeers: ok || engineNonEmpty(eng)})
+	return newGroup(eng, dir, hook, cfg, groupInit{
+		epoch: cfg.Epoch, hist: newWindow(cfg.HistoryEntries), seedPeers: ok || engineNonEmpty(eng),
+	})
 }
 
 // engineNonEmpty reports whether the engine holds data (or has assigned
@@ -212,7 +211,7 @@ type groupInit struct {
 	epoch     uint64
 	nextIndex uint64
 	commit    uint64
-	hist      []histEntry
+	hist      window
 	histBase  uint64
 	marks     []epochMark
 	failover  bool
@@ -314,12 +313,11 @@ func (g *Group) appendOp(eseq uint64, op []byte) {
 	if n := len(g.marks); n == 0 || g.marks[n-1].epoch != g.epoch {
 		g.marks = append(g.marks, epochMark{from: g.nextIndex, epoch: g.epoch})
 	}
-	g.hist = append(g.hist, histEntry{
+	g.hist.push(histEntry{
 		e:    Entry{Index: g.nextIndex, Epoch: g.epoch, Op: op},
 		eseq: eseq,
 	})
-	if len(g.hist) > g.cfg.HistoryEntries {
-		drop := len(g.hist) - g.cfg.HistoryEntries
+	if drop := len(g.hist.live) - g.cfg.HistoryEntries; drop > 0 {
 		// Only the quorum-committed prefix is trimmable. An uncommitted
 		// entry is the rendezvous target of an in-flight (or imminent)
 		// commit round: trimming it would force its followers into a
@@ -328,29 +326,23 @@ func (g *Group) appendOp(eseq uint64, op []byte) {
 		// against healthy replicas. The window may therefore exceed
 		// HistoryEntries transiently (one batch larger than the window);
 		// it snaps back once the commit watermark passes.
-		if committed := g.histSearch(g.commit + 1); drop > committed {
-			drop = committed
+		if g.hist.live[drop-1].e.Index > g.commit {
+			drop = g.hist.search(g.commit + 1)
 		}
 		if drop > 0 {
-			g.histBase = g.hist[drop-1].e.Index
-			g.hist = append(g.hist[:0:0], g.hist[drop:]...)
+			g.histBase = g.hist.live[drop-1].e.Index
+			g.hist.trim(drop)
 		}
 	}
 	g.mu.Unlock()
-}
-
-// histSearch returns the position of the first hist entry with index >=
-// idx. Caller holds g.mu.
-func (g *Group) histSearch(idx uint64) int {
-	return sort.Search(len(g.hist), func(i int) bool { return g.hist[i].e.Index >= idx })
 }
 
 // lastEntryIndex is the index of the newest live history entry — unlike
 // nextIndex it never points at an abandoned (quorum-failed) index.
 // Caller holds g.mu.
 func (g *Group) lastEntryIndex() uint64 {
-	if n := len(g.hist); n > 0 {
-		return g.hist[n-1].e.Index
+	if n := len(g.hist.live); n > 0 {
+		return g.hist.live[n-1].e.Index
 	}
 	return g.histBase
 }
@@ -384,9 +376,8 @@ func (g *Group) commitSeq(seq uint64) error {
 		g.mu.Unlock()
 		return fmt.Errorf("%w: %w by epoch %d", engine.ErrQuorum, ErrFenced, fenced)
 	}
-	// Last entry with eseq <= seq; entries are appended in eseq order.
-	i := sort.Search(len(g.hist), func(i int) bool { return g.hist[i].eseq > seq })
-	if i == 0 {
+	target, ok := g.hist.lastBySeq(seq)
+	if !ok {
 		// Nothing of ours in this rendezvous window. Safe even when the
 		// front of hist has been trimmed: appendOp never trims above
 		// g.commit, so any trimmed entry was already quorum-durable and
@@ -394,7 +385,6 @@ func (g *Group) commitSeq(seq uint64) error {
 		g.mu.Unlock()
 		return nil
 	}
-	target := g.hist[i-1].e.Index
 	if target <= g.commit {
 		g.mu.Unlock()
 		return nil // a later rendezvous already covered it
@@ -419,13 +409,8 @@ func (g *Group) preShip(seq uint64) {
 		g.mu.Unlock()
 		return
 	}
-	i := sort.Search(len(g.hist), func(i int) bool { return g.hist[i].eseq > seq })
-	if i == 0 {
-		g.mu.Unlock()
-		return
-	}
-	target := g.hist[i-1].e.Index
-	if target <= g.commit {
+	target, ok := g.hist.lastBySeq(seq)
+	if !ok || target <= g.commit {
 		g.mu.Unlock()
 		return
 	}
@@ -569,8 +554,8 @@ func (g *Group) shipLocked(p *peerState, target uint64) bool {
 			g.ring()
 			return false
 		}
-		i := g.histSearch(ack + 1)
-		j := g.histSearch(target + 1)
+		i := g.hist.search(ack + 1)
+		j := g.hist.search(target + 1)
 		if j > i+g.cfg.MaxBatchEntries {
 			j = i + g.cfg.MaxBatchEntries
 		}
@@ -584,7 +569,7 @@ func (g *Group) shipLocked(p *peerState, target uint64) bool {
 		}
 		entries := make([]Entry, j-i)
 		for k := i; k < j; k++ {
-			entries[k-i] = g.hist[k].e
+			entries[k-i] = g.hist.live[k].e
 		}
 		upTo := entries[len(entries)-1].Index
 		req := AppendRequest{
@@ -991,22 +976,7 @@ func (g *Group) TryRecover() (engine.Health, error) {
 	}
 
 	g.mu.Lock()
-	if i := g.histSearch(g.commit + 1); i < len(g.hist) {
-		g.hist = g.hist[:i]
-	}
-	// Re-base every peer conversation at the commit watermark. A
-	// follower that acked an orphan must not have that orphan used as a
-	// Prev-match point (it would sit silently below later entries and be
-	// applied once the watermark passes it); resending from commit makes
-	// the follower's tandem walk see the divergence and truncate it.
-	for _, p := range g.peers {
-		if p.ack > g.commit {
-			p.ack = g.commit
-		}
-		if p.sentCommit > g.commit {
-			p.sentCommit = g.commit
-		}
-	}
+	g.abandonOrphansLocked()
 	g.mu.Unlock()
 
 	h, err := g.eng.TryRecover()
@@ -1019,6 +989,24 @@ func (g *Group) TryRecover() (engine.Health, error) {
 	})
 	g.ring()
 	return h, nil
+}
+
+// abandonOrphansLocked (g.mu held) drops the un-committed suffix of the
+// history and re-bases every peer conversation at the commit watermark.
+// A follower that acked an orphan must not have that orphan used as a
+// Prev-match point (it would sit silently below later entries and be
+// applied once the watermark passes it); resending from commit makes
+// the follower's tandem walk see the divergence and truncate it.
+func (g *Group) abandonOrphansLocked() {
+	g.hist.truncate(g.hist.search(g.commit + 1))
+	for _, p := range g.peers {
+		if p.ack > g.commit {
+			p.ack = g.commit
+		}
+		if p.sentCommit > g.commit {
+			p.sentCommit = g.commit
+		}
+	}
 }
 
 func (g *Group) engHealth() engine.Health {
@@ -1108,13 +1096,13 @@ func Promote(f *Follower, upTo uint64, cfg Config) (*Group, error) {
 	// Preload the leader history from the log so surviving followers
 	// resync by resend. Epoch marks reconstruct fencing for indices at
 	// and below the base.
-	hist := make([]histEntry, len(f.log.entries))
+	hist := newWindow(cfg.HistoryEntries)
 	var marks []epochMark
 	if f.st.base > 0 {
 		marks = append(marks, epochMark{from: f.st.base, epoch: f.st.baseEpoch})
 	}
-	for i, e := range f.log.entries {
-		hist[i] = histEntry{e: Entry{Index: e.Index, Epoch: e.Epoch, Op: append([]byte(nil), e.Op...)}}
+	for _, e := range f.log.entries {
+		hist.push(histEntry{e: Entry{Index: e.Index, Epoch: e.Epoch, Op: append([]byte(nil), e.Op...)}})
 		if n := len(marks); n == 0 || marks[n-1].epoch != e.Epoch {
 			marks = append(marks, epochMark{from: e.Index, epoch: e.Epoch})
 		}

@@ -217,8 +217,9 @@ type lfStep struct {
 // lfScript walks the follower log through every way it changes on disk:
 // plain appends, a compaction (steps 3 and 7 push it over MaxLogEntries
 // = 6 with a commit watermark to fold in), an epoch adoption plus a
-// divergent-suffix truncation (step 5), and a reopen's replay and
-// republish.
+// divergent-suffix truncation (step 5), a reopen's replay and republish
+// before any compaction, and another after one, over a log that starts
+// above its base; the last step adopts an epoch and compacts on that.
 func lfScript() []lfStep {
 	return []lfStep{
 		{req: AppendRequest{Epoch: 1, Entries: lfEntries(1, 3, 1)}},
@@ -229,6 +230,8 @@ func lfScript() []lfStep {
 		{reopen: true},
 		{req: AppendRequest{Epoch: 2, PrevIndex: 13, PrevEpoch: 2, Entries: lfEntries(14, 15, 2), Commit: 13}},
 		{req: AppendRequest{Epoch: 2, PrevIndex: 15, PrevEpoch: 2, Commit: 15}},
+		{reopen: true},
+		{req: AppendRequest{Epoch: 3, PrevIndex: 15, PrevEpoch: 2, Entries: lfEntries(16, 20, 3), Commit: 15}},
 	}
 }
 
@@ -313,7 +316,7 @@ func TestReplLogFaultMatrix(t *testing.T) {
 	inj := vfs.NewInjecting(vfs.OS{})
 	inj.SetFaults(filters...)
 	want, inflight, _ := lfRun(t, filepath.Join(t.TempDir(), "f1"), inj)
-	if inflight != nil || len(want) != 15 {
+	if inflight != nil || len(want) != 20 {
 		t.Fatalf("enumeration run stopped early: %d entries acked", len(want))
 	}
 

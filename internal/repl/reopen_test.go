@@ -274,7 +274,7 @@ func TestReplBatchLargerThanHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.g.mu.Lock()
-	histLen := len(cl.g.hist)
+	histLen := len(cl.g.hist.live)
 	cl.g.mu.Unlock()
 	if histLen > 4 {
 		t.Fatalf("history window did not snap back: %d entries, cap 4", histLen)

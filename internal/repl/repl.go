@@ -10,7 +10,10 @@
 // shipped entries in their own CRC-framed replication log (fsynced
 // before acknowledging) and apply the quorum-committed prefix to their
 // engine through the same op encoding WAL replay uses, so a follower's
-// engine converges bit-identically to the leader's.
+// engine converges bit-identically to the leader's. A follower's engine
+// deletes the WALs it retires instead of archiving them — an entry ends
+// up stored once, in a segment — so point-in-time restore is served from
+// the leader.
 //
 // Entries carry explicit (index, epoch) pairs. Epochs fence leadership:
 // a follower rejects traffic from a stale epoch, and promotion bumps the
@@ -91,9 +94,14 @@ type Config struct {
 	// Engine tunes the leader engine for Lead and Promote (SyncWrites is
 	// forced on — replication rides the group-commit path).
 	Engine engine.Options
-	// HistoryEntries bounds the in-memory resend window. A follower
-	// whose ack falls behind the window is caught up by snapshot seed
-	// instead of resend. Default 1 << 14.
+	// HistoryEntries bounds the in-memory resend window: the leader
+	// keeps the newest HistoryEntries entries, plus any older ones no
+	// quorum has committed yet (a batch larger than the window holds it
+	// open until its commit lands). A follower whose ack falls behind
+	// the window is caught up by snapshot seed instead of resend.
+	// Appending to the window is O(1) and allocates nothing; it occupies
+	// 2 × HistoryEntries slots of 48 bytes, more only while the
+	// uncommitted overflow lasts. Default 1 << 14.
 	HistoryEntries int
 	// MaxBatchEntries caps entries per Append request during catch-up
 	// streaming. Default 512.
@@ -158,7 +166,14 @@ func (c Config) withDefaults() Config {
 type FollowerOptions struct {
 	// Engine tunes the follower's engine. SyncWrites stays off by
 	// default: the follower's durable truth is its replication log, and
-	// the engine catches up on compaction and close.
+	// the engine catches up on compaction and close. WALRetention is
+	// forced to -1 (retired WALs are deleted, not archived): an entry
+	// already sits in the replication log until the engine holds it in a
+	// segment, and nothing reads a follower's archive — seeds replay the
+	// leader's, and Promote reopens the engine with Config.Engine, which
+	// archives from then on. Point-in-time restore is therefore a
+	// leader-side capability: a snapshot of Follower.Engine() restores
+	// to its own boundary and no further.
 	Engine engine.Options
 	// MaxLogEntries triggers replication-log compaction: once the log
 	// holds more than this many entries, the applied prefix is synced
@@ -170,5 +185,6 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 	if o.MaxLogEntries <= 0 {
 		o.MaxLogEntries = 1 << 14
 	}
+	o.Engine.WALRetention = -1
 	return o
 }

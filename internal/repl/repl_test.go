@@ -159,6 +159,9 @@ func TestReplBasic(t *testing.T) {
 	if n := snap.Counter("repl_entries_shipped_total"); n < 50 {
 		t.Fatalf("repl_entries_shipped_total = %d, want >= 50 per follower", n)
 	}
+	if m, _ := snap.Metric("repl_history_entries"); m.Int != 50 {
+		t.Fatalf("repl_history_entries = %d, want the 50 entries written", m.Int)
+	}
 }
 
 // TestReplQuorumLossDegrades: losing quorum fails the write with

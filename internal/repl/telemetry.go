@@ -43,6 +43,13 @@ func newGroupTelemetry(g *Group) *groupTelemetry {
 		defer g.mu.Unlock()
 		return int64(g.commit)
 	})
+	// Above Config.HistoryEntries only while a batch larger than the
+	// window awaits its commit.
+	reg.GaugeFunc("repl_history_entries", func() int64 {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return int64(len(g.hist.live))
+	})
 	reg.GaugeFunc("repl_last_index", func() int64 {
 		g.mu.Lock()
 		defer g.mu.Unlock()

@@ -17,6 +17,7 @@
 package vfs
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -131,6 +132,32 @@ func WriteFileAtomic(fs FS, path string, data []byte) error {
 		return err
 	}
 	return fs.SyncDir(filepath.Dir(path))
+}
+
+// RemoveAll removes dir and everything under it through fs, one Remove
+// per entry, children before their directory. A dir that does not exist
+// is not an error. It stops at the first failure, leaving the tree
+// partly removed.
+func RemoveAll(fs FS, dir string) error {
+	ents, err := fs.ReadDir(dir)
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil
+		}
+		return err
+	}
+	for _, ent := range ents {
+		name := filepath.Join(dir, ent.Name())
+		if ent.IsDir() {
+			err = RemoveAll(fs, name)
+		} else {
+			err = fs.Remove(name)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return fs.Remove(dir)
 }
 
 // Or returns fs, or the passthrough OS filesystem when fs is nil — the

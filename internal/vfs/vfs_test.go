@@ -57,6 +57,40 @@ func TestOSPassthrough(t *testing.T) {
 	}
 }
 
+// TestRemoveAll: the tree goes, children first, every removal through
+// the filesystem handed in — so an injected failure stops it part-way —
+// and a directory that is not there is not an error.
+func TestRemoveAll(t *testing.T) {
+	inj := NewInjecting(OS{})
+	root := filepath.Join(t.TempDir(), "root")
+	if err := RemoveAll(inj, root); err != nil {
+		t.Fatalf("missing directory: %v", err)
+	}
+	for _, name := range []string{"a/b/f1", "a/f2", "f3"} {
+		p := filepath.Join(root, name)
+		if err := inj.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFileAtomic(inj, p, []byte(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj.SetFaults(Fault{Op: OpRemove, N: 3, Kind: KindFail})
+	if err := RemoveAll(inj, root); !errors.Is(err, ErrInjected) {
+		t.Fatalf("third removal failed, RemoveAll returned %v", err)
+	}
+	if _, err := os.Stat(root); err != nil {
+		t.Fatalf("root after a failed RemoveAll: %v", err)
+	}
+	inj.SetFaults()
+	if err := RemoveAll(inj, root); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(root); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("root after RemoveAll: %v", err)
+	}
+}
+
 func TestInjectingNthOpAndCategories(t *testing.T) {
 	dir := t.TempDir()
 	fs := NewInjecting(OS{})

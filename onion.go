@@ -616,7 +616,10 @@ func LeadReplicated(dir string, c Curve, cfg ReplConfig) (*ReplGroup, error) {
 }
 
 // OpenReplFollower opens (creating or rejoining) a follower replica.
-// Register it on the transport under id so the leader can reach it.
+// Register it on the transport under id so the leader can reach it. A
+// follower's engine keeps no WAL archive (opts.Engine.WALRetention is
+// forced to -1), so point-in-time restore past a snapshot is served
+// from the leader's directory, not a follower's.
 func OpenReplFollower(id, dir string, c Curve, opts ReplFollowerOptions) (*ReplFollower, error) {
 	return repl.OpenFollower(id, dir, c, opts)
 }
