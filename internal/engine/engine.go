@@ -147,6 +147,19 @@ type Stats struct {
 	IO pagedstore.IOStats
 }
 
+// Add accumulates o's access counters into s — the part of Stats that
+// sums across sources, be they the segment cursors of one query or the
+// shards of one fan-out. Results and Planned describe the query as a
+// whole and are set by its body.
+func (s *Stats) Add(o Stats) {
+	s.Seeks += o.Seeks
+	s.PagesRead += o.PagesRead
+	s.RecordsScanned += o.RecordsScanned
+	s.MemEntries += o.MemEntries
+	s.Segments += o.Segments
+	s.IO.Add(o.IO)
+}
+
 // EngineStats is a point-in-time summary of the engine's shape.
 type EngineStats struct {
 	MemEntries     int64  // versions in the active memtable
@@ -684,7 +697,7 @@ func (q *queryState) emit(win *mergeSource) {
 // duplicate keys and tombstones suppressing older versions. The seek and
 // page accounting is pagedstore's, summed over segments.
 func (e *Engine) Query(r geom.Rect) ([]Record, Stats, error) {
-	return e.QueryAppend(nil, r)
+	return e.query(context.Background(), nil, &r, nil)
 }
 
 // QueryAppend is Query appending into dst: recycling the same dst across
@@ -692,79 +705,84 @@ func (e *Engine) Query(r geom.Rect) ([]Record, Stats, error) {
 // steady-state query path allocates nothing. Stats.Results counts only
 // the records this call appended.
 func (e *Engine) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) {
+	return e.query(context.Background(), dst, &r, nil)
+}
+
+// QueryAppendContext is QueryAppend under a context: the merge checks ctx
+// between ranges and (amortized) inside long range scans, so a timeout or
+// cancellation stops the query promptly and returns ctx.Err() with
+// whatever statistics had accumulated.
+func (e *Engine) QueryAppendContext(ctx context.Context, dst []Record, r geom.Rect) ([]Record, Stats, error) {
+	return e.query(ctx, dst, &r, nil)
+}
+
+// QueryRanges executes a pre-planned list of key ranges, appending into
+// dst under ctx: every live record whose curve key falls in one of the
+// ranges, in ascending key order, together with the logical access
+// pattern. krs must be sorted ascending, disjoint and within the curve's
+// key space — the shape RangePlanner emits — or the call fails with
+// ErrRanges; a query router that plans a rectangle once and fans its
+// ranges out to partitioned engines calls this hook so no engine
+// re-plans. Stats.Planned is left zero: planning happened (at most once)
+// in the caller.
+func (e *Engine) QueryRanges(ctx context.Context, dst []Record, krs []curve.KeyRange) ([]Record, Stats, error) {
+	return e.query(ctx, dst, nil, krs)
+}
+
+// QueryRangesAppend is QueryRanges without a context.
+func (e *Engine) QueryRangesAppend(dst []Record, krs []curve.KeyRange) ([]Record, Stats, error) {
+	return e.query(context.Background(), dst, nil, krs)
+}
+
+// query is the one instrumented query body every entry point reaches: it
+// plans r (one planner call per rectangle — the whole query costs
+// O(clusters) planning regardless of its volume) or, when r is nil,
+// validates the caller's plan krs, executes the ranges, and records the
+// outcome — served or failed, planner and plan rejections included —
+// exactly once.
+func (e *Engine) query(ctx context.Context, dst []Record, r *geom.Rect, krs []curve.KeyRange) ([]Record, Stats, error) {
 	tel := e.tel
 	var start time.Time
 	if tel != nil {
 		start = time.Now()
 	}
-	// One planner call per rectangle — the whole query costs
-	// O(clusters) planning regardless of its volume.
 	qs := qsPool.Get().(*queryState)
+	var st Stats
 	var err error
-	qs.plan, err = ranges.DecomposeAppend(e.c, r, 0, qs.plan)
-	if err != nil {
-		qsPool.Put(qs)
-		if tel != nil {
-			tel.queryErrors.Inc()
+	if r != nil {
+		if qs.plan, err = ranges.DecomposeAppend(e.c, *r, 0, qs.plan); err != nil {
+			err = fmt.Errorf("engine: %w", err)
 		}
-		return dst, Stats{}, fmt.Errorf("engine: %w", err)
+		krs = qs.plan
+	} else {
+		err = e.checkPlan(krs)
 	}
-	out, st, err := e.queryRanges(context.Background(), qs, dst, qs.plan)
-	st.Planned = len(qs.plan)
+	if err == nil {
+		dst, st, err = e.queryRanges(ctx, qs, dst, krs)
+		if r != nil {
+			st.Planned = len(krs)
+		}
+	}
 	qsPool.Put(qs)
 	if tel != nil {
 		tel.recordQuery(start, st, err)
 	}
-	return out, st, err
+	return dst, st, err
 }
 
-// QueryRanges executes a pre-planned list of key ranges: every live record
-// whose curve key falls in one of the ranges, in ascending key order,
-// together with the logical access pattern. krs must be sorted ascending,
-// disjoint and within the curve's key space — the shape RangePlanner
-// emits; a query router that plans a rectangle once and fans its ranges
-// out to partitioned engines calls this hook so no engine re-plans.
-// Stats.Planned is left zero: planning happened (at most once) in the
-// caller.
-func (e *Engine) QueryRanges(krs []curve.KeyRange) ([]Record, Stats, error) {
-	return e.QueryRangesAppendContext(context.Background(), nil, krs)
-}
-
-// QueryRangesAppend is QueryRanges appending into dst — the form the
-// shard router's fan-out drives with recycled per-shard buffers.
-func (e *Engine) QueryRangesAppend(dst []Record, krs []curve.KeyRange) ([]Record, Stats, error) {
-	return e.QueryRangesAppendContext(context.Background(), dst, krs)
-}
-
-// QueryRangesAppendContext is QueryRangesAppend under a context: the
-// merge checks ctx between ranges and (amortized) inside long range
-// scans, so a timeout or cancellation stops the worker promptly and
-// returns ctx.Err() with whatever statistics had accumulated.
-func (e *Engine) QueryRangesAppendContext(ctx context.Context, dst []Record, krs []curve.KeyRange) ([]Record, Stats, error) {
-	tel := e.tel
-	var start time.Time
-	if tel != nil {
-		start = time.Now()
-	}
+// checkPlan rejects a pre-planned range list that is not sorted
+// ascending, disjoint and within the curve's key space.
+func (e *Engine) checkPlan(krs []curve.KeyRange) error {
 	n := e.c.Universe().Size()
 	for i, kr := range krs {
 		if kr.Lo > kr.Hi || kr.Hi >= n {
-			return dst, Stats{}, fmt.Errorf("%w: %v (key space [0,%d))", ErrRanges, kr, n)
+			return fmt.Errorf("%w: %v (key space [0,%d))", ErrRanges, kr, n)
 		}
 		if i > 0 && kr.Lo <= krs[i-1].Hi {
-			return dst, Stats{}, fmt.Errorf("%w: %v not after %v", ErrRanges, kr, krs[i-1])
+			return fmt.Errorf("%w: %v not after %v", ErrRanges, kr, krs[i-1])
 		}
 	}
-	qs := qsPool.Get().(*queryState)
-	out, st, err := e.queryRanges(ctx, qs, dst, krs)
-	qsPool.Put(qs)
-	if tel != nil {
-		// Planned stays 0 on the pre-planned path (the caller planned),
-		// so recordQuery skips the planned-ranges and seek-amplification
-		// series and tallies latency and the logical counters.
-		tel.recordQuery(start, st, err)
-	}
-	return out, st, err
+	return nil
 }
 
 func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, krs []curve.KeyRange) ([]Record, Stats, error) {
@@ -834,8 +852,8 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 	out := qs.out
 	qs.out = nil
 	st.MemEntries = qs.memHits
-	st = e.sumStats(st, qs.cursors)
 	for _, cur := range qs.cursors {
+		st.Add(Stats{Stats: cur.Stats(), IO: cur.IO()})
 		cur.Release()
 	}
 	if err != nil {
@@ -920,19 +938,6 @@ func mergeSources(srcs []*mergeSource, scratch *[]*mergeSource, sink mergeSink, 
 	}
 	*scratch = live
 	return nil
-}
-
-// sumStats folds the per-segment cursor tallies — logical and physical —
-// into st.
-func (e *Engine) sumStats(st Stats, cursors []*pagedstore.Cursor) Stats {
-	for _, cur := range cursors {
-		cs := cur.Stats()
-		st.Seeks += cs.Seeks
-		st.PagesRead += cs.PagesRead
-		st.RecordsScanned += cs.RecordsScanned
-		st.IO.Add(cur.IO())
-	}
-	return st
 }
 
 // Flush freezes the active memtable and writes it out as one immutable

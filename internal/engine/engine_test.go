@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"io"
 	"math/rand"
 	"os"
@@ -511,7 +513,7 @@ func TestQueryRanges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gst, err := e.QueryRanges(plan)
+		got, gst, err := e.QueryRanges(context.Background(), nil, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -539,10 +541,18 @@ func TestQueryRanges(t *testing.T) {
 		{{Lo: 0, Hi: 9}, {Lo: 9, Hi: 12}},  // overlapping
 		{{Lo: 10, Hi: 12}, {Lo: 0, Hi: 5}}, // unsorted
 	} {
-		if _, _, err := e.QueryRanges(bad); err == nil {
-			t.Errorf("plan %v accepted", bad)
+		if _, _, err := e.QueryRanges(context.Background(), nil, bad); !errors.Is(err, ErrRanges) {
+			t.Errorf("plan %v: err %v, want ErrRanges", bad, err)
 		}
 	}
+}
+
+// seek positions a fresh iterator over kr at snapshot snap — the
+// allocating form of memIter.init, for the memtable unit tests below.
+func (m *memtable) seek(kr curve.KeyRange, snap uint64) *memIter {
+	it := &memIter{}
+	it.init(m, kr, snap)
+	return it
 }
 
 // TestCommitterWatermark: a write becomes visible only after all earlier

@@ -549,7 +549,11 @@ func TestQueryTriggersBackgroundScrub(t *testing.T) {
 	}
 }
 
-func TestQueryRangesContextCanceled(t *testing.T) {
+// TestQueryContextCanceled: a cancelled context stops both the
+// pre-planned and the rectangle path with ctx.Err(), hands back exactly
+// the caller's dst, and counts one query error each — the same ctx check
+// in the one body serves both.
+func TestQueryContextCanceled(t *testing.T) {
 	o := fwCurve(t)
 	e, err := Open(t.TempDir(), o, Options{PageBytes: 256, FlushEntries: -1, CompactFanout: -1, Shards: 2})
 	if err != nil {
@@ -561,12 +565,29 @@ func TestQueryRangesContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = e.QueryRangesAppendContext(ctx, nil, []curve.KeyRange{{Lo: 0, Hi: 100}})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled query = %v, want context.Canceled", err)
+	krs := []curve.KeyRange{{Lo: 0, Hi: o.Universe().Size() - 1}}
+	full := o.Universe().Rect()
+	dst := []Record{{Point: fwPoint(7), Payload: 7}}
+	for i, query := range []func(context.Context) ([]Record, Stats, error){
+		func(ctx context.Context) ([]Record, Stats, error) { return e.QueryRanges(ctx, dst, krs) },
+		func(ctx context.Context) ([]Record, Stats, error) { return e.QueryAppendContext(ctx, dst, full) },
+	} {
+		got, _, err := query(ctx)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("path %d: canceled query = %v, want context.Canceled", i, err)
+		}
+		if len(got) != 1 || got[0].Payload != 7 {
+			t.Fatalf("path %d: canceled query returned %v, want dst[:base]", i, got)
+		}
+		if n := e.TelemetrySnapshot().Counter("engine_query_errors_total"); n != uint64(i+1) {
+			t.Fatalf("path %d: engine_query_errors_total = %d, want %d", i, n, i+1)
+		}
+		// The background context path still works, appending after base.
+		if got, _, err = query(context.Background()); err != nil || len(got) != 2 {
+			t.Fatalf("path %d: live query = %d records, %v; want 2, nil", i, len(got), err)
+		}
 	}
-	// The background context path still works.
-	if _, _, err := e.QueryRanges([]curve.KeyRange{{Lo: 0, Hi: 100}}); err != nil {
-		t.Fatal(err)
+	if n := e.TelemetrySnapshot().Counter("engine_queries_total"); n != 2 {
+		t.Fatalf("engine_queries_total = %d, want 2", n)
 	}
 }

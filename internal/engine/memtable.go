@@ -142,13 +142,6 @@ type memIter struct {
 	ok       bool
 }
 
-// seek positions an iterator over [lo, hi] and loads its first entry.
-func (m *memtable) seek(kr curve.KeyRange, snap uint64) *memIter {
-	it := &memIter{}
-	it.init(m, kr, snap)
-	return it
-}
-
 // init (re)positions an existing iterator over [lo, hi] at snapshot snap
 // and loads its first entry — the reusable form the pooled query state
 // drives, one reset per (range, memtable) pass with no allocation.

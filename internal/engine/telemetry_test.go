@@ -2,11 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/core"
+	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/telemetry"
 )
@@ -191,5 +194,40 @@ func TestEngineSeekAmplification(t *testing.T) {
 	}
 	if m.Float != 1.0 {
 		t.Errorf("seek amplification = %v on a compacted engine, want 1.0", m.Float)
+	}
+}
+
+// TestEngineQueryErrorsCountedOnce: a rectangle the planner rejects and a
+// pre-planned range list rejected with ErrRanges are the same kind of
+// event — a query refused before it touched a source — and each bumps
+// engine_query_errors_total exactly once, with no served-query sample.
+func TestEngineQueryErrorsCountedOnce(t *testing.T) {
+	o, _ := core.NewOnion2D(16)
+	e, err := Open(t.TempDir(), o, manualOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	outside := geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{16, 16}}
+	if _, _, err := e.Query(outside); err == nil {
+		t.Fatal("rectangle beyond the universe accepted")
+	}
+	snap := e.TelemetrySnapshot()
+	if got := snap.Counter("engine_query_errors_total"); got != 1 {
+		t.Errorf("after a planner rejection: engine_query_errors_total = %d, want 1", got)
+	}
+	inverted := []curve.KeyRange{{Lo: 5, Hi: 4}}
+	if _, _, err := e.QueryRanges(context.Background(), nil, inverted); !errors.Is(err, ErrRanges) {
+		t.Fatalf("inverted plan: err %v, want ErrRanges", err)
+	}
+	snap = e.TelemetrySnapshot()
+	if got := snap.Counter("engine_query_errors_total"); got != 2 {
+		t.Errorf("after an ErrRanges rejection: engine_query_errors_total = %d, want 2", got)
+	}
+	if got := snap.Counter("engine_queries_total"); got != 0 {
+		t.Errorf("engine_queries_total = %d after two rejected queries, want 0", got)
+	}
+	if h := snap.Hist("engine_query_latency_us"); h != nil && h.Count != 0 {
+		t.Errorf("rejected queries left %d latency samples", h.Count)
 	}
 }

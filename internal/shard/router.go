@@ -70,13 +70,6 @@ type ShardStats struct {
 	engine.Stats
 }
 
-// shardPlan is the part of a query plan one shard executes: the plan's
-// ranges clipped to the shard's key interval, still sorted and disjoint.
-type shardPlan struct {
-	shard int
-	krs   []curve.KeyRange
-}
-
 // partRef names one shard's sub-plan inside a flat split plan:
 // flat[start:end] is the shard-clipped range run it executes.
 type partRef struct {
@@ -120,19 +113,6 @@ func splitPlanFlat(part *partition.Partitioner, plan []curve.KeyRange, flat []cu
 	return flat, parts
 }
 
-// splitPlan splits a sorted disjoint plan at shard boundaries, returning
-// each touched shard's sub-plan in ascending shard order (the
-// materialized form of splitPlanFlat, kept for tests and callers that
-// want owned slices).
-func splitPlan(part *partition.Partitioner, plan []curve.KeyRange) []shardPlan {
-	flat, parts := splitPlanFlat(part, plan, nil, nil)
-	out := make([]shardPlan, len(parts))
-	for i, p := range parts {
-		out[i] = shardPlan{shard: p.shard, krs: append([]curve.KeyRange{}, flat[p.start:p.end]...)}
-	}
-	return out
-}
-
 // task is one shard sub-query handed to the worker pool: fixed-size, so
 // the handoff itself never allocates.
 type task struct {
@@ -156,8 +136,7 @@ type routerQuery struct {
 }
 
 type partResult struct {
-	recs []Record // recycled append buffer; n records are this query's
-	n    int
+	recs []Record // recycled append buffer, holding this query's records
 	st   engine.Stats
 	err  error
 }
@@ -169,8 +148,7 @@ var rqPool = sync.Pool{New: func() any { return new(routerQuery) }}
 func (q *routerQuery) run(i int) {
 	p := q.parts[i]
 	r := &q.res[i]
-	recs, est, err := q.s.engines[p.shard].QueryRangesAppendContext(q.ctx, r.recs[:0], q.flat[p.start:p.end])
-	r.recs, r.n, r.st, r.err = recs, len(recs), est, err
+	r.recs, r.st, r.err = q.s.engines[p.shard].QueryRanges(q.ctx, r.recs[:0], q.flat[p.start:p.end])
 }
 
 // Query returns every live record whose point lies inside r together
@@ -246,24 +224,32 @@ func (s *Sharded) QueryAppendContext(ctx context.Context, dst []Record, r geom.R
 	}
 	q := rqPool.Get().(*routerQuery)
 	q.s, q.ctx = s, ctx
+	dst, st, err := q.exec(dst, r, pol)
+	q.s, q.ctx = nil, nil
+	rqPool.Put(q)
+	if rtel != nil && err == nil {
+		rtel.recordQuery(start, &st)
+	}
+	return dst, st, err
+}
+
+// exec plans r once, fans the split plan out to the touched shards and
+// gathers their answers into dst under pol.
+func (q *routerQuery) exec(dst []Record, r geom.Rect, pol QueryPolicy) ([]Record, Stats, error) {
+	s, rtel := q.s, q.s.rtel
 	// One planner call per query, whatever the fan-out.
 	var err error
 	q.plan, err = ranges.DecomposeAppend(s.c, r, 0, q.plan)
 	if err != nil {
-		q.s, q.ctx = nil, nil
-		rqPool.Put(q)
 		return dst, Stats{}, fmt.Errorf("shard: %w", err)
 	}
 	var st Stats
 	st.Planned = len(q.plan)
 	if s.opts.MaxPlannedRanges > 0 && len(q.plan) > s.opts.MaxPlannedRanges {
-		planned := len(q.plan)
-		q.s, q.ctx = nil, nil
-		rqPool.Put(q)
 		if rtel != nil {
 			rtel.budgetRejects.Inc()
 		}
-		return dst, st, fmt.Errorf("%w: %d ranges > %d", ErrBudget, planned, s.opts.MaxPlannedRanges)
+		return dst, st, fmt.Errorf("%w: %d ranges > %d", ErrBudget, len(q.plan), s.opts.MaxPlannedRanges)
 	}
 	q.flat, q.parts = splitPlanFlat(s.part, q.plan, q.flat, q.parts)
 	st.ShardsTouched = len(q.parts)
@@ -294,23 +280,17 @@ func (s *Sharded) QueryAppendContext(ctx context.Context, dst []Record, r geom.R
 		// deadline would read as a degraded-but-served answer when it is
 		// actually an abandoned one.
 		if !pol.Partial || errors.Is(perr, context.Canceled) || errors.Is(perr, context.DeadlineExceeded) {
-			err := fmt.Errorf("shard %d: %w", q.parts[i].shard, perr)
-			q.s, q.ctx = nil, nil
-			rqPool.Put(q)
 			if rtel != nil {
 				rtel.shardFailures.Inc()
 			}
-			return dst, st, err
+			return dst, st, fmt.Errorf("shard %d: %w", q.parts[i].shard, perr)
 		}
 		st.Degraded = true
 		st.FailedShards = append(st.FailedShards, q.parts[i].shard)
 	}
 	if st.Degraded && len(st.FailedShards) == len(q.parts) {
 		// Nothing answered; "partial" would be an empty lie.
-		err := fmt.Errorf("shard %d: %w", q.parts[0].shard, q.res[0].err)
-		q.s, q.ctx = nil, nil
-		rqPool.Put(q)
-		return dst, st, err
+		return dst, st, fmt.Errorf("shard %d: %w", q.parts[0].shard, q.res[0].err)
 	}
 	st.SubRanges = len(q.flat)
 	base := len(dst)
@@ -320,29 +300,12 @@ func (s *Sharded) QueryAppendContext(ctx context.Context, dst []Record, r geom.R
 		if res.err != nil {
 			continue
 		}
-		for j := 0; j < res.n; j++ {
-			dst = pagedstore.AppendRecord(dst, res.recs[j].Point, res.recs[j].Payload)
+		for _, rec := range res.recs {
+			dst = pagedstore.AppendRecord(dst, rec.Point, rec.Payload)
 		}
 		st.PerShard = append(st.PerShard, ShardStats{Shard: p.shard, Stats: res.st})
-		st.Seeks += res.st.Seeks
-		st.PagesRead += res.st.PagesRead
-		st.RecordsScanned += res.st.RecordsScanned
-		st.MemEntries += res.st.MemEntries
-		st.Segments += res.st.Segments
-		st.IO.Add(res.st.IO)
+		st.Stats.Add(res.st)
 	}
 	st.Results = len(dst) - base
-	q.s, q.ctx = nil, nil
-	rqPool.Put(q)
-	if rtel != nil {
-		rtel.queries.Inc()
-		rtel.queryLatencyUS.Record(uint64(time.Since(start).Microseconds()))
-		rtel.fanoutShards.Record(uint64(st.ShardsTouched))
-		rtel.subRanges.Record(uint64(st.SubRanges))
-		if st.Degraded {
-			rtel.partialQueries.Inc()
-			rtel.shardFailures.Add(uint64(len(st.FailedShards)))
-		}
-	}
 	return dst, st, nil
 }

@@ -736,6 +736,25 @@ func TestShardedAdmission(t *testing.T) {
 	}
 }
 
+// shardPlan is the part of a query plan one shard executes: the plan's
+// ranges clipped to the shard's key interval, still sorted and disjoint.
+type shardPlan struct {
+	shard int
+	krs   []curve.KeyRange
+}
+
+// splitPlan is the materialized form of splitPlanFlat: each touched
+// shard's sub-plan as an owned slice, in ascending shard order — what the
+// cross-checks and the fuzzer compare against.
+func splitPlan(part *partition.Partitioner, plan []curve.KeyRange) []shardPlan {
+	flat, parts := splitPlanFlat(part, plan, nil, nil)
+	out := make([]shardPlan, len(parts))
+	for i, p := range parts {
+		out[i] = shardPlan{shard: p.shard, krs: append([]curve.KeyRange{}, flat[p.start:p.end]...)}
+	}
+	return out
+}
+
 func TestSplitPlan(t *testing.T) {
 	c, err := core.NewOnion2D(16) // 256 keys
 	if err != nil {

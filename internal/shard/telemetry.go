@@ -2,6 +2,7 @@ package shard
 
 import (
 	"sort"
+	"time"
 
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/telemetry"
@@ -17,6 +18,8 @@ type routerTelemetry struct {
 	queryLatencyUS  *telemetry.Histogram
 	fanoutShards    *telemetry.Histogram
 	subRanges       *telemetry.Histogram
+	plannedRanges   *telemetry.Histogram
+	seekAmp         *telemetry.FloatGauge
 	admissionWaitUS *telemetry.Histogram
 	budgetRejects   *telemetry.Counter
 	partialQueries  *telemetry.Counter
@@ -29,10 +32,34 @@ func newRouterTelemetry(reg *telemetry.Registry) *routerTelemetry {
 		queryLatencyUS:  reg.Histogram("router_query_latency_us"),
 		fanoutShards:    reg.Histogram("router_fanout_shards"),
 		subRanges:       reg.Histogram("router_subranges"),
+		plannedRanges:   reg.Histogram("router_planned_ranges"),
+		seekAmp:         reg.FloatGauge("router_seek_amplification"),
 		admissionWaitUS: reg.Histogram("router_admission_wait_us"),
 		budgetRejects:   reg.Counter("router_budget_rejects_total"),
 		partialQueries:  reg.Counter("router_partial_queries_total"),
 		shardFailures:   reg.Counter("router_shard_failures_total"),
+	}
+}
+
+// recordQuery tallies one served query. start is when the public call
+// began, admission wait included; failed queries contribute no sample.
+func (t *routerTelemetry) recordQuery(start time.Time, st *Stats) {
+	t.queries.Inc()
+	t.queryLatencyUS.Record(uint64(time.Since(start).Microseconds()))
+	t.fanoutShards.Record(uint64(st.ShardsTouched))
+	t.subRanges.Record(uint64(st.SubRanges))
+	if st.Planned > 0 {
+		t.plannedRanges.Record(uint64(st.Planned))
+		// Seek amplification where Planned is known: the shard engines
+		// execute pre-planned sub-ranges (their own gauge stays dark), so
+		// the router owns the paper's number — seeks summed over the
+		// touched shards per planned cluster range. Shard boundaries and
+		// the LSM's extra sorted runs push it above 1.
+		t.seekAmp.Set(float64(st.Seeks) / float64(st.Planned))
+	}
+	if st.Degraded {
+		t.partialQueries.Inc()
+		t.shardFailures.Add(uint64(len(st.FailedShards)))
 	}
 }
 

@@ -3,10 +3,13 @@ package shard
 import (
 	"bytes"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/onioncurve/onion/internal/core"
+	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/telemetry"
 )
@@ -55,8 +58,9 @@ func TestShardedTelemetryRollup(t *testing.T) {
 	if _, err := s.Snapshot(filepath.Join(t.TempDir(), "snap")); err != nil {
 		t.Fatal(err)
 	}
+	var qst Stats
 	for i := 0; i < 8; i++ {
-		if _, _, err := s.Query(geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{31, 31}}); err != nil {
+		if _, qst, err = s.Query(geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{31, 31}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,6 +119,19 @@ func TestShardedTelemetryRollup(t *testing.T) {
 	if h := snap.Hist("router_fanout_shards"); h == nil || h.Count == 0 {
 		t.Error("router_fanout_shards histogram empty")
 	}
+	// The paper's number lives in the router: the shard engines execute
+	// pre-planned sub-ranges, so their own planned-ranges and
+	// seek-amplification series stay dark and the router, which knows
+	// Planned, records them per query.
+	if h := snap.Hist("router_planned_ranges"); h == nil || h.Count != 8 || h.Sum != 8*uint64(qst.Planned) {
+		t.Errorf("router_planned_ranges = %+v, want 8 samples of %d", h, qst.Planned)
+	}
+	if m, ok := snap.Metric("router_seek_amplification"); !ok || m.Float != float64(qst.Seeks)/float64(qst.Planned) {
+		t.Errorf("router_seek_amplification = %+v, want %d seeks / %d planned", m, qst.Seeks, qst.Planned)
+	}
+	if h := snap.Hist("engine_query_planned_ranges"); h != nil && h.Count != 0 {
+		t.Errorf("engine_query_planned_ranges has %d samples under the router, want none", h.Count)
+	}
 
 	// Event merge: Shard rewritten to the owning index, time-ordered, and
 	// the lifecycle left at least one flush, compaction and scrub event.
@@ -156,5 +173,112 @@ func TestShardedTelemetryRollup(t *testing.T) {
 	}
 	if !strings.Contains(js.String(), "router_queries_total") {
 		t.Error("JSON output missing router series")
+	}
+}
+
+// TestRouterSeekAmplification pins the router's gauge to the engine's:
+// a one-shard store is the unpartitioned engine, so on the flushed,
+// compacted dataset of the engine package's TestEngineSeekAmplification
+// a rectangle query pays exactly one seek per planned cluster range.
+func TestRouterSeekAmplification(t *testing.T) {
+	c, err := core.NewOnion2D(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(t.TempDir(), c, manualShardOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for x := uint32(0); x < 16; x += 2 {
+		for y := uint32(0); y < 16; y += 2 {
+			if err := s.Put(geom.Point{x, y}, uint64(x)<<8|uint64(y)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Query(c.Universe().Rect()); err != nil {
+		t.Fatal(err)
+	}
+	m, ok := s.TelemetrySnapshot().Metric("router_seek_amplification")
+	if !ok {
+		t.Fatal("router seek amplification gauge missing")
+	}
+	if m.Float != 1.0 {
+		t.Errorf("router seek amplification = %v on a compacted one-shard store, want 1.0", m.Float)
+	}
+	// Recording is atomics on preallocated handles: the two new series
+	// add nothing to the cached query path's allocation count.
+	st := Stats{Stats: engine.Stats{Planned: 3}}
+	st.Seeks = 4
+	if n := testing.AllocsPerRun(100, func() { s.rtel.recordQuery(time.Now(), &st) }); n != 0 {
+		t.Errorf("routerTelemetry.recordQuery allocates %v times per query, want 0", n)
+	}
+}
+
+// TestShardedQueryCountedOnce: one sharded query is one router query and
+// one engine query on each shard it touched — nothing is counted twice
+// on the way down, and untouched shards see nothing.
+func TestShardedQueryCountedOnce(t *testing.T) {
+	c, err := core.NewOnion2D(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(t.TempDir(), c, manualShardOpts(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for x := uint32(0); x < 32; x += 2 {
+		for y := uint32(0); y < 32; y += 2 {
+			if err := s.Put(geom.Point{x, y}, uint64(x)<<8|uint64(y)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	shardQueries := func(snap telemetry.Snapshot, i int) uint64 {
+		return snap.Counter(telemetry.WithLabel("engine_queries_total", "shard", strconv.Itoa(i)))
+	}
+	for _, r := range []geom.Rect{
+		{Lo: geom.Point{0, 0}, Hi: geom.Point{31, 31}},   // every shard
+		{Lo: geom.Point{14, 14}, Hi: geom.Point{17, 17}}, // the innermost rings only
+	} {
+		before := s.TelemetrySnapshot()
+		_, st, err := s.Query(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := s.TelemetrySnapshot()
+		if d := after.Counter("router_queries_total") - before.Counter("router_queries_total"); d != 1 {
+			t.Errorf("%v: router_queries_total +%d, want +1", r, d)
+		}
+		touched := map[int]bool{}
+		for _, ps := range st.PerShard {
+			touched[ps.Shard] = true
+		}
+		for i := 0; i < 4; i++ {
+			want := uint64(0)
+			if touched[i] {
+				want = 1
+			}
+			if d := shardQueries(after, i) - shardQueries(before, i); d != want {
+				t.Errorf("%v: shard %d engine_queries_total +%d, want +%d", r, i, d, want)
+			}
+		}
+		if d := after.Counter("engine_queries_total") - before.Counter("engine_queries_total"); d != uint64(st.ShardsTouched) {
+			t.Errorf("%v: aggregate engine_queries_total +%d, want +%d (shards touched)", r, d, st.ShardsTouched)
+		}
+		if d := after.Counter("engine_query_errors_total") - before.Counter("engine_query_errors_total"); d != 0 {
+			t.Errorf("%v: engine_query_errors_total +%d on a served query", r, d)
+		}
 	}
 }
