@@ -729,11 +729,6 @@ func (e *Engine) QueryRanges(ctx context.Context, dst []Record, krs []curve.KeyR
 	return e.query(ctx, dst, nil, krs)
 }
 
-// QueryRangesAppend is QueryRanges without a context.
-func (e *Engine) QueryRangesAppend(dst []Record, krs []curve.KeyRange) ([]Record, Stats, error) {
-	return e.query(context.Background(), dst, nil, krs)
-}
-
 // query is the one instrumented query body every entry point reaches: it
 // plans r (one planner call per rectangle — the whole query costs
 // O(clusters) planning regardless of its volume) or, when r is nil,
