@@ -10,10 +10,6 @@ import (
 // passed to Open. Ingest pipelines use it to key ops before routing.
 func (s *Sharded) Curve() curve.Curve { return s.c }
 
-// ShardOf returns the index of the shard owning curve key — the same
-// routing Put and Query use.
-func (s *Sharded) ShardOf(key uint64) int { return s.part.Of(key) }
-
 // ingestTarget adapts the sharded service to the ingest batch sink: one
 // stripe per shard, routed by the service's own partitioner, each batch
 // applied through the owning engine's PutBatch (one group-commit fsync
