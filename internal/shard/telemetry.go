@@ -103,10 +103,6 @@ func (s *Sharded) TelemetrySnapshot() telemetry.Snapshot {
 // on the per-engine stream; TelemetrySnapshot rewrites it when merging).
 func (s *Sharded) Events(i int) *telemetry.Events { return s.engines[i].Events() }
 
-// EngineTelemetry returns shard i's engine registry, for callers that
-// want one shard's view rather than the roll-up.
-func (s *Sharded) EngineTelemetry(i int) *telemetry.Registry { return s.engines[i].Telemetry() }
-
 // registerRouterTelemetry wires the router registry's sampled series:
 // admission occupancy and, when the router owns the shared page cache,
 // the cache counters — exported here exactly once rather than once per
