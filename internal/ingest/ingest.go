@@ -233,11 +233,6 @@ func (p *Pipeline) TryPut(pt geom.Point, payload uint64) (*Handle, error) {
 	return p.enqueue(context.Background(), pt, payload, false, false)
 }
 
-// TryDelete enqueues a tombstone without blocking.
-func (p *Pipeline) TryDelete(pt geom.Point) (*Handle, error) {
-	return p.enqueue(context.Background(), pt, 0, true, false)
-}
-
 func (p *Pipeline) enqueue(ctx context.Context, pt geom.Point, payload uint64, del, block bool) (*Handle, error) {
 	if p.closed.Load() {
 		return nil, ErrClosed
