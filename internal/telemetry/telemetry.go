@@ -111,9 +111,8 @@ type registered struct {
 	g    *Gauge
 	f    *FloatGauge
 	h    *Histogram
-	cf   func() uint64  // sampled counter, read at snapshot time
-	gf   func() int64   // sampled gauge, read at snapshot time
-	ff   func() float64 // sampled float gauge, read at snapshot time
+	cf   func() uint64 // sampled counter, read at snapshot time
+	gf   func() int64  // sampled gauge, read at snapshot time
 }
 
 // Registry is a named collection of metrics. Lookup/registration takes
@@ -187,15 +186,6 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.mu.Unlock()
 }
 
-// FloatGaugeFunc registers a float gauge sampled by fn at snapshot
-// time.
-func (r *Registry) FloatGaugeFunc(name string, fn func() float64) {
-	m := r.getOrCreate(name, KindFloatGauge)
-	r.mu.Lock()
-	m.ff = fn
-	r.mu.Unlock()
-}
-
 // Snapshot returns a point-in-time copy of every metric, sorted by
 // name. Counters and histograms observed mid-update may be off by the
 // in-flight operations; each individual value is atomically read.
@@ -229,11 +219,7 @@ func (r *Registry) Snapshot() Snapshot {
 				mt.Int = m.g.Load()
 			}
 		case KindFloatGauge:
-			if m.ff != nil {
-				mt.Float = m.ff()
-			} else {
-				mt.Float = m.f.Load()
-			}
+			mt.Float = m.f.Load()
 		case KindHistogram:
 			hs := m.h.Snapshot()
 			mt.Hist = &hs
