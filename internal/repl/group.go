@@ -3,7 +3,6 @@ package repl
 import (
 	"fmt"
 	"math/rand/v2"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -300,7 +299,7 @@ func (g *Group) Close() error {
 		err = g.eng.Close()
 	}
 	if g.seedDir != "" {
-		os.RemoveAll(g.seedDir) //nolint:errcheck
+		vfs.RemoveAll(g.eng.FS(), g.seedDir) //nolint:errcheck // scratch: the next Lead re-exports over it
 	}
 	return err
 }
@@ -556,8 +555,8 @@ func (g *Group) shipLocked(p *peerState, target uint64) bool {
 		}
 		i := g.hist.search(ack + 1)
 		j := g.hist.search(target + 1)
-		if j > i+g.cfg.MaxBatchEntries {
-			j = i + g.cfg.MaxBatchEntries
+		if j > i+g.cfg.maxBatchEntries {
+			j = i + g.cfg.maxBatchEntries
 		}
 		if i == j {
 			// Nothing real to ship below target. Targets are always live
@@ -671,7 +670,7 @@ func (g *Group) catchUpLoop() {
 		// device. The coalescing window lets a run of batches pile up so
 		// one resend (one fsync) covers them all; at idle it only delays
 		// the final watermark push by the same hair.
-		timer := time.NewTimer(g.cfg.CatchUpInterval)
+		timer := time.NewTimer(catchUpInterval)
 		select {
 		case <-g.done:
 			timer.Stop()
@@ -878,7 +877,7 @@ func (g *Group) ensureSeed() (string, uint64, uint64, error) {
 		return g.seedDir, g.seedBase, be, nil
 	}
 	dir := g.dir + "-seed"
-	if err := os.RemoveAll(dir); err != nil {
+	if err := vfs.RemoveAll(g.eng.FS(), dir); err != nil {
 		return "", 0, 0, err
 	}
 	if _, err := g.eng.Snapshot(dir); err != nil {

@@ -413,3 +413,68 @@ func lfCheck(t *testing.T, dir string, acked []Entry, inflight *AppendRequest) {
 		}
 	}
 }
+
+// TestSeedDirRemovalFault is the leader-side row of the matrix: the seed
+// directory is the last durable state repl touched outside the VFS. With
+// its removal routed through the engine's filesystem, a failed removal
+// of the stale seed is an error from ensureSeed — not a silent bypass of
+// the injector that lets the export proceed over a directory the fault
+// said could not be cleared — and the next attempt on a healthy disk
+// exports a fresh seed.
+func TestSeedDirRemovalFault(t *testing.T) {
+	inj := vfs.NewInjecting(vfs.OS{})
+	opts := rtEngOpts()
+	opts.FS = inj
+	g, err := Lead(filepath.Join(t.TempDir(), "leader"), rtCurve(t),
+		Config{ID: "leader", Engine: opts, SeedRefreshEntries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close() //nolint:errcheck
+	if err := g.Engine().Put(rtPoint(1), 1); err != nil {
+		t.Fatal(err)
+	}
+	dir, base, _, err := g.ensureSeed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One more entry puts the leader SeedRefreshEntries past the cached
+	// seed, so the next call must clear the directory and re-export.
+	if err := g.Engine().Put(rtPoint(2), 2); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadDir(dir)
+	if err != nil || len(before) == 0 {
+		t.Fatalf("exported seed directory: %d entries, %v", len(before), err)
+	}
+	inj.SetFaults(vfs.Fault{Op: vfs.OpRemove, Path: filepath.Base(dir), N: 1, Kind: vfs.KindFail})
+	if _, _, _, err := g.ensureSeed(); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("ensureSeed over an unremovable seed directory = %v, want the injected fault", err)
+	}
+	// The first removal is the one that failed, so the stale seed is
+	// whole: a removal that went around the injector would have emptied
+	// the directory before anything could fail.
+	after, err := os.ReadDir(dir)
+	if err != nil || len(after) != len(before) {
+		t.Fatalf("seed directory after the failed removal: %d entries, %v; want the %d it held", len(after), err, len(before))
+	}
+	inj.SetFaults()
+	dir2, base2, _, err := g.ensureSeed()
+	if err != nil {
+		t.Fatalf("ensureSeed on a healthy disk after the fault: %v", err)
+	}
+	if dir2 != dir || base2 <= base {
+		t.Fatalf("re-export gave (%s, base %d), want %s past base %d", dir2, base2, dir, base)
+	}
+	f, err := lfOpen(t, filepath.Join(t.TempDir(), "f1"), vfs.OS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck
+	if resp, err := f.HandleSeed(SeedRequest{Epoch: 1, Snapshot: dir2, Base: base2, BaseEpoch: 1, Commit: base2}); err != nil || !resp.Ok {
+		t.Fatalf("seeding a follower from the re-exported directory: %+v, %v", resp, err)
+	}
+	if got := stateOf(t, f.c, f.Engine()); len(got) != 2 {
+		t.Fatalf("seeded follower holds %d records, want 2", len(got))
+	}
+}

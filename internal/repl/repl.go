@@ -103,9 +103,6 @@ type Config struct {
 	// 2 × HistoryEntries slots of 48 bytes, more only while the
 	// uncommitted overflow lasts. Default 1 << 14.
 	HistoryEntries int
-	// MaxBatchEntries caps entries per Append request during catch-up
-	// streaming. Default 512.
-	MaxBatchEntries int
 	// SeedRefreshEntries re-exports the catch-up seed snapshot once the
 	// leader has moved this many entries past it. With a WAL retention
 	// cap the seed is always refreshed, since the archived gap a stale
@@ -121,14 +118,20 @@ type Config struct {
 	RetryBase     time.Duration
 	RetryCap      time.Duration
 	RetryAttempts int
-	// CatchUpInterval is the coalescing window of the catch-up loop: how
-	// long the loop sits on a rung bell before serving the lagging tail,
-	// so that one resend run (one follower log fsync) covers every batch
-	// that landed in the window. Longer windows keep catch-up barrier
-	// traffic off the device the commit path is fsyncing; shorter windows
-	// bound the lag replicas' staleness tighter. Default 10ms.
-	CatchUpInterval time.Duration
+
+	// maxBatchEntries caps entries per Append request during catch-up
+	// streaming (default 512). Nothing outside this package's window
+	// model test varies it, so it is not an option.
+	maxBatchEntries int
 }
+
+// catchUpInterval is the coalescing window of the catch-up loop: how
+// long the loop sits on a rung bell before serving the lagging tail, so
+// that one resend run (one follower log fsync) covers every batch that
+// landed in the window. Longer windows keep catch-up barrier traffic off
+// the device the commit path is fsyncing; shorter windows bound the lag
+// replicas' staleness tighter.
+const catchUpInterval = 10 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.Quorum <= 0 {
@@ -137,8 +140,8 @@ func (c Config) withDefaults() Config {
 	if c.HistoryEntries <= 0 {
 		c.HistoryEntries = 1 << 14
 	}
-	if c.MaxBatchEntries <= 0 {
-		c.MaxBatchEntries = 512
+	if c.maxBatchEntries <= 0 {
+		c.maxBatchEntries = 512
 	}
 	if c.SeedRefreshEntries <= 0 {
 		c.SeedRefreshEntries = c.HistoryEntries
@@ -154,9 +157,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAttempts <= 0 {
 		c.RetryAttempts = 3
-	}
-	if c.CatchUpInterval <= 0 {
-		c.CatchUpInterval = 10 * time.Millisecond
 	}
 	c.Engine.SyncWrites = true
 	return c
