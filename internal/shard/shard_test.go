@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -913,5 +914,34 @@ func TestSharedCacheAcrossShards(t *testing.T) {
 	}
 	if cst := s.CacheStats(); cst.Pages != 0 || cst.Bytes != 0 {
 		t.Fatalf("pages survive close: %+v", cst)
+	}
+}
+
+// TestQueryEntryPointsPinned pins the read path's exported surface: one
+// instrumented body per layer, reached through exactly these names. A new
+// Query* method on either type fails here until the pin is edited — which
+// is the moment to ask whether it is sugar over the one body or a second
+// body.
+func TestQueryEntryPointsPinned(t *testing.T) {
+	queryMethods := func(v any) []string {
+		var names []string
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumMethod(); i++ {
+			if name := typ.Method(i).Name; strings.HasPrefix(name, "Query") {
+				names = append(names, name)
+			}
+		}
+		return names // reflect lists methods in name order
+	}
+	for _, tc := range []struct {
+		typ  any
+		want []string
+	}{
+		{(*engine.Engine)(nil), []string{"Query", "QueryAppend", "QueryAppendContext", "QueryRanges"}},
+		{(*Sharded)(nil), []string{"Query", "QueryAppend", "QueryAppendContext"}},
+	} {
+		if got := queryMethods(tc.typ); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%T exports %v, want exactly %v", tc.typ, got, tc.want)
+		}
 	}
 }
