@@ -549,11 +549,11 @@ func TestQueryTriggersBackgroundScrub(t *testing.T) {
 	}
 }
 
-// TestQueryContextCanceled: a cancelled context stops both the
+// TestQueryRangesContextCanceled: a cancelled context stops both the
 // pre-planned and the rectangle path with ctx.Err(), hands back exactly
 // the caller's dst, and counts one query error each — the same ctx check
 // in the one body serves both.
-func TestQueryContextCanceled(t *testing.T) {
+func TestQueryRangesContextCanceled(t *testing.T) {
 	o := fwCurve(t)
 	e, err := Open(t.TempDir(), o, Options{PageBytes: 256, FlushEntries: -1, CompactFanout: -1, Shards: 2})
 	if err != nil {
