@@ -466,15 +466,4 @@ func TestSeedDirRemovalFault(t *testing.T) {
 	if dir2 != dir || base2 <= base {
 		t.Fatalf("re-export gave (%s, base %d), want %s past base %d", dir2, base2, dir, base)
 	}
-	f, err := lfOpen(t, filepath.Join(t.TempDir(), "f1"), vfs.OS{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close() //nolint:errcheck
-	if resp, err := f.HandleSeed(SeedRequest{Epoch: 1, Snapshot: dir2, Base: base2, BaseEpoch: 1, Commit: base2}); err != nil || !resp.Ok {
-		t.Fatalf("seeding a follower from the re-exported directory: %+v, %v", resp, err)
-	}
-	if got := stateOf(t, f.c, f.Engine()); len(got) != 2 {
-		t.Fatalf("seeded follower holds %d records, want 2", len(got))
-	}
 }

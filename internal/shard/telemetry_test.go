@@ -14,6 +14,18 @@ import (
 	"github.com/onioncurve/onion/internal/telemetry"
 )
 
+// putGrid puts every even-coordinate point of a side x side universe.
+func putGrid(t *testing.T, s *Sharded, side uint32) {
+	t.Helper()
+	for x := uint32(0); x < side; x += 2 {
+		for y := uint32(0); y < side; y += 2 {
+			if err := s.Put(geom.Point{x, y}, uint64(x)<<8|uint64(y)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestShardedTelemetryRollup drives a two-shard store through writes,
 // queries and the full maintenance lifecycle, then checks the roll-up
 // contract: every aggregate equals the sum (or merge) of its per-shard
@@ -31,13 +43,7 @@ func TestShardedTelemetryRollup(t *testing.T) {
 	}
 	defer s.Close()
 
-	for x := uint32(0); x < 32; x += 2 {
-		for y := uint32(0); y < 32; y += 2 {
-			if err := s.Put(geom.Point{x, y}, uint64(x)<<8|uint64(y)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	putGrid(t, s, 32)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +196,7 @@ func TestRouterSeekAmplification(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for x := uint32(0); x < 16; x += 2 {
-		for y := uint32(0); y < 16; y += 2 {
-			if err := s.Put(geom.Point{x, y}, uint64(x)<<8|uint64(y)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	putGrid(t, s, 16)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -235,13 +235,7 @@ func TestShardedQueryCountedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for x := uint32(0); x < 32; x += 2 {
-		for y := uint32(0); y < 32; y += 2 {
-			if err := s.Put(geom.Point{x, y}, uint64(x)<<8|uint64(y)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	putGrid(t, s, 32)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
