@@ -53,7 +53,9 @@ type Options struct {
 	Cache *pagedstore.Cache
 	// CacheBytes, when Cache is nil and this is positive, gives the
 	// engine a private page cache with this byte budget. 0 disables
-	// caching.
+	// caching — and so, in effect, does any budget under 8 pages: the
+	// cache splits it over 8 internal shards and a shard retains only
+	// pages that fit its eighth.
 	CacheBytes int64
 	// FS is the filesystem the engine's files live on. Nil selects the
 	// real filesystem; fault-injection tests pass a vfs.Injecting to turn
@@ -122,13 +124,19 @@ func (o Options) withDefaults() Options {
 // segments are pagedstore files).
 type Record = pagedstore.Record
 
-// Stats is the physical access pattern of one engine query. The embedded
+// Stats is the access pattern of one engine query. The embedded
 // pagedstore.Stats counts exactly as a pagedstore query does — Seeks is
 // the number of positioned reads at non-contiguous segment offsets summed
-// over the live segments, PagesRead and RecordsScanned likewise; the
-// memtable contributes no seeks (it is RAM). On a fully flushed and
-// compacted engine the embedded Stats of a query are bit-identical to the
-// Stats of the same query against a pagedstore holding the same records.
+// over the live segments, PagesRead likewise; the memtable contributes no
+// seeks (it is RAM). RecordsScanned is the number of records the segment
+// cursors decoded — every version and tombstone a segment holds inside
+// the planned ranges — so RecordsScanned / Results is the read
+// amplification of the LSM: 1 on a compacted engine, higher by whatever
+// shadowed versions and tombstones the merge read and dropped (results a
+// memtable served are RAM, and add to Results alone). On a fully
+// flushed and compacted engine the embedded Stats of a query are
+// bit-identical to the Stats of the same query against a pagedstore
+// holding the same records.
 type Stats struct {
 	pagedstore.Stats
 	// MemEntries is the number of memtable entries merged into the result.
@@ -808,7 +816,16 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 		s.rec.Point = pt
 	}
 	qs.mems = append(qs.mems[:0], e.imm...)
-	qs.mems = append(qs.mems, e.mem)
+	// An active memtable with no version visible at snap is left out once,
+	// here, instead of being searched once per range below. entries == 0,
+	// read after snap, proves it: a writer bumps entries inside
+	// memtable.put and only then commits its sequence number, and snap was
+	// loaded from the watermark those commits advance — so every version
+	// with seq <= snap had already been counted when snap was read. (A
+	// frozen memtable is never empty: only a non-empty one is rotated.)
+	if e.mem.entries.Load() != 0 {
+		qs.mems = append(qs.mems, e.mem)
+	}
 	if cap(qs.memSrcs) < len(qs.mems) {
 		qs.memSrcs = make([]mergeSource, len(qs.mems))
 	}

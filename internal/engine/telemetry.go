@@ -21,6 +21,7 @@ type engineTelemetry struct {
 	plannedRanges  *telemetry.Histogram
 	seeks          *telemetry.Counter
 	pagesRead      *telemetry.Counter
+	recordsScanned *telemetry.Counter
 	recordsOut     *telemetry.Counter
 	seekAmp        *telemetry.FloatGauge
 
@@ -66,6 +67,7 @@ func newEngineTelemetry(reg *telemetry.Registry) *engineTelemetry {
 		plannedRanges:  reg.Histogram("engine_query_planned_ranges"),
 		seeks:          reg.Counter("engine_query_seeks_total"),
 		pagesRead:      reg.Counter("engine_query_pages_read_total"),
+		recordsScanned: reg.Counter("engine_query_records_scanned_total"),
 		recordsOut:     reg.Counter("engine_query_records_total"),
 		seekAmp:        reg.FloatGauge("engine_query_seek_amplification"),
 
@@ -125,6 +127,7 @@ func (t *engineTelemetry) recordQuery(start time.Time, st Stats, err error) {
 	}
 	t.seeks.Add(uint64(st.Seeks))
 	t.pagesRead.Add(uint64(st.PagesRead))
+	t.recordsScanned.Add(uint64(st.RecordsScanned))
 	t.recordsOut.Add(uint64(st.Results))
 }
 
@@ -177,8 +180,8 @@ func (e *Engine) registerSampledTelemetry(ownedCache bool) {
 
 // RegisterCacheTelemetry exports a page cache's monotonic counters and
 // resident-set gauges on the given registry. The counters are sampled
-// from the same atomics CacheStats reads, so a registry scrape and a
-// CacheStats snapshot can never disagree. The shard router calls this
+// from the same per-shard words CacheStats sums, so a registry scrape and
+// a CacheStats snapshot can never disagree. The shard router calls this
 // for the cache it shares across its engines; Open calls it for a
 // private cache.
 func RegisterCacheTelemetry(reg *telemetry.Registry, cache *pagedstore.Cache) {

@@ -18,15 +18,19 @@ import (
 // it safely while the garbage collector reclaims it afterwards. All
 // methods are safe for concurrent use.
 //
+// A page visit costs one hold of one shard's lock: a hit returns the
+// image, and a miss returns — from the same critical section that counted
+// it — whether the page the caller is about to read will be admitted, so
+// a miss the cache declines never comes back for a second lock. The
+// lifetime counters live in the shards, under that same lock, and are
+// summed on demand.
+//
 // Caching is invisible to the logical access accounting: Stats keeps
 // counting the positioned reads the query plan pays (the paper's
 // clustering number), whether the page bytes come from disk or from the
 // cache. Only IOStats — the physical counters — change.
 type Cache struct {
-	shards           []cacheShard
-	hits, misses     atomic.Uint64
-	evictions        atomic.Uint64
-	admissionRejects atomic.Uint64
+	shards []cacheShard
 }
 
 // CacheStats is a point-in-time snapshot of a Cache: a struct copy with
@@ -36,7 +40,7 @@ type Cache struct {
 // the resident set at the moment of the call. The same counters are
 // exported live through the engine's telemetry registry
 // (cache_hits_total etc.), so a snapshot here and a registry scrape
-// read the same underlying atomics and cannot drift apart.
+// read the same per-shard words and cannot drift apart.
 type CacheStats struct {
 	Hits             uint64 // page requests served from memory
 	Misses           uint64 // page requests that went to disk
@@ -44,7 +48,7 @@ type CacheStats struct {
 	AdmissionRejects uint64 // candidate inserts refused by the pressure gate
 	Pages            int    // resident pages
 	Bytes            int64  // resident bytes
-	Budget           int64  // configured byte budget
+	Budget           int64  // configured byte budget, as split over the shards (see NewCache)
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 before any request.
@@ -57,6 +61,19 @@ func (s CacheStats) HitRate() float64 {
 }
 
 const cacheShardCount = 8 // fixed power of two; shard = key hash & mask
+
+// gateEvery is the pressure gate of admission: the one miss in this many
+// (a power of two) that a full shard lets displace a resident page. Each
+// insert costs a page-sized allocation, a copy and an eviction, and on
+// traffic with no hot set it buys nothing — the page it evicts was worth
+// as much — so the gate sets what a thrashing cache costs per miss. It was
+// 8 until bench/ query-cold (a cache of a twelfth of the pages, near-uniform
+// traffic) measured 8.0 evictions an op and a median 15-17 % above the same
+// store with no cache at all; at 32 that is 2.0 evictions and 3-4 %, the
+// hit ratio goes from 0.082 to 0.088, and 64 measured no better than 32
+// while taking three times as long to absorb a change of hot set (CHANGES.md,
+// PR 19, has the runs).
+const gateEvery = 32
 
 type cacheKey struct {
 	store uint64
@@ -79,15 +96,22 @@ type cacheShard struct {
 	bytes  int64
 	budget int64
 	tick   uint64 // admission counter while the shard is full
+
+	// Lifetime counters of the visits and inserts this shard served,
+	// guarded by mu like the rest: a visit bumps them inside the critical
+	// section it already holds, on the shard's own cache lines.
+	hits, misses, evictions, admissionRejects uint64
 }
 
 // storeIDs hands every opened Store a process-unique cache identity.
 var storeIDs atomic.Uint64
 
-// NewCache returns a page cache with the given byte budget, spread over
-// internal shards so concurrent queries do not serialize on one lock. A
-// budget smaller than one page effectively disables caching (pages that
-// do not fit are simply not retained).
+// NewCache returns a page cache with the given byte budget, spread
+// evenly over 8 internal shards so concurrent queries do not serialize on
+// one lock. Each shard retains only pages that fit its eighth, so a
+// budget under 8 pages effectively disables caching — every insert is an
+// admission reject — while CacheStats.Budget still reports the bytes
+// that were asked for.
 func NewCache(budgetBytes int64) *Cache {
 	c := &Cache{shards: make([]cacheShard, cacheShardCount)}
 	per := budgetBytes / cacheShardCount
@@ -114,36 +138,50 @@ func (c *Cache) shardOf(k cacheKey) *cacheShard {
 	return &c.shards[h&(cacheShardCount-1)]
 }
 
-// get returns the cached page image, if resident, and marks it recently
-// used.
-func (c *Cache) get(store uint64, page int) ([]byte, bool) {
+// visit is one logical page visit, under a single hold of the shard lock.
+// A hit returns the shared page image and marks it recently used. A miss
+// returns nil and the admission verdict for the size-byte page the caller
+// is about to read: admit == true asks the caller to offer the verified
+// page to addCopy, admit == false means the cache has already declined
+// (and counted) it and there is nothing more to do.
+//
+// Admission is pressure-gated: once the shard is full, only every
+// gateEvery-th miss may displace a resident page. A cache smaller than a
+// scan's working set would otherwise recycle the entire miss traffic
+// through insert + eviction for zero hits; gating keeps a thrashing cache
+// cheap while still letting genuinely hot pages in — a hot page's
+// repeated misses soon cross the gate. Pages larger than the shard budget
+// are never admitted.
+func (c *Cache) visit(store uint64, page, size int) (buf []byte, admit bool) {
 	k := cacheKey{store: store, page: page}
 	sh := c.shardOf(k)
 	sh.mu.Lock()
 	if i, ok := sh.index[k]; ok {
 		sh.slots[i].ref = true
-		buf := sh.slots[i].buf
+		buf = sh.slots[i].buf
+		sh.hits++
 		sh.mu.Unlock()
-		c.hits.Add(1)
-		return buf, true
+		return buf, false
+	}
+	sh.misses++
+	need := int64(size)
+	admit = need <= sh.budget
+	if admit && sh.bytes+need > sh.budget {
+		sh.tick++
+		admit = sh.tick&(gateEvery-1) == 0
+	}
+	if !admit {
+		sh.admissionRejects++
 	}
 	sh.mu.Unlock()
-	c.misses.Add(1)
-	return nil, false
+	return nil, admit
 }
 
-// addCopy admits a copy of the borrowed page image, evicting clock
-// victims until the shard fits its budget. Pages larger than the shard
-// budget are not retained; a racing duplicate insert keeps the resident
-// copy. The copy is taken only when the page is actually admitted, so a
-// skipped insert costs no allocation.
-//
-// Admission is pressure-gated: once the shard is full, only every 8th
-// candidate displaces a resident page. A cache smaller than a scan's
-// working set would otherwise recycle the entire miss traffic through
-// insert + eviction for zero hits; gating keeps a thrashing cache cheap
-// while still letting genuinely hot pages in — a hot page's repeated
-// misses soon cross the gate.
+// addCopy admits a copy of the borrowed page image — one visit said it
+// would take — evicting clock victims until the shard fits its budget. A
+// racing duplicate insert keeps the resident copy; a page larger than the
+// shard budget is rejected. The copy is taken only when the page is
+// actually admitted, so a skipped insert costs no allocation.
 func (c *Cache) addCopy(store uint64, page int, buf []byte) {
 	k := cacheKey{store: store, page: page}
 	sh := c.shardOf(k)
@@ -154,22 +192,15 @@ func (c *Cache) addCopy(store uint64, page int, buf []byte) {
 	}
 	need := int64(len(buf))
 	if need > sh.budget {
-		c.admissionRejects.Add(1)
+		sh.admissionRejects++
 		return
-	}
-	if sh.bytes+need > sh.budget {
-		sh.tick++
-		if sh.tick&7 != 0 {
-			c.admissionRejects.Add(1)
-			return
-		}
 	}
 	for sh.bytes+need > sh.budget {
 		if !sh.evictOne() {
-			c.admissionRejects.Add(1)
+			sh.admissionRejects++
 			return
 		}
-		c.evictions.Add(1)
+		sh.evictions++
 	}
 	cp := make([]byte, len(buf))
 	copy(cp, buf)
@@ -236,13 +267,19 @@ func (c *Cache) purge(store uint64) {
 	}
 }
 
-// Stats sums the shard states plus the global monotonic counters.
+// Stats sums the shards: their lifetime counters and their resident sets.
+// Each shard is read under its own lock, one after the other, so the sum
+// is not one instant across shards — but every shard's counters only
+// grow, so neither does any sum of them between two calls.
 func (c *Cache) Stats() CacheStats {
 	var st CacheStats
-	st.Hits, st.Misses, st.Evictions, st.AdmissionRejects = c.Counters()
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
+		st.Hits += sh.hits
+		st.Misses += sh.misses
+		st.Evictions += sh.evictions
+		st.AdmissionRejects += sh.admissionRejects
 		st.Budget += sh.budget
 		st.Bytes += sh.bytes
 		st.Pages += len(sh.index)
@@ -251,9 +288,9 @@ func (c *Cache) Stats() CacheStats {
 	return st
 }
 
-// Counters returns the monotonic lifetime counters without touching any
-// shard lock, so telemetry can sample them on every scrape at no cost
-// to concurrent readers.
+// Counters returns the monotonic lifetime counters of Stats alone — what
+// telemetry samples on every scrape.
 func (c *Cache) Counters() (hits, misses, evictions, admissionRejects uint64) {
-	return c.hits.Load(), c.misses.Load(), c.evictions.Load(), c.admissionRejects.Load()
+	st := c.Stats()
+	return st.Hits, st.Misses, st.Evictions, st.AdmissionRejects
 }

@@ -299,6 +299,14 @@ func TestCachedParallelQueryRace(t *testing.T) {
 	wg.Wait()
 }
 
+// get is the hit-or-miss half of Cache.visit in the two-result shape
+// TestCacheMonotonicCounters was written against; the verdict half needs
+// the page size, which is 64 bytes for every page that test looks up.
+func (c *Cache) get(store uint64, page int) ([]byte, bool) {
+	buf, _ := c.visit(store, page, 64)
+	return buf, buf != nil
+}
+
 // TestCacheMonotonicCounters pins the counter semantics of CacheStats:
 // hits/misses/evictions/admission-rejects only ever grow, stay
 // consistent under concurrent access, and the lock-free Counters()
@@ -365,4 +373,130 @@ func TestCacheMonotonicCounters(t *testing.T) {
 		prev = cur
 	}
 	<-done
+}
+
+// TestCacheCountersAddUp holds the per-shard counters to the cursors'
+// own tallies on a cache that thrashes (two pages a shard under a
+// 238-page store). Every materialized page visit is exactly one hit or one
+// miss; every miss is one physical fetch and ends in exactly one of: an
+// admission reject, an insert, or a duplicate of an insert that won the
+// race. Inserts are not counted as such, but nothing is purged while the
+// store is open, so they are the evictions plus what is still resident —
+// which also makes Evictions <= inserts an identity. A lone cursor races
+// nobody, so there the books balance to zero; concurrent cursors may leave
+// a few duplicates, never a deficit. Resident bytes never exceed the
+// budget and no counter ever steps back, sampled while the cursors run.
+func TestCacheCountersAddUp(t *testing.T) {
+	side := uint32(64)
+	o, _ := core.NewOnion2D(side)
+	recs := buildRecords(t, o.Universe(), 5000, 13)
+	path := tmpPath(t)
+	if err := WriteMarked(path, o, recs, make([]bool, len(recs)), 512); err != nil {
+		t.Fatal(err)
+	}
+	cache := NewCache(16 * 512)
+	s, err := OpenCached(path, o, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// queries runs n seeded 12x12 rectangles on one cursor each and
+	// returns the physical tallies of all of them.
+	queries := func(seed int64, n int) (total IOStats, err error) {
+		rng := rand.New(rand.NewSource(seed))
+		for q := 0; q < n; q++ {
+			lo := geom.Point{uint32(rng.Intn(int(side) - 12)), uint32(rng.Intn(int(side) - 12))}
+			krs, err := ranges.Decompose(o, geom.Rect{Lo: lo, Hi: geom.Point{lo[0] + 11, lo[1] + 11}}, 0)
+			if err != nil {
+				return total, err
+			}
+			_, io, err := walkRanges(s, krs, nil)
+			if err != nil {
+				return total, err
+			}
+			total.Add(io)
+		}
+		return total, nil
+	}
+	// balance checks a snapshot against the cursors' sum and returns the
+	// misses no reject and no insert accounts for: the racing duplicates.
+	balance := func(st CacheStats, io IOStats) int {
+		t.Helper()
+		if st.Hits != uint64(io.CacheHits) || st.Misses != uint64(io.PagesFetched) {
+			t.Fatalf("cache counted %d hits + %d misses, the cursors %d hits + %d fetches",
+				st.Hits, st.Misses, io.CacheHits, io.PagesFetched)
+		}
+		if st.Bytes > st.Budget || st.Bytes != int64(st.Pages)*512 {
+			t.Fatalf("resident set %d pages / %d bytes under a budget of %d", st.Pages, st.Bytes, st.Budget)
+		}
+		inserts := st.Evictions + uint64(st.Pages)
+		return int(st.Misses) - int(st.AdmissionRejects) - int(inserts)
+	}
+
+	total, err := queries(1, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cache.Stats()
+	if dups := balance(st, total); dups != 0 {
+		t.Fatalf("a lone cursor left %d misses unaccounted for: %+v", dups, st)
+	}
+	if st.Hits == 0 || st.Evictions == 0 || st.AdmissionRejects == 0 {
+		t.Fatalf("the cache is meant to thrash: %+v", st)
+	}
+
+	const workers = 6
+	ios := make([]IOStats, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if ios[w], err = queries(int64(100+w), 150); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	prev := st
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		cur := cache.Stats()
+		if cur.Hits < prev.Hits || cur.Misses < prev.Misses ||
+			cur.Evictions < prev.Evictions || cur.AdmissionRejects < prev.AdmissionRejects {
+			t.Fatalf("counters went backwards: %+v then %+v", prev, cur)
+		}
+		if cur.Bytes > cur.Budget {
+			t.Fatalf("resident bytes over budget: %+v", cur)
+		}
+		prev = cur
+	}
+	for _, io := range ios {
+		total.Add(io)
+	}
+	st = cache.Stats()
+	dups := balance(st, total)
+	if dups < 0 {
+		t.Fatalf("more rejects and inserts than misses, by %d: %+v", -dups, st)
+	}
+	t.Logf("%d racing duplicates in %d misses", dups, st.Misses)
+
+	// Close purges the resident set and leaves the lifetime counters alone.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	end := cache.Stats()
+	if end.Pages != 0 || end.Bytes != 0 {
+		t.Fatalf("pages survive close: %+v", end)
+	}
+	end.Pages, end.Bytes = st.Pages, st.Bytes
+	if end != st {
+		t.Fatalf("close moved the counters: %+v then %+v", st, end)
+	}
 }

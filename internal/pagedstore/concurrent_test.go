@@ -226,14 +226,26 @@ func TestCursorMatchesQueryStats(t *testing.T) {
 	}
 }
 
-// referenceQuery is the pre-cursor Query implementation, kept verbatim as
-// the semantic reference for page-run iteration and stats accounting.
+// referenceQuery is the pre-cursor Query implementation, kept as the
+// semantic reference for page-run iteration and stats accounting: it reads
+// every page of every run from the file and walks each one from slot 0 to
+// its last record. Seeks, PagesRead and the records are verbatim. The one
+// line that moved is RecordsScanned++, from before the range check to after
+// it, when Stats.RecordsScanned was redefined from "every slot of every
+// visited page" to "records decoded with a key in the range" — so this
+// linear walk is also the oracle for the cursor's in-page binary search.
 func referenceQuery(s *Store, r geom.Rect) ([]Record, Stats, error) {
-	var st Stats
 	krs, err := ranges.Decompose(s.c, r, 0)
 	if err != nil {
-		return nil, st, err
+		return nil, Stats{}, err
 	}
+	return referenceRanges(s, krs)
+}
+
+// referenceRanges is referenceQuery from its plan on, for callers that
+// bring their own ranges.
+func referenceRanges(s *Store, krs []curve.KeyRange) ([]Record, Stats, error) {
+	var st Stats
 	var out []Record
 	lastPage := -2
 	buf := make([]byte, s.pageBytes)
@@ -260,10 +272,10 @@ func referenceQuery(s *Store, r geom.Rect) ([]Record, Stats, error) {
 			for i := 0; i < recs; i++ {
 				off := i * rs
 				key := binary.LittleEndian.Uint64(buf[off:])
-				st.RecordsScanned++
 				if key < kr.Lo || key > kr.Hi {
 					continue
 				}
+				st.RecordsScanned++
 				pt := make(geom.Point, s.dims)
 				for d := 0; d < s.dims; d++ {
 					pt[d] = binary.LittleEndian.Uint32(buf[off+8+4*d:])

@@ -26,14 +26,15 @@
 // intermediate layouts nothing writes any more; Open rejects them.
 //
 // Logical vs physical accounting. Stats counts the LOGICAL access
-// pattern: the positioned reads, pages and record scans the query plan
-// pays on a bare store — the operational clustering number. That
-// accounting is computed from the in-memory page index and never changes
-// with caching or pruning, so it is bit-identical however a store is
-// opened. The PHYSICAL I/O — pages actually fetched from the file — is
-// tracked separately in IOStats: a page served by a Cache or proven
-// recordless by the footer fences satisfies its logical visit without a
-// disk read.
+// pattern: the positioned reads and pages the query plan pays on a bare
+// store — the operational clustering number — and the records it decodes
+// out of them. The seeks and pages are computed from the in-memory page
+// index and the decoded records are exactly those whose key lies in a
+// planned range, so none of it changes with caching, pruning or file
+// version: it is bit-identical however a store is opened. The PHYSICAL
+// I/O — pages actually fetched from the file — is tracked separately in
+// IOStats: a page served by a Cache or proven recordless by the footer
+// fences satisfies its logical visit without a disk read.
 //
 // An open Store is safe for concurrent use by any number of goroutines:
 // every read is a positioned ReadAt (pread) on the shared descriptor — no
@@ -44,9 +45,9 @@ package pagedstore
 import (
 	"encoding/binary"
 	"errors"
-	"io"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"sort"
 	"sync"
 
@@ -94,8 +95,16 @@ type Record struct {
 // never logical accounting — so Stats is bit-identical for the same
 // records and plan however the store is opened.
 type Stats struct {
-	Seeks          int // positioned reads at non-contiguous offsets
-	PagesRead      int
+	Seeks     int // positioned reads at non-contiguous offsets
+	PagesRead int
+	// RecordsScanned counts the records decoded from pages: those whose
+	// key lies in a range of the plan, marked ones included. A cursor
+	// enters a page at the lower bound of the range and leaves it at the
+	// first key past the end, so nothing else is ever decoded; a visit
+	// that is pruned, or whose page holds no key of the range, adds 0.
+	// What it exceeds Results by is what was read and not returned —
+	// marked records here, shadowed versions and tombstones once an
+	// engine sums it over segments.
 	RecordsScanned int
 	Results        int
 }
@@ -529,8 +538,9 @@ func (s *Store) EstimateSeeks(r geom.Rect) (uint64, error) {
 // decomposition routes through the curve's analytic planner when one
 // exists, so planning cost scales with the number of clusters rather than
 // the query surface. Records whose mark bit is set (version-4 files)
-// are scanned but not returned. Query is safe to call from many
-// goroutines at once; each call drives its own Cursor.
+// are scanned, and counted in Stats.RecordsScanned, but not returned.
+// Query is safe to call from many goroutines at once; each call drives
+// its own Cursor.
 func (s *Store) Query(r geom.Rect) ([]Record, Stats, error) {
 	return s.QueryAppend(nil, r)
 }
@@ -573,14 +583,16 @@ func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) 
 // accounting seeks, pages and records exactly as Query does: a positioned
 // read at a non-contiguous page costs one seek, a page shared between the
 // tail of one range and the head of the next is read once, and every
-// record of every visited page counts as scanned. That accounting is
-// logical — computed against the in-memory page index — while the page
-// bytes themselves come from the cache, from disk, or (when the v4
-// fences prove a visited page holds no key of the range) from nowhere at
-// all; IO reports the physical remainder. Each Cursor owns its page
-// state, so any number of cursors can run over the same Store
-// concurrently. The storage engine's merged query path drives one Cursor
-// per live segment.
+// record it yields counts as scanned. Inside a page it searches — binary
+// search to the first key of the range, stop at the first key past it —
+// so a visit costs a search plus the records it yields, not the page's
+// slot count. The seek and page accounting is logical — computed against
+// the in-memory page index — while the page bytes themselves come from
+// the cache, from disk, or (when the v4 fences prove a visited page holds
+// no key of the range) from nowhere at all; IO reports the physical
+// remainder. Each Cursor owns its page state, so any number of cursors
+// can run over the same Store concurrently. The storage engine's merged
+// query path drives one Cursor per live segment.
 type Cursor struct {
 	s  *Store
 	st Stats
@@ -589,13 +601,12 @@ type Cursor struct {
 	buf      []byte // private page buffer (uncached stores), lazily allocated
 	data     []byte // bytes of the most recently fetched page
 	dataPage int    // physical page identity of data; -2 = none
-	scanning bool   // current logical page is materialized in data (not pruned)
 	lastPage int    // last logically visited page; -2 = none
 	// state of the in-progress range
 	lo, hi  uint64
 	p       int    // current page
-	i       int    // next record slot within the page
-	n       int    // records resident in the current page
+	i       int    // next record slot within the page; == n once the page is done (or was pruned)
+	n       int    // records resident in the current page; 0 = no page of the range visited yet
 	key     uint64 // curve key of the last record Next returned
 	active  bool
 	skipAll bool // the key filter proved the whole range absent
@@ -633,7 +644,6 @@ func (c *Cursor) Reset() {
 	c.io = IOStats{}
 	c.data = nil
 	c.dataPage = -2
-	c.scanning = false
 	c.lastPage = -2
 	c.active = false
 	c.skipAll = false
@@ -711,16 +721,19 @@ func (c *Cursor) fetch(p int) error {
 		return nil
 	}
 	s := c.s
+	admit := false
 	if s.cache != nil {
-		if b, ok := s.cache.get(s.id, p); ok {
+		var b []byte
+		if b, admit = s.cache.visit(s.id, p, s.pageBytes); b != nil {
 			c.io.CacheHits++
 			c.data, c.dataPage = b, p
 			return nil
 		}
 	}
 	// Miss (or no cache): a positioned read into the cursor's private
-	// buffer. The cache takes its own copy only if admission accepts the
-	// page, so a miss the cache declines costs no allocation.
+	// buffer. The cache takes its own copy only if the visit said it would
+	// admit the page, so a miss the cache declines costs no allocation and
+	// no second trip to its lock.
 	if c.buf == nil {
 		c.buf = make([]byte, s.pageBytes)
 	}
@@ -733,7 +746,7 @@ func (c *Cursor) fetch(p int) error {
 	if s.pageSums != nil && crc32.Checksum(c.buf, pageCRC) != s.pageSums[p] {
 		return fmt.Errorf("%w: page %d: checksum mismatch", ErrCorrupt, p)
 	}
-	if s.cache != nil {
+	if admit {
 		s.cache.addCopy(s.id, p, c.buf)
 	}
 	c.data, c.dataPage = c.buf, p
@@ -752,6 +765,12 @@ func (c *Cursor) Next() (rec Record, marked bool, ok bool, err error) {
 // NextInto is Next decoding into rec, reusing rec.Point's capacity: the
 // allocation-free form the storage engine's merge loop drives. The
 // record is only valid until the next NextInto call with the same rec.
+//
+// A page visit is a search, not a scan: a materialized page is entered at
+// the lower bound of lo and left at the first key past hi, so the only
+// slots decoded are the records the range yields. A visit the fences or
+// the key filter prune, and a materialized page that turns out to hold no
+// key of the range, decode nothing.
 func (c *Cursor) NextInto(rec *Record) (marked bool, ok bool, err error) {
 	if !c.active {
 		return false, false, nil
@@ -759,41 +778,35 @@ func (c *Cursor) NextInto(rec *Record) (marked bool, ok bool, err error) {
 	s := c.s
 	rs := recordSize(s.dims)
 	for {
-		// Drain the records remaining in the logically visited page.
-		if !c.scanning && c.i < c.n {
-			// Pruned page: the fences (or the key filter) prove no key of
-			// this page lies in the range, so its scan yields nothing —
-			// but it still counts as scanned, exactly as on a bare store.
-			c.st.RecordsScanned += c.n - c.i
+		if c.i < c.n {
+			i := c.i
+			off := i * rs
+			if key := binary.LittleEndian.Uint64(c.data[off:]); key <= c.hi {
+				c.i++
+				pt := rec.Point
+				if cap(pt) < s.dims {
+					pt = make(geom.Point, s.dims)
+				}
+				pt = pt[:s.dims]
+				for d := 0; d < s.dims; d++ {
+					pt[d] = binary.LittleEndian.Uint32(c.data[off+8+4*d:])
+				}
+				rec.Point = pt
+				rec.Payload = binary.LittleEndian.Uint64(c.data[off+8+4*s.dims:])
+				c.st.RecordsScanned++
+				c.st.Results++
+				c.key = key
+				return s.isMarked(c.p*s.perPage + i), true, nil
+			}
+			// Keys are sorted, so the first one past hi ends the page — and
+			// the range: the next page starts at or after it, which the
+			// advance below finds out from the page index.
 			c.i = c.n
 		}
-		for c.i < c.n {
-			i := c.i
-			c.i++
-			off := i * rs
-			key := binary.LittleEndian.Uint64(c.data[off:])
-			c.st.RecordsScanned++
-			if key < c.lo || key > c.hi {
-				continue
-			}
-			pt := rec.Point
-			if cap(pt) < s.dims {
-				pt = make(geom.Point, s.dims)
-			}
-			pt = pt[:s.dims]
-			for d := 0; d < s.dims; d++ {
-				pt[d] = binary.LittleEndian.Uint32(c.data[off+8+4*d:])
-			}
-			rec.Point = pt
-			rec.Payload = binary.LittleEndian.Uint64(c.data[off+8+4*s.dims:])
-			c.st.Results++
-			c.key = key
-			return s.isMarked(c.p*s.perPage + i), true, nil
-		}
 		// Advance to the next page of the range. c.n > 0 means a page of
-		// this range has been fully consumed and c.p must move past it;
-		// right after SeekRange (c.n == 0) c.p already names the first
-		// candidate page.
+		// this range has been consumed and c.p must move past it; right
+		// after SeekRange (c.n == 0) c.p already names the first candidate
+		// page.
 		if c.n > 0 {
 			c.p++
 			c.n = 0
@@ -811,20 +824,41 @@ func (c *Cursor) NextInto(rec *Record) (marked bool, ok bool, err error) {
 			c.lastPage = c.p
 		}
 		c.n = s.residentCount(c.p)
-		c.i = 0
 		// Physical fetch only when the page can hold a key of the range:
 		// the filter may have proven the whole range absent, and the max
 		// fence prunes a leading page that ends before lo. A pruned visit
-		// leaves the previously fetched page in place — a later range may
-		// still share it.
-		c.scanning = !c.skipAll && s.pageMaxBound(c.p) >= c.lo
-		if c.scanning {
-			if err := c.fetch(c.p); err != nil {
-				c.active = false
-				return false, false, err
-			}
+		// yields nothing and leaves the previously fetched page in place —
+		// a later range may still share it.
+		if c.skipAll || s.pageMaxBound(c.p) < c.lo {
+			c.i = c.n
+			continue
+		}
+		if err := c.fetch(c.p); err != nil {
+			c.active = false
+			return false, false, err
+		}
+		// Enter the page at the first key >= lo. A page the range runs
+		// into from its predecessor starts inside the range: slot 0.
+		c.i = 0
+		if c.lo > s.firstKeys[c.p] {
+			c.i = lowerBound(c.data, rs, c.n, c.lo)
 		}
 	}
+}
+
+// lowerBound returns the first of the n key-sorted record slots of page
+// whose key is >= lo, or n when every key is smaller.
+func lowerBound(page []byte, rs, n int, lo uint64) int {
+	i, j := 0, n
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if binary.LittleEndian.Uint64(page[h*rs:]) < lo {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
 }
 
 // Key returns the curve key of the record most recently returned by

@@ -78,7 +78,9 @@ type Options struct {
 	// already set). Sharing one cache makes the budget a service-level
 	// knob: hot shards naturally claim more of it. Caching changes only
 	// physical I/O — the logical stat contracts hold bit-identically
-	// with the cache on or off.
+	// with the cache on or off. The cache splits the budget over 8
+	// internal shards of its own and each retains only pages that fit
+	// its eighth, so a budget under 8 pages caches nothing.
 	CacheBytes int64
 	// FS is the filesystem the manifest and every shard engine live on.
 	// Nil selects the real filesystem; fault-injection tests pass a

@@ -78,6 +78,7 @@ func TestShardedTelemetryRollup(t *testing.T) {
 	for _, name := range []string{
 		"engine_flushes_total", "engine_compactions_total",
 		"engine_wal_appends_total", "engine_queries_total",
+		"engine_query_records_scanned_total",
 		"engine_verify_passes_total", "engine_snapshots_total",
 	} {
 		agg := snap.Counter(name)
@@ -89,6 +90,12 @@ func TestShardedTelemetryRollup(t *testing.T) {
 		if agg != sum {
 			t.Errorf("%s: aggregate %d != per-shard sum %d", name, agg, sum)
 		}
+	}
+
+	// The scanned counter is the Stats field, summed: eight identical
+	// queries of a store nothing wrote to in between.
+	if got := snap.Counter("engine_query_records_scanned_total"); got != 8*uint64(qst.RecordsScanned) {
+		t.Errorf("engine_query_records_scanned_total = %d, want 8 x %d", got, qst.RecordsScanned)
 	}
 
 	// Histogram roll-up: merged count and sum equal the per-shard totals.
