@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/onioncurve/onion/internal/curve"
+	"github.com/onioncurve/onion/internal/pagedstore"
 	"github.com/onioncurve/onion/internal/telemetry"
 )
 
@@ -59,17 +60,19 @@ func pickCompaction(recs []int, fanout, sizeRatio int) (lo, hi int) {
 // source's point is transient (the cursor reuses its decode buffer), so
 // every retained entry clones it.
 type compactSink struct {
-	out            []memEntry
+	out            []pagedstore.Entry
 	dropTombstones bool
 	dropped        int // tombstones garbage-collected (dropTombstones only)
 }
 
 func (cs *compactSink) emit(win *mergeSource) {
-	if win.del && cs.dropTombstones {
+	if win.head.Marked && cs.dropTombstones {
 		cs.dropped++
 		return
 	}
-	cs.out = append(cs.out, memEntry{key: win.key, pt: win.pt.Clone(), payload: win.pay, del: win.del})
+	ent := win.head
+	ent.Point = ent.Point.Clone()
+	cs.out = append(cs.out, ent)
 }
 
 // mergeSegments k-way merges an age-adjacent run of segments (oldest
@@ -78,7 +81,7 @@ func (cs *compactSink) emit(win *mergeSource) {
 // dropTombstones is set (legal only when the run includes the engine's
 // oldest segment, so nothing older could be shadowed); otherwise they are
 // carried into the output.
-func mergeSegments(c curve.Curve, segs []*segment, dropTombstones bool) ([]memEntry, int, error) {
+func mergeSegments(c curve.Curve, segs []*segment, dropTombstones bool) ([]pagedstore.Entry, int, error) {
 	full := curve.KeyRange{Lo: 0, Hi: c.Universe().Size() - 1}
 	srcs := make([]*mergeSource, len(segs))
 	for i, s := range segs {

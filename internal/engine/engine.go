@@ -630,39 +630,24 @@ func (e *Engine) Sync() error {
 type mergeSource struct {
 	mem *memIter           // nil for segment sources
 	cur *pagedstore.Cursor // nil for memtable sources
-	rec pagedstore.Record  // reusable decode target for segment sources
-	// peeked head. pt aliases rec.Point for segment sources and the
-	// memtable node's point for memtable sources: valid only until the
-	// next advance, so sinks that retain it must copy.
-	key  uint64
-	pt   geom.Point
-	pay  uint64
-	del  bool
+	// head is the peeked entry, meaningful while ok. A segment source's
+	// cursor decodes into it, reusing its Point buffer; a memtable source's
+	// Point aliases the memtable node's. Either way it is valid only until
+	// the next advance, so sinks that retain it must clone the point.
+	head pagedstore.Entry
 	ok   bool
 	prio int
 }
 
-func (m *mergeSource) advance() error {
+func (m *mergeSource) advance() (err error) {
 	if m.mem != nil {
-		ent, ok := m.mem.peek()
-		if ok {
-			m.key, m.pt, m.pay, m.del, m.ok = ent.key, ent.pt, ent.payload, ent.del, true
+		if m.head, m.ok = m.mem.peek(); m.ok {
 			m.mem.advance()
-		} else {
-			m.ok = false
 		}
 		return nil
 	}
-	marked, ok, err := m.cur.NextInto(&m.rec)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		m.ok = false
-		return nil
-	}
-	m.key, m.pt, m.pay, m.del, m.ok = m.cur.Key(), m.rec.Point, m.rec.Payload, marked, true
-	return nil
+	m.ok, err = m.cur.NextInto(&m.head)
+	return err
 }
 
 // queryState is the reusable scratch of one query execution: the plan
@@ -690,8 +675,8 @@ var qsPool = sync.Pool{New: func() any { return new(queryState) }}
 // each key; live records append to the output (copying the point — the
 // source's is transient) and memtable wins are tallied.
 func (q *queryState) emit(win *mergeSource) {
-	if !win.del {
-		q.out = pagedstore.AppendRecord(q.out, win.pt, win.pay)
+	if !win.head.Marked {
+		q.out = pagedstore.AppendRecord(q.out, win.head.Point, win.head.Payload)
 	}
 	if win.mem != nil {
 		q.memHits++
@@ -811,9 +796,9 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 		cur := seg.st.AcquireCursor()
 		qs.cursors = append(qs.cursors, cur)
 		s := &qs.segSrcs[i]
-		pt := s.rec.Point // keep the decode buffer across reuses
+		pt := s.head.Point // keep the decode buffer across reuses
 		*s = mergeSource{cur: cur, prio: i}
-		s.rec.Point = pt
+		s.head.Point = pt
 	}
 	qs.mems = append(qs.mems[:0], e.imm...)
 	// An active memtable with no version visible at snap is left out once,
@@ -920,15 +905,15 @@ func mergeSources(srcs []*mergeSource, scratch *[]*mergeSource, sink mergeSink, 
 		}
 		// Smallest key next; among equals the highest priority (newest)
 		// version is authoritative.
-		minKey := live[0].key
+		minKey := live[0].head.Key
 		for _, s := range live[1:] {
-			if s.key < minKey {
-				minKey = s.key
+			if s.head.Key < minKey {
+				minKey = s.head.Key
 			}
 		}
 		var winner *mergeSource
 		for _, s := range live {
-			if s.key == minKey && (winner == nil || s.prio > winner.prio) {
+			if s.head.Key == minKey && (winner == nil || s.prio > winner.prio) {
 				winner = s
 			}
 		}
@@ -936,7 +921,7 @@ func mergeSources(srcs []*mergeSource, scratch *[]*mergeSource, sink mergeSink, 
 		// Advance every source sitting on minKey.
 		next := live[:0]
 		for _, s := range live {
-			for s.ok && s.key == minKey {
+			for s.ok && s.head.Key == minKey {
 				if err := s.advance(); err != nil {
 					*scratch = live
 					return err

@@ -14,8 +14,8 @@ import (
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/geom"
-	"github.com/onioncurve/onion/internal/vfs"
 	"github.com/onioncurve/onion/internal/pagedstore"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 // manualOpts disables all background behavior so tests control the
@@ -666,11 +666,11 @@ func TestMemtableSnapshotFilter(t *testing.T) {
 				t.Fatalf("snap %d: entry visible", tc.snap)
 			}
 		case -2:
-			if !ok || !ent.del {
+			if !ok || !ent.Marked {
 				t.Fatalf("snap %d: want tombstone, got %+v ok=%v", tc.snap, ent, ok)
 			}
 		default:
-			if !ok || ent.del || ent.payload != uint64(tc.want) {
+			if !ok || ent.Marked || ent.Payload != uint64(tc.want) {
 				t.Fatalf("snap %d: got %+v ok=%v, want payload %d", tc.snap, ent, ok, tc.want)
 			}
 		}
@@ -761,14 +761,14 @@ func TestMemtableOutOfOrderSeqs(t *testing.T) {
 	m.put(key, pt, 500, 5, false) // seq 5 arrives late
 	full := curve.KeyRange{Lo: 0, Hi: c.Universe().Size() - 1}
 	ent, ok := m.seek(full, 10).peek()
-	if !ok || ent.payload != 600 {
+	if !ok || ent.Payload != 600 {
 		t.Fatalf("read resolved %+v, want payload 600 (seq 6)", ent)
 	}
-	if ent, ok = m.seek(full, 5).peek(); !ok || ent.payload != 500 {
+	if ent, ok = m.seek(full, 5).peek(); !ok || ent.Payload != 500 {
 		t.Fatalf("snapshot 5 resolved %+v, want payload 500", ent)
 	}
 	fl := m.flushEntries()
-	if len(fl) != 1 || fl[0].payload != 600 {
+	if len(fl) != 1 || fl[0].Payload != 600 {
 		t.Fatalf("flush entries %+v, want the seq-6 write", fl)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/geom"
+	"github.com/onioncurve/onion/internal/pagedstore"
 	"github.com/onioncurve/onion/internal/partition"
 )
 
@@ -121,12 +122,12 @@ func resolve(vers []version, snap uint64) (version, bool) {
 	return version{}, false
 }
 
-// memEntry is one resolved memtable record surfaced to the merge.
-type memEntry struct {
-	key     uint64
-	pt      geom.Point
-	payload uint64
-	del     bool
+// entry surfaces one resolved version of a memtable node as the stored
+// tuple the merge, the flush and the segment writer all work on; the mark
+// is the tombstone. Its Point aliases the node's, which never changes once
+// the node is linked: nothing downstream may write through it.
+func (n *memNode) entry(v version) pagedstore.Entry {
+	return pagedstore.Entry{Key: n.key, Point: n.pt, Payload: v.payload, Marked: v.del}
 }
 
 // memIter streams the resolved entries of one key range in ascending key
@@ -138,7 +139,7 @@ type memIter struct {
 	shard    int // current shard
 	endShard int
 	cur      *memNode // last visited node in the current shard, nil = before first
-	head     memEntry
+	head     pagedstore.Entry
 	ok       bool
 }
 
@@ -158,7 +159,7 @@ func (it *memIter) init(m *memtable, kr curve.KeyRange, snap uint64) {
 }
 
 // peek returns the iterator's current entry.
-func (it *memIter) peek() (memEntry, bool) { return it.head, it.ok }
+func (it *memIter) peek() (pagedstore.Entry, bool) { return it.head, it.ok }
 
 // advance loads the next visible entry with key in [lo, hi], walking
 // shards in key-band order.
@@ -187,7 +188,7 @@ func (it *memIter) advance() {
 			}
 			it.cur = n
 			if v, ok := resolve(n.vers, it.snap); ok {
-				it.head = memEntry{key: n.key, pt: n.pt, payload: v.payload, del: v.del}
+				it.head = n.entry(v)
 				it.ok = true
 				sh.mu.RUnlock()
 				return
@@ -201,12 +202,11 @@ func (it *memIter) advance() {
 // the sorted run a flush writes out. Tombstones are included (they must
 // shadow older segments until compaction drops them at the bottom level).
 // The memtable must be frozen (no concurrent writers) when this runs.
-func (m *memtable) flushEntries() []memEntry {
-	var out []memEntry
+func (m *memtable) flushEntries() []pagedstore.Entry {
+	var out []pagedstore.Entry
 	for s := range m.shards {
 		for n := m.shards[s].head.next[0]; n != nil; n = n.next[0] {
-			v := n.vers[len(n.vers)-1]
-			out = append(out, memEntry{key: n.key, pt: n.pt, payload: v.payload, del: v.del})
+			out = append(out, n.entry(n.vers[len(n.vers)-1]))
 		}
 	}
 	return out

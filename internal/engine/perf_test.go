@@ -11,8 +11,8 @@ import (
 
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/geom"
-	"github.com/onioncurve/onion/internal/vfs"
 	"github.com/onioncurve/onion/internal/pagedstore"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 // TestEngineCacheOnOffIdentical is the acceptance check for the page

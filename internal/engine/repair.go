@@ -178,10 +178,7 @@ func (e *Engine) repairOne(qdir string, qid segID, snapshotDir string, man *snap
 	if err != nil {
 		return 0, 0, err
 	}
-	entries := make([]memEntry, 0, len(sv.Records))
-	for i, r := range sv.Records {
-		entries = append(entries, memEntry{key: sv.Keys[i], pt: r.Point, payload: r.Payload, del: sv.Marked[i]})
-	}
+	entries := sv.Entries
 
 	if len(sv.Damaged) > 0 {
 		if snapshotDir == "" {
@@ -200,7 +197,7 @@ func (e *Engine) repairOne(qdir string, qid segID, snapshotDir string, man *snap
 		}
 		backfilled = len(fill)
 		entries = append(entries, fill...)
-		sort.Slice(entries, func(a, b int) bool { return entries[a].key < entries[b].key })
+		sort.Slice(entries, func(a, b int) bool { return entries[a].Key < entries[b].Key })
 	}
 	salvaged = len(entries) - backfilled
 
@@ -263,7 +260,7 @@ func coveringSegs(snapIDs []segID, qid segID) []segID {
 // backfill merges the covering snapshot segments (newest wins, tombstones
 // kept — the repaired range may shadow older live segments) and keeps
 // only the records inside the damaged intervals.
-func (e *Engine) backfill(snapshotDir string, man *snapManifest, covering []segID, damaged []curve.KeyRange) ([]memEntry, error) {
+func (e *Engine) backfill(snapshotDir string, man *snapManifest, covering []segID, damaged []curve.KeyRange) ([]pagedstore.Entry, error) {
 	segs := make([]*segment, 0, len(covering))
 	defer func() {
 		for _, s := range segs {
@@ -296,10 +293,10 @@ func (e *Engine) backfill(snapshotDir string, man *snapManifest, covering []segI
 	fill := merged[:0]
 	di := 0
 	for _, ent := range merged {
-		for di < len(damaged) && damaged[di].Hi < ent.key {
+		for di < len(damaged) && damaged[di].Hi < ent.Key {
 			di++
 		}
-		if di < len(damaged) && damaged[di].Lo <= ent.key {
+		if di < len(damaged) && damaged[di].Lo <= ent.Key {
 			fill = append(fill, ent)
 		}
 	}

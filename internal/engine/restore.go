@@ -57,15 +57,9 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 	}
 
 	// Build in a sibling staging directory; clear debris of an earlier
-	// interrupted restore (only flat files ever land here).
+	// interrupted restore.
 	tmp := targetDir + ".restore-tmp"
-	if ents, err := fsys.ReadDir(tmp); err == nil {
-		for _, ent := range ents {
-			if err := fsys.Remove(filepath.Join(tmp, ent.Name())); err != nil {
-				return rep, fmt.Errorf("engine: restore: %w", err)
-			}
-		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
+	if err := vfs.RemoveAll(fsys, tmp); err != nil {
 		return rep, fmt.Errorf("engine: restore: %w", err)
 	}
 	if err := fsys.MkdirAll(tmp, 0o755); err != nil {

@@ -16,7 +16,7 @@ import (
 var ErrDir = errors.New("engine: inconsistent engine directory")
 
 // segment is one immutable, curve-ordered on-disk run: a pagedstore file
-// (version 2, mark bitmap = tombstones) covering the inclusive generation
+// (mark bitmap = tombstones) covering the inclusive generation
 // range [lo, hi]. Generations order data age: a segment covering later
 // generations holds strictly newer writes, which is what lets the merge
 // resolve duplicate keys by source recency alone, with no per-record
@@ -129,20 +129,16 @@ func openSegment(fsys vfs.FS, dir string, c curve.Curve, id segID, cache *pageds
 	return &segment{st: st, path: path, lo: id.lo, hi: id.hi, epoch: id.epoch, recs: st.Len()}, nil
 }
 
-// writeSegment materializes sorted entries as the segment id: records
-// plus tombstone marks and the pruning footer in a version-4 pagedstore
-// file, written to a temporary name, synced, then atomically renamed
-// into place.
-func writeSegment(fsys vfs.FS, dir string, c curve.Curve, id segID, ents []memEntry, pageBytes int, cache *pagedstore.Cache) (*segment, error) {
-	recs := make([]pagedstore.Record, len(ents))
-	marks := make([]bool, len(ents))
-	for i, e := range ents {
-		recs[i] = pagedstore.Record{Point: e.pt, Payload: e.payload}
-		marks[i] = e.del
-	}
+// writeSegment materializes key-sorted entries as the segment id: a
+// pagedstore file (marks = tombstones) written to a temporary name,
+// synced, then atomically renamed into place. The writer trusts each
+// entry's key — every producer (flush, compaction, recovery, restore,
+// repair) carries the key the memtable or a segment already held — and
+// rejects a run that is out of order before creating the file.
+func writeSegment(fsys vfs.FS, dir string, c curve.Curve, id segID, ents []pagedstore.Entry, pageBytes int, cache *pagedstore.Cache) (*segment, error) {
 	path := segPath(dir, id.lo, id.hi, id.epoch)
 	tmp := path + ".tmp"
-	if err := pagedstore.WriteMarkedFS(fsys, tmp, c, recs, marks, pageBytes); err != nil {
+	if err := pagedstore.WriteEntries(fsys, tmp, c, ents, pageBytes); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	if err := fsys.Rename(tmp, path); err != nil {

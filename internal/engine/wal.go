@@ -3,8 +3,8 @@
 // pagedstore. Writes are acknowledged after landing in a CRC-framed
 // write-ahead log and a curve-key-ordered memtable sharded across
 // GOMAXPROCS by an internal/partition partitioner; memtables flush into
-// immutable curve-ordered segment files that reuse the pagedstore page
-// layout (tombstones ride in the version-2 mark bitmap); size-tiered
+// immutable curve-ordered segment files that are pagedstore files
+// (tombstones ride in the mark bitmap); size-tiered
 // background compaction merges segments and garbage-collects tombstones.
 //
 // A rectangle query consults the curve's range planner exactly once, then

@@ -19,8 +19,8 @@ type fuzzTarget struct {
 	n int
 }
 
-func (f fuzzTarget) Stripes() int             { return f.n }
-func (f fuzzTarget) StripeOf(key uint64) int  { return int(key % uint64(f.n)) }
+func (f fuzzTarget) Stripes() int            { return f.n }
+func (f fuzzTarget) StripeOf(key uint64) int { return int(key % uint64(f.n)) }
 func (f fuzzTarget) ApplyBatch(_ int, ops []engine.BatchOp) error {
 	return f.e.PutBatch(ops)
 }
@@ -34,8 +34,8 @@ func (f fuzzTarget) ApplyBatch(_ int, ops []engine.BatchOp) error {
 // match both exactly.
 func FuzzIngestBatcher(f *testing.F) {
 	f.Add([]byte{0})
-	f.Add([]byte{1, 5, 10, 0, 5, 20, 1, 5, 30, 2}) // same-key put/put/put across producers
-	f.Add([]byte{2, 7, 1, 0, 7, 0, 1, 7, 2, 0})    // put/delete/put on one key
+	f.Add([]byte{1, 5, 10, 0, 5, 20, 1, 5, 30, 2})                         // same-key put/put/put across producers
+	f.Add([]byte{2, 7, 1, 0, 7, 0, 1, 7, 2, 0})                            // put/delete/put on one key
 	f.Add([]byte{0, 0, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 1, 0, 5, 1, 0}) // stripe-adjacent keys
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

@@ -207,8 +207,8 @@ type gateTarget struct {
 	release chan struct{}
 }
 
-func (g *gateTarget) Stripes() int                          { return 1 }
-func (g *gateTarget) StripeOf(uint64) int                   { return 0 }
+func (g *gateTarget) Stripes() int                           { return 1 }
+func (g *gateTarget) StripeOf(uint64) int                    { return 0 }
 func (g *gateTarget) ApplyBatch(int, []engine.BatchOp) error { <-g.release; return nil }
 
 // TestIngestBackpressure: with the sink wedged, the pipeline absorbs at

@@ -21,19 +21,19 @@ func runCursorQuery(t *testing.T, s *Store, r geom.Rect) ([]Record, Stats, IOSta
 	cur := s.AcquireCursor()
 	defer cur.Release()
 	var out []Record
-	var rec Record
+	var e Entry
 	for _, kr := range krs {
 		cur.SeekRange(kr)
 		for {
-			marked, ok, err := cur.NextInto(&rec)
+			ok, err := cur.NextInto(&e)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
 				break
 			}
-			if !marked {
-				out = AppendRecord(out, rec.Point, rec.Payload)
+			if !e.Marked {
+				out = AppendRecord(out, e.Point, e.Payload)
 			}
 		}
 	}
@@ -56,7 +56,7 @@ func equalRecs(t *testing.T, r geom.Rect, got, want []Record) {
 }
 
 // TestCachedStoreBitIdentical is the core cache contract: the same
-// version-3 file opened bare and opened behind a tiny (eviction-stormy)
+// file opened bare and opened behind a tiny (eviction-stormy)
 // cache must answer every query with bit-identical records AND logical
 // Stats, while the cached side's physical page fetches drop below its
 // logical page reads once the working set warms.
@@ -65,7 +65,7 @@ func TestCachedStoreBitIdentical(t *testing.T) {
 	o, _ := core.NewOnion2D(side)
 	recs := buildRecords(t, o.Universe(), 4000, 7)
 	path := tmpPath(t)
-	if err := WriteMarked(path, o, recs, make([]bool, len(recs)), 512); err != nil {
+	if err := Write(path, o, recs, 512); err != nil {
 		t.Fatal(err)
 	}
 	bare, err := Open(path, o)
@@ -116,10 +116,10 @@ func TestCachedStoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFilterAndFencePruning: on a version-3 store, point lookups for
-// absent keys and ranges that fall in inter-page gaps are answered
-// without any physical read, while the logical Stats stay bit-identical
-// to a version-1 file of the same records.
+// TestFilterAndFencePruning: point lookups for absent keys and ranges
+// that fall in inter-page gaps are answered without any physical read,
+// while the records and the logical Stats stay bit-identical to the
+// unpruned linear walk of referenceQuery.
 func TestFilterAndFencePruning(t *testing.T) {
 	side := uint32(64)
 	o, _ := core.NewOnion2D(side)
@@ -131,36 +131,31 @@ func TestFilterAndFencePruning(t *testing.T) {
 		o.Coords(key, p)
 		recs = append(recs, Record{Point: p.Clone(), Payload: key})
 	}
-	pathV1, pathV3 := tmpPath(t), tmpPath(t)
-	if err := Write(pathV1, o, recs, 512); err != nil {
+	path := tmpPath(t)
+	if err := Write(path, o, recs, 512); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMarked(pathV3, o, recs, make([]bool, len(recs)), 512); err != nil {
-		t.Fatal(err)
-	}
-	v1, err := Open(pathV1, o)
+	st, err := Open(path, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v1.Close()
-	v3, err := Open(pathV3, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v3.Close()
-	if v3.filter == nil || v3.pageMax == nil {
-		t.Fatal("version-3 store opened without its pruning footer")
+	defer st.Close()
+	if st.filter == nil || len(st.pageMax) != st.Pages() {
+		t.Fatal("store opened without its pruning footer")
 	}
 
 	var pruned int
 	for key := uint64(0); key < u.Size(); key++ {
 		o.Coords(key, p)
 		r := geom.Rect{Lo: p.Clone(), Hi: p.Clone()}
-		want, wst, _ := runCursorQuery(t, v1, r)
-		got, gst, gio := runCursorQuery(t, v3, r)
+		want, wst, err := referenceQuery(st, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gst, gio := runCursorQuery(t, st, r)
 		equalRecs(t, r, got, want)
 		if gst != wst {
-			t.Fatalf("key %d: v3 stats %+v != v1 stats %+v", key, gst, wst)
+			t.Fatalf("key %d: stats %+v != reference stats %+v", key, gst, wst)
 		}
 		if key%5 != 0 {
 			// Absent key: the Bloom filter (no false negatives on the
@@ -234,7 +229,7 @@ func TestCachePurgeOnClose(t *testing.T) {
 	o, _ := core.NewOnion2D(side)
 	recs := buildRecords(t, o.Universe(), 1000, 5)
 	path := tmpPath(t)
-	if err := WriteMarked(path, o, recs, make([]bool, len(recs)), 512); err != nil {
+	if err := Write(path, o, recs, 512); err != nil {
 		t.Fatal(err)
 	}
 	cache := NewCache(1 << 20)
@@ -264,7 +259,7 @@ func TestCachedParallelQueryRace(t *testing.T) {
 	o, _ := core.NewOnion2D(side)
 	recs := buildRecords(t, o.Universe(), 5000, 21)
 	path := tmpPath(t)
-	if err := WriteMarked(path, o, recs, make([]bool, len(recs)), 512); err != nil {
+	if err := Write(path, o, recs, 512); err != nil {
 		t.Fatal(err)
 	}
 	cache := NewCache(8 * 512)
@@ -391,7 +386,7 @@ func TestCacheCountersAddUp(t *testing.T) {
 	o, _ := core.NewOnion2D(side)
 	recs := buildRecords(t, o.Universe(), 5000, 13)
 	path := tmpPath(t)
-	if err := WriteMarked(path, o, recs, make([]bool, len(recs)), 512); err != nil {
+	if err := Write(path, o, recs, 512); err != nil {
 		t.Fatal(err)
 	}
 	cache := NewCache(16 * 512)

@@ -77,7 +77,8 @@ func TestParallelQueryRace(t *testing.T) {
 }
 
 // TestWriteMarkedRoundTrip: marked records are persisted, reported by the
-// cursor, skipped by Query, and invisible in version-1 files.
+// cursor with their key and mark, and skipped by Query; a store written
+// without marks reports none.
 func TestWriteMarkedRoundTrip(t *testing.T) {
 	side := uint32(16)
 	o, _ := core.NewOnion2D(side)
@@ -88,9 +89,7 @@ func TestWriteMarkedRoundTrip(t *testing.T) {
 		marks = append(marks, x%3 == 0)
 	}
 	path := tmpPath(t)
-	if err := WriteMarked(path, o, recs, marks, 256); err != nil {
-		t.Fatal(err)
-	}
+	writeMarked(t, path, o, recs, marks, 256)
 	st, err := Open(path, o)
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +98,18 @@ func TestWriteMarkedRoundTrip(t *testing.T) {
 	if !st.Marked() {
 		t.Fatal("Marked() = false on a store with marks")
 	}
+	plainPath := tmpPath(t)
+	if err := Write(plainPath, o, recs, 256); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Open(plainPath, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Marked() {
+		t.Fatal("Marked() = true on a store written without marks")
+	}
+	plain.Close()
 	row := geom.Rect{Lo: geom.Point{0, 3}, Hi: geom.Point{side - 1, 3}}
 	got, stats, err := st.Query(row)
 	if err != nil {
@@ -123,57 +134,33 @@ func TestWriteMarkedRoundTrip(t *testing.T) {
 	cur.SeekRange(curve.KeyRange{Lo: 0, Hi: o.Universe().Size() - 1})
 	seen, seenMarked := 0, 0
 	lastKey := uint64(0)
+	var e Entry
 	for {
-		rec, marked, ok, err := cur.Next()
+		ok, err := cur.NextInto(&e)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		if cur.Key() != o.Index(rec.Point) {
-			t.Fatalf("cursor key %d != curve key %d", cur.Key(), o.Index(rec.Point))
+		if e.Key != o.Index(e.Point) {
+			t.Fatalf("cursor key %d != curve key %d", e.Key, o.Index(e.Point))
 		}
-		if seen > 0 && cur.Key() < lastKey {
+		if seen > 0 && e.Key < lastKey {
 			t.Fatal("cursor out of key order")
 		}
-		lastKey = cur.Key()
+		lastKey = e.Key
 		seen++
-		if marked {
+		if e.Marked {
 			seenMarked++
 		}
-		wantMarked := rec.Point[0]%3 == 0
-		if marked != wantMarked {
-			t.Fatalf("record %v: marked=%v, want %v", rec.Point, marked, wantMarked)
+		wantMarked := e.Point[0]%3 == 0
+		if e.Marked != wantMarked {
+			t.Fatalf("record %v: marked=%v, want %v", e.Point, e.Marked, wantMarked)
 		}
 	}
 	if seen != len(recs) || seenMarked != len(recs)-wantLive {
 		t.Fatalf("cursor saw %d records (%d marked)", seen, seenMarked)
-	}
-}
-
-// TestWriteMarkedNil: a nil mark slice produces a version-1 file,
-// byte-identical behavior to Write.
-func TestWriteMarkedNil(t *testing.T) {
-	o, _ := core.NewOnion2D(16)
-	recs := []Record{{Point: geom.Point{1, 2}, Payload: 5}}
-	p1, p2 := tmpPath(t), tmpPath(t)
-	if err := Write(p1, o, recs, 256); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteMarked(p2, o, recs, nil, 256); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(p2, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Marked() {
-		t.Fatal("nil marks produced a marked store")
-	}
-	if err := WriteMarked(tmpPath(t), o, recs, []bool{true, false}, 256); err == nil {
-		t.Fatal("mismatched mark count accepted")
 	}
 }
 

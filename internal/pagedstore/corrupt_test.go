@@ -3,16 +3,34 @@ package pagedstore
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/core"
+	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/geom"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
-// writeV4 builds a marked (format v4) store and returns its path.
+// writeMarked is the bulk Write with a mark per record: keys computed,
+// stable-sorted, handed to WriteEntries.
+func writeMarked(t testing.TB, path string, c curve.Curve, recs []Record, marks []bool, pageBytes int) {
+	t.Helper()
+	ents := make([]Entry, len(recs))
+	for i, r := range recs {
+		ents[i] = Entry{Key: c.Index(r.Point), Point: r.Point, Payload: r.Payload, Marked: marks[i]}
+	}
+	sort.SliceStable(ents, func(a, b int) bool { return ents[a].Key < ents[b].Key })
+	if err := WriteEntries(vfs.OS{}, path, c, ents, pageBytes); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeV4 builds a marked store and returns its path.
 func writeV4(t testing.TB, n int) string {
 	t.Helper()
 	side := uint32(64)
@@ -30,9 +48,7 @@ func writeV4(t testing.TB, n int) string {
 		marks[i] = i%17 == 0
 	}
 	path := filepath.Join(t.TempDir(), "store.pst")
-	if err := WriteMarked(path, o, recs, marks, 256); err != nil {
-		t.Fatal(err)
-	}
+	writeMarked(t, path, o, recs, marks, 256)
 	return path
 }
 
@@ -140,8 +156,8 @@ func TestV4MetadataCorruptionDetectedAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxOff := int64(40) + 8            // second entry of the page index
-	tailOff := s.dataOff - 8           // last index entry
+	idxOff := int64(40) + 8  // second entry of the page index
+	tailOff := s.dataOff - 8 // last index entry
 	marksOff := s.dataOff + int64(len(s.firstKeys))*int64(s.pageBytes)
 	s.Close()
 
@@ -163,9 +179,12 @@ func TestV4MetadataCorruptionDetectedAtOpen(t *testing.T) {
 	}
 }
 
-// TestRetiredVersionsRejected: nothing writes format versions 2 and 3
-// any more and Open no longer reads them — a header naming either is an
-// unsupported version, not a file to reinterpret.
+// TestRetiredVersionsRejected: nothing writes format versions 1, 2 and 3
+// any more and Open no longer reads them — a header naming one is an
+// unsupported version, not a file to reinterpret. That holds for a current
+// file whose version field is overwritten and for a literal version-1 file
+// (header, page index, pages, nothing after them) as the retired writer
+// laid it out.
 func TestRetiredVersionsRejected(t *testing.T) {
 	path := writeV4(t, 300)
 	o, _ := core.NewOnion2D(64)
@@ -173,24 +192,44 @@ func TestRetiredVersionsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ver := range []uint32{2, 3} {
+	files := map[string][]byte{}
+	for _, ver := range []uint32{1, 2, 3} {
 		mut := append([]byte(nil), orig...)
 		binary.LittleEndian.PutUint32(mut[8:], ver)
+		files[fmt.Sprintf("version-%d header", ver)] = mut
+	}
+	// One record at (1,2) with payload 5, 64-byte pages, 64^2 universe.
+	v1 := make([]byte, 40+8+64)
+	binary.LittleEndian.PutUint64(v1[0:], magic)
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	binary.LittleEndian.PutUint32(v1[12:], 2)  // dims
+	binary.LittleEndian.PutUint32(v1[16:], 64) // side
+	binary.LittleEndian.PutUint32(v1[20:], 64) // page bytes
+	binary.LittleEndian.PutUint64(v1[24:], 1)  // records
+	binary.LittleEndian.PutUint64(v1[32:], 1)  // pages
+	key := o.Index(geom.Point{1, 2})
+	binary.LittleEndian.PutUint64(v1[40:], key) // page index
+	binary.LittleEndian.PutUint64(v1[48:], key) // the record: key, coords, payload
+	binary.LittleEndian.PutUint32(v1[56:], 1)
+	binary.LittleEndian.PutUint32(v1[60:], 2)
+	binary.LittleEndian.PutUint64(v1[64:], 5)
+	files["literal version-1 file"] = v1
+	for name, b := range files {
 		p := filepath.Join(t.TempDir(), "retired.pst")
-		if err := os.WriteFile(p, mut, 0o644); err != nil {
+		if err := os.WriteFile(p, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, err := Open(p, o)
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version") {
-			t.Fatalf("open of a version-%d header = %v, want ErrCorrupt: unsupported version", ver, err)
+			t.Fatalf("open of a %s = %v, want ErrCorrupt: unsupported version", name, err)
 		}
 	}
 }
 
-// FuzzVerifyCorrupt flips one byte anywhere in a valid v4 file and
-// asserts the corruption is always detected: either Open rejects the
-// file, or a full scan plus VerifyPages reports ErrCorrupt. A v4 store
-// must never serve silently wrong data off a single flipped byte.
+// FuzzVerifyCorrupt flips one byte anywhere in a valid file and asserts
+// the corruption is always detected: either Open rejects the file, or a
+// full scan plus VerifyPages reports ErrCorrupt. A store must never serve
+// silently wrong data off a single flipped byte.
 func FuzzVerifyCorrupt(f *testing.F) {
 	path := writeV4(f, 400)
 	orig, err := os.ReadFile(path)

@@ -3,7 +3,7 @@ package pagedstore
 import "encoding/binary"
 
 // keyFilter is a standard Bloom filter over the store's curve keys,
-// persisted in the version-3 segment footer. A negative answer is exact
+// persisted in the pruning footer. A negative answer is exact
 // (the key is certainly absent), so a point lookup whose key fails the
 // filter can skip the store without touching disk; a positive answer
 // sends the lookup to the page fences as before. Sized at
@@ -65,7 +65,7 @@ func (f *keyFilter) mayContain(key uint64) bool {
 	return true
 }
 
-// marshal renders the filter section of the v3 footer: k, word count,
+// marshal renders the filter section of the footer: k, word count,
 // words, all little endian. A nil filter marshals as an empty section
 // header (k = 0, words = 0).
 func (f *keyFilter) marshal() []byte {

@@ -3,38 +3,46 @@
 // realization of the paper's motivating scenario, where the clustering
 // number of a query is the number of real file seeks its execution pays.
 //
-// The file layout is a fixed header, a page index (first curve key of
-// every page), and fixed-size pages of records sorted by curve key. A
+// One stored version is an Entry: its curve key, its point, an opaque
+// payload and a mark bit. Marks are opaque to this package; the LSM
+// storage engine (internal/engine) uses them as tombstones in its
+// immutable segments, and holds the same Entry in its memtable iterators,
+// merge heads and flush runs, so a run goes from memory to the file and
+// back without changing shape.
+//
+// There is one file layout. A fixed header, a page index (first curve key
+// of every page), and fixed-size pages of entries sorted by curve key. A
 // rectangle query decomposes into cluster ranges (internal/ranges), maps
 // each range to a run of pages via the index, and reads each run with one
-// positioned read — seeks and pages are counted and returned.
+// positioned read — seeks and pages are counted and returned. After the
+// pages come three things. A mark bitmap: one bit per entry, in key
+// order. A pruning footer: a fence table of per-page maximum keys and a
+// Bloom filter over all keys. Integrity checksums: a crc32c per page,
+// verified on every physical page fetch, and a trailing crc32c over all
+// metadata (header, page index, marks, fences, page checksums, filter),
+// verified at open — so any single flipped byte anywhere in a file is
+// detected, either immediately at open or at the first read of the
+// damaged page, and surfaces as ErrCorrupt. The header calls this layout
+// version 4; versions 1 to 3 were earlier layouts nothing writes any
+// more, and Open rejects them.
 //
-// That is format version 1 (Write output): the bare reference layout the
-// tests compare every other path against. Format version 4 (WriteMarked
-// output) appends three things after the pages. A mark bitmap: one bit
-// per record, in key order; marks are opaque to this package, and the LSM
-// storage engine (internal/engine) uses them as tombstones in its
-// immutable segments. A pruning footer: a fence table of per-page maximum
-// keys and a Bloom filter over all keys. Integrity checksums: a crc32c
-// per page, verified on every physical page fetch, and a trailing crc32c
-// over all metadata (header, page index, marks, fences, page checksums,
-// filter), verified at open — so any single flipped byte anywhere in a v4
-// file is detected, either immediately at open or at the first read of
-// the damaged page, and surfaces as ErrCorrupt. A version-1 file has
-// none of the three: its fences are the page index bounds, its filter
-// answers "maybe", its pages are unverified. Versions 2 and 3 were
-// intermediate layouts nothing writes any more; Open rejects them.
+// Two aliasing rules keep entries cheap to move. WriteEntries only reads
+// its input: an Entry.Point may alias memory the caller still owns (a
+// flushed entry's point is the memtable node's), so the writer neither
+// retains nor mutates it. Cursor.NextInto decodes into the caller's Entry
+// and reuses its Point's capacity: the entry is valid until the next call
+// with the same Entry, and a caller that retains one must clone the point.
 //
 // Logical vs physical accounting. Stats counts the LOGICAL access
 // pattern: the positioned reads and pages the query plan pays on a bare
 // store — the operational clustering number — and the records it decodes
 // out of them. The seeks and pages are computed from the in-memory page
 // index and the decoded records are exactly those whose key lies in a
-// planned range, so none of it changes with caching, pruning or file
-// version: it is bit-identical however a store is opened. The PHYSICAL
-// I/O — pages actually fetched from the file — is tracked separately in
-// IOStats: a page served by a Cache or proven recordless by the footer
-// fences satisfies its logical visit without a disk read.
+// planned range, so none of it changes with caching or pruning: it is
+// bit-identical however a store is opened. The PHYSICAL I/O — pages
+// actually fetched from the file — is tracked separately in IOStats: a
+// page served by a Cache or proven recordless by the footer fences
+// satisfies its logical visit without a disk read.
 //
 // An open Store is safe for concurrent use by any number of goroutines:
 // every read is a positioned ReadAt (pread) on the shared descriptor — no
@@ -60,17 +68,15 @@ import (
 
 const (
 	magic = uint64(0x4f4e494f4e435256) // "ONIONCRV"
-	// version 1: header, page index, pages.
-	// version 4: version 1 plus, after the pages, a mark bitmap (one bit
-	// per record, key order), a pruning footer (per-page max-key fences,
-	// a crc32c per page, a key Bloom filter) and a trailing crc32c over
-	// all metadata. Versions 2 and 3 are retired.
-	version        = uint32(1)
-	versionChecked = uint32(4)
+	// version names the one layout: header, page index, pages, then a mark
+	// bitmap (one bit per entry, key order), a pruning footer (per-page
+	// max-key fences, a crc32c per page, a key Bloom filter) and a trailing
+	// crc32c over all metadata. Versions 1 to 3 are retired.
+	version = uint32(4)
 )
 
-// pageCRC is the checksum polynomial of the v4 integrity footer —
-// crc32c, hardware-accelerated on every platform Go targets.
+// pageCRC is the checksum polynomial of the integrity footer — crc32c,
+// hardware-accelerated on every platform Go targets.
 var pageCRC = crc32.MakeTable(crc32.Castagnoli)
 
 var (
@@ -83,10 +89,21 @@ var (
 	ErrPageBytes = errors.New("pagedstore: page size too small for a record")
 )
 
-// Record is one stored point with an opaque payload.
+// Record is one stored point with an opaque payload: what a query returns.
 type Record struct {
 	Point   geom.Point
 	Payload uint64
+}
+
+// Entry is one stored version: the tuple a store file holds per slot and
+// the one shape it travels in between the engine's memtable and the file.
+// Key is the point's curve key — the writer trusts it, it does not
+// re-evaluate the curve. Marked is opaque here (the engine's tombstone).
+type Entry struct {
+	Key     uint64
+	Point   geom.Point
+	Payload uint64
+	Marked  bool
 }
 
 // Stats is the logical access pattern of one query: the positioned reads
@@ -114,8 +131,7 @@ type Stats struct {
 // pruning footer have been consulted.
 type IOStats struct {
 	// PagesFetched counts pages read from the file (cache misses
-	// included). Without a cache and without a v4 footer it equals the
-	// logical Stats.PagesRead.
+	// included); never more than the logical Stats.PagesRead.
 	PagesFetched int
 	// CacheHits counts logical page visits served from a Cache.
 	CacheHits int
@@ -147,160 +163,132 @@ func AppendRecord(dst []Record, pt geom.Point, payload uint64) []Record {
 }
 
 // Write bulk-loads records into path, clustered by c. Records may be in
-// any order; they are sorted by curve key. The file is format version 1
-// (no marks, no footer) for compatibility with earlier readers.
+// any order and come from outside the program: each point is checked
+// against the universe, its curve key computed once, and the run
+// stable-sorted by key (equal keys keep their input order) before it goes
+// to WriteEntries. No record is marked.
 func Write(path string, c curve.Curve, recs []Record, pageBytes int) error {
-	return writeFile(vfs.OS{}, path, c, recs, nil, pageBytes)
-}
-
-// WriteMarked is Write plus a per-record mark bit and the checked
-// pruning footer (format version 4). The page layout is identical to
-// Write's; the marks travel in a bitmap after the pages and are reported
-// by Cursor.Next, the footer carries per-page max-key fences plus a key
-// Bloom filter so narrow queries skip pages — physically, never
-// logically — without touching disk, and the integrity checksums make
-// every byte of the file tamper-evident. Marks are opaque here; the
-// storage engine uses them as tombstones. marked must have one entry per
-// record (a nil marked writes a plain version-1 file).
-func WriteMarked(path string, c curve.Curve, recs []Record, marked []bool, pageBytes int) error {
-	return WriteMarkedFS(vfs.OS{}, path, c, recs, marked, pageBytes)
-}
-
-// WriteMarkedFS is WriteMarked through an explicit filesystem — the seam
-// the storage engine's fault injection drives.
-func WriteMarkedFS(fsys vfs.FS, path string, c curve.Curve, recs []Record, marked []bool, pageBytes int) error {
-	if marked != nil && len(marked) != len(recs) {
-		return fmt.Errorf("pagedstore: %d marks for %d records", len(marked), len(recs))
+	ents := make([]Entry, len(recs))
+	for i, r := range recs {
+		if !c.Universe().Contains(r.Point) {
+			return fmt.Errorf("pagedstore: point %v outside universe %v", r.Point, c.Universe())
+		}
+		ents[i] = Entry{Key: c.Index(r.Point), Point: r.Point, Payload: r.Payload}
 	}
-	return writeFile(fsys, path, c, recs, marked, pageBytes)
+	sort.SliceStable(ents, func(a, b int) bool { return ents[a].Key < ents[b].Key })
+	return WriteEntries(vfs.OS{}, path, c, ents, pageBytes)
 }
 
-func writeFile(fsys vfs.FS, path string, c curve.Curve, recs []Record, marked []bool, pageBytes int) error {
+// WriteEntries is the one writer of store files: it lays ents out at path
+// through fsys — the seam the storage engine's fault injection drives —
+// and syncs the file. ents must be in non-decreasing key order with every
+// key inside the curve's key space and every point of the curve's
+// dimension; that is checked before the file is created, so bad input is
+// an error that leaves nothing at path. ents is only read: a point may
+// alias memory the caller keeps using. The marks travel in a bitmap after
+// the pages and come back in Entry.Marked; the footer carries per-page
+// max-key fences plus a key Bloom filter so narrow queries skip pages —
+// physically, never logically — without touching disk, and the integrity
+// checksums make every byte of the file tamper-evident.
+func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageBytes int) error {
 	dims := c.Universe().Dims()
 	rs := recordSize(dims)
 	if pageBytes < rs {
 		return fmt.Errorf("%w: %d < %d", ErrPageBytes, pageBytes, rs)
 	}
+	size := c.Universe().Size()
+	for i := range ents {
+		e := &ents[i]
+		if len(e.Point) != dims {
+			return fmt.Errorf("pagedstore: entry %d: point %v is not %d-dimensional", i, e.Point, dims)
+		}
+		if e.Key >= size {
+			return fmt.Errorf("pagedstore: entry %d: key %d outside key space [0,%d)", i, e.Key, size)
+		}
+		if i > 0 && e.Key < ents[i-1].Key {
+			return fmt.Errorf("pagedstore: entry %d: key %d after key %d", i, e.Key, ents[i-1].Key)
+		}
+	}
 	perPage := pageBytes / rs
-	type keyed struct {
-		key    uint64
-		rec    Record
-		marked bool
-	}
-	ks := make([]keyed, len(recs))
-	for i, r := range recs {
-		if !c.Universe().Contains(r.Point) {
-			return fmt.Errorf("pagedstore: point %v outside universe %v", r.Point, c.Universe())
-		}
-		ks[i] = keyed{key: c.Index(r.Point), rec: r}
-		if marked != nil {
-			ks[i].marked = marked[i]
-		}
-	}
-	sort.SliceStable(ks, func(a, b int) bool { return ks[a].key < ks[b].key })
-
-	pageCount := (len(ks) + perPage - 1) / perPage
+	pageCount := (len(ents) + perPage - 1) / perPage
 	f, err := fsys.Create(path)
 	if err != nil {
 		return fmt.Errorf("pagedstore: %w", err)
 	}
 	defer f.Close()
 
-	ver := version
-	if marked != nil {
-		ver = versionChecked
+	// Every section but the pages feeds metaSum, the trailing checksum:
+	// the pages carry their own per-page checksums.
+	metaSum := uint32(0)
+	writeMeta := func(b []byte) error {
+		if _, err := f.Write(b); err != nil {
+			return fmt.Errorf("pagedstore: %w", err)
+		}
+		metaSum = crc32.Update(metaSum, pageCRC, b)
+		return nil
 	}
 	// Header: magic, version, dims, side, pageBytes, recordCount, pageCount.
 	head := make([]byte, 8+4+4+4+4+8+8)
 	binary.LittleEndian.PutUint64(head[0:], magic)
-	binary.LittleEndian.PutUint32(head[8:], ver)
+	binary.LittleEndian.PutUint32(head[8:], version)
 	binary.LittleEndian.PutUint32(head[12:], uint32(dims))
 	binary.LittleEndian.PutUint32(head[16:], c.Universe().Side())
 	binary.LittleEndian.PutUint32(head[20:], uint32(pageBytes))
-	binary.LittleEndian.PutUint64(head[24:], uint64(len(ks)))
+	binary.LittleEndian.PutUint64(head[24:], uint64(len(ents)))
 	binary.LittleEndian.PutUint64(head[32:], uint64(pageCount))
-	if _, err := f.Write(head); err != nil {
-		return fmt.Errorf("pagedstore: %w", err)
+	if err := writeMeta(head); err != nil {
+		return err
 	}
-	// metaSum accumulates the v4 trailing checksum over every byte that
-	// is not page data: the pages carry their own per-page checksums.
-	metaSum := crc32.Update(0, pageCRC, head)
-	// Page index: first key of each page.
+	// Page index (first key of each page) and fences (last key of each).
 	idx := make([]byte, 8*pageCount)
+	fences := make([]byte, 8*pageCount)
 	for p := 0; p < pageCount; p++ {
-		binary.LittleEndian.PutUint64(idx[8*p:], ks[p*perPage].key)
+		binary.LittleEndian.PutUint64(idx[8*p:], ents[p*perPage].Key)
+		last := min((p+1)*perPage, len(ents)) - 1
+		binary.LittleEndian.PutUint64(fences[8*p:], ents[last].Key)
 	}
-	if _, err := f.Write(idx); err != nil {
-		return fmt.Errorf("pagedstore: %w", err)
+	if err := writeMeta(idx); err != nil {
+		return err
 	}
-	metaSum = crc32.Update(metaSum, pageCRC, idx)
-	// Pages.
+	// Pages, the mark bitmap and the filter's key list, in one pass.
 	buf := make([]byte, pageBytes)
 	crcs := make([]byte, 4*pageCount)
+	bm := make([]byte, (len(ents)+7)/8)
+	keys := make([]uint64, len(ents))
 	for p := 0; p < pageCount; p++ {
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 		off := 0
-		for i := p * perPage; i < (p+1)*perPage && i < len(ks); i++ {
-			binary.LittleEndian.PutUint64(buf[off:], ks[i].key)
+		for i := p * perPage; i < (p+1)*perPage && i < len(ents); i++ {
+			e := &ents[i]
+			binary.LittleEndian.PutUint64(buf[off:], e.Key)
 			off += 8
 			for d := 0; d < dims; d++ {
-				binary.LittleEndian.PutUint32(buf[off:], ks[i].rec.Point[d])
+				binary.LittleEndian.PutUint32(buf[off:], e.Point[d])
 				off += 4
 			}
-			binary.LittleEndian.PutUint64(buf[off:], ks[i].rec.Payload)
+			binary.LittleEndian.PutUint64(buf[off:], e.Payload)
 			off += 8
+			if e.Marked {
+				bm[i/8] |= 1 << (i % 8)
+			}
+			keys[i] = e.Key
 		}
 		if _, err := f.Write(buf); err != nil {
 			return fmt.Errorf("pagedstore: %w", err)
 		}
 		binary.LittleEndian.PutUint32(crcs[4*p:], crc32.Checksum(buf, pageCRC))
 	}
-	// Mark bitmap (version 4 only), one bit per record in key order.
-	if marked != nil {
-		bm := make([]byte, (len(ks)+7)/8)
-		for i, k := range ks {
-			if k.marked {
-				bm[i/8] |= 1 << (i % 8)
-			}
+	// Mark bitmap, then the pruning footer: fences, page checksums, key
+	// Bloom filter, and last the metadata checksum.
+	for _, section := range [][]byte{bm, fences, crcs, buildFilter(keys).marshal()} {
+		if err := writeMeta(section); err != nil {
+			return err
 		}
-		if _, err := f.Write(bm); err != nil {
-			return fmt.Errorf("pagedstore: %w", err)
-		}
-		metaSum = crc32.Update(metaSum, pageCRC, bm)
-		// Pruning footer: per-page max-key fences, the per-page
-		// checksums, the key Bloom filter, then the metadata checksum.
-		fences := make([]byte, 8*pageCount)
-		for p := 0; p < pageCount; p++ {
-			last := (p+1)*perPage - 1
-			if last >= len(ks) {
-				last = len(ks) - 1
-			}
-			binary.LittleEndian.PutUint64(fences[8*p:], ks[last].key)
-		}
-		if _, err := f.Write(fences); err != nil {
-			return fmt.Errorf("pagedstore: %w", err)
-		}
-		metaSum = crc32.Update(metaSum, pageCRC, fences)
-		if _, err := f.Write(crcs); err != nil {
-			return fmt.Errorf("pagedstore: %w", err)
-		}
-		metaSum = crc32.Update(metaSum, pageCRC, crcs)
-		keys := make([]uint64, len(ks))
-		for i := range ks {
-			keys[i] = ks[i].key
-		}
-		fb := buildFilter(keys).marshal()
-		if _, err := f.Write(fb); err != nil {
-			return fmt.Errorf("pagedstore: %w", err)
-		}
-		metaSum = crc32.Update(metaSum, pageCRC, fb)
-		var tail [4]byte
-		binary.LittleEndian.PutUint32(tail[:], metaSum)
-		if _, err := f.Write(tail[:]); err != nil {
-			return fmt.Errorf("pagedstore: %w", err)
-		}
+	}
+	var tail [4]byte
+	binary.LittleEndian.PutUint32(tail[:], metaSum)
+	if _, err := f.Write(tail[:]); err != nil {
+		return fmt.Errorf("pagedstore: %w", err)
 	}
 	return f.Sync()
 }
@@ -317,24 +305,21 @@ type Store struct {
 	count     uint64
 	firstKeys []uint64
 	dataOff   int64
-	marks     []byte // version 4: one bit per record in key order; nil otherwise
+	marks     []byte // one bit per record in key order
 	anyMarked bool
 
-	// Pruning footer (version 4; nil/absent for version 1).
-	pageMax []uint64   // fence: max key of each page
-	filter  *keyFilter // Bloom filter over all keys
-	// Integrity footer (version 4; nil for version 1): crc32c of every
-	// page, verified on each physical fetch.
-	pageSums []uint32
+	pageMax  []uint64   // fence: max key of each page
+	filter   *keyFilter // Bloom filter over all keys; nil for an empty store
+	pageSums []uint32   // crc32c of every page, verified on each physical fetch
 
 	id      uint64 // process-unique cache identity
 	cache   *Cache // shared page cache, nil when uncached
 	curPool sync.Pool
 }
 
-// Open validates the file against the curve and loads the page index
-// (and, for version-4 files, the pruning footer). The store is
-// uncached; see OpenCached.
+// Open validates the file against the curve and loads its metadata: the
+// page index, the marks and the pruning footer. The store is uncached;
+// see OpenCached.
 func Open(path string, c curve.Curve) (*Store, error) {
 	return OpenCached(path, c, nil)
 }
@@ -348,40 +333,46 @@ func OpenCached(path string, c curve.Curve, cache *Cache) (*Store, error) {
 }
 
 // OpenCachedFS is OpenCached through an explicit filesystem — the seam
-// the storage engine's fault injection drives. For version-4 files every
-// piece of metadata is checksum-verified here, so a corrupted header,
-// page index or footer is rejected as ErrCorrupt before a single record
-// is served; corrupted page data is caught by the per-page checksums at
-// fetch time.
+// the storage engine's fault injection drives. Every piece of metadata is
+// checksum-verified here, so a corrupted header, page index or footer is
+// rejected as ErrCorrupt before a single record is served; corrupted page
+// data is caught by the per-page checksums at fetch time.
 func OpenCachedFS(fsys vfs.FS, path string, c curve.Curve, cache *Cache) (*Store, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("pagedstore: %w", err)
 	}
-	fi, err := f.Stat()
+	s, err := load(f, c)
 	if err != nil {
 		f.Close()
+		return nil, err
+	}
+	s.id = storeIDs.Add(1)
+	s.cache = cache
+	return s, nil
+}
+
+// load reads and verifies the metadata of an open store file. The caller
+// closes f when it fails.
+func load(f vfs.File, c curve.Curve) (*Store, error) {
+	fi, err := f.Stat()
+	if err != nil {
 		return nil, fmt.Errorf("pagedstore: %w", err)
 	}
 	fileSize := fi.Size()
 	head := make([]byte, 40)
 	if _, err := f.ReadAt(head, 0); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
 	}
 	if binary.LittleEndian.Uint64(head[0:]) != magic {
-		f.Close()
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	ver := binary.LittleEndian.Uint32(head[8:])
-	if ver != version && ver != versionChecked {
-		f.Close()
-		return nil, fmt.Errorf("%w: unsupported version", ErrCorrupt)
+	if ver := binary.LittleEndian.Uint32(head[8:]); ver != version {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
 	dims := int(binary.LittleEndian.Uint32(head[12:]))
 	side := binary.LittleEndian.Uint32(head[16:])
 	if dims != c.Universe().Dims() || side != c.Universe().Side() {
-		f.Close()
 		return nil, fmt.Errorf("%w: file is %dD side %d, curve is %v",
 			ErrMismatch, dims, side, c.Universe())
 	}
@@ -390,7 +381,6 @@ func OpenCachedFS(fsys vfs.FS, path string, c curve.Curve, cache *Cache) (*Store
 	pageCount := binary.LittleEndian.Uint64(head[32:])
 	rs := recordSize(dims)
 	if pageBytes < rs {
-		f.Close()
 		return nil, fmt.Errorf("%w: page bytes %d", ErrCorrupt, pageBytes)
 	}
 	perPage := pageBytes / rs
@@ -398,110 +388,79 @@ func OpenCachedFS(fsys vfs.FS, path string, c curve.Curve, cache *Cache) (*Store
 	// or page count must be rejected, not trusted as an allocation size.
 	if pageCount > uint64(fileSize)/8 || count > pageCount*uint64(perPage) ||
 		(pageCount > 0 && count <= (pageCount-1)*uint64(perPage)) {
-		f.Close()
 		return nil, fmt.Errorf("%w: %d records in %d pages", ErrCorrupt, count, pageCount)
 	}
 	idx := make([]byte, 8*pageCount)
 	if _, err := f.ReadAt(idx, 40); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("%w: short page index", ErrCorrupt)
 	}
-	firstKeys := make([]uint64, pageCount)
-	for p := range firstKeys {
-		firstKeys[p] = binary.LittleEndian.Uint64(idx[8*p:])
-	}
-	dataOff := int64(40 + 8*pageCount)
-	var marks []byte
-	anyMarked := false
-	var pageMax []uint64
-	var filter *keyFilter
-	var pageSums []uint32
-	marksOff := dataOff + int64(pageCount)*int64(pageBytes)
-	// Every version has an exact expected length; trailing bytes mean the
-	// version field itself is suspect (a v4 file whose header rotted down
-	// to v1 must not silently serve its tombstoned records).
-	if ver == version && fileSize != marksOff {
-		f.Close()
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, fileSize-marksOff)
-	}
-	if ver == versionChecked {
-		marks = make([]byte, (count+7)/8)
-		if _, err := f.ReadAt(marks, marksOff); err != nil && count > 0 {
-			f.Close()
-			return nil, fmt.Errorf("%w: short mark bitmap", ErrCorrupt)
-		}
-		for _, b := range marks {
-			if b != 0 {
-				anyMarked = true
-				break
-			}
-		}
-		footOff := marksOff + int64(len(marks))
-		// fences + page checksums + filter header + metadata checksum
-		if fileSize < footOff+8*int64(pageCount)+4*int64(pageCount)+8+4 {
-			f.Close()
-			return nil, fmt.Errorf("%w: short pruning footer", ErrCorrupt)
-		}
-		foot := make([]byte, fileSize-footOff)
-		if _, err := f.ReadAt(foot, footOff); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("%w: short pruning footer", ErrCorrupt)
-		}
-		// Verify the metadata checksum before trusting anything in the
-		// footer (the fences and page sums steer query execution; a
-		// silent flip there would misroute reads).
-		body := foot[:len(foot)-4]
-		sum := crc32.Update(0, pageCRC, head)
-		sum = crc32.Update(sum, pageCRC, idx)
-		sum = crc32.Update(sum, pageCRC, marks)
-		sum = crc32.Update(sum, pageCRC, body)
-		if sum != binary.LittleEndian.Uint32(foot[len(foot)-4:]) {
-			f.Close()
-			return nil, fmt.Errorf("%w: metadata checksum mismatch", ErrCorrupt)
-		}
-		foot = body
-		pageMax = make([]uint64, pageCount)
-		for p := range pageMax {
-			pageMax[p] = binary.LittleEndian.Uint64(foot[8*p:])
-		}
-		sumsOff := 8 * pageCount
-		pageSums = make([]uint32, pageCount)
-		for p := range pageSums {
-			pageSums[p] = binary.LittleEndian.Uint32(foot[sumsOff+4*uint64(p):])
-		}
-		filterOff := sumsOff + 4*pageCount
-		var ok bool
-		filter, ok = unmarshalFilter(foot[filterOff:])
-		if !ok {
-			f.Close()
-			return nil, fmt.Errorf("%w: malformed key filter", ErrCorrupt)
-		}
-		flen := uint64(8)
-		if filter != nil {
-			flen = 8 + 8*uint64(len(filter.words))
-		}
-		if uint64(len(foot)) != filterOff+flen {
-			f.Close()
-			return nil, fmt.Errorf("%w: trailing footer bytes", ErrCorrupt)
-		}
-	}
-	return &Store{
+	s := &Store{
 		f:         f,
 		c:         c,
 		dims:      dims,
 		pageBytes: pageBytes,
 		perPage:   perPage,
 		count:     count,
-		firstKeys: firstKeys,
-		dataOff:   dataOff,
-		marks:     marks,
-		anyMarked: anyMarked,
-		pageMax:   pageMax,
-		filter:    filter,
-		pageSums:  pageSums,
-		id:        storeIDs.Add(1),
-		cache:     cache,
-	}, nil
+		firstKeys: make([]uint64, pageCount),
+		dataOff:   int64(40 + 8*pageCount),
+		marks:     make([]byte, (count+7)/8),
+		pageMax:   make([]uint64, pageCount),
+		pageSums:  make([]uint32, pageCount),
+	}
+	for p := range s.firstKeys {
+		s.firstKeys[p] = binary.LittleEndian.Uint64(idx[8*p:])
+	}
+	marksOff := s.dataOff + int64(pageCount)*int64(pageBytes)
+	if _, err := f.ReadAt(s.marks, marksOff); err != nil && count > 0 {
+		return nil, fmt.Errorf("%w: short mark bitmap", ErrCorrupt)
+	}
+	for _, b := range s.marks {
+		if b != 0 {
+			s.anyMarked = true
+			break
+		}
+	}
+	footOff := marksOff + int64(len(s.marks))
+	// fences + page checksums + filter header + metadata checksum
+	if fileSize < footOff+8*int64(pageCount)+4*int64(pageCount)+8+4 {
+		return nil, fmt.Errorf("%w: short pruning footer", ErrCorrupt)
+	}
+	foot := make([]byte, fileSize-footOff)
+	if _, err := f.ReadAt(foot, footOff); err != nil {
+		return nil, fmt.Errorf("%w: short pruning footer", ErrCorrupt)
+	}
+	// Verify the metadata checksum before trusting anything in the
+	// footer (the fences and page sums steer query execution; a
+	// silent flip there would misroute reads).
+	body := foot[:len(foot)-4]
+	sum := crc32.Update(0, pageCRC, head)
+	sum = crc32.Update(sum, pageCRC, idx)
+	sum = crc32.Update(sum, pageCRC, s.marks)
+	sum = crc32.Update(sum, pageCRC, body)
+	if sum != binary.LittleEndian.Uint32(foot[len(foot)-4:]) {
+		return nil, fmt.Errorf("%w: metadata checksum mismatch", ErrCorrupt)
+	}
+	for p := range s.pageMax {
+		s.pageMax[p] = binary.LittleEndian.Uint64(body[8*p:])
+	}
+	sumsOff := 8 * pageCount
+	for p := range s.pageSums {
+		s.pageSums[p] = binary.LittleEndian.Uint32(body[sumsOff+4*uint64(p):])
+	}
+	filterOff := sumsOff + 4*pageCount
+	var ok bool
+	if s.filter, ok = unmarshalFilter(body[filterOff:]); !ok {
+		return nil, fmt.Errorf("%w: malformed key filter", ErrCorrupt)
+	}
+	flen := uint64(8)
+	if s.filter != nil {
+		flen = 8 + 8*uint64(len(s.filter.words))
+	}
+	// The file has one exact length: trailing bytes are damage.
+	if uint64(len(body)) != filterOff+flen {
+		return nil, fmt.Errorf("%w: trailing footer bytes", ErrCorrupt)
+	}
+	return s, nil
 }
 
 // Marked reports whether any record of the store carries a mark bit.
@@ -537,8 +496,8 @@ func (s *Store) EstimateSeeks(r geom.Rect) (uint64, error) {
 // per cluster range and counting the logical access pattern. The range
 // decomposition routes through the curve's analytic planner when one
 // exists, so planning cost scales with the number of clusters rather than
-// the query surface. Records whose mark bit is set (version-4 files)
-// are scanned, and counted in Stats.RecordsScanned, but not returned.
+// the query surface. Records whose mark bit is set are scanned, and
+// counted in Stats.RecordsScanned, but not returned.
 // Query is safe to call from many goroutines at once; each call drives
 // its own Cursor.
 func (s *Store) Query(r geom.Rect) ([]Record, Stats, error) {
@@ -557,21 +516,20 @@ func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) 
 	base := len(dst)
 	cur := s.AcquireCursor()
 	defer cur.Release()
-	var rec Record
+	var e Entry
 	for _, kr := range krs {
 		cur.SeekRange(kr)
 		for {
-			marked, ok, err := cur.NextInto(&rec)
+			ok, err := cur.NextInto(&e)
 			if err != nil {
 				return dst[:base], cur.Stats(), err
 			}
 			if !ok {
 				break
 			}
-			if marked {
-				continue
+			if !e.Marked {
+				dst = AppendRecord(dst, e.Point, e.Payload)
 			}
-			dst = AppendRecord(dst, rec.Point, rec.Payload)
 		}
 	}
 	st := cur.Stats()
@@ -588,7 +546,7 @@ func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) 
 // so a visit costs a search plus the records it yields, not the page's
 // slot count. The seek and page accounting is logical — computed against
 // the in-memory page index — while the page bytes themselves come from
-// the cache, from disk, or (when the v4 fences prove a visited page holds
+// the cache, from disk, or (when the fences prove a visited page holds
 // no key of the range) from nowhere at all; IO reports the physical
 // remainder. Each Cursor owns its page state, so any number of cursors
 // can run over the same Store concurrently. The storage engine's merged
@@ -604,10 +562,9 @@ type Cursor struct {
 	lastPage int    // last logically visited page; -2 = none
 	// state of the in-progress range
 	lo, hi  uint64
-	p       int    // current page
-	i       int    // next record slot within the page; == n once the page is done (or was pruned)
-	n       int    // records resident in the current page; 0 = no page of the range visited yet
-	key     uint64 // curve key of the last record Next returned
+	p       int // current page
+	i       int // next record slot within the page; == n once the page is done (or was pruned)
+	n       int // records resident in the current page; 0 = no page of the range visited yet
 	active  bool
 	skipAll bool // the key filter proved the whole range absent
 }
@@ -651,7 +608,7 @@ func (c *Cursor) Reset() {
 }
 
 // Stats returns the logical access pattern accumulated so far. Results
-// counts the records Next has yielded (marked or not).
+// counts the entries NextInto has yielded (marked or not).
 func (c *Cursor) Stats() Stats { return c.st }
 
 // IO returns the physical I/O performed so far: the pages actually
@@ -700,19 +657,6 @@ func (s *Store) residentCount(p int) int {
 	return s.perPage
 }
 
-// pageMaxBound returns an upper bound on the keys of page p: the exact
-// fence for v4 files, the next page's first key otherwise (keys are
-// globally sorted, so nothing in p exceeds it).
-func (s *Store) pageMaxBound(p int) uint64 {
-	if s.pageMax != nil {
-		return s.pageMax[p]
-	}
-	if p+1 < len(s.firstKeys) {
-		return s.firstKeys[p+1]
-	}
-	return ^uint64(0)
-}
-
 // fetch materializes the bytes of page p into c.data, consulting the
 // cache first. The logical statistics are untouched — callers account
 // the visit before deciding whether a fetch is needed at all.
@@ -743,7 +687,7 @@ func (c *Cursor) fetch(p int) error {
 	c.io.PagesFetched++
 	// Verify before admission: the cache must only ever hold pages that
 	// passed their checksum, so a hit never needs re-verification.
-	if s.pageSums != nil && crc32.Checksum(c.buf, pageCRC) != s.pageSums[p] {
+	if crc32.Checksum(c.buf, pageCRC) != s.pageSums[p] {
 		return fmt.Errorf("%w: page %d: checksum mismatch", ErrCorrupt, p)
 	}
 	if admit {
@@ -753,50 +697,32 @@ func (c *Cursor) fetch(p int) error {
 	return nil
 }
 
-// Next returns the next record of the current range in key order, its mark
-// bit, and whether a record was produced; ok == false means the range is
-// exhausted. Errors report unreadable pages. Each returned record owns a
-// freshly allocated Point; NextInto reuses a caller-supplied one.
-func (c *Cursor) Next() (rec Record, marked bool, ok bool, err error) {
-	marked, ok, err = c.NextInto(&rec)
-	return rec, marked, ok, err
-}
-
-// NextInto is Next decoding into rec, reusing rec.Point's capacity: the
-// allocation-free form the storage engine's merge loop drives. The
-// record is only valid until the next NextInto call with the same rec.
+// NextInto decodes the next entry of the current range, in key order, into
+// e — key, point, payload and mark — and reports whether there was one;
+// ok == false means the range is exhausted. Errors report unreadable
+// pages. It reuses e.Point's capacity, which is what keeps the storage
+// engine's merge loop allocation-free: e is valid until the next NextInto
+// call with the same e, and a caller that retains it must clone the point.
 //
 // A page visit is a search, not a scan: a materialized page is entered at
 // the lower bound of lo and left at the first key past hi, so the only
 // slots decoded are the records the range yields. A visit the fences or
 // the key filter prune, and a materialized page that turns out to hold no
 // key of the range, decode nothing.
-func (c *Cursor) NextInto(rec *Record) (marked bool, ok bool, err error) {
+func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 	if !c.active {
-		return false, false, nil
+		return false, nil
 	}
 	s := c.s
 	rs := recordSize(s.dims)
 	for {
 		if c.i < c.n {
-			i := c.i
-			off := i * rs
-			if key := binary.LittleEndian.Uint64(c.data[off:]); key <= c.hi {
+			if binary.LittleEndian.Uint64(c.data[c.i*rs:]) <= c.hi {
+				s.decodeSlot(c.data, c.p, c.i, e)
 				c.i++
-				pt := rec.Point
-				if cap(pt) < s.dims {
-					pt = make(geom.Point, s.dims)
-				}
-				pt = pt[:s.dims]
-				for d := 0; d < s.dims; d++ {
-					pt[d] = binary.LittleEndian.Uint32(c.data[off+8+4*d:])
-				}
-				rec.Point = pt
-				rec.Payload = binary.LittleEndian.Uint64(c.data[off+8+4*s.dims:])
 				c.st.RecordsScanned++
 				c.st.Results++
-				c.key = key
-				return s.isMarked(c.p*s.perPage + i), true, nil
+				return true, nil
 			}
 			// Keys are sorted, so the first one past hi ends the page — and
 			// the range: the next page starts at or after it, which the
@@ -813,7 +739,7 @@ func (c *Cursor) NextInto(rec *Record) (marked bool, ok bool, err error) {
 		}
 		if c.p >= len(s.firstKeys) || s.firstKeys[c.p] > c.hi {
 			c.active = false
-			return false, false, nil
+			return false, nil
 		}
 		// Logical accounting first — identical to a bare store's.
 		if c.p != c.lastPage && c.p != c.lastPage+1 {
@@ -829,13 +755,13 @@ func (c *Cursor) NextInto(rec *Record) (marked bool, ok bool, err error) {
 		// fence prunes a leading page that ends before lo. A pruned visit
 		// yields nothing and leaves the previously fetched page in place —
 		// a later range may still share it.
-		if c.skipAll || s.pageMaxBound(c.p) < c.lo {
+		if c.skipAll || s.pageMax[c.p] < c.lo {
 			c.i = c.n
 			continue
 		}
 		if err := c.fetch(c.p); err != nil {
 			c.active = false
-			return false, false, err
+			return false, err
 		}
 		// Enter the page at the first key >= lo. A page the range runs
 		// into from its predecessor starts inside the range: slot 0.
@@ -844,6 +770,25 @@ func (c *Cursor) NextInto(rec *Record) (marked bool, ok bool, err error) {
 			c.i = lowerBound(c.data, rs, c.n, c.lo)
 		}
 	}
+}
+
+// decodeSlot fills e from slot i of the materialized page p, reusing
+// e.Point's capacity.
+func (s *Store) decodeSlot(page []byte, p, i int, e *Entry) {
+	off := i * recordSize(s.dims)
+	e.Key = binary.LittleEndian.Uint64(page[off:])
+	pt := e.Point
+	if cap(pt) < s.dims {
+		pt = make(geom.Point, s.dims)
+	}
+	pt = pt[:s.dims]
+	for d := range pt {
+		pt[d] = binary.LittleEndian.Uint32(page[off+8+4*d:])
+	}
+	e.Point = pt
+	e.Payload = binary.LittleEndian.Uint64(page[off+8+4*s.dims:])
+	j := p*s.perPage + i // key-order position: the entry's bit in the mark bitmap
+	e.Marked = s.marks[j/8]&(1<<(j%8)) != 0
 }
 
 // lowerBound returns the first of the n key-sorted record slots of page
@@ -861,20 +806,6 @@ func lowerBound(page []byte, rs, n int, lo uint64) int {
 	return i
 }
 
-// Key returns the curve key of the record most recently returned by
-// Next — the sort key of the stream, available to k-way merges without
-// re-evaluating the curve's forward mapping.
-func (c *Cursor) Key() uint64 { return c.key }
-
-// isMarked reports the mark bit of the record at the given key-order
-// position (always false for version-1 files).
-func (s *Store) isMarked(i int) bool {
-	if s.marks == nil {
-		return false
-	}
-	return s.marks[i/8]&(1<<(i%8)) != 0
-}
-
 // KeySpan returns the inclusive curve-key interval the store covers, and
 // ok == false for an empty store. It is the interval a quarantine report
 // names when a store is pulled from service.
@@ -882,7 +813,7 @@ func (s *Store) KeySpan() (lo, hi uint64, ok bool) {
 	if len(s.firstKeys) == 0 {
 		return 0, 0, false
 	}
-	return s.firstKeys[0], s.pageMaxBound(len(s.firstKeys) - 1), true
+	return s.firstKeys[0], s.pageMax[len(s.firstKeys)-1], true
 }
 
 // pageReadErr classifies a failed page read. A short read is structural
@@ -898,31 +829,22 @@ func pageReadErr(p int, err error) error {
 
 // VerifyPages scrubs the page data: every page is read straight from the
 // file — bypassing the cache, which may hold a clean copy of a page whose
-// disk bytes have since rotted — and checked against its v4 checksum and
-// the global key ordering. The first damaged page is reported as
-// ErrCorrupt; a nil return means every byte of page data on disk is sound.
-// For version-1 files only the structural key-order check runs.
+// disk bytes have since rotted — and checked as VerifyPage checks it, plus
+// the one thing no single page shows: that keys do not step back from one
+// page to the next. The first damaged page is reported as ErrCorrupt; a
+// nil return means every byte of page data on disk is sound.
 func (s *Store) VerifyPages() error {
 	buf := make([]byte, s.pageBytes)
 	rs := recordSize(s.dims)
 	prev := uint64(0)
 	for p := range s.firstKeys {
-		if _, err := s.f.ReadAt(buf, s.dataOff+int64(p)*int64(s.pageBytes)); err != nil {
-			return pageReadErr(p, err)
+		if err := s.VerifyPage(p, buf); err != nil {
+			return err
 		}
-		if s.pageSums != nil && crc32.Checksum(buf, pageCRC) != s.pageSums[p] {
-			return fmt.Errorf("%w: page %d: checksum mismatch", ErrCorrupt, p)
+		if binary.LittleEndian.Uint64(buf) < prev {
+			return fmt.Errorf("%w: page %d: keys out of order", ErrCorrupt, p)
 		}
-		for i := 0; i < s.residentCount(p); i++ {
-			key := binary.LittleEndian.Uint64(buf[i*rs:])
-			if (p > 0 || i > 0) && key < prev {
-				return fmt.Errorf("%w: page %d: keys out of order", ErrCorrupt, p)
-			}
-			if key < s.firstKeys[p] || key > s.pageMaxBound(p) {
-				return fmt.Errorf("%w: page %d: key outside page bounds", ErrCorrupt, p)
-			}
-			prev = key
-		}
+		prev = binary.LittleEndian.Uint64(buf[(s.residentCount(p)-1)*rs:])
 	}
 	return nil
 }
@@ -932,10 +854,9 @@ func (s *Store) VerifyPages() error {
 func (s *Store) Pages() int { return len(s.firstKeys) }
 
 // VerifyPage checks one page directly from disk (bypassing the cache):
-// the v4 checksum, in-page key order, and the page-bounds invariant.
-// buf is an optional scratch buffer of at least PageBytes; pass nil to
-// allocate. It runs the same checks VerifyPages does for that page, so a
-// store whose every page passes VerifyPage is clean.
+// the checksum, in-page key order, and the page-bounds invariant. buf is
+// an optional scratch buffer of at least PageBytes, left holding the page;
+// pass nil to allocate.
 func (s *Store) VerifyPage(p int, buf []byte) error {
 	if p < 0 || p >= len(s.firstKeys) {
 		return nil
@@ -956,7 +877,7 @@ func (s *Store) PageBytes() int { return s.pageBytes }
 // checkPage validates one materialized page against its checksum and
 // key invariants.
 func (s *Store) checkPage(p int, buf []byte) error {
-	if s.pageSums != nil && crc32.Checksum(buf, pageCRC) != s.pageSums[p] {
+	if crc32.Checksum(buf, pageCRC) != s.pageSums[p] {
 		return fmt.Errorf("%w: page %d: checksum mismatch", ErrCorrupt, p)
 	}
 	rs := recordSize(s.dims)
@@ -966,7 +887,7 @@ func (s *Store) checkPage(p int, buf []byte) error {
 		if i > 0 && key < prev {
 			return fmt.Errorf("%w: page %d: keys out of order", ErrCorrupt, p)
 		}
-		if key < s.firstKeys[p] || key > s.pageMaxBound(p) {
+		if key < s.firstKeys[p] || key > s.pageMax[p] {
 			return fmt.Errorf("%w: page %d: key outside page bounds", ErrCorrupt, p)
 		}
 		prev = key
@@ -986,11 +907,9 @@ type Salvage struct {
 	MetaOK bool
 	// Pages and BadPages count the data pages examined and failed.
 	Pages, BadPages int
-	// Records, Keys and Marked are the records of every CRC-clean page in
-	// key order: the record, its curve key, and its tombstone mark.
-	Records []Record
-	Keys    []uint64
-	Marked  []bool
+	// Entries holds the entries of every clean page in key order, each
+	// with a point of its own — ready for WriteEntries.
+	Entries []Entry
 	// Damaged is the sorted, disjoint set of inclusive key intervals
 	// whose records may be lost — the bounds of every failed page, with
 	// adjacent intervals merged.
@@ -1000,8 +919,8 @@ type Salvage struct {
 // SalvageFS reads the store file at path as tolerantly as possible. A
 // file whose metadata fails verification yields MetaOK == false and a
 // Damaged set covering the entire key space; otherwise each data page is
-// checked exactly as VerifyPages would, clean pages contribute their
-// records and damaged pages contribute their fence interval to Damaged.
+// checked exactly as VerifyPage would, clean pages contribute their
+// entries and damaged pages contribute their fence interval to Damaged.
 // The error return reports only I/O failures reaching the file at all —
 // corruption is data, not an error, here.
 func SalvageFS(fsys vfs.FS, path string, c curve.Curve) (Salvage, error) {
@@ -1016,20 +935,13 @@ func SalvageFS(fsys vfs.FS, path string, c curve.Curve) (Salvage, error) {
 	defer s.Close()
 	sv := Salvage{MetaOK: true, Pages: len(s.firstKeys)}
 	buf := make([]byte, s.pageBytes)
-	rs := recordSize(s.dims)
 	for p := range s.firstKeys {
-		pageErr := error(nil)
-		if _, err := s.f.ReadAt(buf, s.dataOff+int64(p)*int64(s.pageBytes)); err != nil {
-			pageErr = pageReadErr(p, err)
-			if !errors.Is(pageErr, ErrCorrupt) {
-				return Salvage{}, pageErr // I/O trouble, not damage: report it
+		if err := s.VerifyPage(p, buf); err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				return Salvage{}, err // I/O trouble, not damage: report it
 			}
-		} else {
-			pageErr = s.checkPage(p, buf)
-		}
-		if pageErr != nil {
 			sv.BadPages++
-			lo, hi := s.firstKeys[p], s.pageMaxBound(p)
+			lo, hi := s.firstKeys[p], s.pageMax[p]
 			if n := len(sv.Damaged); n > 0 && (sv.Damaged[n-1].Hi == ^uint64(0) || lo <= sv.Damaged[n-1].Hi+1) {
 				if hi > sv.Damaged[n-1].Hi {
 					sv.Damaged[n-1].Hi = hi
@@ -1040,15 +952,9 @@ func SalvageFS(fsys vfs.FS, path string, c curve.Curve) (Salvage, error) {
 			continue
 		}
 		for i := 0; i < s.residentCount(p); i++ {
-			off := i * rs
-			key := binary.LittleEndian.Uint64(buf[off:])
-			pt := make(geom.Point, s.dims)
-			for d := 0; d < s.dims; d++ {
-				pt[d] = binary.LittleEndian.Uint32(buf[off+8+4*d:])
-			}
-			sv.Records = append(sv.Records, Record{Point: pt, Payload: binary.LittleEndian.Uint64(buf[off+8+4*s.dims:])})
-			sv.Keys = append(sv.Keys, key)
-			sv.Marked = append(sv.Marked, s.isMarked(p*s.perPage+i))
+			var e Entry
+			s.decodeSlot(buf, p, i, &e)
+			sv.Entries = append(sv.Entries, e)
 		}
 	}
 	return sv, nil

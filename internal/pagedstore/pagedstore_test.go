@@ -1,7 +1,9 @@
 package pagedstore
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/geom"
+	"github.com/onioncurve/onion/internal/vfs"
 	"github.com/onioncurve/onion/internal/workload"
 )
 
@@ -342,5 +345,114 @@ func TestEstimateSeeks(t *testing.T) {
 	}
 	if est != 1 {
 		t.Fatalf("paper-scale inset estimate = %d, want 1", est)
+	}
+}
+
+// TestWriteEntriesRejectsBadInput: WriteEntries trusts its caller for the
+// keys' values but not for their shape. A run that steps back, a key
+// outside the curve's key space and a point of the wrong dimension are
+// each an error, found before the file is created: nothing is at path.
+func TestWriteEntriesRejectsBadInput(t *testing.T) {
+	o, _ := core.NewOnion2D(16)
+	good := func() []Entry {
+		return []Entry{
+			{Key: 3, Point: geom.Point{1, 1}, Payload: 1},
+			{Key: 3, Point: geom.Point{1, 1}, Payload: 2}, // equal keys are in order
+			{Key: 9, Point: geom.Point{2, 2}, Payload: 3, Marked: true},
+		}
+	}
+	path := tmpPath(t)
+	if err := WriteEntries(vfs.OS{}, path, o, good(), 64); err != nil {
+		t.Fatalf("well-formed run rejected: %v", err)
+	}
+	for name, spoil := range map[string]func(ents []Entry){
+		"out of order":    func(ents []Entry) { ents[2].Key = 2 },
+		"key >= size":     func(ents []Entry) { ents[2].Key = o.Universe().Size() },
+		"wrong dimension": func(ents []Entry) { ents[1].Point = geom.Point{1, 1, 1} },
+		"no point":        func(ents []Entry) { ents[0].Point = nil },
+	} {
+		ents := good()
+		spoil(ents)
+		path := tmpPath(t)
+		if err := WriteEntries(vfs.OS{}, path, o, ents, 64); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: rejected input left a file behind (stat: %v)", name, err)
+		}
+	}
+	if err := WriteEntries(vfs.OS{}, tmpPath(t), o, good(), 19); !errors.Is(err, ErrPageBytes) {
+		t.Errorf("19-byte page for a 24-byte record: %v, want ErrPageBytes", err)
+	}
+}
+
+// goldenInput is the fixed input of TestV4GoldenBytes: 61 records in no
+// key order, several to a cell, every fourth marked.
+func goldenInput() (recs []Record, marks []bool) {
+	for i := 0; i < 61; i++ {
+		x, y := uint32(i*7)%16, uint32(i*5+i/16)%16
+		recs = append(recs, Record{Point: geom.Point{x, y}, Payload: uint64(i) * 0x0101010101})
+		marks = append(marks, i%4 == 1)
+	}
+	return recs, marks
+}
+
+// TestV4GoldenBytes pins the file layout to what the retired WriteMarkedFS
+// produced for the same input (the literal and the digests were taken from
+// it at the commit before WriteEntries replaced it), so segments and
+// snapshots written before the change open after it and the other way
+// round: a three-record file byte for byte, and the digests of a marked
+// file with a partial last page, of the bulk Write of the same records
+// (no marks, another page size) and of an empty store.
+func TestV4GoldenBytes(t *testing.T) {
+	o, _ := core.NewOnion2D(16)
+	recs, marks := goldenInput()
+	read := func(write func(path string)) []byte {
+		t.Helper()
+		path := tmpPath(t)
+		write(path)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	small := read(func(path string) { writeMarked(t, path, o, recs[:3], marks[:3], 64) })
+	const smallWant = "VRCNOINO\x04\x00\x00\x00\x02\x00\x00\x00\x10\x00\x00\x00@\x00\x00\x00" + // magic, version, dims, side, page bytes
+		"\x03\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00" + // 3 records, 2 pages
+		"\x00\x00\x00\x00\x00\x00\x00\x00\xde\x00\x00\x00\x00\x00\x00\x00" + // page index
+		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" + // page 0: key 0 (0,0) payload 0
+		"R\x00\x00\x00\x00\x00\x00\x00\x0e\x00\x00\x00\n\x00\x00\x00\x02\x02\x02\x02\x02\x00\x00\x00" + // key 82 (14,10)
+		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" + // slack
+		"\xde\x00\x00\x00\x00\x00\x00\x00\a\x00\x00\x00\x05\x00\x00\x00\x01\x01\x01\x01\x01\x00\x00\x00" + // page 1: key 222 (7,5)
+		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"\x04" + // marks: the third entry in key order
+		"R\x00\x00\x00\x00\x00\x00\x00\xde\x00\x00\x00\x00\x00\x00\x00" + // fences
+		"\xa0\x18\x04\xa6:I\xd0\x9f" + // page checksums
+		"\a\x00\x00\x00\x01\x00\x00\x00\x05(LD\x82\x9b\x80p" + // filter: k = 7, one word
+		"\x98\x04$\x9d" // metadata checksum
+	if string(small) != smallWant {
+		t.Errorf("three-record file:\n got %q\nwant %q", small, smallWant)
+	}
+	for _, tc := range []struct {
+		name   string
+		got    []byte
+		length int
+		sum    string
+	}{
+		{"marked, 100-byte pages", read(func(path string) { writeMarked(t, path, o, recs, marks, 100) }),
+			2060, "e3eb47cae8035299000c820c0c1916e6d14ef644fff411c908a89ae361034702"},
+		{"bulk Write, 256-byte pages", read(func(path string) {
+			if err := Write(path, o, recs, 256); err != nil {
+				t.Fatal(err)
+			}
+		}), 2072, "b9b8343d6327ffd8ef6b674a27a56bb15579d2704c090f07f9f780622a61fe95"},
+		{"empty", read(func(path string) { writeMarked(t, path, o, nil, nil, 64) }),
+			52, "7b2689b87d4e0b55eba504d9ad750cace9075f5014481849d706fb658bd64f70"},
+	} {
+		if sum := fmt.Sprintf("%x", sha256.Sum256(tc.got)); len(tc.got) != tc.length || sum != tc.sum {
+			t.Errorf("%s: %d bytes, sha256 %s; the retired writer gave %d bytes, %s", tc.name, len(tc.got), sum, tc.length, tc.sum)
+		}
 	}
 }

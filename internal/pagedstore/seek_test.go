@@ -79,14 +79,14 @@ func genSeekCase(o curve.Curve, seed int64, n uint16, perPage uint8) seekCase {
 // walkRanges drives one pooled cursor over krs, hands every record it
 // yields to fn (nil discards them), and returns the cursor's tallies. It
 // reports errors instead of failing a test, so goroutines can call it.
-func walkRanges(s *Store, krs []curve.KeyRange, fn func(cur *Cursor, kr curve.KeyRange, rec *Record, marked bool)) (Stats, IOStats, error) {
+func walkRanges(s *Store, krs []curve.KeyRange, fn func(kr curve.KeyRange, e *Entry)) (Stats, IOStats, error) {
 	cur := s.AcquireCursor()
 	defer cur.Release()
-	var rec Record
+	var e Entry
 	for _, kr := range krs {
 		cur.SeekRange(kr)
 		for {
-			marked, ok, err := cur.NextInto(&rec)
+			ok, err := cur.NextInto(&e)
 			if err != nil {
 				return cur.Stats(), cur.IO(), err
 			}
@@ -94,7 +94,7 @@ func walkRanges(s *Store, krs []curve.KeyRange, fn func(cur *Cursor, kr curve.Ke
 				break
 			}
 			if fn != nil {
-				fn(cur, kr, &rec, marked)
+				fn(kr, &e)
 			}
 		}
 	}
@@ -104,12 +104,12 @@ func walkRanges(s *Store, krs []curve.KeyRange, fn func(cur *Cursor, kr curve.Ke
 // FuzzCursorSeek pins the in-page seek of the cursor — lower-bound lo,
 // stop at the first key past hi — against two oracles that walk linearly:
 // a brute-force filter of the input for the records, and referenceRanges
-// for the page walk. The same records are written as v1 and as v4 and each
-// file is opened bare, behind a cache that holds everything, and behind a
-// cache of one page a shard; all six openings must return the input's
-// in-range records in order (with the v4 marks), pay the reference's Seeks
-// and PagesRead, and report exactly the in-range record count as
-// RecordsScanned. Its seed corpus is the property test plain `go test` runs.
+// for the page walk. The file is opened bare, behind a cache that holds
+// everything, and behind a cache of one page a shard; all three openings
+// must return the input's in-range records in order with their keys and
+// marks, pay the reference's Seeks and PagesRead, and report exactly the
+// in-range record count as RecordsScanned. Its seed corpus is the property
+// test plain `go test` runs.
 func FuzzCursorSeek(f *testing.F) {
 	for seed := int64(0); seed < 48; seed++ {
 		f.Add(seed, uint16(37*seed), uint8(seed))
@@ -122,14 +122,8 @@ func FuzzCursorSeek(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, perPage uint8) {
 		cs := genSeekCase(o, seed, n, perPage)
-		dir := t.TempDir()
-		v1, v4 := filepath.Join(dir, "v1.pst"), filepath.Join(dir, "v4.pst")
-		if err := Write(v1, o, cs.recs, cs.pageBytes); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteMarked(v4, o, cs.recs, cs.marks, cs.pageBytes); err != nil {
-			t.Fatal(err)
-		}
+		path := filepath.Join(t.TempDir(), "seek.pst")
+		writeMarked(t, path, o, cs.recs, cs.marks, cs.pageBytes)
 
 		// Brute force: the input is in key order and its payloads are its
 		// positions, so filtering it range by range is the expected output.
@@ -141,7 +135,7 @@ func FuzzCursorSeek(f *testing.F) {
 				}
 			}
 		}
-		bare, err := Open(v1, o)
+		bare, err := Open(path, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,54 +148,48 @@ func FuzzCursorSeek(f *testing.F) {
 			t.Fatalf("reference: %d records, %d scanned, brute force has %d", len(refRecs), ref.RecordsScanned, len(want))
 		}
 
-		for _, file := range []struct {
-			name, path string
-			marks      []bool // nil: the version has none
-		}{{"v1", v1, nil}, {"v4", v4, cs.marks}} {
-			for _, cache := range []struct {
-				name  string
-				bytes int64
-			}{{"bare", 0}, {"ample cache", 64 << 20}, {"one-page shards", int64(cacheShardCount * cs.pageBytes)}} {
-				name := file.name + " " + cache.name
-				var pc *Cache
-				if cache.bytes > 0 {
-					pc = NewCache(cache.bytes)
-				}
-				s, err := OpenCached(file.path, o, pc)
+		for _, cache := range []struct {
+			name  string
+			bytes int64
+		}{{"bare", 0}, {"ample cache", 64 << 20}, {"one-page shards", int64(cacheShardCount * cs.pageBytes)}} {
+			var pc *Cache
+			if cache.bytes > 0 {
+				pc = NewCache(cache.bytes)
+			}
+			s, err := OpenCached(path, o, pc)
+			if err != nil {
+				t.Fatalf("%s: %v", cache.name, err)
+			}
+			// Twice: the second pass meets whatever the first left cached.
+			for pass := 0; pass < 2; pass++ {
+				got := 0
+				st, io, err := walkRanges(s, cs.krs, func(kr curve.KeyRange, e *Entry) {
+					if key := o.Index(e.Point); key != e.Key || key < kr.Lo || key > kr.Hi {
+						t.Fatalf("%s pass %d, range %v: record %v has key %d, cursor says %d", cache.name, pass, kr, e.Point, key, e.Key)
+					}
+					if got < len(want) {
+						i := want[got]
+						if e.Payload != i || e.Marked != cs.marks[i] {
+							t.Fatalf("%s pass %d: record %d is input %d (marked %v), want input %d", cache.name, pass, got, e.Payload, e.Marked, i)
+						}
+					}
+					got++
+				})
 				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+					t.Fatalf("%s pass %d: %v", cache.name, pass, err)
 				}
-				// Twice: the second pass meets whatever the first left cached.
-				for pass := 0; pass < 2; pass++ {
-					got := 0
-					st, io, err := walkRanges(s, cs.krs, func(cur *Cursor, kr curve.KeyRange, rec *Record, marked bool) {
-						if key := o.Index(rec.Point); key != cur.Key() || key < kr.Lo || key > kr.Hi {
-							t.Fatalf("%s pass %d, range %v: record %v has key %d, cursor says %d", name, pass, kr, rec.Point, key, cur.Key())
-						}
-						if got < len(want) {
-							i := want[got]
-							if rec.Payload != i || marked != (file.marks != nil && file.marks[i]) {
-								t.Fatalf("%s pass %d: record %d is input %d (marked %v), want input %d", name, pass, got, rec.Payload, marked, i)
-							}
-						}
-						got++
-					})
-					if err != nil {
-						t.Fatalf("%s pass %d: %v", name, pass, err)
-					}
-					if got != len(want) {
-						t.Fatalf("%s pass %d: %d records, brute force has %d", name, pass, got, len(want))
-					}
-					if st != ref {
-						t.Fatalf("%s pass %d: stats %+v, reference %+v", name, pass, st, ref)
-					}
-					if io.PagesFetched+io.CacheHits > st.PagesRead || (pc == nil && io.CacheHits != 0) {
-						t.Fatalf("%s pass %d: io %+v for %d logical page reads", name, pass, io, st.PagesRead)
-					}
+				if got != len(want) {
+					t.Fatalf("%s pass %d: %d records, brute force has %d", cache.name, pass, got, len(want))
 				}
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
+				if st != ref {
+					t.Fatalf("%s pass %d: stats %+v, reference %+v", cache.name, pass, st, ref)
 				}
+				if io.PagesFetched+io.CacheHits > st.PagesRead || (pc == nil && io.CacheHits != 0) {
+					t.Fatalf("%s pass %d: io %+v for %d logical page reads", cache.name, pass, io, st.PagesRead)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

@@ -223,12 +223,13 @@ type groupInit struct {
 	seedPeers bool
 }
 
+// quorum is how many replicas, the leader included, must hold a batch
+// durably before it acknowledges: the majority of the group.
+func (g *Group) quorum() int { return (1+len(g.cfg.Peers))/2 + 1 }
+
 func newGroup(eng *engine.Engine, dir string, hook *Hook, cfg Config, init groupInit) (*Group, error) {
 	if len(cfg.Peers) > 0 && cfg.Transport == nil {
 		return nil, fmt.Errorf("repl: %d peers but no transport", len(cfg.Peers))
-	}
-	if cfg.Quorum > 1+len(cfg.Peers) {
-		return nil, fmt.Errorf("repl: quorum %d exceeds group size %d", cfg.Quorum, 1+len(cfg.Peers))
 	}
 	if err := writeState(eng.FS(), dir, nodeState{role: "leader", epoch: init.epoch}); err != nil {
 		return nil, err
@@ -388,7 +389,7 @@ func (g *Group) commitSeq(seq uint64) error {
 		g.mu.Unlock()
 		return nil // a later rendezvous already covered it
 	}
-	quorum, peers := g.cfg.Quorum, g.peers
+	quorum, peers := g.quorum(), g.peers
 	g.mu.Unlock()
 	return g.commitTo(target, quorum, peers)
 }
@@ -413,7 +414,7 @@ func (g *Group) preShip(seq uint64) {
 		g.mu.Unlock()
 		return
 	}
-	quorum, peers := g.cfg.Quorum, g.peers
+	quorum, peers := g.quorum(), g.peers
 	g.mu.Unlock()
 	for _, p := range preferredRound(target, quorum, peers) {
 		go func(p *peerState) {
@@ -687,7 +688,7 @@ func (g *Group) catchUpLoop() {
 		// in-flight commit for their send locks (and put an extra log
 		// barrier on the device). They still get seeded and still receive
 		// the watermark push; only the resend leg is skipped.
-		fast := preferredRound(0, g.cfg.Quorum, g.peers)
+		fast := preferredRound(0, g.quorum(), g.peers)
 		for _, p := range g.peers {
 			select {
 			case <-g.done:
@@ -960,7 +961,7 @@ func (g *Group) TryRecover() (engine.Health, error) {
 		return 0, fmt.Errorf("%w by epoch %d: rejoin as a follower", ErrFenced, fenced)
 	}
 	peers := g.peers
-	quorum := g.cfg.Quorum
+	quorum := g.quorum()
 	g.mu.Unlock()
 
 	reachable := 1

@@ -82,15 +82,13 @@ type Config struct {
 	// ID is this node's identity, echoed in requests so followers know
 	// their leader.
 	ID string
-	// Peers are the follower ids writes must reach. Quorum counts the
-	// leader itself, so N peers form an N+1-replica group.
+	// Peers are the follower ids writes must reach: N peers form an
+	// N+1-replica group, and a batch acknowledges once a majority of the
+	// group — the leader included — holds it durably.
 	Peers []string
 	// Transport routes requests to peers. Required when Peers is
 	// non-empty.
 	Transport Transport
-	// Quorum is how many replicas (leader included) must hold a batch
-	// durably before it acknowledges. Default: majority of 1+len(Peers).
-	Quorum int
 	// Engine tunes the leader engine for Lead and Promote (SyncWrites is
 	// forced on — replication rides the group-commit path).
 	Engine engine.Options
@@ -134,9 +132,6 @@ type Config struct {
 const catchUpInterval = 10 * time.Millisecond
 
 func (c Config) withDefaults() Config {
-	if c.Quorum <= 0 {
-		c.Quorum = (1+len(c.Peers))/2 + 1
-	}
 	if c.HistoryEntries <= 0 {
 		c.HistoryEntries = 1 << 14
 	}

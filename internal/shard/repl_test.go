@@ -137,7 +137,7 @@ func TestShardedReplication(t *testing.T) {
 	var p0, p1 geom.Point
 	found0, found1 := false, false
 	for i := 0; i < 1024 && (!found0 || !found1); i++ {
-		p := geom.Point{uint32(i) % srSide, uint32(i / srSide) % srSide}
+		p := geom.Point{uint32(i) % srSide, uint32(i/srSide) % srSide}
 		switch r.part.Of(c.Index(p)) {
 		case 0:
 			if !found0 {

@@ -144,17 +144,18 @@ func cursorStats(t *testing.T, st *pagedstore.Store, krs []curve.KeyRange) (int,
 	t.Helper()
 	cur := st.NewCursor()
 	n := 0
+	var e pagedstore.Entry
 	for _, kr := range krs {
 		cur.SeekRange(kr)
 		for {
-			_, marked, ok, err := cur.Next()
+			ok, err := cur.NextInto(&e)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
 				break
 			}
-			if !marked {
+			if !e.Marked {
 				n++
 			}
 		}

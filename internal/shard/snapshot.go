@@ -169,17 +169,9 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 			// Clear per-shard debris of an earlier interrupted restore:
 			// engine.Restore demands an absent target.
 			sdir := shardDir(tmp, i)
-			if ents, err := fsys.ReadDir(sdir); err == nil {
-				for _, ent := range ents {
-					if err := fsys.Remove(filepath.Join(sdir, ent.Name())); err != nil {
-						errs[i] = fmt.Errorf("shard: restore: %w", err)
-						return
-					}
-				}
-				if err := fsys.Remove(sdir); err != nil {
-					errs[i] = fmt.Errorf("shard: restore: %w", err)
-					return
-				}
+			if err := vfs.RemoveAll(fsys, sdir); err != nil {
+				errs[i] = fmt.Errorf("shard: restore: %w", err)
+				return
 			}
 			reps[i], errs[i] = engine.Restore(shardDir(snapshotDir, i), sdir, upTo, c, engOpts)
 		}(i)

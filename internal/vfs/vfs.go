@@ -69,13 +69,13 @@ type Linker interface {
 // OS is the passthrough production filesystem.
 type OS struct{}
 
-func (OS) Open(name string) (File, error)   { return os.Open(name) }
+func (OS) Open(name string) (File, error) { return os.Open(name) }
 func (OS) Create(name string) (File, error) {
 	return os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 }
-func (OS) Rename(oldname, newname string) error      { return os.Rename(oldname, newname) }
-func (OS) Link(oldname, newname string) error        { return os.Link(oldname, newname) }
-func (OS) Remove(name string) error                  { return os.Remove(name) }
+func (OS) Rename(oldname, newname string) error       { return os.Rename(oldname, newname) }
+func (OS) Link(oldname, newname string) error         { return os.Link(oldname, newname) }
+func (OS) Remove(name string) error                   { return os.Remove(name) }
 func (OS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
 func (OS) MkdirAll(name string, perm os.FileMode) error {
 	return os.MkdirAll(name, perm)

@@ -245,8 +245,9 @@ type (
 	// set of followers with quorum acknowledgment. Open one with
 	// LeadReplicated, or promote a follower with PromoteReplica.
 	ReplGroup = repl.Group
-	// ReplConfig tunes a ReplGroup: peer ids, transport, quorum size,
-	// resend window, seed refresh and retry shape.
+	// ReplConfig tunes a ReplGroup: peer ids, transport, resend window,
+	// seed refresh and retry shape. The quorum is not an option: it is the
+	// majority of the group, leader included.
 	ReplConfig = repl.Config
 	// ReplFollower is the replica side: it persists shipped entries in a
 	// CRC-framed replication log and applies the quorum-committed prefix
@@ -531,7 +532,10 @@ func WeightedPartition(c Curve, keys []uint64, k int) (*Partitioner, error) {
 }
 
 // WriteStore bulk-loads records into a disk file physically clustered in
-// curve order; pageBytes is the page size (for example 4096).
+// curve order; pageBytes is the page size (for example 4096). The file is
+// the same checksummed, fence- and Bloom-pruned layout the engine's
+// segments use: a flipped byte surfaces as ErrCorrupt at OpenStore or at
+// the first read of the damaged page, never as a wrong record.
 func WriteStore(path string, c Curve, recs []Record, pageBytes int) error {
 	return pagedstore.Write(path, c, recs, pageBytes)
 }
