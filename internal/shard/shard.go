@@ -29,6 +29,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/engine"
@@ -307,58 +308,80 @@ func (s *Sharded) write(p geom.Point, payload uint64, del bool) error {
 	return e.Put(p, payload)
 }
 
-// each runs fn on every shard engine concurrently and returns the first
-// error (by shard order).
-func (s *Sharded) each(fn func(*engine.Engine) error) error {
-	errs := make([]error, len(s.engines))
-	var wg sync.WaitGroup
-	for i, e := range s.engines {
-		wg.Add(1)
-		go func(i int, e *engine.Engine) {
-			defer wg.Done()
-			errs[i] = fn(e)
-		}(i, e)
+// fan is the reusable scratch of one fanOut call. Spawned goroutines all
+// start on the pre-bound f.claim and take their index from next, so once
+// the pool is warm a fan-out allocates nothing: a query that spans
+// shards leaves no more garbage than one inside a shard.
+type fan struct {
+	fn    func(i int) error
+	errs  []error
+	next  atomic.Int64
+	wg    sync.WaitGroup
+	claim func() // f.run, bound once
+}
+
+var fanPool = sync.Pool{New: func() any {
+	f := new(fan)
+	f.claim = f.run
+	return f
+}}
+
+func (f *fan) run() {
+	i := int(f.next.Add(1))
+	f.errs[i] = f.fn(i)
+	f.wg.Done()
+}
+
+// fanOut runs fn(i) for every shard index i in [0, n): fn(0) on the
+// caller's goroutine, every other index on a goroutine of its own. It
+// returns once all n calls have, with the lowest failing index's error
+// wrapped as "shard i: err".
+func fanOut(n int, fn func(i int) error) error {
+	if n == 0 {
+		return nil
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	f := fanPool.Get().(*fan)
+	f.fn, f.errs = fn, append(f.errs[:0], make([]error, n)...)
+	f.next.Store(0)
+	f.wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go f.claim()
+	}
+	f.errs[0] = fn(0)
+	f.wg.Wait()
+	var err error
+	for i, e := range f.errs {
+		if e != nil {
+			err = fmt.Errorf("shard %d: %w", i, e)
+			break
 		}
 	}
-	return nil
+	clear(f.errs)
+	f.fn = nil
+	fanPool.Put(f)
+	return err
+}
+
+// each runs fn on every shard engine concurrently (see fanOut).
+func (s *Sharded) each(fn func(*engine.Engine) error) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return ErrClosed
+	}
+	return fanOut(len(s.engines), func(i int) error { return fn(s.engines[i]) })
 }
 
 // Sync makes every previously acknowledged write durable on every shard.
-func (s *Sharded) Sync() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.each((*engine.Engine).Sync)
-}
+func (s *Sharded) Sync() error { return s.each((*engine.Engine).Sync) }
 
 // Flush freezes and writes out every shard's active memtable. Shards
 // flush concurrently and independently.
-func (s *Sharded) Flush() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.each((*engine.Engine).Flush)
-}
+func (s *Sharded) Flush() error { return s.each((*engine.Engine).Flush) }
 
 // Compact fully compacts every shard: afterwards each shard's disk state
 // is a single curve-ordered segment of exactly its live records.
-func (s *Sharded) Compact() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.each((*engine.Engine).Compact)
-}
+func (s *Sharded) Compact() error { return s.each((*engine.Engine).Compact) }
 
 // BackgroundErr returns the most recent background flush/compaction error
 // across shards, or nil when every shard's last background cycle

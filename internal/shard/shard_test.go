@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/baseline"
@@ -943,6 +945,60 @@ func TestQueryEntryPointsPinned(t *testing.T) {
 	} {
 		if got := queryMethods(tc.typ); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%T exports %v, want exactly %v", tc.typ, got, tc.want)
+		}
+	}
+}
+
+// TestFanOut pins the one fan-out helper every whole-service operation
+// and every multi-shard query runs on: each index runs exactly once, a
+// failure stops no other index, and the error is the lowest failing
+// index's, wrapped with its number and still matchable.
+func TestFanOut(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 5, 16} {
+		for _, failing := range [][]int{nil, {0}, {3, 1}, {n - 1}} {
+			runs := make([]atomic.Int32, n)
+			sentinels := make([]error, n)
+			for i := range sentinels {
+				sentinels[i] = fmt.Errorf("index %d failed", i)
+			}
+			fails := map[int]bool{}
+			lowest := -1
+			for _, i := range failing {
+				if i < 0 || i >= n {
+					continue
+				}
+				fails[i] = true
+				if lowest < 0 || i < lowest {
+					lowest = i
+				}
+			}
+			// Twice, so the second call runs on recycled scratch.
+			for pass := 0; pass < 2; pass++ {
+				err := fanOut(n, func(i int) error {
+					runs[i].Add(1)
+					if fails[i] {
+						return sentinels[i]
+					}
+					return nil
+				})
+				for i := range runs {
+					if got := runs[i].Load(); got != int32(pass+1) {
+						t.Fatalf("n=%d failing=%v pass %d: index %d ran %d times in total", n, failing, pass, i, got)
+					}
+				}
+				if lowest < 0 {
+					if err != nil {
+						t.Fatalf("n=%d: unexpected error %v", n, err)
+					}
+					continue
+				}
+				if !errors.Is(err, sentinels[lowest]) {
+					t.Fatalf("n=%d failing=%v: error %v, want index %d's", n, failing, err, lowest)
+				}
+				if want := fmt.Sprintf("shard %d: ", lowest); !strings.HasPrefix(err.Error(), want) {
+					t.Fatalf("n=%d failing=%v: error %q lacks prefix %q", n, failing, err, want)
+				}
+			}
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"io/fs"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/engine"
@@ -100,24 +99,15 @@ func (s *Sharded) SnapshotSince(dir, parent string) (SnapshotReport, error) {
 		return rep, fmt.Errorf("shard: snapshot: %w", err)
 	}
 	rep.PerShard = make([]engine.SnapshotReport, len(s.engines))
-	errs := make([]error, len(s.engines))
-	var wg sync.WaitGroup
-	for i, e := range s.engines {
-		wg.Add(1)
-		go func(i int, e *engine.Engine) {
-			defer wg.Done()
-			pshard := ""
-			if parent != "" {
-				pshard = shardDir(parent, i)
-			}
-			rep.PerShard[i], errs[i] = e.SnapshotSince(shardDir(dir, i), pshard)
-		}(i, e)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return rep, fmt.Errorf("shard %d: %w", i, err)
+	if err := fanOut(len(s.engines), func(i int) (err error) {
+		pshard := ""
+		if parent != "" {
+			pshard = shardDir(parent, i)
 		}
+		rep.PerShard[i], err = s.engines[i].SnapshotSince(shardDir(dir, i), pshard)
+		return err
+	}); err != nil {
+		return rep, err
 	}
 	for _, pr := range rep.PerShard {
 		rep.Segments += pr.Segments
@@ -160,27 +150,17 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 		engOpts.FS = opts.FS
 	}
 	reps := make([]engine.RestoreReport, opts.Shards)
-	errs := make([]error, opts.Shards)
-	var wg sync.WaitGroup
-	for i := 0; i < opts.Shards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Clear per-shard debris of an earlier interrupted restore:
-			// engine.Restore demands an absent target.
-			sdir := shardDir(tmp, i)
-			if err := vfs.RemoveAll(fsys, sdir); err != nil {
-				errs[i] = fmt.Errorf("shard: restore: %w", err)
-				return
-			}
-			reps[i], errs[i] = engine.Restore(shardDir(snapshotDir, i), sdir, upTo, c, engOpts)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return reps, fmt.Errorf("shard %d: %w", i, err)
+	if err := fanOut(opts.Shards, func(i int) (err error) {
+		// Clear per-shard debris of an earlier interrupted restore:
+		// engine.Restore demands an absent target.
+		sdir := shardDir(tmp, i)
+		if err := vfs.RemoveAll(fsys, sdir); err != nil {
+			return fmt.Errorf("shard: restore: %w", err)
 		}
+		reps[i], err = engine.Restore(shardDir(snapshotDir, i), sdir, upTo, c, engOpts)
+		return err
+	}); err != nil {
+		return reps, err
 	}
 	// Stamp the directory MANIFEST so the restored service reopens with
 	// the identity it was snapshotted with, then commit the whole tree.
@@ -208,26 +188,15 @@ func (s *Sharded) Repair(snapshotDir string) ([]engine.RepairReport, error) {
 		return nil, ErrClosed
 	}
 	reps := make([]engine.RepairReport, len(s.engines))
-	errs := make([]error, len(s.engines))
-	var wg sync.WaitGroup
-	for i, e := range s.engines {
-		wg.Add(1)
-		go func(i int, e *engine.Engine) {
-			defer wg.Done()
-			sdir := ""
-			if snapshotDir != "" {
-				sdir = shardDir(snapshotDir, i)
-			}
-			reps[i], errs[i] = e.Repair(sdir)
-		}(i, e)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return reps, fmt.Errorf("shard %d: %w", i, err)
+	err := fanOut(len(s.engines), func(i int) (err error) {
+		sdir := ""
+		if snapshotDir != "" {
+			sdir = shardDir(snapshotDir, i)
 		}
-	}
-	return reps, nil
+		reps[i], err = s.engines[i].Repair(sdir)
+		return err
+	})
+	return reps, err
 }
 
 // TryRecover attempts guarded health de-escalation on every shard (see
@@ -238,15 +207,10 @@ func (s *Sharded) TryRecover() []ShardHealth {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]ShardHealth, len(s.engines))
-	var wg sync.WaitGroup
-	for i, e := range s.engines {
-		wg.Add(1)
-		go func(i int, e *engine.Engine) {
-			defer wg.Done()
-			st, err := e.TryRecover()
-			out[i] = ShardHealth{Shard: i, State: st, Err: err}
-		}(i, e)
-	}
-	wg.Wait()
+	_ = fanOut(len(s.engines), func(i int) error {
+		st, err := s.engines[i].TryRecover()
+		out[i] = ShardHealth{Shard: i, State: st, Err: err}
+		return nil // the error rides in out[i]
+	})
 	return out
 }
