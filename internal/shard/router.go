@@ -113,18 +113,11 @@ func splitPlanFlat(part *partition.Partitioner, plan []curve.KeyRange, flat []cu
 	return flat, parts
 }
 
-// task is one shard sub-query handed to the worker pool: fixed-size, so
-// the handoff itself never allocates.
-type task struct {
-	q *routerQuery
-	i int // index into q.parts
-}
-
-// routerQuery is the pooled scratch of one fan-out: the plan buffer, the
-// flat split plan, the per-part results with their recycled record
-// buffers, and the completion group. States recycle through rqPool, so
-// the router's steady-state fan-out costs no per-query allocation beyond
-// the caller-visible PerShard breakdown.
+// routerQuery is the pooled scratch of one query: the plan buffer, the
+// flat split plan and the per-part results with their recycled record
+// buffers. States recycle through rqPool, so the router's steady state
+// costs no per-query allocation beyond the caller-visible PerShard
+// breakdown.
 type routerQuery struct {
 	s     *Sharded
 	ctx   context.Context
@@ -132,7 +125,7 @@ type routerQuery struct {
 	flat  []curve.KeyRange
 	parts []partRef
 	res   []partResult
-	wg    sync.WaitGroup
+	fn    func(i int) error // q.run, bound once so a fan-out allocates nothing
 }
 
 type partResult struct {
@@ -141,21 +134,29 @@ type partResult struct {
 	err  error
 }
 
-var rqPool = sync.Pool{New: func() any { return new(routerQuery) }}
+var rqPool = sync.Pool{New: func() any {
+	q := new(routerQuery)
+	q.fn = q.run
+	return q
+}}
 
 // run executes part i against its shard engine, appending into the
-// part's recycled record buffer.
-func (q *routerQuery) run(i int) {
+// part's recycled record buffer. The part keeps its own error: the
+// gather step applies the query policy to every part's outcome, so run
+// reports none to the fan-out.
+func (q *routerQuery) run(i int) error {
 	p := q.parts[i]
 	r := &q.res[i]
 	r.recs, r.st, r.err = q.s.engines[p.shard].QueryRanges(q.ctx, r.recs[:0], q.flat[p.start:p.end])
+	return nil
 }
 
 // Query returns every live record whose point lies inside r together
 // with the aggregated access pattern (see Stats for the contract). The
 // rectangle is planned ONCE with the curve's range planner; the plan is
-// split at shard boundaries and fanned out only to intersecting shards,
-// which execute concurrently on the bounded worker pool. Admission
+// split at shard boundaries and sent only to intersecting shards. A plan
+// inside one shard runs on the caller's goroutine; a plan spanning shards
+// runs them concurrently, one goroutine per further shard. Admission
 // control: at most Options.MaxInFlight queries execute at a time (later
 // calls block for a slot), and a plan longer than
 // Options.MaxPlannedRanges is rejected with ErrBudget before touching
@@ -179,15 +180,10 @@ type QueryPolicy struct {
 // queries reuses the record slots and their Point buffers. Stats.Results
 // counts only the records this call appended.
 //
-// Scheduling note: the fan-out hands sub-queries to the worker pool over
-// a bounded (one-slot-per-worker) channel, and on GOMAXPROCS=1 the call
-// additionally yields the processor once before returning. Together
-// these keep a zero-think-time query loop from monopolizing the
-// scheduler on a single P — without the yield, the querier and the
-// workers bounce each other through the channel rendezvous's wakeup
-// fast path and co-resident writer goroutines starve. On multi-core the
-// yield is skipped: the starvation cannot occur and the query path
-// stays unperturbed.
+// Scheduling note: on GOMAXPROCS=1 the call yields the processor once
+// before returning, so that a zero-think-time query loop cannot
+// monopolize the scheduler on a single P and starve co-resident writer
+// goroutines. On multi-core the yield is skipped.
 func (s *Sharded) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) {
 	return s.QueryAppendContext(context.Background(), dst, r, QueryPolicy{})
 }
@@ -259,17 +255,13 @@ func (q *routerQuery) exec(dst []Record, r geom.Rect, pol QueryPolicy) ([]Record
 	}
 	q.res = q.res[:len(q.parts)]
 
-	// Fan all but the first sub-query out to the pool; run the first on
-	// the caller's goroutine, so a single-shard query never waits for a
-	// worker and the pool always has a draining goroutine per query.
-	for i := 1; i < len(q.parts); i++ {
-		q.wg.Add(1)
-		s.tasks <- task{q: q, i: i}
-	}
-	if len(q.parts) > 0 {
+	// Few cluster ranges means few shards: most plans lie inside one
+	// shard and run right here, on the caller's goroutine.
+	if len(q.parts) == 1 {
 		q.run(0)
+	} else {
+		_ = fanOut(len(q.parts), q.fn) // parts keep their own errors
 	}
-	q.wg.Wait()
 
 	for i := range q.parts {
 		perr := q.res[i].err

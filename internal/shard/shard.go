@@ -8,10 +8,10 @@
 // Writes route by curve key to exactly one shard. A rectangle query is
 // planned exactly once with the curve's RangePlanner; the resulting
 // cluster ranges are split at shard boundaries and fanned out only to the
-// shards whose key intervals they intersect, executed concurrently on a
-// bounded worker pool behind admission control (a cap on in-flight
-// queries and a per-query planned-range budget), and the per-shard record
-// streams and physical stats are aggregated.
+// shards whose key intervals they intersect, executed concurrently (one
+// goroutine per further shard, see fanOut) behind admission control (a
+// cap on in-flight queries and a per-query planned-range budget), and the
+// per-shard record streams and physical stats are aggregated.
 //
 // Because shard boundaries are aligned to curve-key intervals, the
 // concatenation of the per-shard outputs in shard order is globally
@@ -63,12 +63,9 @@ type Options struct {
 	// Engine tunes every per-shard engine (page size, flush threshold,
 	// WAL sync policy, memtable shards, compaction fanout).
 	Engine engine.Options
-	// Workers bounds how many per-shard sub-queries execute concurrently
-	// across all in-flight queries (default GOMAXPROCS).
-	Workers int
 	// MaxInFlight is the admission-control cap on concurrently admitted
 	// queries; further Query calls block until a slot frees (default
-	// 2 * Workers).
+	// 2 * GOMAXPROCS).
 	MaxInFlight int
 	// MaxPlannedRanges rejects queries whose single planner call yields
 	// more than this many cluster ranges with ErrBudget — a per-query
@@ -99,11 +96,8 @@ func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = runtime.GOMAXPROCS(0)
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 2 * o.Workers
+		o.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -138,10 +132,8 @@ type Sharded struct {
 	reg  *telemetry.Registry // router-level metrics (fan-out, admission, shared cache)
 	rtel *routerTelemetry
 
-	tasks   chan task // bounded worker pool feed
-	workers sync.WaitGroup
-	admit   chan struct{} // admission slots, one per in-flight query
-	yield   bool          // GOMAXPROCS==1 at Open: yield after each query
+	admit chan struct{} // admission slots, one per in-flight query
+	yield bool          // GOMAXPROCS==1 at Open: yield after each query
 
 	mu     sync.RWMutex // held shared by every operation; exclusively by Close
 	closed bool
@@ -171,7 +163,7 @@ func Open(dir string, c curve.Curve, opts Options) (*Sharded, error) {
 		opts: opts,
 		// The end-of-query yield (see QueryAppend) is only needed where
 		// the starvation exists: with a single P, a zero-think-time
-		// query loop and the router's channel wakeups can monopolize the
+		// query loop and the router's wakeups can monopolize the
 		// scheduler. On multi-core it would just tax the hot path.
 		yield: runtime.GOMAXPROCS(0) == 1,
 	}
@@ -198,24 +190,10 @@ func Open(dir string, c curve.Curve, opts Options) (*Sharded, error) {
 		}
 		s.engines = append(s.engines, e)
 	}
-	// The feed is buffered one task per worker: a bounded handoff, so a
-	// fan-out burst parks the querier at most once instead of once per
-	// direct channel rendezvous (see Query's scheduling note).
-	s.tasks = make(chan task, opts.Workers)
 	s.admit = make(chan struct{}, opts.MaxInFlight)
 	s.reg = telemetry.NewRegistry()
 	s.rtel = newRouterTelemetry(s.reg)
 	s.registerRouterTelemetry(opts.Engine.Cache == nil && s.cache != nil)
-	for i := 0; i < opts.Workers; i++ {
-		s.workers.Add(1)
-		go func() {
-			defer s.workers.Done()
-			for t := range s.tasks {
-				t.q.run(t.i)
-				t.q.wg.Done()
-			}
-		}()
-	}
 	return s, nil
 }
 
@@ -467,9 +445,8 @@ func (s *Sharded) Stats() EngineStats {
 	return st
 }
 
-// Close flushes and closes every shard engine and stops the router's
-// worker pool. The sharded engine is unusable afterwards; reopen with
-// Open.
+// Close flushes and closes every shard engine. The sharded engine is
+// unusable afterwards; reopen with Open.
 func (s *Sharded) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -478,8 +455,6 @@ func (s *Sharded) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	close(s.tasks)
-	s.workers.Wait()
 	var firstErr error
 	for _, e := range s.engines {
 		if err := e.Close(); err != nil && firstErr == nil {

@@ -20,10 +20,9 @@ func sfOpen(t *testing.T, dir string, fsys vfs.FS, sync bool) *Sharded {
 		t.Fatal(err)
 	}
 	s, err := Open(dir, o, Options{
-		Shards:  4,
-		Engine:  engine.Options{PageBytes: 256, FlushEntries: -1, CompactFanout: -1, Shards: 2, SyncWrites: sync},
-		Workers: 4,
-		FS:      fsys,
+		Shards: 4,
+		Engine: engine.Options{PageBytes: 256, FlushEntries: -1, CompactFanout: -1, Shards: 2, SyncWrites: sync},
+		FS:     fsys,
 	})
 	if err != nil {
 		t.Fatal(err)

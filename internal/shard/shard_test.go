@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,9 +29,8 @@ import (
 // tests control the lifecycle explicitly.
 func manualShardOpts(k int) Options {
 	return Options{
-		Shards:  k,
-		Engine:  engine.Options{PageBytes: 512, FlushEntries: -1, CompactFanout: -1, Shards: 2},
-		Workers: 4,
+		Shards: k,
+		Engine: engine.Options{PageBytes: 512, FlushEntries: -1, CompactFanout: -1, Shards: 2},
 		// A deliberately tiny shared page cache (16 pages across all
 		// shards) so the cross-checks run under constant eviction
 		// pressure: the logical stat contracts must hold bit-identically
@@ -218,8 +218,8 @@ func TestShardedCrossCheck(t *testing.T) {
 						default:
 						}
 						// No yield needed even on GOMAXPROCS=1: the router's
-						// bounded handoff + end-of-query yield keep this
-						// zero-think-time loop from starving the writers.
+						// end-of-query yield keeps this zero-think-time loop
+						// from starving the writers.
 						if _, _, err := s.Query(randomRect(rng, c.Universe())); err != nil {
 							t.Error(err)
 							return
@@ -686,7 +686,6 @@ func TestShardedAdmission(t *testing.T) {
 	opts := Options{
 		Shards:      4,
 		Engine:      engine.Options{PageBytes: 512, FlushEntries: 300, CompactFanout: 2, Shards: 2},
-		Workers:     2,
 		MaxInFlight: 1,
 	}
 	s, err := Open(t.TempDir(), c, opts)
@@ -917,6 +916,72 @@ func TestSharedCacheAcrossShards(t *testing.T) {
 	}
 	if cst := s.CacheStats(); cst.Pages != 0 || cst.Bytes != 0 {
 		t.Fatalf("pages survive close: %+v", cst)
+	}
+}
+
+// TestRouterOneShardQueryAllocs pins the cost of the common query — a
+// plan inside one shard, run on the caller's goroutine — at the count
+// measured with the parent's worker pool: one allocation, the
+// caller-visible PerShard breakdown. A plan spanning both shards pays
+// the same: the fan-out's scratch is pooled.
+func TestRouterOneShardQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	c, err := core.NewOnion2D(1 << 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(t.TempDir(), c, Options{
+		Shards:     2,
+		Engine:     engine.Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1, Shards: 2},
+		CacheBytes: 1 << 22,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(42))
+	side := int32(c.Universe().Side())
+	for i := 0; i < 20000; i++ {
+		if err := s.Put(geom.Point{uint32(rng.Int31n(side)), uint32(rng.Int31n(side))}, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	// GC off so sync.Pool contents survive the measurement loops.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		r      geom.Rect
+		shards int
+	}{
+		{geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{31, 31}}, 1},  // outer rings: shard 0
+		{geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{255, 40}}, 2}, // outer and inner rings
+	} {
+		var dst []Record
+		var st Stats
+		// Warm every pool and the cache, and size the record buffer.
+		for i := 0; i < 4; i++ {
+			if dst, st, err = s.QueryAppend(dst[:0], tc.r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st.ShardsTouched != tc.shards || len(dst) == 0 {
+			t.Fatalf("%v: touched %d shards, found %d records; want %d shards, some records", tc.r, st.ShardsTouched, len(dst), tc.shards)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if dst, _, err = s.QueryAppend(dst[:0], tc.r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Fatalf("%v (%d shards): QueryAppend %v allocs/op, want 1 (the PerShard slice)", tc.r, tc.shards, allocs)
+		}
 	}
 }
 
