@@ -156,11 +156,9 @@ func (q *routerQuery) run(i int) error {
 // rectangle is planned ONCE with the curve's range planner; the plan is
 // split at shard boundaries and sent only to intersecting shards. A plan
 // inside one shard runs on the caller's goroutine; a plan spanning shards
-// runs them concurrently, one goroutine per further shard. Admission
-// control: at most Options.MaxInFlight queries execute at a time (later
-// calls block for a slot), and a plan longer than
-// Options.MaxPlannedRanges is rejected with ErrBudget before touching
-// any shard.
+// runs them concurrently, one goroutine per further shard. A plan longer
+// than Options.MaxPlannedRanges is rejected with ErrBudget before
+// touching any shard.
 func (s *Sharded) Query(r geom.Rect) ([]Record, Stats, error) {
 	return s.QueryAppendContext(context.Background(), nil, r, QueryPolicy{})
 }
@@ -189,26 +187,18 @@ func (s *Sharded) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error
 }
 
 // QueryAppendContext is QueryAppend under a context and an explicit
-// failure policy: cancellation interrupts both the admission wait and
-// the per-shard scans (each worker checks the context between and —
-// amortized — inside ranges), and pol selects strict versus partial
-// results when shards fail.
+// failure policy: a context already done returns ctx.Err() before any
+// planning, cancellation interrupts the per-shard scans (each shard
+// checks the context between and — amortized — inside ranges), and pol
+// selects strict versus partial results when shards fail.
 func (s *Sharded) QueryAppendContext(ctx context.Context, dst []Record, r geom.Rect, pol QueryPolicy) ([]Record, Stats, error) {
+	if err := ctx.Err(); err != nil {
+		return dst, Stats{}, err
+	}
 	rtel := s.rtel
 	var start time.Time
 	if rtel != nil {
 		start = time.Now()
-	}
-	// Admission: take an in-flight slot before any work; give up if the
-	// caller does.
-	select {
-	case s.admit <- struct{}{}:
-	case <-ctx.Done():
-		return dst, Stats{}, ctx.Err()
-	}
-	defer func() { <-s.admit }()
-	if rtel != nil {
-		rtel.admissionWaitUS.Record(uint64(time.Since(start).Microseconds()))
 	}
 	if s.yield {
 		defer runtime.Gosched()

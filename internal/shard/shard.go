@@ -9,9 +9,9 @@
 // planned exactly once with the curve's RangePlanner; the resulting
 // cluster ranges are split at shard boundaries and fanned out only to the
 // shards whose key intervals they intersect, executed concurrently (one
-// goroutine per further shard, see fanOut) behind admission control (a
-// cap on in-flight queries and a per-query planned-range budget), and the
-// per-shard record streams and physical stats are aggregated.
+// goroutine per further shard, see fanOut) behind a per-query
+// planned-range budget, and the per-shard record streams and physical
+// stats are aggregated.
 //
 // Because shard boundaries are aligned to curve-key intervals, the
 // concatenation of the per-shard outputs in shard order is globally
@@ -63,10 +63,6 @@ type Options struct {
 	// Engine tunes every per-shard engine (page size, flush threshold,
 	// WAL sync policy, memtable shards, compaction fanout).
 	Engine engine.Options
-	// MaxInFlight is the admission-control cap on concurrently admitted
-	// queries; further Query calls block until a slot frees (default
-	// 2 * GOMAXPROCS).
-	MaxInFlight int
 	// MaxPlannedRanges rejects queries whose single planner call yields
 	// more than this many cluster ranges with ErrBudget — a per-query
 	// cost ceiling, since ranges are seeks. 0 disables the budget.
@@ -95,9 +91,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -129,11 +122,10 @@ type Sharded struct {
 	opts    Options
 	cache   *pagedstore.Cache // shared across shard engines; nil when disabled
 
-	reg  *telemetry.Registry // router-level metrics (fan-out, admission, shared cache)
+	reg  *telemetry.Registry // router-level metrics (fan-out, degradation, shared cache)
 	rtel *routerTelemetry
 
-	admit chan struct{} // admission slots, one per in-flight query
-	yield bool          // GOMAXPROCS==1 at Open: yield after each query
+	yield bool // GOMAXPROCS==1 at Open: yield after each query
 
 	mu     sync.RWMutex // held shared by every operation; exclusively by Close
 	closed bool
@@ -190,7 +182,6 @@ func Open(dir string, c curve.Curve, opts Options) (*Sharded, error) {
 		}
 		s.engines = append(s.engines, e)
 	}
-	s.admit = make(chan struct{}, opts.MaxInFlight)
 	s.reg = telemetry.NewRegistry()
 	s.rtel = newRouterTelemetry(s.reg)
 	s.registerRouterTelemetry(opts.Engine.Cache == nil && s.cache != nil)

@@ -676,17 +676,17 @@ func TestShardedBudgetAndErrors(t *testing.T) {
 	}
 }
 
-// TestShardedAdmission saturates a one-slot router with concurrent mixed
-// traffic; under -race this is the router's concurrency test.
+// TestShardedAdmission drives the router with concurrent queries beside
+// concurrent writers and background flushes and compactions; under -race
+// this is the router's concurrency test.
 func TestShardedAdmission(t *testing.T) {
 	c, err := core.NewOnion2D(32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{
-		Shards:      4,
-		Engine:      engine.Options{PageBytes: 512, FlushEntries: 300, CompactFanout: 2, Shards: 2},
-		MaxInFlight: 1,
+		Shards: 4,
+		Engine: engine.Options{PageBytes: 512, FlushEntries: 300, CompactFanout: 2, Shards: 2},
 	}
 	s, err := Open(t.TempDir(), c, opts)
 	if err != nil {

@@ -10,39 +10,37 @@ import (
 
 // routerTelemetry holds pre-resolved handles into the router's own metric
 // registry — the service-level counters that exist above any one shard
-// engine: fan-out shape, admission control, degraded serving. Per-shard
+// engine: fan-out shape, plan budget, degraded serving. Per-shard
 // storage metrics live in each engine's registry and are rolled up by
 // TelemetrySnapshot.
 type routerTelemetry struct {
-	queries         *telemetry.Counter
-	queryLatencyUS  *telemetry.Histogram
-	fanoutShards    *telemetry.Histogram
-	subRanges       *telemetry.Histogram
-	plannedRanges   *telemetry.Histogram
-	seekAmp         *telemetry.FloatGauge
-	admissionWaitUS *telemetry.Histogram
-	budgetRejects   *telemetry.Counter
-	partialQueries  *telemetry.Counter
-	shardFailures   *telemetry.Counter
+	queries        *telemetry.Counter
+	queryLatencyUS *telemetry.Histogram
+	fanoutShards   *telemetry.Histogram
+	subRanges      *telemetry.Histogram
+	plannedRanges  *telemetry.Histogram
+	seekAmp        *telemetry.FloatGauge
+	budgetRejects  *telemetry.Counter
+	partialQueries *telemetry.Counter
+	shardFailures  *telemetry.Counter
 }
 
 func newRouterTelemetry(reg *telemetry.Registry) *routerTelemetry {
 	return &routerTelemetry{
-		queries:         reg.Counter("router_queries_total"),
-		queryLatencyUS:  reg.Histogram("router_query_latency_us"),
-		fanoutShards:    reg.Histogram("router_fanout_shards"),
-		subRanges:       reg.Histogram("router_subranges"),
-		plannedRanges:   reg.Histogram("router_planned_ranges"),
-		seekAmp:         reg.FloatGauge("router_seek_amplification"),
-		admissionWaitUS: reg.Histogram("router_admission_wait_us"),
-		budgetRejects:   reg.Counter("router_budget_rejects_total"),
-		partialQueries:  reg.Counter("router_partial_queries_total"),
-		shardFailures:   reg.Counter("router_shard_failures_total"),
+		queries:        reg.Counter("router_queries_total"),
+		queryLatencyUS: reg.Histogram("router_query_latency_us"),
+		fanoutShards:   reg.Histogram("router_fanout_shards"),
+		subRanges:      reg.Histogram("router_subranges"),
+		plannedRanges:  reg.Histogram("router_planned_ranges"),
+		seekAmp:        reg.FloatGauge("router_seek_amplification"),
+		budgetRejects:  reg.Counter("router_budget_rejects_total"),
+		partialQueries: reg.Counter("router_partial_queries_total"),
+		shardFailures:  reg.Counter("router_shard_failures_total"),
 	}
 }
 
 // recordQuery tallies one served query. start is when the public call
-// began, admission wait included; failed queries contribute no sample.
+// began; failed queries contribute no sample.
 func (t *routerTelemetry) recordQuery(start time.Time, st *Stats) {
 	t.queries.Inc()
 	t.queryLatencyUS.Record(uint64(time.Since(start).Microseconds()))
@@ -63,7 +61,7 @@ func (t *routerTelemetry) recordQuery(start time.Time, st *Stats) {
 	}
 }
 
-// Telemetry returns the router's own metric registry: fan-out, admission
+// Telemetry returns the router's own metric registry: fan-out, budget
 // and degradation counters, plus the shared page cache series when the
 // router created the cache. Per-shard engine metrics are NOT here — use
 // TelemetrySnapshot for the full labeled roll-up.
@@ -104,11 +102,10 @@ func (s *Sharded) TelemetrySnapshot() telemetry.Snapshot {
 func (s *Sharded) Events(i int) *telemetry.Events { return s.engines[i].Events() }
 
 // registerRouterTelemetry wires the router registry's sampled series:
-// admission occupancy and, when the router owns the shared page cache,
-// the cache counters — exported here exactly once rather than once per
+// the shard count and, when the router owns the shared page cache, the
+// cache counters — exported here exactly once rather than once per
 // shard engine (the engines detect the shared cache and skip it).
 func (s *Sharded) registerRouterTelemetry(ownedCache bool) {
-	s.reg.GaugeFunc("router_inflight_queries", func() int64 { return int64(len(s.admit)) })
 	s.reg.GaugeFunc("router_shards", func() int64 { return int64(len(s.engines)) })
 	if ownedCache {
 		engine.RegisterCacheTelemetry(s.reg, s.cache)
