@@ -144,8 +144,6 @@ func (t *errTally) add(err error) {
 		cat = "crashed"
 	case errors.Is(err, vfs.ErrInjected):
 		cat = "injected"
-	case errors.Is(err, onion.ErrShardBudget):
-		cat = "budget"
 	}
 	t.mu.Lock()
 	if t.m == nil {

@@ -156,9 +156,7 @@ func (q *routerQuery) run(i int) error {
 // rectangle is planned ONCE with the curve's range planner; the plan is
 // split at shard boundaries and sent only to intersecting shards. A plan
 // inside one shard runs on the caller's goroutine; a plan spanning shards
-// runs them concurrently, one goroutine per further shard. A plan longer
-// than Options.MaxPlannedRanges is rejected with ErrBudget before
-// touching any shard.
+// runs them concurrently, one goroutine per further shard.
 func (s *Sharded) Query(r geom.Rect) ([]Record, Stats, error) {
 	return s.QueryAppendContext(context.Background(), nil, r, QueryPolicy{})
 }
@@ -231,12 +229,6 @@ func (q *routerQuery) exec(dst []Record, r geom.Rect, pol QueryPolicy) ([]Record
 	}
 	var st Stats
 	st.Planned = len(q.plan)
-	if s.opts.MaxPlannedRanges > 0 && len(q.plan) > s.opts.MaxPlannedRanges {
-		if rtel != nil {
-			rtel.budgetRejects.Inc()
-		}
-		return dst, st, fmt.Errorf("%w: %d ranges > %d", ErrBudget, len(q.plan), s.opts.MaxPlannedRanges)
-	}
 	q.flat, q.parts = splitPlanFlat(s.part, q.plan, q.flat, q.parts)
 	st.ShardsTouched = len(q.parts)
 	q.res = q.res[:cap(q.res)]

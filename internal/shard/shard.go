@@ -9,9 +9,8 @@
 // planned exactly once with the curve's RangePlanner; the resulting
 // cluster ranges are split at shard boundaries and fanned out only to the
 // shards whose key intervals they intersect, executed concurrently (one
-// goroutine per further shard, see fanOut) behind a per-query
-// planned-range budget, and the per-shard record streams and physical
-// stats are aggregated.
+// goroutine per further shard, see fanOut), and the per-shard record
+// streams and physical stats are aggregated.
 //
 // Because shard boundaries are aligned to curve-key intervals, the
 // concatenation of the per-shard outputs in shard order is globally
@@ -43,10 +42,6 @@ import (
 var (
 	// ErrClosed reports use of a closed sharded engine.
 	ErrClosed = errors.New("shard: closed")
-	// ErrBudget reports a query whose plan exceeds the configured
-	// per-query range budget (admission control rejected it; retry with a
-	// smaller rectangle or a higher Options.MaxPlannedRanges).
-	ErrBudget = errors.New("shard: query exceeds planned-range budget")
 	// ErrManifest reports a shard directory opened with a configuration
 	// (shard count, curve) different from the one it was created with.
 	ErrManifest = errors.New("shard: directory manifest mismatch")
@@ -63,10 +58,6 @@ type Options struct {
 	// Engine tunes every per-shard engine (page size, flush threshold,
 	// WAL sync policy, memtable shards, compaction fanout).
 	Engine engine.Options
-	// MaxPlannedRanges rejects queries whose single planner call yields
-	// more than this many cluster ranges with ErrBudget — a per-query
-	// cost ceiling, since ranges are seeks. 0 disables the budget.
-	MaxPlannedRanges int
 	// CacheBytes gives every shard engine ONE shared page cache with
 	// this byte budget (0 disables caching; ignored when Engine.Cache is
 	// already set). Sharing one cache makes the budget a service-level

@@ -626,37 +626,16 @@ func TestShardedBudgetAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := manualShardOpts(2)
-	opts.MaxPlannedRanges = 1
-	s, err := Open(t.TempDir(), c, opts)
+	s, err := Open(t.TempDir(), c, manualShardOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put(geom.Point{3, 3}, 1); err != nil {
 		t.Fatal(err)
 	}
-	// A single cell plans one range: under budget.
 	one := geom.Rect{Lo: geom.Point{3, 3}, Hi: geom.Point{3, 3}}
 	if _, _, err := s.Query(one); err != nil {
 		t.Fatal(err)
-	}
-	// Find a rectangle that plans more than one range and watch the
-	// admission budget reject it before any shard work.
-	rng := rand.New(rand.NewSource(1))
-	var over geom.Rect
-	for {
-		r := randomRect(rng, c.Universe())
-		plan, err := ranges.Decompose(c, r, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(plan) > 1 {
-			over = r
-			break
-		}
-	}
-	if _, _, err := s.Query(over); !errors.Is(err, ErrBudget) {
-		t.Fatalf("over-budget query: %v", err)
 	}
 	// Writes outside the universe are engine.ErrPoint, like the engine.
 	if err := s.Put(geom.Point{99, 0}, 1); !errors.Is(err, engine.ErrPoint) {

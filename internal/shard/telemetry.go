@@ -10,9 +10,8 @@ import (
 
 // routerTelemetry holds pre-resolved handles into the router's own metric
 // registry — the service-level counters that exist above any one shard
-// engine: fan-out shape, plan budget, degraded serving. Per-shard
-// storage metrics live in each engine's registry and are rolled up by
-// TelemetrySnapshot.
+// engine: fan-out shape and degraded serving. Per-shard storage metrics
+// live in each engine's registry and are rolled up by TelemetrySnapshot.
 type routerTelemetry struct {
 	queries        *telemetry.Counter
 	queryLatencyUS *telemetry.Histogram
@@ -20,7 +19,6 @@ type routerTelemetry struct {
 	subRanges      *telemetry.Histogram
 	plannedRanges  *telemetry.Histogram
 	seekAmp        *telemetry.FloatGauge
-	budgetRejects  *telemetry.Counter
 	partialQueries *telemetry.Counter
 	shardFailures  *telemetry.Counter
 }
@@ -33,7 +31,6 @@ func newRouterTelemetry(reg *telemetry.Registry) *routerTelemetry {
 		subRanges:      reg.Histogram("router_subranges"),
 		plannedRanges:  reg.Histogram("router_planned_ranges"),
 		seekAmp:        reg.FloatGauge("router_seek_amplification"),
-		budgetRejects:  reg.Counter("router_budget_rejects_total"),
 		partialQueries: reg.Counter("router_partial_queries_total"),
 		shardFailures:  reg.Counter("router_shard_failures_total"),
 	}
@@ -61,8 +58,8 @@ func (t *routerTelemetry) recordQuery(start time.Time, st *Stats) {
 	}
 }
 
-// Telemetry returns the router's own metric registry: fan-out, budget
-// and degradation counters, plus the shared page cache series when the
+// Telemetry returns the router's own metric registry: fan-out and
+// degradation counters, plus the shared page cache series when the
 // router created the cache. Per-shard engine metrics are NOT here — use
 // TelemetrySnapshot for the full labeled roll-up.
 func (s *Sharded) Telemetry() *telemetry.Registry { return s.reg }

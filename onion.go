@@ -286,10 +286,6 @@ const (
 // Sentinel errors of the storage stack, for errors.Is checks at the
 // serving layer.
 var (
-	// ErrShardBudget reports a query rejected by admission control: its
-	// single planner call produced more cluster ranges than
-	// ShardedEngineOptions.MaxPlannedRanges allows.
-	ErrShardBudget = shard.ErrBudget
 	// ErrShardManifest reports a sharded engine directory opened with a
 	// shard count or curve different from the one it was created with.
 	ErrShardManifest = shard.ErrManifest

@@ -1,7 +1,6 @@
 package onion_test
 
 import (
-	"errors"
 	"testing"
 
 	onion "github.com/onioncurve/onion"
@@ -110,25 +109,5 @@ func TestOpenShardedEngineFacade(t *testing.T) {
 	}
 	if len(all) != 64*16-1 {
 		t.Fatalf("reopened engine has %d records, want %d", len(all), 64*16-1)
-	}
-	// Budget admission control through the facade.
-	tight := onion.ShardedEngineOptions{
-		Shards:           2,
-		Engine:           onion.EngineOptions{PageBytes: 512},
-		MaxPlannedRanges: 1,
-	}
-	s3, err := onion.OpenShardedEngine(t.TempDir(), o, tight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if _, _, err := s3.Query(o.Universe().Rect()); err != nil {
-		t.Fatal(err) // the full universe is one range: under budget
-	}
-	col := onion.Rect{Lo: onion.Point{3, 0}, Hi: onion.Point{3, 63}}
-	if _, _, err := s3.Query(col); err == nil {
-		t.Fatal("over-budget query accepted")
-	} else if !errors.Is(err, onion.ErrShardBudget) {
-		t.Fatalf("over-budget query: %v", err)
 	}
 }
