@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -175,11 +174,6 @@ type QueryPolicy struct {
 // QueryAppend is Query appending into dst: recycling the same dst across
 // queries reuses the record slots and their Point buffers. Stats.Results
 // counts only the records this call appended.
-//
-// Scheduling note: on GOMAXPROCS=1 the call yields the processor once
-// before returning, so that a zero-think-time query loop cannot
-// monopolize the scheduler on a single P and starve co-resident writer
-// goroutines. On multi-core the yield is skipped.
 func (s *Sharded) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) {
 	return s.QueryAppendContext(context.Background(), dst, r, QueryPolicy{})
 }
@@ -197,9 +191,6 @@ func (s *Sharded) QueryAppendContext(ctx context.Context, dst []Record, r geom.R
 	var start time.Time
 	if rtel != nil {
 		start = time.Now()
-	}
-	if s.yield {
-		defer runtime.Gosched()
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -116,8 +116,6 @@ type Sharded struct {
 	reg  *telemetry.Registry // router-level metrics (fan-out, degradation, shared cache)
 	rtel *routerTelemetry
 
-	yield bool // GOMAXPROCS==1 at Open: yield after each query
-
 	mu     sync.RWMutex // held shared by every operation; exclusively by Close
 	closed bool
 }
@@ -140,16 +138,7 @@ func Open(dir string, c curve.Curve, opts Options) (*Sharded, error) {
 	if err := checkOrWriteManifest(fsys, dir, c, opts.Shards); err != nil {
 		return nil, err
 	}
-	s := &Sharded{
-		c:    c,
-		part: part,
-		opts: opts,
-		// The end-of-query yield (see QueryAppend) is only needed where
-		// the starvation exists: with a single P, a zero-think-time
-		// query loop and the router's wakeups can monopolize the
-		// scheduler. On multi-core it would just tax the hot path.
-		yield: runtime.GOMAXPROCS(0) == 1,
-	}
+	s := &Sharded{c: c, part: part, opts: opts}
 	// One page cache for every shard engine: a single byte budget over
 	// the whole service, populated by whichever shards run hot.
 	engOpts := opts.Engine

@@ -217,9 +217,8 @@ func TestShardedCrossCheck(t *testing.T) {
 							return
 						default:
 						}
-						// No yield needed even on GOMAXPROCS=1: the router's
-						// end-of-query yield keeps this zero-think-time loop
-						// from starving the writers.
+						// No yield: on GOMAXPROCS=1 this zero-think-time loop
+						// must not starve the writers (a CI step runs it so).
 						if _, _, err := s.Query(randomRect(rng, c.Universe())); err != nil {
 							t.Error(err)
 							return
