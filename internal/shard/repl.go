@@ -38,7 +38,7 @@ func OpenReplicated(dir string, c curve.Curve, opts Options, cfg func(shard int)
 	for i := range hooks {
 		hooks[i] = repl.NewHook(dims)
 	}
-	opts.CommitHook = func(i int) engine.CommitHook { return hooks[i] }
+	opts.commitHook = func(i int) engine.CommitHook { return hooks[i] }
 	opts.Engine.SyncWrites = true
 	s, err := Open(dir, c, opts)
 	if err != nil {

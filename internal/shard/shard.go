@@ -71,12 +71,12 @@ type Options struct {
 	// Nil selects the real filesystem; fault-injection tests pass a
 	// vfs.Injecting. (Engine.FS, when set, still wins for the engines.)
 	FS vfs.FS
-	// CommitHook, when set, installs a per-shard commit hook into each
+
+	// commitHook, when set, installs a per-shard commit hook into each
 	// shard engine (overriding Engine.CommitHook): shard i's engine gets
-	// CommitHook(i). This is the seam OpenReplicated threads per-shard
-	// replication through; it is exported so other write-path observers
-	// can ride the same hook without a second Options field.
-	CommitHook func(shard int) engine.CommitHook
+	// commitHook(i). OpenReplicated threads per-shard replication through
+	// it.
+	commitHook func(shard int) engine.CommitHook
 }
 
 func (o Options) withDefaults() Options {
@@ -150,8 +150,8 @@ func Open(dir string, c curve.Curve, opts Options) (*Sharded, error) {
 	}
 	s.cache = engOpts.Cache
 	for i := 0; i < opts.Shards; i++ {
-		if opts.CommitHook != nil {
-			engOpts.CommitHook = opts.CommitHook(i)
+		if opts.commitHook != nil {
+			engOpts.CommitHook = opts.commitHook(i)
 		}
 		e, err := engine.Open(shardDir(dir, i), c, engOpts)
 		if err != nil {
