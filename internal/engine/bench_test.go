@@ -9,6 +9,7 @@ import (
 
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/geom"
+	"github.com/onioncurve/onion/internal/pagedstore"
 )
 
 // benchOpts: real pages, background flush on, compaction on — the shape a
@@ -163,8 +164,12 @@ func BenchmarkEngineQueryCachedNoTelemetry(b *testing.B) { benchQueryCached(b, t
 func benchQueryCached(b *testing.B, noTelemetry bool) {
 	for _, budget := range []int64{0, 256 << 10, 8 << 20} {
 		b.Run(fmt.Sprintf("cache=%d", budget), func(b *testing.B) {
+			var cache *pagedstore.Cache // budget 0: no cache
+			if budget > 0 {
+				cache = pagedstore.NewCache(budget)
+			}
 			e := benchEngine(b, Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1,
-				CacheBytes: budget, noTelemetry: noTelemetry})
+				Cache: cache, noTelemetry: noTelemetry})
 			side := int32(e.c.Universe().Side())
 			rng := rand.New(rand.NewSource(3))
 			for i := 0; i < 100_000; i++ {

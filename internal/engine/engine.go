@@ -45,18 +45,14 @@ type Options struct {
 	// many age-adjacent, similar-sized segments is merged in the
 	// background (default 4; negative disables background compaction).
 	CompactFanout int
-	// Cache is a shared page cache for the engine's segments — pass the
-	// same cache to several engines (the sharded service does) to share
-	// one byte budget across them. Caching changes only the physical I/O
+	// Cache is the page cache for the engine's segments (nil disables
+	// caching; build one with pagedstore.NewCache) — pass the same cache
+	// to several engines (the sharded service does) to share one byte
+	// budget across them. Caching changes only the physical I/O
 	// (Stats.IO): the logical seek/page accounting is bit-identical with
-	// the cache on or off.
+	// the cache on or off. The engine does not export the cache's
+	// counters; its owner does (RegisterCacheTelemetry).
 	Cache *pagedstore.Cache
-	// CacheBytes, when Cache is nil and this is positive, gives the
-	// engine a private page cache with this byte budget. 0 disables
-	// caching — and so, in effect, does any budget under 8 pages: the
-	// cache splits it over 8 internal shards and a shard retains only
-	// pages that fit its eighth.
-	CacheBytes int64
 	// FS is the filesystem the engine's files live on. Nil selects the
 	// real filesystem; fault-injection tests pass a vfs.Injecting to turn
 	// every WAL append, fsync, segment install and directory operation
@@ -276,19 +272,12 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{dir: dir, c: c, opts: opts, fs: fsys, hook: opts.CommitHook}
-	e.cache = opts.Cache
-	if e.cache == nil && opts.CacheBytes > 0 {
-		e.cache = pagedstore.NewCache(opts.CacheBytes)
-	}
+	e := &Engine{dir: dir, c: c, opts: opts, fs: fsys, hook: opts.CommitHook, cache: opts.Cache}
 	e.reg = telemetry.NewRegistry()
 	e.events = telemetry.NewEvents(0)
 	if !opts.noTelemetry {
 		e.tel = newEngineTelemetry(e.reg)
-		// Export the cache only when this engine created it: a shared
-		// cache (Options.Cache) is exported once by whoever owns it, so
-		// per-shard roll-ups never multiply its counters.
-		e.registerSampledTelemetry(opts.Cache == nil && e.cache != nil)
+		e.registerSampledTelemetry()
 	}
 	e.com.done = make(map[uint64]struct{})
 	for _, id := range segIDs {

@@ -23,7 +23,7 @@ import (
 // the whole suite under eviction pressure: the logical stat contracts
 // must hold bit-identically with caching and footer pruning active.
 func manualOpts() Options {
-	return Options{PageBytes: 512, FlushEntries: -1, CompactFanout: -1, Shards: 4, CacheBytes: 16 * 512}
+	return Options{PageBytes: 512, FlushEntries: -1, CompactFanout: -1, Shards: 4, Cache: pagedstore.NewCache(16 * 512)}
 }
 
 func randomRect(rng *rand.Rand, u geom.Universe) geom.Rect {

@@ -14,6 +14,7 @@ import (
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/geom"
+	"github.com/onioncurve/onion/internal/pagedstore"
 	"github.com/onioncurve/onion/internal/vfs"
 )
 
@@ -134,9 +135,9 @@ func fwRecover(t *testing.T, dir string) map[uint64]uint64 {
 	t.Helper()
 	o := fwCurve(t)
 	full := o.Universe().Rect()
-	open := func(cacheBytes int64) (map[uint64]uint64, Stats) {
+	open := func(cache *pagedstore.Cache) (map[uint64]uint64, Stats) {
 		e, err := Open(dir, o, Options{PageBytes: 256, FlushEntries: -1,
-			CompactFanout: -1, Shards: 2, CacheBytes: cacheBytes})
+			CompactFanout: -1, Shards: 2, Cache: cache})
 		if err != nil {
 			t.Fatalf("reopen after fault: %v", err)
 		}
@@ -151,8 +152,8 @@ func fwRecover(t *testing.T, dir string) map[uint64]uint64 {
 		}
 		return m, st
 	}
-	got, st0 := open(0)
-	got2, st1 := open(1 << 20)
+	got, st0 := open(nil)
+	got2, st1 := open(pagedstore.NewCache(1 << 20))
 	if !maps.Equal(got, got2) {
 		t.Fatalf("cached reopen disagrees: %d vs %d records", len(got), len(got2))
 	}

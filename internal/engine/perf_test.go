@@ -46,14 +46,14 @@ func TestEngineCacheOnOffIdentical(t *testing.T) {
 	copyDir(t, dir, twin)
 
 	cachedOpts := manualOpts()
-	cachedOpts.CacheBytes = 1 << 20 // plenty: the whole working set fits
+	cachedOpts.Cache = pagedstore.NewCache(1 << 20) // plenty: the whole working set fits
 	cached, err := Open(dir, c, cachedOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cached.Close()
 	bareOpts := manualOpts()
-	bareOpts.CacheBytes = 0
+	bareOpts.Cache = nil
 	bare, err := Open(twin, c, bareOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestEngineCacheChurn(t *testing.T) {
 		FlushEntries:  250, // frequent background flushes
 		CompactFanout: 2,   // aggressive background compaction
 		Shards:        2,
-		CacheBytes:    8 * 512, // one page per cache shard: eviction storm
+		Cache:         pagedstore.NewCache(8 * 512), // one page per cache shard: eviction storm
 	}
 	e, err := Open(dir, c, opts)
 	if err != nil {
@@ -195,7 +195,7 @@ func TestEngineCacheChurn(t *testing.T) {
 	twin := t.TempDir()
 	copyDir(t, dir, twin)
 	bareOpts := opts
-	bareOpts.CacheBytes = 0
+	bareOpts.Cache = nil
 	bareOpts.FlushEntries, bareOpts.CompactFanout = -1, -1
 	bare, err := Open(twin, c, bareOpts)
 	if err != nil {
@@ -446,7 +446,7 @@ func TestEngineQueryZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1, Shards: 2, CacheBytes: 1 << 22}
+	opts := Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1, Shards: 2, Cache: pagedstore.NewCache(1 << 22)}
 	e, err := Open(t.TempDir(), c, opts)
 	if err != nil {
 		t.Fatal(err)

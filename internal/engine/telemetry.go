@@ -133,11 +133,11 @@ func (t *engineTelemetry) recordQuery(start time.Time, st Stats, err error) {
 
 // registerSampledTelemetry wires the gauges and counters whose truth
 // lives elsewhere in the engine — shape gauges sampled at scrape time,
-// and lifetime counters already maintained for EngineStats. ownedCache
-// gates the cache series: an engine only exports a cache it created
-// itself, so a cache shared across shards is exported exactly once (by
-// the shard router), never multiplied by the roll-up.
-func (e *Engine) registerSampledTelemetry(ownedCache bool) {
+// and lifetime counters already maintained for EngineStats. The page
+// cache is not among them: its owner exports it (RegisterCacheTelemetry),
+// so a cache shared across shards is exported exactly once, never
+// multiplied by the roll-up.
+func (e *Engine) registerSampledTelemetry() {
 	reg := e.reg
 	reg.GaugeFunc("engine_health_state", func() int64 { return int64(e.health.state.Load()) })
 	reg.GaugeFunc("engine_memtable_entries", e.memEntries)
@@ -173,17 +173,14 @@ func (e *Engine) registerSampledTelemetry(ownedCache bool) {
 	})
 	reg.CounterFunc("engine_flushes_total", e.flushes.Load)
 	reg.CounterFunc("engine_compactions_total", e.compactions.Load)
-	if ownedCache {
-		RegisterCacheTelemetry(reg, e.cache)
-	}
 }
 
 // RegisterCacheTelemetry exports a page cache's monotonic counters and
 // resident-set gauges on the given registry. The counters are sampled
 // from the same per-shard words CacheStats sums, so a registry scrape and
 // a CacheStats snapshot can never disagree. The shard router calls this
-// for the cache it shares across its engines; Open calls it for a
-// private cache.
+// for the cache it shares across its engines; whoever else builds a
+// cache calls it on a registry of their choice.
 func RegisterCacheTelemetry(reg *telemetry.Registry, cache *pagedstore.Cache) {
 	reg.CounterFunc("cache_hits_total", func() uint64 { h, _, _, _ := cache.Counters(); return h })
 	reg.CounterFunc("cache_misses_total", func() uint64 { _, m, _, _ := cache.Counters(); return m })

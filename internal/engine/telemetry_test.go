@@ -106,11 +106,14 @@ func TestEngineMaintenanceEventOrder(t *testing.T) {
 // counters, health state, in both exposition formats.
 func TestEngineTelemetryExport(t *testing.T) {
 	o, _ := core.NewOnion2D(16)
-	e, err := Open(t.TempDir(), o, manualOpts())
+	opts := manualOpts()
+	e, err := Open(t.TempDir(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	// The engine never exports a cache; whoever builds one does.
+	RegisterCacheTelemetry(e.Telemetry(), opts.Cache)
 
 	fillTelemetry(t, e, 0)
 	if err := e.Flush(); err != nil {
@@ -132,10 +135,8 @@ func TestEngineTelemetryExport(t *testing.T) {
 	if snap.Counter("engine_wal_appends_total") == 0 {
 		t.Error("engine_wal_appends_total is 0 after puts")
 	}
-	// manualOpts gives the engine its own cache, so the cache series
-	// belong to this registry.
 	if _, ok := snap.Metric("cache_hits_total"); !ok {
-		t.Error("owned cache not exported")
+		t.Error("registered cache not exported")
 	}
 	if m, ok := snap.Metric("engine_health_state"); !ok || m.Int != int64(Healthy) {
 		t.Errorf("engine_health_state = %+v, want healthy gauge", m)

@@ -12,6 +12,7 @@ import (
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/geom"
+	"github.com/onioncurve/onion/internal/pagedstore"
 	"github.com/onioncurve/onion/internal/vfs"
 )
 
@@ -56,7 +57,7 @@ func igWorkload(n int) []igOp {
 // deterministic shape the cross-checks need.
 func igOpts() engine.Options {
 	return engine.Options{PageBytes: 256, FlushEntries: -1, CompactFanout: -1,
-		Shards: 2, CacheBytes: 4096}
+		Shards: 2, Cache: pagedstore.NewCache(4096)}
 }
 
 // igApplySerial drives ops through the synchronous write path in log

@@ -101,7 +101,7 @@ func (s *Sharded) Events(i int) *telemetry.Events { return s.engines[i].Events()
 // registerRouterTelemetry wires the router registry's sampled series:
 // the shard count and, when the router owns the shared page cache, the
 // cache counters — exported here exactly once rather than once per
-// shard engine (the engines detect the shared cache and skip it).
+// shard engine (engines never export a cache).
 func (s *Sharded) registerRouterTelemetry(ownedCache bool) {
 	s.reg.GaugeFunc("router_shards", func() int64 { return int64(len(s.engines)) })
 	if ownedCache {
