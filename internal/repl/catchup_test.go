@@ -30,9 +30,9 @@ func TestReplSeedWithArchivedWALs(t *testing.T) {
 		HistoryEntries:     4, // tiny resend window: a lagging peer must seed
 		SeedRefreshEntries: 1 << 20,
 		Engine:             opts,
-		RetryBase:          time.Millisecond,
-		RetryCap:           2 * time.Millisecond,
-		RetryAttempts:      2,
+		retryBase:          time.Millisecond,
+		retryCap:           2 * time.Millisecond,
+		retryAttempts:      2,
 	})
 	e := cl.g.Engine()
 

@@ -122,7 +122,7 @@ func mxEqual(cl *cluster, a, b []engine.Record) bool {
 // oracle of an acked-consistent prefix.
 func mxScenario(t *testing.T, ops []mxOp, kind FaultKind, n int64) {
 	cl := newCluster(t, 2, Config{
-		RetryBase: 200 * time.Microsecond, RetryCap: time.Millisecond, RetryAttempts: 2,
+		retryBase: 200 * time.Microsecond, retryCap: time.Millisecond, retryAttempts: 2,
 	})
 	cl.tr.SetFaults(Fault{Op: FaultAppend, N: n, Kind: kind})
 	acked := mxRun(t, cl.g, ops)
@@ -145,7 +145,7 @@ func mxScenario(t *testing.T, ops []mxOp, kind FaultKind, n int64) {
 	cl.lb.Unregister(cl.ids[pick])
 	ng, err := Promote(cl.fs[pick], w, Config{
 		ID: "leader2", Peers: []string{cl.ids[other]}, Transport: cl.tr,
-		Engine: rtEngOpts(), RetryBase: time.Millisecond,
+		Engine: rtEngOpts(), retryBase: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("promote %s at %d (lasts %d/%d, acked %d): %v",
@@ -235,7 +235,7 @@ func TestFailoverFaultMatrix(t *testing.T) {
 // bit-identically and shedding the orphaned suffix it refused.
 func TestFailoverRejoin(t *testing.T) {
 	cl := newCluster(t, 2, Config{
-		RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond, RetryAttempts: 2,
+		retryBase: time.Millisecond, retryCap: 2 * time.Millisecond, retryAttempts: 2,
 	})
 	ops := mxWorkload()
 	for _, op := range ops {
@@ -263,7 +263,7 @@ func TestFailoverRejoin(t *testing.T) {
 	w := QuorumWatermark([]uint64{s1.Last, s2.Last}, 2)
 	ng, err := Promote(cl.fs[0], w, Config{
 		ID: "leader2", Peers: []string{"f2", "ex"}, Transport: cl.tr,
-		Engine: rtEngOpts(), RetryBase: time.Millisecond,
+		Engine: rtEngOpts(), retryBase: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func (cl *cluster) reopenFollower(i int, opts engine.Options) *Follower {
 func seedFaultRun(t *testing.T, fault vfs.Fault) (matched int64, failed, latched bool) {
 	cl := newCluster(t, 2, Config{
 		HistoryEntries: 4,
-		RetryBase:      time.Millisecond, RetryCap: 2 * time.Millisecond, RetryAttempts: 2,
+		retryBase:      time.Millisecond, retryCap: 2 * time.Millisecond, retryAttempts: 2,
 	})
 	inj := vfs.NewInjecting(vfs.OS{})
 	opts := rtEngOpts()
@@ -140,7 +140,7 @@ func TestFollowerKeepsNoWALArchive(t *testing.T) {
 	opts.FlushEntries = 8 // frequent flushes retire WALs
 	cfg := Config{
 		HistoryEntries: 4, SeedRefreshEntries: 1 << 20, Engine: opts,
-		RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond, RetryAttempts: 2,
+		retryBase: time.Millisecond, retryCap: 2 * time.Millisecond, retryAttempts: 2,
 	}
 	cl := newCluster(t, 3, cfg)
 	for i := range cl.fs {

@@ -463,7 +463,7 @@ func preferredRound(target uint64, quorum int, peers []*peerState) []*peerState 
 // engine latches ReadOnly.
 func (g *Group) commitTo(target uint64, quorum int, peers []*peerState) error {
 	start := time.Now()
-	delay := g.cfg.RetryBase
+	delay := g.cfg.retryBase
 	for attempt := 1; ; attempt++ {
 		// First attempt: collect acks from the preferred round preShip
 		// already fired at — usually the shippers find the acks in place
@@ -512,7 +512,7 @@ func (g *Group) commitTo(target uint64, quorum int, peers []*peerState) error {
 			g.ring() // push the new commit watermark out of band
 			return nil
 		}
-		if attempt >= g.cfg.RetryAttempts {
+		if attempt >= g.cfg.retryAttempts {
 			g.tel.quorumLost.Inc()
 			g.eng.Events().Emit(telemetry.Event{
 				Kind: telemetry.EvRepl, Phase: telemetry.PhasePoint, Shard: -1,
@@ -524,8 +524,8 @@ func (g *Group) commitTo(target uint64, quorum int, peers []*peerState) error {
 		}
 		// Jittered backoff in [delay/2, delay*3/2), doubling up to the cap.
 		time.Sleep(delay/2 + time.Duration(rand.Int64N(int64(delay))))
-		if delay *= 2; delay > g.cfg.RetryCap {
-			delay = g.cfg.RetryCap
+		if delay *= 2; delay > g.cfg.retryCap {
+			delay = g.cfg.retryCap
 		}
 	}
 }

@@ -45,8 +45,8 @@ func newLeadEngineCluster(t *testing.T, followers int, opts engine.Options, cfg 
 	cfg.ID = "leader"
 	cfg.Peers = cl.ids
 	cfg.Transport = cl.tr
-	if cfg.RetryBase == 0 {
-		cfg.RetryBase = time.Millisecond
+	if cfg.retryBase == 0 {
+		cfg.retryBase = time.Millisecond
 	}
 	g, err := LeadEngine(eng, filepath.Join(base, "leader"), hook, cfg)
 	if err != nil {
@@ -101,7 +101,7 @@ func TestLeadEngineReopenReseeds(t *testing.T) {
 	leaderDir := filepath.Join(base, "leader")
 	g, err := Lead(leaderDir, c, Config{
 		ID: "leader", Peers: ids, Transport: tr,
-		Engine: rtEngOpts(), RetryBase: time.Millisecond,
+		Engine: rtEngOpts(), retryBase: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestLeadEngineReopenReseeds(t *testing.T) {
 	defer eng.Close() //nolint:errcheck
 	ng, err := LeadEngine(eng, leaderDir, hook, Config{
 		ID: "leader", Peers: ids, Transport: tr, Epoch: 2,
-		RetryBase: time.Millisecond,
+		retryBase: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestLeadNonEmptyEngineSeedsPeers(t *testing.T) {
 	}()
 	g, err := Lead(leaderDir, c, Config{
 		ID: "leader", Peers: ids, Transport: tr,
-		Engine: rtEngOpts(), RetryBase: time.Millisecond,
+		Engine: rtEngOpts(), retryBase: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,9 +314,9 @@ func TestSeedRefreshReadsEngineRetention(t *testing.T) {
 	lc := newLeadEngineCluster(t, 2, opts, Config{
 		HistoryEntries:     4,
 		SeedRefreshEntries: 1 << 20, // reuse would kick in absent the retention gate
-		RetryBase:          time.Millisecond,
-		RetryCap:           2 * time.Millisecond,
-		RetryAttempts:      2,
+		retryBase:          time.Millisecond,
+		retryCap:           2 * time.Millisecond,
+		retryAttempts:      2,
 	})
 	e := lc.eng
 

@@ -109,18 +109,19 @@ type Config struct {
 	// Epoch is the starting epoch (Promote passes the successor epoch;
 	// a fresh group starts at 1).
 	Epoch uint64
-	// RetryBase/RetryCap/RetryAttempts shape the quorum retry: failed
-	// rounds back off exponentially from RetryBase, capped at RetryCap,
-	// jittered ±50%, for RetryAttempts rounds before the batch fails
-	// with engine.ErrQuorum. Defaults: 2ms, 20ms, 3.
-	RetryBase     time.Duration
-	RetryCap      time.Duration
-	RetryAttempts int
 
 	// maxBatchEntries caps entries per Append request during catch-up
 	// streaming (default 512). Nothing outside this package's window
 	// model test varies it, so it is not an option.
 	maxBatchEntries int
+
+	// The quorum retry: failed rounds back off exponentially from
+	// retryBase, capped at retryCap, jittered ±50%, for retryAttempts
+	// rounds before the batch fails with engine.ErrQuorum (defaults 2ms,
+	// 20ms, 3). Unexported: only this package's tests shrink them.
+	retryBase     time.Duration
+	retryCap      time.Duration
+	retryAttempts int
 }
 
 // catchUpInterval is the coalescing window of the catch-up loop: how
@@ -144,14 +145,14 @@ func (c Config) withDefaults() Config {
 	if c.Epoch == 0 {
 		c.Epoch = 1
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 2 * time.Millisecond
+	if c.retryBase <= 0 {
+		c.retryBase = 2 * time.Millisecond
 	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 20 * time.Millisecond
+	if c.retryCap <= 0 {
+		c.retryCap = 20 * time.Millisecond
 	}
-	if c.RetryAttempts <= 0 {
-		c.RetryAttempts = 3
+	if c.retryAttempts <= 0 {
+		c.retryAttempts = 3
 	}
 	c.Engine.SyncWrites = true
 	return c

@@ -67,8 +67,8 @@ func newCluster(t *testing.T, followers int, cfg Config) *cluster {
 	if cfg.Engine.PageBytes == 0 {
 		cfg.Engine = rtEngOpts()
 	}
-	if cfg.RetryBase == 0 {
-		cfg.RetryBase = time.Millisecond
+	if cfg.retryBase == 0 {
+		cfg.retryBase = time.Millisecond
 	}
 	g, err := Lead(filepath.Join(base, "leader"), cl.c, cfg)
 	if err != nil {
@@ -169,7 +169,7 @@ func TestReplBasic(t *testing.T) {
 // fail fast), TryRecover refuses while partitioned, and recovery after
 // healing restores Healthy with no resurrected orphan anywhere.
 func TestReplQuorumLossDegrades(t *testing.T) {
-	cl := newCluster(t, 2, Config{RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond, RetryAttempts: 2})
+	cl := newCluster(t, 2, Config{retryBase: time.Millisecond, retryCap: 2 * time.Millisecond, retryAttempts: 2})
 	e := cl.g.Engine()
 	for i := 0; i < 10; i++ {
 		if err := e.Put(rtPoint(i), uint64(100+i)); err != nil {
@@ -228,7 +228,7 @@ func TestReplQuorumLossDegrades(t *testing.T) {
 // make the follower detect the divergence and drop the orphans, so the
 // refused write never reaches any follower's engine.
 func TestReplOrphanTruncatedOnFollower(t *testing.T) {
-	cl := newCluster(t, 3, Config{RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond, RetryAttempts: 2})
+	cl := newCluster(t, 3, Config{retryBase: time.Millisecond, retryCap: 2 * time.Millisecond, retryAttempts: 2})
 	e := cl.g.Engine()
 	for i := 0; i < 8; i++ {
 		if err := e.Put(rtPoint(i), uint64(100+i)); err != nil {

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/curve"
@@ -72,10 +71,7 @@ func TestShardedReplication(t *testing.T) {
 
 	opts := manualShardOpts(shards)
 	r, err := OpenReplicated(dir+"/service", c, opts, func(s int) repl.Config {
-		return repl.Config{
-			ID: fmt.Sprintf("s%d", s), Peers: peerIDs[s], Transport: tr,
-			RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond, RetryAttempts: 2,
-		}
+		return repl.Config{ID: fmt.Sprintf("s%d", s), Peers: peerIDs[s], Transport: tr}
 	})
 	if err != nil {
 		t.Fatal(err)
