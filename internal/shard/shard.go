@@ -7,10 +7,13 @@
 //
 // Writes route by curve key to exactly one shard. A rectangle query is
 // planned exactly once with the curve's RangePlanner; the resulting
-// cluster ranges are split at shard boundaries and fanned out only to the
-// shards whose key intervals they intersect, executed concurrently (one
-// goroutine per further shard, see fanOut), and the per-shard record
-// streams and physical stats are aggregated.
+// cluster ranges are split at shard boundaries and sent only to the
+// shards whose key intervals they intersect, and the per-shard record
+// streams and physical stats are aggregated. A query is a function call:
+// a plan inside one shard — the common case, since few cluster ranges
+// means few shards — runs on the caller's goroutine, and a plan spanning
+// shards runs each further shard on a goroutine of its own (fanOut, the
+// helper every whole-service operation uses too).
 //
 // Because shard boundaries are aligned to curve-key intervals, the
 // concatenation of the per-shard outputs in shard order is globally

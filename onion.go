@@ -132,8 +132,9 @@ type (
 	// OpenEngine.
 	Engine = engine.Engine
 	// EngineOptions tunes OpenEngine (page size, flush threshold, WAL
-	// sync policy, memtable shards, compaction fanout). The zero value
-	// selects sensible defaults.
+	// sync policy, memtable shards, compaction fanout, page cache — a
+	// NewPageCache, nil for none). The zero value selects sensible
+	// defaults.
 	EngineOptions = engine.Options
 	// EngineQueryStats is the physical access pattern of one Engine
 	// query: pagedstore-style seeks/pages/records summed over the live
@@ -147,8 +148,8 @@ type (
 	// concurrent query router, opened with OpenShardedEngine.
 	ShardedEngine = shard.Sharded
 	// ShardedEngineOptions tunes OpenShardedEngine (shard count,
-	// per-shard engine options, router worker pool size, admission
-	// control limits). The zero value selects sensible defaults.
+	// per-shard engine options, the shared page cache budget, the
+	// filesystem). The zero value selects sensible defaults.
 	ShardedEngineOptions = shard.Options
 	// ShardedQueryStats is the aggregated physical access pattern of one
 	// sharded query: per-shard engine counters summed under the
@@ -246,8 +247,10 @@ type (
 	// LeadReplicated, or promote a follower with PromoteReplica.
 	ReplGroup = repl.Group
 	// ReplConfig tunes a ReplGroup: peer ids, transport, resend window,
-	// seed refresh and retry shape. The quorum is not an option: it is the
-	// majority of the group, leader included.
+	// seed refresh and starting epoch. The quorum is not an option: it is
+	// the majority of the group, leader included; nor is the retry shape
+	// of a failed quorum round (2 ms backoff doubling to 20 ms, three
+	// rounds, then ErrQuorum).
 	ReplConfig = repl.Config
 	// ReplFollower is the replica side: it persists shipped entries in a
 	// CRC-framed replication log and applies the quorum-committed prefix
@@ -589,15 +592,14 @@ func OpenEngine(dir string, c Curve, opts EngineOptions) (*Engine, error) {
 //
 // Writes route by curve key to exactly one shard. Query plans each
 // rectangle ONCE with the curve's RangePlanner, splits the resulting
-// cluster ranges at shard boundaries, fans them out only to the shards
-// whose key intervals they intersect — executed concurrently on a
-// bounded worker pool behind admission control (a cap on in-flight
-// queries, an optional per-query planned-range budget) — and merges the
-// per-shard streams. Because shard boundaries are curve-key intervals,
-// the concatenated result is globally key-sorted and bit-identical to a
-// single Engine holding the same records; the stat aggregation contract
-// is documented on ShardedQueryStats. All methods are safe for
-// concurrent use.
+// cluster ranges at shard boundaries, sends them only to the shards
+// whose key intervals they intersect — a plan inside one shard runs on
+// the caller's goroutine, a plan spanning shards runs them concurrently
+// — and merges the per-shard streams. Because shard boundaries are
+// curve-key intervals, the concatenated result is globally key-sorted
+// and bit-identical to a single Engine holding the same records; the
+// stat aggregation contract is documented on ShardedQueryStats. All
+// methods are safe for concurrent use.
 func OpenShardedEngine(dir string, c Curve, opts ShardedEngineOptions) (*ShardedEngine, error) {
 	return shard.Open(dir, c, opts)
 }
