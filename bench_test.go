@@ -122,7 +122,7 @@ func BenchmarkLowerBounds(b *testing.B) {
 	}
 }
 
-func BenchmarkIndexSeeks(b *testing.B) {
+func BenchmarkSeeks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Seeks(benchCfg); err != nil {
 			b.Fatal(err)

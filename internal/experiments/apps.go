@@ -2,15 +2,17 @@ package experiments
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"github.com/onioncurve/onion/internal/baseline"
 	"github.com/onioncurve/onion/internal/cluster"
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/curve"
-	"github.com/onioncurve/onion/internal/disksim"
 	"github.com/onioncurve/onion/internal/geom"
-	"github.com/onioncurve/onion/internal/index"
+	"github.com/onioncurve/onion/internal/pagedstore"
 	"github.com/onioncurve/onion/internal/partition"
+	"github.com/onioncurve/onion/internal/ranges"
 	"github.com/onioncurve/onion/internal/stats"
 	"github.com/onioncurve/onion/internal/workload"
 )
@@ -45,22 +47,45 @@ func allCurves2D(side uint32) ([]curve.Curve, error) {
 	return []curve.Curve{o, h, z, g, s, r}, nil
 }
 
-// SeeksRow summarizes index execution per curve.
+// SeeksRow summarizes the clustered-store experiment per curve.
 type SeeksRow struct {
-	Curve         string
-	AvgRanges     float64
-	AvgSeeks      float64
-	AvgPages      float64
-	AvgCostMs     float64
-	AvgBudgetCost float64 // with an 8-range budget
-	AvgFalsePos   float64 // false positives under the budget
+	Curve          string
+	AvgRanges      float64 // clusters: ranges of the exact plan
+	AvgSeeks       float64 // measured by Store.Query
+	AvgPages       float64 // measured by Store.Query
+	AvgBudgetSeeks float64 // measured on the plan merged to seekBudget ranges
+	AvgFalsePos    float64 // records the merged plan scanned outside the query
 }
 
-// Seeks runs the end-to-end index experiment behind the paper's
-// motivation: build an SFC-clustered index per curve over synthetic
-// clustered points, run random rectangle queries, and price the disk
-// access patterns.
-func Seeks(cfg Config) ([]SeeksRow, error) {
+// seekBudget is the range budget of the merged (ε-relaxed) plan.
+const seekBudget = 8
+
+// storePageBytes is the page size of the experiment's stores: the storage
+// engine's default.
+const storePageBytes = 4096
+
+// seeksProbe is one query answered under both plans: exactly through
+// Store.Query, and over the plan merged to seekBudget ranges through one
+// cursor whose records are filtered by containment.
+type seeksProbe struct {
+	ranges        int
+	exact, budget []pagedstore.Record
+	st, bst       pagedstore.Stats
+}
+
+// Seeks runs the application experiment behind the paper's motivation: a
+// table clustered in curve order, where the clustering number bounds the
+// disk seeks of a rectangle query. Per curve it writes the same synthetic
+// clustered points to a store file of 4096-byte pages in a temporary
+// directory (removed on return), runs random rectangle queries, and reports
+// the seeks and pages each query measurably read — once under the exact
+// plan and once under an 8-range merged plan that trades seeks for records
+// scanned outside the query.
+func Seeks(cfg Config) ([]SeeksRow, error) { return seeks(cfg, nil) }
+
+// seeks is Seeks with a hook that sees every probe (nil for none); the
+// probe's slices are only valid during the call.
+func seeks(cfg Config, visit func(curve string, p *seeksProbe)) ([]SeeksRow, error) {
 	cfg = cfg.withDefaults()
 	side := uint32(256)
 	points := 20000
@@ -84,49 +109,99 @@ func Seeks(cfg Config) ([]SeeksRow, error) {
 		return nil, err
 	}
 	cs = cs[:3] // onion, hilbert, z — the headline comparison
-	model := disksim.DefaultModel()
-	var rows []SeeksRow
+	recs := make([]pagedstore.Record, len(pts))
+	for i, p := range pts {
+		recs[i] = pagedstore.Record{Point: p, Payload: uint64(i)}
+	}
+	dir, err := os.MkdirTemp("", "onion-seeks")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	rows := make([]SeeksRow, 0, len(cs))
 	for _, c := range cs {
-		ix, err := index.New(c)
+		path := filepath.Join(dir, c.Name()+".pst")
+		if err := pagedstore.Write(path, c, recs, storePageBytes); err != nil {
+			return nil, err
+		}
+		row, err := seeksRow(path, c, qs, visit)
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range pts {
-			if _, err := ix.Insert(p); err != nil {
-				return nil, err
-			}
-		}
-		var row SeeksRow
-		row.Curve = c.Name()
-		for _, q := range qs {
-			_, st, err := ix.Query(q)
-			if err != nil {
-				return nil, err
-			}
-			row.AvgRanges += float64(st.Ranges)
-			row.AvgSeeks += float64(st.Disk.Seeks)
-			row.AvgPages += float64(st.Disk.PagesRead)
-			row.AvgCostMs += st.Disk.Cost(model)
-			_, stb, err := ix.QueryBudget(q, 8)
-			if err != nil {
-				return nil, err
-			}
-			row.AvgBudgetCost += stb.Disk.Cost(model)
-			row.AvgFalsePos += float64(stb.FalsePositives)
-		}
-		n := float64(len(qs))
-		row.AvgRanges /= n
-		row.AvgSeeks /= n
-		row.AvgPages /= n
-		row.AvgCostMs /= n
-		row.AvgBudgetCost /= n
-		row.AvgFalsePos /= n
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// RenderSeeks renders the index experiment.
+// seeksRow opens the store at path and averages both plans over qs.
+func seeksRow(path string, c curve.Curve, qs []geom.Rect, visit func(string, *seeksProbe)) (SeeksRow, error) {
+	s, err := pagedstore.Open(path, c)
+	if err != nil {
+		return SeeksRow{}, err
+	}
+	defer s.Close()
+	row := SeeksRow{Curve: c.Name()}
+	for _, q := range qs {
+		p, err := probeSeeks(s, c, q)
+		if err != nil {
+			return SeeksRow{}, err
+		}
+		if visit != nil {
+			visit(row.Curve, &p)
+		}
+		row.AvgRanges += float64(p.ranges)
+		row.AvgSeeks += float64(p.st.Seeks)
+		row.AvgPages += float64(p.st.PagesRead)
+		row.AvgBudgetSeeks += float64(p.bst.Seeks)
+		row.AvgFalsePos += float64(p.bst.RecordsScanned - len(p.budget))
+	}
+	n := float64(len(qs))
+	row.AvgRanges /= n
+	row.AvgSeeks /= n
+	row.AvgPages /= n
+	row.AvgBudgetSeeks /= n
+	row.AvgFalsePos /= n
+	return row, nil
+}
+
+// probeSeeks answers q on s under the exact and the merged plan.
+func probeSeeks(s *pagedstore.Store, c curve.Curve, q geom.Rect) (seeksProbe, error) {
+	var p seeksProbe
+	rs, err := ranges.Decompose(c, q, 0)
+	if err != nil {
+		return p, err
+	}
+	p.ranges = len(rs)
+	if p.exact, p.st, err = s.Query(q); err != nil {
+		return p, err
+	}
+	m, err := ranges.MergeToBudget(rs, seekBudget)
+	if err != nil {
+		return p, err
+	}
+	cur := s.AcquireCursor()
+	defer cur.Release()
+	var e pagedstore.Entry
+	for _, kr := range m.Ranges {
+		cur.SeekRange(kr)
+		for {
+			ok, err := cur.NextInto(&e)
+			if err != nil {
+				return p, err
+			}
+			if !ok {
+				break
+			}
+			if q.Contains(e.Point) {
+				p.budget = pagedstore.AppendRecord(p.budget, e.Point, e.Payload)
+			}
+		}
+	}
+	p.bst = cur.Stats()
+	return p, nil
+}
+
+// RenderSeeks renders the clustered-store experiment.
 func RenderSeeks(rows []SeeksRow) string {
 	out := make([][]string, 0, len(rows))
 	for _, r := range rows {
@@ -135,13 +210,12 @@ func RenderSeeks(rows []SeeksRow) string {
 			fmt.Sprintf("%.1f", r.AvgRanges),
 			fmt.Sprintf("%.1f", r.AvgSeeks),
 			fmt.Sprintf("%.1f", r.AvgPages),
-			fmt.Sprintf("%.2f", r.AvgCostMs),
-			fmt.Sprintf("%.2f", r.AvgBudgetCost),
+			fmt.Sprintf("%.1f", r.AvgBudgetSeeks),
 			fmt.Sprintf("%.1f", r.AvgFalsePos),
 		})
 	}
-	return "Index experiment: avg per query (random rectangles, clustered points)\n" +
-		stats.FormatTable([]string{"curve", "ranges", "seeks", "pages", "cost ms", "cost ms (budget 8)", "false pos"}, out)
+	return "Clustered-store experiment: avg per query (random rectangles, clustered points, 4096-byte pages)\n" +
+		stats.FormatTable([]string{"curve", "ranges", "seeks", "pages", "seeks (budget 8)", "false pos"}, out)
 }
 
 // FanoutRow summarizes partition fan-out per curve.

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/onioncurve/onion/internal/pagedstore"
 )
 
 var quickCfg = Config{Quick: true, Seed: 42, Side2D: 64, Side3D: 16, Samples2D: 12, Samples3D: 6}
@@ -225,23 +230,45 @@ func TestLowerBounds(t *testing.T) {
 	}
 }
 
+// TestSeeks runs the clustered-store experiment at `onionbench -exp seeks
+// -quick` scale. The ranges and false-positive columns are properties of
+// curve plus data, not of storage, so they are pinned to the values the
+// experiment has reported since it ran on an in-memory index.
 func TestSeeks(t *testing.T) {
-	rows, err := Seeks(quickCfg)
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	rows, err := seeks(Config{Quick: true, Seed: 1}, func(name string, p *seeksProbe) {
+		if !slices.EqualFunc(p.budget, p.exact, func(a, b pagedstore.Record) bool {
+			return a.Payload == b.Payload && slices.Equal(a.Point, b.Point)
+		}) {
+			t.Errorf("%s: merged plan returned %d records, Store.Query %d", name, len(p.budget), len(p.exact))
+		}
+		if p.bst.Seeks > p.st.Seeks || p.st.Seeks > p.ranges {
+			t.Errorf("%s: want budget seeks %d <= seeks %d <= ranges %d", name, p.bst.Seeks, p.st.Seeks, p.ranges)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
+	want := []struct{ curve, ranges, falsePos string }{
+		{"onion", "18.0", "371.7"},
+		{"hilbert", "25.6", "43.4"},
+		{"zcurve", "48.3", "114.5"},
+	}
+	if len(rows) != len(want) {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, r := range rows {
-		if r.AvgSeeks > r.AvgRanges {
-			t.Errorf("%s: seeks %.2f exceed ranges %.2f", r.Curve, r.AvgSeeks, r.AvgRanges)
-		}
-		if r.AvgBudgetCost > r.AvgCostMs+1e-9 && r.AvgRanges > 8 {
-			t.Errorf("%s: budget cost %.2f above exact cost %.2f", r.Curve, r.AvgBudgetCost, r.AvgCostMs)
+	for i, w := range want {
+		r := rows[i]
+		got := [3]string{r.Curve, fmt.Sprintf("%.1f", r.AvgRanges), fmt.Sprintf("%.1f", r.AvgFalsePos)}
+		if got != [3]string{w.curve, w.ranges, w.falsePos} {
+			t.Errorf("row %d = %v, want %v", i, got, w)
 		}
 	}
-	if !strings.Contains(RenderSeeks(rows), "cost ms") {
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Errorf("temp dir holds %v after the call (%v)", left, err)
+	}
+	if !strings.Contains(RenderSeeks(rows), "seeks (budget 8)") {
 		t.Error("render")
 	}
 }
