@@ -91,5 +91,5 @@ func main() {
 	fmt.Println("note: onion clusters sit on distant layers of the key space, so mid-size")
 	fmt.Println("queries touch more shards — the inter-cluster-distance effect the paper's")
 	fmt.Println("conclusion lists as future work; its clustering-count advantage appears on")
-	fmt.Println("large near-cube queries (see examples/spatialindex)")
+	fmt.Println("large near-cube queries (see examples/diskstore)")
 }
