@@ -12,8 +12,6 @@ import (
 	"github.com/onioncurve/onion/internal/bptree"
 	"github.com/onioncurve/onion/internal/cluster"
 	"github.com/onioncurve/onion/internal/experiments"
-	"github.com/onioncurve/onion/internal/geom"
-	"github.com/onioncurve/onion/internal/workload"
 )
 
 var benchCfg = experiments.Config{Quick: true, Seed: 1, Side2D: 128, Side3D: 32, Samples2D: 20, Samples3D: 8}
@@ -395,26 +393,4 @@ func BenchmarkBPTree(b *testing.B) {
 			tr.RangeScan(lo, lo+999, func(k, v uint64) bool { return true })
 		}
 	})
-}
-
-func BenchmarkIndexQuery(b *testing.B) {
-	u := geom.MustUniverse(2, 512)
-	pts, err := workload.ClusteredPoints(u, 5, 50_000, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	o, _ := onion.NewOnion2D(512)
-	ix, _ := onion.NewIndex(o)
-	for _, p := range pts {
-		if _, err := ix.Insert(onion.Point(p)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	q, _ := onion.RectAt(onion.Point{50, 50}, []uint32{100, 100})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.Query(q); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

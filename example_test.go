@@ -51,30 +51,6 @@ func ExampleAverageClustering() {
 	// Output: 2.000
 }
 
-func ExampleNewIndex() {
-	o, _ := onion.NewOnion2D(256)
-	ix, _ := onion.NewIndex(o)
-	ix.Insert(onion.Point{10, 20})
-	ix.Insert(onion.Point{200, 250})
-	ix.Insert(onion.Point{12, 22})
-	q, _ := onion.RectAt(onion.Point{0, 0}, []uint32{64, 64})
-	ids, _, _ := ix.Query(q)
-	fmt.Printf("%d points found\n", len(ids))
-	// Output: 2 points found
-}
-
-func ExampleIndex_Nearest() {
-	o, _ := onion.NewOnion2D(256)
-	ix, _ := onion.BulkIndex(o, []onion.Point{{10, 10}, {11, 12}, {200, 200}, {14, 9}})
-	ns, _, _ := ix.Nearest(onion.Point{10, 11}, 2)
-	for _, n := range ns {
-		fmt.Printf("%v distSq=%d\n", n.Point, n.DistSq)
-	}
-	// Output:
-	// (10,10) distSq=1
-	// (11,12) distSq=2
-}
-
 func ExampleWriteStore() {
 	dir, _ := os.MkdirTemp("", "onion-example")
 	defer os.RemoveAll(dir)

@@ -30,7 +30,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model := onion.DefaultDiskModel()
 
 	for _, c := range []onion.Curve{z, o} {
 		rs, err := onion.Decompose(c, q)
@@ -47,14 +46,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			// Price both plans: seeks dominate, so fewer ranges can win
-			// even though extra cells are read.
-			exactCost := float64(len(rs))*model.SeekMillis +
-				float64(q.Cells())/256*model.PageMillis
-			mergedCost := float64(len(m.Ranges))*model.SeekMillis +
-				float64(q.Cells()+m.ExtraCells)/256*model.PageMillis
-			fmt.Printf("  budget %3d: %3d ranges, +%7d extra cells, cost %8.2fms (exact %8.2fms)\n",
-				budget, len(m.Ranges), m.ExtraCells, mergedCost, exactCost)
+			fmt.Printf("  budget %3d: %3d ranges, +%7d extra cells\n",
+				budget, len(m.Ranges), m.ExtraCells)
 		}
 		fmt.Println()
 	}

@@ -2,8 +2,9 @@
 // near-optimal clustering (Xu, Nguyen, Tirthapura, ICDE 2018) — together
 // with the classic baseline curves (Hilbert, Z/Morton, Gray-code,
 // row/column-major, snake), exact clustering-number analysis, rectangle
-// range decomposition, the paper's theoretical bounds, and a complete
-// SFC-clustered spatial index with a simulated disk cost model.
+// range decomposition, the paper's theoretical bounds, and an
+// SFC-clustered spatial store: a file laid out in curve order, and the
+// mutable, sharded, replicated engine built from such files.
 //
 // # Curves
 //
@@ -27,11 +28,12 @@
 // Decompose returns the runs themselves; AverageClustering computes the
 // exact average over all translates of a query shape.
 //
-// # Indexing
+// # Storage
 //
-// NewIndex builds a B+-tree spatial index clustered by any Curve; range
-// queries execute one sequential scan per cluster and report simulated
-// disk costs.
+// WriteStore lays records out in a file clustered by any Curve, and
+// OpenStore serves it; OpenEngine is the mutable counterpart, whose
+// segments are such files. A rectangle query reads one page run per
+// cluster and reports the seeks and pages it actually read.
 package onion
 
 import (
@@ -41,10 +43,8 @@ import (
 	"github.com/onioncurve/onion/internal/cluster"
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/curve"
-	"github.com/onioncurve/onion/internal/disksim"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/geom"
-	"github.com/onioncurve/onion/internal/index"
 	"github.com/onioncurve/onion/internal/ingest"
 	"github.com/onioncurve/onion/internal/metrics"
 	"github.com/onioncurve/onion/internal/pagedstore"
@@ -78,25 +78,13 @@ type (
 	// does, except Peano) decomposes and counts rectangle queries
 	// analytically, in time proportional to the output rather than the
 	// query surface. Custom Curve implementations can provide it to opt
-	// into the same fast path in Decompose, ClusterCount, indexes and
-	// stores.
+	// into the same fast path in Decompose, ClusterCount, stores and
+	// engines.
 	RangePlanner = curve.RangePlanner
 	// MergeResult is the outcome of merging ranges under a seek budget.
 	MergeResult = ranges.MergeResult
 	// Summary is a five-number summary plus mean (box-plot statistics).
 	Summary = stats.Summary
-	// Index is an SFC-clustered spatial index over points.
-	Index = index.Index
-	// IndexOption configures NewIndex.
-	IndexOption = index.Option
-	// QueryStats reports the execution profile of an index query.
-	QueryStats = index.QueryStats
-	// Neighbor is one result of a k-nearest-neighbors search.
-	Neighbor = index.Neighbor
-	// DiskModel prices seeks and page transfers.
-	DiskModel = disksim.Model
-	// DiskTally is the access pattern of a query execution.
-	DiskTally = disksim.Tally
 	// Partitioner splits a curve's key space into contiguous shards.
 	Partitioner = partition.Partitioner
 	// Spread describes the key-space layout of a query's clusters (the
@@ -502,24 +490,6 @@ func OnionCubeRatio2D() (phi, eta float64) { return theory.MaxEtaOnion2DCube() }
 
 // OnionCubeRatio3D returns the 3D analogue (3.4 at phi = 0.3967).
 func OnionCubeRatio3D() (phi, eta float64) { return theory.MaxEtaOnion3DCube() }
-
-// NewIndex builds an empty spatial index clustered by c.
-func NewIndex(c Curve, opts ...IndexOption) (*Index, error) { return index.New(c, opts...) }
-
-// BulkIndex builds an index over a static point set in one bottom-up pass
-// with maximally packed B+-tree leaves.
-func BulkIndex(c Curve, pts []Point, opts ...IndexOption) (*Index, error) {
-	return index.Bulk(c, pts, opts...)
-}
-
-// WithTreeOrder sets the index's B+-tree branching factor (default 64).
-func WithTreeOrder(order int) IndexOption { return index.WithTreeOrder(order) }
-
-// WithPageSize sets the simulated disk page size in cells (default 256).
-func WithPageSize(cells uint64) IndexOption { return index.WithPageSize(cells) }
-
-// DefaultDiskModel returns the default seek/transfer cost model.
-func DefaultDiskModel() DiskModel { return disksim.DefaultModel() }
 
 // UniformPartition splits c's key space into k equal shards.
 func UniformPartition(c Curve, k int) (*Partitioner, error) { return partition.Uniform(c, k) }

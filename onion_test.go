@@ -114,32 +114,6 @@ func TestPublicRatios(t *testing.T) {
 	}
 }
 
-func TestPublicIndex(t *testing.T) {
-	o, _ := onion.NewOnion2D(64)
-	ix, err := onion.NewIndex(o, onion.WithTreeOrder(16), onion.WithPageSize(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := uint32(0); x < 64; x += 4 {
-		for y := uint32(0); y < 64; y += 4 {
-			if _, err := ix.Insert(onion.Point{x, y}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	r, _ := onion.RectAt(onion.Point{0, 0}, []uint32{32, 32})
-	ids, st, err := ix.Query(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 64 { // 8x8 grid points inside
-		t.Fatalf("results = %d", len(ids))
-	}
-	if st.Disk.Cost(onion.DefaultDiskModel()) <= 0 {
-		t.Fatal("zero disk cost")
-	}
-}
-
 func TestPublicPartition(t *testing.T) {
 	o, _ := onion.NewOnion2D(32)
 	p, err := onion.UniformPartition(o, 8)
