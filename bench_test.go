@@ -3,13 +3,12 @@ package onion_test
 // One benchmark per table and figure of the paper (scaled-down parameters
 // so `go test -bench=.` terminates quickly; run cmd/onionbench without
 // -quick for paper-scale numbers) plus micro-benchmarks for the curve
-// mappings, the clustering counters, range decomposition and the B+-tree.
+// mappings, the clustering counters and range decomposition.
 
 import (
 	"testing"
 
 	onion "github.com/onioncurve/onion"
-	"github.com/onioncurve/onion/internal/bptree"
 	"github.com/onioncurve/onion/internal/cluster"
 	"github.com/onioncurve/onion/internal/experiments"
 )
@@ -361,36 +360,6 @@ func BenchmarkDecompose(b *testing.B) {
 			if _, err := onion.Decompose(z, q); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-func BenchmarkBPTree(b *testing.B) {
-	b.Run("insert", func(b *testing.B) {
-		tr, _ := bptree.New(64)
-		for i := 0; i < b.N; i++ {
-			tr.Insert(uint64(i*2654435761)%1_000_000, uint64(i))
-		}
-	})
-	b.Run("get", func(b *testing.B) {
-		tr, _ := bptree.New(64)
-		for i := 0; i < 100_000; i++ {
-			tr.Insert(uint64(i), uint64(i))
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr.Get(uint64(i) % 100_000)
-		}
-	})
-	b.Run("rangescan1000", func(b *testing.B) {
-		tr, _ := bptree.New(64)
-		for i := 0; i < 100_000; i++ {
-			tr.Insert(uint64(i), uint64(i))
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			lo := uint64(i) % 99_000
-			tr.RangeScan(lo, lo+999, func(k, v uint64) bool { return true })
 		}
 	})
 }
