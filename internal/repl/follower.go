@@ -244,12 +244,12 @@ func (f *Follower) HandleAppend(req AppendRequest) (AppendResponse, error) {
 	// periodic bare watermark push (and the compaction threshold) picks
 	// the backlog up in one amortized batch instead, so a replica's
 	// engine trails its log by at most the catch-up interval.
-	if len(req.Entries) == 0 || len(f.log.entries) > f.opts.MaxLogEntries {
+	if len(req.Entries) == 0 || len(f.log.entries) > f.opts.maxLogEntries {
 		if err := f.applyCommitted(min(req.Commit, last)); err != nil {
 			return AppendResponse{}, err
 		}
 	}
-	if len(f.log.entries) > f.opts.MaxLogEntries {
+	if len(f.log.entries) > f.opts.maxLogEntries {
 		if err := f.compact(); err != nil {
 			return AppendResponse{}, err
 		}

@@ -32,7 +32,7 @@ func lfOpen(t testing.TB, dir string, fsys vfs.FS) (*Follower, error) {
 	t.Helper()
 	opts := rtEngOpts()
 	opts.FS = fsys
-	return OpenFollower("f1", dir, rtCurve(t), FollowerOptions{Engine: opts, MaxLogEntries: 6})
+	return OpenFollower("f1", dir, rtCurve(t), FollowerOptions{Engine: opts, maxLogEntries: 6})
 }
 
 func sameEntries(a, b []Entry) bool {
@@ -215,7 +215,7 @@ type lfStep struct {
 }
 
 // lfScript walks the follower log through every way it changes on disk:
-// plain appends, a compaction (steps 3 and 7 push it over MaxLogEntries
+// plain appends, a compaction (steps 3 and 7 push it over maxLogEntries
 // = 6 with a commit watermark to fold in), an epoch adoption plus a
 // divergent-suffix truncation (step 5), a reopen's replay and republish
 // before any compaction, and another after one, over a log that starts

@@ -86,7 +86,7 @@ func TestLeadEngineReopenReseeds(t *testing.T) {
 		// the reopened leader meets base > 0 — the exact state whose
 		// resend hint used to be adopted as a fake ack.
 		f, err := OpenFollower(id, filepath.Join(base, id), c,
-			FollowerOptions{Engine: rtEngOpts(), MaxLogEntries: 4})
+			FollowerOptions{Engine: rtEngOpts(), maxLogEntries: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -171,15 +171,17 @@ type FollowerOptions struct {
 	// leader-side capability: a snapshot of Follower.Engine() restores
 	// to its own boundary and no further.
 	Engine engine.Options
-	// MaxLogEntries triggers replication-log compaction: once the log
+
+	// maxLogEntries triggers replication-log compaction: once the log
 	// holds more than this many entries, the applied prefix is synced
-	// into the engine and dropped. Default 1 << 14.
-	MaxLogEntries int
+	// into the engine and dropped. Default 1 << 14. Unexported: only this
+	// package's tests shrink it.
+	maxLogEntries int
 }
 
 func (o FollowerOptions) withDefaults() FollowerOptions {
-	if o.MaxLogEntries <= 0 {
-		o.MaxLogEntries = 1 << 14
+	if o.maxLogEntries <= 0 {
+		o.maxLogEntries = 1 << 14
 	}
 	o.Engine.WALRetention = -1
 	return o
