@@ -1,10 +1,10 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section VII) plus the analytical tables (I and II), the
 // Hilbert growth demonstration of Lemma 5, validation sweeps for Theorems
-// 1-6, and the database-level experiments (disk seeks, partition fan-out)
-// that ground the paper's motivation. Each experiment returns structured
-// rows plus a rendered table; cmd/onionbench drives them and EXPERIMENTS.md
-// records paper-vs-measured values.
+// 1-6, and the database-level experiments (seeks and pages read from
+// clustered store files, partition fan-out) that ground the paper's
+// motivation. Each experiment returns structured rows plus a rendered
+// table; cmd/onionbench drives them.
 package experiments
 
 import (

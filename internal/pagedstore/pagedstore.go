@@ -482,8 +482,8 @@ func (s *Store) Len() int { return int(s.count) }
 // curve — an upper bound on the positioned reads Query will issue —
 // without touching the file. Curves with an analytic planner (the onion
 // family, Hilbert, Z, Gray, linear orders) answer output-sensitively even
-// for queries spanning billions of cells, which is what an admission
-// controller or cost-based planner needs per request.
+// for queries spanning billions of cells, cheap enough for a cost-based
+// planner to ask per request.
 func (s *Store) EstimateSeeks(r geom.Rect) (uint64, error) {
 	n, err := cluster.Count(s.c, r)
 	if err != nil {
