@@ -83,8 +83,7 @@ type seeksProbe struct {
 // scanned outside the query.
 func Seeks(cfg Config) ([]SeeksRow, error) { return seeks(cfg, nil) }
 
-// seeks is Seeks with a hook that sees every probe (nil for none); the
-// probe's slices are only valid during the call.
+// seeks is Seeks with a hook that sees every probe (nil for none).
 func seeks(cfg Config, visit func(curve string, p *seeksProbe)) ([]SeeksRow, error) {
 	cfg = cfg.withDefaults()
 	side := uint32(256)
@@ -214,8 +213,8 @@ func RenderSeeks(rows []SeeksRow) string {
 			fmt.Sprintf("%.1f", r.AvgFalsePos),
 		})
 	}
-	return "Clustered-store experiment: avg per query (random rectangles, clustered points, 4096-byte pages)\n" +
-		stats.FormatTable([]string{"curve", "ranges", "seeks", "pages", "seeks (budget 8)", "false pos"}, out)
+	return fmt.Sprintf("Clustered-store experiment: avg per query (random rectangles, clustered points, %d-byte pages)\n", storePageBytes) +
+		stats.FormatTable([]string{"curve", "ranges", "seeks", "pages", fmt.Sprintf("seeks (budget %d)", seekBudget), "false pos"}, out)
 }
 
 // FanoutRow summarizes partition fan-out per curve.

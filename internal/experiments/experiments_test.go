@@ -232,8 +232,7 @@ func TestLowerBounds(t *testing.T) {
 
 // TestSeeks runs the clustered-store experiment at `onionbench -exp seeks
 // -quick` scale. The ranges and false-positive columns are properties of
-// curve plus data, not of storage, so they are pinned to the values the
-// experiment has reported since it ran on an in-memory index.
+// curve plus data, not of storage, so they are pinned as literals.
 func TestSeeks(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
