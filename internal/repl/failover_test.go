@@ -44,6 +44,10 @@ func mxApply(e *engine.Engine, op mxOp) error {
 // leading ops were acknowledged. Once one op fails (quorum loss latches
 // the engine read-only) every later op must fail too — a success after a
 // failure would mean an un-acked write slipped past the degraded latch.
+// A closing heartbeat resends to the lagging follower and pushes the
+// final watermark, so those deliveries are injection points in every
+// run instead of catch-up work that lands before or after the count
+// depending on scheduling.
 func mxRun(t *testing.T, g *Group, ops []mxOp) int {
 	t.Helper()
 	acked := 0
@@ -62,6 +66,7 @@ func mxRun(t *testing.T, g *Group, ops []mxOp) int {
 		}
 		failed = true
 	}
+	g.Heartbeat()
 	return acked
 }
 

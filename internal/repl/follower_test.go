@@ -54,7 +54,21 @@ func seedFaultRun(t *testing.T, fault vfs.Fault) (matched int64, failed, latched
 	put(0, 5)
 	cl.g.Heartbeat()
 	cl.tr.Partition("f2")
-	put(5, 25)
+	// Each restored segment is a remove point of the seed. The catch-up
+	// loop exports a snapshot (a flush) whenever it gets a turn, so the
+	// number of leader segments depends on scheduling; two explicit
+	// flushes between the writes give the snapshot at least three, and
+	// the enumerated points a floor that does not.
+	put(5, 12)
+	flush := func() {
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush()
+	put(12, 19)
+	flush()
+	put(19, 25)
 
 	// Still partitioned, so the catch-up loop cannot get a seed of its
 	// own in: the armed fault meets the seed handed over here.
