@@ -108,7 +108,23 @@ func onionIndex2(s, x, y uint32) uint64 {
 // onionCoords2 inverts onionIndex2.
 func onionCoords2(s uint32, h uint64) (x, y uint32) {
 	t := ringFromIndex2(s, h)
-	r := h - cellsBeforeRing2(s, t)
+	return ringCoords2(s, t, h-cellsBeforeRing2(s, t))
+}
+
+// ringLen2 returns the number of cells on ring t of an s-side square: the
+// perimeter 4*(j-1) of its side j = s-2t, or 1 for the centre cell of an
+// odd side.
+func ringLen2(s, t uint32) uint64 {
+	if j := s - 2*t; j > 1 {
+		return 4 * uint64(j-1)
+	}
+	return 1
+}
+
+// ringCoords2 places the cell at offset r along ring t, the position the
+// paper's five cases number counter-clockwise from the ring's bottom-left
+// corner.
+func ringCoords2(s, t uint32, r uint64) (x, y uint32) {
 	j := s - 2*t
 	if j == 1 {
 		return t, t

@@ -7,7 +7,10 @@ package curve
 // dimension and "dims" dimensions; the produced keys use order*dims low
 // bits.
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Interleave packs the low `order` bits of each coordinate into a Morton
 // key. Bit j of dimension i lands at key bit j*dims + i, so dimension 0 is
@@ -105,23 +108,13 @@ func compact3(v uint64) uint64 {
 	return v
 }
 
-// Isqrt returns floor(sqrt(x)) computed entirely in integer arithmetic
-// (a Newton iteration seeded from the bit length), so curve inversions that
-// solve quadratics need no floating point and no fix-up loops.
+// Isqrt returns floor(sqrt(x)) exactly. A float64 square root seeds it —
+// within one of the answer for every uint64, and one hardware instruction
+// where a Newton iteration costs a chain of 64-bit divisions — and integer
+// steps correct the seed to the invariant r*r <= x < (r+1)*(r+1), so no
+// rounding survives into a curve inversion.
 func Isqrt(x uint64) uint64 {
-	if x == 0 {
-		return 0
-	}
-	r := uint64(1) << uint((bits.Len64(x)+1)/2) // r >= sqrt(x)
-	for {
-		nr := (r + x/r) / 2
-		if nr >= r {
-			break
-		}
-		r = nr
-	}
-	// Newton from above lands on floor(sqrt(x)) exactly, but keep the
-	// invariant explicit: r*r <= x < (r+1)*(r+1).
+	r := min(uint64(math.Sqrt(float64(x))), 0xFFFFFFFF)
 	for r*r > x {
 		r--
 	}

@@ -131,9 +131,17 @@ func TestIsqrtExact(t *testing.T) {
 			t.Fatalf("Isqrt(%d) = %d", x, r)
 		}
 	}
-	for _, x := range []uint64{1 << 62, 1<<62 - 1, 1<<62 + 1, (1 << 31) * (1 << 31), (1<<31-1)*(1<<31-1) + 1, ^uint64(0)} {
+	// Around perfect squares, where a float seed rounds across the answer:
+	// every k below 2^12, then strided k up to 2^32-1.
+	var edges []uint64
+	for k := uint64(1); k <= 0xFFFFFFFF; k += 1 + k/4096 + k/1000003*977 {
+		edges = append(edges, k*k-1, k*k, k*k+1)
+	}
+	k := uint64(0xFFFFFFFF)
+	edges = append(edges, k*k-1, k*k, k*k+1, 1<<53-1, 1<<53, 1<<53+1)
+	for _, x := range append(edges, 1<<62, 1<<62-1, 1<<62+1, (1<<31)*(1<<31), (1<<31-1)*(1<<31-1)+1, ^uint64(0)) {
 		r := Isqrt(x)
-		if r*r > x {
+		if r > 0xFFFFFFFF || r*r > x {
 			t.Fatalf("Isqrt(%d) = %d: square exceeds x", x, r)
 		}
 		if r+1 <= 0xFFFFFFFF && (r+1)*(r+1) <= x {

@@ -57,8 +57,9 @@ func pickCompaction(recs []int, fanout, sizeRatio int) (lo, hi int) {
 }
 
 // compactSink collects the merged stream of a compaction. The winning
-// source's point is transient (the cursor reuses its decode buffer), so
-// every retained entry clones it.
+// source's point is transient (the cursor reuses its decode buffer), and
+// the segment writer stores no points — a stored entry's point is
+// Coords(Key) — so every retained entry drops it.
 type compactSink struct {
 	out            []pagedstore.Entry
 	dropTombstones bool
@@ -71,7 +72,7 @@ func (cs *compactSink) emit(win *mergeSource) {
 		return
 	}
 	ent := win.head
-	ent.Point = ent.Point.Clone()
+	ent.Point = nil
 	cs.out = append(cs.out, ent)
 }
 

@@ -620,9 +620,9 @@ type mergeSource struct {
 	mem *memIter           // nil for segment sources
 	cur *pagedstore.Cursor // nil for memtable sources
 	// head is the peeked entry, meaningful while ok. A segment source's
-	// cursor decodes into it, reusing its Point buffer; a memtable source's
-	// Point aliases the memtable node's. Either way it is valid only until
-	// the next advance, so sinks that retain it must clone the point.
+	// Point is a view into its cursor's scratch; a memtable source's
+	// aliases the memtable node's. Either way it is valid only until the
+	// next advance, so sinks that retain it must clone the point.
 	head pagedstore.Entry
 	ok   bool
 	prio int

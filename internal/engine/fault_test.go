@@ -83,8 +83,11 @@ func fwStateAfter(c curve.Curve, ops []fwOp, j int) map[uint64]uint64 {
 	return m
 }
 
+// fwOpts: 160-byte pages hold ten 16-byte slots, so a segment build
+// pays one page write per ten entries — the fault points the matrices
+// enumerate.
 func fwOpts(fsys vfs.FS) Options {
-	return Options{PageBytes: 256, FlushEntries: -1, CompactFanout: 2,
+	return Options{PageBytes: 160, FlushEntries: -1, CompactFanout: 2,
 		Shards: 2, SyncWrites: true, FS: fsys}
 }
 

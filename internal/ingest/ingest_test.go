@@ -53,10 +53,10 @@ func igWorkload(n int) []igOp {
 	return ops
 }
 
-// igOpts: tiny pages and caches, no background maintenance — the
-// deterministic shape the cross-checks need.
+// igOpts: tiny pages (ten 16-byte slots) and caches, no background
+// maintenance — the deterministic shape the cross-checks need.
 func igOpts() engine.Options {
-	return engine.Options{PageBytes: 256, FlushEntries: -1, CompactFanout: -1,
+	return engine.Options{PageBytes: 160, FlushEntries: -1, CompactFanout: -1,
 		Shards: 2, Cache: pagedstore.NewCache(4096)}
 }
 

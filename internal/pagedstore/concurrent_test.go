@@ -255,21 +255,18 @@ func referenceRanges(s *Store, krs []curve.KeyRange) ([]Record, Stats, error) {
 			if p == len(s.firstKeys)-1 {
 				recs = int(s.count) - p*s.perPage
 			}
-			rs := recordSize(s.dims)
+			// A v5 slot is key(8) + payload(8). The point is the curve's
+			// per-key inverse of the key, not the cursor's batch path.
 			for i := 0; i < recs; i++ {
-				off := i * rs
+				off := i * 16
 				key := binary.LittleEndian.Uint64(buf[off:])
 				if key < kr.Lo || key > kr.Hi {
 					continue
 				}
 				st.RecordsScanned++
-				pt := make(geom.Point, s.dims)
-				for d := 0; d < s.dims; d++ {
-					pt[d] = binary.LittleEndian.Uint32(buf[off+8+4*d:])
-				}
 				out = append(out, Record{
-					Point:   pt,
-					Payload: binary.LittleEndian.Uint64(buf[off+8+4*s.dims:]),
+					Point:   s.c.Coords(key, nil),
+					Payload: binary.LittleEndian.Uint64(buf[off+8:]),
 				})
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -30,8 +31,8 @@ func writeMarked(t testing.TB, path string, c curve.Curve, recs []Record, marks 
 	}
 }
 
-// writeV4 builds a marked store and returns its path.
-func writeV4(t testing.TB, n int) string {
+// writeStore builds a marked store and returns its path.
+func writeStore(t testing.TB, n int) string {
 	t.Helper()
 	side := uint32(64)
 	o, err := core.NewOnion2D(side)
@@ -77,7 +78,7 @@ func fullScan(s *Store) (int, error) {
 }
 
 func TestV4PageCorruptionDetected(t *testing.T) {
-	path := writeV4(t, 500)
+	path := writeStore(t, 500)
 	o, _ := core.NewOnion2D(64)
 
 	// Baseline: clean store opens, scans, verifies.
@@ -126,7 +127,7 @@ func TestV4PageCorruptionDetected(t *testing.T) {
 }
 
 func TestV4CorruptPageNeverEntersCache(t *testing.T) {
-	path := writeV4(t, 500)
+	path := writeStore(t, 500)
 	o, _ := core.NewOnion2D(64)
 	s, err := Open(path, o)
 	if err != nil {
@@ -150,7 +151,7 @@ func TestV4CorruptPageNeverEntersCache(t *testing.T) {
 }
 
 func TestV4MetadataCorruptionDetectedAtOpen(t *testing.T) {
-	path := writeV4(t, 300)
+	path := writeStore(t, 300)
 	o, _ := core.NewOnion2D(64)
 	s, err := Open(path, o)
 	if err != nil {
@@ -179,24 +180,59 @@ func TestV4MetadataCorruptionDetectedAtOpen(t *testing.T) {
 	}
 }
 
-// TestRetiredVersionsRejected: nothing writes format versions 1, 2 and 3
-// any more and Open no longer reads them — a header naming one is an
+// TestFenceOutsideKeySpaceRejected: a reader rebuilds every point from its
+// key, so a key must lie in the curve's key space. Page keys are checked
+// against their page's fence, and a fence past the key space is
+// corruption at open, even when the metadata checksum is resealed over
+// it.
+func TestFenceOutsideKeySpaceRejected(t *testing.T) {
+	path := writeStore(t, 300)
+	o, _ := core.NewOnion2D(64)
+	s, err := Open(path, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marksOff := s.dataOff + int64(len(s.firstKeys))*int64(s.pageBytes)
+	lastFence := marksOff + int64(len(s.marks)) + 8*int64(len(s.firstKeys)-1)
+	dataOff := s.dataOff
+	s.Close()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(b[lastFence:], o.Universe().Size())
+	sum := crc32.Update(0, pageCRC, b[:dataOff])
+	sum = crc32.Update(sum, pageCRC, b[marksOff:len(b)-4])
+	binary.LittleEndian.PutUint32(b[len(b)-4:], sum)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path, o); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "outside key space") {
+		t.Fatalf("open with a fence past the key space = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestRetiredVersionsRejected: nothing writes format versions 1 to 4 any
+// more and Open no longer reads them — a header naming one is an
 // unsupported version, not a file to reinterpret. That holds for a current
-// file whose version field is overwritten and for a literal version-1 file
-// (header, page index, pages, nothing after them) as the retired writer
-// laid it out.
+// file whose version field is overwritten (for version 4 that is exactly
+// a v4 header: its footer is v5's, only its slots were wider) and for a
+// literal version-1 file (header, page index, pages, nothing after them)
+// as the retired writer laid it out.
 func TestRetiredVersionsRejected(t *testing.T) {
-	path := writeV4(t, 300)
+	path := writeStore(t, 300)
 	o, _ := core.NewOnion2D(64)
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	files := map[string][]byte{}
-	for _, ver := range []uint32{1, 2, 3} {
+	wantVer := map[string]uint32{}
+	for _, ver := range []uint32{1, 2, 3, 4} {
 		mut := append([]byte(nil), orig...)
 		binary.LittleEndian.PutUint32(mut[8:], ver)
-		files[fmt.Sprintf("version-%d header", ver)] = mut
+		name := fmt.Sprintf("version-%d header", ver)
+		files[name], wantVer[name] = mut, ver
 	}
 	// One record at (1,2) with payload 5, 64-byte pages, 64^2 universe.
 	v1 := make([]byte, 40+8+64)
@@ -213,15 +249,16 @@ func TestRetiredVersionsRejected(t *testing.T) {
 	binary.LittleEndian.PutUint32(v1[56:], 1)
 	binary.LittleEndian.PutUint32(v1[60:], 2)
 	binary.LittleEndian.PutUint64(v1[64:], 5)
-	files["literal version-1 file"] = v1
+	files["literal version-1 file"], wantVer["literal version-1 file"] = v1, 1
 	for name, b := range files {
 		p := filepath.Join(t.TempDir(), "retired.pst")
 		if err := os.WriteFile(p, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, err := Open(p, o)
-		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version") {
-			t.Fatalf("open of a %s = %v, want ErrCorrupt: unsupported version", name, err)
+		want := fmt.Sprintf("unsupported version %d", wantVer[name])
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("open of a %s = %v, want ErrCorrupt: %s", name, err, want)
 		}
 	}
 }
@@ -231,7 +268,7 @@ func TestRetiredVersionsRejected(t *testing.T) {
 // full scan plus VerifyPages reports ErrCorrupt. A store must never serve
 // silently wrong data off a single flipped byte.
 func FuzzVerifyCorrupt(f *testing.F) {
-	path := writeV4(f, 400)
+	path := writeStore(f, 400)
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		f.Fatal(err)

@@ -4,34 +4,37 @@
 // number of a query is the number of real file seeks its execution pays.
 //
 // One stored version is an Entry: its curve key, its point, an opaque
-// payload and a mark bit. Marks are opaque to this package; the LSM
-// storage engine (internal/engine) uses them as tombstones in its
-// immutable segments, and holds the same Entry in its memtable iterators,
-// merge heads and flush runs, so a run goes from memory to the file and
-// back without changing shape.
+// payload and a mark bit. The curve is a bijection between cells and keys,
+// so a file stores only the key, the payload and the mark: a stored
+// entry's point is Coords(Key), rebuilt when the entry is read. Marks are
+// opaque to this package; the LSM storage engine (internal/engine) uses
+// them as tombstones in its immutable segments, and holds the same Entry
+// in its memtable iterators, merge heads and flush runs, so a run goes
+// from memory to the file and back without changing shape.
 //
 // There is one file layout. A fixed header, a page index (first curve key
-// of every page), and fixed-size pages of entries sorted by curve key. A
-// rectangle query decomposes into cluster ranges (internal/ranges), maps
-// each range to a run of pages via the index, and reads each run with one
-// positioned read — seeks and pages are counted and returned. After the
-// pages come three things. A mark bitmap: one bit per entry, in key
-// order. A pruning footer: a fence table of per-page maximum keys and a
-// Bloom filter over all keys. Integrity checksums: a crc32c per page,
-// verified on every physical page fetch, and a trailing crc32c over all
-// metadata (header, page index, marks, fences, page checksums, filter),
-// verified at open — so any single flipped byte anywhere in a file is
-// detected, either immediately at open or at the first read of the
-// damaged page, and surfaces as ErrCorrupt. The header calls this layout
-// version 4; versions 1 to 3 were earlier layouts nothing writes any
-// more, and Open rejects them.
+// of every page), and fixed-size pages of 16-byte slots — key, payload —
+// sorted by curve key, in every dimension. A rectangle query decomposes
+// into cluster ranges (internal/ranges), maps each range to a run of pages
+// via the index, and reads each run with one positioned read — seeks and
+// pages are counted and returned. After the pages come three things. A
+// mark bitmap: one bit per entry, in key order. A pruning footer: a fence
+// table of per-page maximum keys and a Bloom filter over all keys.
+// Integrity checksums: a crc32c per page, verified on every physical page
+// fetch, and a trailing crc32c over all metadata (header, page index,
+// marks, fences, page checksums, filter), verified at open — so any single
+// flipped byte anywhere in a file is detected, either immediately at open
+// or at the first read of the damaged page, and surfaces as ErrCorrupt.
+// The header calls this layout version 5; versions 1 to 4 were earlier
+// layouts nothing writes any more (version 4 stored the coordinates
+// beside the key), and Open rejects them.
 //
 // Two aliasing rules keep entries cheap to move. WriteEntries only reads
-// its input: an Entry.Point may alias memory the caller still owns (a
-// flushed entry's point is the memtable node's), so the writer neither
-// retains nor mutates it. Cursor.NextInto decodes into the caller's Entry
-// and reuses its Point's capacity: the entry is valid until the next call
-// with the same Entry, and a caller that retains one must clone the point.
+// its input, and never its points: an Entry.Point may be nil or alias
+// memory the caller still owns (a flushed entry's point is the memtable
+// node's). Cursor.NextInto decodes into the caller's Entry, whose Point is
+// then a view into the cursor's scratch: it is valid until the cursor's
+// next NextInto call, and a caller that retains it must clone it.
 //
 // Logical vs physical accounting. Stats counts the LOGICAL access
 // pattern: the positioned reads and pages the query plan pays on a bare
@@ -68,11 +71,15 @@ import (
 
 const (
 	magic = uint64(0x4f4e494f4e435256) // "ONIONCRV"
-	// version names the one layout: header, page index, pages, then a mark
-	// bitmap (one bit per entry, key order), a pruning footer (per-page
-	// max-key fences, a crc32c per page, a key Bloom filter) and a trailing
-	// crc32c over all metadata. Versions 1 to 3 are retired.
-	version = uint32(4)
+	// version names the one layout: header, page index, pages of
+	// recordSize-byte slots, then a mark bitmap (one bit per entry, key
+	// order), a pruning footer (per-page max-key fences, a crc32c per page,
+	// a key Bloom filter) and a trailing crc32c over all metadata. Versions
+	// 1 to 4 are retired.
+	version = uint32(5)
+	// recordSize is the on-disk bytes per slot: key + payload. The point is
+	// not stored; it is Coords(key).
+	recordSize = 8 + 8
 )
 
 // pageCRC is the checksum polynomial of the integrity footer — crc32c,
@@ -98,7 +105,9 @@ type Record struct {
 // Entry is one stored version: the tuple a store file holds per slot and
 // the one shape it travels in between the engine's memtable and the file.
 // Key is the point's curve key — the writer trusts it, it does not
-// re-evaluate the curve. Marked is opaque here (the engine's tombstone).
+// re-evaluate the curve. The file does not hold Point: a stored entry's
+// point is Coords(Key), so the writer ignores it and a reader rebuilds it.
+// Marked is opaque here (the engine's tombstone).
 type Entry struct {
 	Key     uint64
 	Point   geom.Point
@@ -143,9 +152,6 @@ func (s *IOStats) Add(b IOStats) {
 	s.CacheHits += b.CacheHits
 }
 
-// recordSize returns the on-disk bytes per record: key + coords + payload.
-func recordSize(dims int) int { return 8 + 4*dims + 8 }
-
 // AppendRecord appends one record to dst, reusing the Point buffer
 // already sitting in the slot it lands in when dst has spare capacity.
 // It is the allocation-free building block of the QueryAppend-style
@@ -173,7 +179,7 @@ func Write(path string, c curve.Curve, recs []Record, pageBytes int) error {
 		if !c.Universe().Contains(r.Point) {
 			return fmt.Errorf("pagedstore: point %v outside universe %v", r.Point, c.Universe())
 		}
-		ents[i] = Entry{Key: c.Index(r.Point), Point: r.Point, Payload: r.Payload}
+		ents[i] = Entry{Key: c.Index(r.Point), Payload: r.Payload}
 	}
 	sort.SliceStable(ents, func(a, b int) bool { return ents[a].Key < ents[b].Key })
 	return WriteEntries(vfs.OS{}, path, c, ents, pageBytes)
@@ -182,26 +188,22 @@ func Write(path string, c curve.Curve, recs []Record, pageBytes int) error {
 // WriteEntries is the one writer of store files: it lays ents out at path
 // through fsys — the seam the storage engine's fault injection drives —
 // and syncs the file. ents must be in non-decreasing key order with every
-// key inside the curve's key space and every point of the curve's
-// dimension; that is checked before the file is created, so bad input is
-// an error that leaves nothing at path. ents is only read: a point may
-// alias memory the caller keeps using. The marks travel in a bitmap after
-// the pages and come back in Entry.Marked; the footer carries per-page
-// max-key fences plus a key Bloom filter so narrow queries skip pages —
-// physically, never logically — without touching disk, and the integrity
-// checksums make every byte of the file tamper-evident.
+// key inside the curve's key space; that is checked before the file is
+// created, so bad input is an error that leaves nothing at path. Only
+// keys, payloads and marks are written: a stored entry's point is
+// Coords(Key), so Entry.Point is never read and may be nil. The marks
+// travel in a bitmap after the pages and come back in Entry.Marked; the
+// footer carries per-page max-key fences plus a key Bloom filter so
+// narrow queries skip pages — physically, never logically — without
+// touching disk, and the integrity checksums make every byte of the file
+// tamper-evident.
 func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageBytes int) error {
-	dims := c.Universe().Dims()
-	rs := recordSize(dims)
-	if pageBytes < rs {
-		return fmt.Errorf("%w: %d < %d", ErrPageBytes, pageBytes, rs)
+	if pageBytes < recordSize {
+		return fmt.Errorf("%w: %d < %d", ErrPageBytes, pageBytes, recordSize)
 	}
 	size := c.Universe().Size()
 	for i := range ents {
 		e := &ents[i]
-		if len(e.Point) != dims {
-			return fmt.Errorf("pagedstore: entry %d: point %v is not %d-dimensional", i, e.Point, dims)
-		}
 		if e.Key >= size {
 			return fmt.Errorf("pagedstore: entry %d: key %d outside key space [0,%d)", i, e.Key, size)
 		}
@@ -209,7 +211,7 @@ func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageByt
 			return fmt.Errorf("pagedstore: entry %d: key %d after key %d", i, e.Key, ents[i-1].Key)
 		}
 	}
-	perPage := pageBytes / rs
+	perPage := pageBytes / recordSize
 	pageCount := (len(ents) + perPage - 1) / perPage
 	f, err := fsys.Create(path)
 	if err != nil {
@@ -231,7 +233,7 @@ func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageByt
 	head := make([]byte, 8+4+4+4+4+8+8)
 	binary.LittleEndian.PutUint64(head[0:], magic)
 	binary.LittleEndian.PutUint32(head[8:], version)
-	binary.LittleEndian.PutUint32(head[12:], uint32(dims))
+	binary.LittleEndian.PutUint32(head[12:], uint32(c.Universe().Dims()))
 	binary.LittleEndian.PutUint32(head[16:], c.Universe().Side())
 	binary.LittleEndian.PutUint32(head[20:], uint32(pageBytes))
 	binary.LittleEndian.PutUint64(head[24:], uint64(len(ents)))
@@ -261,13 +263,8 @@ func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageByt
 		for i := p * perPage; i < (p+1)*perPage && i < len(ents); i++ {
 			e := &ents[i]
 			binary.LittleEndian.PutUint64(buf[off:], e.Key)
-			off += 8
-			for d := 0; d < dims; d++ {
-				binary.LittleEndian.PutUint32(buf[off:], e.Point[d])
-				off += 4
-			}
-			binary.LittleEndian.PutUint64(buf[off:], e.Payload)
-			off += 8
+			binary.LittleEndian.PutUint64(buf[off+8:], e.Payload)
+			off += recordSize
 			if e.Marked {
 				bm[i/8] |= 1 << (i % 8)
 			}
@@ -379,11 +376,10 @@ func load(f vfs.File, c curve.Curve) (*Store, error) {
 	pageBytes := int(binary.LittleEndian.Uint32(head[20:]))
 	count := binary.LittleEndian.Uint64(head[24:])
 	pageCount := binary.LittleEndian.Uint64(head[32:])
-	rs := recordSize(dims)
-	if pageBytes < rs {
+	if pageBytes < recordSize {
 		return nil, fmt.Errorf("%w: page bytes %d", ErrCorrupt, pageBytes)
 	}
-	perPage := pageBytes / rs
+	perPage := pageBytes / recordSize
 	// Structural sanity before any sized allocation: a corrupted count
 	// or page count must be rejected, not trusted as an allocation size.
 	if pageCount > uint64(fileSize)/8 || count > pageCount*uint64(perPage) ||
@@ -440,8 +436,15 @@ func load(f vfs.File, c curve.Curve) (*Store, error) {
 	if sum != binary.LittleEndian.Uint32(foot[len(foot)-4:]) {
 		return nil, fmt.Errorf("%w: metadata checksum mismatch", ErrCorrupt)
 	}
+	// A verified page's keys lie within its fence (checkPage), so a fence
+	// inside the key space keeps every key Salvage decodes a valid input
+	// to the curve's inverse. A cursor decodes only keys of its range.
+	size := c.Universe().Size()
 	for p := range s.pageMax {
 		s.pageMax[p] = binary.LittleEndian.Uint64(body[8*p:])
+		if s.pageMax[p] >= size {
+			return nil, fmt.Errorf("%w: page %d: fence %d outside key space", ErrCorrupt, p, s.pageMax[p])
+		}
 	}
 	sumsOff := 8 * pageCount
 	for p := range s.pageSums {
@@ -563,10 +566,17 @@ type Cursor struct {
 	// state of the in-progress range
 	lo, hi  uint64
 	p       int // current page
-	i       int // next record slot within the page; == n once the page is done (or was pruned)
+	i       int // next record slot within the page
+	end     int // slots [i, end) of the current page are in the range, their points in pts
 	n       int // records resident in the current page; 0 = no page of the range visited yet
 	active  bool
 	skipAll bool // the key filter proved the whole range absent
+
+	// Per-slot scratch of the current page, lazily allocated and kept
+	// across pooled reuses: the keys of the in-range run and the points
+	// rebuilt from them, each a view into one flat buffer.
+	keys []uint64
+	pts  []geom.Point
 }
 
 // NewCursor returns a cursor with zeroed statistics and no page loaded.
@@ -604,7 +614,7 @@ func (c *Cursor) Reset() {
 	c.lastPage = -2
 	c.active = false
 	c.skipAll = false
-	c.i, c.n = 0, 0
+	c.i, c.end, c.n = 0, 0, 0
 }
 
 // Stats returns the logical access pattern accumulated so far. Results
@@ -628,8 +638,7 @@ func (c *Cursor) SeekRange(kr curve.KeyRange) {
 	c.p = sort.Search(len(c.s.firstKeys), func(i int) bool {
 		return i+1 >= len(c.s.firstKeys) || c.s.firstKeys[i+1] >= kr.Lo
 	})
-	c.i = 0
-	c.n = 0
+	c.i, c.end, c.n = 0, 0, 0
 	c.active = true
 	// Narrow ranges consult the key filter: if every key of the range is
 	// provably absent, the logical page walk below runs without fetching
@@ -698,15 +707,18 @@ func (c *Cursor) fetch(p int) error {
 }
 
 // NextInto decodes the next entry of the current range, in key order, into
-// e — key, point, payload and mark — and reports whether there was one;
-// ok == false means the range is exhausted. Errors report unreadable
-// pages. It reuses e.Point's capacity, which is what keeps the storage
-// engine's merge loop allocation-free: e is valid until the next NextInto
-// call with the same e, and a caller that retains it must clone the point.
+// e — key, payload, mark, and the point rebuilt from the key — and
+// reports whether there was one; ok == false means the range is
+// exhausted. Errors report unreadable pages. e.Point is a view into the
+// cursor's scratch, which is what keeps the storage engine's merge loop
+// allocation-free and copy-free: it is valid until the cursor's next
+// NextInto call or its Release, and a caller that retains it must clone
+// it.
 //
 // A page visit is a search, not a scan: a materialized page is entered at
 // the lower bound of lo and left at the first key past hi, so the only
-// slots decoded are the records the range yields. A visit the fences or
+// slots decoded are the records the range yields, and their points are
+// rebuilt from their keys in one batch per visit. A visit the fences or
 // the key filter prune, and a materialized page that turns out to hold no
 // key of the range, decode nothing.
 func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
@@ -714,21 +726,22 @@ func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 		return false, nil
 	}
 	s := c.s
-	rs := recordSize(s.dims)
 	for {
-		if c.i < c.n {
-			if binary.LittleEndian.Uint64(c.data[c.i*rs:]) <= c.hi {
-				s.decodeSlot(c.data, c.p, c.i, e)
-				c.i++
-				c.st.RecordsScanned++
-				c.st.Results++
-				return true, nil
-			}
-			// Keys are sorted, so the first one past hi ends the page — and
-			// the range: the next page starts at or after it, which the
-			// advance below finds out from the page index.
-			c.i = c.n
+		if c.i < c.end {
+			e.Key = c.keys[c.i]
+			e.Payload = binary.LittleEndian.Uint64(c.data[c.i*recordSize+8:])
+			e.Marked = s.marked(c.p, c.i)
+			e.Point = c.pts[c.i]
+			c.i++
+			c.st.RecordsScanned++
+			c.st.Results++
+			return true, nil
 		}
+		// The run is done. If it stopped short of the page's end, a key
+		// past hi ended it — and the range: keys are sorted, so the next
+		// page starts at or after that key, which the advance below finds
+		// out from the page index.
+		//
 		// Advance to the next page of the range. c.n > 0 means a page of
 		// this range has been consumed and c.p must move past it; right
 		// after SeekRange (c.n == 0) c.p already names the first candidate
@@ -756,7 +769,7 @@ func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 		// yields nothing and leaves the previously fetched page in place —
 		// a later range may still share it.
 		if c.skipAll || s.pageMax[c.p] < c.lo {
-			c.i = c.n
+			c.i, c.end = c.n, c.n
 			continue
 		}
 		if err := c.fetch(c.p); err != nil {
@@ -767,37 +780,92 @@ func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 		// into from its predecessor starts inside the range: slot 0.
 		c.i = 0
 		if c.lo > s.firstKeys[c.p] {
-			c.i = lowerBound(c.data, rs, c.n, c.lo)
+			c.i = lowerBound(c.data, c.n, c.lo, s.firstKeys[c.p], s.pageMax[c.p])
 		}
+		c.decodeRun()
 	}
 }
 
-// decodeSlot fills e from slot i of the materialized page p, reusing
-// e.Point's capacity.
+// decodeRun finds the in-range run of the materialized page — the slots
+// from c.i up to the first key past c.hi — and rebuilds the points of its
+// keys with one batch inverse of the curve into c.pts.
+func (c *Cursor) decodeRun() {
+	s := c.s
+	if c.pts == nil {
+		c.keys = make([]uint64, s.perPage)
+		c.pts = make([]geom.Point, s.perPage)
+		flat := make([]uint32, s.perPage*s.dims)
+		for k := range c.pts {
+			c.pts[k] = flat[k*s.dims : (k+1)*s.dims : (k+1)*s.dims]
+		}
+	}
+	end := c.i
+	for ; end < c.n; end++ {
+		key := binary.LittleEndian.Uint64(c.data[end*recordSize:])
+		if key > c.hi {
+			break
+		}
+		c.keys[end] = key
+	}
+	curve.CoordsBatch(s.c, c.keys[c.i:end], c.pts[c.i:end])
+	c.end = end
+}
+
+// marked reports the mark bit of slot i of page p.
+func (s *Store) marked(p, i int) bool {
+	j := uint(p*s.perPage + i) // key-order position: the entry's bit in the mark bitmap
+	return s.anyMarked && s.marks[j/8]&(1<<(j%8)) != 0
+}
+
+// decodeSlot fills e from slot i of the materialized page p, its point
+// rebuilt with a per-key inverse of the curve into e.Point's capacity.
 func (s *Store) decodeSlot(page []byte, p, i int, e *Entry) {
-	off := i * recordSize(s.dims)
+	off := i * recordSize
 	e.Key = binary.LittleEndian.Uint64(page[off:])
-	pt := e.Point
-	if cap(pt) < s.dims {
-		pt = make(geom.Point, s.dims)
-	}
-	pt = pt[:s.dims]
-	for d := range pt {
-		pt[d] = binary.LittleEndian.Uint32(page[off+8+4*d:])
-	}
-	e.Point = pt
-	e.Payload = binary.LittleEndian.Uint64(page[off+8+4*s.dims:])
-	j := p*s.perPage + i // key-order position: the entry's bit in the mark bitmap
-	e.Marked = s.marks[j/8]&(1<<(j%8)) != 0
+	e.Payload = binary.LittleEndian.Uint64(page[off+8:])
+	e.Marked = s.marked(p, i)
+	e.Point = s.c.Coords(e.Key, e.Point)
 }
 
 // lowerBound returns the first of the n key-sorted record slots of page
-// whose key is >= lo, or n when every key is smaller.
-func lowerBound(page []byte, rs, n int, lo uint64) int {
-	i, j := 0, n
+// whose key is >= lo, or n when every key is smaller. first and last are
+// the page's first and last keys. The search starts at the slot lo would
+// take were the keys spread evenly between them and gallops out from
+// there to a bracket it then bisects: on evenly spread keys that touches
+// a cache line or two of the page where a bisection from the ends touches
+// eight, and on any keys it costs at most about twice a bisection.
+func lowerBound(page []byte, n int, lo, first, last uint64) int {
+	key := func(i int) uint64 { return binary.LittleEndian.Uint64(page[i*recordSize:]) }
+	g := 0 // the guess
+	switch {
+	case lo > last:
+		g = n - 1
+	case lo > first: // (lo-first)/(last-first) is in (0, 1]
+		g = min(int(float64(lo-first)/float64(last-first)*float64(n-1)), n-1)
+	}
+	i, j := 0, n // the answer lies in [i, j]
+	if key(g) < lo {
+		i = g + 1
+		for step := 1; g+step < n; step *= 2 {
+			if key(g+step) >= lo {
+				j = g + step
+				break
+			}
+			i = g + step + 1
+		}
+	} else {
+		j = g
+		for step := 1; g-step >= 0; step *= 2 {
+			if key(g-step) < lo {
+				i = g - step + 1
+				break
+			}
+			j = g - step
+		}
+	}
 	for i < j {
 		h := int(uint(i+j) >> 1)
-		if binary.LittleEndian.Uint64(page[h*rs:]) < lo {
+		if key(h) < lo {
 			i = h + 1
 		} else {
 			j = h
@@ -835,7 +903,6 @@ func pageReadErr(p int, err error) error {
 // nil return means every byte of page data on disk is sound.
 func (s *Store) VerifyPages() error {
 	buf := make([]byte, s.pageBytes)
-	rs := recordSize(s.dims)
 	prev := uint64(0)
 	for p := range s.firstKeys {
 		if err := s.VerifyPage(p, buf); err != nil {
@@ -844,7 +911,7 @@ func (s *Store) VerifyPages() error {
 		if binary.LittleEndian.Uint64(buf) < prev {
 			return fmt.Errorf("%w: page %d: keys out of order", ErrCorrupt, p)
 		}
-		prev = binary.LittleEndian.Uint64(buf[(s.residentCount(p)-1)*rs:])
+		prev = binary.LittleEndian.Uint64(buf[(s.residentCount(p)-1)*recordSize:])
 	}
 	return nil
 }
@@ -880,10 +947,9 @@ func (s *Store) checkPage(p int, buf []byte) error {
 	if crc32.Checksum(buf, pageCRC) != s.pageSums[p] {
 		return fmt.Errorf("%w: page %d: checksum mismatch", ErrCorrupt, p)
 	}
-	rs := recordSize(s.dims)
 	prev := uint64(0)
 	for i := 0; i < s.residentCount(p); i++ {
-		key := binary.LittleEndian.Uint64(buf[i*rs:])
+		key := binary.LittleEndian.Uint64(buf[i*recordSize:])
 		if i > 0 && key < prev {
 			return fmt.Errorf("%w: page %d: keys out of order", ErrCorrupt, p)
 		}

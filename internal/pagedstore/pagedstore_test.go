@@ -105,36 +105,64 @@ func TestWriteOpenQueryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQueryAcrossCurves round-trips the same records through stores
+// clustered by different curves, in 2-D and 3-D: every query returns
+// exactly the brute-force records, points included — rebuilt from the
+// keys, since a slot holds only key and payload, 16 bytes in any
+// dimension.
 func TestQueryAcrossCurves(t *testing.T) {
 	side := uint32(32)
-	u := geom.MustUniverse(2, side)
 	o, _ := core.NewOnion2D(side)
 	h, _ := baseline.NewHilbert(2, side)
 	z, _ := baseline.NewMorton(2, side)
-	recs := buildRecords(t, u, 800, 43)
-	r := geom.Rect{Lo: geom.Point{4, 4}, Hi: geom.Point{27, 25}}
-	for _, c := range []curve.Curve{o, h, z} {
+	recs2 := buildRecords(t, geom.MustUniverse(2, side), 800, 43)
+	r2 := geom.Rect{Lo: geom.Point{4, 4}, Hi: geom.Point{27, 25}}
+	o3, _ := core.NewOnion3D(16)
+	h3, _ := baseline.NewHilbert(3, 16)
+	recs3 := buildRecords(t, geom.MustUniverse(3, 16), 700, 44)
+	r3 := geom.Rect{Lo: geom.Point{2, 3, 1}, Hi: geom.Point{12, 14, 9}}
+	type cs struct {
+		c    curve.Curve
+		recs []Record
+		r    geom.Rect
+	}
+	for _, tc := range []cs{{o, recs2, r2}, {h, recs2, r2}, {z, recs2, r2}, {o3, recs3, r3}, {h3, recs3, r3}} {
 		path := tmpPath(t)
-		if err := Write(path, c, recs, 256); err != nil {
+		if err := Write(path, tc.c, tc.recs, 256); err != nil {
 			t.Fatal(err)
 		}
-		st, err := Open(path, c)
+		st, err := Open(path, tc.c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := st.Query(r)
+		pages := st.Pages()
+		got, _, err := st.Query(tc.r)
 		st.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := 0
-		for _, rec := range recs {
-			if r.Contains(rec.Point) {
-				want++
+		if pages != (len(tc.recs)+15)/16 {
+			t.Errorf("%s %dD: %d pages of 256 bytes for %d records, want 16-byte slots",
+				tc.c.Name(), tc.c.Universe().Dims(), pages, len(tc.recs))
+		}
+		var want []Record
+		for _, rec := range tc.recs {
+			if tc.r.Contains(rec.Point) {
+				want = append(want, rec)
 			}
 		}
-		if len(got) != want {
-			t.Fatalf("%s: %d results, want %d", c.Name(), len(got), want)
+		byPayload := func(rs []Record) {
+			sort.Slice(rs, func(a, b int) bool { return rs[a].Payload < rs[b].Payload })
+		}
+		byPayload(got)
+		byPayload(want)
+		if len(got) != len(want) {
+			t.Fatalf("%s %dD: %d results, want %d", tc.c.Name(), tc.c.Universe().Dims(), len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Payload != want[i].Payload || !got[i].Point.Equal(want[i].Point) {
+				t.Fatalf("%s %dD: record %d = %v, want %v", tc.c.Name(), tc.c.Universe().Dims(), i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -349,9 +377,10 @@ func TestEstimateSeeks(t *testing.T) {
 }
 
 // TestWriteEntriesRejectsBadInput: WriteEntries trusts its caller for the
-// keys' values but not for their shape. A run that steps back, a key
-// outside the curve's key space and a point of the wrong dimension are
-// each an error, found before the file is created: nothing is at path.
+// keys' values but not for their shape. A run that steps back and a key
+// outside the curve's key space are each an error, found before the file
+// is created: nothing is at path. Points are not checked: they are not
+// written.
 func TestWriteEntriesRejectsBadInput(t *testing.T) {
 	o, _ := core.NewOnion2D(16)
 	good := func() []Entry {
@@ -366,10 +395,8 @@ func TestWriteEntriesRejectsBadInput(t *testing.T) {
 		t.Fatalf("well-formed run rejected: %v", err)
 	}
 	for name, spoil := range map[string]func(ents []Entry){
-		"out of order":    func(ents []Entry) { ents[2].Key = 2 },
-		"key >= size":     func(ents []Entry) { ents[2].Key = o.Universe().Size() },
-		"wrong dimension": func(ents []Entry) { ents[1].Point = geom.Point{1, 1, 1} },
-		"no point":        func(ents []Entry) { ents[0].Point = nil },
+		"out of order": func(ents []Entry) { ents[2].Key = 2 },
+		"key >= size":  func(ents []Entry) { ents[2].Key = o.Universe().Size() },
 	} {
 		ents := good()
 		spoil(ents)
@@ -381,12 +408,69 @@ func TestWriteEntriesRejectsBadInput(t *testing.T) {
 			t.Errorf("%s: rejected input left a file behind (stat: %v)", name, err)
 		}
 	}
-	if err := WriteEntries(vfs.OS{}, tmpPath(t), o, good(), 19); !errors.Is(err, ErrPageBytes) {
-		t.Errorf("19-byte page for a 24-byte record: %v, want ErrPageBytes", err)
+	if err := WriteEntries(vfs.OS{}, tmpPath(t), o, good(), 15); !errors.Is(err, ErrPageBytes) {
+		t.Errorf("15-byte page for a 16-byte record: %v, want ErrPageBytes", err)
 	}
 }
 
-// goldenInput is the fixed input of TestV4GoldenBytes: 61 records in no
+// TestNilPointsRoundTrip: a stored entry's point is Coords(Key), so a
+// writer handed entries without points — as compaction hands it — loses
+// nothing: the cursor and Salvage both read back the curve's cell of
+// every key.
+func TestNilPointsRoundTrip(t *testing.T) {
+	o, _ := core.NewOnion2D(16)
+	var ents []Entry
+	for k := uint64(0); k < o.Universe().Size(); k += 3 {
+		ents = append(ents, Entry{Key: k, Payload: k * 11, Marked: k%7 == 0})
+	}
+	path := tmpPath(t)
+	if err := WriteEntries(vfs.OS{}, path, o, ents, 64); err != nil {
+		t.Fatal(err)
+	}
+	check := func(how string, i int, e Entry) {
+		t.Helper()
+		want := ents[i]
+		if e.Key != want.Key || e.Payload != want.Payload || e.Marked != want.Marked ||
+			!e.Point.Equal(o.Coords(want.Key, nil)) {
+			t.Fatalf("%s entry %d = %+v, want key %d at %v", how, i, e, want.Key, o.Coords(want.Key, nil))
+		}
+	}
+	s, err := Open(path, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := s.NewCursor()
+	cur.SeekRange(curve.KeyRange{Lo: 0, Hi: o.Universe().Size() - 1})
+	var e Entry
+	n := 0
+	for {
+		ok, err := cur.NextInto(&e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		check("cursor", n, e)
+		n++
+	}
+	s.Close()
+	if n != len(ents) {
+		t.Fatalf("cursor read %d entries, wrote %d", n, len(ents))
+	}
+	sv, err := SalvageFS(vfs.OS{}, path, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sv.Entries) != len(ents) {
+		t.Fatalf("salvage read %d entries, wrote %d", len(sv.Entries), len(ents))
+	}
+	for i, e := range sv.Entries {
+		check("salvage", i, e)
+	}
+}
+
+// goldenInput is the fixed input of TestV5GoldenBytes: 61 records in no
 // key order, several to a cell, every fourth marked.
 func goldenInput() (recs []Record, marks []bool) {
 	for i := 0; i < 61; i++ {
@@ -397,14 +481,11 @@ func goldenInput() (recs []Record, marks []bool) {
 	return recs, marks
 }
 
-// TestV4GoldenBytes pins the file layout to what the retired WriteMarkedFS
-// produced for the same input (the literal and the digests were taken from
-// it at the commit before WriteEntries replaced it), so segments and
-// snapshots written before the change open after it and the other way
-// round: a three-record file byte for byte, and the digests of a marked
-// file with a partial last page, of the bulk Write of the same records
-// (no marks, another page size) and of an empty store.
-func TestV4GoldenBytes(t *testing.T) {
+// TestV5GoldenBytes pins the file layout: a three-record file byte for
+// byte, and the digests of a marked file with a partial last page, of the
+// bulk Write of the same records (no marks, another page size) and of an
+// empty store. A slot is key(8) + payload(8); the points are not stored.
+func TestV5GoldenBytes(t *testing.T) {
 	o, _ := core.NewOnion2D(16)
 	recs, marks := goldenInput()
 	read := func(write func(path string)) []byte {
@@ -417,21 +498,21 @@ func TestV4GoldenBytes(t *testing.T) {
 		}
 		return b
 	}
-	small := read(func(path string) { writeMarked(t, path, o, recs[:3], marks[:3], 64) })
-	const smallWant = "VRCNOINO\x04\x00\x00\x00\x02\x00\x00\x00\x10\x00\x00\x00@\x00\x00\x00" + // magic, version, dims, side, page bytes
+	small := read(func(path string) { writeMarked(t, path, o, recs[:3], marks[:3], 40) })
+	const smallWant = "VRCNOINO\x05\x00\x00\x00\x02\x00\x00\x00\x10\x00\x00\x00(\x00\x00\x00" + // magic, version 5, dims, side, 40-byte pages
 		"\x03\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00" + // 3 records, 2 pages
 		"\x00\x00\x00\x00\x00\x00\x00\x00\xde\x00\x00\x00\x00\x00\x00\x00" + // page index
-		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" + // page 0: key 0 (0,0) payload 0
-		"R\x00\x00\x00\x00\x00\x00\x00\x0e\x00\x00\x00\n\x00\x00\x00\x02\x02\x02\x02\x02\x00\x00\x00" + // key 82 (14,10)
-		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" + // slack
-		"\xde\x00\x00\x00\x00\x00\x00\x00\a\x00\x00\x00\x05\x00\x00\x00\x01\x01\x01\x01\x01\x00\x00\x00" + // page 1: key 222 (7,5)
-		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" + // page 0: key 0, payload 0
+		"R\x00\x00\x00\x00\x00\x00\x00\x02\x02\x02\x02\x02\x00\x00\x00" + // key 82, the cell (14,10)
+		"\x00\x00\x00\x00\x00\x00\x00\x00" + // slack
+		"\xde\x00\x00\x00\x00\x00\x00\x00\x01\x01\x01\x01\x01\x00\x00\x00" + // page 1: key 222, the cell (7,5)
 		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"\x00\x00\x00\x00\x00\x00\x00\x00" +
 		"\x04" + // marks: the third entry in key order
 		"R\x00\x00\x00\x00\x00\x00\x00\xde\x00\x00\x00\x00\x00\x00\x00" + // fences
-		"\xa0\x18\x04\xa6:I\xd0\x9f" + // page checksums
+		"lYS5p\xf9\x93\x12" + // page checksums
 		"\a\x00\x00\x00\x01\x00\x00\x00\x05(LD\x82\x9b\x80p" + // filter: k = 7, one word
-		"\x98\x04$\x9d" // metadata checksum
+		"\xbd\xda+6" // metadata checksum
 	if string(small) != smallWant {
 		t.Errorf("three-record file:\n got %q\nwant %q", small, smallWant)
 	}
@@ -442,17 +523,17 @@ func TestV4GoldenBytes(t *testing.T) {
 		sum    string
 	}{
 		{"marked, 100-byte pages", read(func(path string) { writeMarked(t, path, o, recs, marks, 100) }),
-			2060, "e3eb47cae8035299000c820c0c1916e6d14ef644fff411c908a89ae361034702"},
+			1460, "593299c5f9fb87653e90afef0b65d7eadc811f17d46d902d2ef7c4c2bd602e2d"},
 		{"bulk Write, 256-byte pages", read(func(path string) {
 			if err := Write(path, o, recs, 256); err != nil {
 				t.Fatal(err)
 			}
-		}), 2072, "b9b8343d6327ffd8ef6b674a27a56bb15579d2704c090f07f9f780622a61fe95"},
-		{"empty", read(func(path string) { writeMarked(t, path, o, nil, nil, 64) }),
-			52, "7b2689b87d4e0b55eba504d9ad750cace9075f5014481849d706fb658bd64f70"},
+		}), 1244, "b6ee525ddf9983ab9c341db2240bf6f153c8e1cf8bc591259ef939373871a197"},
+		{"empty", read(func(path string) { writeMarked(t, path, o, nil, nil, 40) }),
+			52, "400520b74f454e31032ffc9a1be2d95e133c65dcc37a90833d65df1b9d413a16"},
 	} {
 		if sum := fmt.Sprintf("%x", sha256.Sum256(tc.got)); len(tc.got) != tc.length || sum != tc.sum {
-			t.Errorf("%s: %d bytes, sha256 %s; the retired writer gave %d bytes, %s", tc.name, len(tc.got), sum, tc.length, tc.sum)
+			t.Errorf("%s: %d bytes, sha256 %s; want %d bytes, %s", tc.name, len(tc.got), sum, tc.length, tc.sum)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package pagedstore
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -33,7 +34,7 @@ func genSeekCase(o curve.Curve, seed int64, n uint16, perPage uint8) seekCase {
 	rng := rand.New(rand.NewSource(seed))
 	size := o.Universe().Size()
 	per := int(perPage)%12 + 1
-	cs := seekCase{pageBytes: per*recordSize(2) + rng.Intn(recordSize(2))}
+	cs := seekCase{pageBytes: per*recordSize + rng.Intn(recordSize)}
 
 	count := int(n) % 1500
 	stride := uint64(1)
@@ -193,4 +194,56 @@ func FuzzCursorSeek(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLowerBoundMatchesLinearScan pins the interpolating in-page search to
+// a linear scan: on evenly spread, clustered and duplicate-heavy pages of
+// every size up to a 4 KiB page's 256 slots, for bounds before, inside and
+// after the keys, and with first/last hints that are exact, swapped or
+// unrelated to the page — a wrong hint may cost time, never the answer.
+func TestLowerBoundMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(256)
+		keys := make([]uint64, n)
+		k := uint64(rng.Intn(1000))
+		for i := range keys {
+			switch trial % 3 {
+			case 0: // evenly spread
+				k += uint64(1 + rng.Intn(60))
+			case 1: // a dense cluster, then a jump
+				if rng.Intn(20) == 0 {
+					k += uint64(rng.Intn(1 << 20))
+				} else {
+					k += uint64(rng.Intn(2))
+				}
+			default: // long runs of one key
+				if rng.Intn(40) == 0 {
+					k += uint64(1 + rng.Intn(5))
+				}
+			}
+			keys[i] = k
+		}
+		page := make([]byte, n*recordSize)
+		for i, k := range keys {
+			binary.LittleEndian.PutUint64(page[i*recordSize:], k)
+		}
+		first, last := keys[0], keys[n-1]
+		hints := [][2]uint64{{first, last}, {last, first}, {0, ^uint64(0)}, {first, first}, {rng.Uint64(), rng.Uint64()}}
+		for q := 0; q < 20; q++ {
+			lo := first - 2 + uint64(rng.Int63n(int64(last-first)+5))
+			if q == 0 {
+				lo = 0
+			}
+			want := 0
+			for want < n && keys[want] < lo {
+				want++
+			}
+			for _, h := range hints {
+				if got := lowerBound(page, n, lo, h[0], h[1]); got != want {
+					t.Fatalf("trial %d: lowerBound(lo %d, hint %v) = %d, want %d (keys %v)", trial, lo, h, got, want, keys)
+				}
+			}
+		}
+	}
 }
