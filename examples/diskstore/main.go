@@ -1,6 +1,6 @@
 // Disk store example: bulk-load points into a real file physically
-// clustered in curve order, then run range queries and watch the actual
-// positioned reads — the concrete version of the paper's "clustering
+// clustered in curve order, then run range queries and watch the seeks
+// they pay on the file — the concrete version of the paper's "clustering
 // number = disk seeks" argument.
 package main
 

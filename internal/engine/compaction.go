@@ -83,11 +83,12 @@ func (cs *compactSink) emit(win *mergeSource) {
 // oldest segment, so nothing older could be shadowed); otherwise they are
 // carried into the output.
 func mergeSegments(c curve.Curve, segs []*segment, dropTombstones bool) ([]pagedstore.Entry, int, error) {
-	full := curve.KeyRange{Lo: 0, Hi: c.Universe().Size() - 1}
+	full := []curve.KeyRange{{Lo: 0, Hi: c.Universe().Size() - 1}}
 	srcs := make([]*mergeSource, len(segs))
 	for i, s := range segs {
 		cur := s.st.NewCursor()
-		cur.SeekRange(full)
+		cur.Plan(full)
+		cur.NextRange()
 		srcs[i] = &mergeSource{cur: cur, prio: i}
 	}
 	sink := &compactSink{dropTombstones: dropTombstones}

@@ -122,8 +122,8 @@ type Record = pagedstore.Record
 
 // Stats is the access pattern of one engine query. The embedded
 // pagedstore.Stats counts exactly as a pagedstore query does — Seeks is
-// the number of positioned reads at non-contiguous segment offsets summed
-// over the live segments, PagesRead likewise; the memtable contributes no
+// the number of visits to non-contiguous segment pages summed over the
+// live segments, PagesRead likewise; the memtable contributes no
 // seeks (it is RAM). RecordsScanned is the number of records the segment
 // cursors decoded — every version and tombstone a segment holds inside
 // the planned ranges — so RecordsScanned / Results is the read
@@ -775,7 +775,10 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 
 	// Sources, oldest to newest: segments (list order), frozen memtables
 	// (list order), then the active memtable. Priority = slice position,
-	// so on duplicate keys the newest source is authoritative.
+	// so on duplicate keys the newest source is authoritative. Each segment
+	// cursor takes the whole plan here, once, and steps to the next range
+	// in the loop below: holding the plan, it reads a run of pages that
+	// spans several ranges with one positioned read.
 	qs.cursors = qs.cursors[:0]
 	if cap(qs.segSrcs) < len(e.segs) {
 		qs.segSrcs = make([]mergeSource, len(e.segs))
@@ -783,6 +786,7 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 	qs.segSrcs = qs.segSrcs[:len(e.segs)]
 	for i, seg := range e.segs {
 		cur := seg.st.AcquireCursor()
+		cur.Plan(krs)
 		qs.cursors = append(qs.cursors, cur)
 		s := &qs.segSrcs[i]
 		pt := s.head.Point // keep the decode buffer across reuses
@@ -822,7 +826,7 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 		qs.pass = qs.pass[:0]
 		for i := range qs.segSrcs {
 			s := &qs.segSrcs[i]
-			s.cur.SeekRange(kr)
+			s.cur.NextRange()
 			qs.pass = append(qs.pass, s)
 		}
 		for j := range qs.mems {

@@ -435,9 +435,11 @@ func TestGroupCommitWithRotation(t *testing.T) {
 }
 
 // TestEngineQueryZeroAlloc pins the zero-allocation steady state of the
-// cached query path: pooled query scratch, pooled cursors, plan-buffer
-// reuse and a recycled record buffer leave nothing to allocate per
-// query once warm.
+// query path: pooled query scratch, pooled cursors with their plan
+// schedules and run buffers, plan-buffer reuse and a recycled record
+// buffer leave nothing to allocate per query once warm. It holds behind a
+// cache that serves every page and with no cache at all, where every page
+// visit is a physical read through the cursor's run buffer.
 func TestEngineQueryZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -446,47 +448,54 @@ func TestEngineQueryZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1, Shards: 2, Cache: pagedstore.NewCache(1 << 22)}
-	e, err := Open(t.TempDir(), c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	rng := rand.New(rand.NewSource(42))
-	side := int32(c.Universe().Side())
-	for i := 0; i < 20000; i++ {
-		pt := geom.Point{uint32(rng.Int31n(side)), uint32(rng.Int31n(side))}
-		if err := e.Put(pt, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	r := geom.Rect{Lo: geom.Point{40, 40}, Hi: geom.Point{103, 103}}
-	var dst []Record
-	// Warm every pool and the cache, and size the record buffer.
-	for i := 0; i < 4; i++ {
-		dst, _, err = e.QueryAppend(dst[:0], r)
+	for _, cache := range []*pagedstore.Cache{pagedstore.NewCache(1 << 22), nil} {
+		opts := Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1, Shards: 2, Cache: cache}
+		e, err := Open(t.TempDir(), c, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(dst) == 0 {
-		t.Fatal("warmup query found nothing")
-	}
-	// GC off so sync.Pool contents survive the measurement loop.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := testing.AllocsPerRun(100, func() {
-		dst, _, err = e.QueryAppend(dst[:0], r)
-		if err != nil {
+		defer e.Close()
+		rng := rand.New(rand.NewSource(42))
+		side := int32(c.Universe().Side())
+		for i := 0; i < 20000; i++ {
+			pt := geom.Point{uint32(rng.Int31n(side)), uint32(rng.Int31n(side))}
+			if err := e.Put(pt, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Flush(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state query path allocates %.1f objects/op, want 0", allocs)
+		if err := e.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		r := geom.Rect{Lo: geom.Point{40, 40}, Hi: geom.Point{103, 103}}
+		var dst []Record
+		// Warm every pool and the cache, and size the record buffer.
+		for i := 0; i < 4; i++ {
+			dst, _, err = e.QueryAppend(dst[:0], r)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(dst) == 0 {
+			t.Fatal("warmup query found nothing")
+		}
+		// GC off so sync.Pool contents survive the measurement loop.
+		gc := debug.SetGCPercent(-1)
+		var st Stats
+		allocs := testing.AllocsPerRun(100, func() {
+			dst, st, err = e.QueryAppend(dst[:0], r)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		debug.SetGCPercent(gc)
+		if (cache == nil) != (st.IO.ReadCalls > 0) {
+			t.Fatalf("cache %v: io %+v", cache != nil, st.IO)
+		}
+		if allocs != 0 {
+			t.Fatalf("cache %v: steady-state query path allocates %.1f objects/op, want 0", cache != nil, allocs)
+		}
 	}
 }

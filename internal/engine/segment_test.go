@@ -19,7 +19,8 @@ func checkSegmentKeys(t *testing.T, stage string, e *Engine, c curve.Curve) (seg
 	defer e.mu.RUnlock()
 	for _, s := range e.segs {
 		cur := s.st.NewCursor()
-		cur.SeekRange(curve.KeyRange{Lo: 0, Hi: c.Universe().Size() - 1})
+		cur.Plan([]curve.KeyRange{{Lo: 0, Hi: c.Universe().Size() - 1}})
+		cur.NextRange()
 		var ent pagedstore.Entry
 		n, prev := 0, uint64(0)
 		for {

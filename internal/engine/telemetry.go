@@ -119,7 +119,7 @@ func (t *engineTelemetry) recordQuery(start time.Time, st Stats, err error) {
 	t.queryLatencyUS.Record(uint64(time.Since(start).Microseconds()))
 	if st.Planned > 0 {
 		t.plannedRanges.Record(uint64(st.Planned))
-		// Seek amplification: positioned reads per planned cluster range.
+		// Seek amplification: seeks per planned cluster range.
 		// The planner's range count is the paper's clustering number, so
 		// 1.0 means the engine pays exactly the clustering-optimal seek
 		// cost; the LSM's extra sorted runs push it above 1.

@@ -181,8 +181,8 @@ func probeSeeks(s *pagedstore.Store, c curve.Curve, q geom.Rect) (seeksProbe, er
 	cur := s.AcquireCursor()
 	defer cur.Release()
 	var e pagedstore.Entry
-	for _, kr := range m.Ranges {
-		cur.SeekRange(kr)
+	cur.Plan(m.Ranges)
+	for cur.NextRange() {
 		for {
 			ok, err := cur.NextInto(&e)
 			if err != nil {

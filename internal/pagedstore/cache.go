@@ -26,7 +26,7 @@ import (
 // summed on demand.
 //
 // Caching is invisible to the logical access accounting: Stats keeps
-// counting the positioned reads the query plan pays (the paper's
+// counting the seeks and pages the query plan pays (the paper's
 // clustering number), whether the page bytes come from disk or from the
 // cache. Only IOStats — the physical counters — change.
 type Cache struct {

@@ -22,8 +22,8 @@ func runCursorQuery(t *testing.T, s *Store, r geom.Rect) ([]Record, Stats, IOSta
 	defer cur.Release()
 	var out []Record
 	var e Entry
-	for _, kr := range krs {
-		cur.SeekRange(kr)
+	cur.Plan(krs)
+	for cur.NextRange() {
 		for {
 			ok, err := cur.NextInto(&e)
 			if err != nil {

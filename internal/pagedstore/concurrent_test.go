@@ -131,7 +131,8 @@ func TestWriteMarkedRoundTrip(t *testing.T) {
 	}
 	// The cursor surfaces every record with its mark and key.
 	cur := st.NewCursor()
-	cur.SeekRange(curve.KeyRange{Lo: 0, Hi: o.Universe().Size() - 1})
+	cur.Plan([]curve.KeyRange{{Lo: 0, Hi: o.Universe().Size() - 1}})
+	cur.NextRange()
 	seen, seenMarked := 0, 0
 	lastKey := uint64(0)
 	var e Entry
@@ -226,17 +227,31 @@ func referenceQuery(s *Store, r geom.Rect) ([]Record, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return referenceRanges(s, krs)
+	recs, st, _, err := referenceRanges(s, krs)
+	return recs, st, err
 }
 
 // referenceRanges is referenceQuery from its plan on, for callers that
-// bring their own ranges.
-func referenceRanges(s *Store, krs []curve.KeyRange) ([]Record, Stats, error) {
+// bring their own ranges. It also returns the physical I/O a bare store
+// pays for the plan, from a walk of its own. A range's visit fetches its
+// page unless the key filter proves every key of a narrow range absent,
+// the page's fence ends before the range, or the page is the one fetched
+// last. The fetched pages are read in maximal runs of consecutive pages,
+// each split into reads of at most runPages pages.
+func referenceRanges(s *Store, krs []curve.KeyRange) ([]Record, Stats, IOStats, error) {
 	var st Stats
+	var io IOStats
 	var out []Record
-	lastPage := -2
+	lastPage, lastFetched, run := -2, -2, 0
 	buf := make([]byte, s.pageBytes)
 	for _, kr := range krs {
+		absent := false
+		if s.filter != nil && kr.Hi-kr.Lo < filterMaxProbe {
+			absent = true
+			for key := kr.Lo; absent && key <= kr.Hi; key++ {
+				absent = !s.filter.mayContain(key)
+			}
+		}
 		p := sort.Search(len(s.firstKeys), func(i int) bool {
 			return i+1 >= len(s.firstKeys) || s.firstKeys[i+1] >= kr.Lo
 		})
@@ -247,9 +262,18 @@ func referenceRanges(s *Store, krs []curve.KeyRange) ([]Record, Stats, error) {
 			if p != lastPage {
 				st.PagesRead++
 				if _, err := s.f.ReadAt(buf, s.dataOff+int64(p)*int64(s.pageBytes)); err != nil {
-					return nil, st, err
+					return nil, st, io, err
 				}
 				lastPage = p
+			}
+			if !absent && s.pageMax[p] >= kr.Lo && p != lastFetched {
+				if p != lastFetched+1 || run == runPages {
+					io.ReadCalls++
+					run = 0
+				}
+				io.PagesFetched++
+				run++
+				lastFetched = p
 			}
 			recs := s.perPage
 			if p == len(s.firstKeys)-1 {
@@ -272,5 +296,5 @@ func referenceRanges(s *Store, krs []curve.KeyRange) ([]Record, Stats, error) {
 		}
 	}
 	st.Results = len(out)
-	return out, st, nil
+	return out, st, io, nil
 }

@@ -315,3 +315,89 @@ func FuzzVerifyCorrupt(f *testing.F) {
 		}
 	})
 }
+
+// resident reports whether page p of store s is in cache c.
+func resident(c *Cache, s *Store, p int) bool {
+	k := cacheKey{store: s.id, page: p}
+	sh := c.shardOf(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, ok := sh.index[k]
+	return ok
+}
+
+// TestFaultInsideRun: a fault in a multi-page read fails the query at the
+// page it damaged, with the error class a page-at-a-time read gave it —
+// ErrCorrupt for damaged or missing bytes, the I/O error itself (here
+// vfs.ErrInjected) for a failed read — and leaves that page and every
+// later page of the read out of the cache. The plan is three ranges of one
+// page each, pages a..a+2, which the cursor fetches with one read; the
+// store has distinct keys, so no other page holds a key of the plan.
+func TestFaultInsideRun(t *testing.T) {
+	o, _ := core.NewOnion2D(64)
+	var ents []Entry
+	for k := uint64(0); k < o.Universe().Size(); k += 3 {
+		ents = append(ents, Entry{Key: k, Payload: k})
+	}
+	path := filepath.Join(t.TempDir(), "run.pst")
+	if err := WriteEntries(vfs.OS{}, path, o, ents, 256); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const a = 20
+	for _, tc := range []struct {
+		name    string
+		damage  func(t *testing.T, s *Store, inj *vfs.Injecting, spy *spyFS)
+		page    int  // the page the error names
+		corrupt bool // ErrCorrupt; otherwise vfs.ErrInjected
+		used    int  // pages of the read used, and so admitted, before the failure
+	}{
+		{"bit flip in the middle page", func(t *testing.T, s *Store, _ *vfs.Injecting, _ *spyFS) {
+			flipByte(t, path, s.dataOff+int64(a+1)*int64(s.pageBytes)+40, 0x08)
+		}, a + 1, true, 1},
+		{"injected read failure", func(_ *testing.T, _ *Store, inj *vfs.Injecting, _ *spyFS) {
+			inj.SetFaults(vfs.Fault{Op: vfs.OpRead, N: 1, Kind: vfs.KindFail})
+		}, a, false, 0},
+		{"injected read corruption", func(_ *testing.T, _ *Store, inj *vfs.Injecting, _ *spyFS) {
+			inj.SetFaults(vfs.Fault{Op: vfs.OpRead, N: 1, Kind: vfs.KindCorrupt})
+		}, a, true, 0},
+		{"torn read", func(_ *testing.T, s *Store, _ *vfs.Injecting, spy *spyFS) {
+			spy.cut = s.pageBytes + s.pageBytes/2
+		}, a + 1, true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(path, clean, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			spy := &spyFS{}
+			inj := vfs.NewInjecting(spy)
+			cache := NewCache(1 << 20)
+			s, err := OpenCachedFS(inj, path, o, cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var krs []curve.KeyRange
+			for p := a; p < a+3; p++ {
+				krs = append(krs, curve.KeyRange{Lo: s.firstKeys[p], Hi: s.pageMax[p]})
+			}
+			tc.damage(t, s, inj, spy)
+			_, io, err := walkRanges(s, krs, nil)
+			if errors.Is(err, ErrCorrupt) != tc.corrupt || errors.Is(err, vfs.ErrInjected) == tc.corrupt ||
+				!strings.Contains(fmt.Sprint(err), fmt.Sprintf("page %d:", tc.page)) {
+				t.Fatalf("walk = %v, want a fault at page %d (corrupt: %v)", err, tc.page, tc.corrupt)
+			}
+			if io.ReadCalls != 1 {
+				t.Fatalf("io %+v: the three pages were not one read", io)
+			}
+			for p := a; p < a+3; p++ {
+				if want := p < a+tc.used; resident(cache, s, p) != want {
+					t.Fatalf("page %d resident = %v, want %v", p, !want, want)
+				}
+			}
+		})
+	}
+}

@@ -17,8 +17,8 @@ type keyFilter struct {
 const (
 	filterBitsPerKey = 10
 	filterHashes     = 7
-	// filterMaxProbe bounds how many keys of a narrow range SeekRange
-	// probes through the filter before falling back to the fences: a
+	// filterMaxProbe bounds how many keys of a narrow range a cursor's
+	// Plan probes through the filter before falling back to the fences: a
 	// range of at most this many cells can be proven empty key by key.
 	filterMaxProbe = 8
 )

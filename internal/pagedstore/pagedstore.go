@@ -15,16 +15,20 @@
 // There is one file layout. A fixed header, a page index (first curve key
 // of every page), and fixed-size pages of 16-byte slots — key, payload —
 // sorted by curve key, in every dimension. A rectangle query decomposes
-// into cluster ranges (internal/ranges), maps each range to a run of pages
-// via the index, and reads each run with one positioned read — seeks and
-// pages are counted and returned. After the pages come three things. A
-// mark bitmap: one bit per entry, in key order. A pruning footer: a fence
-// table of per-page maximum keys and a Bloom filter over all keys.
-// Integrity checksums: a crc32c per page, verified on every physical page
-// fetch, and a trailing crc32c over all metadata (header, page index,
-// marks, fences, page checksums, filter), verified at open — so any single
-// flipped byte anywhere in a file is detected, either immediately at open
-// or at the first read of the damaged page, and surfaces as ErrCorrupt.
+// into cluster ranges (internal/ranges) and maps each range to a run of
+// pages via the index — seeks and pages are counted and returned. Pages
+// are read in runs, not per range: one positioned read fetches the
+// consecutive pages the plan fetches next and no cache holds, however
+// many ranges they span, up to 32 pages (see Cursor).
+//
+// After the pages come three things. A mark bitmap: one bit per entry, in
+// key order. A pruning footer: a fence table of per-page maximum keys and
+// a Bloom filter over all keys. Integrity checksums: a crc32c per page,
+// verified before a fetched page is first used, and a trailing crc32c
+// over all metadata (header, page index, marks, fences, page checksums,
+// filter), verified at open — so any single flipped byte anywhere in a
+// file is detected, either immediately at open or at the first use of the
+// damaged page, and surfaces as ErrCorrupt.
 // The header calls this layout version 5; versions 1 to 4 were earlier
 // layouts nothing writes any more (version 4 stored the coordinates
 // beside the key), and Open rejects them.
@@ -37,20 +41,22 @@
 // next NextInto call, and a caller that retains it must clone it.
 //
 // Logical vs physical accounting. Stats counts the LOGICAL access
-// pattern: the positioned reads and pages the query plan pays on a bare
-// store — the operational clustering number — and the records it decodes
+// pattern: the seeks and pages the query plan pays on a bare store — the
+// operational clustering number — and the records it decodes
 // out of them. The seeks and pages are computed from the in-memory page
 // index and the decoded records are exactly those whose key lies in a
 // planned range, so none of it changes with caching or pruning: it is
 // bit-identical however a store is opened. The PHYSICAL I/O — pages
-// actually fetched from the file — is tracked separately in IOStats: a
-// page served by a Cache or proven recordless by the footer fences
-// satisfies its logical visit without a disk read.
+// actually fetched from the file, and the positioned reads that fetched
+// them — is tracked separately in IOStats: a page served by a Cache or
+// proven recordless by the footer fences or the key filter satisfies its
+// logical visit without a disk read.
 //
 // An open Store is safe for concurrent use by any number of goroutines:
 // every read is a positioned ReadAt (pread) on the shared descriptor — no
-// shared file offset is ever moved — and all per-query state (page buffer,
-// contiguity tracking, statistics) lives in a per-call Cursor.
+// shared file offset is ever moved — and all per-query state (plan
+// schedule, run buffer, contiguity tracking, statistics) lives in a
+// per-call Cursor.
 package pagedstore
 
 import (
@@ -115,13 +121,14 @@ type Entry struct {
 	Marked  bool
 }
 
-// Stats is the logical access pattern of one query: the positioned reads
-// a bare store pays executing the plan. It is independent of page
-// caching and footer pruning — those remove physical I/O (see IOStats),
-// never logical accounting — so Stats is bit-identical for the same
-// records and plan however the store is opened.
+// Stats is the logical access pattern of one query: the page visits a
+// bare store pays executing the plan. It is independent of page caching,
+// footer pruning and how pages are grouped into reads — those shape
+// physical I/O (see IOStats), never logical accounting — so Stats is
+// bit-identical for the same records and plan however the store is
+// opened.
 type Stats struct {
-	Seeks     int // positioned reads at non-contiguous offsets
+	Seeks     int // visits to a page not contiguous with the page visited last
 	PagesRead int
 	// RecordsScanned counts the records decoded from pages: those whose
 	// key lies in a range of the plan, marked ones included. A cursor
@@ -144,12 +151,19 @@ type IOStats struct {
 	PagesFetched int
 	// CacheHits counts logical page visits served from a Cache.
 	CacheHits int
+	// ReadCalls counts the positioned reads actually issued. One read
+	// fetches a run of consecutive pages the plan fetches next and the
+	// cache does not hold — a run may span several ranges of the plan —
+	// so it is at most PagesFetched. It is not Stats.Seeks: that is the
+	// bare store's logical count, while a run also ends at a resident page.
+	ReadCalls int
 }
 
 // Add accumulates b into s.
 func (s *IOStats) Add(b IOStats) {
 	s.PagesFetched += b.PagesFetched
 	s.CacheHits += b.CacheHits
+	s.ReadCalls += b.ReadCalls
 }
 
 // AppendRecord appends one record to dst, reusing the Point buffer
@@ -482,11 +496,13 @@ func (s *Store) Close() error {
 func (s *Store) Len() int { return int(s.count) }
 
 // EstimateSeeks returns the clustering number of r under the store's
-// curve — an upper bound on the positioned reads Query will issue —
-// without touching the file. Curves with an analytic planner (the onion
-// family, Hilbert, Z, Gray, linear orders) answer output-sensitively even
-// for queries spanning billions of cells, cheap enough for a cost-based
-// planner to ask per request.
+// curve — an upper bound on the Stats.Seeks Query will report — without
+// touching the file. It does not bound the positioned reads Query issues
+// (IOStats.ReadCalls): a read stops at a cached page and at 32 pages, so
+// one cluster's pages can take several. Curves with an analytic planner
+// (the onion family, Hilbert, Z, Gray, linear orders) answer
+// output-sensitively even for queries spanning billions of cells, cheap
+// enough for a cost-based planner to ask per request.
 func (s *Store) EstimateSeeks(r geom.Rect) (uint64, error) {
 	n, err := cluster.Count(s.c, r)
 	if err != nil {
@@ -495,7 +511,7 @@ func (s *Store) EstimateSeeks(r geom.Rect) (uint64, error) {
 	return n, nil
 }
 
-// Query returns every record whose point lies in r, reading one page run
+// Query returns every record whose point lies in r, visiting one page run
 // per cluster range and counting the logical access pattern. The range
 // decomposition routes through the curve's analytic planner when one
 // exists, so planning cost scales with the number of clusters rather than
@@ -520,8 +536,8 @@ func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) 
 	cur := s.AcquireCursor()
 	defer cur.Release()
 	var e Entry
-	for _, kr := range krs {
-		cur.SeekRange(kr)
+	cur.Plan(krs)
+	for cur.NextRange() {
 		for {
 			ok, err := cur.NextInto(&e)
 			if err != nil {
@@ -540,30 +556,49 @@ func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) 
 	return dst, st, nil
 }
 
-// Cursor streams the records of ascending key ranges out of a Store while
-// accounting seeks, pages and records exactly as Query does: a positioned
-// read at a non-contiguous page costs one seek, a page shared between the
-// tail of one range and the head of the next is read once, and every
-// record it yields counts as scanned. Inside a page it searches — binary
-// search to the first key of the range, stop at the first key past it —
-// so a visit costs a search plus the records it yields, not the page's
-// slot count. The seek and page accounting is logical — computed against
-// the in-memory page index — while the page bytes themselves come from
-// the cache, from disk, or (when the fences prove a visited page holds
-// no key of the range) from nowhere at all; IO reports the physical
-// remainder. Each Cursor owns its page state, so any number of cursors
-// can run over the same Store concurrently. The storage engine's merged
-// query path drives one Cursor per live segment.
+// Cursor streams the records of a plan — ascending, disjoint key ranges —
+// out of a Store while accounting seeks, pages and records exactly as
+// Query does: a visit to a non-contiguous page costs one seek, a page
+// shared between the tail of one range and the head of the next is read
+// once, and every record it yields counts as scanned. The cursor is handed
+// the whole plan once (Plan) and then walks it range by range: NextRange
+// moves to the next range, and NextInto yields its records until it
+// reports the range exhausted. Inside a page it searches — lower bound of
+// the range, stop at the first key past it — so a visit costs a search
+// plus the records it yields, not the page's slot count. The seek and page
+// accounting is logical — computed against the in-memory page index —
+// while the page bytes themselves come from the cache, from disk, or
+// (when the fences or the key filter prove a visited page holds no key of
+// the range) from nowhere at all; IO reports the physical remainder.
+//
+// Holding the whole plan is what lets a miss read more than one page. A
+// cluster's pages often run on across several consecutive ranges of the
+// plan, so on a miss the cursor looks ahead along the plan at the pages it
+// will fetch next and visits each in the cache — the one visit each page
+// gets, so the cache counters are those of a page-at-a-time walk. It then
+// reads the missed page and the non-resident pages directly after it with
+// one ReadAt. The run stops at the first resident page (whose image is
+// kept for its own visit), at a page the plan does not fetch, or at
+// runPages pages. Each page of a run is checksum-verified, and offered to
+// the cache, when the cursor first uses it; resident pages are never read.
+//
+// Each Cursor owns its page state, so any number of cursors can run over
+// the same Store concurrently. The storage engine's merged query path
+// drives one Cursor per live segment.
 type Cursor struct {
 	s  *Store
 	st Stats
 	io IOStats
 
-	buf      []byte // private page buffer (uncached stores), lazily allocated
 	data     []byte // bytes of the most recently fetched page
 	dataPage int    // physical page identity of data; -2 = none
 	lastPage int    // last logically visited page; -2 = none
-	// state of the in-progress range
+
+	plan  []curve.KeyRange
+	sched []rangeStart // per range of plan: where its page walk starts
+	k     int          // index in plan of the current range; -1 before the first
+
+	// state of the current range
 	lo, hi  uint64
 	p       int // current page
 	i       int // next record slot within the page
@@ -572,6 +607,17 @@ type Cursor struct {
 	active  bool
 	skipAll bool // the key filter proved the whole range absent
 
+	// The last physical read: pages [runLo, runLo+runN) of the file in
+	// runBuf (lazily grown, kept across pooled reuses). Bit j of runAdmit
+	// says page runLo+j awaits admission to the cache. held is the image
+	// of the resident page the run stopped at, already visited (a hit)
+	// and not yet used.
+	runBuf      []byte
+	runLo, runN int
+	runAdmit    uint32
+	held        []byte
+	heldPage    int
+
 	// Per-slot scratch of the current page, lazily allocated and kept
 	// across pooled reuses: the keys of the in-range run and the points
 	// rebuilt from them, each a view into one flat buffer.
@@ -579,9 +625,23 @@ type Cursor struct {
 	pts  []geom.Point
 }
 
-// NewCursor returns a cursor with zeroed statistics and no page loaded.
-// For query paths that run hot, AcquireCursor/Release recycle cursors
-// through a per-store pool instead.
+// runPages caps the pages one physical read fetches: 32 pages, 128 KiB of
+// 4 KiB pages. It bounds the run buffer a cursor keeps; runs on query
+// traffic are mostly a few pages long. It must not exceed 32, the bits of
+// Cursor.runAdmit.
+const runPages = 32
+
+// rangeStart is the schedule of one range of a plan: the first page that
+// can hold its low key, and whether the key filter proved every key of the
+// range absent.
+type rangeStart struct {
+	page   int
+	absent bool
+}
+
+// NewCursor returns a cursor with zeroed statistics, an empty plan and no
+// page loaded. For query paths that run hot, AcquireCursor/Release recycle
+// cursors through a per-store pool instead.
 func (s *Store) NewCursor() *Cursor {
 	return &Cursor{s: s, lastPage: -2, dataPage: -2}
 }
@@ -590,31 +650,27 @@ func (s *Store) NewCursor() *Cursor {
 // one). Pair it with Release.
 func (s *Store) AcquireCursor() *Cursor {
 	if c, ok := s.curPool.Get().(*Cursor); ok {
-		c.Reset()
-		return c
+		return c // Release reset it
 	}
 	return s.NewCursor()
 }
 
-// Release returns the cursor to its store's pool, dropping any page
-// reference it still holds.
+// Release returns the cursor to its store's pool, dropping any page and
+// plan reference it still holds.
 func (c *Cursor) Release() {
-	c.data = nil
-	c.dataPage = -2
+	c.Reset()
 	c.s.curPool.Put(c)
 }
 
-// Reset zeroes the cursor's statistics and position so it can be reused
-// as if freshly created.
+// Reset zeroes the cursor's statistics, plan and position so it can be
+// reused as if freshly created.
 func (c *Cursor) Reset() {
 	c.st = Stats{}
 	c.io = IOStats{}
 	c.data = nil
 	c.dataPage = -2
 	c.lastPage = -2
-	c.active = false
-	c.skipAll = false
-	c.i, c.end, c.n = 0, 0, 0
+	c.Plan(nil)
 }
 
 // Stats returns the logical access pattern accumulated so far. Results
@@ -622,38 +678,101 @@ func (c *Cursor) Reset() {
 func (c *Cursor) Stats() Stats { return c.st }
 
 // IO returns the physical I/O performed so far: the pages actually
-// fetched from the file and the visits served by the cache. Unlike
-// Stats, it depends on cache state and footer pruning.
+// fetched from the file, the positioned reads that fetched them, and the
+// visits served by the cache. Unlike Stats, it depends on cache state and
+// footer pruning.
 func (c *Cursor) IO() IOStats { return c.io }
 
-// SeekRange positions the cursor at the start of the inclusive key range
-// kr. Ranges must be visited in ascending, non-overlapping order for the
-// contiguity accounting to mirror Query's.
-func (c *Cursor) SeekRange(kr curve.KeyRange) {
+// Plan hands the cursor the key ranges it walks next: inclusive,
+// ascending and disjoint, as a RangePlanner emits them. The cursor keeps
+// krs until the plan is walked or replaced, so the caller must not modify
+// it meanwhile. NextRange then moves to each range in turn. A cursor may
+// be given several plans; its statistics accumulate across them, and they
+// mirror Query's only if each plan's ranges lie past the previous plan's.
+//
+// Plan schedules every range before any page is touched: it finds the
+// range's first page by searching forward from the previous range's, and
+// asks the key filter whether a narrow range holds any key at all.
+func (c *Cursor) Plan(krs []curve.KeyRange) {
+	c.plan, c.k = krs, -1
+	c.active = false
+	c.runN, c.runAdmit, c.held = 0, 0, nil
+	c.sched = c.sched[:0]
+	p := 0
+	for _, kr := range krs {
+		p = c.s.firstPage(p, kr.Lo)
+		c.sched = append(c.sched, rangeStart{page: p, absent: c.s.absent(kr)})
+	}
+}
+
+// NextRange moves the cursor to the next range of its plan and reports
+// whether there was one. Whatever NextInto had not yet yielded of the
+// previous range is skipped.
+func (c *Cursor) NextRange() bool {
+	if c.k+1 >= len(c.plan) {
+		c.k, c.active = len(c.plan), false
+		return false
+	}
+	c.k++
+	kr := c.plan[c.k]
 	c.lo, c.hi = kr.Lo, kr.Hi
-	// First page that can contain kr.Lo: the first page whose successor
-	// starts at or after kr.Lo (duplicate keys may span page boundaries,
-	// so the last page with firstKey <= kr.Lo is not necessarily the
-	// earliest holder of kr.Lo).
-	c.p = sort.Search(len(c.s.firstKeys), func(i int) bool {
-		return i+1 >= len(c.s.firstKeys) || c.s.firstKeys[i+1] >= kr.Lo
-	})
+	c.p, c.skipAll = c.sched[c.k].page, c.sched[c.k].absent
 	c.i, c.end, c.n = 0, 0, 0
 	c.active = true
-	// Narrow ranges consult the key filter: if every key of the range is
-	// provably absent, the logical page walk below runs without fetching
-	// a single page.
-	c.skipAll = false
-	if f := c.s.filter; f != nil && kr.Hi-kr.Lo < filterMaxProbe {
-		c.skipAll = true
-		for key := kr.Lo; ; key++ {
-			if f.mayContain(key) {
-				c.skipAll = false
-				break
-			}
-			if key == kr.Hi {
-				break
-			}
+	return true
+}
+
+// firstPage returns the first page that can hold key lo: the first page
+// whose successor starts at or after lo (duplicate keys may span page
+// boundaries, so the last page with firstKey <= lo is not necessarily the
+// earliest holder of lo). The answer must not lie before from, which makes
+// the search a gallop forward from it: a plan's ranges ascend, so each
+// range's first page is found from the previous one's in time logarithmic
+// in the pages between them.
+func (s *Store) firstPage(from int, lo uint64) int {
+	fk := s.firstKeys
+	last := len(fk) - 1
+	if from >= last || fk[from+1] >= lo {
+		return from
+	}
+	a, b := from+1, last // a <= answer <= b
+	for step := 1; ; step *= 2 {
+		j := from + step
+		if j >= last {
+			break
+		}
+		if fk[j+1] >= lo {
+			b = j
+			break
+		}
+		a = j + 1
+	}
+	for a < b {
+		h := int(uint(a+b) >> 1)
+		if fk[h+1] >= lo {
+			b = h
+		} else {
+			a = h + 1
+		}
+	}
+	return a
+}
+
+// absent reports whether the key filter proves that no key of the narrow
+// range kr is stored, in which case its logical page walk runs without
+// fetching a single page. Ranges of more than filterMaxProbe keys are not
+// probed.
+func (s *Store) absent(kr curve.KeyRange) bool {
+	f := s.filter
+	if f == nil || kr.Hi-kr.Lo >= filterMaxProbe {
+		return false
+	}
+	for key := kr.Lo; ; key++ {
+		if f.mayContain(key) {
+			return false
+		}
+		if key == kr.Hi {
+			return true
 		}
 	}
 }
@@ -666,11 +785,20 @@ func (s *Store) residentCount(p int) int {
 	return s.perPage
 }
 
-// fetch materializes the bytes of page p into c.data, consulting the
-// cache first. The logical statistics are untouched — callers account
-// the visit before deciding whether a fetch is needed at all.
+// fetch materializes the bytes of page p of the current range into
+// c.data: from the last run read, from the resident page that run stopped
+// at, from the cache, or — on a miss — from a new run read. The logical
+// statistics are untouched — callers account the visit before deciding
+// whether a fetch is needed at all.
 func (c *Cursor) fetch(p int) error {
 	if c.dataPage == p && c.data != nil {
+		return nil
+	}
+	if j := p - c.runLo; j >= 0 && j < c.runN {
+		return c.useRun(j)
+	}
+	if c.held != nil && c.heldPage == p {
+		c.data, c.dataPage, c.held = c.held, p, nil
 		return nil
 	}
 	s := c.s
@@ -683,26 +811,89 @@ func (c *Cursor) fetch(p int) error {
 			return nil
 		}
 	}
-	// Miss (or no cache): a positioned read into the cursor's private
-	// buffer. The cache takes its own copy only if the visit said it would
-	// admit the page, so a miss the cache declines costs no allocation and
-	// no second trip to its lock.
-	if c.buf == nil {
-		c.buf = make([]byte, s.pageBytes)
+	return c.readRun(p, admit)
+}
+
+// readRun serves a miss at page p of the current range, whose cache visit
+// returned the admission verdict admit. It walks the plan forward from p
+// over the visits the cursor will make next — through the rest of the
+// range, then each following range from its scheduled first page —
+// visiting in the cache each page that will be fetched. The run grows
+// while the next fetched page is the one after its last, and stops at the
+// first resident page, whose image is held for its own visit; at a gap,
+// where the next page visited is further on; or at runPages pages. A
+// visit that will not fetch — pruned by the key filter or the fences, or
+// a later range's visit of the run's last page — is stepped over. The
+// run is then read with one ReadAt into the cursor's run buffer.
+func (c *Cursor) readRun(p int, admit bool) error {
+	s := c.s
+	c.runN, c.runAdmit, c.held = 0, 0, nil
+	if admit {
+		c.runAdmit = 1
 	}
-	if _, err := s.f.ReadAt(c.buf, s.dataOff+int64(p)*int64(s.pageBytes)); err != nil {
-		return pageReadErr(p, err)
+	n := 1
+	k, q := c.k, p // the plan's visit (range k, page q)
+walk:
+	for n < runPages {
+		for q++; q >= len(s.firstKeys) || s.firstKeys[q] > c.plan[k].Hi; q = c.sched[k].page {
+			if k++; k == len(c.plan) {
+				break walk
+			}
+		}
+		if q > p+n {
+			break
+		}
+		if q < p+n || c.sched[k].absent || s.pageMax[q] < c.plan[k].Lo {
+			continue
+		}
+		if s.cache != nil {
+			b, admit := s.cache.visit(s.id, q, s.pageBytes)
+			if b != nil {
+				c.io.CacheHits++
+				c.held, c.heldPage = b, q
+				break
+			}
+			if admit {
+				c.runAdmit |= 1 << n
+			}
+		}
+		n++
 	}
-	c.io.PagesFetched++
-	// Verify before admission: the cache must only ever hold pages that
-	// passed their checksum, so a hit never needs re-verification.
-	if crc32.Checksum(c.buf, pageCRC) != s.pageSums[p] {
+	if need := n * s.pageBytes; len(c.runBuf) < need {
+		c.runBuf = make([]byte, need)
+	}
+	got, err := s.f.ReadAt(c.runBuf[:n*s.pageBytes], s.dataOff+int64(p)*int64(s.pageBytes))
+	c.io.ReadCalls++
+	if err != nil {
+		// The buffer may hold the current page; it is gone.
+		c.data, c.dataPage, c.held = nil, -2, nil
+		return pageReadErr(p+got/s.pageBytes, err)
+	}
+	c.io.PagesFetched += n
+	c.runLo, c.runN = p, n
+	return c.useRun(0)
+}
+
+// useRun makes page j of the last run the current page, verifying it
+// first: the cache must only ever hold pages that passed their checksum,
+// so a hit never needs re-verification, and the cache takes its own copy
+// only if the page's visit said it would admit it — a miss the cache
+// declines costs no allocation and no second trip to its lock. A damaged
+// page ends the run: neither it nor any page after it is used or
+// admitted.
+func (c *Cursor) useRun(j int) error {
+	s := c.s
+	p := c.runLo + j
+	page := c.runBuf[j*s.pageBytes : (j+1)*s.pageBytes]
+	if crc32.Checksum(page, pageCRC) != s.pageSums[p] {
+		c.runN, c.runAdmit, c.held = 0, 0, nil
 		return fmt.Errorf("%w: page %d: checksum mismatch", ErrCorrupt, p)
 	}
-	if admit {
-		s.cache.addCopy(s.id, p, c.buf)
+	if c.runAdmit&(1<<j) != 0 {
+		c.runAdmit &^= 1 << j
+		s.cache.addCopy(s.id, p, page)
 	}
-	c.data, c.dataPage = c.buf, p
+	c.data, c.dataPage = page, p
 	return nil
 }
 
@@ -737,14 +928,14 @@ func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 			c.st.Results++
 			return true, nil
 		}
-		// The run is done. If it stopped short of the page's end, a key
-		// past hi ended it — and the range: keys are sorted, so the next
-		// page starts at or after that key, which the advance below finds
-		// out from the page index.
+		// The page's in-range slots are done. If they stopped short of the
+		// page's end, a key past hi ended them — and the range: keys are
+		// sorted, so the next page starts at or after that key, which the
+		// advance below finds out from the page index.
 		//
 		// Advance to the next page of the range. c.n > 0 means a page of
 		// this range has been consumed and c.p must move past it; right
-		// after SeekRange (c.n == 0) c.p already names the first candidate
+		// after NextRange (c.n == 0) c.p already names the first candidate
 		// page.
 		if c.n > 0 {
 			c.p++

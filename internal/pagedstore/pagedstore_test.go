@@ -440,7 +440,8 @@ func TestNilPointsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := s.NewCursor()
-	cur.SeekRange(curve.KeyRange{Lo: 0, Hi: o.Universe().Size() - 1})
+	cur.Plan([]curve.KeyRange{{Lo: 0, Hi: o.Universe().Size() - 1}})
+	cur.NextRange()
 	var e Entry
 	n := 0
 	for {

@@ -2,6 +2,7 @@ package pagedstore
 
 import (
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -9,6 +10,8 @@ import (
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/geom"
+	"github.com/onioncurve/onion/internal/ranges"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 // seekCase is one generated input of FuzzCursorSeek: a key-sorted record
@@ -84,8 +87,8 @@ func walkRanges(s *Store, krs []curve.KeyRange, fn func(kr curve.KeyRange, e *En
 	cur := s.AcquireCursor()
 	defer cur.Release()
 	var e Entry
-	for _, kr := range krs {
-		cur.SeekRange(kr)
+	cur.Plan(krs)
+	for k := 0; cur.NextRange(); k++ {
 		for {
 			ok, err := cur.NextInto(&e)
 			if err != nil {
@@ -95,7 +98,7 @@ func walkRanges(s *Store, krs []curve.KeyRange, fn func(kr curve.KeyRange, e *En
 				break
 			}
 			if fn != nil {
-				fn(kr, &e)
+				fn(krs[k], &e)
 			}
 		}
 	}
@@ -109,8 +112,11 @@ func walkRanges(s *Store, krs []curve.KeyRange, fn func(kr curve.KeyRange, e *En
 // everything, and behind a cache of one page a shard; all three openings
 // must return the input's in-range records in order with their keys and
 // marks, pay the reference's Seeks and PagesRead, and report exactly the
-// in-range record count as RecordsScanned. Its seed corpus is the property
-// test plain `go test` runs.
+// in-range record count as RecordsScanned. The physical I/O is held to the
+// reference's own walk: with nothing resident (bare, and the ample cache's
+// first pass) the cursor fetches exactly the pages that walk fetches, in
+// exactly its runs, and on the ample cache's second pass it reads nothing.
+// Its seed corpus is the property test plain `go test` runs.
 func FuzzCursorSeek(f *testing.F) {
 	for seed := int64(0); seed < 48; seed++ {
 		f.Add(seed, uint16(37*seed), uint8(seed))
@@ -121,6 +127,7 @@ func FuzzCursorSeek(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	const ampleBytes = 64 << 20 // never full: every miss is admitted
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, perPage uint8) {
 		cs := genSeekCase(o, seed, n, perPage)
 		path := filepath.Join(t.TempDir(), "seek.pst")
@@ -140,7 +147,7 @@ func FuzzCursorSeek(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refRecs, ref, err := referenceRanges(bare, cs.krs)
+		refRecs, ref, refIO, err := referenceRanges(bare, cs.krs)
 		bare.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -152,7 +159,7 @@ func FuzzCursorSeek(f *testing.F) {
 		for _, cache := range []struct {
 			name  string
 			bytes int64
-		}{{"bare", 0}, {"ample cache", 64 << 20}, {"one-page shards", int64(cacheShardCount * cs.pageBytes)}} {
+		}{{"bare", 0}, {"ample cache", ampleBytes}, {"one-page shards", int64(cacheShardCount * cs.pageBytes)}} {
 			var pc *Cache
 			if cache.bytes > 0 {
 				pc = NewCache(cache.bytes)
@@ -185,8 +192,24 @@ func FuzzCursorSeek(f *testing.F) {
 				if st != ref {
 					t.Fatalf("%s pass %d: stats %+v, reference %+v", cache.name, pass, st, ref)
 				}
-				if io.PagesFetched+io.CacheHits > st.PagesRead || (pc == nil && io.CacheHits != 0) {
+				if io.PagesFetched+io.CacheHits > st.PagesRead || io.ReadCalls > io.PagesFetched || (pc == nil && io.CacheHits != 0) {
 					t.Fatalf("%s pass %d: io %+v for %d logical page reads", cache.name, pass, io, st.PagesRead)
+				}
+				// With nothing resident the cursor fetches exactly the pages
+				// the reference walk says a bare store fetches, in exactly
+				// its runs; with everything resident it reads nothing.
+				ample := cache.bytes == ampleBytes
+				switch {
+				case pc == nil || (ample && pass == 0):
+					if io.PagesFetched != refIO.PagesFetched || io.ReadCalls != refIO.ReadCalls {
+						t.Fatalf("%s pass %d: io %+v, reference walk fetches %d pages in %d reads",
+							cache.name, pass, io, refIO.PagesFetched, refIO.ReadCalls)
+					}
+				case ample:
+					if io.PagesFetched != 0 || io.ReadCalls != 0 || io.CacheHits != refIO.PagesFetched {
+						t.Fatalf("%s pass %d: io %+v, want every one of %d pages a hit",
+							cache.name, pass, io, refIO.PagesFetched)
+					}
 				}
 			}
 			if err := s.Close(); err != nil {
@@ -244,6 +267,127 @@ func TestLowerBoundMatchesLinearScan(t *testing.T) {
 					t.Fatalf("trial %d: lowerBound(lo %d, hint %v) = %d, want %d (keys %v)", trial, lo, h, got, want, keys)
 				}
 			}
+		}
+	}
+}
+
+// spyFS is the OS file system with a view of the positioned reads of the
+// files it opens: it counts the calls and the bytes they return. With cut
+// > 0, a read asking for more than cut bytes returns the first cut and
+// io.ErrUnexpectedEOF, as a file torn short would.
+type spyFS struct {
+	vfs.OS
+	calls, bytes int
+	cut          int
+}
+
+type spyFile struct {
+	vfs.File
+	fs *spyFS
+}
+
+func (fs *spyFS) Open(name string) (vfs.File, error) {
+	f, err := fs.OS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return spyFile{f, fs}, nil
+}
+
+func (f spyFile) ReadAt(p []byte, off int64) (int, error) {
+	var n int
+	var err error
+	if f.fs.cut > 0 && len(p) > f.fs.cut {
+		if n, err = f.File.ReadAt(p[:f.fs.cut], off); err == nil {
+			err = io.ErrUnexpectedEOF
+		}
+	} else {
+		n, err = f.File.ReadAt(p, off)
+	}
+	f.fs.calls++
+	f.fs.bytes += n
+	return n, err
+}
+
+// TestRunReadsMatchIOStats holds IOStats to the file system's own count:
+// every positioned read a query issues is one ReadCalls, and the bytes
+// they return are exactly PagesFetched pages. On a cached store every
+// fetched page is also one cache miss and every other visit one hit, so
+// no resident page is ever read from the file. The queries run bare,
+// behind a cache that thrashes and behind one that holds everything,
+// twice each; a whole-store scan is one range over all 125 pages, read in
+// reads of runPages pages.
+func TestRunReadsMatchIOStats(t *testing.T) {
+	side := uint32(64)
+	o, _ := core.NewOnion2D(side)
+	recs := buildRecords(t, o.Universe(), 4000, 17)
+	path := tmpPath(t)
+	if err := Write(path, o, recs, 512); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	rects := []geom.Rect{o.Universe().Rect()}
+	for len(rects) < 60 {
+		lo := geom.Point{uint32(rng.Intn(int(side) - 16)), uint32(rng.Intn(int(side) - 16))}
+		w, h := uint32(1+rng.Intn(16)), uint32(1+rng.Intn(16))
+		rects = append(rects, geom.Rect{Lo: lo, Hi: geom.Point{lo[0] + w - 1, lo[1] + h - 1}})
+	}
+	for _, budget := range []int64{0, 16 * 512, 1 << 20} {
+		var cache *Cache
+		if budget > 0 {
+			cache = NewCache(budget)
+		}
+		fs := &spyFS{}
+		s, err := OpenCachedFS(fs, path, o, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Pages() != 125 {
+			t.Fatalf("store has %d pages, want 125", s.Pages())
+		}
+		var total IOStats
+		for pass := 0; pass < 2; pass++ {
+			for i, r := range rects {
+				krs, err := ranges.Decompose(o, r, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				calls, bytes := fs.calls, fs.bytes
+				var before CacheStats
+				if cache != nil {
+					before = cache.Stats()
+				}
+				_, io, err := walkRanges(s, krs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total.Add(io)
+				if got := fs.calls - calls; got != io.ReadCalls {
+					t.Fatalf("budget %d pass %d rect %v: %d ReadAt calls, IOStats says %d", budget, pass, r, got, io.ReadCalls)
+				}
+				if got := fs.bytes - bytes; got != io.PagesFetched*s.PageBytes() {
+					t.Fatalf("budget %d pass %d rect %v: %d bytes read for %d pages fetched", budget, pass, r, got, io.PagesFetched)
+				}
+				if cache != nil {
+					after := cache.Stats()
+					if int(after.Misses-before.Misses) != io.PagesFetched || int(after.Hits-before.Hits) != io.CacheHits {
+						t.Fatalf("budget %d pass %d rect %v: cache saw %d misses + %d hits, io %+v", budget, pass, r,
+							after.Misses-before.Misses, after.Hits-before.Hits, io)
+					}
+				}
+				if i == 0 && (cache == nil || pass == 0) {
+					if want := (s.Pages() + runPages - 1) / runPages; io.PagesFetched != s.Pages() || io.ReadCalls != want {
+						t.Fatalf("budget %d pass %d: whole-store scan %+v, want %d pages in %d reads", budget, pass, io, s.Pages(), want)
+					}
+				}
+			}
+		}
+		t.Logf("budget %d: %+v", budget, total)
+		if total.ReadCalls >= total.PagesFetched || (cache != nil && total.CacheHits == 0) {
+			t.Fatalf("budget %d: %+v: no read fetched more than one page, or no visit hit", budget, total)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -147,8 +147,8 @@ func cursorStats(t *testing.T, st *pagedstore.Store, krs []curve.KeyRange) (int,
 	cur := st.NewCursor()
 	n := 0
 	var e pagedstore.Entry
-	for _, kr := range krs {
-		cur.SeekRange(kr)
+	cur.Plan(krs)
+	for cur.NextRange() {
 		for {
 			ok, err := cur.NextInto(&e)
 			if err != nil {

@@ -96,9 +96,11 @@ type (
 	Record = pagedstore.Record
 	// Store is an open disk-backed clustered table.
 	Store = pagedstore.Store
-	// StoreStats is the physical access pattern of a Store query.
+	// StoreStats is the logical access pattern of a Store query: seeks,
+	// pages and records, whatever the cache and the read grouping did.
 	StoreStats = pagedstore.Stats
-	// StoreCursor streams the records of ascending key ranges out of a
+	// StoreCursor streams the records of a plan — ascending key ranges,
+	// handed over once with Plan and walked with NextRange — out of a
 	// Store with the same seek/page accounting as Store.Query; the
 	// storage engine drives one per live segment.
 	StoreCursor = pagedstore.Cursor
@@ -113,7 +115,8 @@ type (
 	PageCacheStats = pagedstore.CacheStats
 	// StoreIOStats is the physical I/O a query actually performed after
 	// the cache and the segment pruning footer absorbed their share:
-	// pages fetched from disk and visits served from cache.
+	// pages fetched from disk, the positioned reads that fetched them, and
+	// visits served from cache.
 	StoreIOStats = pagedstore.IOStats
 	// Engine is the mutable LSM-style spatial storage engine: WAL +
 	// curve-ordered memtable + immutable clustered segments, opened with
@@ -542,9 +545,9 @@ func OpenStoreCached(path string, c Curve, cache *PageCache) (*Store, error) {
 //
 // Query plans each rectangle with one RangePlanner call and streams a
 // k-way merge of memtable + segments per cluster range, so the paper's
-// clustering number remains the number of positioned reads the query
-// pays — on a fully flushed and compacted engine the physical stats are
-// bit-identical to a fresh Store of the same records. All Engine methods
+// clustering number remains the number of seeks the query pays — on a
+// fully flushed and compacted engine the seek stats are bit-identical to
+// a fresh Store of the same records. All Engine methods
 // (Put, Delete, Query, Flush, Compact, Sync, Stats, Close) are safe for
 // concurrent use.
 func OpenEngine(dir string, c Curve, opts EngineOptions) (*Engine, error) {
