@@ -12,7 +12,7 @@ import (
 // batchManualOpts: no background maintenance, tiny pages — the
 // deterministic shape the cross-checks need.
 func batchManualOpts() Options {
-	return Options{PageBytes: 256, FlushEntries: -1, CompactFanout: -1, Shards: 2}
+	return Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1, Shards: 2}
 }
 
 // TestPutBatchCrossCheck proves PutBatch is observably identical to the

@@ -151,7 +151,7 @@ func BenchmarkEngineIngestSyncGroup(b *testing.B) {
 // at increasing cache budgets on a compacted 100k-record engine: 64x64
 // rectangle queries through the buffer-reusing QueryAppend, reporting
 // physical page fetches, and the positioned reads that fetched them,
-// alongside the logical page reads. With allocs/op
+// alongside the logical seeks and page reads. With allocs/op
 // at 0 the entire per-query cost is compute plus whatever physical I/O
 // the budget could not absorb.
 func BenchmarkEngineQueryCached(b *testing.B) { benchQueryCached(b, false) }
@@ -197,7 +197,7 @@ func benchQueryCached(b *testing.B, noTelemetry bool) {
 					b.Fatal(err)
 				}
 			}
-			var logical, fetched, hits, calls int64
+			var seeks, logical, fetched, hits, calls int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -206,6 +206,7 @@ func benchQueryCached(b *testing.B, noTelemetry bool) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				seeks += int64(st.Seeks)
 				logical += int64(st.PagesRead)
 				fetched += int64(st.IO.PagesFetched)
 				hits += int64(st.IO.CacheHits)
@@ -213,6 +214,7 @@ func benchQueryCached(b *testing.B, noTelemetry bool) {
 			}
 			b.StopTimer()
 			if b.N > 0 {
+				b.ReportMetric(float64(seeks)/float64(b.N), "seeks/op")
 				b.ReportMetric(float64(logical)/float64(b.N), "logicalpages/op")
 				b.ReportMetric(float64(fetched)/float64(b.N), "physpages/op")
 				b.ReportMetric(float64(hits)/float64(b.N), "cachehits/op")

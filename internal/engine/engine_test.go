@@ -23,7 +23,7 @@ import (
 // the whole suite under eviction pressure: the logical stat contracts
 // must hold bit-identically with caching and footer pruning active.
 func manualOpts() Options {
-	return Options{PageBytes: 512, FlushEntries: -1, CompactFanout: -1, Shards: 4, Cache: pagedstore.NewCache(16 * 512)}
+	return Options{PageBytes: 384, FlushEntries: -1, CompactFanout: -1, Shards: 4, Cache: pagedstore.NewCache(16 * 384)}
 }
 
 func randomRect(rng *rand.Rand, u geom.Universe) geom.Rect {
@@ -254,7 +254,7 @@ func TestEngineCrossCheck(t *testing.T) {
 				recs = append(recs, r)
 			}
 			refPath := filepath.Join(t.TempDir(), "ref.pst")
-			if err := pagedstore.Write(refPath, c, recs, 512); err != nil {
+			if err := pagedstore.Write(refPath, c, recs, 384); err != nil {
 				t.Fatal(err)
 			}
 			ref, err := pagedstore.Open(refPath, c)
@@ -435,7 +435,7 @@ func TestEngineCrashRecovery(t *testing.T) {
 // under -race this is the engine's concurrency test.
 func TestEngineIngestWhileQuerying(t *testing.T) {
 	c, _ := core.NewOnion2D(32)
-	opts := Options{PageBytes: 512, FlushEntries: 500, CompactFanout: 2, Shards: 4}
+	opts := Options{PageBytes: 384, FlushEntries: 500, CompactFanout: 2, Shards: 4}
 	e, err := Open(t.TempDir(), c, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -83,11 +83,11 @@ func fwStateAfter(c curve.Curve, ops []fwOp, j int) map[uint64]uint64 {
 	return m
 }
 
-// fwOpts: 160-byte pages hold ten 16-byte slots, so a segment build
+// fwOpts: 120-byte pages hold ten 12-byte slots, so a segment build
 // pays one page write per ten entries — the fault points the matrices
 // enumerate.
 func fwOpts(fsys vfs.FS) Options {
-	return Options{PageBytes: 160, FlushEntries: -1, CompactFanout: 2,
+	return Options{PageBytes: 120, FlushEntries: -1, CompactFanout: 2,
 		Shards: 2, SyncWrites: true, FS: fsys}
 }
 
@@ -139,7 +139,7 @@ func fwRecover(t *testing.T, dir string) map[uint64]uint64 {
 	o := fwCurve(t)
 	full := o.Universe().Rect()
 	open := func(cache *pagedstore.Cache) (map[uint64]uint64, Stats) {
-		e, err := Open(dir, o, Options{PageBytes: 256, FlushEntries: -1,
+		e, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1,
 			CompactFanout: -1, Shards: 2, Cache: cache})
 		if err != nil {
 			t.Fatalf("reopen after fault: %v", err)
@@ -315,7 +315,7 @@ func TestFlushRetriesThenReadOnly(t *testing.T) {
 	inj := vfs.NewInjecting(vfs.OS{})
 	o := fwCurve(t)
 	dir := t.TempDir()
-	opts := Options{PageBytes: 256, FlushEntries: 8, CompactFanout: -1, Shards: 2, FS: inj,
+	opts := Options{PageBytes: 192, FlushEntries: 8, CompactFanout: -1, Shards: 2, FS: inj,
 		retryBase: time.Millisecond, retryCap: 4 * time.Millisecond, retryAttempts: 3}
 	e, err := Open(dir, o, opts)
 	if err != nil {
@@ -351,7 +351,7 @@ func TestFlushRetriesThenReadOnly(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatalf("close after fault cleared: %v", err)
 	}
-	e2, err := Open(dir, o, Options{PageBytes: 256, FlushEntries: -1, CompactFanout: -1, Shards: 2})
+	e2, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestFlushRetriesThenReadOnly(t *testing.T) {
 func TestCompactionFailureDegrades(t *testing.T) {
 	inj := vfs.NewInjecting(vfs.OS{})
 	o := fwCurve(t)
-	opts := Options{PageBytes: 256, FlushEntries: -1, CompactFanout: 2, Shards: 2, FS: inj,
+	opts := Options{PageBytes: 192, FlushEntries: -1, CompactFanout: 2, Shards: 2, FS: inj,
 		retryBase: time.Millisecond, retryCap: 4 * time.Millisecond, retryAttempts: 2}
 	e, err := Open(t.TempDir(), o, opts)
 	if err != nil {
@@ -417,7 +417,7 @@ func TestCompactionFailureDegrades(t *testing.T) {
 func quarantineFixture(t *testing.T, dir string) (*Engine, curve.Curve) {
 	t.Helper()
 	o := fwCurve(t)
-	e, err := Open(dir, o, Options{PageBytes: 256, FlushEntries: -1, CompactFanout: -1, Shards: 2})
+	e, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +506,7 @@ func TestVerifyQuarantinesCorruptSegment(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := Open(dir, o, Options{PageBytes: 256, FlushEntries: -1, CompactFanout: -1, Shards: 2})
+	e2, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +559,7 @@ func TestQueryTriggersBackgroundScrub(t *testing.T) {
 // in the one body serves both.
 func TestQueryRangesContextCanceled(t *testing.T) {
 	o := fwCurve(t)
-	e, err := Open(t.TempDir(), o, Options{PageBytes: 256, FlushEntries: -1, CompactFanout: -1, Shards: 2})
+	e, err := Open(t.TempDir(), o, Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

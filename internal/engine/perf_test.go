@@ -121,11 +121,11 @@ func TestEngineCacheChurn(t *testing.T) {
 	}
 	dir := t.TempDir()
 	opts := Options{
-		PageBytes:     512,
+		PageBytes:     384,
 		FlushEntries:  250, // frequent background flushes
 		CompactFanout: 2,   // aggressive background compaction
 		Shards:        2,
-		Cache:         pagedstore.NewCache(8 * 512), // one page per cache shard: eviction storm
+		Cache:         pagedstore.NewCache(8 * 384), // one page per cache shard: eviction storm
 	}
 	e, err := Open(dir, c, opts)
 	if err != nil {
@@ -178,7 +178,7 @@ func TestEngineCacheChurn(t *testing.T) {
 		recs = append(recs, r)
 	}
 	refPath := filepath.Join(t.TempDir(), "ref.pst")
-	if err := pagedstore.Write(refPath, c, recs, 512); err != nil {
+	if err := pagedstore.Write(refPath, c, recs, 384); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := pagedstore.Open(refPath, c)

@@ -53,11 +53,11 @@ func igWorkload(n int) []igOp {
 	return ops
 }
 
-// igOpts: tiny pages (ten 16-byte slots) and caches, no background
+// igOpts: tiny pages (ten 12-byte slots) and caches, no background
 // maintenance — the deterministic shape the cross-checks need.
 func igOpts() engine.Options {
-	return engine.Options{PageBytes: 160, FlushEntries: -1, CompactFanout: -1,
-		Shards: 2, Cache: pagedstore.NewCache(4096)}
+	return engine.Options{PageBytes: 120, FlushEntries: -1, CompactFanout: -1,
+		Shards: 2, Cache: pagedstore.NewCache(3072)}
 }
 
 // igApplySerial drives ops through the synchronous write path in log

@@ -275,22 +275,30 @@ func referenceRanges(s *Store, krs []curve.KeyRange) ([]Record, Stats, IOStats, 
 				run++
 				lastFetched = p
 			}
-			recs := s.perPage
-			if p == len(s.firstKeys)-1 {
-				recs = int(s.count) - p*s.perPage
+			// The page's first key and record count come from the file's
+			// page index: pageCount first keys from byte 40, then pageCount
+			// counts. A v6 slot is the key's offset from the first key (4)
+			// + payload (8). The point is the curve's per-key inverse of the
+			// key, not the cursor's batch path.
+			pages := int64(len(s.firstKeys))
+			var first [8]byte
+			var count [4]byte
+			if _, err := s.f.ReadAt(first[:], 40+8*int64(p)); err != nil {
+				return nil, st, io, err
 			}
-			// A v5 slot is key(8) + payload(8). The point is the curve's
-			// per-key inverse of the key, not the cursor's batch path.
-			for i := 0; i < recs; i++ {
-				off := i * 16
-				key := binary.LittleEndian.Uint64(buf[off:])
+			if _, err := s.f.ReadAt(count[:], 40+8*pages+4*int64(p)); err != nil {
+				return nil, st, io, err
+			}
+			for i := 0; i < int(binary.LittleEndian.Uint32(count[:])); i++ {
+				off := i * 12
+				key := binary.LittleEndian.Uint64(first[:]) + uint64(binary.LittleEndian.Uint32(buf[off:]))
 				if key < kr.Lo || key > kr.Hi {
 					continue
 				}
 				st.RecordsScanned++
 				out = append(out, Record{
 					Point:   s.c.Coords(key, nil),
-					Payload: binary.LittleEndian.Uint64(buf[off+8:]),
+					Payload: binary.LittleEndian.Uint64(buf[off+4:]),
 				})
 			}
 		}

@@ -157,12 +157,13 @@ func TestV4MetadataCorruptionDetectedAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxOff := int64(40) + 8  // second entry of the page index
-	tailOff := s.dataOff - 8 // last index entry
+	idxOff := int64(40) + 8                              // second first key of the page index
+	tailOff := int64(40) + 8*int64(len(s.firstKeys)) - 8 // last first key
+	countOff := s.dataOff - 4                            // last record count
 	marksOff := s.dataOff + int64(len(s.firstKeys))*int64(s.pageBytes)
 	s.Close()
 
-	for _, off := range []int64{idxOff, tailOff, marksOff} {
+	for _, off := range []int64{idxOff, tailOff, countOff, marksOff} {
 		func() {
 			cp := filepath.Join(t.TempDir(), "cp.pst")
 			b, err := os.ReadFile(path)
@@ -201,9 +202,7 @@ func TestFenceOutsideKeySpaceRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint64(b[lastFence:], o.Universe().Size())
-	sum := crc32.Update(0, pageCRC, b[:dataOff])
-	sum = crc32.Update(sum, pageCRC, b[marksOff:len(b)-4])
-	binary.LittleEndian.PutUint32(b[len(b)-4:], sum)
+	resealMeta(b, dataOff, marksOff)
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +211,104 @@ func TestFenceOutsideKeySpaceRejected(t *testing.T) {
 	}
 }
 
-// TestRetiredVersionsRejected: nothing writes format versions 1 to 4 any
+// resealMeta recomputes the trailing metadata checksum of the store file
+// image b, whose pages lie in [dataOff, marksOff): a deliberate edit of the
+// metadata then passes the checksum and meets the structural checks.
+func resealMeta(b []byte, dataOff, marksOff int64) {
+	sum := crc32.Update(0, pageCRC, b[:dataOff])
+	sum = crc32.Update(sum, pageCRC, b[marksOff:len(b)-4])
+	binary.LittleEndian.PutUint32(b[len(b)-4:], sum)
+}
+
+// TestCountTableRejected: the page index's record counts must each lie in
+// [1, perPage] and sum to the header's record count, or Open rejects the
+// file — even when the metadata checksum is resealed over the edit. The
+// edits leave the last page's count alone, so the mark bitmap keeps its
+// length.
+func TestCountTableRejected(t *testing.T) {
+	path := writeStore(t, 300)
+	o, _ := core.NewOnion2D(64)
+	s, err := Open(path, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, perPage := int64(len(s.firstKeys)), uint32(s.perPage)
+	dataOff, marksOff := s.dataOff, s.dataOff+pages*int64(s.pageBytes)
+	s.Close()
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count0 := 40 + 8*pages // the first page's record count
+	for _, tc := range []struct {
+		name  string
+		count uint32 // the first page's count
+		delta int64  // added to the header's record count
+		want  string
+	}{
+		{"counts do not sum to the header", perPage - 1, 0, "page counts sum to"},
+		{"an empty page", 0, -int64(perPage), "page 0: 0 records"},
+		{"more records than slots", perPage + 1, 1, fmt.Sprintf("page 0: %d records in %d slots", perPage+1, perPage)},
+	} {
+		b := append([]byte(nil), orig...)
+		binary.LittleEndian.PutUint32(b[count0:], tc.count)
+		binary.LittleEndian.PutUint64(b[24:], uint64(int64(binary.LittleEndian.Uint64(b[24:]))+tc.delta))
+		resealMeta(b, dataOff, marksOff)
+		p := filepath.Join(t.TempDir(), "counts.pst")
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(p, o); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: open = %v, want ErrCorrupt: %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestSlotZeroOffsetRejected: a page's first slot holds the page's first
+// key, so its offset is 0. A page whose slot 0 says otherwise fails
+// VerifyPages as ErrCorrupt even with its checksum and the metadata
+// checksum resealed over the edit.
+func TestSlotZeroOffsetRejected(t *testing.T) {
+	path := writeStore(t, 300)
+	o, _ := core.NewOnion2D(64)
+	s, err := Open(path, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 4
+	pages := int64(len(s.firstKeys))
+	page := s.dataOff + p*int64(s.pageBytes)
+	dataOff, marksOff := s.dataOff, s.dataOff+pages*int64(s.pageBytes)
+	sumOff := marksOff + int64(len(s.marks)) + 8*pages + 4*p
+	pageBytes := int64(s.pageBytes)
+	s.Close()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b[page:], 1)
+	binary.LittleEndian.PutUint32(b[sumOff:], crc32.Checksum(b[page:page+pageBytes], pageCRC))
+	resealMeta(b, dataOff, marksOff)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(path, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.VerifyPages(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("page %d: first slot", p)) {
+		t.Fatalf("VerifyPages with slot 0 of page %d at offset 1 = %v, want ErrCorrupt", p, err)
+	}
+}
+
+// TestRetiredVersionsRejected: nothing writes format versions 1 to 5 any
 // more and Open no longer reads them — a header naming one is an
 // unsupported version, not a file to reinterpret. That holds for a current
-// file whose version field is overwritten (for version 4 that is exactly
-// a v4 header: its footer is v5's, only its slots were wider) and for a
-// literal version-1 file (header, page index, pages, nothing after them)
-// as the retired writer laid it out.
+// file whose version field is overwritten (a v5 file differed only in its
+// 16-byte slots, which held the whole key, and in having no record counts)
+// and for a literal version-1 file (header, page index, pages, nothing
+// after them) as the retired writer laid it out.
 func TestRetiredVersionsRejected(t *testing.T) {
 	path := writeStore(t, 300)
 	o, _ := core.NewOnion2D(64)
@@ -228,7 +318,7 @@ func TestRetiredVersionsRejected(t *testing.T) {
 	}
 	files := map[string][]byte{}
 	wantVer := map[string]uint32{}
-	for _, ver := range []uint32{1, 2, 3, 4} {
+	for _, ver := range []uint32{1, 2, 3, 4, 5} {
 		mut := append([]byte(nil), orig...)
 		binary.LittleEndian.PutUint32(mut[8:], ver)
 		name := fmt.Sprintf("version-%d header", ver)
@@ -284,6 +374,13 @@ func FuzzVerifyCorrupt(f *testing.F) {
 	f.Add(uint32(48), byte(0x20))   // page index
 	f.Add(uint32(2000), byte(0x01)) // page data
 	f.Add(uint32(len(orig)-3), byte(0x10))
+	pages := binary.LittleEndian.Uint64(orig[32:])
+	f.Add(uint32(40+8*pages+4*3), byte(0x01))           // record count of page 3
+	f.Add(uint32(40+8*pages+4*(pages-1)+1), byte(0x80)) // record count of the last page, high byte
+	dataOff := uint32(40 + 12*pages)
+	pageBytes := binary.LittleEndian.Uint32(orig[20:])
+	f.Add(dataOff+2*pageBytes+5*recordSize, byte(0x02)) // key offset of slot 5 of page 2
+	f.Add(dataOff+7*pageBytes, byte(0x01))              // key offset of slot 0 of page 7, nonzero
 	f.Fuzz(func(t *testing.T, off uint32, xor byte) {
 		if xor == 0 {
 			return

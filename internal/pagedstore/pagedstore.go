@@ -13,25 +13,33 @@
 // from memory to the file and back without changing shape.
 //
 // There is one file layout. A fixed header, a page index (first curve key
-// of every page), and fixed-size pages of 16-byte slots — key, payload —
-// sorted by curve key, in every dimension. A rectangle query decomposes
-// into cluster ranges (internal/ranges) and maps each range to a run of
-// pages via the index — seeks and pages are counted and returned. Pages
-// are read in runs, not per range: one positioned read fetches the
-// consecutive pages the plan fetches next and no cache holds, however
-// many ranges they span, up to 32 pages (see Cursor).
+// and record count of every page), and fixed-size pages of 12-byte slots
+// sorted by curve key, in every dimension. A slot holds its key as a
+// 32-bit offset from the page's first key, then the payload: the page
+// index already brackets every key of the page, so the slot stores only
+// the difference. The writer starts a new page when a page is full, or
+// when the next key lies 2³² or more past the page's first key — which
+// only a curve with more keys than that can produce — so a page may hold
+// fewer records than it has slots, and every curve shares one slot width.
+// A rectangle query decomposes into cluster ranges (internal/ranges) and
+// maps each range to a run of pages via the index — seeks and pages are
+// counted and returned. Pages are read in runs, not per range: one
+// positioned read fetches the consecutive pages the plan fetches next and
+// no cache holds, however many ranges they span, up to 32 pages (see
+// Cursor).
 //
-// After the pages come three things. A mark bitmap: one bit per entry, in
-// key order. A pruning footer: a fence table of per-page maximum keys and
-// a Bloom filter over all keys. Integrity checksums: a crc32c per page,
-// verified before a fetched page is first used, and a trailing crc32c
-// over all metadata (header, page index, marks, fences, page checksums,
-// filter), verified at open — so any single flipped byte anywhere in a
-// file is detected, either immediately at open or at the first use of the
-// damaged page, and surfaces as ErrCorrupt.
-// The header calls this layout version 5; versions 1 to 4 were earlier
-// layouts nothing writes any more (version 4 stored the coordinates
-// beside the key), and Open rejects them.
+// After the pages come three things. A mark bitmap: one bit per slot, up
+// to the last record's, so slot i of page p owns bit p·perPage+i. A
+// pruning footer: a fence table of per-page maximum keys and a Bloom
+// filter over all keys. Integrity checksums: a crc32c per page, verified
+// before a fetched page is first used, and a trailing crc32c over all
+// metadata (header, page index, record counts, marks, fences, page
+// checksums, filter), verified at open — so any single flipped byte
+// anywhere in a file is detected, either immediately at open or at the
+// first use of the damaged page, and surfaces as ErrCorrupt.
+// The header calls this layout version 6; versions 1 to 5 were earlier
+// layouts nothing writes any more (version 5 stored each key in 8 bytes,
+// version 4 the coordinates beside it), and Open rejects them.
 //
 // Two aliasing rules keep entries cheap to move. WriteEntries only reads
 // its input, and never its points: an Entry.Point may be nil or alias
@@ -77,15 +85,19 @@ import (
 
 const (
 	magic = uint64(0x4f4e494f4e435256) // "ONIONCRV"
-	// version names the one layout: header, page index, pages of
-	// recordSize-byte slots, then a mark bitmap (one bit per entry, key
-	// order), a pruning footer (per-page max-key fences, a crc32c per page,
-	// a key Bloom filter) and a trailing crc32c over all metadata. Versions
-	// 1 to 4 are retired.
-	version = uint32(5)
-	// recordSize is the on-disk bytes per slot: key + payload. The point is
-	// not stored; it is Coords(key).
-	recordSize = 8 + 8
+	// version names the one layout: header, page index (first keys, then
+	// record counts), pages of recordSize-byte slots, then a mark bitmap
+	// (one bit per slot), a pruning footer (per-page max-key fences, a
+	// crc32c per page, a key Bloom filter) and a trailing crc32c over all
+	// metadata. Versions 1 to 5 are retired.
+	version = uint32(6)
+	// recordSize is the on-disk bytes per slot: the key's uint32 offset
+	// from its page's first key, then the payload. The point is not stored;
+	// it is Coords(key).
+	recordSize = 4 + 8
+	// pageSpan bounds the keys of one page: each lies less than pageSpan
+	// past the page's first key, so its offset fits the slot's 32 bits.
+	pageSpan = 1 << 32
 )
 
 // pageCRC is the checksum polynomial of the integrity footer — crc32c,
@@ -216,6 +228,10 @@ func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageByt
 		return fmt.Errorf("%w: %d < %d", ErrPageBytes, pageBytes, recordSize)
 	}
 	size := c.Universe().Size()
+	perPage := pageBytes / recordSize
+	// starts[p] is the first entry of page p. A page ends when it is full
+	// or when the next key lies pageSpan or more past its first key.
+	var starts []int
 	for i := range ents {
 		e := &ents[i]
 		if e.Key >= size {
@@ -224,9 +240,12 @@ func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageByt
 		if i > 0 && e.Key < ents[i-1].Key {
 			return fmt.Errorf("pagedstore: entry %d: key %d after key %d", i, e.Key, ents[i-1].Key)
 		}
+		if n := len(starts); n == 0 || i-starts[n-1] == perPage || e.Key-ents[starts[n-1]].Key >= pageSpan {
+			starts = append(starts, i)
+		}
 	}
-	perPage := pageBytes / recordSize
-	pageCount := (len(ents) + perPage - 1) / perPage
+	pageCount := len(starts)
+	starts = append(starts, len(ents)) // page p holds entries [starts[p], starts[p+1])
 	f, err := fsys.Create(path)
 	if err != nil {
 		return fmt.Errorf("pagedstore: %w", err)
@@ -255,13 +274,14 @@ func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageByt
 	if err := writeMeta(head); err != nil {
 		return err
 	}
-	// Page index (first key of each page) and fences (last key of each).
-	idx := make([]byte, 8*pageCount)
+	// Page index (first key of each page, then the record count of each)
+	// and fences (last key of each).
+	idx := make([]byte, 12*pageCount)
 	fences := make([]byte, 8*pageCount)
 	for p := 0; p < pageCount; p++ {
-		binary.LittleEndian.PutUint64(idx[8*p:], ents[p*perPage].Key)
-		last := min((p+1)*perPage, len(ents)) - 1
-		binary.LittleEndian.PutUint64(fences[8*p:], ents[last].Key)
+		binary.LittleEndian.PutUint64(idx[8*p:], ents[starts[p]].Key)
+		binary.LittleEndian.PutUint32(idx[8*pageCount+4*p:], uint32(starts[p+1]-starts[p]))
+		binary.LittleEndian.PutUint64(fences[8*p:], ents[starts[p+1]-1].Key)
 	}
 	if err := writeMeta(idx); err != nil {
 		return err
@@ -269,20 +289,23 @@ func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageByt
 	// Pages, the mark bitmap and the filter's key list, in one pass.
 	buf := make([]byte, pageBytes)
 	crcs := make([]byte, 4*pageCount)
-	bm := make([]byte, (len(ents)+7)/8)
-	keys := make([]uint64, len(ents))
+	var bm []byte
+	if pageCount > 0 {
+		bm = make([]byte, markBytes(pageCount, perPage, starts[pageCount]-starts[pageCount-1]))
+	}
+	keys := make([]uint64, 0, len(ents))
 	for p := 0; p < pageCount; p++ {
 		clear(buf)
-		off := 0
-		for i := p * perPage; i < (p+1)*perPage && i < len(ents); i++ {
-			e := &ents[i]
-			binary.LittleEndian.PutUint64(buf[off:], e.Key)
-			binary.LittleEndian.PutUint64(buf[off+8:], e.Payload)
-			off += recordSize
+		page := ents[starts[p]:starts[p+1]]
+		for slot := range page {
+			e := &page[slot]
+			binary.LittleEndian.PutUint32(buf[slot*recordSize:], uint32(e.Key-page[0].Key))
+			binary.LittleEndian.PutUint64(buf[slot*recordSize+4:], e.Payload)
 			if e.Marked {
-				bm[i/8] |= 1 << (i % 8)
+				j := p*perPage + slot
+				bm[j/8] |= 1 << (j % 8)
 			}
-			keys[i] = e.Key
+			keys = append(keys, e.Key)
 		}
 		if _, err := f.Write(buf); err != nil {
 			return fmt.Errorf("pagedstore: %w", err)
@@ -304,6 +327,13 @@ func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageByt
 	return f.Sync()
 }
 
+// markBytes returns the length of the mark bitmap of a file of pageCount
+// (> 0) pages of perPage slots whose last page holds last records: one bit
+// per slot, up to the last record's.
+func markBytes(pageCount, perPage, last int) int {
+	return ((pageCount-1)*perPage + last + 7) / 8
+}
+
 // Store is an open clustered table. It is safe for concurrent use: reads
 // go through positioned ReadAt calls and all mutable query state lives in
 // per-query Cursors.
@@ -314,9 +344,10 @@ type Store struct {
 	pageBytes int
 	perPage   int
 	count     uint64
-	firstKeys []uint64
+	firstKeys []uint64 // first key of each page: the base of its slots' key offsets
+	counts    []uint32 // records of each page, in [1, perPage]
 	dataOff   int64
-	marks     []byte // one bit per record in key order
+	marks     []byte // one bit per slot: slot i of page p owns bit p*perPage+i
 	anyMarked bool
 
 	pageMax  []uint64   // fence: max key of each page
@@ -394,13 +425,13 @@ func load(f vfs.File, c curve.Curve) (*Store, error) {
 		return nil, fmt.Errorf("%w: page bytes %d", ErrCorrupt, pageBytes)
 	}
 	perPage := pageBytes / recordSize
-	// Structural sanity before any sized allocation: a corrupted count
-	// or page count must be rejected, not trusted as an allocation size.
-	if pageCount > uint64(fileSize)/8 || count > pageCount*uint64(perPage) ||
-		(pageCount > 0 && count <= (pageCount-1)*uint64(perPage)) {
-		return nil, fmt.Errorf("%w: %d records in %d pages", ErrCorrupt, count, pageCount)
+	// Structural sanity before any sized allocation: a corrupted page
+	// count must be rejected, not trusted as an allocation size. Each page
+	// takes pageBytes of the file and 12 bytes of its index.
+	if pageCount > uint64(fileSize)/(uint64(pageBytes)+12) {
+		return nil, fmt.Errorf("%w: %d pages of %d bytes", ErrCorrupt, pageCount, pageBytes)
 	}
-	idx := make([]byte, 8*pageCount)
+	idx := make([]byte, 12*pageCount)
 	if _, err := f.ReadAt(idx, 40); err != nil {
 		return nil, fmt.Errorf("%w: short page index", ErrCorrupt)
 	}
@@ -412,13 +443,25 @@ func load(f vfs.File, c curve.Curve) (*Store, error) {
 		perPage:   perPage,
 		count:     count,
 		firstKeys: make([]uint64, pageCount),
-		dataOff:   int64(40 + 8*pageCount),
-		marks:     make([]byte, (count+7)/8),
+		counts:    make([]uint32, pageCount),
+		dataOff:   int64(40 + 12*pageCount),
 		pageMax:   make([]uint64, pageCount),
 		pageSums:  make([]uint32, pageCount),
 	}
+	total := uint64(0)
 	for p := range s.firstKeys {
 		s.firstKeys[p] = binary.LittleEndian.Uint64(idx[8*p:])
+		s.counts[p] = binary.LittleEndian.Uint32(idx[8*pageCount+4*uint64(p):])
+		if s.counts[p] < 1 || int(s.counts[p]) > perPage {
+			return nil, fmt.Errorf("%w: page %d: %d records in %d slots", ErrCorrupt, p, s.counts[p], perPage)
+		}
+		total += uint64(s.counts[p])
+	}
+	if total != count {
+		return nil, fmt.Errorf("%w: page counts sum to %d, header says %d records", ErrCorrupt, total, count)
+	}
+	if pageCount > 0 {
+		s.marks = make([]byte, markBytes(int(pageCount), perPage, int(s.counts[pageCount-1])))
 	}
 	marksOff := s.dataOff + int64(pageCount)*int64(pageBytes)
 	if _, err := f.ReadAt(s.marks, marksOff); err != nil && count > 0 {
@@ -778,12 +821,7 @@ func (s *Store) absent(kr curve.KeyRange) bool {
 }
 
 // residentCount returns the number of records stored in page p.
-func (s *Store) residentCount(p int) int {
-	if p == len(s.firstKeys)-1 {
-		return int(s.count) - p*s.perPage
-	}
-	return s.perPage
-}
+func (s *Store) residentCount(p int) int { return int(s.counts[p]) }
 
 // fetch materializes the bytes of page p of the current range into
 // c.data: from the last run read, from the resident page that run stopped
@@ -920,7 +958,7 @@ func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 	for {
 		if c.i < c.end {
 			e.Key = c.keys[c.i]
-			e.Payload = binary.LittleEndian.Uint64(c.data[c.i*recordSize+8:])
+			e.Payload = binary.LittleEndian.Uint64(c.data[c.i*recordSize+4:])
 			e.Marked = s.marked(c.p, c.i)
 			e.Point = c.pts[c.i]
 			c.i++
@@ -978,8 +1016,9 @@ func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 }
 
 // decodeRun finds the in-range run of the materialized page — the slots
-// from c.i up to the first key past c.hi — and rebuilds the points of its
-// keys with one batch inverse of the curve into c.pts.
+// from c.i up to the first key past c.hi — adding the page's first key back
+// to each slot's offset, and rebuilds the points of its keys with one batch
+// inverse of the curve into c.pts.
 func (c *Cursor) decodeRun() {
 	s := c.s
 	if c.pts == nil {
@@ -990,9 +1029,10 @@ func (c *Cursor) decodeRun() {
 			c.pts[k] = flat[k*s.dims : (k+1)*s.dims : (k+1)*s.dims]
 		}
 	}
+	first := s.firstKeys[c.p]
 	end := c.i
 	for ; end < c.n; end++ {
-		key := binary.LittleEndian.Uint64(c.data[end*recordSize:])
+		key := first + uint64(binary.LittleEndian.Uint32(c.data[end*recordSize:]))
 		if key > c.hi {
 			break
 		}
@@ -1004,7 +1044,7 @@ func (c *Cursor) decodeRun() {
 
 // marked reports the mark bit of slot i of page p.
 func (s *Store) marked(p, i int) bool {
-	j := uint(p*s.perPage + i) // key-order position: the entry's bit in the mark bitmap
+	j := uint(p*s.perPage + i) // slot position: the entry's bit in the mark bitmap
 	return s.anyMarked && s.marks[j/8]&(1<<(j%8)) != 0
 }
 
@@ -1012,21 +1052,23 @@ func (s *Store) marked(p, i int) bool {
 // rebuilt with a per-key inverse of the curve into e.Point's capacity.
 func (s *Store) decodeSlot(page []byte, p, i int, e *Entry) {
 	off := i * recordSize
-	e.Key = binary.LittleEndian.Uint64(page[off:])
-	e.Payload = binary.LittleEndian.Uint64(page[off+8:])
+	e.Key = s.firstKeys[p] + uint64(binary.LittleEndian.Uint32(page[off:]))
+	e.Payload = binary.LittleEndian.Uint64(page[off+4:])
 	e.Marked = s.marked(p, i)
 	e.Point = s.c.Coords(e.Key, e.Point)
 }
 
 // lowerBound returns the first of the n key-sorted record slots of page
-// whose key is >= lo, or n when every key is smaller. first and last are
-// the page's first and last keys. The search starts at the slot lo would
-// take were the keys spread evenly between them and gallops out from
-// there to a bracket it then bisects: on evenly spread keys that touches
-// a cache line or two of the page where a bisection from the ends touches
-// eight, and on any keys it costs at most about twice a bisection.
+// whose key is >= lo, or n when every key is smaller. first is the page's
+// first key, the base its slots' offsets are added to; last is its last
+// key, a hint that may cost time when wrong but never the answer. The
+// search starts at the slot lo would take were the keys spread evenly
+// between them and gallops out from there to a bracket it then bisects:
+// on evenly spread keys that touches a cache line or two of the page where
+// a bisection from the ends touches eight, and on any keys it costs at
+// most about twice a bisection.
 func lowerBound(page []byte, n int, lo, first, last uint64) int {
-	key := func(i int) uint64 { return binary.LittleEndian.Uint64(page[i*recordSize:]) }
+	key := func(i int) uint64 { return first + uint64(binary.LittleEndian.Uint32(page[i*recordSize:])) }
 	g := 0 // the guess
 	switch {
 	case lo > last:
@@ -1099,10 +1141,10 @@ func (s *Store) VerifyPages() error {
 		if err := s.VerifyPage(p, buf); err != nil {
 			return err
 		}
-		if binary.LittleEndian.Uint64(buf) < prev {
+		if s.firstKeys[p] < prev {
 			return fmt.Errorf("%w: page %d: keys out of order", ErrCorrupt, p)
 		}
-		prev = binary.LittleEndian.Uint64(buf[(s.residentCount(p)-1)*recordSize:])
+		prev = s.firstKeys[p] + uint64(binary.LittleEndian.Uint32(buf[(s.residentCount(p)-1)*recordSize:]))
 	}
 	return nil
 }
@@ -1133,18 +1175,22 @@ func (s *Store) VerifyPage(p int, buf []byte) error {
 func (s *Store) PageBytes() int { return s.pageBytes }
 
 // checkPage validates one materialized page against its checksum and
-// key invariants.
+// key invariants: slot 0 holds the page's first key (offset 0), and the
+// keys ascend to no further than the page's fence.
 func (s *Store) checkPage(p int, buf []byte) error {
 	if crc32.Checksum(buf, pageCRC) != s.pageSums[p] {
 		return fmt.Errorf("%w: page %d: checksum mismatch", ErrCorrupt, p)
 	}
-	prev := uint64(0)
+	if binary.LittleEndian.Uint32(buf) != 0 {
+		return fmt.Errorf("%w: page %d: first slot is not the page's first key", ErrCorrupt, p)
+	}
+	prev := s.firstKeys[p]
 	for i := 0; i < s.residentCount(p); i++ {
-		key := binary.LittleEndian.Uint64(buf[i*recordSize:])
-		if i > 0 && key < prev {
+		key := s.firstKeys[p] + uint64(binary.LittleEndian.Uint32(buf[i*recordSize:]))
+		if key < prev {
 			return fmt.Errorf("%w: page %d: keys out of order", ErrCorrupt, p)
 		}
-		if key < s.firstKeys[p] || key > s.pageMax[p] {
+		if key > s.pageMax[p] {
 			return fmt.Errorf("%w: page %d: key outside page bounds", ErrCorrupt, p)
 		}
 		prev = key

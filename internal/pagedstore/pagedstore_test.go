@@ -108,8 +108,10 @@ func TestWriteOpenQueryRoundTrip(t *testing.T) {
 // TestQueryAcrossCurves round-trips the same records through stores
 // clustered by different curves, in 2-D and 3-D: every query returns
 // exactly the brute-force records, points included — rebuilt from the
-// keys, since a slot holds only key and payload, 16 bytes in any
-// dimension.
+// keys, since a slot holds only a key offset and the payload, 12 bytes in
+// any dimension. The last universe has 2⁴⁰ keys, so its sparse keys make
+// the writer start pages before they are full, wherever the next key lies
+// 2³² or more past the page's first.
 func TestQueryAcrossCurves(t *testing.T) {
 	side := uint32(32)
 	o, _ := core.NewOnion2D(side)
@@ -121,12 +123,16 @@ func TestQueryAcrossCurves(t *testing.T) {
 	h3, _ := baseline.NewHilbert(3, 16)
 	recs3 := buildRecords(t, geom.MustUniverse(3, 16), 700, 44)
 	r3 := geom.Rect{Lo: geom.Point{2, 3, 1}, Hi: geom.Point{12, 14, 9}}
+	ow, _ := core.NewOnion2D(1 << 20)
+	recsW := buildRecords(t, ow.Universe(), 800, 45)
+	rW := geom.Rect{Lo: geom.Point{4 << 15, 4 << 15}, Hi: geom.Point{27 << 15, 25 << 15}}
 	type cs struct {
 		c    curve.Curve
 		recs []Record
 		r    geom.Rect
 	}
-	for _, tc := range []cs{{o, recs2, r2}, {h, recs2, r2}, {z, recs2, r2}, {o3, recs3, r3}, {h3, recs3, r3}} {
+	const perPage = 256 / recordSize
+	for _, tc := range []cs{{o, recs2, r2}, {h, recs2, r2}, {z, recs2, r2}, {o3, recs3, r3}, {h3, recs3, r3}, {ow, recsW, rW}} {
 		path := tmpPath(t)
 		if err := Write(path, tc.c, tc.recs, 256); err != nil {
 			t.Fatal(err)
@@ -141,9 +147,10 @@ func TestQueryAcrossCurves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pages != (len(tc.recs)+15)/16 {
-			t.Errorf("%s %dD: %d pages of 256 bytes for %d records, want 16-byte slots",
-				tc.c.Name(), tc.c.Universe().Dims(), pages, len(tc.recs))
+		full := (len(tc.recs) + perPage - 1) / perPage
+		if wide := tc.c.Universe().Size() > pageSpan; wide != (pages > full) || pages < full {
+			t.Errorf("%s %dD side %d: %d pages of 256 bytes for %d records, want %d full pages of 12-byte slots (more only past 2³² keys)",
+				tc.c.Name(), tc.c.Universe().Dims(), tc.c.Universe().Side(), pages, len(tc.recs), full)
 		}
 		var want []Record
 		for _, rec := range tc.recs {
@@ -156,6 +163,9 @@ func TestQueryAcrossCurves(t *testing.T) {
 		}
 		byPayload(got)
 		byPayload(want)
+		if len(want) == 0 || len(want) == len(tc.recs) {
+			t.Fatalf("%s %dD: the query holds %d of %d records, so it tests no filtering", tc.c.Name(), tc.c.Universe().Dims(), len(want), len(tc.recs))
+		}
 		if len(got) != len(want) {
 			t.Fatalf("%s %dD: %d results, want %d", tc.c.Name(), tc.c.Universe().Dims(), len(got), len(want))
 		}
@@ -408,8 +418,8 @@ func TestWriteEntriesRejectsBadInput(t *testing.T) {
 			t.Errorf("%s: rejected input left a file behind (stat: %v)", name, err)
 		}
 	}
-	if err := WriteEntries(vfs.OS{}, tmpPath(t), o, good(), 15); !errors.Is(err, ErrPageBytes) {
-		t.Errorf("15-byte page for a 16-byte record: %v, want ErrPageBytes", err)
+	if err := WriteEntries(vfs.OS{}, tmpPath(t), o, good(), 11); !errors.Is(err, ErrPageBytes) {
+		t.Errorf("11-byte page for a 12-byte record: %v, want ErrPageBytes", err)
 	}
 }
 
@@ -471,7 +481,7 @@ func TestNilPointsRoundTrip(t *testing.T) {
 	}
 }
 
-// goldenInput is the fixed input of TestV5GoldenBytes: 61 records in no
+// goldenInput is the fixed input of TestV6GoldenBytes: 61 records in no
 // key order, several to a cell, every fourth marked.
 func goldenInput() (recs []Record, marks []bool) {
 	for i := 0; i < 61; i++ {
@@ -482,11 +492,14 @@ func goldenInput() (recs []Record, marks []bool) {
 	return recs, marks
 }
 
-// TestV5GoldenBytes pins the file layout: a three-record file byte for
+// TestV6GoldenBytes pins the file layout: a three-record file byte for
 // byte, and the digests of a marked file with a partial last page, of the
-// bulk Write of the same records (no marks, another page size) and of an
-// empty store. A slot is key(8) + payload(8); the points are not stored.
-func TestV5GoldenBytes(t *testing.T) {
+// bulk Write of the same records (no marks, another page size), of an
+// empty store, and of the same records spread over a curve of 2⁴⁰ keys,
+// whose pages the writer cuts short where keys lie 2³² or more apart. A
+// slot is the key's offset from its page's first key (4) + payload (8);
+// the points are not stored.
+func TestV6GoldenBytes(t *testing.T) {
 	o, _ := core.NewOnion2D(16)
 	recs, marks := goldenInput()
 	read := func(write func(path string)) []byte {
@@ -499,23 +512,28 @@ func TestV5GoldenBytes(t *testing.T) {
 		}
 		return b
 	}
-	small := read(func(path string) { writeMarked(t, path, o, recs[:3], marks[:3], 40) })
-	const smallWant = "VRCNOINO\x05\x00\x00\x00\x02\x00\x00\x00\x10\x00\x00\x00(\x00\x00\x00" + // magic, version 5, dims, side, 40-byte pages
+	small := read(func(path string) { writeMarked(t, path, o, recs[:3], marks[:3], 28) })
+	const smallWant = "VRCNOINO\x06\x00\x00\x00\x02\x00\x00\x00\x10\x00\x00\x00\x1c\x00\x00\x00" + // magic, version 6, dims, side, 28-byte pages
 		"\x03\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00" + // 3 records, 2 pages
-		"\x00\x00\x00\x00\x00\x00\x00\x00\xde\x00\x00\x00\x00\x00\x00\x00" + // page index
-		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" + // page 0: key 0, payload 0
-		"R\x00\x00\x00\x00\x00\x00\x00\x02\x02\x02\x02\x02\x00\x00\x00" + // key 82, the cell (14,10)
-		"\x00\x00\x00\x00\x00\x00\x00\x00" + // slack
-		"\xde\x00\x00\x00\x00\x00\x00\x00\x01\x01\x01\x01\x01\x00\x00\x00" + // page 1: key 222, the cell (7,5)
+		"\x00\x00\x00\x00\x00\x00\x00\x00\xde\x00\x00\x00\x00\x00\x00\x00" + // page index: first keys 0 and 222,
+		"\x02\x00\x00\x00\x01\x00\x00\x00" + // then record counts 2 and 1
+		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" + // page 0: key 0 + 0, payload 0
+		"R\x00\x00\x00\x02\x02\x02\x02\x02\x00\x00\x00" + // key 0 + 82, the cell (14,10)
+		"\x00\x00\x00\x00" + // slack
+		"\x00\x00\x00\x00\x01\x01\x01\x01\x01\x00\x00\x00" + // page 1: key 222 + 0, the cell (7,5)
 		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
-		"\x00\x00\x00\x00\x00\x00\x00\x00" +
-		"\x04" + // marks: the third entry in key order
+		"\x04" + // marks: slot 0 of page 1, bit 1·2+0
 		"R\x00\x00\x00\x00\x00\x00\x00\xde\x00\x00\x00\x00\x00\x00\x00" + // fences
-		"lYS5p\xf9\x93\x12" + // page checksums
+		"\xa0\xb0\xc6\xfd;\x91\t^" + // page checksums
 		"\a\x00\x00\x00\x01\x00\x00\x00\x05(LD\x82\x9b\x80p" + // filter: k = 7, one word
-		"\xbd\xda+6" // metadata checksum
+		"\xaa\xeaTY" // metadata checksum
 	if string(small) != smallWant {
 		t.Errorf("three-record file:\n got %q\nwant %q", small, smallWant)
+	}
+	wide, _ := core.NewOnion2D(1 << 20)
+	spread := make([]Record, len(recs))
+	for i, r := range recs {
+		spread[i] = Record{Point: geom.Point{r.Point[0] << 16, r.Point[1] << 16}, Payload: r.Payload}
 	}
 	for _, tc := range []struct {
 		name   string
@@ -524,14 +542,16 @@ func TestV5GoldenBytes(t *testing.T) {
 		sum    string
 	}{
 		{"marked, 100-byte pages", read(func(path string) { writeMarked(t, path, o, recs, marks, 100) }),
-			1460, "593299c5f9fb87653e90afef0b65d7eadc811f17d46d902d2ef7c4c2bd602e2d"},
+			1132, "58191dfdb031f7f263bcc6d14746367eca9dad7b6949be1b59889af00ae27669"},
 		{"bulk Write, 256-byte pages", read(func(path string) {
 			if err := Write(path, o, recs, 256); err != nil {
 				t.Fatal(err)
 			}
-		}), 1244, "b6ee525ddf9983ab9c341db2240bf6f153c8e1cf8bc591259ef939373871a197"},
-		{"empty", read(func(path string) { writeMarked(t, path, o, nil, nil, 40) }),
-			52, "400520b74f454e31032ffc9a1be2d95e133c65dcc37a90833d65df1b9d413a16"},
+		}), 980, "ab725c999d973335bca474990b1e5718380e7898f82e6c78ca177e628664e829"},
+		{"empty", read(func(path string) { writeMarked(t, path, o, nil, nil, 28) }),
+			52, "7d4b4c018d5e572b4ab019cec93a92705197378aff1a803370fca2b1378847f9"},
+		{"marked, 2⁴⁰ keys, 100-byte pages cut short", read(func(path string) { writeMarked(t, path, wide, spread, marks, 100) }),
+			1632, "1a98ab728e85d0b4d241d37872dbb62b15633e91143d395c2aec0c5bc7ec2c02"}, // 12 pages, not 8
 	} {
 		if sum := fmt.Sprintf("%x", sha256.Sum256(tc.got)); len(tc.got) != tc.length || sum != tc.sum {
 			t.Errorf("%s: %d bytes, sha256 %s; want %d bytes, %s", tc.name, len(tc.got), sum, tc.length, tc.sum)

@@ -40,7 +40,7 @@ func genSeekCase(o curve.Curve, seed int64, n uint16, perPage uint8) seekCase {
 	cs := seekCase{pageBytes: per*recordSize + rng.Intn(recordSize)}
 
 	count := int(n) % 1500
-	stride := uint64(1)
+	stride := max(size/4096, 1) // with no keys, still a few thousand ranges at most
 	if count > 0 {
 		stride = max((size*3/4)/uint64(count), 1)
 	}
@@ -116,19 +116,33 @@ func walkRanges(s *Store, krs []curve.KeyRange, fn func(kr curve.KeyRange, e *En
 // reference's own walk: with nothing resident (bare, and the ample cache's
 // first pass) the cursor fetches exactly the pages that walk fetches, in
 // exactly its runs, and on the ample cache's second pass it reads nothing.
-// Its seed corpus is the property test plain `go test` runs.
+// With wide set, the keys come from a curve of 2⁴⁰ keys, so they are
+// sparse enough that the writer often starts a page before it is full: the
+// next key lies 2³² or more past the page's first. Its seed corpus is the
+// property test plain `go test` runs.
 func FuzzCursorSeek(f *testing.F) {
 	for seed := int64(0); seed < 48; seed++ {
-		f.Add(seed, uint16(37*seed), uint8(seed))
+		f.Add(seed, uint16(37*seed), uint8(seed), false)
 	}
-	f.Add(int64(-1), uint16(0), uint8(0)) // empty store
-	f.Add(int64(-2), uint16(1), uint8(0)) // one record, one record a page
-	o, err := core.NewOnion2D(64)
+	f.Add(int64(-1), uint16(0), uint8(0), false) // empty store
+	f.Add(int64(-2), uint16(1), uint8(0), false) // one record, one record a page
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(seed, uint16(91*seed+40), uint8(seed+4), true)
+	}
+	narrow, err := core.NewOnion2D(64)
+	if err != nil {
+		f.Fatal(err)
+	}
+	wideCurve, err := core.NewOnion2D(1 << 20)
 	if err != nil {
 		f.Fatal(err)
 	}
 	const ampleBytes = 64 << 20 // never full: every miss is admitted
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, perPage uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, perPage uint8, wide bool) {
+		o := narrow
+		if wide {
+			o = wideCurve
+		}
 		cs := genSeekCase(o, seed, n, perPage)
 		path := filepath.Join(t.TempDir(), "seek.pst")
 		writeMarked(t, path, o, cs.recs, cs.marks, cs.pageBytes)
@@ -220,18 +234,20 @@ func FuzzCursorSeek(f *testing.F) {
 }
 
 // TestLowerBoundMatchesLinearScan pins the interpolating in-page search to
-// a linear scan: on evenly spread, clustered and duplicate-heavy pages of
-// every size up to a 4 KiB page's 256 slots, for bounds before, inside and
-// after the keys, and with first/last hints that are exact, swapped or
-// unrelated to the page — a wrong hint may cost time, never the answer.
+// a linear scan over v6 pages — each slot the key's 32-bit offset from the
+// page's first key: on evenly spread, clustered, duplicate-heavy and
+// 2³²-wide pages of every size up to a 4 KiB page's 341 slots, for bounds
+// before, inside and after the keys, and with last-key hints that are
+// exact, before the first key or unrelated to the page — a wrong hint may
+// cost time, never the answer.
 func TestLowerBoundMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 3000; trial++ {
-		n := 1 + rng.Intn(256)
+	for trial := 0; trial < 4000; trial++ {
+		n := 1 + rng.Intn(341)
 		keys := make([]uint64, n)
-		k := uint64(rng.Intn(1000))
+		k := rng.Uint64() >> 24
 		for i := range keys {
-			switch trial % 3 {
+			switch trial % 4 {
 			case 0: // evenly spread
 				k += uint64(1 + rng.Intn(60))
 			case 1: // a dense cluster, then a jump
@@ -240,19 +256,23 @@ func TestLowerBoundMatchesLinearScan(t *testing.T) {
 				} else {
 					k += uint64(rng.Intn(2))
 				}
-			default: // long runs of one key
+			case 2: // long runs of one key
 				if rng.Intn(40) == 0 {
 					k += uint64(1 + rng.Intn(5))
+				}
+			default: // offsets up to the top of their 32 bits
+				if i > 0 {
+					k += uint64(rng.Int63n((pageSpan - 1) / int64(n)))
 				}
 			}
 			keys[i] = k
 		}
+		first, last := keys[0], keys[n-1]
 		page := make([]byte, n*recordSize)
 		for i, k := range keys {
-			binary.LittleEndian.PutUint64(page[i*recordSize:], k)
+			binary.LittleEndian.PutUint32(page[i*recordSize:], uint32(k-first))
 		}
-		first, last := keys[0], keys[n-1]
-		hints := [][2]uint64{{first, last}, {last, first}, {0, ^uint64(0)}, {first, first}, {rng.Uint64(), rng.Uint64()}}
+		hints := []uint64{last, first, first - 1, ^uint64(0), rng.Uint64()}
 		for q := 0; q < 20; q++ {
 			lo := first - 2 + uint64(rng.Int63n(int64(last-first)+5))
 			if q == 0 {
@@ -263,8 +283,8 @@ func TestLowerBoundMatchesLinearScan(t *testing.T) {
 				want++
 			}
 			for _, h := range hints {
-				if got := lowerBound(page, n, lo, h[0], h[1]); got != want {
-					t.Fatalf("trial %d: lowerBound(lo %d, hint %v) = %d, want %d (keys %v)", trial, lo, h, got, want, keys)
+				if got := lowerBound(page, n, lo, first, h); got != want {
+					t.Fatalf("trial %d: lowerBound(lo %d, first %d, last hint %d) = %d, want %d (keys %v)", trial, lo, first, h, got, want, keys)
 				}
 			}
 		}
@@ -315,14 +335,14 @@ func (f spyFile) ReadAt(p []byte, off int64) (int, error) {
 // fetched page is also one cache miss and every other visit one hit, so
 // no resident page is ever read from the file. The queries run bare,
 // behind a cache that thrashes and behind one that holds everything,
-// twice each; a whole-store scan is one range over all 125 pages, read in
-// reads of runPages pages.
+// twice each; a whole-store scan is one range over all 125 pages of 32
+// slots, read in reads of runPages pages.
 func TestRunReadsMatchIOStats(t *testing.T) {
 	side := uint32(64)
 	o, _ := core.NewOnion2D(side)
 	recs := buildRecords(t, o.Universe(), 4000, 17)
 	path := tmpPath(t)
-	if err := Write(path, o, recs, 512); err != nil {
+	if err := Write(path, o, recs, 32*recordSize); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
@@ -332,7 +352,7 @@ func TestRunReadsMatchIOStats(t *testing.T) {
 		w, h := uint32(1+rng.Intn(16)), uint32(1+rng.Intn(16))
 		rects = append(rects, geom.Rect{Lo: lo, Hi: geom.Point{lo[0] + w - 1, lo[1] + h - 1}})
 	}
-	for _, budget := range []int64{0, 16 * 512, 1 << 20} {
+	for _, budget := range []int64{0, 16 * 32 * recordSize, 1 << 20} {
 		var cache *Cache
 		if budget > 0 {
 			cache = NewCache(budget)

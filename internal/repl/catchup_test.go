@@ -20,7 +20,7 @@ import (
 // window must absorb that overlap.
 func TestReplSeedWithArchivedWALs(t *testing.T) {
 	opts := engine.Options{
-		PageBytes:     256,
+		PageBytes:     192,
 		FlushEntries:  8, // frequent flushes rotate WALs into the archive
 		CompactFanout: -1,
 		Shards:        2,

@@ -31,7 +31,7 @@ func rtPoint(i int) geom.Point {
 }
 
 func rtEngOpts() engine.Options {
-	return engine.Options{PageBytes: 256, FlushEntries: -1, CompactFanout: -1, Shards: 2}
+	return engine.Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1, Shards: 2}
 }
 
 // cluster is a leader plus followers wired through a fault-injecting

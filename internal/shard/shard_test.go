@@ -30,12 +30,12 @@ import (
 func manualShardOpts(k int) Options {
 	return Options{
 		Shards: k,
-		Engine: engine.Options{PageBytes: 512, FlushEntries: -1, CompactFanout: -1, Shards: 2},
+		Engine: engine.Options{PageBytes: 384, FlushEntries: -1, CompactFanout: -1, Shards: 2},
 		// A deliberately tiny shared page cache (16 pages across all
 		// shards) so the cross-checks run under constant eviction
 		// pressure: the logical stat contracts must hold bit-identically
 		// with caching and segment-footer pruning active.
-		CacheBytes: 16 * 512,
+		CacheBytes: 16 * 384,
 	}
 }
 
@@ -289,7 +289,7 @@ func TestShardedCrossCheck(t *testing.T) {
 						}
 					}
 					path := filepath.Join(refDir, "ref-"+string(rune('0'+i))+".pst")
-					if err := pagedstore.Write(path, c, recs, 512); err != nil {
+					if err := pagedstore.Write(path, c, recs, 384); err != nil {
 						t.Fatal(err)
 					}
 					if refs[i], err = pagedstore.Open(path, c); err != nil {
@@ -664,7 +664,7 @@ func TestShardedAdmission(t *testing.T) {
 	}
 	opts := Options{
 		Shards: 4,
-		Engine: engine.Options{PageBytes: 512, FlushEntries: 300, CompactFanout: 2, Shards: 2},
+		Engine: engine.Options{PageBytes: 384, FlushEntries: 300, CompactFanout: 2, Shards: 2},
 	}
 	s, err := Open(t.TempDir(), c, opts)
 	if err != nil {
