@@ -38,7 +38,6 @@ func main() {
 		PageBytes:    1024,
 		FlushEntries: -1,   // flush by hand so the timeline is deterministic
 		SyncWrites:   true, // every op durable before it is acknowledged
-		WALRetention: 0,    // archive every retired WAL, keep all of them
 	}
 	eng, err := onion.OpenEngine(dir, o, opts)
 	if err != nil {

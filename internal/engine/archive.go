@@ -12,24 +12,38 @@ import (
 
 // archiveDirName is the subdirectory of an engine dir that holds retired
 // WALs. scanDir skips directories, so archived logs are invisible to the
-// normal Open path; Restore replays them for point-in-time recovery.
+// normal Open path; Restore replays them for point-in-time recovery. Its
+// existence is also the engine's durable record that a snapshot was
+// exported: the first snapshot creates it, and Open resumes archiving
+// when it finds it.
 const archiveDirName = "archive"
 
 func archiveDir(dir string) string { return filepath.Join(dir, archiveDirName) }
 
-// archiveWAL retires the WAL of generation g. With retention < 0 the log
-// is deleted outright (the pre-archiving behavior); otherwise it moves
-// into dir/archive/ under its own name — rename is atomic, so a crash
-// leaves the log in exactly one of the two directories and replay finds
-// it either way — and, with retention > 0, the oldest archived logs
-// beyond the cap are pruned.
+// NoArchive returns o with WAL archiving off: every retired WAL is
+// deleted, even after a snapshot. It is the mode of a replication
+// follower, whose replication log holds each entry until its engine
+// holds it in a segment, and whose snapshots therefore restore to their
+// own boundary only. The repl package sets it on followers, as it sets
+// Options.CommitHook on leaders.
+func NoArchive(o Options) Options {
+	o.noArchive = true
+	return o
+}
+
+// archiveWAL retires the WAL of generation g. Before the engine's first
+// snapshot (archive false) no restore can replay the log — every
+// snapshot flushes first, so its segments cover each WAL retired before
+// it — and it is deleted. After that it moves into dir/archive/ under
+// its own name: rename is atomic, so a crash leaves the log in exactly
+// one of the two directories and replay finds it either way.
 //
 // The engine-dir fsync makes the unlink durable only after the archive
 // entry exists; the archive-dir fsync then pins the new entry. Ordering
 // matters: persisting the removal without the archive entry would lose
 // the log.
-func archiveWAL(fsys vfs.FS, dir string, g uint64, retention int) error {
-	if retention < 0 {
+func archiveWAL(fsys vfs.FS, dir string, g uint64, archive bool) error {
+	if !archive {
 		if err := fsys.Remove(walPath(dir, g)); err != nil {
 			return fmt.Errorf("engine: %w", err)
 		}
@@ -50,30 +64,7 @@ func archiveWAL(fsys vfs.FS, dir string, g uint64, retention int) error {
 	if err := fsys.SyncDir(dir); err != nil {
 		return fmt.Errorf("engine: archive: %w", err)
 	}
-	if retention > 0 {
-		return pruneArchive(fsys, adir, retention)
-	}
 	return nil
-}
-
-// pruneArchive enforces the retention cap: keep the newest `keep`
-// archived WALs, remove the rest (oldest first). Pruned history limits
-// how far back point-in-time restore can reach; the default retention of
-// 0 (keep everything) never gets here.
-func pruneArchive(fsys vfs.FS, adir string, keep int) error {
-	gens, err := archivedWALs(fsys, adir)
-	if err != nil {
-		return err
-	}
-	if len(gens) <= keep {
-		return nil
-	}
-	for _, g := range gens[:len(gens)-keep] {
-		if err := fsys.Remove(filepath.Join(adir, filepath.Base(walPath(adir, g)))); err != nil {
-			return fmt.Errorf("engine: archive: %w", err)
-		}
-	}
-	return syncDir(fsys, adir)
 }
 
 // archivedWALs lists the WAL generations present in the archive

@@ -58,14 +58,6 @@ type Options struct {
 	// every WAL append, fsync, segment install and directory operation
 	// into a deterministic fault point.
 	FS vfs.FS
-	// WALRetention controls what happens to a WAL once its data reaches a
-	// segment. 0 (the default) archives every retired log under
-	// dir/archive/ and keeps them all — the history point-in-time restore
-	// replays. A positive value archives but caps the archive at that
-	// many logs, pruning oldest-first (bounding how far back Restore can
-	// reach). A negative value disables archiving and deletes retired
-	// logs outright, the pre-archiving behavior.
-	WALRetention int
 	// ScrubPagesPerSec, when positive, runs a background scrubber that
 	// verifies segment pages at most this fast (CRC + key order, the same
 	// checks Verify performs), quarantining corruption before a query
@@ -81,6 +73,12 @@ type Options struct {
 	// empty). Unexported: only the benchmark baseline that quantifies the
 	// telemetry overhead sets it.
 	noTelemetry bool
+
+	// noArchive deletes every retired WAL, even after a snapshot (see
+	// NoArchive). Without it, a WAL retired before the engine's first
+	// snapshot is deleted and every later one is archived under
+	// dir/archive/ and kept: the history point-in-time restore replays.
+	noArchive bool
 
 	// Background-failure backoff: a failed background flush or compaction
 	// is retried retryAttempts times with exponential delay from
@@ -245,6 +243,10 @@ type Engine struct {
 	closed  bool
 
 	flushMu sync.Mutex // serializes flush and compaction bodies
+	// archiving (under flushMu) moves retired WALs into archive/ instead
+	// of deleting them: the first snapshot sets it, and so does Open when
+	// archive/ exists.
+	archiving bool
 
 	bgErrMu sync.Mutex
 	bgErr   error // last background flush/compaction error, nil after success
@@ -268,11 +270,12 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	segIDs, walGens, err := scanDir(fsys, dir)
+	segIDs, walGens, archived, err := scanDir(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{dir: dir, c: c, opts: opts, fs: fsys, hook: opts.CommitHook, cache: opts.Cache}
+	e := &Engine{dir: dir, c: c, opts: opts, fs: fsys, hook: opts.CommitHook, cache: opts.Cache,
+		archiving: archived && !opts.noArchive}
 	e.reg = telemetry.NewRegistry()
 	e.events = telemetry.NewEvents(0)
 	if !opts.noTelemetry {
@@ -337,7 +340,7 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 		e.flushes.Add(1)
 	}
 	for _, g := range walGens {
-		if err := archiveWAL(fsys, dir, g, opts.WALRetention); err != nil {
+		if err := archiveWAL(fsys, dir, g, e.archiving); err != nil {
 			e.releaseSegments()
 			return nil, err
 		}
@@ -1029,7 +1032,7 @@ func (e *Engine) flushFrozen(oldWal *wal, frozen []*memtable) (int, error) {
 			}
 		}
 		e.mu.Unlock()
-		if err := archiveWAL(e.fs, e.dir, m.gen, e.opts.WALRetention); err != nil {
+		if err := archiveWAL(e.fs, e.dir, m.gen, e.archiving); err != nil {
 			return recs, err
 		}
 		e.flushes.Add(1)
@@ -1061,14 +1064,6 @@ func (e *Engine) Stats() EngineStats {
 	e.walMu.Unlock()
 	return st
 }
-
-// WALRetention reports the archived-WAL retention cap this engine was
-// opened with (see Options.WALRetention). Subsystems whose correctness
-// depends on archived WALs surviving — a replication seed snapshot
-// chains its restore through the archive — must read the live value
-// here rather than trust a configuration copy that may not match the
-// options the engine was actually opened with.
-func (e *Engine) WALRetention() int { return e.opts.WALRetention }
 
 // FS returns the filesystem the engine's files live on; the replication
 // state record kept inside the engine directory is written through it.

@@ -615,7 +615,7 @@ func TestScanDirCrashArtifacts(t *testing.T) {
 	touch("seg-000000000007-000000000007-001.pst")
 	touch("wal-000000000008.log")
 	touch("unrelated.txt")
-	segs, wals, err := scanDir(vfs.OS{}, dir)
+	segs, wals, _, err := scanDir(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,7 +637,7 @@ func TestScanDirCrashArtifacts(t *testing.T) {
 	}
 	// Partial overlap is unrecoverable.
 	touch("seg-000000000004-000000000009-000.pst")
-	if _, _, err := scanDir(vfs.OS{}, dir); err == nil {
+	if _, _, _, err := scanDir(vfs.OS{}, dir); err == nil {
 		t.Error("overlap accepted")
 	}
 }
@@ -786,7 +786,7 @@ func TestScanDirIgnoresTmp(t *testing.T) {
 	touch("seg-000000000001-000000000001-000.pst")
 	touch("seg-000000000001-000000000001-001.pst.tmp") // crashed rewrite
 	touch("wal-000000000002.log.tmp")
-	segs, wals, err := scanDir(vfs.OS{}, dir)
+	segs, wals, _, err := scanDir(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,9 +98,15 @@ func fwOpts(fsys vfs.FS) Options {
 // the injected fault fires. Once one write fails, every later one must
 // fail too — the engine is ReadOnly or the filesystem is crashed —
 // which is what makes "the acked ops" a prefix the matrix can verify
-// against.
+// against. The directory starts with an archive/, as an engine's does
+// after its first snapshot, so every WAL retirement takes the archive
+// path (rename and two directory fsyncs); TestFirstSnapshotFaultMatrix
+// covers the delete before it.
 func fwRun(t *testing.T, dir string, fsys vfs.FS, ops []fwOp) int {
 	t.Helper()
+	if err := os.MkdirAll(archiveDir(dir), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	e, err := Open(dir, fwCurve(t), fwOpts(fsys))
 	if err != nil {
 		return 0

@@ -368,7 +368,7 @@ func (e *Engine) recoverRotateLocked() error {
 	}
 	// Flush the frozen memtables — the one just rotated out plus any
 	// stranded by earlier failed flushes. Each success writes a segment
-	// and retires its WAL into the archive.
+	// and retires its WAL (archiveWAL).
 	return e.flushLocked()
 }
 

@@ -151,6 +151,104 @@ func TestSnapshotFaultMatrix(t *testing.T) {
 	}
 }
 
+// TestFirstSnapshotFaultMatrix fails and crashes every file operation
+// from a flush before an engine's first snapshot, which deletes the WAL
+// it retires, to the end of that snapshot, which starts the WAL archive.
+// Then it heals the filesystem (a crash stays latched), keeps writing
+// with a flush in between, and closes. After a reopen, the source holds
+// its acked prefix, and a committed SNAPSHOT manifest implies that
+// archive/ exists and restores to latest with every write acked after
+// it.
+//
+// vfs.Injecting applies MkdirAll to the base filesystem at once, so no
+// crash here can lose the archive directory: the SyncDir that makes it
+// durable before the manifest commits is checked by reading, not by this
+// matrix (ROADMAP.md's crash-model item would make it observable).
+func TestFirstSnapshotFaultMatrix(t *testing.T) {
+	ops := fwWorkload()
+	o := fwCurve(t)
+	const snapAt, flushAt = 40, 65
+
+	// run drives ops through an injecting filesystem whose faults are
+	// active from the flush at op 20 to the end of the first Snapshot,
+	// and returns the acked count and how many operations that window
+	// performed.
+	run := func(t *testing.T, root string, fault vfs.Fault) (acked int, points int64) {
+		t.Helper()
+		inj := vfs.NewInjecting(vfs.OS{})
+		e, err := Open(filepath.Join(root, "db"), o, snapOpts(inj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed := false
+		for i, op := range ops {
+			switch i {
+			case 20:
+				inj.SetFaults(fault)
+				e.Flush() //nolint:errcheck // may fail; the WAL it retires is deleted
+			case snapAt:
+				e.Snapshot(filepath.Join(root, "snap")) //nolint:errcheck // may fail; the engine must survive
+				points = inj.Matched(0)
+				inj.SetFaults()
+			case flushAt:
+				e.Flush() //nolint:errcheck // may fail after an injected fault
+			}
+			var werr error
+			if op.del {
+				werr = e.Delete(op.pt)
+			} else {
+				werr = e.Put(op.pt, op.pay)
+			}
+			if werr == nil {
+				if failed {
+					t.Fatalf("op %d acked after an earlier write failed", i)
+				}
+				acked++
+			} else {
+				failed = true
+			}
+		}
+		e.Close() //nolint:errcheck // a crashed filesystem cannot close cleanly
+		return acked, points
+	}
+	check := func(t *testing.T, root string, acked int) {
+		t.Helper()
+		fwCheck(t, o, ops, acked, fwRecover(t, filepath.Join(root, "db")))
+		if _, err := os.Stat(filepath.Join(root, "snap", snapshotManifestName)); errors.Is(err, fs.ErrNotExist) {
+			return // never committed
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if fi, err := os.Stat(archiveDir(filepath.Join(root, "db"))); err != nil || !fi.IsDir() {
+			t.Fatalf("a snapshot committed without archive/ (stat err %v)", err)
+		}
+		target := filepath.Join(t.TempDir(), "restored")
+		if _, err := Restore(filepath.Join(root, "snap"), target, -1, o, snapOpts(nil)); err != nil {
+			t.Fatalf("committed snapshot does not restore: %v", err)
+		}
+		fwCheck(t, o, ops, acked, fwRecover(t, target))
+	}
+
+	enumRoot := t.TempDir()
+	acked, total := run(t, enumRoot, vfs.Fault{Op: vfs.OpAny})
+	if acked != len(ops) {
+		t.Fatalf("enumeration run dropped writes: %d/%d acked", acked, len(ops))
+	}
+	check(t, enumRoot, acked)
+	if total == 0 {
+		t.Fatal("the fault window performed no injectable operations")
+	}
+	for _, kind := range []vfs.Kind{vfs.KindFail, vfs.KindCrash} {
+		for n := int64(1); n <= total; n++ {
+			t.Run(fmt.Sprintf("%s-n%d", kind, n), func(t *testing.T) {
+				root := t.TempDir()
+				acked, _ := run(t, root, vfs.Fault{Op: vfs.OpAny, N: n, Kind: kind})
+				check(t, root, acked)
+			})
+		}
+	}
+}
+
 func TestRestoreFaultMatrix(t *testing.T) {
 	ops := fwWorkload()
 	o := fwCurve(t)

@@ -52,14 +52,16 @@ type segID struct {
 // with a higher epoch, for a lone-segment rewrite), so any segment whose
 // range is contained in another's — or that shares a range with a higher
 // epoch — is a stale input and is deleted. Ranges that partially overlap
-// have no legal history and are rejected.
-func scanDir(fsys vfs.FS, dir string) (segs []segID, wals []uint64, err error) {
+// have no legal history and are rejected. archive reports whether the
+// WAL archive directory exists.
+func scanDir(fsys vfs.FS, dir string) (segs []segID, wals []uint64, archive bool, err error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("engine: %w", err)
+		return nil, nil, false, fmt.Errorf("engine: %w", err)
 	}
 	for _, ent := range ents {
 		if ent.IsDir() {
+			archive = archive || ent.Name() == archiveDirName
 			continue
 		}
 		var lo, hi, epoch, gen uint64
@@ -70,7 +72,7 @@ func scanDir(fsys vfs.FS, dir string) (segs []segID, wals []uint64, err error) {
 		if n, _ := fmt.Sscanf(name, "seg-%d-%d-%d.pst", &lo, &hi, &epoch); n == 3 &&
 			name == filepath.Base(segPath(dir, lo, hi, epoch)) {
 			if lo > hi {
-				return nil, nil, fmt.Errorf("%w: segment %s", ErrDir, name)
+				return nil, nil, false, fmt.Errorf("%w: segment %s", ErrDir, name)
 			}
 			segs = append(segs, segID{lo: lo, hi: hi, epoch: epoch})
 		} else if n, _ := fmt.Sscanf(name, "wal-%d.log", &gen); n == 1 &&
@@ -101,7 +103,7 @@ func scanDir(fsys vfs.FS, dir string) (segs []segID, wals []uint64, err error) {
 		}
 		if stale {
 			if err := fsys.Remove(segPath(dir, s.lo, s.hi, s.epoch)); err != nil {
-				return nil, nil, fmt.Errorf("engine: removing stale segment: %w", err)
+				return nil, nil, false, fmt.Errorf("engine: removing stale segment: %w", err)
 			}
 			continue
 		}
@@ -111,11 +113,11 @@ func scanDir(fsys vfs.FS, dir string) (segs []segID, wals []uint64, err error) {
 	sort.Slice(segs, func(a, b int) bool { return segs[a].lo < segs[b].lo })
 	for i := 1; i < len(segs); i++ {
 		if segs[i].lo <= segs[i-1].hi {
-			return nil, nil, fmt.Errorf("%w: overlapping segments %v and %v", ErrDir, segs[i-1], segs[i])
+			return nil, nil, false, fmt.Errorf("%w: overlapping segments %v and %v", ErrDir, segs[i-1], segs[i])
 		}
 	}
 	sort.Slice(wals, func(a, b int) bool { return wals[a] < wals[b] })
-	return segs, wals, nil
+	return segs, wals, archive, nil
 }
 
 // openSegment opens the segment file for id against the curve, attached

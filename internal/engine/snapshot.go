@@ -248,9 +248,22 @@ func (e *Engine) SnapshotSince(dir, parent string) (SnapshotReport, error) {
 
 // snapshotSinceLocked is SnapshotSince's body; the caller holds flushMu.
 func (e *Engine) snapshotSinceLocked(dir, parent string) (SnapshotReport, error) {
-	// Flush first: the snapshot then contains every write acknowledged
-	// before this point, and the active WAL rotates into the archive where
-	// point-in-time restore can replay it.
+	// Start the archive before the flush: from the first snapshot on, a
+	// retired WAL holds writes a restore replays past a snapshot
+	// boundary. The directory, made durable here, is what tells a reopen
+	// that a snapshot was exported; it lands before the manifest commits,
+	// so a crash in between errs towards keeping.
+	if !e.opts.noArchive {
+		if err := e.fs.MkdirAll(archiveDir(e.dir), 0o755); err != nil {
+			return SnapshotReport{}, fmt.Errorf("engine: snapshot: %w", err)
+		}
+		if err := syncDir(e.fs, e.dir); err != nil {
+			return SnapshotReport{}, err
+		}
+		e.archiving = true
+	}
+	// Flush: the snapshot then contains every write acknowledged before
+	// this point.
 	if err := e.flushLocked(); err != nil {
 		return SnapshotReport{}, err
 	}

@@ -288,46 +288,128 @@ func TestRestoreRefusals(t *testing.T) {
 	}
 }
 
-// TestWALRetention drives several flush cycles under each retention
-// policy and checks the archive directory's population.
-func TestWALRetention(t *testing.T) {
+// TestArchiveFromFirstSnapshot pins what the engine keeps of a retired
+// WAL. Before the first snapshot no restore can replay one, so it is
+// deleted: flushes and a Close/reopen leave neither archive/ nor a
+// retired log behind. From the first snapshot on, every retirement —
+// the snapshot's own flush, later flushes, Close, and flushes after a
+// reopen — is archived, and the snapshot restores to every point after
+// it.
+func TestArchiveFromFirstSnapshot(t *testing.T) {
+	ops := fwWorkload()
 	o := fwCurve(t)
-	archived := func(retention int) []uint64 {
+	dir := t.TempDir()
+	snapDir := filepath.Join(t.TempDir(), "snap")
+	const snapAt = 40
+
+	open := func() *Engine {
 		t.Helper()
-		dir := t.TempDir()
-		opts := snapOpts(nil)
-		opts.WALRetention = retention
-		e, err := Open(dir, o, opts)
+		e, err := Open(dir, o, snapOpts(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer e.Close()
-		for cycle := 0; cycle < 4; cycle++ {
-			for i := 0; i < 5; i++ {
-				if err := e.Put(fwPoint(cycle*5+i), uint64(i)); err != nil {
-					t.Fatal(err)
-				}
+		return e
+	}
+	apply := func(e *Engine, from, to int) {
+		t.Helper()
+		for _, op := range ops[from:to] {
+			var err error
+			if op.del {
+				err = e.Delete(op.pt)
+			} else {
+				err = e.Put(op.pt, op.pay)
 			}
-			if err := e.Flush(); err != nil {
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+	flush := func(e *Engine) {
+		t.Helper()
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closeEngine := func(e *Engine) {
+		t.Helper()
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// live counts the WALs in the engine directory itself.
+	live := func() int {
+		t.Helper()
+		wals, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(wals)
+	}
+	archived := func(want int, when string) {
+		t.Helper()
 		gens, err := archivedWALs(vfs.OS{}, archiveDir(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return gens
+		if len(gens) != want {
+			t.Fatalf("%s: %d archived WALs %v, want %d", when, len(gens), gens, want)
+		}
 	}
-	if gens := archived(0); len(gens) != 4 {
-		t.Fatalf("retention 0 kept %d WALs, want all 4", len(gens))
+	noArchive := func(when string) {
+		t.Helper()
+		if _, err := os.Stat(archiveDir(dir)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s: archive/ stat = %v, want absent", when, err)
+		}
 	}
-	if gens := archived(2); len(gens) != 2 {
-		t.Fatalf("retention 2 kept %d WALs, want 2", len(gens))
-	} else if gens[0] >= gens[1] {
-		t.Fatalf("retention kept out-of-order generations %v", gens)
+
+	e := open()
+	apply(e, 0, 10)
+	flush(e)
+	apply(e, 10, 20)
+	flush(e)
+	noArchive("two flushes before any snapshot")
+	if n := live(); n != 1 {
+		t.Fatalf("two flushes before any snapshot left %d WALs, want only the active one", n)
 	}
-	if gens := archived(-1); len(gens) != 0 {
-		t.Fatalf("retention -1 archived %d WALs, want none", len(gens))
+	apply(e, 20, 30)
+	closeEngine(e)
+	if n := live(); n != 0 {
+		t.Fatalf("a clean close left %d WALs", n)
+	}
+	e = open()
+	noArchive("reopen before any snapshot")
+
+	apply(e, 30, snapAt)
+	if _, err := e.Snapshot(snapDir); err != nil {
+		t.Fatal(err)
+	}
+	archived(1, "the snapshot's own flush")
+	apply(e, snapAt, 55)
+	flush(e)
+	archived(2, "a flush after the snapshot")
+	apply(e, 55, 65)
+	closeEngine(e)
+	archived(3, "close after the snapshot")
+	e = open() // archive/ exists: archiving resumes
+	apply(e, 65, 77)
+	flush(e)
+	archived(4, "a flush after the reopen")
+	apply(e, 77, len(ops))
+	closeEngine(e)
+	archived(5, "the second close")
+
+	for j := snapAt; j <= len(ops); j++ {
+		target := filepath.Join(t.TempDir(), "restored")
+		rep, err := Restore(snapDir, target, j-snapAt, o, snapOpts(nil))
+		if err != nil {
+			t.Fatalf("restore to op %d: %v", j, err)
+		}
+		if rep.Replayed != j-snapAt {
+			t.Fatalf("restore to op %d replayed %d records, want %d", j, rep.Replayed, j-snapAt)
+		}
+		if got, want := fwRecover(t, target), fwStateAfter(o, ops, j); !maps.Equal(got, want) {
+			t.Fatalf("restore to op %d: %d records, want %d (state of ops[:%d])", j, len(got), len(want), j)
+		}
 	}
 }
 
@@ -343,6 +425,12 @@ func TestArchiveInvisibleToOpen(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		if err := e.Put(fwPoint(i), uint64(100+i)); err != nil {
 			t.Fatal(err)
+		}
+		if i == 9 {
+			// The archive starts at the first snapshot.
+			if _, err := e.Snapshot(filepath.Join(t.TempDir(), "snap")); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := e.Flush(); err != nil {

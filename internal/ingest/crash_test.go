@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/curve"
@@ -41,10 +43,16 @@ func icOpts(fsys vfs.FS) engine.Options {
 // icRun drives the recorded workload through a fresh pipeline against
 // dir: waves of async enqueues, a quiesce (Drain) and an explicit Flush
 // after each wave so segment builds, installs and WAL retirements all
-// happen while acked batches exist. Returns per-op acked flags.
+// happen while acked batches exist. The directory starts with the
+// engine's archive/, as after its first snapshot, so every WAL
+// retirement takes the archive path (rename and two directory fsyncs)
+// rather than a single remove. Returns per-op acked flags.
 func icRun(t *testing.T, dir string, fsys vfs.FS, ops []igOp) []bool {
 	t.Helper()
 	acked := make([]bool, len(ops))
+	if err := os.MkdirAll(filepath.Join(dir, "archive"), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	e, err := engine.Open(dir, igCurve(t), icOpts(fsys))
 	if err != nil {
 		return acked // nothing ran, nothing acked

@@ -14,8 +14,8 @@ import (
 // rotated into the archive across several flush cycles, then heals and
 // proves the rejoin path — snapshot restore plus archived-WAL replay
 // plus resend of the live tail — converges bit-identically. This is the
-// WALRetention-enabled variant of seeding: the restored engine may land
-// ahead of the seed base because the archive replays past the snapshot's
+// archive-replay variant of seeding: the restored engine may land ahead
+// of the seed base because the archive replays past the snapshot's
 // flush point, and the follower's LWW re-application of the resend
 // window must absorb that overlap.
 func TestReplSeedWithArchivedWALs(t *testing.T) {
@@ -24,7 +24,6 @@ func TestReplSeedWithArchivedWALs(t *testing.T) {
 		FlushEntries:  8, // frequent flushes rotate WALs into the archive
 		CompactFanout: -1,
 		Shards:        2,
-		WALRetention:  0, // archive every retired WAL, keep all
 	}
 	cl := newCluster(t, 2, Config{
 		HistoryEntries:     4, // tiny resend window: a lagging peer must seed
@@ -44,6 +43,12 @@ func TestReplSeedWithArchivedWALs(t *testing.T) {
 	}
 	cl.g.Heartbeat()
 	cl.tr.Partition("f2")
+	// The leader archives from its first snapshot on. The catch-up loop
+	// exports a seed once f2 falls behind the window; export one now so
+	// the archive does not depend on when that happens.
+	if _, _, _, err := cl.g.ensureSeed(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Enough writes to blow past the resend window and cycle several
 	// memtable flushes, so retired WALs pile up in the archive that the

@@ -47,12 +47,19 @@ func mxApply(e *engine.Engine, op mxOp) error {
 // A closing heartbeat resends to the lagging follower and pushes the
 // final watermark, so those deliveries are injection points in every
 // run instead of catch-up work that lands before or after the count
-// depending on scheduling.
+// depending on scheduling. So does a heartbeat halfway, which resends
+// the backlog the lagging follower has built by then: the count never
+// falls below what the commit path and the two heartbeats deliver, and
+// catch-up-loop rounds, which depend on the machine's load, only add to
+// it.
 func mxRun(t *testing.T, g *Group, ops []mxOp) int {
 	t.Helper()
 	acked := 0
 	failed := false
 	for i, op := range ops {
+		if i == len(ops)/2 {
+			g.Heartbeat()
+		}
 		err := mxApply(g.Engine(), op)
 		if err == nil {
 			if failed {

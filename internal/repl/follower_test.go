@@ -56,8 +56,8 @@ func seedFaultRun(t *testing.T, fault vfs.Fault) (matched int64, failed, latched
 	cl.tr.Partition("f2")
 	// Each restored segment is a remove point of the seed. The catch-up
 	// loop exports a snapshot (a flush) whenever it gets a turn, so the
-	// number of leader segments depends on scheduling; two explicit
-	// flushes between the writes give the snapshot at least three, and
+	// number of leader segments depends on scheduling; three explicit
+	// flushes between the writes give the snapshot at least five, and
 	// the enumerated points a floor that does not.
 	put(5, 12)
 	flush := func() {
@@ -68,7 +68,9 @@ func seedFaultRun(t *testing.T, fault vfs.Fault) (matched int64, failed, latched
 	flush()
 	put(12, 19)
 	flush()
-	put(19, 25)
+	put(19, 22)
+	flush()
+	put(22, 25)
 
 	// Still partitioned, so the catch-up loop cannot get a seed of its
 	// own in: the armed fault meets the seed handed over here.
@@ -143,12 +145,14 @@ func archivedWALs(t *testing.T, dir string) int {
 }
 
 // TestFollowerKeepsNoWALArchive pins the single-copy rule and what
-// follows from it. A follower's engine deletes the WALs it retires, so
-// after flushes and rotations its directory holds no archive, and a
-// snapshot of it restores to the snapshot's own boundary and no further.
-// Promote reopens the engine with the leader's options: the same
-// directory archives from then on, and a cached seed snapshot is still
-// reused for a follower that falls behind shortly after it was taken.
+// follows from it. A follower's engine deletes the WALs it retires, even
+// after a snapshot — where a leader starts archiving — so after flushes
+// and rotations its directory holds no archive, and a snapshot of it
+// restores to the snapshot's own boundary and no further. Promote
+// reopens the engine with the leader's options: the same directory
+// archives once it has exported a seed, and a cached seed snapshot is
+// still reused for a follower that falls behind shortly after it was
+// taken.
 func TestFollowerKeepsNoWALArchive(t *testing.T) {
 	opts := rtEngOpts()
 	opts.FlushEntries = 8 // frequent flushes retire WALs
@@ -177,8 +181,14 @@ func TestFollowerKeepsNoWALArchive(t *testing.T) {
 	if _, err := f2.Engine().Snapshot(snap); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := e.Snapshot(filepath.Join(t.TempDir(), "leader-snap")); err != nil {
+		t.Fatal(err)
+	}
 	put(e, 40, 80) // overwrites every key the snapshot holds
 	cl.g.Heartbeat()
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	for i, f := range cl.fs {
 		if err := f.Engine().Flush(); err != nil {
 			t.Fatal(err)
@@ -192,7 +202,7 @@ func TestFollowerKeepsNoWALArchive(t *testing.T) {
 		}
 	}
 	if archivedWALs(t, cl.g.dir) == 0 {
-		t.Fatal("the leader archived no WAL under the same workload")
+		t.Fatal("the leader archived no WAL under the same workload and snapshot")
 	}
 
 	restored := filepath.Join(t.TempDir(), "restored")
@@ -220,9 +230,6 @@ func TestFollowerKeepsNoWALArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ng.Close() //nolint:errcheck
-	if r := ng.Engine().WALRetention(); r != 0 {
-		t.Fatalf("promoted engine runs with WAL retention %d, want Config.Engine's 0", r)
-	}
 
 	ng.Heartbeat() // find out where the survivors are before the window moves
 
@@ -243,9 +250,6 @@ func TestFollowerKeepsNoWALArchive(t *testing.T) {
 	if fresh {
 		put(ng.Engine(), 100, 102)
 	}
-	if archivedWALs(t, f1.dir) == 0 {
-		t.Fatal("the promoted leader archived no WAL")
-	}
 	cl.tr.Heal()
 	for i := 0; i < 30; i++ {
 		ng.Heartbeat()
@@ -259,4 +263,14 @@ func TestFollowerKeepsNoWALArchive(t *testing.T) {
 	want := stateOf(t, cl.c, ng.Engine())
 	assertSameState(t, cl.c, want, f2.Engine(), "f2")
 	assertSameState(t, cl.c, want, f3.Engine(), "f3")
+
+	// The promoted leader has exported a seed, so what it retires from
+	// now on is archived: its directory is a leader's.
+	put(ng.Engine(), 102, 110)
+	if err := ng.Engine().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if archivedWALs(t, f1.dir) == 0 {
+		t.Fatal("the promoted leader archived no WAL after its seed export")
+	}
 }

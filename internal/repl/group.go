@@ -849,12 +849,11 @@ func (g *Group) seedPeerLocked(p *peerState, dir string, base, baseEpoch uint64)
 // ensureSeed exports (or reuses) the catch-up snapshot. The base index
 // is captured before the snapshot, so the snapshot holds at least every
 // entry up to it — entries past it re-apply idempotently on the
-// follower. A cached seed is reused only while the leader runs with
-// unbounded WAL retention: with a retention cap, the archived WALs a
-// stale snapshot's restore depends on may have been pruned, so every
-// seed is exported fresh. The retention is read from the engine itself,
-// not from cfg.Engine — with LeadEngine the engine was opened by the
-// caller and cfg.Engine may not reflect its real options.
+// follower. A seed is an exported snapshot, so the leader's engine
+// archives every WAL it retires from then on and nothing prunes the
+// archive: however stale, a cached seed restores past its base. Only a
+// follower's engine deletes retired WALs (FollowerOptions), and Promote
+// reopens it with Config.Engine, so every leader engine archives.
 func (g *Group) ensureSeed() (string, uint64, uint64, error) {
 	g.seedMu.Lock()
 	defer g.seedMu.Unlock()
@@ -864,12 +863,10 @@ func (g *Group) ensureSeed() (string, uint64, uint64, error) {
 	last := g.nextIndex
 	histBase := g.histBase
 	g.mu.Unlock()
-	// A cached seed is reusable only if it still bridges to the resend
+	// A cached seed is reusable while it still bridges to the resend
 	// window (a follower seeded below histBase would just need another
-	// seed) and the archived history it depends on cannot have been
-	// pruned (unbounded WAL retention).
+	// seed) and the leader has not moved SeedRefreshEntries past it.
 	if g.seedDir != "" && g.seedEpoch == epoch &&
-		g.eng.WALRetention() == 0 &&
 		g.seedBase >= histBase &&
 		last-g.seedBase < uint64(g.cfg.SeedRefreshEntries) {
 		g.mu.Lock()

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -9,62 +8,6 @@ import (
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/vfs"
 )
-
-// leadEngineCluster wires followers plus a LeadEngine-led leader whose
-// engine is opened by the test (the shard.OpenReplicated shape), so the
-// engine's real options and cfg.Engine can differ.
-type leadEngineCluster struct {
-	*cluster
-	eng *engine.Engine
-}
-
-func newLeadEngineCluster(t *testing.T, followers int, opts engine.Options, cfg Config) *leadEngineCluster {
-	t.Helper()
-	cl := &cluster{t: t, c: rtCurve(t), lb: NewLoopback()}
-	cl.tr = NewInjectingTransport(cl.lb)
-	base := t.TempDir()
-	for i := 0; i < followers; i++ {
-		id := fmt.Sprintf("f%d", i+1)
-		f, err := OpenFollower(id, filepath.Join(base, id), cl.c, FollowerOptions{Engine: rtEngOpts()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.lb.Register(id, f)
-		cl.fs = append(cl.fs, f)
-		cl.ids = append(cl.ids, id)
-	}
-	lc := &leadEngineCluster{cluster: cl}
-	hook := NewHook(cl.c.Universe().Dims())
-	opts.CommitHook = hook
-	opts.SyncWrites = true
-	eng, err := engine.Open(filepath.Join(base, "leader"), cl.c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lc.eng = eng
-	cfg.ID = "leader"
-	cfg.Peers = cl.ids
-	cfg.Transport = cl.tr
-	if cfg.retryBase == 0 {
-		cfg.retryBase = time.Millisecond
-	}
-	g, err := LeadEngine(eng, filepath.Join(base, "leader"), hook, cfg)
-	if err != nil {
-		eng.Close() //nolint:errcheck
-		t.Fatal(err)
-	}
-	cl.g = g
-	t.Cleanup(func() {
-		if cl.g != nil {
-			cl.g.Close() //nolint:errcheck
-		}
-		eng.Close() //nolint:errcheck
-		for _, f := range cl.fs {
-			f.Close() //nolint:errcheck
-		}
-	})
-	return lc
-}
 
 // TestLeadEngineReopenReseeds: the documented reopen path — LeadEngine
 // over an ex-leader directory under a higher epoch — restarts the
@@ -299,54 +242,4 @@ func TestReplLogAppendAfterHandleLoss(t *testing.T) {
 	if err := l.append([]Entry{{Index: 2, Epoch: 1, Op: []byte{2}}}); err == nil {
 		t.Fatal("append with a lost handle reported success")
 	}
-}
-
-// TestSeedRefreshReadsEngineRetention: with LeadEngine the engine's real
-// options live on the engine, not on cfg.Engine (which may be zero). A
-// leader whose engine prunes archived WALs must refresh the seed
-// snapshot for every seed round — reusing a cached seed whose restore
-// chain depends on pruned archives would under-fill the follower while
-// Base overstates its coverage.
-func TestSeedRefreshReadsEngineRetention(t *testing.T) {
-	opts := rtEngOpts()
-	opts.FlushEntries = 8 // frequent flushes rotate WALs into the archive
-	opts.WALRetention = 1 // prune aggressively: stale seeds go bad
-	lc := newLeadEngineCluster(t, 2, opts, Config{
-		HistoryEntries:     4,
-		SeedRefreshEntries: 1 << 20, // reuse would kick in absent the retention gate
-		retryBase:          time.Millisecond,
-		retryCap:           2 * time.Millisecond,
-		retryAttempts:      2,
-	})
-	e := lc.eng
-
-	seedRound := func(round, from, to int) uint64 {
-		lc.tr.Partition("f2")
-		for i := from; i < to; i++ {
-			if err := e.Put(rtPoint(i%40), uint64(100+i)); err != nil {
-				lc.t.Fatal(err)
-			}
-		}
-		lc.tr.Heal()
-		for i := 0; i < 50; i++ {
-			lc.g.Heartbeat()
-			if st := lc.fs[1].Status(); int(st.Seeds) >= round && st.Applied == st.Last && lc.g.Lag()["f2"] == 0 {
-				break
-			}
-		}
-		st := lc.fs[1].Status()
-		if int(st.Seeds) < round {
-			lc.t.Fatalf("round %d: f2 not seeded (%+v)", round, st)
-		}
-		return st.Base
-	}
-
-	b1 := seedRound(1, 0, 30)
-	b2 := seedRound(2, 30, 60)
-	if b2 <= b1 {
-		t.Fatalf("second seed reused a stale snapshot: base %d after %d", b2, b1)
-	}
-	want := stateOf(t, lc.c, e)
-	assertSameState(t, lc.c, want, lc.fs[0].Engine(), "f1")
-	assertSameState(t, lc.c, want, lc.fs[1].Engine(), "f2")
 }

@@ -102,9 +102,7 @@ type Config struct {
 	// uncommitted overflow lasts. Default 1 << 14.
 	HistoryEntries int
 	// SeedRefreshEntries re-exports the catch-up seed snapshot once the
-	// leader has moved this many entries past it. With a WAL retention
-	// cap the seed is always refreshed, since the archived gap a stale
-	// seed depends on may have been pruned. Default HistoryEntries.
+	// leader has moved this many entries past it. Default HistoryEntries.
 	SeedRefreshEntries int
 	// Epoch is the starting epoch (Promote passes the successor epoch;
 	// a fresh group starts at 1).
@@ -162,14 +160,15 @@ func (c Config) withDefaults() Config {
 type FollowerOptions struct {
 	// Engine tunes the follower's engine. SyncWrites stays off by
 	// default: the follower's durable truth is its replication log, and
-	// the engine catches up on compaction and close. WALRetention is
-	// forced to -1 (retired WALs are deleted, not archived): an entry
-	// already sits in the replication log until the engine holds it in a
-	// segment, and nothing reads a follower's archive — seeds replay the
-	// leader's, and Promote reopens the engine with Config.Engine, which
-	// archives from then on. Point-in-time restore is therefore a
-	// leader-side capability: a snapshot of Follower.Engine() restores
-	// to its own boundary and no further.
+	// the engine catches up on compaction and close. Archiving is forced
+	// off (engine.NoArchive: retired WALs are deleted, even after a
+	// snapshot): an entry already sits in the replication log until the
+	// engine holds it in a segment, and nothing reads a follower's
+	// archive — seeds replay the leader's, and Promote reopens the engine
+	// with Config.Engine, which archives from its first snapshot on.
+	// Point-in-time restore is therefore a leader-side capability: a
+	// snapshot of Follower.Engine() restores to its own boundary and no
+	// further.
 	Engine engine.Options
 
 	// maxLogEntries triggers replication-log compaction: once the log
@@ -183,6 +182,6 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 	if o.maxLogEntries <= 0 {
 		o.maxLogEntries = 1 << 14
 	}
-	o.Engine.WALRetention = -1
+	o.Engine = engine.NoArchive(o.Engine)
 	return o
 }

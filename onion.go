@@ -592,9 +592,9 @@ func LeadReplicated(dir string, c Curve, cfg ReplConfig) (*ReplGroup, error) {
 
 // OpenReplFollower opens (creating or rejoining) a follower replica.
 // Register it on the transport under id so the leader can reach it. A
-// follower's engine keeps no WAL archive (opts.Engine.WALRetention is
-// forced to -1), so point-in-time restore past a snapshot is served
-// from the leader's directory, not a follower's.
+// follower's engine keeps no WAL archive — it deletes every WAL it
+// retires, even after a snapshot of it — so point-in-time restore past
+// a snapshot is served from the leader's directory, not a follower's.
 func OpenReplFollower(id, dir string, c Curve, opts ReplFollowerOptions) (*ReplFollower, error) {
 	return repl.OpenFollower(id, dir, c, opts)
 }
@@ -642,9 +642,10 @@ func OpenReplicatedShardedEngine(dir string, c Curve, opts ShardedEngineOptions,
 // into one extra segment: upTo < 0 restores to latest, upTo == 0
 // restores the snapshot boundary alone, and any value in between is a
 // point-in-time boundary — record j of the replay stream is the j-th
-// write acknowledged after the snapshot's flush point. How far back the
-// archive reaches is bounded by EngineOptions.WALRetention on the
-// source engine (the default keeps every retired WAL).
+// write acknowledged after the snapshot's flush point. The source engine
+// archives every WAL it retires from its first snapshot on and keeps
+// them all; a WAL retired before that is deleted, since the segments of
+// every snapshot already cover it.
 //
 // targetDir must not exist; the build is staged in a sibling directory
 // renamed into place last, so a crash or failure at any point leaves
