@@ -214,18 +214,13 @@ func TestFaultMatrix(t *testing.T) {
 	}
 	fwCheck(t, o, ops, len(ops), fwRecover(t, enumDir))
 
-	maxPoints := int64(12)
-	if testing.Short() {
-		maxPoints = 4
-	}
 	for fi, f := range filters {
 		total := inj.Matched(fi)
 		if total == 0 {
 			t.Fatalf("filter %+v matched no operations — the workload no longer exercises it", f)
 		}
-		stride := (total + maxPoints - 1) / maxPoints
 		for _, kind := range []vfs.Kind{vfs.KindFail, vfs.KindCrash} {
-			for n := int64(1); n <= total; n += stride {
+			for n := int64(1); n <= total; n++ {
 				name := fmt.Sprintf("%s-%s-%s-n%d", f.Op, f.Path, kind, n)
 				t.Run(name, func(t *testing.T) {
 					dir := t.TempDir()

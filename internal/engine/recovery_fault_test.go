@@ -7,6 +7,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/curve"
@@ -16,11 +17,11 @@ import (
 // These matrices extend TestFaultMatrix's contract to the recovery
 // subsystem: every file operation a snapshot export, a WAL archive move,
 // a point-in-time restore or a quarantine repair performs is enumerated
-// with count-only rules, then failed and crashed one sampled point at a
+// with count-only rules, then failed and crashed at every point, one at a
 // time. The invariants: the SOURCE engine always reopens clean with an
 // acked-consistent prefix, a committed snapshot (manifest present) is
-// always restorable, a restore target is atomically absent-or-complete,
-// and an interrupted repair converges on retry.
+// always restorable, a restore target is absent-or-complete, and an
+// interrupted repair converges on retry.
 
 // rwPrefix relaxes fwCheck: the recovered state must equal fwStateAfter
 // for SOME prefix j — used where the floor is not the acked count (a
@@ -117,18 +118,13 @@ func TestSnapshotFaultMatrix(t *testing.T) {
 	rwCheckSnapshot(t, filepath.Join(enumRoot, "snap1"), o, ops)
 	rwCheckSnapshot(t, filepath.Join(enumRoot, "snap2"), o, ops)
 
-	maxPoints := int64(10)
-	if testing.Short() {
-		maxPoints = 4
-	}
 	for fi, f := range filters {
 		total := inj.Matched(fi)
 		if total == 0 {
 			t.Fatalf("filter %+v matched no operations — the workload no longer exercises it", f)
 		}
-		stride := (total + maxPoints - 1) / maxPoints
 		for _, kind := range []vfs.Kind{vfs.KindFail, vfs.KindCrash} {
-			for n := int64(1); n <= total; n += stride {
+			for n := int64(1); n <= total; n++ {
 				name := fmt.Sprintf("%s-%s-%s-n%d", f.Op, f.Path, kind, n)
 				t.Run(name, func(t *testing.T) {
 					root := t.TempDir()
@@ -304,13 +300,8 @@ func TestRestoreFaultMatrix(t *testing.T) {
 		t.Fatal("restore performed no injectable operations")
 	}
 
-	maxPoints := int64(12)
-	if testing.Short() {
-		maxPoints = 4
-	}
-	stride := (total + maxPoints - 1) / maxPoints
 	for _, kind := range []vfs.Kind{vfs.KindFail, vfs.KindCrash} {
-		for n := int64(1); n <= total; n += stride {
+		for n := int64(1); n <= total; n++ {
 			t.Run(fmt.Sprintf("%s-n%d", kind, n), func(t *testing.T) {
 				target := filepath.Join(t.TempDir(), "restored")
 				ifs := vfs.NewInjecting(vfs.OS{})
@@ -318,9 +309,19 @@ func TestRestoreFaultMatrix(t *testing.T) {
 				if _, err := Restore(snapDir, target, -1, o, snapOpts(ifs)); err == nil {
 					t.Fatalf("restore with fault point %d of %d succeeded", n, total)
 				}
-				// Absent-or-complete: the target never exists after a failure.
-				if _, err := os.Stat(target); !errors.Is(err, fs.ErrNotExist) {
-					t.Fatalf("failed restore left target behind: stat err %v", err)
+				// Absent-or-complete. A fault after the rename into place
+				// leaves a complete target whose durability failed; a retry
+				// is then refused, since the target exists.
+				if _, err := os.Stat(target); err == nil {
+					if !maps.Equal(fwRecover(t, target), want) {
+						t.Fatal("failed restore left an incomplete target behind")
+					}
+					if _, err := Restore(snapDir, target, -1, o, snapOpts(nil)); err == nil || !strings.Contains(err.Error(), "already exists") {
+						t.Fatalf("retry over a complete target = %v, want already exists", err)
+					}
+					return
+				} else if !errors.Is(err, fs.ErrNotExist) {
+					t.Fatal(err)
 				}
 				// A retry on the healed filesystem clears the staging debris
 				// and completes.
@@ -416,18 +417,13 @@ func TestRepairFaultMatrix(t *testing.T) {
 	checkBothRows(t, e, o)
 	e.Close()
 
-	maxPoints := int64(6)
-	if testing.Short() {
-		maxPoints = 2
-	}
 	for fi, f := range filters {
 		total := inj.Matched(fi)
 		if total == 0 {
 			t.Fatalf("filter %+v matched no operations — repair no longer exercises it", f)
 		}
-		stride := (total + maxPoints - 1) / maxPoints
 		for _, kind := range []vfs.Kind{vfs.KindFail, vfs.KindCrash} {
-			for n := int64(1); n <= total; n += stride {
+			for n := int64(1); n <= total; n++ {
 				name := fmt.Sprintf("%s-%s-%s-n%d", f.Op, f.Path, kind, n)
 				t.Run(name, func(t *testing.T) {
 					dir, snapDir := buildFixture(t, t.TempDir())

@@ -33,9 +33,12 @@ type RestoreReport struct {
 // snapshot's flush point.
 //
 // targetDir must not exist. The build happens in a sibling directory
-// renamed into place as the last step, so an injected failure or crash
-// at any point leaves targetDir atomically absent — never a half-built
-// engine — and never modifies the snapshot or the source engine.
+// renamed into place, so an injected failure or crash at any point leaves
+// targetDir absent or complete — never a half-built engine — and never
+// modifies the snapshot or the source engine. Only the fsync of the parent
+// after the rename can fail with targetDir complete: the restore is then
+// whole but its durability failed. The rename is not rolled back, and a
+// retry is refused because targetDir exists.
 func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Options) (RestoreReport, error) {
 	opts = opts.withDefaults()
 	fsys := vfs.Or(opts.FS)

@@ -123,7 +123,7 @@ func NewCache(budgetBytes int64) *Cache {
 }
 
 // mix64 is the splitmix64 finalizer: a cheap, well-distributed hash for
-// cache sharding and filter probing.
+// cache sharding.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

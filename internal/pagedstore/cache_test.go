@@ -2,10 +2,12 @@ package pagedstore
 
 import (
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/core"
+	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/ranges"
 )
@@ -116,15 +118,18 @@ func TestCachedStoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFilterAndFencePruning: point lookups for absent keys and ranges
-// that fall in inter-page gaps are answered without any physical read,
-// while the records and the logical Stats stay bit-identical to the
-// unpruned linear walk of referenceQuery.
-func TestFilterAndFencePruning(t *testing.T) {
+// TestFencePruning: the fence table is the one pruning structure, and it
+// prunes exactly. On a sparse store (every 5th curve key, so every page
+// boundary leaves a gap of absent keys), each one-cell lookup returns the
+// records and logical Stats of the unpruned linear walk of referenceQuery,
+// and its physical I/O is pinned: a key between pageMax[p] and
+// firstKeys[p+1] costs no fetch and no cache visit, and a key inside
+// [firstKeys[p], pageMax[p]], present or not, fetches page p and nothing
+// else.
+func TestFencePruning(t *testing.T) {
 	side := uint32(64)
 	o, _ := core.NewOnion2D(side)
 	u := o.Universe()
-	// A sparse store: every 5th curve key, so plenty of absent keys.
 	var recs []Record
 	p := make(geom.Point, 2)
 	for key := uint64(0); key < u.Size(); key += 5 {
@@ -135,90 +140,76 @@ func TestFilterAndFencePruning(t *testing.T) {
 	if err := Write(path, o, recs, 512); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(path, o)
+	bare, err := Open(path, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	if st.filter == nil || len(st.pageMax) != st.Pages() {
-		t.Fatal("store opened without its pruning footer")
+	defer bare.Close()
+	cached, err := OpenCached(path, o, NewCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cached.Close()
+	if len(bare.pageMax) != bare.Pages() {
+		t.Fatal("store opened without its fence table")
 	}
 
-	var pruned int
+	// lookup walks the one-key plan with a fresh cursor and returns its
+	// physical I/O and the page it last materialized (-2 for none).
+	lookup := func(s *Store, key uint64) (IOStats, int) {
+		cur := s.NewCursor()
+		cur.Plan([]curve.KeyRange{{Lo: key, Hi: key}})
+		var e Entry
+		for cur.NextRange() {
+			for {
+				ok, err := cur.NextInto(&e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+			}
+		}
+		return cur.IO(), cur.dataPage
+	}
+	var gaps, inside int
 	for key := uint64(0); key < u.Size(); key++ {
 		o.Coords(key, p)
 		r := geom.Rect{Lo: p.Clone(), Hi: p.Clone()}
-		want, wst, err := referenceQuery(st, r)
+		want, wst, err := referenceQuery(bare, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gst, gio := runCursorQuery(t, st, r)
+		got, gst, _ := runCursorQuery(t, bare, r)
 		equalRecs(t, r, got, want)
 		if gst != wst {
 			t.Fatalf("key %d: stats %+v != reference stats %+v", key, gst, wst)
 		}
-		if key%5 != 0 {
-			// Absent key: the Bloom filter (no false negatives on the
-			// present keys is checked above by the record equality) lets
-			// most lookups skip the fetch entirely.
-			if gio.PagesFetched == 0 && gio.CacheHits == 0 {
-				pruned++
+		if present := key%5 == 0; present != (len(got) == 1) || len(got) > 1 {
+			t.Fatalf("key %d (present: %v) returned %d records", key, present, len(got))
+		}
+		// pg is the last page starting at or before key.
+		pg := sort.Search(len(bare.firstKeys), func(i int) bool { return bare.firstKeys[i] > key }) - 1
+		bio, bpage := lookup(bare, key)
+		cio, cpage := lookup(cached, key)
+		if key > bare.pageMax[pg] {
+			gaps++
+			if bio != (IOStats{}) || cio != (IOStats{}) {
+				t.Fatalf("key %d in the gap after page %d: bare io %+v, cached io %+v, want none", key, pg, bio, cio)
 			}
-		} else if len(got) != 1 {
-			t.Fatalf("present key %d returned %d records", key, len(got))
+			continue
+		}
+		inside++
+		if bio != (IOStats{PagesFetched: 1, ReadCalls: 1}) || bpage != pg {
+			t.Fatalf("key %d inside page %d: bare io %+v on page %d, want one fetch of page %d", key, pg, bio, bpage, pg)
+		}
+		if cio.PagesFetched+cio.CacheHits != 1 || cio.PagesFetched != cio.ReadCalls || cpage != pg {
+			t.Fatalf("key %d inside page %d: cached io %+v on page %d, want one visit of page %d", key, pg, cio, cpage, pg)
 		}
 	}
-	// With ~10 bits/key the false positive rate is ~1%; demand the
-	// overwhelming majority of absent-point lookups were free.
-	absent := int(u.Size()) - len(recs)
-	if pruned < absent*9/10 {
-		t.Fatalf("only %d of %d absent lookups pruned", pruned, absent)
-	}
-}
-
-// TestFilterNoFalseNegatives: every inserted key answers mayContain.
-func TestFilterNoFalseNegatives(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	keys := make([]uint64, 10000)
-	for i := range keys {
-		keys[i] = rng.Uint64()
-	}
-	f := buildFilter(keys)
-	for _, k := range keys {
-		if !f.mayContain(k) {
-			t.Fatalf("false negative for key %d", k)
-		}
-	}
-	// And the false positive rate on fresh random keys is sane.
-	fp := 0
-	for i := 0; i < 10000; i++ {
-		if f.mayContain(rng.Uint64()) {
-			fp++
-		}
-	}
-	if fp > 500 { // ~1% expected; 5% is a hard failure
-		t.Fatalf("%d/10000 false positives", fp)
-	}
-}
-
-// TestFilterRoundTrip: marshal/unmarshal preserves the filter bit for
-// bit, and the empty-section encoding round-trips to nil.
-func TestFilterRoundTrip(t *testing.T) {
-	f := buildFilter([]uint64{1, 99, 12345, 1 << 40})
-	g, ok := unmarshalFilter(f.marshal())
-	if !ok || g == nil || g.k != f.k || len(g.words) != len(f.words) {
-		t.Fatalf("round trip: %+v -> %+v (ok=%v)", f, g, ok)
-	}
-	for i := range f.words {
-		if f.words[i] != g.words[i] {
-			t.Fatalf("word %d differs", i)
-		}
-	}
-	if n, ok := unmarshalFilter((*keyFilter)(nil).marshal()); !ok || n != nil {
-		t.Fatalf("empty filter round trip: %v ok=%v", n, ok)
-	}
-	if _, ok := unmarshalFilter([]byte{1, 2, 3}); ok {
-		t.Fatal("truncated filter accepted")
+	if gaps == 0 || inside == 0 {
+		t.Fatalf("%d gap keys and %d in-page keys: the store does not exercise both", gaps, inside)
 	}
 }
 

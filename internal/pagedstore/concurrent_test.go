@@ -234,10 +234,9 @@ func referenceQuery(s *Store, r geom.Rect) ([]Record, Stats, error) {
 // referenceRanges is referenceQuery from its plan on, for callers that
 // bring their own ranges. It also returns the physical I/O a bare store
 // pays for the plan, from a walk of its own. A range's visit fetches its
-// page unless the key filter proves every key of a narrow range absent,
-// the page's fence ends before the range, or the page is the one fetched
-// last. The fetched pages are read in maximal runs of consecutive pages,
-// each split into reads of at most runPages pages.
+// page unless the page's fence ends before the range, or the page is the
+// one fetched last. The fetched pages are read in maximal runs of
+// consecutive pages, each split into reads of at most runPages pages.
 func referenceRanges(s *Store, krs []curve.KeyRange) ([]Record, Stats, IOStats, error) {
 	var st Stats
 	var io IOStats
@@ -245,13 +244,6 @@ func referenceRanges(s *Store, krs []curve.KeyRange) ([]Record, Stats, IOStats, 
 	lastPage, lastFetched, run := -2, -2, 0
 	buf := make([]byte, s.pageBytes)
 	for _, kr := range krs {
-		absent := false
-		if s.filter != nil && kr.Hi-kr.Lo < filterMaxProbe {
-			absent = true
-			for key := kr.Lo; absent && key <= kr.Hi; key++ {
-				absent = !s.filter.mayContain(key)
-			}
-		}
 		p := sort.Search(len(s.firstKeys), func(i int) bool {
 			return i+1 >= len(s.firstKeys) || s.firstKeys[i+1] >= kr.Lo
 		})
@@ -266,7 +258,7 @@ func referenceRanges(s *Store, krs []curve.KeyRange) ([]Record, Stats, IOStats, 
 				}
 				lastPage = p
 			}
-			if !absent && s.pageMax[p] >= kr.Lo && p != lastFetched {
+			if s.pageMax[p] >= kr.Lo && p != lastFetched {
 				if p != lastFetched+1 || run == runPages {
 					io.ReadCalls++
 					run = 0
@@ -277,7 +269,7 @@ func referenceRanges(s *Store, krs []curve.KeyRange) ([]Record, Stats, IOStats, 
 			}
 			// The page's first key and record count come from the file's
 			// page index: pageCount first keys from byte 40, then pageCount
-			// counts. A v6 slot is the key's offset from the first key (4)
+			// counts. A v7 slot is the key's offset from the first key (4)
 			// + payload (8). The point is the curve's per-key inverse of the
 			// key, not the cursor's batch path.
 			pages := int64(len(s.firstKeys))

@@ -220,6 +220,52 @@ func resealMeta(b []byte, dataOff, marksOff int64) {
 	binary.LittleEndian.PutUint32(b[len(b)-4:], sum)
 }
 
+// TestFileLengthExact: after the mark bitmap a file holds exactly its
+// fences, page checksums and metadata checksum, so Open rejects a file one
+// byte longer or shorter than that as ErrCorrupt — even when the metadata
+// checksum is resealed over the edit.
+func TestFileLengthExact(t *testing.T) {
+	path := writeStore(t, 300)
+	o, _ := core.NewOnion2D(64)
+	s, err := Open(path, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := int64(len(s.firstKeys))
+	dataOff, marksOff := s.dataOff, s.dataOff+pages*int64(s.pageBytes)
+	footOff := marksOff + int64(len(s.marks))
+	s.Close()
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := footOff + 12*pages + 4; int64(len(orig)) != want {
+		t.Fatalf("file is %d bytes, want %d", len(orig), want)
+	}
+	// without returns orig less its byte at off.
+	without := func(off int64) []byte {
+		return append(append([]byte(nil), orig[:off]...), orig[off+1:]...)
+	}
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		want string
+	}{
+		{"one byte appended to the footer", append(append(append([]byte(nil), orig[:len(orig)-4]...), 0), orig[len(orig)-4:]...), "trailing footer bytes"},
+		{"first fence byte dropped", without(footOff), "short pruning footer"},
+		{"last page checksum byte dropped", without(int64(len(orig)) - 5), "short pruning footer"},
+	} {
+		resealMeta(tc.b, dataOff, marksOff)
+		p := filepath.Join(t.TempDir(), "length.pst")
+		if err := os.WriteFile(p, tc.b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(p, o); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: open = %v, want ErrCorrupt: %s", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestCountTableRejected: the page index's record counts must each lie in
 // [1, perPage] and sum to the header's record count, or Open rejects the
 // file — even when the metadata checksum is resealed over the edit. The
@@ -302,13 +348,14 @@ func TestSlotZeroOffsetRejected(t *testing.T) {
 	}
 }
 
-// TestRetiredVersionsRejected: nothing writes format versions 1 to 5 any
+// TestRetiredVersionsRejected: nothing writes format versions 1 to 6 any
 // more and Open no longer reads them — a header naming one is an
 // unsupported version, not a file to reinterpret. That holds for a current
-// file whose version field is overwritten (a v5 file differed only in its
-// 16-byte slots, which held the whole key, and in having no record counts)
-// and for a literal version-1 file (header, page index, pages, nothing
-// after them) as the retired writer laid it out.
+// file whose version field is overwritten (a v6 file differed only in the
+// Bloom filter after its page checksums, a v5 file in its 16-byte slots,
+// which held the whole key, and in having no record counts) and for a
+// literal version-1 file (header, page index, pages, nothing after them)
+// as the retired writer laid it out.
 func TestRetiredVersionsRejected(t *testing.T) {
 	path := writeStore(t, 300)
 	o, _ := core.NewOnion2D(64)
@@ -318,7 +365,7 @@ func TestRetiredVersionsRejected(t *testing.T) {
 	}
 	files := map[string][]byte{}
 	wantVer := map[string]uint32{}
-	for _, ver := range []uint32{1, 2, 3, 4, 5} {
+	for _, ver := range []uint32{1, 2, 3, 4, 5, 6} {
 		mut := append([]byte(nil), orig...)
 		binary.LittleEndian.PutUint32(mut[8:], ver)
 		name := fmt.Sprintf("version-%d header", ver)
@@ -379,8 +426,10 @@ func FuzzVerifyCorrupt(f *testing.F) {
 	f.Add(uint32(40+8*pages+4*(pages-1)+1), byte(0x80)) // record count of the last page, high byte
 	dataOff := uint32(40 + 12*pages)
 	pageBytes := binary.LittleEndian.Uint32(orig[20:])
-	f.Add(dataOff+2*pageBytes+5*recordSize, byte(0x02)) // key offset of slot 5 of page 2
-	f.Add(dataOff+7*pageBytes, byte(0x01))              // key offset of slot 0 of page 7, nonzero
+	f.Add(dataOff+2*pageBytes+5*recordSize, byte(0x02))      // key offset of slot 5 of page 2
+	f.Add(dataOff+7*pageBytes, byte(0x01))                   // key offset of slot 0 of page 7, nonzero
+	f.Add(uint32(len(orig))-4-4*uint32(pages)-8, byte(0x01)) // last fence
+	f.Add(uint32(len(orig))-8, byte(0x01))                   // last page checksum
 	f.Fuzz(func(t *testing.T, off uint32, xor byte) {
 		if xor == 0 {
 			return

@@ -28,18 +28,20 @@
 // no cache holds, however many ranges they span, up to 32 pages (see
 // Cursor).
 //
-// After the pages come three things. A mark bitmap: one bit per slot, up
-// to the last record's, so slot i of page p owns bit p·perPage+i. A
-// pruning footer: a fence table of per-page maximum keys and a Bloom
-// filter over all keys. Integrity checksums: a crc32c per page, verified
-// before a fetched page is first used, and a trailing crc32c over all
-// metadata (header, page index, record counts, marks, fences, page
-// checksums, filter), verified at open — so any single flipped byte
-// anywhere in a file is detected, either immediately at open or at the
-// first use of the damaged page, and surfaces as ErrCorrupt.
-// The header calls this layout version 6; versions 1 to 5 were earlier
-// layouts nothing writes any more (version 5 stored each key in 8 bytes,
-// version 4 the coordinates beside it), and Open rejects them.
+// After the pages come three things, and nothing else. A mark bitmap: one
+// bit per slot, up to the last record's, so slot i of page p owns bit
+// p·perPage+i. A pruning footer: a fence table of per-page maximum keys,
+// the one structure that lets a visit skip its page without a read.
+// Integrity checksums: a crc32c per page, verified before a fetched page
+// is first used, and a trailing crc32c over all metadata (header, page
+// index, record counts, marks, fences, page checksums), verified at open —
+// so any single flipped byte anywhere in a file is detected, either
+// immediately at open or at the first use of the damaged page, and
+// surfaces as ErrCorrupt. The file has one exact length.
+// The header calls this layout version 7; versions 1 to 6 were earlier
+// layouts nothing writes any more (version 6 also carried a Bloom filter
+// over all keys, version 5 stored each key in 8 bytes, version 4 the
+// coordinates beside it), and Open rejects them.
 //
 // Two aliasing rules keep entries cheap to move. WriteEntries only reads
 // its input, and never its points: an Entry.Point may be nil or alias
@@ -57,8 +59,8 @@
 // bit-identical however a store is opened. The PHYSICAL I/O — pages
 // actually fetched from the file, and the positioned reads that fetched
 // them — is tracked separately in IOStats: a page served by a Cache or
-// proven recordless by the footer fences or the key filter satisfies its
-// logical visit without a disk read.
+// proven recordless by its footer fence satisfies its logical visit
+// without a disk read.
 //
 // An open Store is safe for concurrent use by any number of goroutines:
 // every read is a positioned ReadAt (pread) on the shared descriptor — no
@@ -88,9 +90,9 @@ const (
 	// version names the one layout: header, page index (first keys, then
 	// record counts), pages of recordSize-byte slots, then a mark bitmap
 	// (one bit per slot), a pruning footer (per-page max-key fences, a
-	// crc32c per page, a key Bloom filter) and a trailing crc32c over all
-	// metadata. Versions 1 to 5 are retired.
-	version = uint32(6)
+	// crc32c per page) and a trailing crc32c over all metadata. Versions 1
+	// to 6 are retired.
+	version = uint32(7)
 	// recordSize is the on-disk bytes per slot: the key's uint32 offset
 	// from its page's first key, then the payload. The point is not stored;
 	// it is Coords(key).
@@ -219,8 +221,8 @@ func Write(path string, c curve.Curve, recs []Record, pageBytes int) error {
 // keys, payloads and marks are written: a stored entry's point is
 // Coords(Key), so Entry.Point is never read and may be nil. The marks
 // travel in a bitmap after the pages and come back in Entry.Marked; the
-// footer carries per-page max-key fences plus a key Bloom filter so
-// narrow queries skip pages — physically, never logically — without
+// footer carries per-page max-key fences so a visit to a page that ends
+// before its range is skipped — physically, never logically — without
 // touching disk, and the integrity checksums make every byte of the file
 // tamper-evident.
 func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageBytes int) error {
@@ -286,14 +288,13 @@ func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageByt
 	if err := writeMeta(idx); err != nil {
 		return err
 	}
-	// Pages, the mark bitmap and the filter's key list, in one pass.
+	// Pages and the mark bitmap, in one pass.
 	buf := make([]byte, pageBytes)
 	crcs := make([]byte, 4*pageCount)
 	var bm []byte
 	if pageCount > 0 {
 		bm = make([]byte, markBytes(pageCount, perPage, starts[pageCount]-starts[pageCount-1]))
 	}
-	keys := make([]uint64, 0, len(ents))
 	for p := 0; p < pageCount; p++ {
 		clear(buf)
 		page := ents[starts[p]:starts[p+1]]
@@ -305,16 +306,15 @@ func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageByt
 				j := p*perPage + slot
 				bm[j/8] |= 1 << (j % 8)
 			}
-			keys = append(keys, e.Key)
 		}
 		if _, err := f.Write(buf); err != nil {
 			return fmt.Errorf("pagedstore: %w", err)
 		}
 		binary.LittleEndian.PutUint32(crcs[4*p:], crc32.Checksum(buf, pageCRC))
 	}
-	// Mark bitmap, then the pruning footer: fences, page checksums, key
-	// Bloom filter, and last the metadata checksum.
-	for _, section := range [][]byte{bm, fences, crcs, buildFilter(keys).marshal()} {
+	// Mark bitmap, then the pruning footer: fences, page checksums, and
+	// last the metadata checksum.
+	for _, section := range [][]byte{bm, fences, crcs} {
 		if err := writeMeta(section); err != nil {
 			return err
 		}
@@ -350,9 +350,8 @@ type Store struct {
 	marks     []byte // one bit per slot: slot i of page p owns bit p*perPage+i
 	anyMarked bool
 
-	pageMax  []uint64   // fence: max key of each page
-	filter   *keyFilter // Bloom filter over all keys; nil for an empty store
-	pageSums []uint32   // crc32c of every page, verified on each physical fetch
+	pageMax  []uint64 // fence: max key of each page
+	pageSums []uint32 // crc32c of every page, verified on each physical fetch
 
 	id      uint64 // process-unique cache identity
 	cache   *Cache // shared page cache, nil when uncached
@@ -473,12 +472,14 @@ func load(f vfs.File, c curve.Curve) (*Store, error) {
 			break
 		}
 	}
+	// The footer is fences + page checksums + metadata checksum, so the
+	// file has one exact length: missing bytes and trailing bytes are
+	// both damage.
 	footOff := marksOff + int64(len(s.marks))
-	// fences + page checksums + filter header + metadata checksum
-	if fileSize < footOff+8*int64(pageCount)+4*int64(pageCount)+8+4 {
-		return nil, fmt.Errorf("%w: short pruning footer", ErrCorrupt)
+	foot := make([]byte, 12*pageCount+4)
+	if fileSize > footOff+int64(len(foot)) {
+		return nil, fmt.Errorf("%w: trailing footer bytes", ErrCorrupt)
 	}
-	foot := make([]byte, fileSize-footOff)
 	if _, err := f.ReadAt(foot, footOff); err != nil {
 		return nil, fmt.Errorf("%w: short pruning footer", ErrCorrupt)
 	}
@@ -506,19 +507,6 @@ func load(f vfs.File, c curve.Curve) (*Store, error) {
 	sumsOff := 8 * pageCount
 	for p := range s.pageSums {
 		s.pageSums[p] = binary.LittleEndian.Uint32(body[sumsOff+4*uint64(p):])
-	}
-	filterOff := sumsOff + 4*pageCount
-	var ok bool
-	if s.filter, ok = unmarshalFilter(body[filterOff:]); !ok {
-		return nil, fmt.Errorf("%w: malformed key filter", ErrCorrupt)
-	}
-	flen := uint64(8)
-	if s.filter != nil {
-		flen = 8 + 8*uint64(len(s.filter.words))
-	}
-	// The file has one exact length: trailing bytes are damage.
-	if uint64(len(body)) != filterOff+flen {
-		return nil, fmt.Errorf("%w: trailing footer bytes", ErrCorrupt)
 	}
 	return s, nil
 }
@@ -611,8 +599,8 @@ func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) 
 // plus the records it yields, not the page's slot count. The seek and page
 // accounting is logical — computed against the in-memory page index —
 // while the page bytes themselves come from the cache, from disk, or
-// (when the fences or the key filter prove a visited page holds no key of
-// the range) from nowhere at all; IO reports the physical remainder.
+// (when a visited page's fence ends before the range) from nowhere at
+// all; IO reports the physical remainder.
 //
 // Holding the whole plan is what lets a miss read more than one page. A
 // cluster's pages often run on across several consecutive ranges of the
@@ -638,17 +626,16 @@ type Cursor struct {
 	lastPage int    // last logically visited page; -2 = none
 
 	plan  []curve.KeyRange
-	sched []rangeStart // per range of plan: where its page walk starts
-	k     int          // index in plan of the current range; -1 before the first
+	sched []int // per range of plan: the first page that can hold its low key
+	k     int   // index in plan of the current range; -1 before the first
 
 	// state of the current range
-	lo, hi  uint64
-	p       int // current page
-	i       int // next record slot within the page
-	end     int // slots [i, end) of the current page are in the range, their points in pts
-	n       int // records resident in the current page; 0 = no page of the range visited yet
-	active  bool
-	skipAll bool // the key filter proved the whole range absent
+	lo, hi uint64
+	p      int // current page
+	i      int // next record slot within the page
+	end    int // slots [i, end) of the current page are in the range, their points in pts
+	n      int // records resident in the current page; 0 = no page of the range visited yet
+	active bool
 
 	// The last physical read: pages [runLo, runLo+runN) of the file in
 	// runBuf (lazily grown, kept across pooled reuses). Bit j of runAdmit
@@ -673,14 +660,6 @@ type Cursor struct {
 // traffic are mostly a few pages long. It must not exceed 32, the bits of
 // Cursor.runAdmit.
 const runPages = 32
-
-// rangeStart is the schedule of one range of a plan: the first page that
-// can hold its low key, and whether the key filter proved every key of the
-// range absent.
-type rangeStart struct {
-	page   int
-	absent bool
-}
 
 // NewCursor returns a cursor with zeroed statistics, an empty plan and no
 // page loaded. For query paths that run hot, AcquireCursor/Release recycle
@@ -733,9 +712,8 @@ func (c *Cursor) IO() IOStats { return c.io }
 // be given several plans; its statistics accumulate across them, and they
 // mirror Query's only if each plan's ranges lie past the previous plan's.
 //
-// Plan schedules every range before any page is touched: it finds the
-// range's first page by searching forward from the previous range's, and
-// asks the key filter whether a narrow range holds any key at all.
+// Plan schedules every range before any page is touched: it finds each
+// range's first page by searching forward from the previous range's.
 func (c *Cursor) Plan(krs []curve.KeyRange) {
 	c.plan, c.k = krs, -1
 	c.active = false
@@ -744,7 +722,7 @@ func (c *Cursor) Plan(krs []curve.KeyRange) {
 	p := 0
 	for _, kr := range krs {
 		p = c.s.firstPage(p, kr.Lo)
-		c.sched = append(c.sched, rangeStart{page: p, absent: c.s.absent(kr)})
+		c.sched = append(c.sched, p)
 	}
 }
 
@@ -759,7 +737,7 @@ func (c *Cursor) NextRange() bool {
 	c.k++
 	kr := c.plan[c.k]
 	c.lo, c.hi = kr.Lo, kr.Hi
-	c.p, c.skipAll = c.sched[c.k].page, c.sched[c.k].absent
+	c.p = c.sched[c.k]
 	c.i, c.end, c.n = 0, 0, 0
 	c.active = true
 	return true
@@ -799,25 +777,6 @@ func (s *Store) firstPage(from int, lo uint64) int {
 		}
 	}
 	return a
-}
-
-// absent reports whether the key filter proves that no key of the narrow
-// range kr is stored, in which case its logical page walk runs without
-// fetching a single page. Ranges of more than filterMaxProbe keys are not
-// probed.
-func (s *Store) absent(kr curve.KeyRange) bool {
-	f := s.filter
-	if f == nil || kr.Hi-kr.Lo >= filterMaxProbe {
-		return false
-	}
-	for key := kr.Lo; ; key++ {
-		if f.mayContain(key) {
-			return false
-		}
-		if key == kr.Hi {
-			return true
-		}
-	}
 }
 
 // residentCount returns the number of records stored in page p.
@@ -860,9 +819,9 @@ func (c *Cursor) fetch(p int) error {
 // while the next fetched page is the one after its last, and stops at the
 // first resident page, whose image is held for its own visit; at a gap,
 // where the next page visited is further on; or at runPages pages. A
-// visit that will not fetch — pruned by the key filter or the fences, or
-// a later range's visit of the run's last page — is stepped over. The
-// run is then read with one ReadAt into the cursor's run buffer.
+// visit that will not fetch — pruned by its page's fence, or a later
+// range's visit of the run's last page — is stepped over. The run is then
+// read with one ReadAt into the cursor's run buffer.
 func (c *Cursor) readRun(p int, admit bool) error {
 	s := c.s
 	c.runN, c.runAdmit, c.held = 0, 0, nil
@@ -873,7 +832,7 @@ func (c *Cursor) readRun(p int, admit bool) error {
 	k, q := c.k, p // the plan's visit (range k, page q)
 walk:
 	for n < runPages {
-		for q++; q >= len(s.firstKeys) || s.firstKeys[q] > c.plan[k].Hi; q = c.sched[k].page {
+		for q++; q >= len(s.firstKeys) || s.firstKeys[q] > c.plan[k].Hi; q = c.sched[k] {
 			if k++; k == len(c.plan) {
 				break walk
 			}
@@ -881,7 +840,7 @@ walk:
 		if q > p+n {
 			break
 		}
-		if q < p+n || c.sched[k].absent || s.pageMax[q] < c.plan[k].Lo {
+		if q < p+n || s.pageMax[q] < c.plan[k].Lo {
 			continue
 		}
 		if s.cache != nil {
@@ -947,9 +906,9 @@ func (c *Cursor) useRun(j int) error {
 // A page visit is a search, not a scan: a materialized page is entered at
 // the lower bound of lo and left at the first key past hi, so the only
 // slots decoded are the records the range yields, and their points are
-// rebuilt from their keys in one batch per visit. A visit the fences or
-// the key filter prune, and a materialized page that turns out to hold no
-// key of the range, decode nothing.
+// rebuilt from their keys in one batch per visit. A visit its page's fence
+// prunes, and a materialized page that turns out to hold no key of the
+// range, decode nothing.
 func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 	if !c.active {
 		return false, nil
@@ -993,11 +952,10 @@ func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 		}
 		c.n = s.residentCount(c.p)
 		// Physical fetch only when the page can hold a key of the range:
-		// the filter may have proven the whole range absent, and the max
-		// fence prunes a leading page that ends before lo. A pruned visit
-		// yields nothing and leaves the previously fetched page in place —
-		// a later range may still share it.
-		if c.skipAll || s.pageMax[c.p] < c.lo {
+		// the max fence prunes a leading page that ends before lo. A
+		// pruned visit yields nothing and leaves the previously fetched
+		// page in place — a later range may still share it.
+		if s.pageMax[c.p] < c.lo {
 			c.i, c.end = c.n, c.n
 			continue
 		}

@@ -481,7 +481,7 @@ func TestNilPointsRoundTrip(t *testing.T) {
 	}
 }
 
-// goldenInput is the fixed input of TestV6GoldenBytes: 61 records in no
+// goldenInput is the fixed input of TestV7GoldenBytes: 61 records in no
 // key order, several to a cell, every fourth marked.
 func goldenInput() (recs []Record, marks []bool) {
 	for i := 0; i < 61; i++ {
@@ -492,14 +492,14 @@ func goldenInput() (recs []Record, marks []bool) {
 	return recs, marks
 }
 
-// TestV6GoldenBytes pins the file layout: a three-record file byte for
+// TestV7GoldenBytes pins the file layout: a three-record file byte for
 // byte, and the digests of a marked file with a partial last page, of the
 // bulk Write of the same records (no marks, another page size), of an
 // empty store, and of the same records spread over a curve of 2⁴⁰ keys,
 // whose pages the writer cuts short where keys lie 2³² or more apart. A
 // slot is the key's offset from its page's first key (4) + payload (8);
 // the points are not stored.
-func TestV6GoldenBytes(t *testing.T) {
+func TestV7GoldenBytes(t *testing.T) {
 	o, _ := core.NewOnion2D(16)
 	recs, marks := goldenInput()
 	read := func(write func(path string)) []byte {
@@ -513,7 +513,7 @@ func TestV6GoldenBytes(t *testing.T) {
 		return b
 	}
 	small := read(func(path string) { writeMarked(t, path, o, recs[:3], marks[:3], 28) })
-	const smallWant = "VRCNOINO\x06\x00\x00\x00\x02\x00\x00\x00\x10\x00\x00\x00\x1c\x00\x00\x00" + // magic, version 6, dims, side, 28-byte pages
+	const smallWant = "VRCNOINO\x07\x00\x00\x00\x02\x00\x00\x00\x10\x00\x00\x00\x1c\x00\x00\x00" + // magic, version 7, dims, side, 28-byte pages
 		"\x03\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00" + // 3 records, 2 pages
 		"\x00\x00\x00\x00\x00\x00\x00\x00\xde\x00\x00\x00\x00\x00\x00\x00" + // page index: first keys 0 and 222,
 		"\x02\x00\x00\x00\x01\x00\x00\x00" + // then record counts 2 and 1
@@ -525,8 +525,7 @@ func TestV6GoldenBytes(t *testing.T) {
 		"\x04" + // marks: slot 0 of page 1, bit 1·2+0
 		"R\x00\x00\x00\x00\x00\x00\x00\xde\x00\x00\x00\x00\x00\x00\x00" + // fences
 		"\xa0\xb0\xc6\xfd;\x91\t^" + // page checksums
-		"\a\x00\x00\x00\x01\x00\x00\x00\x05(LD\x82\x9b\x80p" + // filter: k = 7, one word
-		"\xaa\xeaTY" // metadata checksum
+		"=E\xed\xf1" // metadata checksum
 	if string(small) != smallWant {
 		t.Errorf("three-record file:\n got %q\nwant %q", small, smallWant)
 	}
@@ -542,16 +541,16 @@ func TestV6GoldenBytes(t *testing.T) {
 		sum    string
 	}{
 		{"marked, 100-byte pages", read(func(path string) { writeMarked(t, path, o, recs, marks, 100) }),
-			1132, "58191dfdb031f7f263bcc6d14746367eca9dad7b6949be1b59889af00ae27669"},
+			1044, "ae18195c552ed4b0e8436a5e014fb1b0ab6b7be580b1865b8d05e744d3ec3f02"},
 		{"bulk Write, 256-byte pages", read(func(path string) {
 			if err := Write(path, o, recs, 256); err != nil {
 				t.Fatal(err)
 			}
-		}), 980, "ab725c999d973335bca474990b1e5718380e7898f82e6c78ca177e628664e829"},
+		}), 892, "dd25ee4a4584a08d112e0065025d9f9be699bc3c3e6170b2d2257f6771d35040"},
 		{"empty", read(func(path string) { writeMarked(t, path, o, nil, nil, 28) }),
-			52, "7d4b4c018d5e572b4ab019cec93a92705197378aff1a803370fca2b1378847f9"},
+			44, "ad945c9ae6a61586196eeb3310a68e7848092644c97aa12b70e1b4bc696c24c0"},
 		{"marked, 2⁴⁰ keys, 100-byte pages cut short", read(func(path string) { writeMarked(t, path, wide, spread, marks, 100) }),
-			1632, "1a98ab728e85d0b4d241d37872dbb62b15633e91143d395c2aec0c5bc7ec2c02"}, // 12 pages, not 8
+			1544, "ee1cc2645895a6c7414ede2bf5943db686be46b8fa028a1d3a3b15b4ea102bc9"}, // 12 pages, not 8
 	} {
 		if sum := fmt.Sprintf("%x", sha256.Sum256(tc.got)); len(tc.got) != tc.length || sum != tc.sum {
 			t.Errorf("%s: %d bytes, sha256 %s; want %d bytes, %s", tc.name, len(tc.got), sum, tc.length, tc.sum)

@@ -234,7 +234,7 @@ func FuzzCursorSeek(f *testing.F) {
 }
 
 // TestLowerBoundMatchesLinearScan pins the interpolating in-page search to
-// a linear scan over v6 pages — each slot the key's 32-bit offset from the
+// a linear scan over v7 pages — each slot the key's 32-bit offset from the
 // page's first key: on evenly spread, clustered, duplicate-heavy and
 // 2³²-wide pages of every size up to a 4 KiB page's 341 slots, for bounds
 // before, inside and after the keys, and with last-key hints that are

@@ -34,8 +34,8 @@ func (cl *cluster) reopenFollower(i int, opts engine.Options) *Follower {
 // failure left f2 latched. Whatever the first seed did, f2 must converge.
 func seedFaultRun(t *testing.T, fault vfs.Fault) (matched int64, failed, latched bool) {
 	cl := newCluster(t, 2, Config{
-		HistoryEntries: 4,
-		retryBase:      time.Millisecond, retryCap: 2 * time.Millisecond, retryAttempts: 2,
+		HistoryEntries: 4, SeedRefreshEntries: 1,
+		retryBase: time.Millisecond, retryCap: 2 * time.Millisecond, retryAttempts: 2,
 	})
 	inj := vfs.NewInjecting(vfs.OS{})
 	opts := rtEngOpts()
@@ -45,20 +45,25 @@ func seedFaultRun(t *testing.T, fault vfs.Fault) (matched int64, failed, latched
 
 	e := cl.g.Engine()
 	put := func(from, to int) {
+		var ops []engine.BatchOp
 		for i := from; i < to; i++ {
-			if err := e.Put(rtPoint(i), uint64(100+i)); err != nil {
-				t.Fatal(err)
-			}
+			ops = append(ops, engine.BatchOp{Point: rtPoint(i), Payload: uint64(100 + i)})
+		}
+		if err := e.PutBatch(ops); err != nil {
+			t.Fatal(err)
 		}
 	}
 	put(0, 5)
 	cl.g.Heartbeat()
 	cl.tr.Partition("f2")
 	// Each restored segment is a remove point of the seed. The catch-up
-	// loop exports a snapshot (a flush) whenever it gets a turn, so the
-	// number of leader segments depends on scheduling; three explicit
-	// flushes between the writes give the snapshot at least five, and
-	// the enumerated points a floor that does not.
+	// loop exports a snapshot (a flush) whenever it gets a turn, but each
+	// put is one batch, so such a flush lands between batches, never
+	// inside one: every batch becomes the same segments whether the loop
+	// or an explicit flush below flushes it. With SeedRefreshEntries 1 a
+	// seed the loop exported is reused only if no entry came after it, so
+	// the seed holds the same segments however the loop was scheduled, and
+	// the enumerated points do not depend on scheduling.
 	put(5, 12)
 	flush := func() {
 		if err := e.Flush(); err != nil {

@@ -505,7 +505,7 @@ func WeightedPartition(c Curve, keys []uint64, k int) (*Partitioner, error) {
 
 // WriteStore bulk-loads records into a disk file physically clustered in
 // curve order; pageBytes is the page size (for example 4096). The file is
-// the same checksummed, fence- and Bloom-pruned layout the engine's
+// the same checksummed, fence-pruned layout the engine's
 // segments use: a flipped byte surfaces as ErrCorrupt at OpenStore or at
 // the first read of the damaged page, never as a wrong record.
 func WriteStore(path string, c Curve, recs []Record, pageBytes int) error {
@@ -648,10 +648,12 @@ func OpenReplicatedShardedEngine(dir string, c Curve, opts ShardedEngineOptions,
 // every snapshot already cover it.
 //
 // targetDir must not exist; the build is staged in a sibling directory
-// renamed into place last, so a crash or failure at any point leaves
-// targetDir atomically absent — never a half-built engine — and never
-// modifies the snapshot or the source. Open the result with OpenEngine
-// and the same curve.
+// renamed into place last, so a crash or failure leaves targetDir absent
+// or complete — never a half-built engine — and never modifies the
+// snapshot or the source. Only the last step, the fsync of targetDir's
+// parent after the rename, can fail with targetDir complete: it is then
+// an engine whose durability failed, and a retry is refused because it
+// exists. Open the result with OpenEngine and the same curve.
 func RestoreEngine(snapshotDir, targetDir string, upTo int, c Curve, opts EngineOptions) (EngineRestoreReport, error) {
 	return engine.Restore(snapshotDir, targetDir, upTo, c, opts)
 }
