@@ -9,7 +9,7 @@
 //	loadgen -shards 4 -writers 4 -readers 4 -duration 10s
 //	loadgen -sweep 1,2,4,8 -duration 5s      # throughput vs shard count
 //	loadgen -cache 0,262144,8388608          # throughput vs cache budget
-//	loadgen -sync                            # group-committed durable writes
+//	loadgen -sync                            # durable writes, one fsync per write
 //	loadgen -arrival-rate 50000 -sync        # open-loop Poisson arrivals via async ingest
 //	loadgen -faults enospc:sync:200:wal-     # every 200th WAL fsync hits ENOSPC
 //	loadgen -replicas 2                      # quorum-replicated writes, 2 followers/shard
@@ -180,7 +180,7 @@ func main() {
 		shards       = flag.Int("shards", 4, "shard count (ignored with -sweep)")
 		sweep        = flag.String("sweep", "", "comma-separated shard counts to sweep, e.g. 1,2,4,8")
 		cache        = flag.String("cache", "", "comma-separated page-cache byte budgets to sweep, e.g. 0,262144,8388608")
-		sync         = flag.Bool("sync", false, "fsync every write (group-committed)")
+		sync         = flag.Bool("sync", false, "fsync every write (closed-loop writers serialize on each shard's engine, one fsync per write; -arrival-rate batches them through the ingest pipeline)")
 		arrivalRate  = flag.Float64("arrival-rate", 0, "open-loop write arrivals per second (Poisson) through the async ingest pipeline; overload surfaces as enqueue-wait and ack tail latency (0 = closed-loop writers)")
 		ingestRing   = flag.Int("ingest-ring", 0, "ingest ring capacity for -arrival-rate mode (0 = pipeline default); smaller rings trade ack latency for earlier backpressure")
 		ingestBatch  = flag.Int("ingest-batch", 0, "max ops per coalesced ingest batch for -arrival-rate mode (0 = pipeline default)")

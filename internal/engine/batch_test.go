@@ -2,8 +2,14 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"maps"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
@@ -12,7 +18,7 @@ import (
 // batchManualOpts: no background maintenance, tiny pages — the
 // deterministic shape the cross-checks need.
 func batchManualOpts() Options {
-	return Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1, Shards: 2}
+	return Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1}
 }
 
 // TestPutBatchCrossCheck proves PutBatch is observably identical to the
@@ -98,7 +104,7 @@ func TestPutBatchCrossCheck(t *testing.T) {
 }
 
 // TestPutBatchDurableRecovery: a synchronously committed batch survives a
-// dirty close (no final flush) wholesale — the single group-commit fsync
+// dirty close (no final flush) wholesale — the batch's single fsync
 // covered every frame.
 func TestPutBatchDurableRecovery(t *testing.T) {
 	o := fwCurve(t)
@@ -120,11 +126,7 @@ func TestPutBatchDurableRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Abandon the engine without Close: the WAL alone must carry the batch.
-	e.mu.Lock()
-	e.closed = true
-	e.mu.Unlock()
-	close(e.bgStop)
-	<-e.bgDone
+	crash(e)
 
 	e2, err := Open(dir, o, batchManualOpts())
 	if err != nil {
@@ -172,7 +174,7 @@ func TestPutBatchValidation(t *testing.T) {
 	}
 }
 
-// TestPutBatchWALFaultTurnsReadOnly: a failed group-commit fsync under a
+// TestPutBatchWALFaultTurnsReadOnly: a failed fsync under a
 // batch acknowledges nothing, degrades the engine, and a reopen recovers
 // an acked-consistent state.
 func TestPutBatchWALFaultTurnsReadOnly(t *testing.T) {
@@ -208,4 +210,176 @@ func TestPutBatchWALFaultTurnsReadOnly(t *testing.T) {
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("query on ReadOnly engine: %d records, err %v", len(recs), err)
 	}
+}
+
+// crash abandons e without Close — no final flush, the WAL left as the
+// last fsync made it — the way a process crash would.
+func crash(e *Engine) {
+	e.mu.Lock()
+	e.closed = true
+	e.mu.Unlock()
+	close(e.bgStop)
+	<-e.bgDone
+}
+
+// TestEngineVisibilityIsBatchPrefix: PutBatch publishes a batch only
+// after all of its ops are in the memtable, in the order the batches took
+// the write lock. So every query snapshot — taken while several writers
+// run and background flushes rotate memtables — holds whole batches only,
+// and of each writer's batches a prefix.
+func TestEngineVisibilityIsBatchPrefix(t *testing.T) {
+	const writers, batches, ops = 4, 30, 5
+	o := fwCurve(t)
+	opts := batchManualOpts()
+	opts.SyncWrites = true
+	opts.FlushEntries = 64
+	e, err := Open(t.TempDir(), o, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Op i of batch b of writer w is record n = (w*batches+b)*ops+i, at a
+	// point of its own, with payload n.
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch := make([]BatchOp, ops)
+			for b := 0; b < batches; b++ {
+				for i := range batch {
+					n := (w*batches+b)*ops + i
+					batch[i] = BatchOp{Point: geom.Point{uint32(n % fwSide), uint32(n / fwSide)}, Payload: uint64(n)}
+				}
+				if err := e.PutBatch(batch); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	defer func() {
+		<-done // a failed check must not close the engine under the writers
+		e.Close()
+	}()
+	check := func() int {
+		recs, _, err := e.Query(o.Universe().Rect())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make([]int, writers*batches) // visible ops per batch
+		for _, r := range recs {
+			seen[int(r.Payload)/ops]++
+		}
+		for w := 0; w < writers; w++ {
+			missing := -1
+			for b := 0; b < batches; b++ {
+				switch n := seen[w*batches+b]; {
+				case n != 0 && n != ops:
+					t.Fatalf("writer %d batch %d: %d of %d ops visible", w, b, n, ops)
+				case n == 0 && missing < 0:
+					missing = b
+				case n == ops && missing >= 0:
+					t.Fatalf("writer %d: batch %d visible, its batch %d not", w, b, missing)
+				}
+			}
+		}
+		return len(recs)
+	}
+	queries := 0
+	for running := true; running; queries++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		check()
+	}
+	if n := check(); n != writers*batches*ops {
+		t.Fatalf("%d records after the writers finished, want %d", n, writers*batches*ops)
+	}
+	t.Logf("%d queries", queries)
+}
+
+// failingCommit is a CommitHook whose first Commit signals entered,
+// blocks until release closes, and then fails the batch's quorum round;
+// later Commits succeed.
+type failingCommit struct {
+	entered, release chan struct{}
+	commits          atomic.Int32
+}
+
+func (h *failingCommit) Append(uint64, BatchOp) {}
+
+func (h *failingCommit) Commit(uint64) error {
+	if h.commits.Add(1) > 1 {
+		return nil
+	}
+	close(h.entered)
+	<-h.release
+	return fmt.Errorf("%w: injected", ErrQuorum)
+}
+
+// TestPutBatchBehindFailedCommit: a batch queued on the write lock behind
+// a batch whose quorum round fails is rejected with ErrReadOnly without
+// reaching the log, so a reopen never finds its op.
+func TestPutBatchBehindFailedCommit(t *testing.T) {
+	o := fwCurve(t)
+	dir := t.TempDir()
+	hook := &failingCommit{entered: make(chan struct{}), release: make(chan struct{})}
+	opts := batchManualOpts()
+	opts.SyncWrites = true
+	opts.CommitHook = hook
+	e, err := Open(dir, o, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := make(chan error, 1), make(chan error, 1)
+	go func() { first <- e.Put(fwPoint(0), 1) }()
+	<-hook.entered
+	go func() { second <- e.Put(fwPoint(1), 2) }()
+	waitWriteLockWaiter(t)
+	close(hook.release)
+	if err := <-first; !errors.Is(err, ErrReadOnly) || !errors.Is(err, ErrQuorum) {
+		t.Fatalf("failed commit = %v, want ErrReadOnly wrapping ErrQuorum", err)
+	}
+	if err := <-second; !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("batch queued behind the failed commit = %v, want ErrReadOnly", err)
+	}
+	crash(e)
+
+	e2, err := Open(dir, o, batchManualOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	recs, _, err := e2.Query(o.Universe().Rect())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Payload == 2 {
+			t.Fatalf("the rejected batch's op %v survived a reopen", r.Point)
+		}
+	}
+}
+
+// waitWriteLockWaiter returns once some goroutine is parked on a mutex
+// inside PutBatch — the write lock, the only mutex PutBatch waits on
+// while another batch holds the engine.
+func waitWriteLockWaiter(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "Mutex).Lock") && strings.Contains(g, "(*Engine).PutBatch") {
+				return
+			}
+		}
+	}
+	t.Fatal("no PutBatch queued on the write lock")
 }

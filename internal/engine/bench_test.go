@@ -137,10 +137,11 @@ func benchSyncIngestProducers(b *testing.B, producers int) {
 	wg.Wait()
 }
 
-// BenchmarkEngineIngestSyncGroup batches concurrent durable writes into
-// one flush + fsync per group; the throughput gain over p1 is the
-// number of frames a disk barrier amortizes across, growing with the
-// producer count.
+// BenchmarkEngineIngestSyncGroup runs p closed-loop writers, each
+// blocking on its own synchronous Put. The engine serializes them — one
+// writer at a time, one fsync per write — so ns/op stays near one disk
+// barrier at every p; it is the baseline BenchmarkIngestPipeline's
+// batching is measured against.
 func BenchmarkEngineIngestSyncGroup(b *testing.B) {
 	for _, p := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) { benchSyncIngestProducers(b, p) })

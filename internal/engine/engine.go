@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,8 +38,6 @@ type Options struct {
 	// SyncWrites fsyncs the WAL on every Put/Delete before acknowledging.
 	// Off by default: group durability is available through Sync.
 	SyncWrites bool
-	// Shards is the number of memtable shards (default GOMAXPROCS).
-	Shards int
 	// CompactFanout is the size-tiered trigger: a run of at least this
 	// many age-adjacent, similar-sized segments is merged in the
 	// background (default 4; negative disables background compaction).
@@ -63,9 +60,9 @@ type Options struct {
 	// checks Verify performs), quarantining corruption before a query
 	// trips over it. 0 disables the scrubber.
 	ScrubPagesPerSec int
-	// CommitHook, when non-nil, observes every framed op and gates the
-	// group-commit rendezvous on the hook's Commit — the seam WAL
-	// replication hangs off. See the CommitHook contract; it is only
+	// CommitHook, when non-nil, observes every framed op and gates each
+	// synchronous batch's acknowledgement on the hook's Commit — the seam
+	// WAL replication hangs off. See the CommitHook contract; it is only
 	// meaningful together with SyncWrites.
 	CommitHook CommitHook
 
@@ -95,9 +92,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FlushEntries == 0 {
 		o.FlushEntries = 1 << 16
-	}
-	if o.Shards <= 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
 	}
 	if o.CompactFanout == 0 {
 		o.CompactFanout = 4
@@ -174,33 +168,6 @@ type EngineStats struct {
 	Compactions    uint64
 }
 
-// committer tracks the contiguous watermark of completed writes: a write
-// is visible to queries only once every smaller sequence number has also
-// landed in the memtable, so a snapshot is always a prefix of history.
-type committer struct {
-	mu      sync.Mutex
-	done    map[uint64]struct{}
-	visible atomic.Uint64
-}
-
-func (t *committer) commit(seq uint64) {
-	t.mu.Lock()
-	if seq == t.visible.Load()+1 {
-		v := seq
-		for {
-			if _, ok := t.done[v+1]; !ok {
-				break
-			}
-			delete(t.done, v+1)
-			v++
-		}
-		t.visible.Store(v)
-	} else {
-		t.done[seq] = struct{}{}
-	}
-	t.mu.Unlock()
-}
-
 // Engine is a durable LSM-style spatial store keyed by curve index. See
 // the package comment for the architecture. All methods are safe for
 // concurrent use.
@@ -225,11 +192,17 @@ type Engine struct {
 	events *telemetry.Events
 	tel    *engineTelemetry
 
+	// walMu is the write lock: PutBatch holds it from sequence assignment
+	// through the memtable inserts, so log order, sequence order and
+	// memtable order agree.
 	walMu sync.Mutex
 	wal   *wal
-	seq   uint64 // last assigned sequence number (under walMu)
-	com   committer
+	seq   uint64     // last assigned sequence number (under walMu)
 	hook  CommitHook // replication seam; nil for a standalone engine
+	// visible is the last sequence number queries see: PutBatch stores it
+	// after a batch's memtable inserts, so a snapshot is always a prefix
+	// of history made of whole batches.
+	visible atomic.Uint64
 
 	// mu guards the engine's structure: memtable identity, segment list,
 	// closed flag. Writers and queries hold it shared; flush, compaction
@@ -282,7 +255,6 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 		e.tel = newEngineTelemetry(e.reg)
 		e.registerSampledTelemetry()
 	}
-	e.com.done = make(map[uint64]struct{})
 	for _, id := range segIDs {
 		seg, err := openSegment(fsys, dir, c, id, e.cache)
 		if err != nil {
@@ -318,17 +290,13 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 		}
 		for _, op := range ops {
 			if recovered == nil {
-				recovered, err = newMemtable(c, opts.Shards, e.gen)
-				if err != nil {
-					e.releaseSegments()
-					return nil, err
-				}
+				recovered = newMemtable(e.gen)
 			}
 			e.seq++
 			recovered.put(c.Index(op.Point), op.Point, op.Payload, e.seq, op.Del)
 		}
 	}
-	e.com.visible.Store(e.seq)
+	e.visible.Store(e.seq)
 	if recovered != nil {
 		seg, err := writeSegment(fsys, dir, c, segID{lo: e.gen, hi: e.gen}, recovered.flushEntries(), opts.PageBytes, e.cache)
 		if err != nil {
@@ -489,108 +457,6 @@ func (e *Engine) Put(p geom.Point, payload uint64) error {
 func (e *Engine) Delete(p geom.Point) error {
 	op := [1]BatchOp{{Point: p, Del: true}}
 	return e.PutBatch(op[:])
-}
-
-// groupCommit blocks until the log is durably synced past pos — the byte
-// position the caller's frame ends at. The first caller to arrive while
-// no sync is in flight becomes the leader: it flushes the buffered
-// frames under walMu (serializing with concurrent appends) and fsyncs
-// OUTSIDE it, so appends keep buffering while the disk barrier runs;
-// everyone whose frame the flush covered is released together. Callers
-// that arrive mid-fsync wait, and the next leader's single fsync covers
-// the entire pile — turning N solo disk barriers into one per batch.
-func (e *Engine) groupCommit(w *wal, pos int64) error {
-	g := &w.gc
-	g.mu.Lock()
-	for {
-		if g.err != nil {
-			err := g.err
-			g.mu.Unlock()
-			return err
-		}
-		if g.synced >= pos {
-			g.mu.Unlock()
-			return nil
-		}
-		if g.syncing {
-			g.wake.Wait()
-			continue
-		}
-		g.syncing = true
-		g.mu.Unlock()
-
-		// Commit window: yield once before capturing the batch, so
-		// writers just released by the previous fsync (or racing in
-		// right now) get to append their frames first. Without this the
-		// batches alternate thin/full — the leader flushes before its
-		// co-writers reach the log — and half the disk barriers are
-		// wasted on single frames.
-		runtime.Gosched()
-
-		e.walMu.Lock()
-		target := w.Bytes()
-		targetFrames := w.Frames()
-		seqTarget := e.seq
-		err := walErr(w.Flush())
-		e.walMu.Unlock()
-		tel := e.tel
-		if err == nil {
-			if h, ok := e.hook.(PreCommitHook); ok {
-				// Overlap the replicas' barriers with ours: the batch is
-				// fully framed in the OS buffer, so the hook can start
-				// shipping it now and Commit below finds the quorum acks
-				// already (or nearly) in place.
-				h.PreCommit(seqTarget)
-			}
-		}
-		if err == nil {
-			var syncStart time.Time
-			if tel != nil {
-				syncStart = time.Now()
-			}
-			if serr := w.Fsync(); serr != nil {
-				err = walErr(serr)
-				e.walMu.Lock()
-				w.Fail(serr)
-				e.walMu.Unlock()
-			} else if tel != nil {
-				tel.walFsyncs.Inc()
-				tel.walFsyncUS.Record(uint64(time.Since(syncStart).Microseconds()))
-			}
-		}
-		if err == nil {
-			if h := e.hook; h != nil {
-				// Replication rides the same rendezvous: the batch this
-				// fsync covered is released only once it is also durable
-				// on a quorum, so the single round-trip amortizes over
-				// the whole pile exactly like the single disk barrier. A
-				// hook failure poisons the log like a failed fsync — the
-				// local tail is fine, but acks would overstate
-				// replication.
-				err = h.Commit(seqTarget)
-			}
-		}
-
-		g.mu.Lock()
-		g.syncing = false
-		if err != nil {
-			// Poison the rendezvous: like the log's own latch, a torn flush
-			// leaves the tail unknown, so every waiter (and every later
-			// sync attempt on this log) reports failure until a flush
-			// rotates in a fresh log.
-			g.err = err
-		} else if target > g.synced {
-			// The batch this single fsync made durable is every frame
-			// appended since the previous watermark — the group-commit
-			// batch size distribution.
-			if tel != nil && targetFrames > g.syncedFrames {
-				tel.walBatch.Record(uint64(targetFrames - g.syncedFrames))
-			}
-			g.synced = target
-			g.syncedFrames = targetFrames
-		}
-		g.wake.Broadcast()
-	}
 }
 
 // Sync makes every previously acknowledged write durable. A failed sync
@@ -773,7 +639,7 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 	if e.closed {
 		return dst, st, ErrClosed
 	}
-	snap := e.com.visible.Load()
+	snap := e.visible.Load()
 	st.Segments = len(e.segs)
 
 	// Sources, oldest to newest: segments (list order), frozen memtables
@@ -800,8 +666,8 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 	// An active memtable with no version visible at snap is left out once,
 	// here, instead of being searched once per range below. entries == 0,
 	// read after snap, proves it: a writer bumps entries inside
-	// memtable.put and only then commits its sequence number, and snap was
-	// loaded from the watermark those commits advance — so every version
+	// memtable.put and only then publishes its batch's last sequence
+	// number, and snap was loaded from that watermark — so every version
 	// with seq <= snap had already been counted when snap was read. (A
 	// frozen memtable is never empty: only a non-empty one is rotated.)
 	if e.mem.entries.Load() != 0 {
@@ -951,14 +817,8 @@ func (e *Engine) rotateLocked() (*wal, *memtable, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := newMemtable(e.c, e.opts.Shards, e.gen)
-	if err != nil {
-		w.Abandon()
-		e.fs.Remove(walPath(e.dir, e.gen)) //nolint:errcheck
-		return nil, nil, err
-	}
 	oldWal, oldMem := e.wal, e.mem
-	e.wal, e.mem = w, m
+	e.wal, e.mem = w, newMemtable(e.gen)
 	e.gen++
 	return oldWal, oldMem, nil
 }

@@ -23,7 +23,7 @@ import (
 // the whole suite under eviction pressure: the logical stat contracts
 // must hold bit-identically with caching and footer pruning active.
 func manualOpts() Options {
-	return Options{PageBytes: 384, FlushEntries: -1, CompactFanout: -1, Shards: 4, Cache: pagedstore.NewCache(16 * 384)}
+	return Options{PageBytes: 384, FlushEntries: -1, CompactFanout: -1, Cache: pagedstore.NewCache(16 * 384)}
 }
 
 func randomRect(rng *rand.Rand, u geom.Universe) geom.Rect {
@@ -435,7 +435,7 @@ func TestEngineCrashRecovery(t *testing.T) {
 // under -race this is the engine's concurrency test.
 func TestEngineIngestWhileQuerying(t *testing.T) {
 	c, _ := core.NewOnion2D(32)
-	opts := Options{PageBytes: 384, FlushEntries: 500, CompactFanout: 2, Shards: 4}
+	opts := Options{PageBytes: 384, FlushEntries: 500, CompactFanout: 2}
 	e, err := Open(t.TempDir(), c, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -555,27 +555,6 @@ func (m *memtable) seek(kr curve.KeyRange, snap uint64) *memIter {
 	return it
 }
 
-// TestCommitterWatermark: a write becomes visible only after all earlier
-// sequence numbers landed, so a query snapshot is always a prefix of
-// history — verified here through the committer unit.
-func TestCommitterWatermark(t *testing.T) {
-	var com committer
-	com.done = make(map[uint64]struct{})
-	com.commit(2)
-	if v := com.visible.Load(); v != 0 {
-		t.Fatalf("visible %d before seq 1 lands", v)
-	}
-	com.commit(3)
-	com.commit(1)
-	if v := com.visible.Load(); v != 3 {
-		t.Fatalf("visible %d, want 3", v)
-	}
-	com.commit(4)
-	if v := com.visible.Load(); v != 4 {
-		t.Fatalf("visible %d, want 4", v)
-	}
-}
-
 func TestPickCompaction(t *testing.T) {
 	cases := []struct {
 		recs   []int
@@ -644,10 +623,7 @@ func TestScanDirCrashArtifacts(t *testing.T) {
 
 func TestMemtableSnapshotFilter(t *testing.T) {
 	c, _ := core.NewOnion2D(16)
-	m, err := newMemtable(c, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMemtable(1)
 	pt := geom.Point{3, 3}
 	key := c.Index(pt)
 	m.put(key, pt, 10, 1, false)
@@ -743,33 +719,6 @@ func TestCompactLoneSegmentSurvivesReopen(t *testing.T) {
 	}
 	if len(got) != 49 {
 		t.Fatalf("reopen after lone-segment compact: %d records, want 49", len(got))
-	}
-}
-
-// TestMemtableOutOfOrderSeqs: sequence numbers are assigned before the
-// shard lock is taken, so versions of one key can arrive out of order;
-// the newest (highest-seq) write must still win reads and flushes.
-func TestMemtableOutOfOrderSeqs(t *testing.T) {
-	c, _ := core.NewOnion2D(16)
-	m, err := newMemtable(c, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt := geom.Point{4, 4}
-	key := c.Index(pt)
-	m.put(key, pt, 600, 6, false) // seq 6 lands first
-	m.put(key, pt, 500, 5, false) // seq 5 arrives late
-	full := curve.KeyRange{Lo: 0, Hi: c.Universe().Size() - 1}
-	ent, ok := m.seek(full, 10).peek()
-	if !ok || ent.Payload != 600 {
-		t.Fatalf("read resolved %+v, want payload 600 (seq 6)", ent)
-	}
-	if ent, ok = m.seek(full, 5).peek(); !ok || ent.Payload != 500 {
-		t.Fatalf("snapshot 5 resolved %+v, want payload 500", ent)
-	}
-	fl := m.flushEntries()
-	if len(fl) != 1 || fl[0].Payload != 600 {
-		t.Fatalf("flush entries %+v, want the seq-6 write", fl)
 	}
 }
 

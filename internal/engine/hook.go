@@ -10,7 +10,7 @@ import (
 
 // ErrQuorum reports a synchronous write that became durable locally but
 // could not reach a quorum of replicas before the commit hook gave up.
-// Like ErrWAL it poisons the current group-commit log: the engine
+// Like ErrWAL it takes the engine out of write service: the engine
 // degrades to ReadOnly (the error chain carries both sentinels) and
 // writes fail fast until a guarded recovery — for a replicated engine,
 // the replication layer's TryRecover once peers return — rotates the
@@ -26,27 +26,28 @@ var ErrQuorum = errors.New("engine: replication quorum lost")
 //     retains it must clone. Append must not block on I/O or call back
 //     into the engine: it runs on the write hot path.
 //
-//   - Commit is invoked by the group-commit leader after its fsync, with
-//     the highest sequence number the fsync covered, and blocks the
-//     release of that whole batch until it returns. A replication hook
-//     returns nil once every appended op with seq <= the argument is
-//     durable on a quorum, making a synchronous ack mean "fsynced on a
-//     majority" — one local fsync and one quorum round-trip per batch.
-//     Returning an error (conventionally wrapping ErrQuorum) poisons the
-//     rendezvous exactly as a failed fsync does: every waiter fails, the
-//     engine turns ReadOnly, and recovery requires a log rotation.
+//   - Commit is invoked by PutBatch after the batch's fsync, still under
+//     the WAL mutex, with the batch's last sequence number, and blocks
+//     the acknowledgement of the batch — and every later write — until
+//     it returns. A replication hook returns nil once every appended op
+//     with seq <= the argument is durable on a quorum, making a
+//     synchronous ack mean "fsynced on a majority" — one local fsync and
+//     one quorum round-trip per batch. Returning an error
+//     (conventionally wrapping ErrQuorum) fails the batch as a failed
+//     fsync does: the engine turns ReadOnly before the next writer gets
+//     the WAL mutex, and recovery requires a log rotation. Commit must
+//     not call back into the engine's write path.
 //
-// Commit only runs on the SyncWrites group-commit path; an engine
-// without SyncWrites never calls it, so replication requires synchronous
-// writes.
+// Commit only runs on the SyncWrites path; an engine without SyncWrites
+// never calls it, so replication requires synchronous writes.
 type CommitHook interface {
 	Append(seq uint64, op BatchOp)
 	Commit(seq uint64) error
 }
 
 // PreCommitHook is an optional CommitHook extension. When the hook
-// implements it, the group-commit leader invokes PreCommit after the
-// batch's frames are flushed to the OS buffer but before its fsync,
+// implements it, PutBatch invokes PreCommit (under the WAL mutex) after
+// the batch's frames are flushed to the OS buffer but before its fsync,
 // with the same sequence target the following Commit will carry. A
 // replication hook uses the window to start shipping the batch, so the
 // followers' log fsyncs run concurrently with the leader's own instead

@@ -122,9 +122,8 @@ func TestEngineCacheChurn(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
 		PageBytes:     384,
-		FlushEntries:  250, // frequent background flushes
-		CompactFanout: 2,   // aggressive background compaction
-		Shards:        2,
+		FlushEntries:  250,                          // frequent background flushes
+		CompactFanout: 2,                            // aggressive background compaction
 		Cache:         pagedstore.NewCache(8 * 384), // one page per cache shard: eviction storm
 	}
 	e, err := Open(dir, c, opts)
@@ -241,12 +240,12 @@ func TestEngineCacheChurn(t *testing.T) {
 	}
 }
 
-// TestGroupCommitDurability: concurrent SyncWrites writers commit
-// through the group path; every acknowledged write must be in the log
-// (simulated crash: the directory is copied without closing the engine),
-// and the torn-tail guarantee must hold at EVERY byte boundary of the
-// group-committed log — each prefix replays to an exact frame-prefix of
-// the full history, never a fabricated or reordered op.
+// TestGroupCommitDurability: concurrent SyncWrites writers commit one
+// at a time through the write lock; every acknowledged write must be in
+// the log (simulated crash: the directory is copied without closing the
+// engine), and the torn-tail guarantee must hold at EVERY byte boundary
+// of the log they wrote — each prefix replays to an exact frame-prefix
+// of the full history, never a fabricated or reordered op.
 func TestGroupCommitDurability(t *testing.T) {
 	c, err := core.NewOnion2D(16)
 	if err != nil {
@@ -347,7 +346,7 @@ func TestGroupCommitDurability(t *testing.T) {
 		}
 	}
 
-	// Torn-tail at every byte boundary of the group-committed log.
+	// Torn-tail at every byte boundary of the log.
 	fullPath := filepath.Join(t.TempDir(), "full.log")
 	if err := os.WriteFile(fullPath, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -387,8 +386,8 @@ func TestGroupCommitDurability(t *testing.T) {
 	}
 }
 
-// TestGroupCommitWithRotation interleaves SyncWrites group commits with
-// flushes (which rotate the log out from under the committers) and
+// TestGroupCommitWithRotation interleaves concurrent SyncWrites writers
+// with flushes (which rotate the log between their batches) and
 // proves nothing acknowledged is lost across a reopen.
 func TestGroupCommitWithRotation(t *testing.T) {
 	c, err := core.NewOnion2D(16)
@@ -449,7 +448,7 @@ func TestEngineQueryZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cache := range []*pagedstore.Cache{pagedstore.NewCache(1 << 22), nil} {
-		opts := Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1, Shards: 2, Cache: cache}
+		opts := Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1, Cache: cache}
 		e, err := Open(t.TempDir(), c, opts)
 		if err != nil {
 			t.Fatal(err)

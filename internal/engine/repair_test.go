@@ -134,7 +134,7 @@ func TestRepairFromSnapshot(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1, Shards: 2})
+	e2, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestTryRecoverFailedIsTerminal(t *testing.T) {
 func TestScrubberQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1,
-		Shards: 2, SyncWrites: true, ScrubPagesPerSec: 5000}
+		SyncWrites: true, ScrubPagesPerSec: 5000}
 	e, o, victim := twoRowEngine(t, dir, opts)
 	defer e.Close() //nolint:errcheck
 	corruptFile(t, victim)

@@ -129,10 +129,7 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 				break
 			}
 			if mem == nil {
-				mem, err = newMemtable(c, opts.Shards, nextGen)
-				if err != nil {
-					return rep, err
-				}
+				mem = newMemtable(nextGen)
 			}
 			seq++
 			mem.put(c.Index(op.Point), op.Point, op.Payload, seq, op.Del)

@@ -17,7 +17,7 @@ import (
 // which archived WALs a snapshot covers) are fully deterministic.
 func snapOpts(fsys vfs.FS) Options {
 	return Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1,
-		Shards: 2, SyncWrites: true, FS: fsys}
+		SyncWrites: true, FS: fsys}
 }
 
 // TestSnapshotPITRRoundTrip is the point-in-time acceptance test: the

@@ -1,11 +1,14 @@
 // Package engine is a durable, concurrent, LSM-style spatial storage
 // engine keyed by curve index — the mutable counterpart of the write-once
-// pagedstore. Writes are acknowledged after landing in a CRC-framed
-// write-ahead log and a curve-key-ordered memtable sharded across
-// GOMAXPROCS by an internal/partition partitioner; memtables flush into
-// immutable curve-ordered segment files that are pagedstore files
-// (tombstones ride in the mark bitmap); size-tiered
-// background compaction merges segments and garbage-collects tombstones.
+// pagedstore. An engine has one writer at a time: a write batch is
+// acknowledged after landing in a CRC-framed write-ahead log and a
+// curve-key-ordered skiplist memtable, under one lock that keeps log,
+// sequence and memtable order the same. Concurrent synchronous callers
+// serialize on that lock, each batch paying its own fsync; durable
+// batching across producers is the ingest pipeline's job. Memtables
+// flush into immutable curve-ordered segment files that are pagedstore
+// files (tombstones ride in the mark bitmap); size-tiered background
+// compaction merges segments and garbage-collects tombstones.
 //
 // A rectangle query consults the curve's range planner exactly once, then
 // streams a k-way merge of the memtable and every live segment over each
@@ -17,7 +20,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/onioncurve/onion/internal/framedlog"
 	"github.com/onioncurve/onion/internal/vfs"
@@ -36,36 +38,17 @@ func walErr(err error) error {
 }
 
 // wal is the engine's write-ahead log: a framedlog file whose frame
-// payloads are EncodeOp encodings, plus the group-commit rendezvous.
-// After any write or sync error the framedlog.Writer latches failed —
-// frames appended after a torn region would be unreachable to recovery —
-// so the engine surfaces the error and refuses further appends until a
-// flush rotates in a fresh log.
+// payloads are EncodeOp encodings. After any write or sync error the
+// framedlog.Writer latches failed — frames appended after a torn region
+// would be unreachable to recovery — so the engine surfaces the error and
+// refuses further appends until a flush rotates in a fresh log.
 //
-// The caller serializes append/Flush/Sync/close (the engine holds its WAL
-// mutex so that log order equals sequence-number order).
+// The caller serializes every method (the engine holds its WAL mutex so
+// that log order equals sequence-number order).
 type wal struct {
 	*framedlog.Writer
 	dims int
 	enc  []byte // EncodeOp scratch, reused by every append
-	gc   groupState
-}
-
-// groupState is the log's group-commit rendezvous: concurrent SyncWrites
-// callers publish the byte position their frame ends at, one of them
-// becomes the leader and performs a single buffered flush + fsync
-// covering every frame appended so far, and the rest wait for the
-// durable watermark to pass their position. While a leader's fsync is in
-// flight, later callers pile up behind the syncing flag, so the next
-// fsync amortizes over the whole pile — one disk barrier per batch
-// instead of one per write.
-type groupState struct {
-	mu           sync.Mutex
-	wake         sync.Cond
-	synced       int64 // bytes of the log durably synced
-	syncedFrames int64 // frames covered by fsyncs so far (batch-size telemetry)
-	syncing      bool  // a leader's flush+fsync is in flight
-	err          error // sticky: a failed group sync poisons the log until rotation
 }
 
 func createWAL(fsys vfs.FS, path string, dims int) (*wal, error) {
@@ -73,9 +56,7 @@ func createWAL(fsys vfs.FS, path string, dims int) (*wal, error) {
 	if err != nil {
 		return nil, walErr(err)
 	}
-	l := &wal{Writer: w, dims: dims, enc: make([]byte, 0, walPayloadSize(dims, false))}
-	l.gc.wake.L = &l.gc.mu
-	return l, nil
+	return &wal{Writer: w, dims: dims, enc: make([]byte, 0, walPayloadSize(dims, false))}, nil
 }
 
 // append frames and buffers one op. Durability requires a later sync.

@@ -24,7 +24,7 @@ import (
 const (
 	headerBytes = 8
 	// bufferBytes bounds the frames a Writer holds back before it writes
-	// them out on its own: large enough that a group-commit batch or a
+	// them out on its own: large enough that a write batch or a
 	// replication append request reaches the file in one write call.
 	bufferBytes = 64 << 10
 )
@@ -39,11 +39,10 @@ var (
 // Writer appends frames to one file. The caller serializes every method
 // except Fsync.
 type Writer struct {
-	f      vfs.File
-	buf    []byte // whole frames not yet written to f
-	n      int64  // bytes appended, buffered ones included
-	frames int64
-	err    error // sticky: first write/sync failure, or errClosed
+	f   vfs.File
+	buf []byte // whole frames not yet written to f
+	n   int64  // bytes appended, buffered ones included
+	err error  // sticky: first write/sync failure, or errClosed
 }
 
 // Create creates (or truncates) the log file at path.
@@ -73,7 +72,6 @@ func (w *Writer) Append(payload []byte) error {
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(payload, crcTable))
 	w.buf = append(w.buf, payload...)
 	w.n += int64(headerBytes + len(payload))
-	w.frames++
 	return nil
 }
 
@@ -92,9 +90,9 @@ func (w *Writer) Flush() error {
 }
 
 // Fsync fsyncs the file without flushing the buffer and without touching
-// the Writer's state, so a group-commit leader may run it while other
-// goroutines keep appending. On error the caller must call Fail under
-// whatever serializes the other methods.
+// the Writer's state, so its owner can act between Flush and the disk
+// barrier (the engine starts shipping a replicated batch there). On
+// error the caller must call Fail.
 func (w *Writer) Fsync() error { return w.f.Sync() }
 
 // Fail latches err (if non-nil and the first) as the Writer's failure.
@@ -140,9 +138,6 @@ func (w *Writer) Abandon() {
 
 // Bytes is the log's length in bytes, buffered frames included.
 func (w *Writer) Bytes() int64 { return w.n }
-
-// Frames is the number of frames appended.
-func (w *Writer) Frames() int64 { return w.frames }
 
 // Replay calls fn with the payload of every frame of the log at path, in
 // order, until the file ends, a frame fails its length or checksum, or

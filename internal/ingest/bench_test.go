@@ -17,8 +17,8 @@ import (
 // but each producer keeps a window of acks in flight instead of blocking
 // per op — the open-loop client shape the pipeline exists for. Compare
 // against BenchmarkEngineIngestSyncGroup at the same producer count: the
-// delta is what batch coalescing buys over per-op group commit at equal
-// durability.
+// delta is what batch coalescing buys over synchronous writers that
+// serialize on the engine, one fsync each, at equal durability.
 func BenchmarkIngestPipeline(b *testing.B) {
 	for _, p := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) { benchPipeline(b, p) })

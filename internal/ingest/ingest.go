@@ -4,8 +4,13 @@
 // routed by curve key — that coalesces ops into per-shard batches
 // (last-write-wins per key, emitted in ascending curve-key order) and
 // submits each batch through Engine.PutBatch, where the whole batch rides
-// one WAL group-commit fsync. Acknowledgements fan back to the producers
-// through per-op completion handles.
+// one WAL fsync. Acknowledgements fan back to the producers through
+// per-op completion handles.
+//
+// This is the store's one batching layer for durable writes: an engine
+// has one writer at a time, so concurrent synchronous Put callers each
+// pay their own fsync, while the pipeline's one submitter per stripe
+// hands each engine a whole coalesced batch per fsync.
 //
 // Backpressure is the contract, not an accident: the ring is the only
 // elastic buffer, its capacity is fixed at construction, and a full ring
@@ -290,8 +295,9 @@ func (p *Pipeline) enqueue(ctx context.Context, pt geom.Point, payload uint64, d
 // router drains the ring in arrival order, accumulates ops into
 // per-stripe pending buffers, and hands full batches to the stripe
 // submitters. When the ring momentarily empties it flushes every partial
-// batch — batching adapts to load exactly like the WAL group commit:
-// deeper queues make bigger batches, an idle pipeline acks immediately.
+// batch — batching adapts to load: while a submitter waits on its fsync
+// the next batch accumulates, so deeper queues make bigger batches and an
+// idle pipeline acks immediately.
 func (p *Pipeline) router() {
 	defer close(p.routerD)
 	var o op

@@ -57,7 +57,7 @@ func igWorkload(n int) []igOp {
 // maintenance — the deterministic shape the cross-checks need.
 func igOpts() engine.Options {
 	return engine.Options{PageBytes: 120, FlushEntries: -1, CompactFanout: -1,
-		Shards: 2, Cache: pagedstore.NewCache(3072)}
+		Cache: pagedstore.NewCache(3072)}
 }
 
 // igApplySerial drives ops through the synchronous write path in log

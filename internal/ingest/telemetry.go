@@ -7,7 +7,7 @@ import (
 // ingestTelemetry holds pre-resolved handles into the pipeline's own
 // metric registry — the front-end series that exist above any one engine:
 // queue pressure, batching shape, ack latency. Storage-side metrics (WAL
-// bytes, group-commit batch sizes) stay in the target engines' registries.
+// bytes, ops per fsync) stay in the target engines' registries.
 type ingestTelemetry struct {
 	enqueued      *telemetry.Counter
 	acked         *telemetry.Counter

@@ -19,7 +19,7 @@ func benchEngOpts() engine.Options {
 }
 
 // benchProducers drives exactly b.N durable puts split across 16
-// closed-loop producer goroutines — the group-commit workload both
+// closed-loop producer goroutines — the synchronous workload both
 // variants below share, so the only delta between them is the
 // replication tax per committed batch. Before the clock starts the same
 // producers put one more than the default resend window: the timed
@@ -56,7 +56,7 @@ func benchProducers(b *testing.B, put func(geom.Point, uint64) error) {
 	drive(b.N)
 }
 
-// BenchmarkReplIngest compares durable group-committed ingest without
+// BenchmarkReplIngest compares durable synchronous ingest without
 // replication (solo) against the same workload quorum-committed across
 // a 3-replica group (r3: leader + 2 in-process followers, majority
 // quorum 2). The ratio is the price of "fsynced on a quorum" over

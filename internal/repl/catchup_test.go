@@ -23,7 +23,6 @@ func TestReplSeedWithArchivedWALs(t *testing.T) {
 		PageBytes:     192,
 		FlushEntries:  8, // frequent flushes rotate WALs into the archive
 		CompactFanout: -1,
-		Shards:        2,
 	}
 	cl := newCluster(t, 2, Config{
 		HistoryEntries:     4, // tiny resend window: a lagging peer must seed

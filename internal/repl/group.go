@@ -64,8 +64,8 @@ func (h *Hook) PreCommit(seq uint64) {
 	}
 }
 
-// Commit implements engine.CommitHook: it blocks the group-commit
-// rendezvous until every entry the batch covers is durable on a quorum.
+// Commit implements engine.CommitHook: it blocks the engine's batch
+// commit until every entry the batch covers is durable on a quorum.
 func (h *Hook) Commit(seq uint64) error {
 	h.mu.Lock()
 	g := h.g
@@ -319,8 +319,7 @@ func (g *Group) appendOp(eseq uint64, op []byte) {
 	})
 	if drop := len(g.hist.live) - g.cfg.HistoryEntries; drop > 0 {
 		// Only the quorum-committed prefix is trimmable. An uncommitted
-		// entry is the rendezvous target of an in-flight (or imminent)
-		// commit round: trimming it would force its followers into a
+		// entry is the target of an in-flight (or imminent) commit round: trimming it would force its followers into a
 		// snapshot seed that cannot be exported while the write is still
 		// holding the WAL path, so the round would exhaust its retries
 		// against healthy replicas. The window may therefore exceed
@@ -364,7 +363,8 @@ func (g *Group) epochOf(index uint64) uint64 {
 }
 
 // commitSeq is the hook's Commit: every entry appended at or below the
-// engine sequence number must be quorum-durable before it returns.
+// engine sequence number — the engine's batch just fsynced — must be
+// quorum-durable before it returns.
 func (g *Group) commitSeq(seq uint64) error {
 	g.mu.Lock()
 	if g.closed {
@@ -378,16 +378,16 @@ func (g *Group) commitSeq(seq uint64) error {
 	}
 	target, ok := g.hist.lastBySeq(seq)
 	if !ok {
-		// Nothing of ours in this rendezvous window. Safe even when the
-		// front of hist has been trimmed: appendOp never trims above
-		// g.commit, so any trimmed entry was already quorum-durable and
-		// needs no rendezvous of its own.
+		// Nothing of ours in this batch. Safe even when the front of hist
+		// has been trimmed: appendOp never trims above g.commit, so any
+		// trimmed entry was already quorum-durable and needs no round of
+		// its own.
 		g.mu.Unlock()
 		return nil
 	}
 	if target <= g.commit {
 		g.mu.Unlock()
-		return nil // a later rendezvous already covered it
+		return nil // already quorum-committed
 	}
 	quorum, peers := g.quorum(), g.peers
 	g.mu.Unlock()
@@ -395,8 +395,8 @@ func (g *Group) commitSeq(seq uint64) error {
 }
 
 // preShip starts streaming every entry at or below the engine sequence
-// seq to all peers without waiting for the outcome. It runs in the
-// group-commit leader's pre-fsync window: by the time the local barrier
+// seq to all peers without waiting for the outcome. It runs between the
+// engine's flush and fsync of a batch: by the time the local barrier
 // lands and commitSeq asks for the quorum, the followers' fsyncs have
 // (mostly) already happened, so the commit round finds the acks in
 // place instead of chaining a full replica round-trip after the local
@@ -424,7 +424,7 @@ func (g *Group) preShip(seq uint64) {
 		}(p)
 	}
 	// Yield so the shippers reach their followers' log barriers before
-	// the caller (the group-commit leader) enters its own. When the
+	// the caller (the engine's writer) enters its own. When the
 	// replicas share a filesystem, the journal then commits both log
 	// writes in one transaction and the second fsync rides the first's
 	// commit; spawned after the leader's fsync is already in flight, the

@@ -185,7 +185,7 @@ func TestLeadNonEmptyEngineSeedsPeers(t *testing.T) {
 // window must not trim its own uncommitted entries — that would force
 // its followers into a seed that cannot be exported while the write is
 // in flight, failing the quorum round against healthy replicas (and, in
-// the extreme, trimming every entry of the rendezvous window and
+// the extreme, trimming every entry of the in-flight batch and
 // acknowledging with no quorum check at all). The window is allowed to
 // balloon for the batch's lifetime and snaps back afterwards.
 func TestReplBatchLargerThanHistory(t *testing.T) {

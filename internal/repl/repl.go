@@ -3,10 +3,10 @@
 // distributed serving tier.
 //
 // The leader is an ordinary engine whose CommitHook tees every framed op
-// into an in-memory replication log and gates the group-commit
-// rendezvous on quorum: the leader's single fsync and a single
-// round-trip to the followers cover the whole batch, so an acknowledged
-// synchronous write means "fsynced on a majority". Followers persist the
+// into an in-memory replication log and gates each synchronous batch on
+// quorum: the leader's single fsync and a single round-trip to the
+// followers cover the whole batch, so an acknowledged synchronous write
+// means "fsynced on a majority". Followers persist the
 // shipped entries in their own CRC-framed replication log (fsynced
 // before acknowledging) and apply the quorum-committed prefix to their
 // engine through the same op encoding WAL replay uses, so a follower's
@@ -90,7 +90,7 @@ type Config struct {
 	// non-empty.
 	Transport Transport
 	// Engine tunes the leader engine for Lead and Promote (SyncWrites is
-	// forced on — replication rides the group-commit path).
+	// forced on — replication rides the synchronous batch commit).
 	Engine engine.Options
 	// HistoryEntries bounds the in-memory resend window: the leader
 	// keeps the newest HistoryEntries entries, plus any older ones no

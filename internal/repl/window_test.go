@@ -148,7 +148,7 @@ func bareGroup(historyEntries, maxBatch int, peer *recordingFollower) *Group {
 // commit advances, orphan truncation and epoch changes, and after every
 // step compares it with the copy-on-trim model: the live entries and
 // their Op buffers, histBase, lastEntryIndex, epochOf, the commit
-// rendezvous target, and for a peer at a random ack the resend runs or
+// round's target, and for a peer at a random ack the resend runs or
 // the needSeed verdict.
 func TestWindowMatchesCopyOnTrimModel(t *testing.T) {
 	for _, historyEntries := range []int{4, 64} {

@@ -101,7 +101,7 @@ func BenchmarkShardedQuery(b *testing.B) {
 }
 
 // BenchmarkShardedPut is the write-only series: concurrent point writes,
-// the path where per-shard WAL and memtable sharding pay off.
+// the path where per-shard WALs and memtables pay off.
 func BenchmarkShardedPut(b *testing.B) {
 	for _, k := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {

@@ -12,8 +12,9 @@ func (s *Sharded) Curve() curve.Curve { return s.c }
 
 // ingestTarget adapts the sharded service to the ingest batch sink: one
 // stripe per shard, routed by the service's own partitioner, each batch
-// applied through the owning engine's PutBatch (one group-commit fsync
-// per coalesced batch per shard).
+// applied through the owning engine's PutBatch (one WAL fsync per
+// coalesced batch per shard; the stripe's submitter is the engine's only
+// writer).
 type ingestTarget struct{ s *Sharded }
 
 func (t ingestTarget) Stripes() int            { return len(t.s.engines) }
@@ -30,8 +31,8 @@ func (t ingestTarget) ApplyBatch(i int, ops []engine.BatchOp) error {
 
 // NewIngest builds and starts an async ingest pipeline over the service:
 // ops enqueue into one shared MPMC ring, a striped batcher coalesces them
-// per shard, and each shard's batches ride that engine's WAL group
-// committer. Close the pipeline before closing the service.
+// per shard, and each shard's batches ride one WAL fsync of that engine
+// apiece. Close the pipeline before closing the service.
 func (s *Sharded) NewIngest(cfg ingest.Config) (*ingest.Pipeline, error) {
 	return ingest.New(s.c, ingestTarget{s}, cfg)
 }

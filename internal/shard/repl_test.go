@@ -54,7 +54,7 @@ func TestShardedReplication(t *testing.T) {
 		for f := 0; f < followersPer; f++ {
 			id := fmt.Sprintf("s%d-f%d", s, f+1)
 			fo, err := repl.OpenFollower(id, dir+"/"+id, c,
-				repl.FollowerOptions{Engine: engine.Options{PageBytes: 384, FlushEntries: -1, CompactFanout: -1, Shards: 2}})
+				repl.FollowerOptions{Engine: engine.Options{PageBytes: 384, FlushEntries: -1, CompactFanout: -1}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -59,7 +59,7 @@ type Options struct {
 	// would misroute queries.
 	Shards int
 	// Engine tunes every per-shard engine (page size, flush threshold,
-	// WAL sync policy, memtable shards, compaction fanout).
+	// WAL sync policy, compaction fanout).
 	Engine engine.Options
 	// CacheBytes gives every shard engine ONE shared page cache with
 	// this byte budget (0 disables caching; ignored when Engine.Cache is

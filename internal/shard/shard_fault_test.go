@@ -21,7 +21,7 @@ func sfOpen(t *testing.T, dir string, fsys vfs.FS, sync bool) *Sharded {
 	}
 	s, err := Open(dir, o, Options{
 		Shards: 4,
-		Engine: engine.Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1, Shards: 2, SyncWrites: sync},
+		Engine: engine.Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1, SyncWrites: sync},
 		FS:     fsys,
 	})
 	if err != nil {

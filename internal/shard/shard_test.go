@@ -30,7 +30,7 @@ import (
 func manualShardOpts(k int) Options {
 	return Options{
 		Shards: k,
-		Engine: engine.Options{PageBytes: 384, FlushEntries: -1, CompactFanout: -1, Shards: 2},
+		Engine: engine.Options{PageBytes: 384, FlushEntries: -1, CompactFanout: -1},
 		// A deliberately tiny shared page cache (16 pages across all
 		// shards) so the cross-checks run under constant eviction
 		// pressure: the logical stat contracts must hold bit-identically
@@ -664,7 +664,7 @@ func TestShardedAdmission(t *testing.T) {
 	}
 	opts := Options{
 		Shards: 4,
-		Engine: engine.Options{PageBytes: 384, FlushEntries: 300, CompactFanout: 2, Shards: 2},
+		Engine: engine.Options{PageBytes: 384, FlushEntries: 300, CompactFanout: 2},
 	}
 	s, err := Open(t.TempDir(), c, opts)
 	if err != nil {
@@ -912,7 +912,7 @@ func TestRouterOneShardQueryAllocs(t *testing.T) {
 	}
 	s, err := Open(t.TempDir(), c, Options{
 		Shards:     2,
-		Engine:     engine.Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1, Shards: 2},
+		Engine:     engine.Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1},
 		CacheBytes: 1 << 22,
 	})
 	if err != nil {

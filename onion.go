@@ -123,7 +123,7 @@ type (
 	// OpenEngine.
 	Engine = engine.Engine
 	// EngineOptions tunes OpenEngine (page size, flush threshold, WAL
-	// sync policy, memtable shards, compaction fanout, page cache — a
+	// sync policy, compaction fanout, page cache — a
 	// NewPageCache, nil for none). The zero value selects sensible
 	// defaults.
 	EngineOptions = engine.Options
@@ -191,7 +191,7 @@ type (
 	ShardedSnapshotReport = shard.SnapshotReport
 	// EngineBatchOp is one logical write inside Engine.PutBatch: a put of
 	// (Point, Payload) or, with Del set, a blind tombstone at Point. The
-	// whole batch rides one WAL group-commit fsync.
+	// whole batch rides one WAL fsync.
 	EngineBatchOp = engine.BatchOp
 	// IngestPipeline is the asynchronous write front-end: a bounded
 	// lock-free MPMC ring feeding a striped per-shard batcher that
@@ -316,8 +316,11 @@ var (
 
 // NewIngest builds and starts an asynchronous ingest pipeline over a
 // single engine: ops enqueue into a bounded MPMC ring, a batcher
-// coalesces them, and each batch rides one WAL group-commit fsync through
-// Engine.PutBatch. Close the pipeline before closing the engine. For a
+// coalesces them, and each batch rides one WAL fsync through
+// Engine.PutBatch. It is how durable writes from many producers share
+// fsyncs: the engine has one writer at a time, so concurrent synchronous
+// Put callers each pay their own. Close the pipeline before closing the
+// engine. For a
 // ShardedEngine use its NewIngest method, which stripes batches per
 // shard.
 func NewIngest(e *Engine, cfg IngestConfig) (*IngestPipeline, error) {
@@ -537,8 +540,8 @@ func OpenStoreCached(path string, c Curve, cache *PageCache) (*Store, error) {
 // WriteStore/OpenStore for workloads that ingest while they serve.
 //
 // Writes (Put/Delete) are acknowledged after landing in a CRC-framed
-// write-ahead log and a curve-key-ordered memtable sharded across
-// GOMAXPROCS; memtables flush into immutable curve-ordered segment files
+// write-ahead log and a curve-key-ordered memtable, one writer at a time;
+// memtables flush into immutable curve-ordered segment files
 // (the pagedstore layout), and size-tiered background compaction merges
 // segments and garbage-collects deletions. Crash recovery replays the
 // log, keeping exactly the acknowledged prefix and dropping a torn tail.
