@@ -20,23 +20,24 @@ type BatchOp struct {
 
 // PutBatch is the engine's one write body and its one writer (Put and
 // Delete are one-op batches). It holds the WAL mutex for the whole
-// batch: the ops take one contiguous sequence-number interval and are
-// framed into the log in that order; with Options.SyncWrites one flush
-// and one fsync (and the CommitHook's quorum round) cover the batch; then
-// the ops enter the memtable and become visible to queries together.
-// Log order, sequence order and memtable order therefore agree, and a
-// query snapshot holds whole batches only. Concurrent callers serialize —
-// each synchronous batch pays its own fsync — so durable batching across
-// many producers is the ingest pipeline's job (NewIngest), which hands
-// each engine one large batch at a time.
+// batch: the ops take one contiguous sequence-number interval and go
+// into the log, in that order, as one frame; with Options.SyncWrites one
+// flush and one fsync (and the CommitHook's quorum round) cover the
+// batch; then the ops enter the memtable and become visible to queries
+// together. Log order, sequence order and memtable order therefore
+// agree, and a query snapshot, like recovery, holds whole batches only.
+// Concurrent callers serialize — each synchronous batch pays its own
+// fsync — so durable batching across many producers is the ingest
+// pipeline's job (NewIngest), which hands each engine one large batch at
+// a time.
 //
 // Acknowledgement is all-or-nothing: a nil return means every op is
 // acknowledged under the same durability rules. On error no op is
-// acknowledged; ops already framed before the failure have indeterminate
-// durability — each frame is CRC-guarded, so recovery keeps a clean
-// per-op prefix of the batch and never a torn op. A failed batch leaves
-// the engine ReadOnly before the next writer can take the WAL mutex, so
-// nothing is appended behind a log whose tail is unknown.
+// acknowledged and the batch's durability is indeterminate — but its
+// one frame is CRC-guarded, so recovery keeps the whole batch or none
+// of it, never a torn part. A failed batch leaves the engine ReadOnly
+// before the next writer can take the WAL mutex, so nothing is appended
+// behind a log whose tail is unknown.
 //
 // An op whose Point lies outside the universe rejects the whole batch
 // before anything is written.
@@ -66,14 +67,9 @@ func (e *Engine) PutBatch(ops []BatchOp) error {
 	w := e.wal
 	prevN := w.Bytes()
 	firstSeq := e.seq + 1
-	var err error
-	for i := range ops {
+	err := w.append(ops)
+	for i := 0; err == nil && i < len(ops); i++ {
 		e.seq++
-		if err = w.append(ops[i]); err != nil {
-			// Frames after a failed append would sit beyond a torn region
-			// recovery cannot cross; stop framing here.
-			break
-		}
 		if h := e.hook; h != nil {
 			h.Append(e.seq, ops[i])
 		}
@@ -93,7 +89,7 @@ func (e *Engine) PutBatch(ops []BatchOp) error {
 	}
 	mem := e.mem
 	for i := range ops {
-		mem.put(e.c.Index(ops[i].Point), ops[i].Point, ops[i].Payload, firstSeq+uint64(i), ops[i].Del)
+		mem.put(e.c.Index(ops[i].Point), ops[i].Payload, firstSeq+uint64(i), ops[i].Del)
 	}
 	e.visible.Store(e.seq)
 	if tel := e.tel; tel != nil {
@@ -109,11 +105,11 @@ func (e *Engine) PutBatch(ops []BatchOp) error {
 	return nil
 }
 
-// syncLocked (walMu held) makes the frames of the batch just appended
+// syncLocked (walMu held) makes the frame of the batch just appended
 // durable: one flush, the hook's PreCommit, one fsync, then the hook's
 // Commit. A failed fsync latches the log failed; a failed Commit leaves
 // the log usable (the batch is durable locally) and fails only the batch.
-func (e *Engine) syncLocked(w *wal, frames int) error {
+func (e *Engine) syncLocked(w *wal, ops int) error {
 	// Commit window: yield once before the disk barrier. No other writer
 	// can join the batch (this one holds walMu); the yield is for the
 	// readers. Measured on the benchmark's mixed workload (2 vCPUs, six
@@ -147,7 +143,7 @@ func (e *Engine) syncLocked(w *wal, frames int) error {
 	if tel != nil {
 		tel.walFsyncs.Inc()
 		tel.walFsyncUS.Record(uint64(time.Since(start).Microseconds()))
-		tel.walBatch.Record(uint64(frames))
+		tel.walBatch.Record(uint64(ops))
 	}
 	if h := e.hook; h != nil {
 		// The batch is acknowledged only once it is also durable on a

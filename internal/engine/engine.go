@@ -293,7 +293,7 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 				recovered = newMemtable(e.gen)
 			}
 			e.seq++
-			recovered.put(c.Index(op.Point), op.Point, op.Payload, e.seq, op.Del)
+			recovered.put(c.Index(op.Point), op.Payload, e.seq, op.Del)
 		}
 	}
 	e.visible.Store(e.seq)
@@ -488,10 +488,10 @@ func (e *Engine) Sync() error {
 type mergeSource struct {
 	mem *memIter           // nil for segment sources
 	cur *pagedstore.Cursor // nil for memtable sources
-	// head is the peeked entry, meaningful while ok. A segment source's
-	// Point is a view into its cursor's scratch; a memtable source's
-	// aliases the memtable node's. Either way it is valid only until the
-	// next advance, so sinks that retain it must clone the point.
+	// head is the current entry, meaningful while ok. Its Point is a
+	// view into the cursor's or the memtable iterator's scratch, valid
+	// only until the next advance, so sinks that retain it must clone
+	// the point.
 	head pagedstore.Entry
 	ok   bool
 	prio int
@@ -499,9 +499,7 @@ type mergeSource struct {
 
 func (m *mergeSource) advance() (err error) {
 	if m.mem != nil {
-		if m.head, m.ok = m.mem.peek(); m.ok {
-			m.mem.advance()
-		}
+		m.ok = m.mem.next(&m.head)
 		return nil
 	}
 	m.ok, err = m.cur.NextInto(&m.head)
@@ -700,7 +698,7 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 		}
 		for j := range qs.mems {
 			it := &qs.iters[j]
-			it.init(qs.mems[j], kr, snap)
+			it.init(e.c, qs.mems[j], kr, snap)
 			qs.memSrcs[j] = mergeSource{mem: it, prio: len(qs.pass)}
 			qs.pass = append(qs.pass, &qs.memSrcs[j])
 		}

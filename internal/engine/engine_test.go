@@ -547,14 +547,6 @@ func TestQueryRanges(t *testing.T) {
 	}
 }
 
-// seek positions a fresh iterator over kr at snapshot snap — the
-// allocating form of memIter.init, for the memtable unit tests below.
-func (m *memtable) seek(kr curve.KeyRange, snap uint64) *memIter {
-	it := &memIter{}
-	it.init(m, kr, snap)
-	return it
-}
-
 func TestPickCompaction(t *testing.T) {
 	cases := []struct {
 		recs   []int
@@ -618,38 +610,6 @@ func TestScanDirCrashArtifacts(t *testing.T) {
 	touch("seg-000000000004-000000000009-000.pst")
 	if _, _, _, err := scanDir(vfs.OS{}, dir); err == nil {
 		t.Error("overlap accepted")
-	}
-}
-
-func TestMemtableSnapshotFilter(t *testing.T) {
-	c, _ := core.NewOnion2D(16)
-	m := newMemtable(1)
-	pt := geom.Point{3, 3}
-	key := c.Index(pt)
-	m.put(key, pt, 10, 1, false)
-	m.put(key, pt, 20, 3, false)
-	m.put(key, pt, 0, 5, true)
-	full := curve.KeyRange{Lo: 0, Hi: c.Universe().Size() - 1}
-	for _, tc := range []struct {
-		snap uint64
-		want int64 // -1 = invisible, -2 = tombstone
-	}{{0, -1}, {1, 10}, {2, 10}, {3, 20}, {4, 20}, {5, -2}, {99, -2}} {
-		it := m.seek(full, tc.snap)
-		ent, ok := it.peek()
-		switch tc.want {
-		case -1:
-			if ok {
-				t.Fatalf("snap %d: entry visible", tc.snap)
-			}
-		case -2:
-			if !ok || !ent.Marked {
-				t.Fatalf("snap %d: want tombstone, got %+v ok=%v", tc.snap, ent, ok)
-			}
-		default:
-			if !ok || ent.Marked || ent.Payload != uint64(tc.want) {
-				t.Fatalf("snap %d: got %+v ok=%v, want payload %d", tc.snap, ent, ok, tc.want)
-			}
-		}
 	}
 }
 

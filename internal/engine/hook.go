@@ -21,7 +21,7 @@ var ErrQuorum = errors.New("engine: replication quorum lost")
 // replication layer hangs off. The contract mirrors the WAL itself:
 //
 //   - Append is invoked under the engine's WAL mutex, once per framed
-//     op, in sequence order — exactly the order the frames occupy in the
+//     op, in sequence order — exactly the order the ops occupy in the
 //     log. The op's Point aliases the caller's buffer; a hook that
 //     retains it must clone. Append must not block on I/O or call back
 //     into the engine: it runs on the write hot path.
@@ -47,7 +47,7 @@ type CommitHook interface {
 
 // PreCommitHook is an optional CommitHook extension. When the hook
 // implements it, PutBatch invokes PreCommit (under the WAL mutex) after
-// the batch's frames are flushed to the OS buffer but before its fsync,
+// the batch's frame is flushed to the OS buffer but before its fsync,
 // with the same sequence target the following Commit will carry. A
 // replication hook uses the window to start shipping the batch, so the
 // followers' log fsyncs run concurrently with the leader's own instead
@@ -77,8 +77,8 @@ func walPayloadSize(dims int, del bool) int {
 // EncodeOp appends the WAL payload encoding of op to dst and returns the
 // extended slice: op byte, 4*dims little-endian coords, and the 8-byte
 // payload for puts. It is the store's only op codec: the engine frames
-// exactly these bytes into its own log, and a replication stream carries
-// them, so both are decoded by DecodeOp.
+// these bytes, a batch's back to back, into its own log, and a
+// replication stream carries them, so both are decoded by DecodeOp.
 func EncodeOp(dst []byte, op BatchOp, dims int) []byte {
 	if op.Del {
 		dst = append(dst, walOpDel)

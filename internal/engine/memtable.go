@@ -1,7 +1,8 @@
 package engine
 
 import (
-	"math/rand"
+	"math/bits"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 
@@ -12,161 +13,155 @@ import (
 
 const maxSkipLevel = 16
 
-// version is one write to a cell: a payload or a tombstone, stamped with
-// the engine-wide sequence number that orders it.
-type version struct {
-	seq     uint64
-	payload uint64
-	del     bool
-}
+// A memtable node is one version — a payload or a tombstone — laid out in
+// the arena at a word offset:
+//
+//	word 0   key
+//	word 1   seq<<1 | del
+//	word 2   payload
+//	word 3…  the tower: ceil(h/2) words of 32-bit halves, half l the word
+//	         offset of the node's successor on level l (0 = none: offset
+//	         0 is the head, never a successor)
+//
+// The height h is not stored: a search reaches a node on level l only
+// through a level-l link. A node is 4 words at heights 1 and 2, about 4.3
+// on average.
+const (
+	nodeSeq     = 1
+	nodePayload = 2
+	nodeTower   = 3
+)
 
-// memNode is a skiplist node holding every version of one curve key.
-// Nodes are never removed and version slices only grow, so readers that
-// hold a node may drop and retake the memtable lock between steps.
-type memNode struct {
-	key  uint64
-	pt   geom.Point
-	vers []version // ascending seq
-	next []*memNode
-}
-
-// memtable is the mutable, curve-key-ordered write buffer: one skiplist.
-// It has one writer, which inserts in sequence order: PutBatch under the
-// WAL mutex, or a WAL replay before the table is shared. Readers take mu
-// as RLock for O(1) windows per step — snapshot consistency comes from
+// memtable is the mutable write buffer: a skiplist of versions, by curve
+// key ascending then seq descending (a key's newest version first), in one
+// pointer-free arena the garbage collector never traces. It has one
+// writer, inserting in sequence order (PutBatch under the WAL mutex, or a
+// WAL replay before the table is shared), which holds mu per insert: the
+// arena grows by append, and offsets survive that. Readers take mu as
+// RLock for O(1) windows per step — snapshot consistency comes from
 // sequence filtering, not from holding the lock across a scan.
 type memtable struct {
 	mu      sync.RWMutex
-	head    *memNode
-	rng     *rand.Rand
+	arena   []uint64
 	gen     uint64       // file generation of the WAL backing this table
 	entries atomic.Int64 // total versions ever inserted
 }
 
 func newMemtable(gen uint64) *memtable {
-	return &memtable{
-		head: &memNode{next: make([]*memNode, maxSkipLevel)},
-		rng:  rand.New(rand.NewSource(int64(gen)<<16 + 1)),
-		gen:  gen,
+	return &memtable{arena: make([]uint64, nodeTower+maxSkipLevel/2, 1<<10), gen: gen}
+}
+
+// next returns the offset of node n's successor on level lvl.
+func next(a []uint64, n uint32, lvl int) uint32 {
+	h := 2*(int(n)+nodeTower) + lvl
+	return uint32(a[h>>1] >> (32 * (h & 1)))
+}
+
+func setNext(a []uint64, n uint32, lvl int, to uint32) {
+	h := 2*(int(n)+nodeTower) + lvl
+	sh := 32 * (h & 1)
+	a[h>>1] = a[h>>1]&^(0xffffffff<<sh) | uint64(to)<<sh
+}
+
+// descend fills prev with, on every level, the last node whose key is
+// below key (the head when there is none). Callers hold mu.
+func (m *memtable) descend(key uint64, prev *[maxSkipLevel]uint32) {
+	a := m.arena
+	n := uint32(0)
+	for lvl := maxSkipLevel - 1; lvl >= 0; lvl-- {
+		for nx := next(a, n, lvl); nx != 0 && a[nx] < key; nx = next(a, n, lvl) {
+			n = nx
+		}
+		prev[lvl] = n
 	}
 }
 
 // put inserts one version, whose seq must exceed every seq already in
-// the table. pt is cloned; callers may reuse it.
-func (m *memtable) put(key uint64, pt geom.Point, payload uint64, seq uint64, del bool) {
-	m.mu.Lock()
-	var prev [maxSkipLevel]*memNode
-	n := m.head
-	for lvl := maxSkipLevel - 1; lvl >= 0; lvl-- {
-		for n.next[lvl] != nil && n.next[lvl].key < key {
-			n = n.next[lvl]
-		}
-		prev[lvl] = n
+// the table: it links in front of the key's older versions.
+func (m *memtable) put(key, payload, seq uint64, del bool) {
+	h := min(1+bits.TrailingZeros64(rand.Uint64()), maxSkipLevel)
+	var d uint64
+	if del {
+		d = 1
 	}
-	if tgt := n.next[0]; tgt != nil && tgt.key == key {
-		tgt.vers = append(tgt.vers, version{seq: seq, payload: payload, del: del})
-	} else {
-		h := 1
-		for h < maxSkipLevel && m.rng.Intn(2) == 0 {
-			h++
-		}
-		nn := &memNode{
-			key:  key,
-			pt:   pt.Clone(),
-			vers: []version{{seq: seq, payload: payload, del: del}},
-			next: make([]*memNode, h),
-		}
-		for lvl := 0; lvl < h; lvl++ {
-			nn.next[lvl] = prev[lvl].next[lvl]
-			prev[lvl].next[lvl] = nn
-		}
+	m.mu.Lock()
+	var prev [maxSkipLevel]uint32
+	m.descend(key, &prev)
+	n := len(m.arena)
+	if n > 1<<32-8 {
+		panic("engine: memtable arena exceeds 32-bit offsets")
+	}
+	m.arena = append(m.arena, key, seq<<1|d, payload)
+	for w := (h + 1) / 2; w > 0; w-- {
+		m.arena = append(m.arena, 0)
+	}
+	for lvl := 0; lvl < h; lvl++ {
+		setNext(m.arena, uint32(n), lvl, next(m.arena, prev[lvl], lvl))
+		setNext(m.arena, prev[lvl], lvl, uint32(n))
 	}
 	m.mu.Unlock()
 	m.entries.Add(1)
 }
 
-// resolve returns the newest version visible at snapshot snap. Versions
-// are appended in ascending seq order (under the memtable's exclusive
-// lock, while every reader holds at least the read lock), so scan from
-// the tail.
-func resolve(vers []version, snap uint64) (version, bool) {
-	for i := len(vers) - 1; i >= 0; i-- {
-		if vers[i].seq <= snap {
-			return vers[i], true
-		}
-	}
-	return version{}, false
-}
-
-// entry surfaces one resolved version of a memtable node as the stored
-// tuple the merge, the flush and the segment writer all work on; the mark
-// is the tombstone. Its Point aliases the node's, which never changes once
-// the node is linked: nothing downstream may write through it.
-func (n *memNode) entry(v version) pagedstore.Entry {
-	return pagedstore.Entry{Key: n.key, Point: n.pt, Payload: v.payload, Marked: v.del}
-}
-
 // memIter streams the resolved entries of one key range in ascending key
-// order at a fixed snapshot. The memtable lock is held only inside
-// advance().
+// order at a fixed snapshot: for each key, its newest version with seq <=
+// snap. The memtable lock is held only inside init and next.
 type memIter struct {
 	m      *memtable
+	c      curve.Curve
 	snap   uint64
-	lo, hi uint64
-	cur    *memNode // last visited node, nil = before first
-	head   pagedstore.Entry
-	ok     bool
+	lo, hi uint64 // lo rises past each key returned, skipping its older versions
+	cur    uint32 // last visited node
+	pt     geom.Point
 }
 
 // init (re)positions an existing iterator over [lo, hi] at snapshot snap
-// and loads its first entry — the reusable form the pooled query state
-// drives, one reset per (range, memtable) pass with no allocation.
-func (it *memIter) init(m *memtable, kr curve.KeyRange, snap uint64) {
-	*it = memIter{m: m, snap: snap, lo: kr.Lo, hi: kr.Hi}
-	it.advance()
-}
-
-// peek returns the iterator's current entry.
-func (it *memIter) peek() (pagedstore.Entry, bool) { return it.head, it.ok }
-
-// advance loads the next visible entry with key in [lo, hi].
-func (it *memIter) advance() {
-	it.ok = false
-	m := it.m
+// — the reusable form the pooled query state drives, one reset per
+// (range, memtable) pass with no allocation.
+func (it *memIter) init(c curve.Curve, m *memtable, kr curve.KeyRange, snap uint64) {
+	var prev [maxSkipLevel]uint32
 	m.mu.RLock()
-	n := it.cur
-	if n == nil {
-		// First entry: skiplist search for lo.
-		n = m.head
-		for lvl := maxSkipLevel - 1; lvl >= 0; lvl-- {
-			for n.next[lvl] != nil && n.next[lvl].key < it.lo {
-				n = n.next[lvl]
-			}
-		}
-	}
-	for {
-		n = n.next[0]
-		if n == nil || n.key > it.hi {
-			break
-		}
-		it.cur = n
-		if v, ok := resolve(n.vers, it.snap); ok {
-			it.head = n.entry(v)
-			it.ok = true
-			break
-		}
-	}
+	m.descend(kr.Lo, &prev)
 	m.mu.RUnlock()
+	*it = memIter{m: m, c: c, snap: snap, lo: kr.Lo, hi: kr.Hi, cur: prev[0], pt: it.pt}
 }
 
-// flushEntries returns every key's newest version in ascending key order —
-// the sorted run a flush writes out. Tombstones are included (they must
-// shadow older segments until compaction drops them at the bottom level).
-// The memtable must be frozen (no concurrent writers) when this runs.
+// next decodes the next visible entry of the range into e and reports
+// whether there was one. e.Point is rebuilt from the key into the
+// iterator's scratch: like a segment cursor's, it is valid until the
+// iterator's next call, and a caller that retains it must clone it.
+func (it *memIter) next(e *pagedstore.Entry) bool {
+	it.m.mu.RLock()
+	a := it.m.arena
+	for n := next(a, it.cur, 0); n != 0 && a[n] <= it.hi; n = next(a, n, 0) {
+		it.cur = n
+		if a[n] < it.lo || a[n+nodeSeq]>>1 > it.snap {
+			continue
+		}
+		e.Key, e.Payload, e.Marked = a[n], a[n+nodePayload], a[n+nodeSeq]&1 != 0
+		it.m.mu.RUnlock()
+		it.lo = e.Key + 1
+		it.pt = it.c.Coords(e.Key, it.pt)
+		e.Point = it.pt
+		return true
+	}
+	it.m.mu.RUnlock()
+	return false
+}
+
+// flushEntries returns every key's newest version in ascending key order
+// with a nil Point (the segment writer stores keys only) — the sorted run
+// a flush writes out. Tombstones are included (they must shadow older
+// segments until compaction drops them at the bottom level). The
+// memtable must be frozen (no concurrent writers) when this runs.
 func (m *memtable) flushEntries() []pagedstore.Entry {
-	var out []pagedstore.Entry
-	for n := m.head.next[0]; n != nil; n = n.next[0] {
-		out = append(out, n.entry(n.vers[len(n.vers)-1]))
+	a := m.arena
+	out := make([]pagedstore.Entry, 0, m.entries.Load())
+	for n := next(a, 0, 0); n != 0; n = next(a, n, 0) {
+		if len(out) > 0 && out[len(out)-1].Key == a[n] {
+			continue
+		}
+		out = append(out, pagedstore.Entry{Key: a[n], Payload: a[n+nodePayload], Marked: a[n+nodeSeq]&1 != 0})
 	}
 	return out
 }

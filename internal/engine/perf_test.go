@@ -498,3 +498,73 @@ func TestEngineQueryZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineQueryZeroAllocLiveMemtable pins the query path with live
+// memtables among its sources: over a segment, a frozen memtable and the
+// active one, a warm query allocates nothing — the memtable iterators and
+// their point scratch recycle with the pooled query state.
+func TestEngineQueryZeroAllocLiveMemtable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	c, err := core.NewOnion2D(1 << 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(t.TempDir(), c, Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1, Cache: pagedstore.NewCache(1 << 22)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	rng := rand.New(rand.NewSource(43))
+	side := int32(c.Universe().Side())
+	putN := func(n int) {
+		for i := 0; i < n; i++ {
+			pt := geom.Point{uint32(rng.Int31n(side)), uint32(rng.Int31n(side))}
+			if err := e.Put(pt, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	putN(10000)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Freeze the next memtable the way a flush starts, and keep it queued.
+	putN(5000)
+	e.mu.Lock()
+	oldWal, frozen, err := e.rotateLocked()
+	if err == nil {
+		e.imm = append(e.imm, frozen)
+	}
+	e.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := oldWal.close(); err != nil {
+		t.Fatal(err)
+	}
+	putN(5000)
+
+	r := geom.Rect{Lo: geom.Point{40, 40}, Hi: geom.Point{103, 103}}
+	var dst []Record
+	for i := 0; i < 4; i++ {
+		if dst, _, err = e.QueryAppend(dst[:0], r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gc := debug.SetGCPercent(-1)
+	var st Stats
+	allocs := testing.AllocsPerRun(100, func() {
+		if dst, st, err = e.QueryAppend(dst[:0], r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	debug.SetGCPercent(gc)
+	if es := e.Stats(); es.ImmMemtables != 1 || es.MemEntries == 0 || st.MemEntries == 0 {
+		t.Fatalf("sources: %+v, query memtable entries %d", es, st.MemEntries)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state query over live memtables allocates %.1f objects/op, want 0", allocs)
+	}
+}

@@ -132,7 +132,7 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 				mem = newMemtable(nextGen)
 			}
 			seq++
-			mem.put(c.Index(op.Point), op.Point, op.Payload, seq, op.Del)
+			mem.put(c.Index(op.Point), op.Payload, seq, op.Del)
 			rep.Replayed++
 		}
 	}

@@ -1,9 +1,9 @@
 // Package engine is a durable, concurrent, LSM-style spatial storage
 // engine keyed by curve index — the mutable counterpart of the write-once
 // pagedstore. An engine has one writer at a time: a write batch is
-// acknowledged after landing in a CRC-framed write-ahead log and a
-// curve-key-ordered skiplist memtable, under one lock that keeps log,
-// sequence and memtable order the same. Concurrent synchronous callers
+// acknowledged after landing as one frame in a CRC-framed write-ahead log
+// and in a curve-key-ordered skiplist memtable, under one lock that keeps
+// log, sequence and memtable order the same. Concurrent synchronous callers
 // serialize on that lock, each batch paying its own fsync; durable
 // batching across producers is the ingest pipeline's job. Memtables
 // flush into immutable curve-ordered segment files that are pagedstore
@@ -37,11 +37,12 @@ func walErr(err error) error {
 	return fmt.Errorf("%w: %w", ErrWAL, err)
 }
 
-// wal is the engine's write-ahead log: a framedlog file whose frame
-// payloads are EncodeOp encodings. After any write or sync error the
-// framedlog.Writer latches failed — frames appended after a torn region
-// would be unreachable to recovery — so the engine surfaces the error and
-// refuses further appends until a flush rotates in a fresh log.
+// wal is the engine's write-ahead log: a framedlog file with one frame
+// per write batch, its payload the batch's EncodeOp encodings back to
+// back. After any write or sync error the framedlog.Writer latches failed
+// — frames appended after a torn region would be unreachable to recovery
+// — so the engine surfaces the error and refuses further appends until a
+// flush rotates in a fresh log.
 //
 // The caller serializes every method (the engine holds its WAL mutex so
 // that log order equals sequence-number order).
@@ -59,9 +60,12 @@ func createWAL(fsys vfs.FS, path string, dims int) (*wal, error) {
 	return &wal{Writer: w, dims: dims, enc: make([]byte, 0, walPayloadSize(dims, false))}, nil
 }
 
-// append frames and buffers one op. Durability requires a later sync.
-func (l *wal) append(op BatchOp) error {
-	l.enc = EncodeOp(l.enc[:0], op, l.dims)
+// append frames and buffers one batch. Durability requires a later sync.
+func (l *wal) append(ops []BatchOp) error {
+	l.enc = l.enc[:0]
+	for _, op := range ops {
+		l.enc = EncodeOp(l.enc, op, l.dims)
+	}
 	return walErr(l.Append(l.enc))
 }
 
@@ -69,20 +73,27 @@ func (l *wal) append(op BatchOp) error {
 // is durable once it returns nil.
 func (l *wal) close() error { return walErr(l.Close()) }
 
-// replayWAL reads every intact frame of the log at path, in order. A torn
-// tail — a final frame cut short by a crash, any framing/CRC damage, or
-// a payload DecodeOp rejects — ends the replay silently: recovery keeps
-// exactly the longest valid prefix and drops the rest, so an acknowledged
-// (synced) write is never lost and an unacknowledged torn write is never
-// resurrected partially.
+// replayWAL reads the ops of every intact frame (one batch, or one op in
+// older logs) of the log at path, in order. A torn tail — a final frame
+// cut short by a crash, any framing/CRC damage, or a payload that is not
+// a run of ops DecodeOp accepts — ends the replay silently: recovery
+// keeps exactly the longest valid prefix of whole batches, so an
+// acknowledged (synced) batch is never lost and a torn one never
+// resurrects, not even in part.
 func replayWAL(fsys vfs.FS, path string, dims int) ([]BatchOp, error) {
 	var ops []BatchOp
 	err := framedlog.Replay(fsys, path, func(payload []byte) bool {
-		op, err := DecodeOp(payload, dims)
-		if err == nil {
+		for n := len(ops); len(payload) > 0; {
+			size := min(walPayloadSize(dims, payload[0] == walOpDel), len(payload))
+			op, err := DecodeOp(payload[:size], dims)
+			if err != nil {
+				ops = ops[:n]
+				return false
+			}
 			ops = append(ops, op)
+			payload = payload[size:]
 		}
-		return err == nil
+		return true
 	})
 	return ops, walErr(err)
 }

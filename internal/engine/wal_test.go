@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
 )
@@ -41,14 +43,16 @@ func sampleOps(dims, n int) []BatchOp {
 	return ops
 }
 
+// writeOps writes ops as one-op batches: one frame per op, the layout
+// every log had before a frame carried a whole batch.
 func writeOps(t *testing.T, path string, dims int, ops []BatchOp) {
 	t.Helper()
 	w, err := createWAL(vfs.OS{}, path, dims)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range ops {
-		if err := w.append(op); err != nil {
+	for i := range ops {
+		if err := w.append(ops[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,5 +210,95 @@ func TestWALGoldenBytes(t *testing.T) {
 	}
 	if !walOpsEqual(ops, goldenOps) {
 		t.Fatalf("archived WAL replayed as %+v", ops)
+	}
+}
+
+// TestWALTornBatchIsAbsent crashes an engine with its log cut inside a
+// multi-op batch frame, at every byte: after reopen the whole batch is
+// absent — none of its ops takes effect, the delete in its middle
+// included — and the batch before it is intact.
+func TestWALTornBatchIsAbsent(t *testing.T) {
+	c, err := core.NewOnion2D(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := manualOpts()
+	opts.SyncWrites = true
+	e, err := Open(dir, c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := []BatchOp{
+		{Point: geom.Point{1, 1}, Payload: 11},
+		{Point: geom.Point{2, 2}, Payload: 22},
+		{Point: geom.Point{3, 3}, Payload: 33},
+	}
+	second := []BatchOp{
+		{Point: geom.Point{4, 4}, Payload: 44},
+		{Point: geom.Point{1, 1}, Del: true},
+		{Point: geom.Point{2, 2}, Payload: 99},
+		{Point: geom.Point{5, 5}, Payload: 55},
+	}
+	for _, b := range [][]BatchOp{first, second} {
+		if err := e.PutBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crash := t.TempDir()
+	copyDir(t, dir, crash)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wals, err := filepath.Glob(filepath.Join(crash, "wal-*.log"))
+	if err != nil || len(wals) != 1 {
+		t.Fatalf("wals %v err %v", wals, err)
+	}
+	data, err := os.ReadFile(wals[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(ops []BatchOp) int {
+		n := 8
+		for _, op := range ops {
+			n += walPayloadSize(2, op.Del)
+		}
+		return n
+	}
+	cutAt := frame(first)
+	if cutAt+frame(second) != len(data) {
+		t.Fatalf("log is %d bytes, want one frame per batch (%d + %d)", len(data), cutAt, frame(second))
+	}
+	state := func(cut int) map[uint64]uint64 {
+		d := t.TempDir()
+		copyDir(t, crash, d)
+		if err := os.WriteFile(filepath.Join(d, filepath.Base(wals[0])), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(d, c, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		got, _, err := re.Query(c.Universe().Rect())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := make(map[uint64]uint64, len(got))
+		for _, rec := range got {
+			m[c.Index(rec.Point)] = rec.Payload
+		}
+		return m
+	}
+	at := func(x, y uint32) uint64 { return c.Index(geom.Point{x, y}) }
+	firstOnly := map[uint64]uint64{at(1, 1): 11, at(2, 2): 22, at(3, 3): 33}
+	for cut := cutAt; cut < len(data); cut++ {
+		if got := state(cut); !maps.Equal(got, firstOnly) {
+			t.Fatalf("cut %d bytes into the second batch: recovered %v, want %v", cut-cutAt, got, firstOnly)
+		}
+	}
+	both := map[uint64]uint64{at(2, 2): 99, at(3, 3): 33, at(4, 4): 44, at(5, 5): 55}
+	if got := state(len(data)); !maps.Equal(got, both) {
+		t.Fatalf("whole log: recovered %v, want %v", got, both)
 	}
 }

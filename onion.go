@@ -581,7 +581,7 @@ func OpenShardedEngine(dir string, c Curve, opts ShardedEngineOptions) (*Sharded
 }
 
 // LeadReplicated opens an engine at dir as a replication leader: every
-// write's WAL frames tee into a replication log shipped to cfg.Peers,
+// write's WAL ops tee into a replication log shipped to cfg.Peers,
 // and a synchronous write acknowledges only once a quorum (leader
 // included) holds it durably — so an acknowledged Put means "fsynced on
 // a majority". Losing quorum degrades, never corrupts: writes fail with
