@@ -182,8 +182,6 @@ func main() {
 		cache        = flag.String("cache", "", "comma-separated page-cache byte budgets to sweep, e.g. 0,262144,8388608")
 		sync         = flag.Bool("sync", false, "fsync every write (closed-loop writers serialize on each shard's engine, one fsync per write; -arrival-rate batches them through the ingest pipeline)")
 		arrivalRate  = flag.Float64("arrival-rate", 0, "open-loop write arrivals per second (Poisson) through the async ingest pipeline; overload surfaces as enqueue-wait and ack tail latency (0 = closed-loop writers)")
-		ingestRing   = flag.Int("ingest-ring", 0, "ingest ring capacity for -arrival-rate mode (0 = pipeline default); smaller rings trade ack latency for earlier backpressure")
-		ingestBatch  = flag.Int("ingest-batch", 0, "max ops per coalesced ingest batch for -arrival-rate mode (0 = pipeline default)")
 		writers      = flag.Int("writers", 4, "concurrent writer goroutines")
 		readers      = flag.Int("readers", 4, "concurrent reader goroutines")
 		duration     = flag.Duration("duration", 5*time.Second, "measurement window per configuration")
@@ -245,8 +243,7 @@ func main() {
 		"shards", "cacheB", "writes/s", "queries/s", "avg seeks/q", "records/q", "hit%", "allocs/q")
 	tele := teleOpts{addr: *metricsAddr, statusEvery: *statusEvery, out: *telemetryOut}
 	for _, cfg := range configs {
-		ing := onion.IngestConfig{Ring: *ingestRing, MaxBatch: *ingestBatch}
-		m, err := run(cfg.shards, cfg.cacheBytes, *sync, *arrivalRate, ing, *writers, *readers,
+		m, err := run(cfg.shards, cfg.cacheBytes, *sync, *arrivalRate, *writers, *readers,
 			*duration, uint32(*side), uint32(*qside), *preload, *dir, faults,
 			*replicas, replFaults, *snapEvery, *repair, tele)
 		if err != nil {
@@ -451,7 +448,7 @@ func healthLetters(hs []onion.ShardHealth) string {
 }
 
 // run measures one (shard count, cache budget) configuration.
-func run(shards int, cacheBytes int64, syncWrites bool, arrivalRate float64, ing onion.IngestConfig,
+func run(shards int, cacheBytes int64, syncWrites bool, arrivalRate float64,
 	writers, readers int, d time.Duration, side, qside uint32, preload int, dir string,
 	faults []vfs.Fault, replicas int, replFaults []repl.Fault,
 	snapEvery time.Duration, repair bool, tele teleOpts) (metrics, error) {
@@ -589,7 +586,7 @@ func run(shards int, cacheBytes int64, syncWrites bool, arrivalRate float64, ing
 	wctx, wcancel := context.WithCancel(context.Background())
 	defer wcancel()
 	if arrivalRate > 0 {
-		pipe, err = s.NewIngest(ing)
+		pipe, err = s.NewIngest(onion.IngestConfig{})
 		if err != nil {
 			return metrics{}, err
 		}

@@ -36,7 +36,7 @@ func benchPipeline(b *testing.B, producers int) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { e.Close() })
-	p, err := NewEngine(e, Config{Ring: 1 << 14, MaxBatch: 1 << 10})
+	p, err := NewEngine(e, Config{capacity: 1 << 14}) // room for p64 × window
 	if err != nil {
 		b.Fatal(err)
 	}

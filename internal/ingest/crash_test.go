@@ -29,7 +29,7 @@ import (
 const (
 	icWaves    = 6
 	icWaveOps  = 16
-	icRingCap  = 256
+	icCapacity = 256
 	icMaxBatch = 8
 )
 
@@ -58,7 +58,7 @@ func icRun(t *testing.T, dir string, fsys vfs.FS, ops []igOp) []bool {
 		return acked // nothing ran, nothing acked
 	}
 	defer e.Close() //nolint:errcheck // a crashed filesystem cannot close cleanly
-	p, err := NewEngine(e, Config{Ring: icRingCap, MaxBatch: icMaxBatch})
+	p, err := NewEngine(e, Config{capacity: icCapacity, maxBatch: icMaxBatch})
 	if err != nil {
 		t.Fatal(err)
 	}

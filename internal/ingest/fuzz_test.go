@@ -26,7 +26,7 @@ func (f fuzzTarget) ApplyBatch(_ int, ops []engine.BatchOp) error {
 }
 
 // FuzzIngestBatcher fuzzes op interleavings through a deliberately tiny
-// pipeline — an 8-slot ring (so enqueues race ring-full constantly),
+// pipeline — an 8-op budget (so enqueues race a full budget constantly),
 // 5-op batches (so coalescing and batch boundaries churn), three
 // modulus stripes (so adjacent keys cross stripe boundaries) — against
 // two oracles: a brute-force map applied in log order, and a second
@@ -59,7 +59,7 @@ func FuzzIngestBatcher(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		p, err := New(o, fuzzTarget{e: eng, n: 3}, Config{Ring: 8, MaxBatch: 5})
+		p, err := New(o, fuzzTarget{e: eng, n: 3}, Config{capacity: 8, maxBatch: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

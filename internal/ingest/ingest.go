@@ -1,29 +1,27 @@
 // Package ingest is the asynchronous write front-end of the storage
-// stack: a bounded lock-free MPMC ring accepting Put/Delete ops from any
-// number of producers, feeding a striped batcher — one stripe per shard,
-// routed by curve key — that coalesces ops into per-shard batches
-// (last-write-wins per key, emitted in ascending curve-key order) and
-// submits each batch through Engine.PutBatch, where the whole batch rides
-// one WAL fsync. Acknowledgements fan back to the producers through
-// per-op completion handles.
+// stack: Put/Delete ops from any number of producers go into one queue
+// per stripe — one stripe per shard, routed by curve key — whose
+// submitter coalesces them into batches (last-write-wins per key, emitted
+// in ascending curve-key order) and submits each batch through
+// Engine.PutBatch, where the whole batch rides one WAL fsync.
+// Acknowledgements fan back to the producers through per-op completion
+// handles.
 //
 // This is the store's one batching layer for durable writes: an engine
 // has one writer at a time, so concurrent synchronous Put callers each
 // pay their own fsync, while the pipeline's one submitter per stripe
 // hands each engine a whole coalesced batch per fsync.
 //
-// Backpressure is the contract, not an accident: the ring is the only
-// elastic buffer, its capacity is fixed at construction, and a full ring
-// either rejects immediately (Try*, ErrBackpressure) or blocks the
-// producer until space frees or its context cancels. Memory is bounded by
-// ring capacity × op size plus at most three partial batches per stripe
-// (one accumulating in the router, one in the handoff channel, one in the
-// submitter).
+// Backpressure is the contract, not an accident: every accepted op holds
+// one unit of a fixed in-flight budget until it is acked, and a full
+// budget either rejects immediately (Try*, ErrBackpressure) or blocks the
+// producer until an ack frees a unit or its context cancels. Memory is
+// bounded by the budget: at most that many ops are queued or in a batch.
 //
 // Ordering: ops enqueued by one producer are applied in that producer's
-// order for any single key (ring FIFO → router FIFO → per-stripe FIFO →
-// sequential batch submission). Ops on different keys from different
-// producers have no mutual order, exactly like concurrent Put calls.
+// order for any single key (per-stripe FIFO → sequential batch
+// submission). Ops on different keys from different producers have no
+// mutual order, exactly like concurrent Put calls.
 package ingest
 
 import (
@@ -43,11 +41,12 @@ import (
 
 var (
 	// ErrBackpressure reports a non-blocking enqueue rejected because the
-	// ring is full: the pipeline is shedding load instead of growing. The
-	// producer decides — retry, drop, or switch to the blocking form.
-	ErrBackpressure = errors.New("ingest: ring full (backpressure)")
+	// in-flight budget is spent: the pipeline is shedding load instead of
+	// growing. The producer decides — retry, drop, or switch to the
+	// blocking form.
+	ErrBackpressure = errors.New("ingest: in-flight budget full (backpressure)")
 	// ErrClosed reports an enqueue after Close, or a producer unblocked by
-	// shutdown while waiting for ring space.
+	// shutdown while waiting for budget.
 	ErrClosed = errors.New("ingest: pipeline closed")
 )
 
@@ -67,24 +66,24 @@ type Target interface {
 	ApplyBatch(i int, ops []engine.BatchOp) error
 }
 
-// Config tunes a Pipeline. The zero value selects the defaults.
+// Config tunes a Pipeline. It has no exported fields: every caller runs
+// the defaults, and in-package tests shrink the unexported bounds.
 type Config struct {
-	// Ring is the MPMC ring capacity, rounded up to a power of two
-	// (default 8192). The ring is the pipeline's entire elastic buffer:
-	// this is the backpressure threshold and the memory bound.
-	Ring int
-	// MaxBatch caps how many ops one submitted batch may hold (default
-	// 1024). Larger batches amortize the WAL fsync further at the cost of
-	// per-op ack latency under sustained load.
-	MaxBatch int
+	// capacity is the in-flight budget: ops accepted and not yet acked
+	// (default 8192). It is both the backpressure threshold and the
+	// memory bound.
+	capacity int
+	// maxBatch caps how many ops one submitted batch may hold (default
+	// 1024).
+	maxBatch int
 }
 
 func (c Config) withDefaults() Config {
-	if c.Ring <= 0 {
-		c.Ring = 8192
+	if c.capacity <= 0 {
+		c.capacity = 8192
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 1024
+	if c.maxBatch <= 0 {
+		c.maxBatch = 1024
 	}
 	return c
 }
@@ -122,39 +121,41 @@ func (h *Handle) Wait(ctx context.Context) error {
 // equivalent to Wait.
 func (h *Handle) Done() <-chan error { return h.ch }
 
-// Pipeline is the async ingest front-end. All enqueue methods are safe
-// for concurrent use; Close may run concurrently with waiters but not
-// with enqueuers (stop producers first — any op racing past the final
-// drain is completed with ErrClosed on a best-effort sweep).
+// Pipeline is the async ingest front-end. All methods are safe for
+// concurrent use, Close included: an enqueue racing Close either lands
+// before the final drain or returns ErrClosed.
 type Pipeline struct {
-	c      curve.Curve
-	target Target
-	cfg    Config
-	ring   *ring
+	c       curve.Curve
+	target  Target
+	cfg     Config
+	stripes []stripe
 
 	reg *telemetry.Registry
 	tel *ingestTelemetry
 
-	pend     [][]op      // router-owned per-stripe accumulation
-	handoff  []chan []op // router → per-stripe submitter, capacity 1
-	batchBuf sync.Pool   // recycled []op batch buffers
-
-	enqueued  atomic.Uint64
-	completed atomic.Uint64
-	doneSig   *signal // broadcast on completion progress, for Drain waiters
+	// inflight counts ops accepted and not yet acked; it never exceeds
+	// cfg.capacity. space is notified whenever it drops, waking producers
+	// parked on a full budget and Drain waiters.
+	inflight atomic.Int64
+	space    *signal
 
 	closed  atomic.Bool
-	stop    chan struct{}
-	routerD chan struct{}
 	workers sync.WaitGroup
 
 	errMu    sync.Mutex
 	firstErr error
 }
 
+// stripe is one target stripe's FIFO queue, consumed by its submitter.
+type stripe struct {
+	mu     sync.Mutex
+	cond   sync.Cond // signalled on append and on close
+	pend   []op
+	closed bool
+}
+
 // New builds and starts a pipeline clustered by c over the given target.
 func New(c curve.Curve, target Target, cfg Config) (*Pipeline, error) {
-	cfg = cfg.withDefaults()
 	n := target.Stripes()
 	if n < 1 {
 		return nil, fmt.Errorf("ingest: target has %d stripes", n)
@@ -162,25 +163,18 @@ func New(c curve.Curve, target Target, cfg Config) (*Pipeline, error) {
 	p := &Pipeline{
 		c:       c,
 		target:  target,
-		cfg:     cfg,
-		ring:    newRing(cfg.Ring),
+		cfg:     cfg.withDefaults(),
+		stripes: make([]stripe, n),
 		reg:     telemetry.NewRegistry(),
-		pend:    make([][]op, n),
-		handoff: make([]chan []op, n),
-		stop:    make(chan struct{}),
-		routerD: make(chan struct{}),
-		doneSig: newSignal(),
+		space:   newSignal(),
 	}
-	p.batchBuf.New = func() any { return make([]op, 0, cfg.MaxBatch) }
 	p.tel = newIngestTelemetry(p.reg)
-	p.registerSampledTelemetry()
-	for i := 0; i < n; i++ {
-		p.pend[i] = p.batchBuf.Get().([]op)
-		p.handoff[i] = make(chan []op, 1)
+	p.reg.GaugeFunc("ingest_inflight_ops", p.inflight.Load)
+	for i := range p.stripes {
+		p.stripes[i].cond.L = &p.stripes[i].mu
 		p.workers.Add(1)
 		go p.submitter(i)
 	}
-	go p.router()
 	return p, nil
 }
 
@@ -198,7 +192,7 @@ func (t engineTarget) ApplyBatch(_ int, ops []engine.BatchOp) error { return t.e
 
 // Put enqueues a put and blocks until it is acknowledged — batched,
 // committed and durable under the target's WAL rules. Under backpressure
-// it blocks for ring space; ctx bounds the whole wait.
+// it blocks for in-flight budget; ctx bounds the whole wait.
 func (p *Pipeline) Put(ctx context.Context, pt geom.Point, payload uint64) error {
 	return p.putWait(ctx, pt, payload, false)
 }
@@ -221,8 +215,8 @@ func (p *Pipeline) putWait(ctx context.Context, pt geom.Point, payload uint64, d
 	}
 }
 
-// PutAsync enqueues a put (blocking for ring space; ctx bounds the wait)
-// and returns immediately with the completion handle.
+// PutAsync enqueues a put (blocking for in-flight budget; ctx bounds the
+// wait) and returns immediately with the completion handle.
 func (p *Pipeline) PutAsync(ctx context.Context, pt geom.Point, payload uint64) (*Handle, error) {
 	return p.enqueue(ctx, pt, payload, false, true)
 }
@@ -232,7 +226,7 @@ func (p *Pipeline) DeleteAsync(ctx context.Context, pt geom.Point) (*Handle, err
 	return p.enqueue(ctx, pt, 0, true, true)
 }
 
-// TryPut enqueues a put without blocking: a full ring returns
+// TryPut enqueues a put without blocking: a full budget returns
 // ErrBackpressure immediately — the open-loop load-shedding form.
 func (p *Pipeline) TryPut(pt geom.Point, payload uint64) (*Handle, error) {
 	return p.enqueue(context.Background(), pt, payload, false, false)
@@ -253,111 +247,109 @@ func (p *Pipeline) enqueue(ctx context.Context, pt geom.Point, payload uint64, d
 		at:  time.Now(),
 		h:   &Handle{ch: make(chan error, 1)},
 	}
-	if p.ring.tryEnqueue(o) {
-		p.enqueued.Add(1)
-		p.tel.enqueued.Inc()
-		p.tel.enqueueWaitUS.Record(0)
-		return o.h, nil
+	if err := p.reserve(ctx, block); err != nil {
+		return nil, err
+	}
+	st := &p.stripes[p.target.StripeOf(o.key)]
+	st.mu.Lock()
+	if st.closed {
+		st.mu.Unlock()
+		p.release(1)
+		return nil, ErrClosed
+	}
+	st.pend = append(st.pend, o)
+	st.mu.Unlock()
+	st.cond.Signal()
+	p.tel.enqueued.Inc()
+	p.tel.enqueueWaitUS.Record(uint64(time.Since(o.at).Microseconds()))
+	return o.h, nil
+}
+
+// reserve takes one unit of the in-flight budget, parking until an ack
+// frees one when block is set.
+func (p *Pipeline) reserve(ctx context.Context, block bool) error {
+	if p.tryReserve() {
+		return nil
 	}
 	if !block {
 		p.tel.rejects.Inc()
-		return nil, ErrBackpressure
+		return ErrBackpressure
 	}
-	// Park until a slot frees: register as a waiter, arm the space
-	// signal, re-try, and only then block. Arming before the re-try
-	// closes the lost-wakeup window — a dequeue after our failed try
-	// sees the waiter registration and broadcasts the armed generation.
-	waitStart := time.Now()
-	p.ring.space.waiters.Add(1)
-	defer p.ring.space.waiters.Add(-1)
+	// Register as a waiter, arm the space signal, re-try, and only then
+	// block. Arming before the re-try closes the lost-wakeup window — a
+	// release after our failed try sees the waiter registration and
+	// broadcasts the armed generation. Close notifies the same signal.
+	p.space.waiters.Add(1)
+	defer p.space.waiters.Add(-1)
 	for {
-		wake := p.ring.space.arm()
+		wake := p.space.arm()
 		if p.closed.Load() {
-			return nil, ErrClosed
+			return ErrClosed
 		}
-		if p.ring.tryEnqueue(o) {
-			p.enqueued.Add(1)
-			p.tel.enqueued.Inc()
-			p.tel.enqueueWaitUS.Record(uint64(time.Since(waitStart).Microseconds()))
-			return o.h, nil
+		if p.tryReserve() {
+			return nil
 		}
 		select {
 		case <-ctx.Done():
 			p.tel.rejects.Inc()
-			return nil, ctx.Err()
-		case <-p.stop:
-			return nil, ErrClosed
+			return ctx.Err()
 		case <-wake:
 		}
 	}
 }
 
-// router drains the ring in arrival order, accumulates ops into
-// per-stripe pending buffers, and hands full batches to the stripe
-// submitters. When the ring momentarily empties it flushes every partial
-// batch — batching adapts to load: while a submitter waits on its fsync
-// the next batch accumulates, so deeper queues make bigger batches and an
-// idle pipeline acks immediately.
-func (p *Pipeline) router() {
-	defer close(p.routerD)
-	var o op
+func (p *Pipeline) tryReserve() bool {
 	for {
-		for p.ring.tryDequeue(&o) {
-			p.route(o)
+		n := p.inflight.Load()
+		if n >= int64(p.cfg.capacity) {
+			return false
 		}
-		p.flushPending()
-		select {
-		case <-p.stop:
-			// Producers have stopped: drain whatever is left and exit.
-			for p.ring.tryDequeue(&o) {
-				p.route(o)
-			}
-			p.flushPending()
-			return
-		case <-p.ring.items:
+		if p.inflight.CompareAndSwap(n, n+1) {
+			return true
 		}
 	}
 }
 
-func (p *Pipeline) route(o op) {
-	st := p.target.StripeOf(o.key)
-	p.pend[st] = append(p.pend[st], o)
-	if len(p.pend[st]) >= p.cfg.MaxBatch {
-		p.dispatch(st)
-	}
+func (p *Pipeline) release(n int) {
+	p.inflight.Add(-int64(n))
+	p.space.notify()
 }
 
-func (p *Pipeline) flushPending() {
-	for st := range p.pend {
-		if len(p.pend[st]) > 0 {
-			p.dispatch(st)
-		}
-	}
-}
-
-// dispatch hands stripe st's pending batch to its submitter, blocking if
-// one batch is already queued behind the in-flight one — that is the
-// point where ring backpressure starts building toward the producers.
-func (p *Pipeline) dispatch(st int) {
-	batch := p.pend[st]
-	p.pend[st] = p.batchBuf.Get().([]op)[:0]
-	p.handoff[st] <- batch
-}
-
-// submitter runs stripe st's batches sequentially: coalesce, sort, one
-// ApplyBatch, fan the outcome back to every handle in the batch —
-// including the ops coalesced away, which the surviving newest op
-// subsumes.
-func (p *Pipeline) submitter(st int) {
+// submitter runs stripe i's batches sequentially: take up to maxBatch
+// queued ops, coalesce, sort, one ApplyBatch, fan the outcome back to
+// every handle in the batch — including the ops coalesced away, which
+// the surviving newest op subsumes. Batching adapts to load: while
+// ApplyBatch waits on its fsync the next batch accumulates, so deeper
+// queues make bigger batches and an idle pipeline acks immediately. It
+// exits once the stripe is closed and empty.
+func (p *Pipeline) submitter(i int) {
 	defer p.workers.Done()
+	st := &p.stripes[i]
+	var batch []op
 	var ops []engine.BatchOp
-	for batch := range p.handoff[st] {
-		ops = p.runBatch(batch, ops)
-		p.batchBuf.Put(batch[:0])
+	for {
+		st.mu.Lock()
+		for len(st.pend) == 0 && !st.closed {
+			st.cond.Wait()
+		}
+		if len(st.pend) == 0 {
+			st.mu.Unlock()
+			return
+		}
+		if len(st.pend) <= p.cfg.maxBatch {
+			batch, st.pend = st.pend, batch[:0]
+		} else {
+			batch = append(batch[:0], st.pend[:p.cfg.maxBatch]...)
+			n := copy(st.pend, st.pend[p.cfg.maxBatch:])
+			clear(st.pend[n:])
+			st.pend = st.pend[:n]
+		}
+		st.mu.Unlock()
+		ops = p.runBatch(i, batch, ops)
 	}
 }
 
-func (p *Pipeline) runBatch(batch []op, ops []engine.BatchOp) []engine.BatchOp {
+func (p *Pipeline) runBatch(st int, batch []op, ops []engine.BatchOp) []engine.BatchOp {
 	// Stable sort by curve key: equal keys keep arrival order, so "the
 	// last op wins" below is last in producer order; distinct keys come
 	// out in curve order, which is exactly the order the memtable and a
@@ -380,7 +372,7 @@ func (p *Pipeline) runBatch(batch []op, ops []engine.BatchOp) []engine.BatchOp {
 		}
 		ops = append(ops, engine.BatchOp{Point: batch[i].pt, Payload: batch[i].pay, Del: batch[i].del})
 	}
-	err := p.target.ApplyBatch(p.target.StripeOf(batch[0].key), ops)
+	err := p.target.ApplyBatch(st, ops)
 	if err != nil {
 		p.noteErr(err)
 	}
@@ -390,8 +382,7 @@ func (p *Pipeline) runBatch(batch []op, ops []engine.BatchOp) []engine.BatchOp {
 		p.tel.ackLatencyUS.Record(uint64(now.Sub(batch[i].at).Microseconds()))
 		batch[i] = op{} // release the point and handle
 	}
-	p.completed.Add(uint64(len(batch)))
-	p.doneSig.notify()
+	p.release(len(batch))
 	tel := p.tel
 	tel.batches.Inc()
 	tel.batchOps.Record(uint64(len(batch)))
@@ -425,11 +416,11 @@ func (p *Pipeline) Err() error {
 // failed). It is a quiescence barrier: meaningful only once concurrent
 // producers have stopped, since later enqueues extend the goal.
 func (p *Pipeline) Drain(ctx context.Context) error {
-	p.doneSig.waiters.Add(1)
-	defer p.doneSig.waiters.Add(-1)
+	p.space.waiters.Add(1)
+	defer p.space.waiters.Add(-1)
 	for {
-		wake := p.doneSig.arm()
-		if p.completed.Load() >= p.enqueued.Load() {
+		wake := p.space.arm()
+		if p.inflight.Load() == 0 {
 			return nil
 		}
 		select {
@@ -440,33 +431,23 @@ func (p *Pipeline) Drain(ctx context.Context) error {
 	}
 }
 
-// QueueDepth approximates how many ops are waiting in the ring right now.
-func (p *Pipeline) QueueDepth() int { return p.ring.len() }
-
 // Close stops the pipeline: new enqueues fail with ErrClosed, everything
-// already accepted is drained, batched and submitted, every outstanding
-// handle is completed, and the stripe submitters exit. Close returns the
-// first batch-apply error of the pipeline's lifetime (Err), so a fully
-// clean run closes nil. Producers must stop before Close; an enqueue
-// racing past the final drain is completed with ErrClosed best-effort.
+// already accepted is batched and submitted, every outstanding handle is
+// completed, and the stripe submitters exit. Close returns the first
+// batch-apply error of the pipeline's lifetime (Err), so a fully clean
+// run closes nil.
 func (p *Pipeline) Close() error {
 	if p.closed.Swap(true) {
 		return ErrClosed
 	}
-	close(p.stop)
-	<-p.routerD
-	for st := range p.handoff {
-		close(p.handoff[st])
+	p.space.notify() // parked producers re-check closed
+	for i := range p.stripes {
+		st := &p.stripes[i]
+		st.mu.Lock()
+		st.closed = true
+		st.mu.Unlock()
+		st.cond.Signal()
 	}
 	p.workers.Wait()
-	// Best-effort sweep for enqueue-after-drain stragglers: nothing will
-	// ever consume them, so fail their handles rather than strand a
-	// waiter.
-	var o op
-	for p.ring.tryDequeue(&o) {
-		o.h.ch <- ErrClosed
-		p.completed.Add(1)
-	}
-	p.doneSig.notify()
 	return p.Err()
 }

@@ -169,7 +169,7 @@ func TestIngestCrossCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-			p, err := NewEngine(eng, Config{Ring: 64, MaxBatch: 32})
+			p, err := NewEngine(eng, Config{capacity: 64, maxBatch: 32})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,43 +212,31 @@ func (g *gateTarget) Stripes() int                           { return 1 }
 func (g *gateTarget) StripeOf(uint64) int                    { return 0 }
 func (g *gateTarget) ApplyBatch(int, []engine.BatchOp) error { <-g.release; return nil }
 
-// TestIngestBackpressure: with the sink wedged, the pipeline absorbs at
-// most ring + 3×MaxBatch ops (the documented memory bound), then sheds:
+// TestIngestBackpressure: with the sink wedged, the pipeline absorbs
+// exactly its in-flight budget (the documented memory bound), then sheds:
 // TryPut rejects with ErrBackpressure and a blocking Put obeys its
 // context deadline. Releasing the sink acks everything absorbed.
 func TestIngestBackpressure(t *testing.T) {
 	o := igCurve(t)
 	gate := &gateTarget{release: make(chan struct{})}
-	cfg := Config{Ring: 4, MaxBatch: 4}
+	cfg := Config{capacity: 16, maxBatch: 4}
 	p, err := New(o, gate, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var handles []*Handle
-	absorbed := 0
-	bound := 4 + 3*4 // ring + router pending + handoff + in-flight batch
-	for i := 0; i < 10*bound; i++ {
+	for i := 0; i < 10*cfg.capacity; i++ {
 		h, err := p.TryPut(igPoint(i%48), uint64(i))
 		if err != nil {
 			if !errors.Is(err, ErrBackpressure) {
 				t.Fatalf("TryPut error = %v, want ErrBackpressure", err)
 			}
-			// The router may still be mid-drain: only a repeated reject
-			// with no progress is steady-state backpressure.
-			if p.QueueDepth() >= cfg.Ring {
-				break
-			}
-			time.Sleep(100 * time.Microsecond)
-			continue
+			break
 		}
-		absorbed++
 		handles = append(handles, h)
 	}
-	if absorbed == 0 {
-		t.Fatal("nothing absorbed before backpressure")
-	}
-	if absorbed > bound {
-		t.Fatalf("absorbed %d ops with a wedged sink, bound is %d", absorbed, bound)
+	if len(handles) != cfg.capacity {
+		t.Fatalf("absorbed %d ops with a wedged sink, want the budget %d", len(handles), cfg.capacity)
 	}
 	if snap := p.Telemetry().Snapshot(); snap.Counter("ingest_backpressure_rejects_total") == 0 {
 		t.Fatal("rejects counter did not move")
@@ -287,7 +275,7 @@ func TestIngestCloseDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	p, err := NewEngine(eng, Config{Ring: 128, MaxBatch: 16})
+	p, err := NewEngine(eng, Config{capacity: 128, maxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +314,62 @@ func TestIngestCloseDrains(t *testing.T) {
 	}
 }
 
-// TestIngestValidation: an out-of-universe point is rejected at the ring,
+// nopTarget acknowledges every batch at once, across two stripes.
+type nopTarget struct{}
+
+func (nopTarget) Stripes() int                           { return 2 }
+func (nopTarget) StripeOf(key uint64) int                { return int(key % 2) }
+func (nopTarget) ApplyBatch(int, []engine.BatchOp) error { return nil }
+
+// TestIngestCloseRacesEnqueue: Close runs while producers are still
+// enqueueing. Every enqueue either returns ErrClosed or hands back a
+// handle that completes — an op accepted past the final drain would
+// strand its waiter forever.
+func TestIngestCloseRacesEnqueue(t *testing.T) {
+	o := igCurve(t)
+	for round := 0; round < 50; round++ {
+		p, err := New(o, nopTarget{}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const producers = 8
+		handles := make([][]*Handle, producers)
+		var wg sync.WaitGroup
+		for w := 0; w < producers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					h, err := p.PutAsync(context.Background(), igPoint(w*1000+i), uint64(i))
+					if err != nil {
+						if !errors.Is(err, ErrClosed) {
+							t.Errorf("PutAsync = %v, want nil or ErrClosed", err)
+						}
+						return
+					}
+					handles[w] = append(handles[w], h)
+				}
+			}(w)
+		}
+		time.Sleep(200 * time.Microsecond)
+		if err := p.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+		wg.Wait()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		for w, hs := range handles {
+			for i, h := range hs {
+				if err := h.Wait(ctx); err != nil && !errors.Is(err, ErrClosed) {
+					cancel()
+					t.Fatalf("round %d: producer %d handle %d = %v, want nil or ErrClosed", round, w, i, err)
+				}
+			}
+		}
+		cancel()
+	}
+}
+
+// TestIngestValidation: an out-of-universe point is rejected at enqueue,
 // not deep in a batch where it would poison unrelated ops.
 func TestIngestValidation(t *testing.T) {
 	o := igCurve(t)
@@ -362,7 +405,7 @@ func TestIngestApplyErrorFansOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close() //nolint:errcheck
-	p, err := NewEngine(eng, Config{Ring: 64, MaxBatch: 64})
+	p, err := NewEngine(eng, Config{capacity: 64, maxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,16 +442,16 @@ func TestIngestApplyErrorFansOut(t *testing.T) {
 	}
 }
 
-// TestIngestBackpressureWakeup: producers parked on a full ring wake the
-// moment a slot frees. The wait path is an armed broadcast signal with
-// no poll fallback, so this test is sharp: a lost wakeup does not cost
-// 200µs of latency, it hangs a producer forever and times the test out.
-// The sink releases one batch at a time, freeing slots one dequeue at a
-// time — every parked producer must ride one of those edges.
+// TestIngestBackpressureWakeup: producers parked on a full budget wake
+// the moment an ack frees a unit. The wait path is an armed broadcast
+// signal with no poll fallback, so this test is sharp: a lost wakeup does
+// not cost 200µs of latency, it hangs a producer forever and times the
+// test out. The sink releases one single-op batch at a time, freeing one
+// unit per ack — every parked producer must ride one of those edges.
 func TestIngestBackpressureWakeup(t *testing.T) {
 	o := igCurve(t)
 	gate := &gateTarget{release: make(chan struct{})}
-	p, err := New(o, gate, Config{Ring: 2, MaxBatch: 1})
+	p, err := New(o, gate, Config{capacity: 2, maxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,16 +470,16 @@ func TestIngestBackpressureWakeup(t *testing.T) {
 	}
 
 	// Wait until producers are actually parked on the space signal, so
-	// the drip below exercises wake-on-dequeue rather than a fast path.
-	for deadline := time.Now().Add(5 * time.Second); p.ring.space.waiters.Load() == 0; {
+	// the drip below exercises wake-on-ack rather than a fast path.
+	for deadline := time.Now().Add(5 * time.Second); p.space.waiters.Load() == 0; {
 		if time.Now().After(deadline) {
-			t.Fatal("no producer ever parked on the full ring")
+			t.Fatal("no producer ever parked on the full budget")
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
 
 	// Drip-release batches one at a time; each ApplyBatch return frees
-	// ring slots one dequeue at a time. Close the gate at the end so any
+	// one unit of budget. Close the gate at the end so any
 	// residual batches drain unimpeded.
 	go func() {
 		for i := 0; i < producers; i++ {

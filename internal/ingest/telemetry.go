@@ -34,20 +34,5 @@ func newIngestTelemetry(reg *telemetry.Registry) *ingestTelemetry {
 	}
 }
 
-// registerSampledTelemetry wires the series read on demand at snapshot
-// time: live queue depth, in-flight op count, and the fixed ring bound
-// (so a dashboard can plot depth against capacity without configuration).
-func (p *Pipeline) registerSampledTelemetry() {
-	p.reg.GaugeFunc("ingest_queue_depth", func() int64 { return int64(p.ring.len()) })
-	p.reg.GaugeFunc("ingest_ring_capacity", func() int64 { return int64(p.ring.cap()) })
-	p.reg.GaugeFunc("ingest_inflight_ops", func() int64 {
-		d := int64(p.enqueued.Load()) - int64(p.completed.Load())
-		if d < 0 {
-			d = 0
-		}
-		return d
-	})
-}
-
 // Telemetry returns the pipeline's metric registry: the ingest_* series.
 func (p *Pipeline) Telemetry() *telemetry.Registry { return p.reg }

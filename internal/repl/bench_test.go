@@ -51,7 +51,7 @@ func benchProducers(b *testing.B, put func(geom.Point, uint64) error) {
 		}
 		wg.Wait()
 	}
-	drive(Config{}.withDefaults().HistoryEntries + 1)
+	drive(Config{}.withDefaults().historyEntries + 1)
 	b.ResetTimer()
 	drive(b.N)
 }

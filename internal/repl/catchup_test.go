@@ -25,8 +25,8 @@ func TestReplSeedWithArchivedWALs(t *testing.T) {
 		CompactFanout: -1,
 	}
 	cl := newCluster(t, 2, Config{
-		HistoryEntries:     4, // tiny resend window: a lagging peer must seed
-		SeedRefreshEntries: 1 << 20,
+		historyEntries:     4, // tiny resend window: a lagging peer must seed
+		seedRefreshEntries: 1 << 20,
 		Engine:             opts,
 		retryBase:          time.Millisecond,
 		retryCap:           2 * time.Millisecond,

@@ -34,7 +34,7 @@ func (cl *cluster) reopenFollower(i int, opts engine.Options) *Follower {
 // failure left f2 latched. Whatever the first seed did, f2 must converge.
 func seedFaultRun(t *testing.T, fault vfs.Fault) (matched int64, failed, latched bool) {
 	cl := newCluster(t, 2, Config{
-		HistoryEntries: 4, SeedRefreshEntries: 1,
+		historyEntries: 4, seedRefreshEntries: 1,
 		retryBase: time.Millisecond, retryCap: 2 * time.Millisecond, retryAttempts: 2,
 	})
 	inj := vfs.NewInjecting(vfs.OS{})
@@ -60,7 +60,7 @@ func seedFaultRun(t *testing.T, fault vfs.Fault) (matched int64, failed, latched
 	// loop exports a snapshot (a flush) whenever it gets a turn, but each
 	// put is one batch, so such a flush lands between batches, never
 	// inside one: every batch becomes the same segments whether the loop
-	// or an explicit flush below flushes it. With SeedRefreshEntries 1 a
+	// or an explicit flush below flushes it. With seedRefreshEntries 1 a
 	// seed the loop exported is reused only if no entry came after it, so
 	// the seed holds the same segments however the loop was scheduled, and
 	// the enumerated points do not depend on scheduling.
@@ -162,7 +162,7 @@ func TestFollowerKeepsNoWALArchive(t *testing.T) {
 	opts := rtEngOpts()
 	opts.FlushEntries = 8 // frequent flushes retire WALs
 	cfg := Config{
-		HistoryEntries: 4, SeedRefreshEntries: 1 << 20, Engine: opts,
+		historyEntries: 4, seedRefreshEntries: 1 << 20, Engine: opts,
 		retryBase: time.Millisecond, retryCap: 2 * time.Millisecond, retryAttempts: 2,
 	}
 	cl := newCluster(t, 3, cfg)

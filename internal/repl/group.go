@@ -161,7 +161,7 @@ func Lead(dir string, c curve.Curve, cfg Config) (*Group, error) {
 		return nil, err
 	}
 	g, err := newGroup(eng, dir, hook, cfg, groupInit{
-		epoch: cfg.Epoch, hist: newWindow(cfg.HistoryEntries), seedPeers: engineNonEmpty(eng),
+		epoch: cfg.Epoch, hist: newWindow(cfg.historyEntries), seedPeers: engineNonEmpty(eng),
 	})
 	if err != nil {
 		eng.Close() //nolint:errcheck
@@ -193,7 +193,7 @@ func LeadEngine(eng *engine.Engine, dir string, hook *Hook, cfg Config) (*Group,
 		return nil, fmt.Errorf("repl: %s already led epoch %d; rejoin as a follower and promote instead", dir, st.epoch)
 	}
 	return newGroup(eng, dir, hook, cfg, groupInit{
-		epoch: cfg.Epoch, hist: newWindow(cfg.HistoryEntries), seedPeers: ok || engineNonEmpty(eng),
+		epoch: cfg.Epoch, hist: newWindow(cfg.historyEntries), seedPeers: ok || engineNonEmpty(eng),
 	})
 }
 
@@ -317,13 +317,13 @@ func (g *Group) appendOp(eseq uint64, op []byte) {
 		e:    Entry{Index: g.nextIndex, Epoch: g.epoch, Op: op},
 		eseq: eseq,
 	})
-	if drop := len(g.hist.live) - g.cfg.HistoryEntries; drop > 0 {
+	if drop := len(g.hist.live) - g.cfg.historyEntries; drop > 0 {
 		// Only the quorum-committed prefix is trimmable. An uncommitted
 		// entry is the target of an in-flight (or imminent) commit round: trimming it would force its followers into a
 		// snapshot seed that cannot be exported while the write is still
 		// holding the WAL path, so the round would exhaust its retries
 		// against healthy replicas. The window may therefore exceed
-		// HistoryEntries transiently (one batch larger than the window);
+		// historyEntries transiently (one batch larger than the window);
 		// it snaps back once the commit watermark passes.
 		if g.hist.live[drop-1].e.Index > g.commit {
 			drop = g.hist.search(g.commit + 1)
@@ -865,10 +865,10 @@ func (g *Group) ensureSeed() (string, uint64, uint64, error) {
 	g.mu.Unlock()
 	// A cached seed is reusable while it still bridges to the resend
 	// window (a follower seeded below histBase would just need another
-	// seed) and the leader has not moved SeedRefreshEntries past it.
+	// seed) and the leader has not moved seedRefreshEntries past it.
 	if g.seedDir != "" && g.seedEpoch == epoch &&
 		g.seedBase >= histBase &&
-		last-g.seedBase < uint64(g.cfg.SeedRefreshEntries) {
+		last-g.seedBase < uint64(g.cfg.seedRefreshEntries) {
 		g.mu.Lock()
 		be := g.epochOf(g.seedBase)
 		g.mu.Unlock()
@@ -1093,7 +1093,7 @@ func Promote(f *Follower, upTo uint64, cfg Config) (*Group, error) {
 	// Preload the leader history from the log so surviving followers
 	// resync by resend. Epoch marks reconstruct fencing for indices at
 	// and below the base.
-	hist := newWindow(cfg.HistoryEntries)
+	hist := newWindow(cfg.historyEntries)
 	var marks []epochMark
 	if f.st.base > 0 {
 		marks = append(marks, epochMark{from: f.st.base, epoch: f.st.baseEpoch})

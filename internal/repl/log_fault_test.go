@@ -426,7 +426,7 @@ func TestSeedDirRemovalFault(t *testing.T) {
 	opts := rtEngOpts()
 	opts.FS = inj
 	g, err := Lead(filepath.Join(t.TempDir(), "leader"), rtCurve(t),
-		Config{ID: "leader", Engine: opts, SeedRefreshEntries: 1})
+		Config{ID: "leader", Engine: opts, seedRefreshEntries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestSeedDirRemovalFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One more entry puts the leader SeedRefreshEntries past the cached
+	// One more entry puts the leader seedRefreshEntries past the cached
 	// seed, so the next call must clear the directory and re-export.
 	if err := g.Engine().Put(rtPoint(2), 2); err != nil {
 		t.Fatal(err)

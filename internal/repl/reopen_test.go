@@ -189,7 +189,7 @@ func TestLeadNonEmptyEngineSeedsPeers(t *testing.T) {
 // acknowledging with no quorum check at all). The window is allowed to
 // balloon for the batch's lifetime and snaps back afterwards.
 func TestReplBatchLargerThanHistory(t *testing.T) {
-	cl := newCluster(t, 2, Config{HistoryEntries: 4})
+	cl := newCluster(t, 2, Config{historyEntries: 4})
 	e := cl.g.Engine()
 	batch := make([]engine.BatchOp, 30)
 	for i := range batch {

@@ -92,21 +92,23 @@ type Config struct {
 	// Engine tunes the leader engine for Lead and Promote (SyncWrites is
 	// forced on — replication rides the synchronous batch commit).
 	Engine engine.Options
-	// HistoryEntries bounds the in-memory resend window: the leader
-	// keeps the newest HistoryEntries entries, plus any older ones no
+	// Epoch is the starting epoch (Promote passes the successor epoch;
+	// a fresh group starts at 1).
+	Epoch uint64
+
+	// historyEntries bounds the in-memory resend window: the leader
+	// keeps the newest historyEntries entries, plus any older ones no
 	// quorum has committed yet (a batch larger than the window holds it
 	// open until its commit lands). A follower whose ack falls behind
 	// the window is caught up by snapshot seed instead of resend.
 	// Appending to the window is O(1) and allocates nothing; it occupies
-	// 2 × HistoryEntries slots of 48 bytes, more only while the
+	// 2 × historyEntries slots of 48 bytes, more only while the
 	// uncommitted overflow lasts. Default 1 << 14.
-	HistoryEntries int
-	// SeedRefreshEntries re-exports the catch-up seed snapshot once the
-	// leader has moved this many entries past it. Default HistoryEntries.
-	SeedRefreshEntries int
-	// Epoch is the starting epoch (Promote passes the successor epoch;
-	// a fresh group starts at 1).
-	Epoch uint64
+	historyEntries int
+	// seedRefreshEntries re-exports the catch-up seed snapshot once the
+	// leader has moved this many entries past it. Default historyEntries.
+	// Both are unexported: only this package's tests shrink them.
+	seedRefreshEntries int
 
 	// maxBatchEntries caps entries per Append request during catch-up
 	// streaming (default 512). Nothing outside this package's window
@@ -131,14 +133,14 @@ type Config struct {
 const catchUpInterval = 10 * time.Millisecond
 
 func (c Config) withDefaults() Config {
-	if c.HistoryEntries <= 0 {
-		c.HistoryEntries = 1 << 14
+	if c.historyEntries <= 0 {
+		c.historyEntries = 1 << 14
 	}
 	if c.maxBatchEntries <= 0 {
 		c.maxBatchEntries = 512
 	}
-	if c.SeedRefreshEntries <= 0 {
-		c.SeedRefreshEntries = c.HistoryEntries
+	if c.seedRefreshEntries <= 0 {
+		c.seedRefreshEntries = c.historyEntries
 	}
 	if c.Epoch == 0 {
 		c.Epoch = 1

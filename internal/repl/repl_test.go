@@ -278,7 +278,7 @@ func TestReplOrphanTruncatedOnFollower(t *testing.T) {
 // TestReplSeedCatchup: a follower partitioned past the leader's history
 // window rejoins by snapshot seed and converges.
 func TestReplSeedCatchup(t *testing.T) {
-	cl := newCluster(t, 2, Config{HistoryEntries: 4, SeedRefreshEntries: 1 << 20})
+	cl := newCluster(t, 2, Config{historyEntries: 4, seedRefreshEntries: 1 << 20})
 	e := cl.g.Engine()
 	cl.tr.Partition("f2")
 	for i := 0; i < 30; i++ {

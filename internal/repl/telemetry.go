@@ -43,7 +43,7 @@ func newGroupTelemetry(g *Group) *groupTelemetry {
 		defer g.mu.Unlock()
 		return int64(g.commit)
 	})
-	// Above Config.HistoryEntries only while a batch larger than the
+	// Above Config.historyEntries only while a batch larger than the
 	// window awaits its commit.
 	reg.GaugeFunc("repl_history_entries", func() int64 {
 		g.mu.Lock()

@@ -13,9 +13,9 @@ type histEntry struct {
 // the live entries are copied back to its start — one move per entry per
 // lap, so O(1) amortised — and nothing is allocated at steady state.
 //
-// The array holds 2 × HistoryEntries slots. It is replaced by a larger
+// The array holds 2 × historyEntries slots. It is replaced by a larger
 // one only while more than half of it is live, which takes more than
-// HistoryEntries un-trimmable entries (an uncommitted batch larger than
+// historyEntries un-trimmable entries (an uncommitted batch larger than
 // the window, or a promoted follower's longer log), and by one of the
 // steady-state size again once that backlog has been trimmed.
 //
@@ -25,7 +25,7 @@ type histEntry struct {
 type window struct {
 	buf    []histEntry
 	live   []histEntry // buf[lo:hi:len(buf)]
-	steady int         // len(buf) at steady state: 2 × HistoryEntries
+	steady int         // len(buf) at steady state: 2 × historyEntries
 }
 
 func newWindow(historyEntries int) window {

@@ -132,7 +132,7 @@ func bareGroup(historyEntries, maxBatch int, peer *recordingFollower) *Group {
 	g := &Group{
 		cfg: Config{
 			ID: "leader", Transport: lb,
-			HistoryEntries: historyEntries, maxBatchEntries: maxBatch,
+			historyEntries: historyEntries, maxBatchEntries: maxBatch,
 		}.withDefaults(),
 		epoch: 1,
 		hist:  newWindow(historyEntries),

@@ -30,8 +30,8 @@ func (t ingestTarget) ApplyBatch(i int, ops []engine.BatchOp) error {
 }
 
 // NewIngest builds and starts an async ingest pipeline over the service:
-// ops enqueue into one shared MPMC ring, a striped batcher coalesces them
-// per shard, and each shard's batches ride one WAL fsync of that engine
+// ops enqueue into one queue per shard, each queue's submitter coalesces
+// them, and each shard's batches ride one WAL fsync of that engine
 // apiece. Close the pipeline before closing the service.
 func (s *Sharded) NewIngest(cfg ingest.Config) (*ingest.Pipeline, error) {
 	return ingest.New(s.c, ingestTarget{s}, cfg)

@@ -35,7 +35,7 @@ func TestShardedIngestCrossCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			p, err := s.NewIngest(ingest.Config{Ring: 64, MaxBatch: 16})
+			p, err := s.NewIngest(ingest.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -193,16 +193,16 @@ type (
 	// (Point, Payload) or, with Del set, a blind tombstone at Point. The
 	// whole batch rides one WAL fsync.
 	EngineBatchOp = engine.BatchOp
-	// IngestPipeline is the asynchronous write front-end: a bounded
-	// lock-free MPMC ring feeding a striped per-shard batcher that
-	// coalesces ops (last-write-wins per key, curve order per batch) into
-	// PutBatch calls, with explicit backpressure and per-op completion
-	// handles. Build one with NewIngest (single engine) or
+	// IngestPipeline is the asynchronous write front-end: one queue per
+	// shard whose submitter coalesces ops (last-write-wins per key, curve
+	// order per batch) into PutBatch calls, with a bounded in-flight
+	// budget for backpressure and per-op completion handles. Build one with NewIngest (single engine) or
 	// ShardedEngine.NewIngest (one stripe per shard). See the README's
 	// "Async ingest" section for the ack-durability contract.
 	IngestPipeline = ingest.Pipeline
-	// IngestConfig tunes an IngestPipeline: ring capacity (the memory
-	// bound and backpressure threshold) and max batch size.
+	// IngestConfig configures an IngestPipeline. It has no exported
+	// fields: the in-flight budget (8 192 ops, the memory bound and
+	// backpressure threshold) and the batch cap (1 024 ops) are fixed.
 	IngestConfig = ingest.Config
 	// IngestHandle is the completion side of one asynchronously enqueued
 	// op: Wait blocks until the op's batch durably commits or fails.
@@ -237,11 +237,12 @@ type (
 	// set of followers with quorum acknowledgment. Open one with
 	// LeadReplicated, or promote a follower with PromoteReplica.
 	ReplGroup = repl.Group
-	// ReplConfig tunes a ReplGroup: peer ids, transport, resend window,
-	// seed refresh and starting epoch. The quorum is not an option: it is
-	// the majority of the group, leader included; nor is the retry shape
-	// of a failed quorum round (2 ms backoff doubling to 20 ms, three
-	// rounds, then ErrQuorum).
+	// ReplConfig tunes a ReplGroup: peer ids, transport, leader engine
+	// options and starting epoch. The quorum is not an option: it is the
+	// majority of the group, leader included; nor is the resend window
+	// (16 384 entries, seed refreshed as often), nor the retry shape of a
+	// failed quorum round (2 ms backoff doubling to 20 ms, three rounds,
+	// then ErrQuorum).
 	ReplConfig = repl.Config
 	// ReplFollower is the replica side: it persists shipped entries in a
 	// CRC-framed replication log and applies the quorum-committed prefix
@@ -315,7 +316,7 @@ var (
 )
 
 // NewIngest builds and starts an asynchronous ingest pipeline over a
-// single engine: ops enqueue into a bounded MPMC ring, a batcher
+// single engine: ops enqueue into one bounded queue, its submitter
 // coalesces them, and each batch rides one WAL fsync through
 // Engine.PutBatch. It is how durable writes from many producers share
 // fsyncs: the engine has one writer at a time, so concurrent synchronous
