@@ -22,9 +22,9 @@ type BatchOp struct {
 // Delete are one-op batches). It holds the WAL mutex for the whole
 // batch: the ops take one contiguous sequence-number interval and go
 // into the log, in that order, as one frame; with Options.SyncWrites one
-// flush and one fsync (and the CommitHook's quorum round) cover the
-// batch; then the ops enter the memtable and become visible to queries
-// together. Log order, sequence order and memtable order therefore
+// flush and one fsync (and the CommitHook's one Append and quorum round)
+// cover the batch; then the ops enter the memtable and become visible to
+// queries together. Log order, sequence order and memtable order therefore
 // agree, and a query snapshot, like recovery, holds whole batches only.
 // Concurrent callers serialize — each synchronous batch pays its own
 // fsync — so durable batching across many producers is the ingest
@@ -68,14 +68,11 @@ func (e *Engine) PutBatch(ops []BatchOp) error {
 	prevN := w.Bytes()
 	firstSeq := e.seq + 1
 	err := w.append(ops)
-	for i := 0; err == nil && i < len(ops); i++ {
-		e.seq++
-		if h := e.hook; h != nil {
-			h.Append(e.seq, ops[i])
+	if err == nil {
+		e.seq += uint64(len(ops))
+		if e.opts.SyncWrites {
+			err = e.syncLocked(w, len(ops))
 		}
-	}
-	if err == nil && e.opts.SyncWrites {
-		err = e.syncLocked(w, len(ops))
 	}
 	if err != nil {
 		// The log's tail is unknowable (failed append or fsync), or the
@@ -106,7 +103,7 @@ func (e *Engine) PutBatch(ops []BatchOp) error {
 }
 
 // syncLocked (walMu held) makes the frame of the batch just appended
-// durable: one flush, the hook's PreCommit, one fsync, then the hook's
+// durable: one flush, the hook's Append, one fsync, then the hook's
 // Commit. A failed fsync latches the log failed; a failed Commit leaves
 // the log usable (the batch is durable locally) and fails only the batch.
 func (e *Engine) syncLocked(w *wal, ops int) error {
@@ -124,12 +121,12 @@ func (e *Engine) syncLocked(w *wal, ops int) error {
 	if err := w.Flush(); err != nil {
 		return walErr(err)
 	}
-	if h, ok := e.hook.(PreCommitHook); ok {
+	if h := e.hook; h != nil {
 		// Overlap the replicas' barriers with ours: the batch is fully
 		// framed in the OS buffer, so the hook can start shipping it now
 		// and Commit below finds the quorum acks already (or nearly) in
 		// place.
-		h.PreCommit(e.seq)
+		h.Append(e.seq, w.enc)
 	}
 	tel := e.tel
 	var start time.Time

@@ -1,16 +1,20 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/onioncurve/onion/internal/framedlog"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
 )
@@ -313,7 +317,7 @@ type failingCommit struct {
 	commits          atomic.Int32
 }
 
-func (h *failingCommit) Append(uint64, BatchOp) {}
+func (h *failingCommit) Append(uint64, []byte) {}
 
 func (h *failingCommit) Commit(uint64) error {
 	if h.commits.Add(1) > 1 {
@@ -382,4 +386,78 @@ func waitWriteLockWaiter(t *testing.T) {
 		}
 	}
 	t.Fatal("no PutBatch queued on the write lock")
+}
+
+// recordingHook keeps a copy of every Append it is handed.
+type recordingHook struct {
+	seqs    []uint64
+	batches [][]byte
+}
+
+func (h *recordingHook) Append(seq uint64, batch []byte) {
+	h.seqs = append(h.seqs, seq)
+	h.batches = append(h.batches, bytes.Clone(batch))
+}
+
+func (h *recordingHook) Commit(uint64) error { return nil }
+
+// TestCommitHookAppendIsTheWALFrame: an engine opened with a commit hook
+// and without SyncWrites writes synchronously anyway, and the hook's
+// Append fires once per PutBatch with the batch's last sequence number
+// and exactly the payload of the batch's WAL frame, which replayWAL
+// decodes back to the batch's ops.
+func TestCommitHookAppendIsTheWALFrame(t *testing.T) {
+	o := fwCurve(t)
+	dir := t.TempDir()
+	hook := &recordingHook{}
+	opts := batchManualOpts()
+	opts.CommitHook = hook
+	e, err := Open(dir, o, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if !e.opts.SyncWrites {
+		t.Fatal("an engine with a commit hook runs without SyncWrites")
+	}
+	var all []BatchOp
+	var seq uint64
+	for i, n := range []int{1, 3, 64} {
+		ops := sampleOps(2, n)
+		if err := e.PutBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, ops...)
+		seq += uint64(n)
+		if len(hook.seqs) != i+1 || hook.seqs[i] != seq {
+			t.Fatalf("after batch %d: Append seqs %v, want one per batch ending at %d", i, hook.seqs, seq)
+		}
+	}
+	wals, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(wals) != 1 {
+		t.Fatalf("wals %v err %v", wals, err)
+	}
+	var frames [][]byte
+	if err := framedlog.Replay(vfs.OS{}, wals[0], func(p []byte) bool {
+		frames = append(frames, bytes.Clone(p))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(frames, hook.batches, bytes.Equal) {
+		t.Fatalf("WAL frames %x, hook saw %x", frames, hook.batches)
+	}
+	got, err := replayWAL(vfs.OS{}, wals[0], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded []BatchOp
+	for _, b := range hook.batches {
+		if decoded, err = DecodeBatch(decoded, b, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !walOpsEqual(got, all) || !walOpsEqual(decoded, all) {
+		t.Fatalf("replayWAL %+v, hook bytes decode to %+v, want %+v", got, decoded, all)
+	}
 }

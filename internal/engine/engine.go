@@ -36,7 +36,8 @@ type Options struct {
 	// disables automatic flushing — Flush must be called explicitly).
 	FlushEntries int
 	// SyncWrites fsyncs the WAL on every Put/Delete before acknowledging.
-	// Off by default: group durability is available through Sync.
+	// Off by default: group durability is available through Sync. Forced
+	// on when CommitHook is set.
 	SyncWrites bool
 	// CompactFanout is the size-tiered trigger: a run of at least this
 	// many age-adjacent, similar-sized segments is merged in the
@@ -60,10 +61,10 @@ type Options struct {
 	// checks Verify performs), quarantining corruption before a query
 	// trips over it. 0 disables the scrubber.
 	ScrubPagesPerSec int
-	// CommitHook, when non-nil, observes every framed op and gates each
-	// synchronous batch's acknowledgement on the hook's Commit — the seam
-	// WAL replication hangs off. See the CommitHook contract; it is only
-	// meaningful together with SyncWrites.
+	// CommitHook, when non-nil, observes every write batch and gates its
+	// acknowledgement on the hook's Commit — the seam WAL replication
+	// hangs off. See the CommitHook contract. Setting it forces
+	// SyncWrites on.
 	CommitHook CommitHook
 
 	// noTelemetry disables hot-path metric recording (the registry stays,
@@ -87,6 +88,9 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
+	if o.CommitHook != nil {
+		o.SyncWrites = true
+	}
 	if o.PageBytes == 0 {
 		o.PageBytes = 4096
 	}

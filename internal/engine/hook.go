@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"github.com/onioncurve/onion/internal/geom"
 )
 
 // ErrQuorum reports a synchronous write that became durable locally but
@@ -18,18 +16,27 @@ import (
 var ErrQuorum = errors.New("engine: replication quorum lost")
 
 // CommitHook observes the engine's durable write path — the seam a
-// replication layer hangs off. The contract mirrors the WAL itself:
+// replication layer hangs off. The unit is the write batch, as in the
+// WAL itself. An engine opened with a CommitHook always writes
+// synchronously: Open forces Options.SyncWrites on, since a quorum ack
+// only means something on top of a local fsync. The contract:
 //
-//   - Append is invoked under the engine's WAL mutex, once per framed
-//     op, in sequence order — exactly the order the ops occupy in the
-//     log. The op's Point aliases the caller's buffer; a hook that
-//     retains it must clone. Append must not block on I/O or call back
-//     into the engine: it runs on the write hot path.
+//   - Append is invoked once per PutBatch, under the engine's WAL mutex
+//     and in sequence order, after the batch's frame is flushed to the
+//     OS buffer and before its fsync. It carries the batch's last
+//     sequence number and the frame's payload — the batch's EncodeBatch
+//     bytes, which DecodeBatch turns back into the ops. The bytes alias
+//     engine scratch that the next batch overwrites; a hook that
+//     retains them must copy. Append must not block on the quorum
+//     outcome or call back into the engine. It may start shipping the
+//     batch, so that the replicas' barriers overlap the engine's own
+//     fsync, and must then tolerate the batch failing that fsync:
+//     nothing shipped is acknowledged until Commit succeeds.
 //
-//   - Commit is invoked by PutBatch after the batch's fsync, still under
-//     the WAL mutex, with the batch's last sequence number, and blocks
-//     the acknowledgement of the batch — and every later write — until
-//     it returns. A replication hook returns nil once every appended op
+//   - Commit is invoked after the batch's fsync, still under the WAL
+//     mutex, with the same sequence number, and blocks the
+//     acknowledgement of the batch — and every later write — until it
+//     returns. A replication hook returns nil once every appended batch
 //     with seq <= the argument is durable on a quorum, making a
 //     synchronous ack mean "fsynced on a majority" — one local fsync and
 //     one quorum round-trip per batch. Returning an error
@@ -37,27 +44,9 @@ var ErrQuorum = errors.New("engine: replication quorum lost")
 //     fsync does: the engine turns ReadOnly before the next writer gets
 //     the WAL mutex, and recovery requires a log rotation. Commit must
 //     not call back into the engine's write path.
-//
-// Commit only runs on the SyncWrites path; an engine without SyncWrites
-// never calls it, so replication requires synchronous writes.
 type CommitHook interface {
-	Append(seq uint64, op BatchOp)
+	Append(seq uint64, batch []byte)
 	Commit(seq uint64) error
-}
-
-// PreCommitHook is an optional CommitHook extension. When the hook
-// implements it, PutBatch invokes PreCommit (under the WAL mutex) after
-// the batch's frame is flushed to the OS buffer but before its fsync,
-// with the same sequence target the following Commit will carry. A
-// replication hook uses the window to start shipping the batch, so the
-// followers' log fsyncs run concurrently with the leader's own instead
-// of being chained after it — the quorum round then costs roughly the
-// slower of the two barriers, not their sum. PreCommit must not block
-// on the quorum outcome (Commit does that) and must tolerate the batch
-// subsequently failing the local fsync: nothing shipped ahead of
-// durability is acknowledged until Commit succeeds.
-type PreCommitHook interface {
-	PreCommit(seq uint64)
 }
 
 const (
@@ -65,7 +54,7 @@ const (
 	walOpDel = byte(2)
 )
 
-// walPayloadSize returns the EncodeOp length of an op: op byte, coords,
+// walPayloadSize returns the encoded length of one op: op byte, coords,
 // and (for puts) the 8-byte payload.
 func walPayloadSize(dims int, del bool) int {
 	if del {
@@ -74,39 +63,60 @@ func walPayloadSize(dims int, del bool) int {
 	return 1 + 4*dims + 8
 }
 
-// EncodeOp appends the WAL payload encoding of op to dst and returns the
-// extended slice: op byte, 4*dims little-endian coords, and the 8-byte
-// payload for puts. It is the store's only op codec: the engine frames
-// these bytes, a batch's back to back, into its own log, and a
-// replication stream carries them, so both are decoded by DecodeOp.
-func EncodeOp(dst []byte, op BatchOp, dims int) []byte {
-	if op.Del {
-		dst = append(dst, walOpDel)
-	} else {
-		dst = append(dst, walOpPut)
-	}
-	for d := 0; d < dims; d++ {
-		dst = binary.LittleEndian.AppendUint32(dst, op.Point[d])
-	}
-	if !op.Del {
-		dst = binary.LittleEndian.AppendUint64(dst, op.Payload)
+// EncodeBatch appends the encoding of ops to dst and returns the
+// extended slice. Each op is an op byte, 4*dims little-endian coords,
+// and for puts the 8-byte payload, back to back. It is the store's only
+// op codec: a WAL frame's payload is one batch's encoding, and a
+// replication entry carries the same bytes, so both are decoded by
+// DecodeBatch.
+func EncodeBatch(dst []byte, ops []BatchOp, dims int) []byte {
+	for _, op := range ops {
+		if op.Del {
+			dst = append(dst, walOpDel)
+		} else {
+			dst = append(dst, walOpPut)
+		}
+		for d := 0; d < dims; d++ {
+			dst = binary.LittleEndian.AppendUint32(dst, op.Point[d])
+		}
+		if !op.Del {
+			dst = binary.LittleEndian.AppendUint64(dst, op.Payload)
+		}
 	}
 	return dst
 }
 
-// DecodeOp parses one EncodeOp payload, rejecting an unknown op byte or
-// a length that disagrees with it. Integrity is the carrier's job (the
-// framed log's CRC, the transport).
-func DecodeOp(b []byte, dims int) (BatchOp, error) {
-	if len(b) == 0 || (b[0] != walOpPut && b[0] != walOpDel) || len(b) != walPayloadSize(dims, b[0] == walOpDel) {
-		return BatchOp{}, fmt.Errorf("%w: malformed op payload (%d bytes)", ErrWAL, len(b))
+// BatchLen returns how many ops the EncodeBatch bytes b hold. It only
+// steps over op sizes and validates nothing: DecodeBatch does.
+func BatchLen(b []byte, dims int) int {
+	n := 0
+	for ; len(b) > 0; n++ {
+		b = b[min(walPayloadSize(dims, b[0] == walOpDel), len(b)):]
 	}
-	op := BatchOp{Point: make(geom.Point, dims), Del: b[0] == walOpDel}
-	for d := range op.Point {
-		op.Point[d] = binary.LittleEndian.Uint32(b[1+4*d:])
+	return n
+}
+
+// DecodeBatch appends the ops of one EncodeBatch encoding to dst. It
+// rejects an unknown op byte or an op cut short, and then returns dst
+// unextended. The decoded Points share one allocation. Integrity is the
+// carrier's job (the framed log's CRC, the transport).
+func DecodeBatch(dst []BatchOp, b []byte, dims int) ([]BatchOp, error) {
+	n := len(dst)
+	coords := make([]uint32, BatchLen(b, dims)*dims)
+	for len(b) > 0 {
+		if (b[0] != walOpPut && b[0] != walOpDel) || len(b) < walPayloadSize(dims, b[0] == walOpDel) {
+			return dst[:n], fmt.Errorf("%w: malformed op payload (%d bytes left)", ErrWAL, len(b))
+		}
+		op := BatchOp{Point: coords[:dims:dims], Del: b[0] == walOpDel}
+		coords = coords[dims:]
+		for d := range op.Point {
+			op.Point[d] = binary.LittleEndian.Uint32(b[1+4*d:])
+		}
+		if !op.Del {
+			op.Payload = binary.LittleEndian.Uint64(b[1+4*dims:])
+		}
+		dst = append(dst, op)
+		b = b[walPayloadSize(dims, op.Del):]
 	}
-	if !op.Del {
-		op.Payload = binary.LittleEndian.Uint64(b[1+4*dims:])
-	}
-	return op, nil
+	return dst, nil
 }

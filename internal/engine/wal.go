@@ -38,18 +38,18 @@ func walErr(err error) error {
 }
 
 // wal is the engine's write-ahead log: a framedlog file with one frame
-// per write batch, its payload the batch's EncodeOp encodings back to
-// back. After any write or sync error the framedlog.Writer latches failed
-// — frames appended after a torn region would be unreachable to recovery
-// — so the engine surfaces the error and refuses further appends until a
-// flush rotates in a fresh log.
+// per write batch, its payload the batch's EncodeBatch bytes. After any
+// write or sync error the framedlog.Writer latches failed — frames
+// appended after a torn region would be unreachable to recovery — so the
+// engine surfaces the error and refuses further appends until a flush
+// rotates in a fresh log.
 //
 // The caller serializes every method (the engine holds its WAL mutex so
 // that log order equals sequence-number order).
 type wal struct {
 	*framedlog.Writer
 	dims int
-	enc  []byte // EncodeOp scratch, reused by every append
+	enc  []byte // the last appended frame's payload, reused by every append
 }
 
 func createWAL(fsys vfs.FS, path string, dims int) (*wal, error) {
@@ -62,10 +62,7 @@ func createWAL(fsys vfs.FS, path string, dims int) (*wal, error) {
 
 // append frames and buffers one batch. Durability requires a later sync.
 func (l *wal) append(ops []BatchOp) error {
-	l.enc = l.enc[:0]
-	for _, op := range ops {
-		l.enc = EncodeOp(l.enc, op, l.dims)
-	}
+	l.enc = EncodeBatch(l.enc[:0], ops, l.dims)
 	return walErr(l.Append(l.enc))
 }
 
@@ -75,25 +72,16 @@ func (l *wal) close() error { return walErr(l.Close()) }
 
 // replayWAL reads the ops of every intact frame (one batch, or one op in
 // older logs) of the log at path, in order. A torn tail — a final frame
-// cut short by a crash, any framing/CRC damage, or a payload that is not
-// a run of ops DecodeOp accepts — ends the replay silently: recovery
-// keeps exactly the longest valid prefix of whole batches, so an
-// acknowledged (synced) batch is never lost and a torn one never
-// resurrects, not even in part.
+// cut short by a crash, any framing/CRC damage, or a payload DecodeBatch
+// refuses — ends the replay silently: recovery keeps exactly the longest
+// valid prefix of whole batches, so an acknowledged (synced) batch is
+// never lost and a torn one never resurrects, not even in part.
 func replayWAL(fsys vfs.FS, path string, dims int) ([]BatchOp, error) {
 	var ops []BatchOp
 	err := framedlog.Replay(fsys, path, func(payload []byte) bool {
-		for n := len(ops); len(payload) > 0; {
-			size := min(walPayloadSize(dims, payload[0] == walOpDel), len(payload))
-			op, err := DecodeOp(payload[:size], dims)
-			if err != nil {
-				ops = ops[:n]
-				return false
-			}
-			ops = append(ops, op)
-			payload = payload[size:]
-		}
-		return true
+		var err error
+		ops, err = DecodeBatch(ops, payload, dims)
+		return err == nil
 	})
 	return ops, walErr(err)
 }

@@ -92,7 +92,7 @@ func OpenFollower(id, dir string, c curve.Curve, opts FollowerOptions) (*Followe
 
 // open opens the log and engine handles over f.dir.
 func (f *Follower) open() error {
-	log, err := openReplLog(f.fsys, f.dir)
+	log, err := openReplLog(f.fsys, f.dir, f.c.Universe().Dims())
 	if err != nil {
 		return err
 	}
@@ -230,7 +230,7 @@ func (f *Follower) HandleAppend(req AppendRequest) (AppendResponse, error) {
 		// Durable clones: the request's entries alias transport buffers.
 		es := make([]Entry, len(fresh))
 		for j, e := range fresh {
-			es[j] = Entry{Index: e.Index, Epoch: e.Epoch, Op: append([]byte(nil), e.Op...)}
+			es[j] = Entry{Index: e.Index, Epoch: e.Epoch, Batch: append([]byte(nil), e.Batch...)}
 		}
 		if err := f.log.append(es); err != nil {
 			return AppendResponse{}, err
@@ -244,12 +244,12 @@ func (f *Follower) HandleAppend(req AppendRequest) (AppendResponse, error) {
 	// periodic bare watermark push (and the compaction threshold) picks
 	// the backlog up in one amortized batch instead, so a replica's
 	// engine trails its log by at most the catch-up interval.
-	if len(req.Entries) == 0 || len(f.log.entries) > f.opts.maxLogEntries {
+	if len(req.Entries) == 0 || f.log.ops > f.opts.maxLogEntries {
 		if err := f.applyCommitted(min(req.Commit, last)); err != nil {
 			return AppendResponse{}, err
 		}
 	}
-	if len(f.log.entries) > f.opts.maxLogEntries {
+	if f.log.ops > f.opts.maxLogEntries {
 		if err := f.compact(); err != nil {
 			return AppendResponse{}, err
 		}
@@ -292,15 +292,13 @@ func (f *Follower) applyCommitted(upTo uint64) error {
 	if upTo <= f.applied {
 		return nil
 	}
-	dims := f.c.Universe().Dims()
 	es := f.log.slice(f.applied, upTo)
-	ops := make([]engine.BatchOp, 0, len(es))
+	ops := make([]engine.BatchOp, 0, len(es)) // exact when every batch is one op
 	for _, e := range es {
-		op, err := engine.DecodeOp(e.Op, dims)
-		if err != nil {
+		var err error
+		if ops, err = engine.DecodeBatch(ops, e.Batch, f.log.dims); err != nil {
 			return fmt.Errorf("repl: follower %s: entry %d: %w", f.id, e.Index, err)
 		}
-		ops = append(ops, op)
 	}
 	if err := f.eng.PutBatch(ops); err != nil {
 		return fmt.Errorf("repl: follower %s: apply: %w", f.id, err)

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/onioncurve/onion/internal/engine"
+	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
 )
 
@@ -14,7 +16,9 @@ import (
 // recovery invariants that the follower's durability story rests on:
 //
 //   - recovery never errors and never panics, whatever the damage;
-//   - recovered indices are strictly increasing with sane payloads;
+//   - recovered indices are strictly increasing with sane payloads:
+//     each decodes to the batch of one to four ops it was written as,
+//     and the log counts the ops they hold;
 //   - recovery is idempotent — reopening the recovered file yields the
 //     same entries;
 //   - the recovered log accepts appends, and they survive a reopen;
@@ -26,21 +30,27 @@ func FuzzReplLog(f *testing.F) {
 	f.Add([]byte{}, uint16(5), false)
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16, flip bool) {
 		dir := t.TempDir()
-		l, err := openReplLog(vfs.OS{}, dir)
+		l, err := openReplLog(vfs.OS{}, dir, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		// Deterministically derive a log from the input: 3 bytes drive
-		// one entry (index stride with gaps, epoch, payload).
+		// one entry (index stride with gaps, epoch, and a batch of one to
+		// four puts and deletes).
 		var written []Entry
 		idx := uint64(0)
 		for i := 0; i+2 < len(data) && len(written) < 64; i += 3 {
 			idx += uint64(data[i]%4) + 1
+			ops := make([]engine.BatchOp, 1+data[i+2]%4)
+			for k := range ops {
+				v := uint32(data[i+k%3]) + uint32(k)
+				ops[k] = engine.BatchOp{Point: geom.Point{v, v * 7}, Payload: uint64(v) << 32, Del: data[i+1]>>k&1 == 1}
+			}
 			e := Entry{
 				Index: idx,
 				Epoch: uint64(data[i+1]%4) + 1,
-				Op:    append([]byte(nil), data[i:i+3]...),
+				Batch: engine.EncodeBatch(nil, ops, 2),
 			}
 			if err := l.append([]Entry{e}); err != nil {
 				t.Fatal(err)
@@ -68,18 +78,27 @@ func FuzzReplLog(f *testing.F) {
 		}
 
 		// Invariant 1–2: recovery succeeds and yields a sane log.
-		l2, err := openReplLog(vfs.OS{}, dir)
+		l2, err := openReplLog(vfs.OS{}, dir, 2)
 		if err != nil {
 			t.Fatalf("recovery failed: %v", err)
 		}
 		rec := append([]Entry(nil), l2.entries...)
+		held := 0
 		for i, e := range rec {
 			if i > 0 && e.Index <= rec[i-1].Index {
 				t.Fatalf("recovered indices not increasing: %d then %d", rec[i-1].Index, e.Index)
 			}
-			if len(e.Op) <= 0 || len(e.Op) > 1<<20 {
-				t.Fatalf("recovered entry %d has payload length %d", e.Index, len(e.Op))
+			if len(e.Batch) <= 0 || len(e.Batch) > 1<<20 {
+				t.Fatalf("recovered entry %d has payload length %d", e.Index, len(e.Batch))
 			}
+			ops, err := engine.DecodeBatch(nil, e.Batch, 2)
+			if n := engine.BatchLen(e.Batch, 2); err != nil || n != len(ops) || n < 1 || n > 4 {
+				t.Fatalf("recovered entry %d: %d ops decoded of %d counted (%v)", e.Index, len(ops), n, err)
+			}
+			held += len(ops)
+		}
+		if l2.ops != held {
+			t.Fatalf("recovered log counts %d ops, its entries hold %d", l2.ops, held)
 		}
 
 		// Invariant 5: without a flip, recovery is an exact prefix.
@@ -89,7 +108,7 @@ func FuzzReplLog(f *testing.F) {
 			}
 			for i, e := range rec {
 				w := written[i]
-				if e.Index != w.Index || e.Epoch != w.Epoch || !bytes.Equal(e.Op, w.Op) {
+				if e.Index != w.Index || e.Epoch != w.Epoch || !bytes.Equal(e.Batch, w.Batch) {
 					t.Fatalf("entry %d diverged after truncation: got %+v want %+v", i, e, w)
 				}
 			}
@@ -101,7 +120,7 @@ func FuzzReplLog(f *testing.F) {
 		if n := len(rec); n > 0 {
 			next = rec[n-1].Index + 1
 		}
-		fresh := Entry{Index: next, Epoch: 99, Op: []byte("post-recovery")}
+		fresh := Entry{Index: next, Epoch: 99, Batch: []byte("post-recovery")}
 		if err := l2.append([]Entry{fresh}); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
@@ -110,7 +129,7 @@ func FuzzReplLog(f *testing.F) {
 		}
 
 		// Invariant 3: reopening is stable.
-		l3, err := openReplLog(vfs.OS{}, dir)
+		l3, err := openReplLog(vfs.OS{}, dir, 2)
 		if err != nil {
 			t.Fatalf("second recovery failed: %v", err)
 		}
@@ -120,11 +139,11 @@ func FuzzReplLog(f *testing.F) {
 		}
 		for i, e := range rec {
 			g := l3.entries[i]
-			if g.Index != e.Index || g.Epoch != e.Epoch || !bytes.Equal(g.Op, e.Op) {
+			if g.Index != e.Index || g.Epoch != e.Epoch || !bytes.Equal(g.Batch, e.Batch) {
 				t.Fatalf("entry %d unstable across reopen", i)
 			}
 		}
-		if tail := l3.entries[len(rec)]; tail.Index != fresh.Index || !bytes.Equal(tail.Op, fresh.Op) {
+		if tail := l3.entries[len(rec)]; tail.Index != fresh.Index || !bytes.Equal(tail.Batch, fresh.Batch) {
 			t.Fatal("post-recovery append lost on reopen")
 		}
 	})

@@ -24,12 +24,7 @@ type Hook struct {
 	mu      sync.Mutex
 	g       *Group
 	dims    int
-	pending []pendingOp
-}
-
-type pendingOp struct {
-	seq uint64
-	op  []byte
+	pending []histEntry
 }
 
 // NewHook returns an unbound commit hook for dims-dimensional points.
@@ -38,42 +33,34 @@ func NewHook(dims int) *Hook {
 }
 
 // Append implements engine.CommitHook. It runs under the engine's WAL
-// mutex: encode and hand off, nothing blocking.
-func (h *Hook) Append(seq uint64, op engine.BatchOp) {
+// mutex, between the batch's flush and its fsync: it copies the batch
+// into a new entry and fires it at the followers while the leader's own
+// fsync is in flight, so the two log barriers overlap. Fire-and-forget
+// — Commit below collects (or redoes) the acks.
+func (h *Hook) Append(_ uint64, batch []byte) {
+	b := histEntry{e: Entry{Batch: append([]byte(nil), batch...)}, ops: engine.BatchLen(batch, h.dims)}
 	h.mu.Lock()
 	g := h.g
 	if g == nil {
-		h.pending = append(h.pending, pendingOp{seq, engine.EncodeOp(nil, op, h.dims)})
+		h.pending = append(h.pending, b)
 		h.mu.Unlock()
 		return
 	}
 	h.mu.Unlock()
-	g.appendOp(seq, engine.EncodeOp(nil, op, h.dims))
-}
-
-// PreCommit implements engine.PreCommitHook: it fires the batch at the
-// followers while the leader's own fsync is still in flight, so the two
-// log barriers overlap. Fire-and-forget — Commit below collects (or
-// redoes) the acks.
-func (h *Hook) PreCommit(seq uint64) {
-	h.mu.Lock()
-	g := h.g
-	h.mu.Unlock()
-	if g != nil {
-		g.preShip(seq)
-	}
+	g.preShip(g.appendBatch(b))
 }
 
 // Commit implements engine.CommitHook: it blocks the engine's batch
-// commit until every entry the batch covers is durable on a quorum.
-func (h *Hook) Commit(seq uint64) error {
+// commit until the batch's entry — the one Append just made — is durable
+// on a quorum.
+func (h *Hook) Commit(uint64) error {
 	h.mu.Lock()
 	g := h.g
 	h.mu.Unlock()
 	if g == nil {
 		return nil
 	}
-	return g.commitSeq(seq)
+	return g.commitLast()
 }
 
 func (h *Hook) bind(g *Group) {
@@ -82,8 +69,8 @@ func (h *Hook) bind(g *Group) {
 	h.pending = nil
 	h.g = g
 	h.mu.Unlock()
-	for _, p := range pending {
-		g.appendOp(p.seq, p.op)
+	for _, b := range pending {
+		g.appendBatch(b)
 	}
 }
 
@@ -305,35 +292,40 @@ func (g *Group) Close() error {
 	return err
 }
 
-// appendOp records one engine write as a replication entry. Runs under
-// the engine's WAL mutex via the hook: keep it non-blocking.
-func (g *Group) appendOp(eseq uint64, op []byte) {
+// appendBatch records one engine write batch as the next replication
+// entry, b's Index and Epoch assigned here, and returns its index. Runs
+// under the engine's WAL mutex via the hook: keep it non-blocking.
+func (g *Group) appendBatch(b histEntry) uint64 {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.nextIndex++
 	if n := len(g.marks); n == 0 || g.marks[n-1].epoch != g.epoch {
 		g.marks = append(g.marks, epochMark{from: g.nextIndex, epoch: g.epoch})
 	}
-	g.hist.push(histEntry{
-		e:    Entry{Index: g.nextIndex, Epoch: g.epoch, Op: op},
-		eseq: eseq,
-	})
-	if drop := len(g.hist.live) - g.cfg.historyEntries; drop > 0 {
-		// Only the quorum-committed prefix is trimmable. An uncommitted
-		// entry is the target of an in-flight (or imminent) commit round: trimming it would force its followers into a
-		// snapshot seed that cannot be exported while the write is still
-		// holding the WAL path, so the round would exhaust its retries
-		// against healthy replicas. The window may therefore exceed
-		// historyEntries transiently (one batch larger than the window);
-		// it snaps back once the commit watermark passes.
-		if g.hist.live[drop-1].e.Index > g.commit {
-			drop = g.hist.search(g.commit + 1)
+	b.e.Index, b.e.Epoch = g.nextIndex, g.epoch
+	g.hist.push(b)
+	// Trim the oldest entries while the rest hold historyEntries ops.
+	// Only the quorum-committed prefix is trimmable. An uncommitted
+	// entry is the target of an in-flight (or imminent) commit round:
+	// trimming it would force its followers into a snapshot seed that
+	// cannot be exported while the write is still holding the WAL path,
+	// so the round would exhaust its retries against healthy replicas.
+	// The window may therefore exceed historyEntries transiently (a
+	// batch larger than the window); it snaps back once the commit
+	// watermark passes.
+	drop := 0
+	for held := g.hist.ops; drop < len(g.hist.live); drop++ {
+		h := g.hist.live[drop]
+		if h.e.Index > g.commit || held-h.ops < g.cfg.historyEntries {
+			break
 		}
-		if drop > 0 {
-			g.histBase = g.hist.live[drop-1].e.Index
-			g.hist.trim(drop)
-		}
+		held -= h.ops
 	}
-	g.mu.Unlock()
+	if drop > 0 {
+		g.histBase = g.hist.live[drop-1].e.Index
+		g.hist.trim(drop)
+	}
+	return g.nextIndex
 }
 
 // lastEntryIndex is the index of the newest live history entry — unlike
@@ -362,10 +354,10 @@ func (g *Group) epochOf(index uint64) uint64 {
 	return e
 }
 
-// commitSeq is the hook's Commit: every entry appended at or below the
-// engine sequence number — the engine's batch just fsynced — must be
+// commitLast is the hook's Commit: the newest entry — the engine's batch
+// just fsynced, which the engine appended right before — must be
 // quorum-durable before it returns.
-func (g *Group) commitSeq(seq uint64) error {
+func (g *Group) commitLast() error {
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
@@ -376,15 +368,7 @@ func (g *Group) commitSeq(seq uint64) error {
 		g.mu.Unlock()
 		return fmt.Errorf("%w: %w by epoch %d", engine.ErrQuorum, ErrFenced, fenced)
 	}
-	target, ok := g.hist.lastBySeq(seq)
-	if !ok {
-		// Nothing of ours in this batch. Safe even when the front of hist
-		// has been trimmed: appendOp never trims above g.commit, so any
-		// trimmed entry was already quorum-durable and needs no round of
-		// its own.
-		g.mu.Unlock()
-		return nil
-	}
+	target := g.nextIndex
 	if target <= g.commit {
 		g.mu.Unlock()
 		return nil // already quorum-committed
@@ -394,29 +378,24 @@ func (g *Group) commitSeq(seq uint64) error {
 	return g.commitTo(target, quorum, peers)
 }
 
-// preShip starts streaming every entry at or below the engine sequence
-// seq to all peers without waiting for the outcome. It runs between the
+// preShip starts streaming every entry up to index target to the
+// preferred peers without waiting for the outcome. It runs between the
 // engine's flush and fsync of a batch: by the time the local barrier
-// lands and commitSeq asks for the quorum, the followers' fsyncs have
+// lands and commitLast asks for the quorum, the followers' fsyncs have
 // (mostly) already happened, so the commit round finds the acks in
 // place instead of chaining a full replica round-trip after the local
 // one. Re-shipping is idempotent — the per-peer send lock serializes
 // the racers and shipLocked returns without a transport call once the
 // ack covers the target.
-func (g *Group) preShip(seq uint64) {
+func (g *Group) preShip(target uint64) {
 	g.mu.Lock()
-	if g.closed || g.fencedBy != 0 {
-		g.mu.Unlock()
-		return
-	}
-	target, ok := g.hist.lastBySeq(seq)
-	if !ok || target <= g.commit {
+	if g.closed || g.fencedBy != 0 || target <= g.commit {
 		g.mu.Unlock()
 		return
 	}
 	quorum, peers := g.quorum(), g.peers
 	g.mu.Unlock()
-	for _, p := range preferredRound(target, quorum, peers) {
+	for _, p := range preferredRound(quorum, peers) {
 		go func(p *peerState) {
 			p.send.Lock()
 			g.shipLocked(p, target)
@@ -445,8 +424,7 @@ func (g *Group) preShip(seq uint64) {
 // log is always a prefix of the leader's, so QuorumWatermark stays
 // exact under the skew: an acked entry is durable on quorum-1
 // followers, hence at or below the (quorum-1)-th longest follower log.
-func preferredRound(target uint64, quorum int, peers []*peerState) []*peerState {
-	_ = target
+func preferredRound(quorum int, peers []*peerState) []*peerState {
 	need := quorum - 1
 	if need <= 0 {
 		return nil
@@ -478,7 +456,7 @@ func (g *Group) commitTo(target uint64, quorum int, peers []*peerState) error {
 		// quorum means quorum.
 		round := peers
 		if attempt == 1 {
-			round = preferredRound(target, quorum, peers)
+			round = preferredRound(quorum, peers)
 		}
 		acks := 1 // self: the engine fsynced before calling the hook
 		results := make(chan bool, len(round))
@@ -688,7 +666,7 @@ func (g *Group) catchUpLoop() {
 		// in-flight commit for their send locks (and put an extra log
 		// barrier on the device). They still get seeded and still receive
 		// the watermark push; only the resend leg is skipped.
-		fast := preferredRound(0, g.quorum(), g.peers)
+		fast := preferredRound(g.quorum(), g.peers)
 		for _, p := range g.peers {
 			select {
 			case <-g.done:
@@ -907,8 +885,8 @@ func (g *Group) Heartbeat() {
 	wg.Wait()
 }
 
-// Lag reports, per peer, how many entries the leader holds beyond the
-// peer's last durable ack.
+// Lag reports, per peer, how many entries (batches) the leader holds
+// beyond the peer's last durable ack.
 func (g *Group) Lag() map[string]uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -1092,14 +1070,17 @@ func Promote(f *Follower, upTo uint64, cfg Config) (*Group, error) {
 
 	// Preload the leader history from the log so surviving followers
 	// resync by resend. Epoch marks reconstruct fencing for indices at
-	// and below the base.
+	// and below the base. The entries' Batch buffers move into the window
+	// uncopied: the log is closed and deleted below, and the window never
+	// writes to an entry's bytes.
 	hist := newWindow(cfg.historyEntries)
 	var marks []epochMark
 	if f.st.base > 0 {
 		marks = append(marks, epochMark{from: f.st.base, epoch: f.st.baseEpoch})
 	}
+	dims := f.c.Universe().Dims()
 	for _, e := range f.log.entries {
-		hist.push(histEntry{e: Entry{Index: e.Index, Epoch: e.Epoch, Op: append([]byte(nil), e.Op...)}})
+		hist.push(histEntry{e: e, ops: engine.BatchLen(e.Batch, dims)})
 		if n := len(marks); n == 0 || marks[n-1].epoch != e.Epoch {
 			marks = append(marks, epochMark{from: e.Index, epoch: e.Epoch})
 		}
@@ -1116,7 +1097,7 @@ func Promote(f *Follower, upTo uint64, cfg Config) (*Group, error) {
 	if err := f.eng.Close(); err != nil {
 		return nil, err
 	}
-	hook := NewHook(f.c.Universe().Dims())
+	hook := NewHook(dims)
 	opts := cfg.Engine
 	opts.CommitHook = hook
 	eng, err := engine.Open(f.dir, f.c, opts)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/framedlog"
 	"github.com/onioncurve/onion/internal/vfs"
 )
@@ -15,9 +16,11 @@ import (
 // The follower's replication log is a framedlog file — the engine WAL's
 // frame format, torn-tail rule and failure latch — whose payloads are
 //
-//	entry := index(8 LE) | epoch(8 LE) | op
+//	entry := index(8 LE) | epoch(8 LE) | batch
 //
-// so the frame CRC covers index and epoch as well as the op. The file is
+// where batch is the leader's WAL frame payload for the batch, so the
+// frame CRC covers index and epoch as well as the ops. A log written
+// when an entry held one op is a log of one-op batches. The file is
 // only ever appended to or replaced whole: open, truncation and
 // compaction publish the surviving entries through a tmp + rename and
 // keep appending on that handle.
@@ -42,7 +45,7 @@ func logErr(err error) error {
 func encodeEntry(dst []byte, e Entry) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, e.Index)
 	dst = binary.LittleEndian.AppendUint64(dst, e.Epoch)
-	return append(dst, e.Op...)
+	return append(dst, e.Batch...)
 }
 
 func decodeEntry(p []byte) (Entry, bool) {
@@ -52,7 +55,7 @@ func decodeEntry(p []byte) (Entry, bool) {
 	return Entry{
 		Index: binary.LittleEndian.Uint64(p[0:]),
 		Epoch: binary.LittleEndian.Uint64(p[8:]),
-		Op:    append([]byte(nil), p[entryHeader:]...),
+		Batch: append([]byte(nil), p[entryHeader:]...),
 	}, true
 }
 
@@ -61,16 +64,19 @@ func decodeEntry(p []byte) (Entry, bool) {
 type replLog struct {
 	fsys    vfs.FS
 	path    string
+	dims    int
 	w       *framedlog.Writer
 	enc     []byte  // encodeEntry scratch
 	entries []Entry // in log order; indices strictly increasing, gaps legal
+	ops     int     // ops held by entries
 }
 
-// openReplLog replays the log in dir (a missing file is an empty log),
-// keeping the longest prefix of intact, index-ordered entries, and
-// republishes that prefix so appends land right after it.
-func openReplLog(fsys vfs.FS, dir string) (*replLog, error) {
-	l := &replLog{fsys: fsys, path: filepath.Join(dir, logName)}
+// openReplLog replays the log in dir (a missing file is an empty log) of
+// dims-dimensional ops, keeping the longest prefix of intact,
+// index-ordered entries, and republishes that prefix so appends land
+// right after it.
+func openReplLog(fsys vfs.FS, dir string, dims int) (*replLog, error) {
+	l := &replLog{fsys: fsys, path: filepath.Join(dir, logName), dims: dims}
 	var valid []Entry
 	err := framedlog.Replay(fsys, l.path, func(p []byte) bool {
 		e, ok := decodeEntry(p)
@@ -115,7 +121,16 @@ func (l *replLog) append(es []Entry) error {
 		return logErr(err)
 	}
 	l.entries = append(l.entries, es...)
+	l.ops += l.countOps(es)
 	return nil
+}
+
+func (l *replLog) countOps(es []Entry) int {
+	n := 0
+	for _, e := range es {
+		n += engine.BatchLen(e.Batch, l.dims)
+	}
+	return n
 }
 
 // last returns the final entry's (index, epoch), or (0, 0, false) when
@@ -181,6 +196,7 @@ func (l *replLog) rewrite(keep []Entry) error {
 	}
 	l.w = nw
 	l.entries = append(l.entries[:0], keep...)
+	l.ops = l.countOps(keep)
 	if err := l.fsys.SyncDir(filepath.Dir(l.path)); err != nil {
 		// The rename may not survive a crash, and entries appended to the
 		// new inode would vanish with it: no ack may rest on this handle.

@@ -3,13 +3,16 @@ package repl
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/engine"
+	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
 )
 
@@ -17,7 +20,7 @@ import (
 // point per index below rtSide, so engine state maps back to indices.
 func lfEntry(i, epoch uint64) Entry {
 	op := engine.BatchOp{Point: rtPoint(int(i)), Payload: 1000*epoch + i}
-	return Entry{Index: i, Epoch: epoch, Op: engine.EncodeOp(nil, op, 2)}
+	return Entry{Index: i, Epoch: epoch, Batch: engine.EncodeBatch(nil, []engine.BatchOp{op}, 2)}
 }
 
 func lfEntries(lo, hi, epoch uint64) []Entry {
@@ -40,7 +43,7 @@ func sameEntries(a, b []Entry) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Index != b[i].Index || a[i].Epoch != b[i].Epoch || !bytes.Equal(a[i].Op, b[i].Op) {
+		if a[i].Index != b[i].Index || a[i].Epoch != b[i].Epoch || !bytes.Equal(a[i].Batch, b[i].Batch) {
 			return false
 		}
 	}
@@ -58,7 +61,7 @@ func TestReplLogHeaderCorruptionDetected(t *testing.T) {
 	for i := uint64(1); i <= 10; i++ {
 		// Indices 16 apart leave room for a low-bit flip; epochs are
 		// distinctive so the epoch bytes can be located in the file.
-		es = append(es, Entry{Index: 16 * i, Epoch: 0xe00000 + i, Op: []byte{byte(i), 0xab, 0xcd}})
+		es = append(es, Entry{Index: 16 * i, Epoch: 0xe00000 + i, Batch: []byte{byte(i), 0xab, 0xcd}})
 	}
 	for _, field := range []struct {
 		name string
@@ -66,7 +69,7 @@ func TestReplLogHeaderCorruptionDetected(t *testing.T) {
 	}{{"index", es[victim].Index}, {"epoch", es[victim].Epoch}} {
 		t.Run(field.name, func(t *testing.T) {
 			dir := t.TempDir()
-			l, err := openReplLog(vfs.OS{}, dir)
+			l, err := openReplLog(vfs.OS{}, dir, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +92,7 @@ func TestReplLogHeaderCorruptionDetected(t *testing.T) {
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			l, err = openReplLog(vfs.OS{}, dir)
+			l, err = openReplLog(vfs.OS{}, dir, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,9 +185,9 @@ func TestFollowerRetiredLogLayoutReseeds(t *testing.T) {
 	for _, e := range lfEntries(1, 2, 3) {
 		old = binary.LittleEndian.AppendUint64(old, e.Index)
 		old = binary.LittleEndian.AppendUint64(old, e.Epoch)
-		old = binary.LittleEndian.AppendUint32(old, uint32(len(e.Op)))
+		old = binary.LittleEndian.AppendUint32(old, uint32(len(e.Batch)))
 		old = binary.LittleEndian.AppendUint32(old, 0) // never read
-		old = append(old, e.Op...)
+		old = append(old, e.Batch...)
 	}
 	if err := os.WriteFile(filepath.Join(dir, logName), old, 0o644); err != nil {
 		t.Fatal(err)
@@ -204,6 +207,137 @@ func TestFollowerRetiredLogLayoutReseeds(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestReplLogGoldenBytes pins a REPL_LOG frame holding one three-op
+// batch entry (put, delete, put): the framed log's len | crc32c header,
+// then index | epoch | the batch's EncodeBatch bytes. Replay yields the
+// entry back, and its batch decodes to the three ops.
+func TestReplLogGoldenBytes(t *testing.T) {
+	ops := []engine.BatchOp{
+		{Point: geom.Point{1, 2}, Payload: 0x0102030405060708},
+		{Point: geom.Point{3, 4}, Del: true},
+		{Point: geom.Point{5, 6}, Payload: 9},
+	}
+	e := Entry{Index: 7, Epoch: 3, Batch: engine.EncodeBatch(nil, ops, 2)}
+	want, _ := hex.DecodeString("3b000000" + "8343bb9f" + // len 59, crc32c
+		"0700000000000000" + "0300000000000000" + // index 7, epoch 3
+		"01" + "01000000" + "02000000" + "0807060504030201" + // put (1,2)
+		"02" + "03000000" + "04000000" + // delete (3,4)
+		"01" + "05000000" + "06000000" + "0900000000000000") // put (5,6)
+	dir := t.TempDir()
+	l, err := openReplLog(vfs.OS{}, dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.append([]Entry{e}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("REPL_LOG bytes changed:\n got %x\nwant %x", got, want)
+	}
+	l, err = openReplLog(vfs.OS{}, dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.close() //nolint:errcheck
+	if !sameEntries(l.entries, []Entry{e}) || l.ops != 3 {
+		t.Fatalf("replayed %+v holding %d ops, want the one 3-op entry", l.entries, l.ops)
+	}
+	dec, err := engine.DecodeBatch(nil, l.entries[0].Batch, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ops {
+		if dec[i].Del != ops[i].Del || dec[i].Payload != ops[i].Payload || !dec[i].Point.Equal(ops[i].Point) {
+			t.Fatalf("op %d decoded as %+v, want %+v", i, dec[i], ops[i])
+		}
+	}
+}
+
+// TestFollowerReplaysOneOpEntryLog: a follower directory written when an
+// entry held one op — these bytes are the REPL_LOG such a follower wrote
+// after its leader ran PutBatch(put 1, put 2, delete 1) and Put(3) — is a
+// valid log of one-op batches. It replays without a version gate and
+// applies to the records the leader held.
+func TestFollowerReplaysOneOpEntryLog(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "f1")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	state := "onion repl state v2\nrole follower\nepoch 1\nbase 0\nbaseEpoch 0\napplied 0\n"
+	if err := os.WriteFile(statePath(dir), []byte(state), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Per frame: len | crc32c | index | epoch | one op.
+	log, _ := hex.DecodeString("" +
+		"21000000" + "9e8ea061" + "0100000000000000" + "0100000000000000" + "01" + "07000000" + "12000000" + "6500000000000000" +
+		"21000000" + "de059255" + "0200000000000000" + "0100000000000000" + "01" + "0e000000" + "1f000000" + "6600000000000000" +
+		"19000000" + "a172c371" + "0300000000000000" + "0100000000000000" + "02" + "07000000" + "12000000" +
+		"21000000" + "c2375403" + "0400000000000000" + "0100000000000000" + "01" + "15000000" + "0c000000" + "6700000000000000")
+	if err := os.WriteFile(filepath.Join(dir, logName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := lfOpen(t, dir, vfs.OS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck
+	if st := f.Status(); st.MustSeed || st.Last != 4 || len(f.log.entries) != 4 || f.log.ops != 4 {
+		t.Fatalf("status %+v with %d entries holding %d ops, want 4 one-op entries", st, len(f.log.entries), f.log.ops)
+	}
+	resp, err := f.HandleAppend(AppendRequest{Epoch: 1, LeaderID: "leader", PrevIndex: 4, PrevEpoch: 1, Commit: 4})
+	if err != nil || !resp.Ok || resp.Ack != 4 {
+		t.Fatalf("watermark push: %+v, %v", resp, err)
+	}
+	c := f.c
+	want := map[uint64]uint64{c.Index(rtPoint(2)): 102, c.Index(rtPoint(3)): 103}
+	if got := stateOf(t, c, f.Engine()); !maps.Equal(got, want) {
+		t.Fatalf("applied %v, want %v", got, want)
+	}
+}
+
+// TestFollowerLogBoundCountsOps: the follower's compaction trigger counts
+// ops, not entries. With maxLogEntries 6, two 3-op batch entries stay in
+// the log; the third takes it to 9 ops, so the follower applies the
+// committed entries and compacts them away.
+func TestFollowerLogBoundCountsOps(t *testing.T) {
+	f, err := lfOpen(t, filepath.Join(t.TempDir(), "f1"), vfs.OS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck
+	entry := func(i uint64) Entry {
+		var ops []engine.BatchOp
+		for k := uint64(0); k < 3; k++ {
+			ops = append(ops, engine.BatchOp{Point: rtPoint(int(3*i + k)), Payload: 10*i + k})
+		}
+		return Entry{Index: i, Epoch: 1, Batch: engine.EncodeBatch(nil, ops, 2)}
+	}
+	for i := uint64(1); i <= 3; i++ {
+		req := AppendRequest{Epoch: 1, PrevIndex: i - 1, PrevEpoch: min(i-1, 1), Entries: []Entry{entry(i)}, Commit: i}
+		if resp, err := f.HandleAppend(req); err != nil || !resp.Ok || resp.Ack != i {
+			t.Fatalf("append %d: %+v, %v", i, resp, err)
+		}
+		wantBase, wantEntries := uint64(0), int(i)
+		if i == 3 {
+			wantBase, wantEntries = 3, 0
+		}
+		if st := f.Status(); st.Base != wantBase || len(f.log.entries) != wantEntries || f.log.ops != 3*wantEntries {
+			t.Fatalf("after entry %d: base %d, %d entries holding %d ops; want base %d, %d entries",
+				i, st.Base, len(f.log.entries), f.log.ops, wantBase, wantEntries)
+		}
+	}
+	if n := len(stateOf(t, f.c, f.Engine())); n != 9 {
+		t.Fatalf("engine holds %d records after compaction, want the 9 ops", n)
 	}
 }
 
@@ -377,10 +511,11 @@ func lfCheck(t *testing.T, dir string, acked []Entry, inflight *AppendRequest) {
 		}
 		have := stateOf(t, f.c, f.eng)
 		for _, e := range want[:k] {
-			op, err := engine.DecodeOp(e.Op, 2)
+			ops, err := engine.DecodeBatch(nil, e.Batch, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
+			op := ops[0]
 			if have[f.c.Index(op.Point)] != op.Payload {
 				return false
 			}

@@ -229,17 +229,17 @@ func TestReplBatchLargerThanHistory(t *testing.T) {
 // it), append must fail loudly — never "succeed" against a missing or
 // unlinked file and let acknowledged entries vanish on restart.
 func TestReplLogAppendAfterHandleLoss(t *testing.T) {
-	l, err := openReplLog(vfs.OS{}, t.TempDir())
+	l, err := openReplLog(vfs.OS{}, t.TempDir(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.append([]Entry{{Index: 1, Epoch: 1, Op: []byte{1}}}); err != nil {
+	if err := l.append([]Entry{{Index: 1, Epoch: 1, Batch: []byte{1}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.append([]Entry{{Index: 2, Epoch: 1, Op: []byte{2}}}); err == nil {
+	if err := l.append([]Entry{{Index: 2, Epoch: 1, Batch: []byte{2}}}); err == nil {
 		t.Fatal("append with a lost handle reported success")
 	}
 }

@@ -2,15 +2,16 @@
 // followers with quorum acknowledgment — the durability half of the
 // distributed serving tier.
 //
-// The leader is an ordinary engine whose CommitHook tees every framed op
-// into an in-memory replication log and gates each synchronous batch on
-// quorum: the leader's single fsync and a single round-trip to the
-// followers cover the whole batch, so an acknowledged synchronous write
-// means "fsynced on a majority". Followers persist the
-// shipped entries in their own CRC-framed replication log (fsynced
-// before acknowledging) and apply the quorum-committed prefix to their
-// engine through the same op encoding WAL replay uses, so a follower's
-// engine converges bit-identically to the leader's. A follower's engine
+// The leader is an ordinary engine whose CommitHook tees every write
+// batch — the payload of its WAL frame — into an in-memory replication
+// log as one entry, and gates the batch on quorum: the leader's single
+// fsync and a single round-trip to the followers cover the whole batch,
+// so an acknowledged synchronous write means "fsynced on a majority".
+// Followers persist the shipped entries in their own CRC-framed
+// replication log (fsynced before acknowledging) and apply the
+// quorum-committed prefix to their engine through the same batch codec
+// WAL replay uses, so a follower's engine converges bit-identically to
+// the leader's. A follower's engine
 // deletes the WALs it retires instead of archiving them — an entry ends
 // up stored once, in a segment — so point-in-time restore is served from
 // the leader.
@@ -67,13 +68,14 @@ var (
 	ErrPartitioned = errors.New("repl: peer partitioned")
 )
 
-// Entry is one replicated op: the leader-assigned log index, the epoch
-// the entry was appended under, and the engine's WAL payload encoding of
-// the op (engine.EncodeOp / engine.DecodeOp).
+// Entry is one replicated write batch: the leader-assigned log index,
+// the epoch the entry was appended under, and the batch's engine WAL
+// frame payload (engine.EncodeBatch / engine.DecodeBatch). Indices
+// number batches, and an entry is never split.
 type Entry struct {
 	Index uint64
 	Epoch uint64
-	Op    []byte
+	Batch []byte
 }
 
 // Config tunes a leader Group. The zero value of every optional field
@@ -89,17 +91,19 @@ type Config struct {
 	// Transport routes requests to peers. Required when Peers is
 	// non-empty.
 	Transport Transport
-	// Engine tunes the leader engine for Lead and Promote (SyncWrites is
-	// forced on — replication rides the synchronous batch commit).
+	// Engine tunes the leader engine for Lead and Promote (the engine
+	// forces SyncWrites on, since the commit hook is set: replication
+	// rides the synchronous batch commit).
 	Engine engine.Options
 	// Epoch is the starting epoch (Promote passes the successor epoch;
 	// a fresh group starts at 1).
 	Epoch uint64
 
-	// historyEntries bounds the in-memory resend window: the leader
-	// keeps the newest historyEntries entries, plus any older ones no
-	// quorum has committed yet (a batch larger than the window holds it
-	// open until its commit lands). A follower whose ack falls behind
+	// historyEntries bounds the in-memory resend window in ops, not
+	// entries: the leader keeps the newest entries that hold at least
+	// historyEntries ops between them, plus any older ones no quorum has
+	// committed yet (uncommitted batches larger than the window hold it
+	// open until their commit lands). A follower whose ack falls behind
 	// the window is caught up by snapshot seed instead of resend.
 	// Appending to the window is O(1) and allocates nothing; it occupies
 	// 2 × historyEntries slots of 48 bytes, more only while the
@@ -154,7 +158,6 @@ func (c Config) withDefaults() Config {
 	if c.retryAttempts <= 0 {
 		c.retryAttempts = 3
 	}
-	c.Engine.SyncWrites = true
 	return c
 }
 
@@ -173,8 +176,8 @@ type FollowerOptions struct {
 	// further.
 	Engine engine.Options
 
-	// maxLogEntries triggers replication-log compaction: once the log
-	// holds more than this many entries, the applied prefix is synced
+	// maxLogEntries triggers replication-log compaction: once the log's
+	// entries hold more than this many ops, the applied prefix is synced
 	// into the engine and dropped. Default 1 << 14. Unexported: only this
 	// package's tests shrink it.
 	maxLogEntries int

@@ -156,11 +156,12 @@ func TestReplBasic(t *testing.T) {
 	if n := snap.Counter("repl_batches_total"); n == 0 {
 		t.Fatal("repl_batches_total is zero")
 	}
-	if n := snap.Counter("repl_entries_shipped_total"); n < 50 {
-		t.Fatalf("repl_entries_shipped_total = %d, want >= 50 per follower", n)
+	// An entry is a batch: 40 one-op writes and one 10-op batch.
+	if n := snap.Counter("repl_entries_shipped_total"); n < 41 {
+		t.Fatalf("repl_entries_shipped_total = %d, want >= 41 per follower", n)
 	}
-	if m, _ := snap.Metric("repl_history_entries"); m.Int != 50 {
-		t.Fatalf("repl_history_entries = %d, want the 50 entries written", m.Int)
+	if m, _ := snap.Metric("repl_history_entries"); m.Int != 41 {
+		t.Fatalf("repl_history_entries = %d, want the 41 batches written", m.Int)
 	}
 }
 
@@ -302,13 +303,13 @@ func TestReplSeedCatchup(t *testing.T) {
 // across torn tails, and truncate/compact round-trip durably.
 func TestReplLogRecovery(t *testing.T) {
 	dir := t.TempDir()
-	l, err := openReplLog(vfs.OS{}, dir)
+	l, err := openReplLog(vfs.OS{}, dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var es []Entry
 	for i := 1; i <= 10; i++ {
-		es = append(es, Entry{Index: uint64(i), Epoch: 1, Op: []byte{byte(i), 0xab, 0xcd}})
+		es = append(es, Entry{Index: uint64(i), Epoch: 1, Batch: []byte{byte(i), 0xab, 0xcd}})
 	}
 	if err := l.append(es); err != nil {
 		t.Fatal(err)
@@ -326,7 +327,7 @@ func TestReplLogRecovery(t *testing.T) {
 	if err := os.Truncate(path, fi.Size()-2); err != nil {
 		t.Fatal(err)
 	}
-	l, err = openReplLog(vfs.OS{}, dir)
+	l, err = openReplLog(vfs.OS{}, dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,11 +341,11 @@ func TestReplLogRecovery(t *testing.T) {
 	if err := l.compactThrough(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.append([]Entry{{Index: 8, Epoch: 2, Op: []byte{8}}}); err != nil {
+	if err := l.append([]Entry{{Index: 8, Epoch: 2, Batch: []byte{8}}}); err != nil {
 		t.Fatal(err)
 	}
 	l.close() //nolint:errcheck
-	l, err = openReplLog(vfs.OS{}, dir)
+	l, err = openReplLog(vfs.OS{}, dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,5 +385,75 @@ func TestQuorumWatermark(t *testing.T) {
 		if got := QuorumWatermark(tc.lasts, tc.quorum); got != tc.want {
 			t.Errorf("case %d: QuorumWatermark(%v, %d) = %d, want %d", i, tc.lasts, tc.quorum, got, tc.want)
 		}
+	}
+}
+
+// TestLeadEngineForcesSyncWrites: an engine opened with a commit hook but
+// without SyncWrites still puts every write through a quorum round, so
+// with every peer partitioned a Put fails with ErrQuorum instead of
+// being acknowledged on the leader alone.
+func TestLeadEngineForcesSyncWrites(t *testing.T) {
+	c := rtCurve(t)
+	base := t.TempDir()
+	lb := NewLoopback()
+	tr := NewInjectingTransport(lb)
+	var ids []string
+	for _, id := range []string{"f1", "f2"} {
+		f, err := OpenFollower(id, filepath.Join(base, id), c, FollowerOptions{Engine: rtEngOpts()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close() //nolint:errcheck
+		lb.Register(id, f)
+		ids = append(ids, id)
+	}
+	hook := NewHook(c.Universe().Dims())
+	opts := rtEngOpts() // SyncWrites off
+	opts.CommitHook = hook
+	dir := filepath.Join(base, "leader")
+	eng, err := engine.Open(dir, c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close() //nolint:errcheck
+	g, err := LeadEngine(eng, dir, hook, Config{
+		ID: "leader", Peers: ids, Transport: tr,
+		retryBase: time.Millisecond, retryCap: 2 * time.Millisecond, retryAttempts: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close() //nolint:errcheck
+	tr.Partition(ids...)
+	if err := eng.Put(rtPoint(1), 1); !errors.Is(err, engine.ErrQuorum) {
+		t.Fatalf("put with every peer partitioned: %v, want ErrQuorum", err)
+	}
+}
+
+// TestLeaderAllocsPerBatchFlat pins the leader's cost per batch: the
+// hook copies the batch's bytes once, whatever it holds, so a 64-op
+// batch allocates no more than a 1-op batch. The group has no peers, so
+// the transport allocates nothing either.
+func TestLeaderAllocsPerBatchFlat(t *testing.T) {
+	g, err := Lead(t.TempDir(), rtCurve(t), Config{ID: "leader", Engine: rtEngOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close() //nolint:errcheck
+	allocs := func(n int) float64 {
+		ops := make([]engine.BatchOp, n)
+		for i := range ops {
+			ops[i] = engine.BatchOp{Point: rtPoint(i), Payload: uint64(i)}
+		}
+		return testing.AllocsPerRun(50, func() {
+			if err := g.Engine().PutBatch(ops); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, many := allocs(1), allocs(64)
+	t.Logf("allocs per batch: %v for 1 op, %v for 64 ops", one, many)
+	if many > one {
+		t.Fatalf("a 64-op batch allocates %v times, a 1-op batch %v: the leader allocates per op", many, one)
 	}
 }

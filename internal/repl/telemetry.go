@@ -11,7 +11,7 @@ type groupTelemetry struct {
 	reg *telemetry.Registry
 
 	batches    *telemetry.Counter   // quorum rounds acknowledged
-	entries    *telemetry.Counter   // entries shipped inside Ok appends
+	entries    *telemetry.Counter   // entries (batches) shipped inside Ok appends
 	appends    *telemetry.Counter   // Append requests sent (incl. retries, heartbeats)
 	seeds      *telemetry.Counter   // snapshot seeds served
 	quorumLost *telemetry.Counter   // batches failed with ErrQuorum
@@ -43,8 +43,7 @@ func newGroupTelemetry(g *Group) *groupTelemetry {
 		defer g.mu.Unlock()
 		return int64(g.commit)
 	})
-	// Above Config.historyEntries only while a batch larger than the
-	// window awaits its commit.
+	// Entries, that is batches; the window's bound counts ops.
 	reg.GaugeFunc("repl_history_entries", func() int64 {
 		g.mu.Lock()
 		defer g.mu.Unlock()

@@ -3,28 +3,31 @@ package repl
 import "sort"
 
 type histEntry struct {
-	e    Entry
-	eseq uint64 // engine sequence number the entry was appended under
+	e   Entry
+	ops int // ops in the batch
 }
 
 // window is the leader's resend history: the live entries, ascending in
-// both Index and eseq, as a slice sliding up one backing array. push
-// and trim move no entries; once the slice reaches the end of the array
-// the live entries are copied back to its start — one move per entry per
-// lap, so O(1) amortised — and nothing is allocated at steady state.
+// Index, as a slice sliding up one backing array. push and trim move no
+// entries; once the slice reaches the end of the array the live entries
+// are copied back to its start — one move per entry per lap, so O(1)
+// amortised — and nothing is allocated at steady state.
 //
-// The array holds 2 × historyEntries slots. It is replaced by a larger
-// one only while more than half of it is live, which takes more than
-// historyEntries un-trimmable entries (an uncommitted batch larger than
-// the window, or a promoted follower's longer log), and by one of the
-// steady-state size again once that backlog has been trimmed.
+// The window is bounded in ops (Config.historyEntries), and every entry
+// holds at least one, so the array's 2 × historyEntries slots cover the
+// steady state whatever the batch sizes. It is replaced by a larger one
+// only while more than half of it is live, which takes more than
+// historyEntries un-trimmable entries (uncommitted batches, or a
+// promoted follower's longer log), and by one of the steady-state size
+// again once that backlog has been trimmed.
 //
-// Slots outside live are zero, so a trimmed entry's Op bytes are
-// collectable; the Op buffers themselves are never written to, because
-// in-flight AppendRequests alias them.
+// Slots outside live are zero, so a trimmed entry's Batch bytes are
+// collectable; the Batch buffers themselves are never written to,
+// because in-flight AppendRequests alias them.
 type window struct {
 	buf    []histEntry
 	live   []histEntry // buf[lo:hi:len(buf)]
+	ops    int         // ops held by the live entries
 	steady int         // len(buf) at steady state: 2 × historyEntries
 }
 
@@ -38,6 +41,7 @@ func (w *window) push(e histEntry) {
 		w.makeRoom()
 	}
 	w.live = append(w.live, e) // in place: makeRoom left spare capacity
+	w.ops += e.ops
 }
 
 // makeRoom moves the live entries to the start of a backing array they
@@ -63,27 +67,25 @@ func (w *window) makeRoom() {
 
 // trim drops the n oldest entries.
 func (w *window) trim(n int) {
-	clear(w.live[:n])
+	w.drop(w.live[:n])
 	w.live = w.live[n:]
 }
 
 // truncate drops every entry from position n on.
 func (w *window) truncate(n int) {
-	clear(w.live[n:])
+	w.drop(w.live[n:])
 	w.live = w.live[:n]
+}
+
+// drop zeroes the slots of the live entries es and uncounts their ops.
+func (w *window) drop(es []histEntry) {
+	for _, h := range es {
+		w.ops -= h.ops
+	}
+	clear(es)
 }
 
 // search returns the position of the first entry with index >= idx.
 func (w *window) search(idx uint64) int {
 	return sort.Search(len(w.live), func(i int) bool { return w.live[i].e.Index >= idx })
-}
-
-// lastBySeq returns the index of the newest entry appended at or below
-// the engine sequence number seq, if the window holds one.
-func (w *window) lastBySeq(seq uint64) (uint64, bool) {
-	i := sort.Search(len(w.live), func(i int) bool { return w.live[i].eseq > seq })
-	if i == 0 {
-		return 0, false
-	}
-	return w.live[i-1].e.Index, true
 }

@@ -1,38 +1,49 @@
 package repl
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"slices"
 	"sort"
 	"testing"
+
+	"github.com/onioncurve/onion/internal/engine"
+	"github.com/onioncurve/onion/internal/geom"
 )
 
 // histModel is the reference the window is checked against: the resend
-// history as a plain slice that is copied whole on every trim, as the
-// code was before the sliding window, plus a record of every index ever
-// assigned so epochs resolve without marks.
+// history as a plain slice of batch entries that is copied whole on
+// every trim, as the code was before the sliding window, plus a record
+// of every index ever assigned so epochs resolve without marks.
 type histModel struct {
 	historyEntries, maxBatch int
 
 	hist     []histEntry
 	histBase uint64
 	commit   uint64
-	assigned []Entry // every index handed out, live or not; Op unused
+	assigned []Entry // every index handed out, live or not; Batch unused
 }
 
+// append adds a batch entry, then drops the longest committed prefix
+// whose removal leaves at least historyEntries ops held.
 func (m *histModel) append(e histEntry) {
 	m.assigned = append(m.assigned, Entry{Index: e.e.Index, Epoch: e.e.Epoch})
 	m.hist = append(m.hist, e)
-	if len(m.hist) > m.historyEntries {
-		drop := len(m.hist) - m.historyEntries
-		if committed := m.search(m.commit + 1); drop > committed {
-			drop = committed
+	drop := 0
+	for k := m.search(m.commit + 1); k > 0; k-- {
+		held := 0
+		for _, h := range m.hist[k:] {
+			held += h.ops
 		}
-		if drop > 0 {
-			m.histBase = m.hist[drop-1].e.Index
-			m.hist = append(m.hist[:0:0], m.hist[drop:]...)
+		if held >= m.historyEntries {
+			drop = k
+			break
 		}
+	}
+	if drop > 0 {
+		m.histBase = m.hist[drop-1].e.Index
+		m.hist = append(m.hist[:0:0], m.hist[drop:]...)
 	}
 }
 
@@ -62,17 +73,6 @@ func (m *histModel) epochOf(index uint64) uint64 {
 		epoch = a.Epoch
 	}
 	return epoch
-}
-
-func (m *histModel) lastBySeq(seq uint64) (uint64, bool) {
-	var idx uint64
-	found := false
-	for _, h := range m.hist {
-		if h.eseq <= seq {
-			idx, found = h.e.Index, true
-		}
-	}
-	return idx, found
 }
 
 // resendRun is one Append request of a resend: where it attaches and the
@@ -124,7 +124,7 @@ func (r *recordingFollower) HandleSeed(SeedRequest) (SeedResponse, error) {
 }
 
 // bareGroup is a Group with the replication state machine only: no
-// engine, no catch-up goroutine. appendOp, the history lookups and
+// engine, no catch-up goroutine. appendBatch, the history lookups and
 // shipLocked need neither.
 func bareGroup(historyEntries, maxBatch int, peer *recordingFollower) *Group {
 	lb := NewLoopback()
@@ -144,11 +144,12 @@ func bareGroup(historyEntries, maxBatch int, peer *recordingFollower) *Group {
 }
 
 // TestWindowMatchesCopyOnTrimModel drives a Group's history through
-// random appends (single ops, batches, batches larger than the window),
-// commit advances, orphan truncation and epoch changes, and after every
-// step compares it with the copy-on-trim model: the live entries and
-// their Op buffers, histBase, lastEntryIndex, epochOf, the commit
-// round's target, and for a peer at a random ack the resend runs or
+// random appends of batch entries of one to three ops (one at a time,
+// runs, runs larger than the window), commit advances, orphan
+// truncation and epoch changes, and after every step compares it with
+// the copy-on-trim model: the live entries and their Batch buffers, the
+// ops held, histBase, lastEntryIndex, epochOf, and for a peer at a
+// random ack the resend runs or
 // the needSeed verdict.
 func TestWindowMatchesCopyOnTrimModel(t *testing.T) {
 	for _, historyEntries := range []int{4, 64} {
@@ -158,14 +159,13 @@ func TestWindowMatchesCopyOnTrimModel(t *testing.T) {
 			maxBatch := 3 + historyEntries/8 // several requests per resend
 			g := bareGroup(historyEntries, maxBatch, peer)
 			m := &histModel{historyEntries: historyEntries, maxBatch: maxBatch}
-			var eseq uint64
 
 			appendN := func(n int) {
 				for ; n > 0; n-- {
-					eseq++
-					op := []byte{byte(eseq), byte(eseq >> 8)}
-					g.appendOp(eseq, op)
-					m.append(histEntry{e: Entry{Index: g.nextIndex, Epoch: g.epoch, Op: op}, eseq: eseq})
+					ops := 1 + rng.IntN(3)
+					batch := []byte{byte(ops), byte(g.nextIndex)}
+					idx := g.appendBatch(histEntry{e: Entry{Batch: batch}, ops: ops})
+					m.append(histEntry{e: Entry{Index: idx, Epoch: g.epoch, Batch: batch}, ops: ops})
 				}
 			}
 			// randomLive picks a live index above floor, or 0 if none.
@@ -201,26 +201,27 @@ func TestWindowMatchesCopyOnTrimModel(t *testing.T) {
 						step, g.histBase, g.lastEntryIndex(), m.histBase, m.lastEntryIndex())
 				}
 				if !slices.EqualFunc(g.hist.live, m.hist, func(a, b histEntry) bool {
-					return a.eseq == b.eseq && a.e.Index == b.e.Index && a.e.Epoch == b.e.Epoch &&
-						&a.e.Op[0] == &b.e.Op[0] // the same buffer, not a copy or a reused one
+					return a.ops == b.ops && a.e.Index == b.e.Index && a.e.Epoch == b.e.Epoch &&
+						&a.e.Batch[0] == &b.e.Batch[0] // the same buffer, not a copy or a reused one
 				}) {
 					t.Fatalf("step %d: live entries differ from the model", step)
 				}
+				held := 0
+				for _, h := range m.hist {
+					held += h.ops
+				}
+				if g.hist.ops != held {
+					t.Fatalf("step %d: window counts %d ops, model holds %d", step, g.hist.ops, held)
+				}
 				lo := len(g.hist.buf) - cap(g.hist.live)
 				for i, h := range g.hist.buf {
-					if (i < lo || i >= lo+len(g.hist.live)) && (h.e.Op != nil || h.e.Index != 0) {
+					if (i < lo || i >= lo+len(g.hist.live)) && (h.e.Batch != nil || h.e.Index != 0) {
 						t.Fatalf("step %d: slot %d outside the live range [%d,%d) is not zero", step, i, lo, lo+len(g.hist.live))
 					}
 				}
 				probe := rng.Uint64N(g.nextIndex + 2)
 				if got, want := g.epochOf(probe), m.epochOf(probe); got != want {
 					t.Fatalf("step %d: epochOf(%d) = %d, model %d", step, probe, got, want)
-				}
-				seq := rng.Uint64N(eseq + 2)
-				gi, gok := g.hist.lastBySeq(seq)
-				mi, mok := m.lastBySeq(seq)
-				if gi != mi || gok != mok {
-					t.Fatalf("step %d: lastBySeq(%d) = %d %v, model %d %v", step, seq, gi, gok, mi, mok)
 				}
 
 				// A peer somewhere at or below the newest entry — below the
@@ -256,11 +257,9 @@ func TestWindowSteadyStateIsAllocationFree(t *testing.T) {
 	const historyEntries = 256
 	g := bareGroup(historyEntries, 0, &recordingFollower{})
 	buf := &g.hist.buf[0]
-	op := []byte{1}
-	var eseq uint64
+	batch := []byte{1}
 	committedAppend := func() {
-		eseq++
-		g.appendOp(eseq, op)
+		g.appendBatch(histEntry{e: Entry{Batch: batch}, ops: 1})
 		g.commit = g.nextIndex
 	}
 	committedAppend() // the first append also records the epoch mark
@@ -278,5 +277,44 @@ func TestWindowSteadyStateIsAllocationFree(t *testing.T) {
 	}
 	if len(g.hist.live) != historyEntries || g.histBase != g.nextIndex-historyEntries {
 		t.Fatalf("window holds %d entries above base %d after %d appends", len(g.hist.live), g.histBase, g.nextIndex)
+	}
+}
+
+// TestWindowCountsOps: the resend window is bounded in ops, not entries.
+// Fed 3-op batches through the hook with historyEntries 4, it trims to
+// the two newest entries, 6 ops, and never below 4 ops; each entry holds
+// its own copy of the engine's batch bytes.
+func TestWindowCountsOps(t *testing.T) {
+	const historyEntries = 4
+	g := bareGroup(historyEntries, 0, &recordingFollower{})
+	g.peers = nil // nothing to ship: quorum is the leader alone
+	h := NewHook(2)
+	h.bind(g)
+	batch := engine.EncodeBatch(nil, []engine.BatchOp{
+		{Point: geom.Point{1, 2}, Payload: 3},
+		{Point: geom.Point{4, 5}, Del: true},
+		{Point: geom.Point{6, 7}, Payload: 8},
+	}, 2)
+	var seq uint64
+	for i := 1; i <= 10; i++ {
+		seq += 3
+		h.Append(seq, batch)
+		want := min(i, 2)
+		if len(g.hist.live) != want || g.hist.ops != 3*want {
+			t.Fatalf("after %d batches the window holds %d entries, %d ops; want %d, %d",
+				i, len(g.hist.live), g.hist.ops, want, 3*want)
+		}
+		for _, e := range g.hist.live {
+			if e.ops != 3 || &e.e.Batch[0] == &batch[0] || !bytes.Equal(e.e.Batch, batch) {
+				t.Fatalf("entry %d: %d ops, bytes %x; want a copy of the 3-op batch", e.e.Index, e.ops, e.e.Batch)
+			}
+		}
+		if i > 1 && g.hist.ops < historyEntries {
+			t.Fatalf("after %d batches the window holds %d ops, fewer than %d", i, g.hist.ops, historyEntries)
+		}
+		g.commit = g.nextIndex
+	}
+	if g.histBase != g.nextIndex-2 {
+		t.Fatalf("histBase %d, want %d", g.histBase, g.nextIndex-2)
 	}
 }

@@ -24,13 +24,14 @@ type Replicated struct {
 
 // OpenReplicated opens a sharded engine with per-shard replication.
 // cfg(i) supplies shard i's replication config (peer ids, transport,
-// quorum, retry shape); SyncWrites is forced on for every shard engine,
-// since a quorum ack is only meaningful on top of a durable local
-// append. Reopening a directory that already led an epoch requires a
-// higher cfg(i).Epoch, the same fencing rule repl.LeadEngine enforces;
-// the reopened shards' followers are re-seeded by snapshot at open,
-// since the reopened replication index namespace restarts at zero and a
-// follower's old-epoch log cannot attest to anything in it.
+// quorum, retry shape). Each shard engine gets a commit hook, so the
+// engine forces SyncWrites on: a quorum ack is only meaningful on top of
+// a durable local append. Reopening a directory that already led an
+// epoch requires a higher cfg(i).Epoch, the same fencing rule
+// repl.LeadEngine enforces; the reopened shards' followers are re-seeded
+// by snapshot at open, since the reopened replication index namespace
+// restarts at zero and a follower's old-epoch log cannot attest to
+// anything in it.
 func OpenReplicated(dir string, c curve.Curve, opts Options, cfg func(shard int) repl.Config) (*Replicated, error) {
 	opts = opts.withDefaults()
 	dims := c.Universe().Dims()
@@ -39,7 +40,6 @@ func OpenReplicated(dir string, c curve.Curve, opts Options, cfg func(shard int)
 		hooks[i] = repl.NewHook(dims)
 	}
 	opts.commitHook = func(i int) engine.CommitHook { return hooks[i] }
-	opts.Engine.SyncWrites = true
 	s, err := Open(dir, c, opts)
 	if err != nil {
 		return nil, err
@@ -71,7 +71,7 @@ func (r *Replicated) Heartbeat() {
 	}
 }
 
-// Lag reports follower lag in entries across every shard, keyed
+// Lag reports follower lag in entries (batches) across every shard, keyed
 // "shard/peer".
 func (r *Replicated) Lag() map[string]uint64 {
 	out := make(map[string]uint64)

@@ -240,9 +240,10 @@ type (
 	// ReplConfig tunes a ReplGroup: peer ids, transport, leader engine
 	// options and starting epoch. The quorum is not an option: it is the
 	// majority of the group, leader included; nor is the resend window
-	// (16 384 entries, seed refreshed as often), nor the retry shape of a
-	// failed quorum round (2 ms backoff doubling to 20 ms, three rounds,
-	// then ErrQuorum).
+	// (the newest entries holding 16 384 ops; an entry is one write
+	// batch, and the seed is refreshed every 16 384 entries), nor the
+	// retry shape of a failed quorum round (2 ms backoff doubling to
+	// 20 ms, three rounds, then ErrQuorum).
 	ReplConfig = repl.Config
 	// ReplFollower is the replica side: it persists shipped entries in a
 	// CRC-framed replication log and applies the quorum-committed prefix
