@@ -14,17 +14,19 @@ import (
 // WALs. scanDir skips directories, so archived logs are invisible to the
 // normal Open path; Restore replays them for point-in-time recovery. Its
 // existence is also the engine's durable record that a snapshot was
-// exported: the first snapshot creates it, and Open resumes archiving
-// when it finds it.
+// exported: the first Snapshot or SnapshotSince creates it (ExportSeed
+// does not), and Open resumes archiving when it finds it.
 const archiveDirName = "archive"
 
 func archiveDir(dir string) string { return filepath.Join(dir, archiveDirName) }
 
 // NoArchive returns o with WAL archiving off: every retired WAL is
-// deleted, even after a snapshot. It is the mode of a replication
-// follower, whose replication log holds each entry until its engine
-// holds it in a segment, and whose snapshots therefore restore to their
-// own boundary only. The repl package sets it on followers, as it sets
+// deleted, even after a snapshot, and every snapshot's manifest names no
+// archive, so it restores to its own boundary only. It is the mode of a
+// replication follower, whose replication log holds each entry until its
+// engine holds it in a segment: a user snapshot of a follower's engine
+// would otherwise start an archive that duplicates that log and that
+// nothing prunes. The repl package sets it on followers, as it sets
 // Options.CommitHook on leaders.
 func NoArchive(o Options) Options {
 	o.noArchive = true

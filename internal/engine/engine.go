@@ -74,8 +74,9 @@ type Options struct {
 
 	// noArchive deletes every retired WAL, even after a snapshot (see
 	// NoArchive). Without it, a WAL retired before the engine's first
-	// snapshot is deleted and every later one is archived under
-	// dir/archive/ and kept: the history point-in-time restore replays.
+	// snapshot (ExportSeed does not count) is deleted and every later one
+	// is archived under dir/archive/ and kept: the history point-in-time
+	// restore replays.
 	noArchive bool
 
 	// Background-failure backoff: a failed background flush or compaction
@@ -221,8 +222,9 @@ type Engine struct {
 
 	flushMu sync.Mutex // serializes flush and compaction bodies
 	// archiving (under flushMu) moves retired WALs into archive/ instead
-	// of deleting them: the first snapshot sets it, and so does Open when
-	// archive/ exists.
+	// of deleting them: the first Snapshot or SnapshotSince sets it (an
+	// ExportSeed leaves it as it is), and so does Open when archive/
+	// exists.
 	archiving bool
 
 	bgErrMu sync.Mutex

@@ -30,7 +30,10 @@ type RestoreReport struct {
 // replays everything (restore-to-latest); upTo == 0 restores the
 // snapshot alone. The boundary is exact for cleanly flushed history:
 // record j of the replay stream is the j-th write acknowledged after the
-// snapshot's flush point.
+// snapshot's flush point. A snapshot whose manifest names no archive
+// (archive -: a seed from ExportSeed, or a snapshot of a NoArchive
+// engine) restores to its own boundary whatever upTo is, and reads
+// nothing but the snapshot chain.
 //
 // targetDir must not exist. The build happens in a sibling directory
 // renamed into place, so an injected failure or crash at any point leaves
@@ -99,9 +102,11 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 	// snapshot segment covers hold nothing the segments don't (the Open
 	// rule); the rest carry the writes acknowledged after the snapshot,
 	// in generation order = acknowledgement order.
-	gens, err := archivedWALs(fsys, man.archive)
-	if err != nil {
-		return rep, err
+	var gens []uint64
+	if man.archive != "" {
+		if gens, err = archivedWALs(fsys, man.archive); err != nil {
+			return rep, err
+		}
 	}
 	var mem *memtable
 	var seq uint64

@@ -50,23 +50,31 @@ type snapManifest struct {
 	dims, side int
 	epoch      uint64
 	parent     string // parent snapshot dir, "" for a full snapshot
-	archive    string // source engine's WAL archive dir (for PITR)
-	segs       []snapSeg
+	// archive is the source engine's WAL archive dir, which a restore
+	// replays past the snapshot boundary; "" (written "-") for a snapshot
+	// that restores to its own boundary only: a seed, or a snapshot of an
+	// engine that never archives.
+	archive string
+	segs    []snapSeg
 }
 
 func (m *snapManifest) body() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "onion-snapshot v1\ncurve %s\ndims %d\nside %d\nepoch %d\n",
 		m.curveName, m.dims, m.side, m.epoch)
-	parent := m.parent
-	if parent == "" {
-		parent = "-"
-	}
-	fmt.Fprintf(&b, "parent %s\narchive %s\nsegments %d\n", parent, m.archive, len(m.segs))
+	fmt.Fprintf(&b, "parent %s\narchive %s\nsegments %d\n", orDash(m.parent), orDash(m.archive), len(m.segs))
 	for _, s := range m.segs {
 		fmt.Fprintf(&b, "%s %d %d\n", s.name, s.size, s.recs)
 	}
 	return b.String()
+}
+
+// orDash writes an absent manifest path as "-".
+func orDash(path string) string {
+	if path == "" {
+		return "-"
+	}
+	return path
 }
 
 func parseSnapshotManifest(data []byte) (*snapManifest, error) {
@@ -103,7 +111,9 @@ func parseSnapshotManifest(data []byte) (*snapManifest, error) {
 	if !ok || key != "archive" {
 		return nil, bad("archive line")
 	}
-	m.archive = val
+	if val != "-" {
+		m.archive = val
+	}
 	var n int
 	if len(lines) < 8 {
 		return nil, bad("segments line")
@@ -226,6 +236,23 @@ func (e *Engine) Snapshot(dir string) (SnapshotReport, error) {
 // so parents must outlive their children. An empty parent selects a full
 // export.
 func (e *Engine) SnapshotSince(dir, parent string) (SnapshotReport, error) {
+	return e.snapshot(dir, parent, false)
+}
+
+// ExportSeed exports a full snapshot that restores to its own boundary
+// only: it neither creates the engine's WAL archive nor starts archiving,
+// and its manifest names no archive. It is the catch-up snapshot of a
+// replication leader, whose resend window holds every entry past the
+// seed's base, so replaying the leader's archive would only re-apply
+// entries the window ships anyway. An engine that already archives keeps
+// archiving; a later Snapshot or SnapshotSince starts the archive as
+// usual. The repl package calls it, as it sets NoArchive on followers.
+func ExportSeed(e *Engine, dir string) (SnapshotReport, error) {
+	return e.snapshot(dir, "", true)
+}
+
+// snapshot is the body of SnapshotSince and ExportSeed.
+func (e *Engine) snapshot(dir, parent string, seed bool) (SnapshotReport, error) {
 	// flushMu freezes the segment set: flush and compaction bodies hold it
 	// for their whole duration, so the live segment list cannot change
 	// under the export.
@@ -233,7 +260,7 @@ func (e *Engine) SnapshotSince(dir, parent string) (SnapshotReport, error) {
 	defer e.flushMu.Unlock()
 	start := time.Now()
 	e.emitEvent(telemetry.Event{Kind: telemetry.EvSnapshot, Phase: telemetry.PhaseStart, Detail: dir})
-	rep, err := e.snapshotSinceLocked(dir, parent)
+	rep, err := e.snapshotSinceLocked(dir, parent, seed)
 	dur := time.Since(start)
 	if tel := e.tel; tel != nil && err == nil {
 		tel.snapshots.Inc()
@@ -246,14 +273,17 @@ func (e *Engine) SnapshotSince(dir, parent string) (SnapshotReport, error) {
 	return rep, err
 }
 
-// snapshotSinceLocked is SnapshotSince's body; the caller holds flushMu.
-func (e *Engine) snapshotSinceLocked(dir, parent string) (SnapshotReport, error) {
+// snapshotSinceLocked is snapshot's body; the caller holds flushMu. A
+// seed, and any snapshot of a NoArchive engine, names no archive in its
+// manifest and leaves the archive as it is.
+func (e *Engine) snapshotSinceLocked(dir, parent string, seed bool) (SnapshotReport, error) {
 	// Start the archive before the flush: from the first snapshot on, a
 	// retired WAL holds writes a restore replays past a snapshot
 	// boundary. The directory, made durable here, is what tells a reopen
 	// that a snapshot was exported; it lands before the manifest commits,
 	// so a crash in between errs towards keeping.
-	if !e.opts.noArchive {
+	archive := !seed && !e.opts.noArchive
+	if archive {
 		if err := e.fs.MkdirAll(archiveDir(e.dir), 0o755); err != nil {
 			return SnapshotReport{}, fmt.Errorf("engine: snapshot: %w", err)
 		}
@@ -304,7 +334,9 @@ func (e *Engine) snapshotSinceLocked(dir, parent string) (SnapshotReport, error)
 		side:      int(u.Side()),
 		epoch:     1,
 		parent:    parent,
-		archive:   archiveDir(e.dir),
+	}
+	if archive {
+		man.archive = archiveDir(e.dir)
 	}
 	if parentMan != nil {
 		man.epoch = parentMan.epoch + 1

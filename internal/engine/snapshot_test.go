@@ -488,3 +488,193 @@ func TestSnapshotManifestRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// applyFlushing applies ops[from:to] to e (opened at dir when nil),
+// flushing after every tenth op so WAL generations retire along the
+// way.
+func applyFlushing(t *testing.T, dir string, ops []fwOp, from, to int, e *Engine) *Engine {
+	t.Helper()
+	if e == nil {
+		var err error
+		if e, err = Open(dir, fwCurve(t), snapOpts(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, op := range ops[from:to] {
+		var err error
+		if op.del {
+			err = e.Delete(op.pt)
+		} else {
+			err = e.Put(op.pt, op.pay)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (from+i+1)%10 == 0 {
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return e
+}
+
+// TestSeedManifestGoldenBytes pins a seed's manifest byte for byte: it
+// is a full snapshot (parent -) that names no archive (archive -), and
+// exporting it creates no archive/ and leaves the engine deleting the
+// WALs it retires.
+func TestSeedManifestGoldenBytes(t *testing.T) {
+	ops := fwWorkload()
+	dir := t.TempDir()
+	seed := filepath.Join(t.TempDir(), "seed")
+	e := applyFlushing(t, dir, ops, 0, 15, nil)
+	if _, err := ExportSeed(e, seed); err != nil {
+		t.Fatal(err)
+	}
+	e = applyFlushing(t, dir, ops, 15, 40, e)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(archiveDir(dir)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("archive/ after a seed and three flushes: stat = %v, want absent", err)
+	}
+	got, err := os.ReadFile(filepath.Join(seed, snapshotManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "onion-snapshot v1\ncurve onion\ndims 2\nside 64\nepoch 1\n" +
+		"parent -\narchive -\nsegments 2\n" +
+		"seg-000000000000-000000000000-000.pst 262 9\n" +
+		"seg-000000000001-000000000001-000.pst 261 5\n"
+	if string(got) != want {
+		t.Fatalf("seed manifest:\n%s\nwant:\n%s", got, want)
+	}
+	m, err := parseSnapshotManifest(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.parent != "" || m.archive != "" {
+		t.Fatalf("parsed seed manifest: parent %q archive %q, want both absent", m.parent, m.archive)
+	}
+}
+
+// TestRestoreSeedStopsAtBoundary: a seed restores to its own boundary
+// whatever upTo is, even when its source engine archives (a user
+// snapshot started the archive before the seed) and has archived WALs
+// past the seed. The seed leaves that archive running, and the user
+// snapshot still restores past its boundary from it.
+func TestRestoreSeedStopsAtBoundary(t *testing.T) {
+	ops := fwWorkload()
+	o := fwCurve(t)
+	dir := t.TempDir()
+	snap := filepath.Join(t.TempDir(), "snap")
+	seed := filepath.Join(t.TempDir(), "seed")
+	const snapAt, seedAt = 20, 45
+
+	e := applyFlushing(t, dir, ops, 0, snapAt, nil)
+	if _, err := e.Snapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	e = applyFlushing(t, dir, ops, snapAt, seedAt, e)
+	if _, err := ExportSeed(e, seed); err != nil {
+		t.Fatal(err)
+	}
+	before, err := archivedWALs(vfs.OS{}, archiveDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e = applyFlushing(t, dir, ops, seedAt, len(ops), e)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := archivedWALs(vfs.OS{}, archiveDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) <= len(before) {
+		t.Fatalf("archived WALs %v after the seed, %v before: an archiving engine must keep archiving", after, before)
+	}
+
+	for _, upTo := range []int{-1, 0, 7} {
+		target := filepath.Join(t.TempDir(), "restored")
+		rep, err := Restore(seed, target, upTo, o, snapOpts(nil))
+		if err != nil {
+			t.Fatalf("restore seed upTo %d: %v", upTo, err)
+		}
+		if rep.WALs != 0 || rep.Replayed != 0 {
+			t.Fatalf("restore seed upTo %d replayed %d records from %d WALs, want none", upTo, rep.Replayed, rep.WALs)
+		}
+		if got, want := fwRecover(t, target), fwStateAfter(o, ops, seedAt); !maps.Equal(got, want) {
+			t.Fatalf("restore seed upTo %d: %d records, want %d (state of ops[:%d])", upTo, len(got), len(want), seedAt)
+		}
+	}
+
+	target := filepath.Join(t.TempDir(), "restored-snap")
+	rep, err := Restore(snap, target, -1, o, snapOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Replayed != len(ops)-snapAt {
+		t.Fatalf("restore of the user snapshot replayed %d records, want %d", rep.Replayed, len(ops)-snapAt)
+	}
+	if got, want := fwRecover(t, target), fwStateAfter(o, ops, len(ops)); !maps.Equal(got, want) {
+		t.Fatalf("restore of the user snapshot: %d records, want %d", len(got), len(want))
+	}
+}
+
+// TestRestoreParentFormatManifest: a user snapshot's manifest names the
+// archive by path, in the format older releases wrote, and a literal
+// manifest of that format parses and replays the archive past its
+// boundary.
+func TestRestoreParentFormatManifest(t *testing.T) {
+	ops := fwWorkload()
+	o := fwCurve(t)
+	dir := t.TempDir()
+	snap := filepath.Join(t.TempDir(), "snap")
+	const snapAt = 30
+
+	e := applyFlushing(t, dir, ops, 0, snapAt, nil)
+	if _, err := e.Snapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	e = applyFlushing(t, dir, ops, snapAt, len(ops), e)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	literal := "onion-snapshot v1\ncurve onion\ndims 2\nside 64\nepoch 1\n" +
+		"parent -\narchive " + archiveDir(dir) + "\nsegments 3\n" +
+		"seg-000000000000-000000000000-000.pst 262 9\n" +
+		"seg-000000000001-000000000001-000.pst 262 9\n" +
+		"seg-000000000002-000000000002-000.pst 262 9\n"
+	path := filepath.Join(snap, snapshotManifestName)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != literal {
+		t.Fatalf("user snapshot manifest:\n%s\nwant:\n%s", got, literal)
+	}
+	// Republish the literal itself, so the restore reads exactly those
+	// bytes rather than what this build wrote.
+	if err := os.WriteFile(path, []byte(literal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := parseSnapshotManifest([]byte(literal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.archive != archiveDir(dir) {
+		t.Fatalf("parsed archive %q, want %q", m.archive, archiveDir(dir))
+	}
+	target := filepath.Join(t.TempDir(), "restored")
+	rep, err := Restore(snap, target, -1, o, snapOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Replayed != len(ops)-snapAt || rep.WALs == 0 {
+		t.Fatalf("restore replayed %d records from %d WALs, want %d", rep.Replayed, rep.WALs, len(ops)-snapAt)
+	}
+	if got, want := fwRecover(t, target), fwStateAfter(o, ops, len(ops)); !maps.Equal(got, want) {
+		t.Fatalf("restore: %d records, want %d", len(got), len(want))
+	}
+}

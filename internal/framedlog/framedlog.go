@@ -142,13 +142,22 @@ func (w *Writer) Bytes() int64 { return w.n }
 // Replay calls fn with the payload of every frame of the log at path, in
 // order, until the file ends, a frame fails its length or checksum, or
 // fn returns false (the caller's codec rejects the payload) — all three
-// are tail damage, not errors: the frames before are the log. The
-// payload aliases Replay's buffer and is valid only during the call.
+// are tail damage, not errors: the frames before are the log. Each
+// payload aliases one buffer Replay reads the whole file into, fresh for
+// every call and never written to again: the caller owns it after the
+// call and may keep payloads without copying them.
 func Replay(fsys vfs.FS, path string, fn func(payload []byte) bool) error {
 	data, err := vfs.ReadFile(fsys, path)
 	if err != nil {
 		return err
 	}
+	ReplayBytes(data, fn)
+	return nil
+}
+
+// ReplayBytes is Replay over a log's content already read into data;
+// each payload aliases data.
+func ReplayBytes(data []byte, fn func(payload []byte) bool) {
 	for len(data) >= headerBytes {
 		pl := int(binary.LittleEndian.Uint32(data))
 		if pl == 0 || pl > len(data)-headerBytes {
@@ -160,5 +169,20 @@ func Replay(fsys vfs.FS, path string, fn func(payload []byte) bool) error {
 		}
 		data = data[headerBytes+pl:]
 	}
-	return nil
+}
+
+// Frames counts the frames of data whose length fits, without checking
+// a checksum: a bound on the payloads ReplayBytes yields, cheap enough
+// to size a slice for them before replaying.
+func Frames(data []byte) int {
+	n := 0
+	for len(data) >= headerBytes {
+		pl := int(binary.LittleEndian.Uint32(data))
+		if pl == 0 || pl > len(data)-headerBytes {
+			break
+		}
+		n++
+		data = data[headerBytes+pl:]
+	}
+	return n
 }

@@ -165,8 +165,9 @@ func TestWriterLatchesFailure(t *testing.T) {
 // optionally has one byte flipped, optionally gains a garbage frame
 // header, and replay must: never fail; return exactly the written frames
 // for every frame that ends before the first damaged byte; return an
-// exact prefix when the damage is pure truncation; and be stable — the
-// valid prefix it reports replays to the same payloads.
+// exact prefix when the damage is pure truncation; yield no more frames
+// than Frames counts; and be stable — the valid prefix it reports
+// replays to the same payloads.
 func FuzzFramedLogReplay(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint16(7), false, uint32(0))
 	f.Add([]byte{0xff, 0x00, 0xaa}, uint16(0), false, uint32(0))
@@ -211,6 +212,9 @@ func FuzzFramedLogReplay(f *testing.F) {
 		got, valid := replayAll(t, path)
 		if valid > int64(len(raw)) {
 			t.Fatalf("valid prefix %d beyond the %d-byte file", valid, len(raw))
+		}
+		if n := Frames(raw); n < len(got) {
+			t.Fatalf("Frames counts %d frames, replay yields %d", n, len(got))
 		}
 		whole, off := 0, 0
 		for _, p := range written {

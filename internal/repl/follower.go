@@ -329,11 +329,13 @@ func (f *Follower) compact() error {
 	return writeState(f.fsys, f.dir, f.st)
 }
 
-// HandleSeed wipes the replica and restores it from the leader's
-// snapshot: engine.Restore copies the snapshot's segments and replays
-// the source's archived WALs, so the rebuilt engine holds everything
-// through req.Base (and possibly a little beyond; re-application is
-// idempotent). The replication log restarts empty at base = req.Base.
+// HandleSeed wipes the replica and restores it from the leader's seed
+// snapshot alone: engine.Restore copies the seed's segments and reads
+// nothing else, so the rebuilt engine holds everything through req.Base
+// (and possibly a little beyond; re-application is idempotent). No
+// archive replay is needed: the leader ships a seed only while its base
+// is inside the resend window, so every entry past req.Base comes from
+// the window. The replication log restarts empty at base = req.Base.
 //
 // The wipe-and-rename is not crash-atomic; a process crash mid-seed
 // leaves a fresh follower that simply seeds again. A seed that fails
@@ -355,7 +357,7 @@ func (f *Follower) HandleSeed(req SeedRequest) (SeedResponse, error) {
 	f.log.close() //nolint:errcheck
 	restored := f.dir + ".seed-restore"
 	vfs.RemoveAll(f.fsys, restored) //nolint:errcheck // debris from an interrupted seed; Restore refuses a target that is left
-	if _, err := engine.Restore(req.Snapshot, restored, -1, f.c, f.opts.Engine); err != nil {
+	if _, err := engine.Restore(req.Snapshot, restored, 0, f.c, f.opts.Engine); err != nil {
 		// The directory is as the handles left it: carry on from it.
 		if f.open() != nil {
 			f.mustSeed = true

@@ -149,16 +149,17 @@ func archivedWALs(t *testing.T, dir string) int {
 	return len(wals)
 }
 
-// TestFollowerKeepsNoWALArchive pins the single-copy rule and what
-// follows from it. A follower's engine deletes the WALs it retires, even
-// after a snapshot — where a leader starts archiving — so after flushes
-// and rotations its directory holds no archive, and a snapshot of it
-// restores to the snapshot's own boundary and no further. Promote
-// reopens the engine with the leader's options: the same directory
-// archives once it has exported a seed, and a cached seed snapshot is
-// still reused for a follower that falls behind shortly after it was
-// taken.
-func TestFollowerKeepsNoWALArchive(t *testing.T) {
+// TestFollowerSnapshotStopsAtItsBoundary pins the single-copy rule and
+// what follows from it. A follower's engine deletes the WALs it retires,
+// even after a snapshot of it, so after flushes and rotations its
+// directory holds no archive, and a snapshot of it restores to the
+// snapshot's own boundary and no further. A user snapshot of the leader
+// under the same workload archives. Promote reopens a follower's engine
+// with the leader's options: a cached seed the promoted leader has since
+// moved past still catches a straggler up from the resend window, the
+// seeds it exports leave it without an archive, and its first user
+// snapshot starts one.
+func TestFollowerSnapshotStopsAtItsBoundary(t *testing.T) {
 	opts := rtEngOpts()
 	opts.FlushEntries = 8 // frequent flushes retire WALs
 	cfg := Config{
@@ -211,8 +212,10 @@ func TestFollowerKeepsNoWALArchive(t *testing.T) {
 	}
 
 	restored := filepath.Join(t.TempDir(), "restored")
-	if _, err := engine.Restore(snap, restored, -1, cl.c, opts); err != nil {
+	if rep, err := engine.Restore(snap, restored, -1, cl.c, opts); err != nil {
 		t.Fatal(err)
+	} else if rep.WALs != 0 || rep.Replayed != 0 {
+		t.Fatalf("restore of a follower snapshot replayed %d records from %d WALs, want none", rep.Replayed, rep.WALs)
 	}
 	re, err := engine.Open(restored, cl.c, opts)
 	if err != nil {
@@ -269,13 +272,23 @@ func TestFollowerKeepsNoWALArchive(t *testing.T) {
 	assertSameState(t, cl.c, want, f2.Engine(), "f2")
 	assertSameState(t, cl.c, want, f3.Engine(), "f3")
 
-	// The promoted leader has exported a seed, so what it retires from
-	// now on is archived: its directory is a leader's.
+	// The promoted leader has exported seeds only, so it still deletes
+	// what it retires; its first user snapshot starts the archive.
 	put(ng.Engine(), 102, 110)
 	if err := ng.Engine().Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if n := archivedWALs(t, f1.dir); n != 0 {
+		t.Fatalf("the promoted leader archived %d WALs after seed exports only", n)
+	}
+	if _, err := ng.Engine().Snapshot(filepath.Join(t.TempDir(), "promoted-snap")); err != nil {
+		t.Fatal(err)
+	}
+	put(ng.Engine(), 110, 118)
+	if err := ng.Engine().Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if archivedWALs(t, f1.dir) == 0 {
-		t.Fatal("the promoted leader archived no WAL after its seed export")
+		t.Fatal("the promoted leader archived no WAL after a user snapshot")
 	}
 }

@@ -827,11 +827,12 @@ func (g *Group) seedPeerLocked(p *peerState, dir string, base, baseEpoch uint64)
 // ensureSeed exports (or reuses) the catch-up snapshot. The base index
 // is captured before the snapshot, so the snapshot holds at least every
 // entry up to it — entries past it re-apply idempotently on the
-// follower. A seed is an exported snapshot, so the leader's engine
-// archives every WAL it retires from then on and nothing prunes the
-// archive: however stale, a cached seed restores past its base. Only a
-// follower's engine deletes retired WALs (FollowerOptions), and Promote
-// reopens it with Config.Engine, so every leader engine archives.
+// follower. The seed is an engine.ExportSeed: it restores to its own
+// boundary only and does not start the leader's WAL archive, which
+// nothing would prune. It needs none: a cached seed is reused only while
+// its base is inside the resend window, so every entry past the base is
+// shipped from the window, and a follower whose restore outlasts the
+// window is flagged for another seed.
 func (g *Group) ensureSeed() (string, uint64, uint64, error) {
 	g.seedMu.Lock()
 	defer g.seedMu.Unlock()
@@ -856,7 +857,7 @@ func (g *Group) ensureSeed() (string, uint64, uint64, error) {
 	if err := vfs.RemoveAll(g.eng.FS(), dir); err != nil {
 		return "", 0, 0, err
 	}
-	if _, err := g.eng.Snapshot(dir); err != nil {
+	if _, err := engine.ExportSeed(g.eng, dir); err != nil {
 		return "", 0, 0, err
 	}
 	g.seedDir, g.seedBase, g.seedEpoch = dir, base, epoch

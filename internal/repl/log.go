@@ -48,6 +48,7 @@ func encodeEntry(dst []byte, e Entry) []byte {
 	return append(dst, e.Batch...)
 }
 
+// decodeEntry parses one frame payload. The entry's Batch aliases p.
 func decodeEntry(p []byte) (Entry, bool) {
 	if len(p) <= entryHeader {
 		return Entry{}, false
@@ -55,7 +56,7 @@ func decodeEntry(p []byte) (Entry, bool) {
 	return Entry{
 		Index: binary.LittleEndian.Uint64(p[0:]),
 		Epoch: binary.LittleEndian.Uint64(p[8:]),
-		Batch: append([]byte(nil), p[entryHeader:]...),
+		Batch: p[entryHeader:],
 	}, true
 }
 
@@ -74,22 +75,26 @@ type replLog struct {
 // openReplLog replays the log in dir (a missing file is an empty log) of
 // dims-dimensional ops, keeping the longest prefix of intact,
 // index-ordered entries, and republishes that prefix so appends land
-// right after it.
+// right after it. The entries' batches alias the one buffer the file is
+// read into, and the entry index is sized once from the frame count, so
+// opening allocates the same whatever the log's length.
 func openReplLog(fsys vfs.FS, dir string, dims int) (*replLog, error) {
 	l := &replLog{fsys: fsys, path: filepath.Join(dir, logName), dims: dims}
-	var valid []Entry
-	err := framedlog.Replay(fsys, l.path, func(p []byte) bool {
-		e, ok := decodeEntry(p)
-		if !ok || (len(valid) > 0 && e.Index <= valid[len(valid)-1].Index) {
-			return false // not an entry, or an ordering violation: tail damage
-		}
-		valid = append(valid, e)
-		return true
-	})
+	data, err := vfs.ReadFile(fsys, l.path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, logErr(err)
 	}
-	if err := l.rewrite(valid); err != nil {
+	l.entries = make([]Entry, 0, framedlog.Frames(data))
+	framedlog.ReplayBytes(data, func(p []byte) bool {
+		e, ok := decodeEntry(p)
+		if n := len(l.entries); !ok || (n > 0 && e.Index <= l.entries[n-1].Index) {
+			return false // not an entry, or an ordering violation: tail damage
+		}
+		l.entries = append(l.entries, e)
+		return true
+	})
+	// rewrite copies its argument onto l.entries: here, onto itself.
+	if err := l.rewrite(l.entries); err != nil {
 		if l.w != nil {
 			l.w.Abandon()
 		}

@@ -25,9 +25,10 @@
 // followers that received such orphans. A node whose *applied* state
 // diverges — canonically an ex-leader rejoining with writes no quorum
 // ever acknowledged — cannot truncate its engine, so it re-seeds: the
-// leader ships a snapshot (engine.Snapshot + engine.Restore, which also
-// replays the leader's archived WALs), wiping the divergent history
-// rather than resurrecting it.
+// leader ships a seed snapshot (engine.ExportSeed + engine.Restore to
+// the seed's own boundary; the resend window carries everything past
+// it), wiping the divergent history rather than resurrecting it. A seed
+// does not start the leader's WAL archive: only a user snapshot does.
 //
 // Failover is deterministic and externally driven: the controller (a
 // test, an operator, a future consensus layer) picks the reachable
@@ -167,13 +168,14 @@ type FollowerOptions struct {
 	// default: the follower's durable truth is its replication log, and
 	// the engine catches up on compaction and close. Archiving is forced
 	// off (engine.NoArchive: retired WALs are deleted, even after a
-	// snapshot): an entry already sits in the replication log until the
-	// engine holds it in a segment, and nothing reads a follower's
-	// archive — seeds replay the leader's, and Promote reopens the engine
-	// with Config.Engine, which archives from its first snapshot on.
-	// Point-in-time restore is therefore a leader-side capability: a
-	// snapshot of Follower.Engine() restores to its own boundary and no
-	// further.
+	// snapshot of Follower.Engine()): an entry already sits in the
+	// replication log until the engine holds it in a segment, and nothing
+	// reads a follower's archive — a seed restores to its own boundary
+	// and the leader's resend window carries the rest, and Promote
+	// reopens the engine with Config.Engine, which archives from its
+	// first user snapshot on. Point-in-time restore is therefore a
+	// leader-side capability: a snapshot of Follower.Engine() restores to
+	// its own boundary and no further.
 	Engine engine.Options
 
 	// maxLogEntries triggers replication-log compaction: once the log's

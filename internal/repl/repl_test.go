@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -296,6 +297,49 @@ func TestReplSeedCatchup(t *testing.T) {
 	}
 	if n := cl.g.Telemetry().Snapshot().Counter("repl_seeds_total"); n == 0 {
 		t.Fatal("repl_seeds_total is zero")
+	}
+}
+
+// TestReplLogOpenAllocsFlatInLength pins that opening a replication log
+// copies no entry: the batches alias the one buffer the file is read
+// into and the entry index is sized once, so a log four times longer
+// opens with exactly as many allocations. Both logs are longer than the
+// republishing writer's 64 KiB buffer, whose growth up to that bound
+// (not the entries) is the only thing that varies below it.
+func TestReplLogOpenAllocsFlatInLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	opens := func(n int) float64 {
+		dir := t.TempDir()
+		l, err := openReplLog(vfs.OS{}, dir, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		es := make([]Entry, n)
+		for i := range es {
+			es[i] = Entry{Index: uint64(i + 1), Epoch: 1, Batch: []byte{byte(i), 0xab, 0xcd}}
+		}
+		if err := l.append(es); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.close(); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			l, err := openReplLog(vfs.OS{}, dir, 2)
+			if err != nil || len(l.entries) != n {
+				t.Fatalf("reopen: %v", err)
+			}
+			l.close() //nolint:errcheck
+		})
+	}
+	// A collection mid-measurement empties the runtime's pools, whose
+	// refill would count as the open's allocations.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	short, long := opens(4096), opens(16384)
+	if long != short {
+		t.Fatalf("opening a log of 16384 entries allocates %v times, one of 4096 %v: allocations grow with the log", long, short)
 	}
 }
 

@@ -1,7 +1,12 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/core"
@@ -178,6 +183,105 @@ func TestShardedReplication(t *testing.T) {
 			if len(got) != len(want) {
 				t.Fatalf("shard %d follower %d after recovery: %d records, want %d", s, f, len(got), len(want))
 			}
+		}
+	}
+}
+
+// TestShardedReplicationSeedsKeepNoArchive is the shape of a replicated
+// service opened over a preloaded directory: every follower is seeded by
+// snapshot at open, then writes flush on every shard. Seeds do not start
+// a shard's WAL archive, so no leader shard directory holds archive/; a
+// user snapshot of the service still starts one on every shard.
+func TestShardedReplicationSeedsKeepNoArchive(t *testing.T) {
+	const shards, followersPer = 2, 2
+	c := testCurve(t, srSide)
+	dir := t.TempDir()
+	opts := manualShardOpts(shards)
+	point := func(i int) geom.Point { return geom.Point{uint32(i*7) % srSide, uint32(i*13+5) % srSide} }
+	put := func(s *Sharded, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := s.Put(point(i), uint64(5000+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	pre, err := Open(dir+"/service", c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(pre, 0, 60)
+	if err := pre.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	lb := repl.NewLoopback()
+	peerIDs := make([][]string, shards)
+	var followers []*repl.Follower
+	defer func() {
+		for _, fo := range followers {
+			fo.Close() //nolint:errcheck
+		}
+	}()
+	for s := 0; s < shards; s++ {
+		for f := 0; f < followersPer; f++ {
+			id := fmt.Sprintf("s%d-f%d", s, f+1)
+			fo, err := repl.OpenFollower(id, dir+"/"+id, c,
+				repl.FollowerOptions{Engine: engine.Options{PageBytes: 384, FlushEntries: -1, CompactFanout: -1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lb.Register(id, fo)
+			followers = append(followers, fo)
+			peerIDs[s] = append(peerIDs[s], id)
+		}
+	}
+	r, err := OpenReplicated(dir+"/service", c, opts, func(s int) repl.Config {
+		return repl.Config{ID: fmt.Sprintf("s%d", s), Peers: peerIDs[s], Transport: lb}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close() //nolint:errcheck
+	for round := 0; round < 3; round++ {
+		put(r.Sharded, 60+40*round, 100+40*round)
+		if err := r.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		r.Heartbeat()
+		converged := true
+		for _, lag := range r.Lag() {
+			converged = converged && lag == 0
+		}
+		if converged {
+			break
+		}
+	}
+	for s := 0; s < shards; s++ {
+		want := engState(t, c, r.engines[s])
+		for f := 0; f < followersPer; f++ {
+			fo := followers[s*followersPer+f]
+			if st := fo.Status(); st.Seeds == 0 {
+				t.Fatalf("shard %d follower %d was never seeded: %+v", s, f, st)
+			}
+			if got := engState(t, c, fo.Engine()); !maps.Equal(got, want) {
+				t.Fatalf("shard %d follower %d: %d records, want %d", s, f, len(got), len(want))
+			}
+		}
+		if _, err := os.Stat(filepath.Join(shardDir(dir+"/service", s), "archive")); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("shard %d after seeds and flushes: archive/ stat = %v, want absent", s, err)
+		}
+	}
+
+	if _, err := r.Snapshot(filepath.Join(t.TempDir(), "snap")); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < shards; s++ {
+		if _, err := os.Stat(filepath.Join(shardDir(dir+"/service", s), "archive")); err != nil {
+			t.Fatalf("shard %d after a user snapshot: archive/ stat = %v, want present", s, err)
 		}
 	}
 }

@@ -598,8 +598,12 @@ func LeadReplicated(dir string, c Curve, cfg ReplConfig) (*ReplGroup, error) {
 // OpenReplFollower opens (creating or rejoining) a follower replica.
 // Register it on the transport under id so the leader can reach it. A
 // follower's engine keeps no WAL archive — it deletes every WAL it
-// retires, even after a snapshot of it — so point-in-time restore past
-// a snapshot is served from the leader's directory, not a follower's.
+// retires, even after a snapshot of it, and such a snapshot restores to
+// its own boundary only — so point-in-time restore past a snapshot is
+// served from the leader's directory, not a follower's. A seed from the
+// leader restores to its own boundary too: the leader's resend window
+// carries every entry past it, so seeding reads nothing of the leader's
+// directory but the seed and starts no archive there.
 func OpenReplFollower(id, dir string, c Curve, opts ReplFollowerOptions) (*ReplFollower, error) {
 	return repl.OpenFollower(id, dir, c, opts)
 }
@@ -650,7 +654,10 @@ func OpenReplicatedShardedEngine(dir string, c Curve, opts ShardedEngineOptions,
 // write acknowledged after the snapshot's flush point. The source engine
 // archives every WAL it retires from its first snapshot on and keeps
 // them all; a WAL retired before that is deleted, since the segments of
-// every snapshot already cover it.
+// every snapshot already cover it. Two kinds of snapshot name no archive
+// and restore to their own boundary whatever upTo is: a snapshot of a
+// replication follower's engine, which never archives, and a leader's
+// catch-up seed, which does not start the leader's archive.
 //
 // targetDir must not exist; the build is staged in a sibling directory
 // renamed into place last, so a crash or failure leaves targetDir absent
