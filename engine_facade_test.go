@@ -1,10 +1,49 @@
 package onion_test
 
 import (
+	"reflect"
 	"testing"
 
 	onion "github.com/onioncurve/onion"
 )
+
+// TestOptionFieldsPinned pins the exported fields of the five option
+// structs: 15 in all, each listed with the caller that sets it in the
+// README's "Options in use" table. A new option fails here until the pin
+// and the table are edited — which is the moment to ask whether two
+// callers need different values, or whether it is a constant.
+func TestOptionFieldsPinned(t *testing.T) {
+	exported := func(v any) []string {
+		var names []string
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				names = append(names, f.Name)
+			}
+		}
+		return names // in declaration order
+	}
+	total := 0
+	for _, tc := range []struct {
+		typ  any
+		want []string
+	}{
+		{onion.EngineOptions{}, []string{"PageBytes", "FlushEntries", "SyncWrites", "Cache", "FS", "CommitHook"}},
+		{onion.ShardedEngineOptions{}, []string{"Shards", "Engine", "CacheBytes", "FS"}},
+		{onion.ReplConfig{}, []string{"ID", "Peers", "Transport", "Epoch"}},
+		{onion.ReplFollowerOptions{}, []string{"Engine"}},
+		{onion.IngestConfig{}, nil},
+	} {
+		got := exported(tc.typ)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%T exports %v, want exactly %v", tc.typ, got, tc.want)
+		}
+		total += len(got)
+	}
+	if total != 15 {
+		t.Errorf("%d exported option fields, want 15", total)
+	}
+}
 
 // TestOpenEngineFacade exercises the storage engine through the public
 // facade: the full Put/Delete/Query/Flush/Compact/Stats/Close lifecycle

@@ -22,7 +22,7 @@ import (
 // batchManualOpts: no background maintenance, tiny pages — the
 // deterministic shape the cross-checks need.
 func batchManualOpts() Options {
-	return Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1}
+	return Options{PageBytes: 192, FlushEntries: -1, compactFanout: -1}
 }
 
 // TestPutBatchCrossCheck proves PutBatch is observably identical to the

@@ -15,7 +15,7 @@ import (
 // benchOpts: real pages, background flush on, compaction on — the shape a
 // serving deployment would run.
 func benchOpts() Options {
-	return Options{PageBytes: 4096, FlushEntries: 1 << 15, CompactFanout: 4}
+	return Options{PageBytes: 4096, FlushEntries: 1 << 15, compactFanout: 4}
 }
 
 func benchEngine(b *testing.B, opts Options) *Engine {
@@ -170,7 +170,7 @@ func benchQueryCached(b *testing.B, noTelemetry bool) {
 			if budget > 0 {
 				cache = pagedstore.NewCache(budget)
 			}
-			e := benchEngine(b, Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1,
+			e := benchEngine(b, Options{PageBytes: 4096, FlushEntries: -1, compactFanout: -1,
 				Cache: cache, noTelemetry: noTelemetry})
 			side := int32(e.c.Universe().Side())
 			rng := rand.New(rand.NewSource(3))
@@ -228,7 +228,7 @@ func benchQueryCached(b *testing.B, noTelemetry bool) {
 // BenchmarkEngineQueryCompacted measures the steady-state read path: a
 // fully compacted engine answering a 64x64 rectangle.
 func BenchmarkEngineQueryCompacted(b *testing.B) {
-	e := benchEngine(b, Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1})
+	e := benchEngine(b, Options{PageBytes: 4096, FlushEntries: -1, compactFanout: -1})
 	side := int32(e.c.Universe().Side())
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100_000; i++ {

@@ -114,7 +114,7 @@ func (e *Engine) maybeCompact() error {
 		recs[i] = s.recs
 	}
 	e.mu.RUnlock()
-	lo, hi := pickCompaction(recs, e.opts.CompactFanout, 4)
+	lo, hi := pickCompaction(recs, e.opts.compactFanout, 4)
 	if hi == 0 {
 		return nil
 	}

@@ -32,17 +32,14 @@ type Options struct {
 	// PageBytes is the segment page size (default 4096).
 	PageBytes int
 	// FlushEntries triggers an automatic background flush once the active
-	// memtable holds this many versions (default 1 << 16; negative
-	// disables automatic flushing — Flush must be called explicitly).
+	// memtable holds this many versions, each followed by size-tiered
+	// compaction (default 1 << 16). Negative disables both: the caller
+	// runs Flush and Compact.
 	FlushEntries int
 	// SyncWrites fsyncs the WAL on every Put/Delete before acknowledging.
 	// Off by default: group durability is available through Sync. Forced
 	// on when CommitHook is set.
 	SyncWrites bool
-	// CompactFanout is the size-tiered trigger: a run of at least this
-	// many age-adjacent, similar-sized segments is merged in the
-	// background (default 4; negative disables background compaction).
-	CompactFanout int
 	// Cache is the page cache for the engine's segments (nil disables
 	// caching; build one with pagedstore.NewCache) — pass the same cache
 	// to several engines (the sharded service does) to share one byte
@@ -56,11 +53,6 @@ type Options struct {
 	// every WAL append, fsync, segment install and directory operation
 	// into a deterministic fault point.
 	FS vfs.FS
-	// ScrubPagesPerSec, when positive, runs a background scrubber that
-	// verifies segment pages at most this fast (CRC + key order, the same
-	// checks Verify performs), quarantining corruption before a query
-	// trips over it. 0 disables the scrubber.
-	ScrubPagesPerSec int
 	// CommitHook, when non-nil, observes every write batch and gates its
 	// acknowledgement on the hook's Commit — the seam WAL replication
 	// hangs off. See the CommitHook contract. Setting it forces
@@ -71,6 +63,12 @@ type Options struct {
 	// empty). Unexported: only the benchmark baseline that quantifies the
 	// telemetry overhead sets it.
 	noTelemetry bool
+
+	// compactFanout is the size-tiered trigger: a run of at least this
+	// many age-adjacent, similar-sized segments is merged in the
+	// background (default 4; negative disables background compaction).
+	// Unexported: only this package's tests lower or disable it.
+	compactFanout int
 
 	// noArchive deletes every retired WAL, even after a snapshot (see
 	// NoArchive). Without it, a WAL retired before the engine's first
@@ -98,8 +96,8 @@ func (o Options) withDefaults() Options {
 	if o.FlushEntries == 0 {
 		o.FlushEntries = 1 << 16
 	}
-	if o.CompactFanout == 0 {
-		o.CompactFanout = 4
+	if o.compactFanout == 0 {
+		o.compactFanout = 4
 	}
 	if o.retryBase == 0 {
 		o.retryBase = 10 * time.Millisecond
@@ -233,10 +231,9 @@ type Engine struct {
 	flushes     atomic.Uint64
 	compactions atomic.Uint64
 
-	bg        chan struct{} // background flush/compact doorbell
-	bgStop    chan struct{}
-	bgDone    chan struct{}
-	scrubDone chan struct{} // nil unless the rate-limited scrubber runs
+	bg     chan struct{} // background flush/compact doorbell
+	bgStop chan struct{}
+	bgDone chan struct{}
 }
 
 // Open opens (creating if needed) the engine rooted at dir, clustered by
@@ -327,10 +324,6 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 	e.bgStop = make(chan struct{})
 	e.bgDone = make(chan struct{})
 	go e.background()
-	if opts.ScrubPagesPerSec > 0 {
-		e.scrubDone = make(chan struct{})
-		go e.scrubLoop()
-	}
 	return e, nil
 }
 
@@ -356,13 +349,14 @@ func (e *Engine) releaseSegments() {
 }
 
 // background drains the doorbell: each ring runs a pending corruption
-// scrub, flushes the active memtable once it is over the threshold, and
-// applies the size-tiered compaction policy until it reaches a fixed
-// point. Failures retry with capped jittered backoff; when the retries
-// run dry the engine degrades — to ReadOnly for flush failures (acked
-// data is stranded in memory and every further write grows the debt),
-// to Degraded for compaction failures (the engine is merely getting
-// slower and wider, not less durable).
+// scrub and then, when automatic flushing is on, flushes the active
+// memtable once it is over the threshold and applies the size-tiered
+// compaction policy until it reaches a fixed point. Failures retry with
+// capped jittered backoff; when the retries run dry the engine degrades
+// — to ReadOnly for flush failures (acked data is stranded in memory and
+// every further write grows the debt), to Degraded for compaction
+// failures (the engine is merely getting slower and wider, not less
+// durable).
 func (e *Engine) background() {
 	defer close(e.bgDone)
 	for {
@@ -375,10 +369,13 @@ func (e *Engine) background() {
 					e.setBgErr(err)
 				}
 			}
-			if e.opts.FlushEntries > 0 && e.memEntries() >= int64(e.opts.FlushEntries) {
+			if e.opts.FlushEntries <= 0 {
+				continue // the caller runs Flush and Compact
+			}
+			if e.memEntries() >= int64(e.opts.FlushEntries) {
 				e.setBgErr(e.retryBg(e.Flush, ReadOnly))
 			}
-			if e.opts.CompactFanout > 0 {
+			if e.opts.compactFanout > 0 {
 				e.setBgErr(e.retryBg(e.maybeCompact, Degraded))
 			}
 		}
@@ -956,9 +953,6 @@ func (e *Engine) Close() error {
 	e.mu.Unlock()
 	close(e.bgStop)
 	<-e.bgDone
-	if e.scrubDone != nil {
-		<-e.scrubDone
-	}
 	// flushMu serializes the teardown against any in-flight Flush or
 	// Compact body, so segment stores are never closed under a running
 	// merge.

@@ -23,7 +23,7 @@ import (
 // the whole suite under eviction pressure: the logical stat contracts
 // must hold bit-identically with caching and footer pruning active.
 func manualOpts() Options {
-	return Options{PageBytes: 384, FlushEntries: -1, CompactFanout: -1, Cache: pagedstore.NewCache(16 * 384)}
+	return Options{PageBytes: 384, FlushEntries: -1, compactFanout: -1, Cache: pagedstore.NewCache(16 * 384)}
 }
 
 func randomRect(rng *rand.Rand, u geom.Universe) geom.Rect {
@@ -435,7 +435,7 @@ func TestEngineCrashRecovery(t *testing.T) {
 // under -race this is the engine's concurrency test.
 func TestEngineIngestWhileQuerying(t *testing.T) {
 	c, _ := core.NewOnion2D(32)
-	opts := Options{PageBytes: 384, FlushEntries: 500, CompactFanout: 2}
+	opts := Options{PageBytes: 384, FlushEntries: 500, compactFanout: 2}
 	e, err := Open(t.TempDir(), c, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -469,6 +469,7 @@ func TestEngineIngestWhileQuerying(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	waitCompaction(t, e)
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}

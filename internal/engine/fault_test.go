@@ -87,12 +87,12 @@ func fwStateAfter(c curve.Curve, ops []fwOp, j int) map[uint64]uint64 {
 // pays one page write per ten entries — the fault points the matrices
 // enumerate.
 func fwOpts(fsys vfs.FS) Options {
-	return Options{PageBytes: 120, FlushEntries: -1, CompactFanout: 2,
+	return Options{PageBytes: 120, FlushEntries: -1, compactFanout: 2,
 		SyncWrites: true, FS: fsys}
 }
 
 // fwRun drives the workload against dir through fsys and returns how
-// many leading ops were acknowledged. Maintenance runs inline at fixed
+// many leading ops were acknowledged and how many compactions ran. Maintenance runs inline at fixed
 // points (background is idle: FlushEntries < 0 never rings the
 // doorbell), so the operation sequence is identical on every run until
 // the injected fault fires. Once one write fails, every later one must
@@ -102,16 +102,16 @@ func fwOpts(fsys vfs.FS) Options {
 // after its first snapshot, so every WAL retirement takes the archive
 // path (rename and two directory fsyncs); TestFirstSnapshotFaultMatrix
 // covers the delete before it.
-func fwRun(t *testing.T, dir string, fsys vfs.FS, ops []fwOp) int {
+func fwRun(t *testing.T, dir string, fsys vfs.FS, ops []fwOp) (acked int, compactions uint64) {
 	t.Helper()
 	if err := os.MkdirAll(archiveDir(dir), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	e, err := Open(dir, fwCurve(t), fwOpts(fsys))
 	if err != nil {
-		return 0
+		return 0, 0
 	}
-	acked, failed := 0, false
+	failed := false
 	for i, op := range ops {
 		var werr error
 		if op.del {
@@ -133,7 +133,7 @@ func fwRun(t *testing.T, dir string, fsys vfs.FS, ops []fwOp) int {
 		}
 	}
 	e.Close() //nolint:errcheck // a crashed filesystem cannot close cleanly
-	return acked
+	return acked, e.Stats().Compactions
 }
 
 // fwRecover reopens dir on the real filesystem — twice, with the page
@@ -146,7 +146,7 @@ func fwRecover(t *testing.T, dir string) map[uint64]uint64 {
 	full := o.Universe().Rect()
 	open := func(cache *pagedstore.Cache) (map[uint64]uint64, Stats) {
 		e, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1,
-			CompactFanout: -1, Cache: cache})
+			compactFanout: -1, Cache: cache})
 		if err != nil {
 			t.Fatalf("reopen after fault: %v", err)
 		}
@@ -209,8 +209,12 @@ func TestFaultMatrix(t *testing.T) {
 	inj := vfs.NewInjecting(vfs.OS{})
 	inj.SetFaults(filters...)
 	enumDir := t.TempDir()
-	if acked := fwRun(t, enumDir, inj, ops); acked != len(ops) {
+	acked, compactions := fwRun(t, enumDir, inj, ops)
+	if acked != len(ops) {
 		t.Fatalf("enumeration run dropped writes: %d/%d acked", acked, len(ops))
+	}
+	if compactions == 0 {
+		t.Fatal("enumeration run never compacted")
 	}
 	fwCheck(t, o, ops, len(ops), fwRecover(t, enumDir))
 
@@ -226,7 +230,7 @@ func TestFaultMatrix(t *testing.T) {
 					dir := t.TempDir()
 					ifs := vfs.NewInjecting(vfs.OS{})
 					ifs.SetFaults(vfs.Fault{Op: f.Op, Path: f.Path, N: n, Kind: kind})
-					acked := fwRun(t, dir, ifs, ops)
+					acked, _ := fwRun(t, dir, ifs, ops)
 					if len(ifs.Injected()) == 0 {
 						t.Fatalf("fault point %d of %d never fired", n, total)
 					}
@@ -234,6 +238,18 @@ func TestFaultMatrix(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// waitCompaction fails t unless background compaction merges at least
+// one run within the deadline.
+func waitCompaction(t *testing.T, e *Engine) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); e.Stats().Compactions == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("background compaction never ran")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -316,7 +332,7 @@ func TestFlushRetriesThenReadOnly(t *testing.T) {
 	inj := vfs.NewInjecting(vfs.OS{})
 	o := fwCurve(t)
 	dir := t.TempDir()
-	opts := Options{PageBytes: 192, FlushEntries: 8, CompactFanout: -1, FS: inj,
+	opts := Options{PageBytes: 192, FlushEntries: 8, compactFanout: -1, FS: inj,
 		retryBase: time.Millisecond, retryCap: 4 * time.Millisecond, retryAttempts: 3}
 	e, err := Open(dir, o, opts)
 	if err != nil {
@@ -352,7 +368,7 @@ func TestFlushRetriesThenReadOnly(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatalf("close after fault cleared: %v", err)
 	}
-	e2, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1})
+	e2, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, compactFanout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +382,7 @@ func TestFlushRetriesThenReadOnly(t *testing.T) {
 func TestCompactionFailureDegrades(t *testing.T) {
 	inj := vfs.NewInjecting(vfs.OS{})
 	o := fwCurve(t)
-	opts := Options{PageBytes: 192, FlushEntries: -1, CompactFanout: 2, FS: inj,
+	opts := Options{PageBytes: 192, FlushEntries: -1, compactFanout: 2, FS: inj,
 		retryBase: time.Millisecond, retryCap: 4 * time.Millisecond, retryAttempts: 2}
 	e, err := Open(t.TempDir(), o, opts)
 	if err != nil {
@@ -407,6 +423,9 @@ func TestCompactionFailureDegrades(t *testing.T) {
 	if err := e.maybeCompact(); err != nil {
 		t.Fatal(err)
 	}
+	if e.Stats().Compactions == 0 {
+		t.Fatal("compaction without faults merged nothing")
+	}
 	if h, _ := e.Health(); h != Degraded {
 		t.Fatalf("health after recovery = %v, want still Degraded", h)
 	}
@@ -418,7 +437,7 @@ func TestCompactionFailureDegrades(t *testing.T) {
 func quarantineFixture(t *testing.T, dir string) (*Engine, curve.Curve) {
 	t.Helper()
 	o := fwCurve(t)
-	e, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1})
+	e, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, compactFanout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +526,7 @@ func TestVerifyQuarantinesCorruptSegment(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1})
+	e2, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, compactFanout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,13 +573,51 @@ func TestQueryTriggersBackgroundScrub(t *testing.T) {
 	}
 }
 
+// TestManualEngineCompactsNothingAfterScrub: with automatic flushing
+// off the caller runs Flush and Compact, so the doorbell a corrupt query
+// rings runs the pending Verify and nothing else — not even when the
+// surviving segments form a run the size-tiered policy would merge.
+func TestManualEngineCompactsNothingAfterScrub(t *testing.T) {
+	o := fwCurve(t)
+	e, err := Open(t.TempDir(), o, Options{PageBytes: 192, FlushEntries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close() //nolint:errcheck
+	for row := uint32(0); row < 5; row++ {
+		for x := uint32(0); x < 60; x++ {
+			if err := e.Put(geom.Point{x, row}, uint64(x)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(e.segs); n != 5 {
+		t.Fatalf("fixture has %d segments, want 5", n)
+	}
+	corruptFile(t, e.segs[0].path)
+	if _, _, err := e.Query(o.Universe().Rect()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("query over corrupt segment = %v, want ErrCorrupt", err)
+	}
+	waitHealth(t, e, Degraded)
+	// Close waits out the background worker's current ring.
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Compactions != 0 {
+		t.Fatalf("manual engine ran %d compactions after a scrub ring, want 0", st.Compactions)
+	}
+}
+
 // TestQueryRangesContextCanceled: a cancelled context stops both the
 // pre-planned and the rectangle path with ctx.Err(), hands back exactly
 // the caller's dst, and counts one query error each — the same ctx check
 // in the one body serves both.
 func TestQueryRangesContextCanceled(t *testing.T) {
 	o := fwCurve(t)
-	e, err := Open(t.TempDir(), o, Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1})
+	e, err := Open(t.TempDir(), o, Options{PageBytes: 192, FlushEntries: -1, compactFanout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func TestEngineCacheChurn(t *testing.T) {
 	opts := Options{
 		PageBytes:     384,
 		FlushEntries:  250,                          // frequent background flushes
-		CompactFanout: 2,                            // aggressive background compaction
+		compactFanout: 2,                            // aggressive background compaction
 		Cache:         pagedstore.NewCache(8 * 384), // one page per cache shard: eviction storm
 	}
 	e, err := Open(dir, c, opts)
@@ -164,6 +164,7 @@ func TestEngineCacheChurn(t *testing.T) {
 	if err := e.BackgroundErr(); err != nil {
 		t.Fatal(err)
 	}
+	waitCompaction(t, e)
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestEngineCacheChurn(t *testing.T) {
 	copyDir(t, dir, twin)
 	bareOpts := opts
 	bareOpts.Cache = nil
-	bareOpts.FlushEntries, bareOpts.CompactFanout = -1, -1
+	bareOpts.FlushEntries, bareOpts.compactFanout = -1, -1
 	bare, err := Open(twin, c, bareOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +449,7 @@ func TestEngineQueryZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cache := range []*pagedstore.Cache{pagedstore.NewCache(1 << 22), nil} {
-		opts := Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1, Cache: cache}
+		opts := Options{PageBytes: 4096, FlushEntries: -1, compactFanout: -1, Cache: cache}
 		e, err := Open(t.TempDir(), c, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -511,7 +512,7 @@ func TestEngineQueryZeroAllocLiveMemtable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Open(t.TempDir(), c, Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1, Cache: pagedstore.NewCache(1 << 22)})
+	e, err := Open(t.TempDir(), c, Options{PageBytes: 4096, FlushEntries: -1, compactFanout: -1, Cache: pagedstore.NewCache(1 << 22)})
 	if err != nil {
 		t.Fatal(err)
 	}

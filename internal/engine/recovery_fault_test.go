@@ -369,7 +369,7 @@ func TestRepairFaultMatrix(t *testing.T) {
 	// in-between, never corrupt reads.
 	checkConsistent := func(t *testing.T, dir string) {
 		t.Helper()
-		e, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1})
+		e, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, compactFanout: -1})
 		if err != nil {
 			t.Fatalf("reopen after repair fault: %v", err)
 		}
@@ -410,7 +410,7 @@ func TestRepairFaultMatrix(t *testing.T) {
 	inj.SetFaults(filters...)
 	repairOnce(enumDir, enumSnap, inj)
 	// The fault-free pass heals completely.
-	e, err := Open(enumDir, o, Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1})
+	e, err := Open(enumDir, o, Options{PageBytes: 192, FlushEntries: -1, compactFanout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestRepairFaultMatrix(t *testing.T) {
 					// Whatever the fault interrupted, the store is consistent...
 					checkConsistent(t, dir)
 					// ...and a clean retry converges: fully repaired, Healthy.
-					e, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1})
+					e, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, compactFanout: -1})
 					if err != nil {
 						t.Fatalf("reopen for retry: %v", err)
 					}

@@ -134,7 +134,7 @@ func TestRepairFromSnapshot(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1})
+	e2, err := Open(dir, o, Options{PageBytes: 192, FlushEntries: -1, compactFanout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,33 +249,5 @@ func TestTryRecoverFailedIsTerminal(t *testing.T) {
 	inj.SetFaults()
 	if h, rerr := e.TryRecover(); h != Failed || rerr == nil {
 		t.Fatalf("recover from Failed = %v (err %v), want terminal Failed", h, rerr)
-	}
-}
-
-// TestScrubberQuarantines: the rate-limited background scrubber finds
-// rotting bytes on its own schedule — no query ever has to trip over
-// them — and condemns the segment exactly as Verify would.
-func TestScrubberQuarantines(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1,
-		SyncWrites: true, ScrubPagesPerSec: 5000}
-	e, o, victim := twoRowEngine(t, dir, opts)
-	defer e.Close() //nolint:errcheck
-	corruptFile(t, victim)
-
-	cause := waitHealth(t, e, Degraded)
-	if !errors.Is(cause, ErrCorrupt) {
-		t.Fatalf("scrub degradation cause = %v, want corruption", cause)
-	}
-	recs, _, err := e.Query(o.Universe().Rect())
-	if err != nil {
-		t.Fatalf("query after scrub quarantine: %v", err)
-	}
-	if rows := rowRecords(recs); rows[0] != 0 || rows[1] != 60 {
-		t.Fatalf("rows after scrub %v, want row 1 only", rows)
-	}
-	// Close must stop the scrubber cleanly.
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // snapOpts disables compaction so segment generation ranges (and hence
 // which archived WALs a snapshot covers) are fully deterministic.
 func snapOpts(fsys vfs.FS) Options {
-	return Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1,
+	return Options{PageBytes: 192, FlushEntries: -1, compactFanout: -1,
 		SyncWrites: true, FS: fsys}
 }
 

@@ -43,7 +43,6 @@ type engineTelemetry struct {
 
 	bgRetries *telemetry.Counter
 
-	scrubPages   *telemetry.Counter
 	verifyPasses *telemetry.Counter
 	quarantines  *telemetry.Counter
 
@@ -89,7 +88,6 @@ func newEngineTelemetry(reg *telemetry.Registry) *engineTelemetry {
 
 		bgRetries: reg.Counter("engine_bg_retries_total"),
 
-		scrubPages:   reg.Counter("engine_scrub_pages_total"),
 		verifyPasses: reg.Counter("engine_verify_passes_total"),
 		quarantines:  reg.Counter("engine_quarantined_segments_total"),
 
@@ -196,7 +194,7 @@ func (e *Engine) Telemetry() *telemetry.Registry { return e.reg }
 
 // Events returns the engine's maintenance event stream: flush,
 // compaction, snapshot, repair, scrub and health lifecycle events in a
-// bounded ring, with an optional synchronous listener.
+// bounded ring.
 func (e *Engine) Events() *telemetry.Events { return e.events }
 
 // TelemetrySnapshot snapshots the registry with the recent maintenance

@@ -31,7 +31,7 @@ func benchPipeline(b *testing.B, producers int) {
 		b.Fatal(err)
 	}
 	e, err := engine.Open(b.TempDir(), o,
-		engine.Options{PageBytes: 4096, FlushEntries: 1 << 15, CompactFanout: 4, SyncWrites: true})
+		engine.Options{PageBytes: 4096, FlushEntries: 1 << 15, SyncWrites: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -56,8 +56,7 @@ func igWorkload(n int) []igOp {
 // igOpts: tiny pages (ten 12-byte slots) and caches, no background
 // maintenance — the deterministic shape the cross-checks need.
 func igOpts() engine.Options {
-	return engine.Options{PageBytes: 120, FlushEntries: -1, CompactFanout: -1,
-		Cache: pagedstore.NewCache(3072)}
+	return engine.Options{PageBytes: 120, FlushEntries: -1, Cache: pagedstore.NewCache(3072)}
 }
 
 // igApplySerial drives ops through the synchronous write path in log

@@ -103,7 +103,7 @@ func TestV4PageCorruptionDetected(t *testing.T) {
 	}
 
 	// Flip one byte in the middle of the page data: open still succeeds
-	// (pages are lazily verified), but both the scrubber and any query
+	// (pages are lazily verified), but both VerifyPages and any query
 	// touching the page report ErrCorrupt.
 	s2, err := Open(path, o)
 	if err != nil {

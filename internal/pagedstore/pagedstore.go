@@ -1108,12 +1108,12 @@ func (s *Store) VerifyPages() error {
 }
 
 // Pages returns the number of data pages — the granularity VerifyPage
-// (and the engine's rate-limited scrubber) works at.
+// works at.
 func (s *Store) Pages() int { return len(s.firstKeys) }
 
 // VerifyPage checks one page directly from disk (bypassing the cache):
 // the checksum, in-page key order, and the page-bounds invariant. buf is
-// an optional scratch buffer of at least PageBytes, left holding the page;
+// an optional scratch buffer of at least a page, left holding the page;
 // pass nil to allocate.
 func (s *Store) VerifyPage(p int, buf []byte) error {
 	if p < 0 || p >= len(s.firstKeys) {
@@ -1128,9 +1128,6 @@ func (s *Store) VerifyPage(p int, buf []byte) error {
 	}
 	return s.checkPage(p, buf)
 }
-
-// PageBytes returns the store's page size.
-func (s *Store) PageBytes() int { return s.pageBytes }
 
 // checkPage validates one materialized page against its checksum and
 // key invariants: slot 0 holds the page's first key (offset 0), and the

@@ -385,7 +385,7 @@ func TestRunReadsMatchIOStats(t *testing.T) {
 				if got := fs.calls - calls; got != io.ReadCalls {
 					t.Fatalf("budget %d pass %d rect %v: %d ReadAt calls, IOStats says %d", budget, pass, r, got, io.ReadCalls)
 				}
-				if got := fs.bytes - bytes; got != io.PagesFetched*s.PageBytes() {
+				if got := fs.bytes - bytes; got != io.PagesFetched*s.pageBytes {
 					t.Fatalf("budget %d pass %d rect %v: %d bytes read for %d pages fetched", budget, pass, r, got, io.PagesFetched)
 				}
 				if cache != nil {

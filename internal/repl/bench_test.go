@@ -93,7 +93,7 @@ func BenchmarkReplIngest(b *testing.B) {
 			peers = append(peers, id)
 		}
 		g, err := Lead(filepath.Join(dir, "leader"), c, Config{
-			ID: "leader", Peers: peers, Transport: lb, Engine: benchEngOpts(),
+			ID: "leader", Peers: peers, Transport: lb, engineOpts: benchEngOpts(),
 		})
 		if err != nil {
 			b.Fatal(err)

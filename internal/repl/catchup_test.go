@@ -22,7 +22,7 @@ func seedCfg() Config {
 	return Config{
 		historyEntries:     8,
 		seedRefreshEntries: 1 << 20,
-		Engine:             opts,
+		engineOpts:         opts,
 		retryBase:          time.Millisecond,
 		retryCap:           2 * time.Millisecond,
 		retryAttempts:      2,

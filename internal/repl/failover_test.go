@@ -10,6 +10,7 @@ import (
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/pagedstore"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 // mxOp is one step of the deterministic fault-matrix workload.
@@ -157,7 +158,7 @@ func mxScenario(t *testing.T, ops []mxOp, kind FaultKind, n int64) {
 	cl.lb.Unregister(cl.ids[pick])
 	ng, err := Promote(cl.fs[pick], w, Config{
 		ID: "leader2", Peers: []string{cl.ids[other]}, Transport: cl.tr,
-		Engine: rtEngOpts(), retryBase: time.Millisecond,
+		retryBase: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("promote %s at %d (lasts %d/%d, acked %d): %v",
@@ -240,6 +241,67 @@ func TestFailoverFaultMatrix(t *testing.T) {
 	}
 }
 
+// TestPromoteKeepsFollowerEngineOptions: Promote reopens the follower's
+// engine with the follower's own options, so the promoted leader stays
+// on the filesystem Promote deletes the replication log through, and
+// keeps its page size: a full scan of its compacted records reads the
+// pages a store of the same records at 192-byte pages reads.
+func TestPromoteKeepsFollowerEngineOptions(t *testing.T) {
+	c := rtCurve(t)
+	inj := vfs.NewInjecting(vfs.OS{})
+	opts := rtEngOpts() // 192-byte pages
+	opts.FS = inj
+	f, err := OpenFollower("f1", t.TempDir(), c, FollowerOptions{Engine: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Promote(f, 0, Config{ID: "leader"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close() //nolint:errcheck
+	if g.Engine().FS() != inj {
+		t.Fatalf("promoted engine on %T, want the follower's filesystem", g.Engine().FS())
+	}
+	var recs []pagedstore.Record
+	for y := uint32(0); y < 4; y++ {
+		for x := uint32(0); x < rtSide; x++ {
+			r := pagedstore.Record{Point: geom.Point{x, y}, Payload: uint64(y*rtSide + x)}
+			if err := g.Engine().Put(r.Point, r.Payload); err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, r)
+		}
+	}
+	if err := g.Engine().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Engine().Compact(); err != nil {
+		t.Fatal(err)
+	}
+	refPath := filepath.Join(t.TempDir(), "ref.pst")
+	if err := pagedstore.Write(refPath, c, recs, opts.PageBytes); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := pagedstore.Open(refPath, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	full := c.Universe().Rect()
+	_, st, err := g.Engine().Query(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := ref.Query(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Stats != want {
+		t.Fatalf("promoted engine scan %+v, want the 192-byte-page store's %+v", st.Stats, want)
+	}
+}
+
 // TestFailoverRejoin walks the full leader-death story once, linearly:
 // quorum loss degrades the old leader, a survivor is promoted, the old
 // leader is fenced by the higher epoch when the partition heals, and it
@@ -275,7 +337,7 @@ func TestFailoverRejoin(t *testing.T) {
 	w := QuorumWatermark([]uint64{s1.Last, s2.Last}, 2)
 	ng, err := Promote(cl.fs[0], w, Config{
 		ID: "leader2", Peers: []string{"f2", "ex"}, Transport: cl.tr,
-		Engine: rtEngOpts(), retryBase: time.Millisecond,
+		retryBase: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -96,7 +96,7 @@ func (f *Follower) open() error {
 	if err != nil {
 		return err
 	}
-	eng, err := engine.Open(f.dir, f.c, f.opts.Engine)
+	eng, err := engine.Open(f.dir, f.c, engine.NoArchive(f.opts.Engine))
 	if err != nil {
 		log.close() //nolint:errcheck
 		return err

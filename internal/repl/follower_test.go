@@ -155,7 +155,7 @@ func archivedWALs(t *testing.T, dir string) int {
 // directory holds no archive, and a snapshot of it restores to the
 // snapshot's own boundary and no further. A user snapshot of the leader
 // under the same workload archives. Promote reopens a follower's engine
-// with the leader's options: a cached seed the promoted leader has since
+// with its own options and archiving back on: a cached seed the promoted leader has since
 // moved past still catches a straggler up from the resend window, the
 // seeds it exports leave it without an archive, and its first user
 // snapshot starts one.
@@ -163,7 +163,7 @@ func TestFollowerSnapshotStopsAtItsBoundary(t *testing.T) {
 	opts := rtEngOpts()
 	opts.FlushEntries = 8 // frequent flushes retire WALs
 	cfg := Config{
-		historyEntries: 4, seedRefreshEntries: 1 << 20, Engine: opts,
+		historyEntries: 4, seedRefreshEntries: 1 << 20, engineOpts: opts,
 		retryBase: time.Millisecond, retryCap: 2 * time.Millisecond, retryAttempts: 2,
 	}
 	cl := newCluster(t, 3, cfg)

@@ -15,17 +15,19 @@ import (
 )
 
 // Hook is the engine.CommitHook a leader engine is opened with. It is
-// created unbound (Append buffers, Commit acknowledges immediately —
-// single-node behavior) so the engine can be opened before the Group
-// exists; LeadEngine binds it. Bind before serving writes: buffered
-// appends are replayed into the group at bind time, but commits that
-// already returned were not quorum-checked.
+// created unbound, so the engine can be opened before the Group exists,
+// and LeadEngine binds it. An unbound hook fails closed: Commit refuses
+// every batch with engine.ErrQuorum, since no group could have checked
+// a quorum for it. Open's WAL replay does not pass through the hook, so
+// binding right after engine.Open loses nothing.
 type Hook struct {
-	mu      sync.Mutex
-	g       *Group
-	dims    int
-	pending []histEntry
+	mu   sync.Mutex
+	g    *Group
+	dims int
 }
+
+// errUnbound refuses a batch committed before LeadEngine bound its hook.
+var errUnbound = fmt.Errorf("%w: commit hook not bound to a group", engine.ErrQuorum)
 
 // NewHook returns an unbound commit hook for dims-dimensional points.
 func NewHook(dims int) *Hook {
@@ -36,17 +38,16 @@ func NewHook(dims int) *Hook {
 // mutex, between the batch's flush and its fsync: it copies the batch
 // into a new entry and fires it at the followers while the leader's own
 // fsync is in flight, so the two log barriers overlap. Fire-and-forget
-// — Commit below collects (or redoes) the acks.
+// — Commit below collects (or redoes) the acks. An unbound hook drops
+// the batch, and Commit refuses it.
 func (h *Hook) Append(_ uint64, batch []byte) {
-	b := histEntry{e: Entry{Batch: append([]byte(nil), batch...)}, ops: engine.BatchLen(batch, h.dims)}
 	h.mu.Lock()
 	g := h.g
+	h.mu.Unlock()
 	if g == nil {
-		h.pending = append(h.pending, b)
-		h.mu.Unlock()
 		return
 	}
-	h.mu.Unlock()
+	b := histEntry{e: Entry{Batch: append([]byte(nil), batch...)}, ops: engine.BatchLen(batch, h.dims)}
 	g.preShip(g.appendBatch(b))
 }
 
@@ -58,20 +59,15 @@ func (h *Hook) Commit(uint64) error {
 	g := h.g
 	h.mu.Unlock()
 	if g == nil {
-		return nil
+		return errUnbound
 	}
 	return g.commitLast()
 }
 
 func (h *Hook) bind(g *Group) {
 	h.mu.Lock()
-	pending := h.pending
-	h.pending = nil
 	h.g = g
 	h.mu.Unlock()
-	for _, b := range pending {
-		g.appendBatch(b)
-	}
 }
 
 type epochMark struct {
@@ -124,16 +120,16 @@ type Group struct {
 	wg   sync.WaitGroup
 }
 
-// Lead opens a fresh leader engine at dir and starts replicating to
-// cfg.Peers. The directory may hold an existing engine — its
-// pre-existing dataset never flows through the commit hook, so every
-// peer is seeded with a snapshot before the group serves writes — but
-// not one that was already a replication leader: a deposed or crashed
-// leader may hold writes no quorum acknowledged, and rejoins as a
-// follower (OpenFollower re-seeds it) instead of resuming.
+// Lead opens a fresh leader engine at dir, on the default engine
+// options, and starts replicating to cfg.Peers. The directory may hold
+// an existing engine — its pre-existing dataset never flows through the
+// commit hook, so every peer is seeded with a snapshot before the group
+// serves writes — but not one that was already a replication leader: a
+// deposed or crashed leader may hold writes no quorum acknowledged, and
+// rejoins as a follower (OpenFollower re-seeds it) instead of resuming.
 func Lead(dir string, c curve.Curve, cfg Config) (*Group, error) {
 	cfg = cfg.withDefaults()
-	st, ok, err := readState(vfs.Or(cfg.Engine.FS), dir)
+	st, ok, err := readState(vfs.Or(cfg.engineOpts.FS), dir)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +137,7 @@ func Lead(dir string, c curve.Curve, cfg Config) (*Group, error) {
 		return nil, fmt.Errorf("repl: %s was a replication %s (epoch %d); rejoin as a follower and promote instead", dir, st.role, st.epoch)
 	}
 	hook := NewHook(c.Universe().Dims())
-	opts := cfg.Engine
+	opts := cfg.engineOpts
 	opts.CommitHook = hook
 	eng, err := engine.Open(dir, c, opts)
 	if err != nil {
@@ -159,8 +155,10 @@ func Lead(dir string, c curve.Curve, cfg Config) (*Group, error) {
 }
 
 // LeadEngine binds an already-open engine to a new Group. The engine
-// must have been opened with hook as its Options.CommitHook. The caller
-// keeps ownership of the engine (Close does not close it).
+// must have been opened with hook as its Options.CommitHook, and must
+// take no writes before LeadEngine returns: the unbound hook refuses
+// them with engine.ErrQuorum. The caller keeps ownership of the engine
+// (Close does not close it).
 //
 // The engine may hold pre-existing data — including the reopen path,
 // where an ex-leader directory is re-led under a higher cfg.Epoch. In
@@ -1020,7 +1018,10 @@ func QuorumWatermark(lasts []uint64, quorum int) uint64 {
 // surviving replicas — dropping any suffix that provably never reached
 // a quorum), fully applied to the engine, synced, and the node restarts
 // as a leader whose in-memory history is preloaded from the log, so
-// surviving followers catch up by resend rather than re-seed.
+// surviving followers catch up by resend rather than re-seed. The leader
+// engine reopens on the follower's own FollowerOptions.Engine, with the
+// commit hook installed and archiving back on; cfg supplies the group's
+// identity, peers, transport and epoch floor.
 //
 // The leader role is persisted before the log is applied: if the
 // process dies mid-promotion the node rejoins as an ex-leader and is
@@ -1093,13 +1094,14 @@ func Promote(f *Follower, upTo uint64, cfg Config) (*Group, error) {
 	}
 	f.fsys.Remove(f.log.path) //nolint:errcheck // applied and synced; leaders keep no replication log
 
-	// Reopen the engine as a leader engine: commit hook installed,
-	// synchronous writes on.
+	// Reopen the engine as a leader engine on the follower's own options:
+	// commit hook installed (which forces synchronous writes on), and
+	// archiving back on.
 	if err := f.eng.Close(); err != nil {
 		return nil, err
 	}
 	hook := NewHook(dims)
-	opts := cfg.Engine
+	opts := f.opts.Engine
 	opts.CommitHook = hook
 	eng, err := engine.Open(f.dir, f.c, opts)
 	if err != nil {

@@ -561,7 +561,7 @@ func TestSeedDirRemovalFault(t *testing.T) {
 	opts := rtEngOpts()
 	opts.FS = inj
 	g, err := Lead(filepath.Join(t.TempDir(), "leader"), rtCurve(t),
-		Config{ID: "leader", Engine: opts, seedRefreshEntries: 1})
+		Config{ID: "leader", engineOpts: opts, seedRefreshEntries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestLeadEngineReopenReseeds(t *testing.T) {
 	leaderDir := filepath.Join(base, "leader")
 	g, err := Lead(leaderDir, c, Config{
 		ID: "leader", Peers: ids, Transport: tr,
-		Engine: rtEngOpts(), retryBase: time.Millisecond,
+		engineOpts: rtEngOpts(), retryBase: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestLeadNonEmptyEngineSeedsPeers(t *testing.T) {
 	}()
 	g, err := Lead(leaderDir, c, Config{
 		ID: "leader", Peers: ids, Transport: tr,
-		Engine: rtEngOpts(), retryBase: time.Millisecond,
+		engineOpts: rtEngOpts(), retryBase: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

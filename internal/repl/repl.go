@@ -92,13 +92,16 @@ type Config struct {
 	// Transport routes requests to peers. Required when Peers is
 	// non-empty.
 	Transport Transport
-	// Engine tunes the leader engine for Lead and Promote (the engine
-	// forces SyncWrites on, since the commit hook is set: replication
-	// rides the synchronous batch commit).
-	Engine engine.Options
 	// Epoch is the starting epoch (Promote passes the successor epoch;
 	// a fresh group starts at 1).
 	Epoch uint64
+
+	// engineOpts tunes the engine Lead opens (the engine forces
+	// SyncWrites on, since the commit hook is set: replication rides the
+	// synchronous batch commit). Promote reopens the follower's engine
+	// with the follower's own options instead. Unexported: only this
+	// package's tests set it.
+	engineOpts engine.Options
 
 	// historyEntries bounds the in-memory resend window in ops, not
 	// entries: the leader keeps the newest entries that hold at least
@@ -171,11 +174,12 @@ type FollowerOptions struct {
 	// snapshot of Follower.Engine()): an entry already sits in the
 	// replication log until the engine holds it in a segment, and nothing
 	// reads a follower's archive — a seed restores to its own boundary
-	// and the leader's resend window carries the rest, and Promote
-	// reopens the engine with Config.Engine, which archives from its
-	// first user snapshot on. Point-in-time restore is therefore a
-	// leader-side capability: a snapshot of Follower.Engine() restores to
-	// its own boundary and no further.
+	// and the leader's resend window carries the rest. Point-in-time
+	// restore is therefore a leader-side capability: a snapshot of
+	// Follower.Engine() restores to its own boundary and no further.
+	// Promote reopens the engine with these same options, the commit hook
+	// added and archiving back on, so a promoted leader archives from its
+	// first user snapshot on.
 	Engine engine.Options
 
 	// maxLogEntries triggers replication-log compaction: once the log's
@@ -189,6 +193,5 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 	if o.maxLogEntries <= 0 {
 		o.maxLogEntries = 1 << 14
 	}
-	o.Engine = engine.NoArchive(o.Engine)
 	return o
 }

@@ -32,7 +32,7 @@ func rtPoint(i int) geom.Point {
 }
 
 func rtEngOpts() engine.Options {
-	return engine.Options{PageBytes: 192, FlushEntries: -1, CompactFanout: -1}
+	return engine.Options{PageBytes: 192, FlushEntries: -1}
 }
 
 // cluster is a leader plus followers wired through a fault-injecting
@@ -65,8 +65,8 @@ func newCluster(t *testing.T, followers int, cfg Config) *cluster {
 	cfg.ID = "leader"
 	cfg.Peers = cl.ids
 	cfg.Transport = cl.tr
-	if cfg.Engine.PageBytes == 0 {
-		cfg.Engine = rtEngOpts()
+	if cfg.engineOpts.PageBytes == 0 {
+		cfg.engineOpts = rtEngOpts()
 	}
 	if cfg.retryBase == 0 {
 		cfg.retryBase = time.Millisecond
@@ -432,6 +432,24 @@ func TestQuorumWatermark(t *testing.T) {
 	}
 }
 
+// TestUnboundHookRefusesWrites: a batch committed before LeadEngine
+// binds the hook has had no quorum round, so the unbound hook refuses it
+// instead of acknowledging it on the leader alone.
+func TestUnboundHookRefusesWrites(t *testing.T) {
+	c := rtCurve(t)
+	hook := NewHook(c.Universe().Dims())
+	opts := rtEngOpts()
+	opts.CommitHook = hook
+	eng, err := engine.Open(t.TempDir(), c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close() //nolint:errcheck
+	if err := eng.Put(rtPoint(1), 1); !errors.Is(err, engine.ErrQuorum) {
+		t.Fatalf("put before LeadEngine: %v, want ErrQuorum", err)
+	}
+}
+
 // TestLeadEngineForcesSyncWrites: an engine opened with a commit hook but
 // without SyncWrites still puts every write through a quorum round, so
 // with every peer partitioned a Put fails with ErrQuorum instead of
@@ -479,7 +497,7 @@ func TestLeadEngineForcesSyncWrites(t *testing.T) {
 // batch allocates no more than a 1-op batch. The group has no peers, so
 // the transport allocates nothing either.
 func TestLeaderAllocsPerBatchFlat(t *testing.T) {
-	g, err := Lead(t.TempDir(), rtCurve(t), Config{ID: "leader", Engine: rtEngOpts()})
+	g, err := Lead(t.TempDir(), rtCurve(t), Config{ID: "leader", engineOpts: rtEngOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,26 +59,26 @@ type Options struct {
 	// would misroute queries.
 	Shards int
 	// Engine tunes every per-shard engine (page size, flush threshold,
-	// WAL sync policy, compaction fanout).
+	// WAL sync policy). Its FS, Cache and CommitHook must be unset: the
+	// service hands every engine its FS and the cache CacheBytes makes,
+	// and a commit hook is per shard (OpenReplicated installs one).
 	Engine engine.Options
 	// CacheBytes gives every shard engine ONE shared page cache with
-	// this byte budget (0 disables caching; ignored when Engine.Cache is
-	// already set). Sharing one cache makes the budget a service-level
-	// knob: hot shards naturally claim more of it. Caching changes only
-	// physical I/O — the logical stat contracts hold bit-identically
-	// with the cache on or off. The cache splits the budget over 8
-	// internal shards of its own and each retains only pages that fit
-	// its eighth, so a budget under 8 pages caches nothing.
+	// this byte budget (0 disables caching). Sharing one cache makes the
+	// budget a service-level knob: hot shards naturally claim more of
+	// it. Caching changes only physical I/O — the logical stat contracts
+	// hold bit-identically with the cache on or off. The cache splits the
+	// budget over 8 internal shards of its own and each retains only
+	// pages that fit its eighth, so a budget under 8 pages caches nothing.
 	CacheBytes int64
 	// FS is the filesystem the manifest and every shard engine live on.
 	// Nil selects the real filesystem; fault-injection tests pass a
-	// vfs.Injecting. (Engine.FS, when set, still wins for the engines.)
+	// vfs.Injecting.
 	FS vfs.FS
 
 	// commitHook, when set, installs a per-shard commit hook into each
-	// shard engine (overriding Engine.CommitHook): shard i's engine gets
-	// commitHook(i). OpenReplicated threads per-shard replication through
-	// it.
+	// shard engine: shard i's engine gets commitHook(i). OpenReplicated
+	// threads per-shard replication through it.
 	commitHook func(shard int) engine.CommitHook
 }
 
@@ -87,6 +87,24 @@ func (o Options) withDefaults() Options {
 		o.Shards = runtime.GOMAXPROCS(0)
 	}
 	return o
+}
+
+// engineOpts returns the options every shard engine starts from:
+// Engine, on FS. The filesystem, the cache and the commit hook are the
+// service's to hand out, so setting them on Engine is an error — and a
+// commit hook set there would be shared by every shard's engine.
+func (o Options) engineOpts() (engine.Options, error) {
+	e := o.Engine
+	switch {
+	case e.FS != nil:
+		return e, errors.New("shard: set Options.FS, not Options.Engine.FS")
+	case e.Cache != nil:
+		return e, errors.New("shard: set Options.CacheBytes, not Options.Engine.Cache")
+	case e.CommitHook != nil:
+		return e, errors.New("shard: Options.Engine.CommitHook would be shared by every shard; use OpenReplicated")
+	}
+	e.FS = o.FS
+	return e, nil
 }
 
 // Record is one stored point with an opaque payload (the engine type).
@@ -130,6 +148,10 @@ type Sharded struct {
 // open and verified afterwards.
 func Open(dir string, c curve.Curve, opts Options) (*Sharded, error) {
 	opts = opts.withDefaults()
+	engOpts, err := opts.engineOpts()
+	if err != nil {
+		return nil, err
+	}
 	fsys := vfs.Or(opts.FS)
 	part, err := partition.Uniform(c, opts.Shards)
 	if err != nil {
@@ -144,12 +166,8 @@ func Open(dir string, c curve.Curve, opts Options) (*Sharded, error) {
 	s := &Sharded{c: c, part: part, opts: opts}
 	// One page cache for every shard engine: a single byte budget over
 	// the whole service, populated by whichever shards run hot.
-	engOpts := opts.Engine
-	if engOpts.Cache == nil && opts.CacheBytes > 0 {
+	if opts.CacheBytes > 0 {
 		engOpts.Cache = pagedstore.NewCache(opts.CacheBytes)
-	}
-	if engOpts.FS == nil {
-		engOpts.FS = opts.FS
 	}
 	s.cache = engOpts.Cache
 	for i := 0; i < opts.Shards; i++ {
@@ -167,7 +185,7 @@ func Open(dir string, c curve.Curve, opts Options) (*Sharded, error) {
 	}
 	s.reg = telemetry.NewRegistry()
 	s.rtel = newRouterTelemetry(s.reg)
-	s.registerRouterTelemetry(opts.Engine.Cache == nil && s.cache != nil)
+	s.registerRouterTelemetry()
 	return s, nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/onioncurve/onion/internal/baseline"
 	"github.com/onioncurve/onion/internal/core"
@@ -30,7 +31,7 @@ import (
 func manualShardOpts(k int) Options {
 	return Options{
 		Shards: k,
-		Engine: engine.Options{PageBytes: 384, FlushEntries: -1, CompactFanout: -1},
+		Engine: engine.Options{PageBytes: 384, FlushEntries: -1},
 		// A deliberately tiny shared page cache (16 pages across all
 		// shards) so the cross-checks run under constant eviction
 		// pressure: the logical stat contracts must hold bit-identically
@@ -664,7 +665,9 @@ func TestShardedAdmission(t *testing.T) {
 	}
 	opts := Options{
 		Shards: 4,
-		Engine: engine.Options{PageBytes: 384, FlushEntries: 300, CompactFanout: 2},
+		// 100-entry flushes give each shard runs of the default
+		// compaction fanout.
+		Engine: engine.Options{PageBytes: 384, FlushEntries: 100},
 	}
 	s, err := Open(t.TempDir(), c, opts)
 	if err != nil {
@@ -697,6 +700,11 @@ func TestShardedAdmission(t *testing.T) {
 	readers.Wait()
 	if t.Failed() {
 		return
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.Stats().Compactions == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("background compaction never ran")
+		}
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -912,7 +920,7 @@ func TestRouterOneShardQueryAllocs(t *testing.T) {
 	}
 	s, err := Open(t.TempDir(), c, Options{
 		Shards:     2,
-		Engine:     engine.Options{PageBytes: 4096, FlushEntries: -1, CompactFanout: -1},
+		Engine:     engine.Options{PageBytes: 4096, FlushEntries: -1},
 		CacheBytes: 1 << 22,
 	})
 	if err != nil {

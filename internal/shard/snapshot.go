@@ -132,6 +132,10 @@ func (s *Sharded) SnapshotSince(dir, parent string) (SnapshotReport, error) {
 // not exist. Open the result with the same curve and shard count.
 func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Options) ([]engine.RestoreReport, error) {
 	opts = opts.withDefaults()
+	engOpts, err := opts.engineOpts()
+	if err != nil {
+		return nil, err
+	}
 	fsys := vfs.Or(opts.FS)
 	if _, err := readSnapshotEpoch(fsys, snapshotDir, c, opts.Shards); err != nil {
 		return nil, err
@@ -144,10 +148,6 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 	tmp := targetDir + ".restore-tmp"
 	if err := fsys.MkdirAll(tmp, 0o755); err != nil {
 		return nil, fmt.Errorf("shard: restore: %w", err)
-	}
-	engOpts := opts.Engine
-	if engOpts.FS == nil {
-		engOpts.FS = opts.FS
 	}
 	reps := make([]engine.RestoreReport, opts.Shards)
 	if err := fanOut(opts.Shards, func(i int) (err error) {

@@ -11,6 +11,7 @@ import (
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/geom"
+	"github.com/onioncurve/onion/internal/pagedstore"
 	"github.com/onioncurve/onion/internal/vfs"
 )
 
@@ -155,6 +156,49 @@ func TestShardedSnapshotRestore(t *testing.T) {
 	}
 	if _, err := Restore(s2, filepath.Join(root, "y"), -1, c, opts); !errors.Is(err, ErrSnapshot) {
 		t.Fatalf("restore of uncommitted composite = %v, want ErrSnapshot", err)
+	}
+}
+
+// nopHook is a commit hook that acknowledges every batch.
+type nopHook struct{}
+
+func (nopHook) Append(uint64, []byte) {}
+func (nopHook) Commit(uint64) error   { return nil }
+
+// TestEngineOptionsRejectServiceFields: the filesystem, the page cache
+// and the commit hook are the service's to hand every shard engine, so
+// Open and Restore reject each one set on Options.Engine — a commit hook
+// set there would be shared by every shard.
+func TestEngineOptionsRejectServiceFields(t *testing.T) {
+	c := snapCurve(t)
+	dir := t.TempDir()
+	s, err := Open(filepath.Join(dir, "src"), c, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(geom.Point{1, 2}, 3); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(dir, "snap")
+	if _, err := s.Snapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, eo := range map[string]engine.Options{
+		"FS":         {FS: vfs.OS{}},
+		"Cache":      {Cache: pagedstore.NewCache(1 << 16)},
+		"CommitHook": {CommitHook: nopHook{}},
+	} {
+		opts := Options{Shards: 2, Engine: eo}
+		if s, err := Open(filepath.Join(dir, "open-"+name), c, opts); err == nil {
+			s.Close() //nolint:errcheck
+			t.Errorf("Open with Engine.%s set succeeded", name)
+		}
+		if _, err := Restore(snap, filepath.Join(dir, "restore-"+name), -1, c, opts); err == nil {
+			t.Errorf("Restore with Engine.%s set succeeded", name)
+		}
 	}
 }
 

@@ -99,12 +99,12 @@ func (s *Sharded) TelemetrySnapshot() telemetry.Snapshot {
 func (s *Sharded) Events(i int) *telemetry.Events { return s.engines[i].Events() }
 
 // registerRouterTelemetry wires the router registry's sampled series:
-// the shard count and, when the router owns the shared page cache, the
-// cache counters — exported here exactly once rather than once per
-// shard engine (engines never export a cache).
-func (s *Sharded) registerRouterTelemetry(ownedCache bool) {
+// the shard count and, when caching is on, the shared page cache's
+// counters — exported here exactly once rather than once per shard
+// engine (engines never export a cache).
+func (s *Sharded) registerRouterTelemetry() {
 	s.reg.GaugeFunc("router_shards", func() int64 { return int64(len(s.engines)) })
-	if ownedCache {
+	if s.cache != nil {
 		engine.RegisterCacheTelemetry(s.reg, s.cache)
 	}
 }

@@ -79,16 +79,14 @@ type Event struct {
 	Bytes   int64
 }
 
-// Events is a bounded ring of maintenance events plus an optional
-// synchronous listener. Emit is cheap (one mutex, no allocation beyond
-// the preallocated ring) but is only called on maintenance paths, never
-// on the query or write hot path.
+// Events is a bounded ring of maintenance events. Emit is cheap (one
+// mutex, no allocation beyond the preallocated ring) but is only called
+// on maintenance paths, never on the query or write hot path.
 type Events struct {
 	mu       sync.Mutex
 	buf      []Event
 	seq      uint64
 	inflight [NumEventKinds]int
-	listener func(Event)
 }
 
 // DefaultEventCap is the ring capacity used when NewEvents is given a
@@ -104,8 +102,8 @@ func NewEvents(capacity int) *Events {
 }
 
 // Emit stamps the event with the next sequence number (and the current
-// time, unless already set), stores it in the ring, and invokes the
-// listener if one is installed. It returns the stamped event.
+// time, unless already set) and stores it in the ring. It returns the
+// stamped event.
 func (ev *Events) Emit(e Event) Event {
 	ev.mu.Lock()
 	ev.seq++
@@ -129,11 +127,7 @@ func (ev *Events) Emit(e Event) Event {
 		copy(ev.buf, ev.buf[1:])
 		ev.buf[len(ev.buf)-1] = e
 	}
-	fn := ev.listener
 	ev.mu.Unlock()
-	if fn != nil {
-		fn(e)
-	}
 	return e
 }
 
@@ -146,14 +140,6 @@ func (ev *Events) Recent(dst []Event) []Event {
 	return dst
 }
 
-// Total returns the number of events emitted over the stream's
-// lifetime, including any that have rotated out of the ring.
-func (ev *Events) Total() uint64 {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	return ev.seq
-}
-
 // InFlight returns the number of started-but-not-ended operations of
 // the given kind.
 func (ev *Events) InFlight(k EventKind) int {
@@ -163,13 +149,4 @@ func (ev *Events) InFlight(k EventKind) int {
 		return 0
 	}
 	return ev.inflight[k]
-}
-
-// SetListener installs fn to be called synchronously, outside the ring
-// lock, for every emitted event. Pass nil to remove. The listener must
-// not block: it runs inline on maintenance paths.
-func (ev *Events) SetListener(fn func(Event)) {
-	ev.mu.Lock()
-	ev.listener = fn
-	ev.mu.Unlock()
 }

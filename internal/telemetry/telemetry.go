@@ -3,8 +3,9 @@
 // Design constraints, in priority order:
 //
 //  1. Recording on the hot path is allocation-free and lock-free:
-//     Counter, Gauge, FloatGauge and Histogram record with plain atomic
-//     operations on preallocated memory. No maps, no interface boxing,
+//     Counter, FloatGauge and Histogram record with plain atomic
+//     operations on preallocated memory; integer gauges are sampled at
+//     snapshot time (GaugeFunc). No maps, no interface boxing,
 //     no time formatting.
 //  2. Snapshots are mergeable: a service-level view of N per-shard
 //     registries is MergeMetrics/Rollup over their snapshots, and the
@@ -41,21 +42,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is a settable signed integer value. The zero value is ready to
-// use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // FloatGauge is a settable float64 value stored as atomic bits. The
 // zero value is ready to use and reads as 0.
@@ -108,7 +94,6 @@ type Metric struct {
 type registered struct {
 	kind Kind
 	c    *Counter
-	g    *Gauge
 	f    *FloatGauge
 	h    *Histogram
 	cf   func() uint64 // sampled counter, read at snapshot time
@@ -141,8 +126,6 @@ func (r *Registry) getOrCreate(name string, kind Kind) *registered {
 	switch kind {
 	case KindCounter:
 		m.c = &Counter{}
-	case KindGauge:
-		m.g = &Gauge{}
 	case KindFloatGauge:
 		m.f = &FloatGauge{}
 	case KindHistogram:
@@ -155,9 +138,6 @@ func (r *Registry) getOrCreate(name string, kind Kind) *registered {
 // Counter returns the counter with the given name, creating it if
 // needed. Panics if the name is already registered with another kind.
 func (r *Registry) Counter(name string) *Counter { return r.getOrCreate(name, KindCounter).c }
-
-// Gauge returns the gauge with the given name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge { return r.getOrCreate(name, KindGauge).g }
 
 // FloatGauge returns the float gauge with the given name, creating it
 // if needed.
@@ -215,8 +195,6 @@ func (r *Registry) Snapshot() Snapshot {
 		case KindGauge:
 			if m.gf != nil {
 				mt.Int = m.gf()
-			} else {
-				mt.Int = m.g.Load()
 			}
 		case KindFloatGauge:
 			mt.Float = m.f.Load()

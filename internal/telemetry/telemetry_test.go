@@ -18,12 +18,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Load(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-10)
-	if got := g.Load(); got != -3 {
-		t.Fatalf("gauge = %d, want -3", got)
-	}
 	var f FloatGauge
 	f.Set(1.5)
 	if got := f.Load(); got != 1.5 {
@@ -108,7 +102,7 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestRegistrySnapshotSorted(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zzz_total").Add(1)
-	r.Gauge("aaa_gauge").Set(5)
+	r.GaugeFunc("aaa_gauge", func() int64 { return 5 })
 	r.Histogram("mmm_hist").Record(10)
 	r.FloatGauge("bbb_ratio").Set(2.5)
 	r.CounterFunc("sampled_total", func() uint64 { return 99 })
@@ -143,7 +137,7 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 				t.Fatalf("kind clash should panic")
 			}
 		}()
-		r.Gauge("zzz_total")
+		r.GaugeFunc("zzz_total", func() int64 { return 0 })
 	}()
 }
 
@@ -182,12 +176,9 @@ func TestRegistryConcurrency(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			c := r.Counter("ops_total")
 			h := r.Histogram("lat_us")
-			ga := r.Gauge("depth")
 			for i := 0; i < perG; i++ {
 				c.Inc()
 				h.Record(uint64(rng.Intn(1 << 20)))
-				ga.Add(1)
-				ga.Add(-1)
 			}
 		}(int64(g))
 	}
@@ -201,9 +192,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	if h := s.Hist("lat_us"); h == nil || h.Count != goroutines*perG {
 		t.Fatalf("lat_us count = %v, want %d", h, goroutines*perG)
 	}
-	if m, _ := s.Metric("depth"); m.Int != 0 {
-		t.Fatalf("depth = %d, want 0", m.Int)
-	}
 }
 
 func TestMergeAssociativity(t *testing.T) {
@@ -211,12 +199,13 @@ func TestMergeAssociativity(t *testing.T) {
 		r := NewRegistry()
 		rng := rand.New(rand.NewSource(seed))
 		c := r.Counter("ops_total")
-		g := r.Gauge("entries")
+		var entries int64
+		r.GaugeFunc("entries", func() int64 { return entries })
 		f := r.FloatGauge("amp")
 		h := r.Histogram("lat_us")
 		for i := 0; i < 1000; i++ {
 			c.Inc()
-			g.Add(int64(rng.Intn(10)))
+			entries += int64(rng.Intn(10))
 			h.Record(uint64(rng.Intn(100000)))
 		}
 		f.Set(rng.Float64() * 4)
@@ -260,11 +249,10 @@ func TestMergeAssociativity(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		c := single.Counter("ops_total")
-		g := single.Gauge("entries")
 		h := single.Histogram("lat_us")
 		for i := 0; i < 1000; i++ {
 			c.Inc()
-			g.Add(int64(rng.Intn(10)))
+			rng.Intn(10) // the gauge draw, kept so the streams match
 			h.Record(uint64(rng.Intn(100000)))
 		}
 		_ = rng.Float64()
@@ -307,13 +295,11 @@ func TestRollupLabels(t *testing.T) {
 func TestRecordZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops_total")
-	g := r.Gauge("depth")
 	f := r.FloatGauge("amp")
 	h := r.Histogram("lat_us")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
-		g.Set(12)
 		f.Set(1.25)
 		h.Record(137)
 	})
@@ -324,8 +310,6 @@ func TestRecordZeroAlloc(t *testing.T) {
 
 func TestEventsRing(t *testing.T) {
 	ev := NewEvents(4)
-	var heard []Event
-	ev.SetListener(func(e Event) { heard = append(heard, e) })
 	for i := 0; i < 6; i++ {
 		kind := EvFlush
 		if i%2 == 1 {
@@ -346,25 +330,12 @@ func TestEventsRing(t *testing.T) {
 			t.Fatalf("event %d shard = %d, want %d", i, e.Shard, i+2)
 		}
 	}
-	if ev.Total() != 6 {
-		t.Fatalf("total = %d, want 6", ev.Total())
-	}
-	if len(heard) != 6 {
-		t.Fatalf("listener heard %d, want 6", len(heard))
-	}
 	if ev.InFlight(EvFlush) != 3 || ev.InFlight(EvCompaction) != 3 {
 		t.Fatalf("inflight = %d/%d, want 3/3", ev.InFlight(EvFlush), ev.InFlight(EvCompaction))
 	}
 	ev.Emit(Event{Kind: EvFlush, Phase: PhaseEnd})
 	if ev.InFlight(EvFlush) != 2 {
 		t.Fatalf("inflight after end = %d, want 2", ev.InFlight(EvFlush))
-	}
-	ev.SetListener(nil)
-	ev.Emit(Event{Kind: EvScrub, Phase: PhasePoint})
-	if len(heard) != 7 {
-		// 7 because the end event above was heard too; the point event
-		// after removal must not be.
-		t.Fatalf("listener heard %d after removal, want 7", len(heard))
 	}
 }
 
@@ -388,7 +359,7 @@ func TestEventTimeStamping(t *testing.T) {
 func TestWriteJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ops_total").Add(12)
-	r.Gauge("depth").Set(-2)
+	r.GaugeFunc("depth", func() int64 { return -2 })
 	r.FloatGauge("amp").Set(1.75)
 	h := r.Histogram("lat_us")
 	for i := 0; i < 100; i++ {
@@ -436,7 +407,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("engine_queries_total").Add(5)
 	r.Counter(`engine_queries_total{shard="1"}`).Add(2)
-	r.Gauge("engine_segments").Set(3)
+	r.GaugeFunc("engine_segments", func() int64 { return 3 })
 	h := r.Histogram(`engine_query_latency_us{shard="1"}`)
 	h.Record(10)
 	h.Record(200)

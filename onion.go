@@ -123,9 +123,10 @@ type (
 	// OpenEngine.
 	Engine = engine.Engine
 	// EngineOptions tunes OpenEngine (page size, flush threshold, WAL
-	// sync policy, compaction fanout, page cache — a
-	// NewPageCache, nil for none). The zero value selects sensible
-	// defaults.
+	// sync policy, page cache — a NewPageCache, nil for none). The zero
+	// value selects sensible defaults. Size-tiered compaction, at a
+	// fanout of 4, follows each automatic flush; a negative FlushEntries
+	// turns both off and leaves Flush and Compact to the caller.
 	EngineOptions = engine.Options
 	// EngineQueryStats is the physical access pattern of one Engine
 	// query: pagedstore-style seeks/pages/records summed over the live
@@ -227,9 +228,8 @@ type (
 	// background machinery: flush, compaction, snapshot, restore, repair,
 	// scrub or health transition, with start/end phases and outcome.
 	MaintenanceEvent = telemetry.Event
-	// MaintenanceEvents is a bounded in-memory ring of MaintenanceEvents
-	// with an optional synchronous listener; Engine.Events returns the
-	// engine's stream.
+	// MaintenanceEvents is a bounded in-memory ring of
+	// MaintenanceEvents; Engine.Events returns the engine's stream.
 	MaintenanceEvents = telemetry.Events
 	// MaintenanceEventKind discriminates MaintenanceEvent kinds.
 	MaintenanceEventKind = telemetry.EventKind
@@ -237,8 +237,10 @@ type (
 	// set of followers with quorum acknowledgment. Open one with
 	// LeadReplicated, or promote a follower with PromoteReplica.
 	ReplGroup = repl.Group
-	// ReplConfig tunes a ReplGroup: peer ids, transport, leader engine
-	// options and starting epoch. The quorum is not an option: it is the
+	// ReplConfig tunes a ReplGroup: peer ids, transport and starting
+	// epoch. LeadReplicated opens the leader engine on the default
+	// engine options, and PromoteReplica reopens the follower's engine on
+	// the follower's own options. The quorum is not an option: it is the
 	// majority of the group, leader included; nor is the resend window
 	// (the newest entries holding 16 384 ops; an entry is one write
 	// batch, and the seed is refreshed every 16 384 entries), nor the
@@ -591,6 +593,8 @@ func OpenShardedEngine(dir string, c Curve, opts ShardedEngineOptions) (*Sharded
 // re-arms once peers are reachable. A directory that already led an
 // epoch refuses to lead again — rejoin it as a follower (its divergent
 // suffix is shed by a snapshot re-seed) and promote a clean replica.
+// The leader engine runs on the default EngineOptions; a replicated
+// service with tuned engines is OpenReplicatedShardedEngine.
 func LeadReplicated(dir string, c Curve, cfg ReplConfig) (*ReplGroup, error) {
 	return repl.Lead(dir, c, cfg)
 }
@@ -624,7 +628,10 @@ func ReplQuorumWatermark(lasts []uint64, quorum int) uint64 {
 // PromoteReplica turns a follower into the leader of a new epoch:
 // its log is truncated to upTo (a ReplQuorumWatermark), fully applied,
 // and the node restarts as a leader whose history lets surviving
-// followers catch up by resend. The follower is consumed. Failover is
+// followers catch up by resend. The engine reopens on the follower's
+// own ReplFollowerOptions.Engine — same filesystem, cache and page
+// size — with the commit hook installed (so synchronous writes) and
+// archiving back on. The follower is consumed. Failover is
 // externally driven: the caller picks the reachable follower with the
 // longest log, which by quorum intersection holds every acknowledged
 // entry.
