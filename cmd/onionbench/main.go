@@ -8,6 +8,10 @@
 //	onionbench -exp fig5a,fig5b    # selected experiments
 //	onionbench -exp all -quick     # small universes, seconds not minutes
 //
+// Results go to stdout, deterministic given -seed (CI diffs the -quick
+// run against expected_quick.txt); each experiment's elapsed time goes
+// to stderr.
+//
 // Experiments: fig1 fig2 table1 table2 fig5a fig5b fig6a fig6b fig7a fig7b
 // lemma5 thm1 lb seeks fanout ablation spread eta. Add -format csv for
 // machine-readable output of the distribution figures, lemma5 and eta.
@@ -153,7 +157,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
 			os.Exit(1)
 		}
-		fmt.Printf("=== %s (%.1fs) ===\n%s\n", e.id, time.Since(start).Seconds(), out)
+		fmt.Fprintf(os.Stderr, "=== %s (%.1fs) ===\n", e.id, time.Since(start).Seconds())
+		fmt.Printf("=== %s ===\n%s\n", e.id, out)
 	}
 }
 

@@ -19,17 +19,17 @@ type BatchOp struct {
 }
 
 // PutBatch is the engine's one write body and its one writer (Put and
-// Delete are one-op batches). It holds the WAL mutex for the whole
-// batch: the ops take one contiguous sequence-number interval and go
-// into the log, in that order, as one frame; with Options.SyncWrites one
-// flush and one fsync (and the CommitHook's one Append and quorum round)
-// cover the batch; then the ops enter the memtable and become visible to
-// queries together. Log order, sequence order and memtable order therefore
-// agree, and a query snapshot, like recovery, holds whole batches only.
-// Concurrent callers serialize — each synchronous batch pays its own
-// fsync — so durable batching across many producers is the ingest
-// pipeline's job (NewIngest), which hands each engine one large batch at
-// a time.
+// Delete are one-op batches). It holds the WAL mutex, and no other engine
+// lock, for the whole batch, so queries run beside it: the ops take one
+// contiguous sequence-number interval and go into the log, in that order,
+// as one frame; with Options.SyncWrites one flush and one fsync (and the
+// CommitHook's one Append and quorum round) cover the batch; then the ops
+// enter the memtable and become visible to queries together. Log order,
+// sequence order and memtable order therefore agree, and a query
+// snapshot, like recovery, holds whole batches only. Concurrent callers
+// serialize — each synchronous batch pays its own fsync — so durable
+// batching across many producers is the ingest pipeline's job
+// (NewIngest), which hands each engine one large batch at a time.
 //
 // Acknowledgement is all-or-nothing: a nil return means every op is
 // acknowledged under the same durability rules. On error no op is
@@ -53,18 +53,16 @@ func (e *Engine) PutBatch(ops []BatchOp) error {
 	if Health(e.health.state.Load()) >= ReadOnly {
 		return e.readOnlyErr()
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed || e.closing {
-		return ErrClosed
-	}
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
+	w := e.wal
+	if w == nil {
+		return ErrClosed
+	}
 	if Health(e.health.state.Load()) >= ReadOnly {
 		// The batch this one queued behind failed.
 		return e.readOnlyErr()
 	}
-	w := e.wal
 	prevN := w.Bytes()
 	firstSeq := e.seq + 1
 	err := w.append(ops)

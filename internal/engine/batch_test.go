@@ -219,6 +219,9 @@ func TestPutBatchWALFaultTurnsReadOnly(t *testing.T) {
 // crash abandons e without Close — no final flush, the WAL left as the
 // last fsync made it — the way a process crash would.
 func crash(e *Engine) {
+	e.walMu.Lock()
+	e.wal = nil
+	e.walMu.Unlock()
 	e.mu.Lock()
 	e.closed = true
 	e.mu.Unlock()
@@ -386,6 +389,102 @@ func waitWriteLockWaiter(t *testing.T) {
 		}
 	}
 	t.Fatal("no PutBatch queued on the write lock")
+}
+
+// gateHook is a CommitHook that, once armed, holds the next batch in its
+// Commit — fsynced, not yet acknowledged — until release closes.
+type gateHook struct {
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (h *gateHook) Append(uint64, []byte) {}
+
+func (h *gateHook) Commit(uint64) error {
+	if h.armed.CompareAndSwap(true, false) {
+		close(h.entered)
+		<-h.release
+	}
+	return nil
+}
+
+// TestQueryDoesNotWaitOutABatch: while one batch is in flight — its
+// quorum round held open by the hook — and a Flush or a Compact is queued
+// behind it, a new query still returns before the batch is released. A
+// query waits on pointer swaps behind other queries, never on another
+// batch's fsync or quorum round. There is no sleep and no deadline: the
+// test yields until each goroutine it watches returns or parks on a lock.
+func TestQueryDoesNotWaitOutABatch(t *testing.T) {
+	for _, tc := range []struct {
+		name, frame string // frame: the queued operation, as stacks print it
+		op          func(*Engine) error
+	}{
+		{"flush", "(*Engine).Flush", (*Engine).Flush},
+		// Over two segments, so the merge output is installed under e.mu.
+		{"compact", "(*Engine).Compact", (*Engine).Compact},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := fwCurve(t)
+			hook := &gateHook{entered: make(chan struct{}), release: make(chan struct{})}
+			release := sync.OnceFunc(func() { close(hook.release) })
+			opts := batchManualOpts()
+			opts.CommitHook = hook
+			e, err := Open(t.TempDir(), o, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			defer release() // before Close, which waits for the held batch
+			for i := 0; i < 2; i++ {
+				if err := e.Put(fwPoint(i), uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hook.armed.Store(true)
+			put, queued, query := make(chan error, 1), make(chan error, 1), make(chan error, 1)
+			go func() { put <- e.Put(fwPoint(2), 2) }()
+			<-hook.entered
+			go func() { queued <- tc.op(e) }()
+			parkedOrDone(tc.frame, queued)
+			go func() {
+				_, _, err := e.Query(o.Universe().Rect())
+				query <- err
+			}()
+			if parkedOrDone("(*Engine).Query", query) {
+				release()
+				t.Fatalf("a query waits out the in-flight batch while a %s is queued", tc.name)
+			}
+			release()
+			for _, ch := range []chan error{put, queued, query} {
+				if err := <-ch; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if recs, _, err := e.Query(o.Universe().Rect()); err != nil || len(recs) != 3 {
+				t.Fatalf("%d records after the batch, err %v; want 3", len(recs), err)
+			}
+		})
+	}
+}
+
+// parkedOrDone yields until a goroutine of this test whose stack holds
+// frame is parked on a sync lock (true) or done has a result (false).
+func parkedOrDone(frame string, done chan error) bool {
+	buf := make([]byte, 1<<20)
+	for len(done) == 0 {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			header, _, _ := strings.Cut(g, "\n")
+			if strings.Contains(header, "[sync.") && strings.Contains(header, "Lock") &&
+				strings.Contains(g, frame) && strings.Contains(g, "TestQueryDoesNotWaitOutABatch") {
+				return true
+			}
+		}
+		runtime.Gosched()
+	}
+	return false
 }
 
 // recordingHook keeps a copy of every Append it is handed.

@@ -175,8 +175,7 @@ type EngineStats struct {
 // the package comment for the architecture. All methods are safe for
 // concurrent use.
 //
-// Lock order: mu before walMu; flushMu (held across whole flush or
-// compaction) before both.
+// Lock order: flushMu, then walMu, then mu (see the package comment).
 type Engine struct {
 	dir   string
 	c     curve.Curve
@@ -197,7 +196,9 @@ type Engine struct {
 
 	// walMu is the write lock: PutBatch holds it from sequence assignment
 	// through the memtable inserts, so log order, sequence order and
-	// memtable order agree.
+	// memtable order agree. It also pins the active WAL and memtable
+	// against rotation. wal is nil once Close has begun: the engine is
+	// closed for writes.
 	walMu sync.Mutex
 	wal   *wal
 	seq   uint64     // last assigned sequence number (under walMu)
@@ -207,16 +208,16 @@ type Engine struct {
 	// of history made of whole batches.
 	visible atomic.Uint64
 
-	// mu guards the engine's structure: memtable identity, segment list,
-	// closed flag. Writers and queries hold it shared; flush, compaction
-	// installs and close hold it exclusive.
-	mu      sync.RWMutex
-	mem     *memtable
-	imm     []*memtable // frozen memtables, oldest first
-	segs    []*segment  // live segments, oldest first
-	gen     uint64      // next file generation
-	closing bool        // Close in progress (blocks a second Close)
-	closed  bool
+	// mu guards the engine's structure: memtable identity (written under
+	// walMu too), segment list, closed flag. Queries hold it shared for
+	// their whole body, so no segment closes under a reader; rotations,
+	// installs and Close hold it exclusive only for their pointer swaps.
+	mu     sync.RWMutex
+	mem    *memtable
+	imm    []*memtable // frozen memtables, oldest first
+	segs   []*segment  // live segments, oldest first
+	gen    uint64      // next file generation
+	closed bool
 
 	flushMu sync.Mutex // serializes flush and compaction bodies
 	// archiving (under flushMu) moves retired WALs into archive/ instead
@@ -441,9 +442,6 @@ func (e *Engine) BackgroundErr() error {
 func (e *Engine) memEntries() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.closed {
-		return 0
-	}
 	return e.mem.entries.Load()
 }
 
@@ -466,16 +464,14 @@ func (e *Engine) Delete(p geom.Point) error {
 // leaves durability unknowable for the unsynced suffix, so it degrades
 // the engine to ReadOnly exactly as a failed synchronous write does.
 func (e *Engine) Sync() error {
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
+	e.walMu.Lock()
+	if e.wal == nil {
+		e.walMu.Unlock()
 		return ErrClosed
 	}
-	e.walMu.Lock()
 	start := time.Now()
 	err := walErr(e.wal.Sync())
 	e.walMu.Unlock()
-	e.mu.RUnlock()
 	if tel := e.tel; tel != nil && err == nil {
 		tel.walFsyncs.Inc()
 		tel.walFsyncUS.Record(uint64(time.Since(start).Microseconds()))
@@ -811,8 +807,8 @@ func (e *Engine) Flush() error {
 }
 
 // rotateLocked swaps in a fresh WAL and memtable for generation e.gen and
-// returns the pair they replace. The caller holds e.mu exclusively (or is
-// Open, before the engine is shared).
+// returns the pair they replace. The caller holds walMu and e.mu
+// exclusively (or is Open, before the engine is shared).
 func (e *Engine) rotateLocked() (*wal, *memtable, error) {
 	w, err := createWAL(e.fs, walPath(e.dir, e.gen), e.c.Universe().Dims())
 	if err != nil {
@@ -825,63 +821,70 @@ func (e *Engine) rotateLocked() (*wal, *memtable, error) {
 }
 
 func (e *Engine) flushLocked() error {
-	// Freeze: swap in a fresh memtable + WAL under the exclusive lock.
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
-	}
-	var oldWal *wal
-	if e.mem.entries.Load() > 0 {
-		w, frozen, err := e.rotateLocked()
-		if err != nil {
-			e.mu.Unlock()
-			return err
-		}
-		oldWal = w
-		e.imm = append(e.imm, frozen)
-	}
-	// Flush every frozen memtable, oldest first — including leftovers of
-	// an earlier failed flush, so a transient write error never strands
-	// data in memory.
-	frozen := append([]*memtable{}, e.imm...)
-	e.mu.Unlock()
-
-	if oldWal == nil && len(frozen) == 0 {
-		return nil
+	oldWal, _, frozen, err := e.freeze(false)
+	if err != nil {
+		return err
 	}
 	if tel := e.tel; tel != nil && oldWal != nil {
 		tel.walRotations.Inc()
 	}
-	start := time.Now()
-	e.emitEvent(telemetry.Event{Kind: telemetry.EvFlush, Phase: telemetry.PhaseStart})
-	recs, err := e.flushFrozen(oldWal, frozen)
-	dur := time.Since(start)
-	if tel := e.tel; tel != nil && err == nil {
-		tel.flushUS.Record(uint64(dur.Microseconds()))
-		tel.flushRecords.Add(uint64(recs))
-	}
-	e.emitEvent(telemetry.Event{Kind: telemetry.EvFlush, Phase: telemetry.PhaseEnd,
-		Dur: dur, Records: int64(recs), Err: errString(err)})
-	return err
+	return e.flushFrozen(oldWal, frozen)
 }
 
-// flushFrozen retires the rotated-out WAL and writes every frozen
-// memtable to a segment, returning how many records reached disk.
-func (e *Engine) flushFrozen(oldWal *wal, frozen []*memtable) (int, error) {
-	if oldWal != nil {
-		if err := oldWal.close(); err != nil {
-			return 0, err
+// freeze (flushMu held) rotates the log and memtable if the active
+// memtable holds a version or force is set, queueing a non-empty one for
+// flushing, and returns what it retired (nil if nothing) and the frozen
+// memtables, oldest first — including leftovers of an earlier failed
+// flush, so a transient write error never strands data in memory. It
+// waits out an in-flight batch on walMu and takes e.mu only for the swap,
+// so queries never wait on the batch.
+func (e *Engine) freeze(force bool) (oldWal *wal, oldMem *memtable, frozen []*memtable, err error) {
+	e.walMu.Lock()
+	defer e.walMu.Unlock()
+	if e.wal == nil {
+		return nil, nil, nil, ErrClosed
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if force || e.mem.entries.Load() > 0 {
+		if oldWal, oldMem, err = e.rotateLocked(); err == nil && oldMem.entries.Load() > 0 {
+			e.imm = append(e.imm, oldMem)
 		}
 	}
+	return oldWal, oldMem, append(frozen, e.imm...), err
+}
+
+// flushFrozen (flushMu held) closes the rotated-out WAL, if any, then
+// writes each frozen memtable to a segment, installs it and retires the
+// memtable's WAL.
+func (e *Engine) flushFrozen(oldWal *wal, frozen []*memtable) (err error) {
+	if oldWal == nil && len(frozen) == 0 {
+		return nil
+	}
+	start := time.Now()
+	e.emitEvent(telemetry.Event{Kind: telemetry.EvFlush, Phase: telemetry.PhaseStart})
 	recs := 0
+	defer func() {
+		dur := time.Since(start)
+		if tel := e.tel; tel != nil && err == nil {
+			tel.flushUS.Record(uint64(dur.Microseconds()))
+			tel.flushRecords.Add(uint64(recs))
+		}
+		e.emitEvent(telemetry.Event{Kind: telemetry.EvFlush, Phase: telemetry.PhaseEnd,
+			Dur: dur, Records: int64(recs), Err: errString(err)})
+	}()
+	if oldWal != nil {
+		if err := oldWal.close(); err != nil {
+			return err
+		}
+	}
 	for _, m := range frozen {
 		// Write the segment outside any lock: queries keep reading the
 		// frozen memtable from e.imm meanwhile.
 		ents := m.flushEntries()
 		seg, err := writeSegment(e.fs, e.dir, e.c, segID{lo: m.gen, hi: m.gen}, ents, e.opts.PageBytes, e.cache)
 		if err != nil {
-			return recs, err
+			return err
 		}
 		// Install the segment, retire the frozen memtable and its WAL.
 		e.mu.Lock()
@@ -894,35 +897,33 @@ func (e *Engine) flushFrozen(oldWal *wal, frozen []*memtable) (int, error) {
 		}
 		e.mu.Unlock()
 		if err := archiveWAL(e.fs, e.dir, m.gen, e.archiving); err != nil {
-			return recs, err
+			return err
 		}
 		e.flushes.Add(1)
 		recs += len(ents)
 	}
-	return recs, nil
+	return nil
 }
 
 // Stats returns a point-in-time summary of the engine's shape.
 func (e *Engine) Stats() EngineStats {
+	var st EngineStats
+	e.walMu.Lock()
+	if e.wal != nil {
+		st.WALBytes = e.wal.Bytes()
+	}
+	st.LastSeq = e.seq
+	e.walMu.Unlock()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	st := EngineStats{
-		ImmMemtables: len(e.imm),
-		Segments:     len(e.segs),
-		Flushes:      e.flushes.Load(),
-		Compactions:  e.compactions.Load(),
-	}
-	if e.closed {
-		return st
-	}
 	st.MemEntries = e.mem.entries.Load()
+	st.ImmMemtables = len(e.imm)
+	st.Segments = len(e.segs)
 	for _, s := range e.segs {
 		st.SegmentRecords += s.recs
 	}
-	e.walMu.Lock()
-	st.WALBytes = e.wal.Bytes()
-	st.LastSeq = e.seq
-	e.walMu.Unlock()
+	st.Flushes = e.flushes.Load()
+	st.Compactions = e.compactions.Load()
 	return st
 }
 
@@ -944,13 +945,21 @@ func (e *Engine) CacheStats() pagedstore.CacheStats {
 // Close flushes the memtable, stops the background worker and releases
 // every file. The engine is unusable afterwards; reopen with Open.
 func (e *Engine) Close() error {
-	e.mu.Lock()
-	if e.closed || e.closing {
-		e.mu.Unlock()
+	// Close for writes and freeze the last memtable, with no successor log.
+	e.walMu.Lock()
+	w, last := e.wal, e.mem
+	if w == nil {
+		e.walMu.Unlock()
 		return ErrClosed
 	}
-	e.closing = true
-	e.mu.Unlock()
+	e.wal = nil
+	if last.entries.Load() > 0 {
+		e.mu.Lock()
+		e.imm = append(e.imm, last)
+		e.mem = newMemtable(e.gen)
+		e.mu.Unlock()
+	}
+	e.walMu.Unlock()
 	close(e.bgStop)
 	<-e.bgDone
 	// flushMu serializes the teardown against any in-flight Flush or
@@ -958,29 +967,28 @@ func (e *Engine) Close() error {
 	// merge.
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	err := e.flushLocked()
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
-	}
-	e.closed = true
-	wal := e.wal
-	segs := e.segs
-	drained := e.mem.entries.Load() == 0 && len(e.imm) == 0
-	e.segs = nil
-	e.mu.Unlock()
-	if cerr := wal.close(); err == nil {
-		err = cerr
-	}
-	// Remove the final WAL only if every write reached a segment; after a
-	// failed flush it is the sole durable copy of the memtable and must
-	// survive for the next Open to replay.
-	if drained {
-		if rerr := e.fs.Remove(walPath(e.dir, e.gen-1)); rerr != nil && err == nil {
+	var err error
+	if last.entries.Load() == 0 {
+		// No acknowledged write reached the last log: delete it.
+		err = w.close()
+		if rerr := e.fs.Remove(walPath(e.dir, last.gen)); rerr != nil && err == nil {
 			err = fmt.Errorf("engine: %w", rerr)
 		}
+		w = nil
 	}
+	// A frozen memtable whose flush fails keeps its WAL, the sole durable
+	// copy, for the next Open to replay.
+	e.mu.RLock()
+	frozen := append([]*memtable{}, e.imm...)
+	e.mu.RUnlock()
+	if ferr := e.flushFrozen(w, frozen); err == nil {
+		err = ferr
+	}
+	e.mu.Lock()
+	e.closed = true
+	segs := e.segs
+	e.segs = nil
+	e.mu.Unlock()
 	for _, s := range segs {
 		if cerr := s.st.Close(); err == nil {
 			err = cerr

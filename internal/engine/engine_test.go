@@ -469,7 +469,7 @@ func TestEngineIngestWhileQuerying(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	waitCompaction(t, e)
+	writeUntilCompaction(t, e, survivors)
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -241,15 +241,35 @@ func TestFaultMatrix(t *testing.T) {
 	}
 }
 
-// waitCompaction fails t unless background compaction merges at least
-// one run within the deadline.
-func waitCompaction(t *testing.T, e *Engine) {
+// writeUntilCompaction proves that background compaction runs, whatever
+// pace the flusher kept before: FlushEntries triggers a background flush,
+// it does not bound the memtable, so a churn may end before it flushed a
+// run. It writes rounds of FlushEntries distinct keys, each ended by the
+// next background flush, so each round adds a segment of similar size,
+// until a compaction has run; 16 rounds without one fail t. The writes
+// are folded into survivors.
+func writeUntilCompaction(t *testing.T, e *Engine, survivors map[uint64]pagedstore.Record) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); e.Stats().Compactions == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("background compaction never ran")
+	n, u := uint64(e.opts.FlushEntries), e.c.Universe()
+	for round := uint64(0); e.Stats().Compactions == 0; round++ {
+		if round == 16 {
+			t.Fatal("no background compaction after 16 rounds of flushes")
 		}
-		time.Sleep(time.Millisecond)
+		flushes := e.Stats().Flushes
+		for j := uint64(0); j < n; j++ {
+			key := (round*n + j) % u.Size()
+			pt := e.c.Coords(key, make(geom.Point, u.Dims()))
+			payload := round<<32 | key
+			if err := e.Put(pt, payload); err != nil {
+				t.Fatal(err)
+			}
+			survivors[key] = pagedstore.Record{Point: pt, Payload: payload}
+		}
+		for deadline := time.Now().Add(10 * time.Second); e.Stats().Flushes == flushes; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d never flushed", round)
+			}
+		}
 	}
 }
 

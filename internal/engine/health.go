@@ -343,25 +343,14 @@ func (e *Engine) probeWrite() error {
 // segment. An empty old log (no acknowledged writes) is deleted so a
 // reopen cannot resurrect frames of failed, unacknowledged appends.
 func (e *Engine) recoverRotateLocked() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
-	}
-	old, oldMem, err := e.rotateLocked()
+	old, oldMem, _, err := e.freeze(true)
 	if err != nil {
-		e.mu.Unlock()
 		return err
 	}
-	frozen := oldMem.entries.Load() > 0
-	if frozen {
-		e.imm = append(e.imm, oldMem)
-	}
-	e.mu.Unlock()
 	// Condemned log: whatever it still buffers belongs to failed,
 	// unacknowledged writes and must not reach the file; errors expected.
 	old.Abandon()
-	if !frozen {
+	if oldMem.entries.Load() == 0 {
 		if err := e.fs.Remove(walPath(e.dir, oldMem.gen)); err != nil {
 			return fmt.Errorf("engine: %w", err)
 		}

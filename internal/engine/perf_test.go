@@ -164,7 +164,7 @@ func TestEngineCacheChurn(t *testing.T) {
 	if err := e.BackgroundErr(); err != nil {
 		t.Fatal(err)
 	}
-	waitCompaction(t, e)
+	writeUntilCompaction(t, e, survivors)
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -159,15 +159,12 @@ func (e *Engine) registerSampledTelemetry() {
 		return n
 	})
 	reg.GaugeFunc("engine_wal_bytes", func() int64 {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		if e.closed {
+		e.walMu.Lock()
+		defer e.walMu.Unlock()
+		if e.wal == nil {
 			return 0
 		}
-		e.walMu.Lock()
-		n := e.wal.Bytes()
-		e.walMu.Unlock()
-		return n
+		return e.wal.Bytes()
 	})
 	reg.CounterFunc("engine_flushes_total", e.flushes.Load)
 	reg.CounterFunc("engine_compactions_total", e.compactions.Load)

@@ -663,11 +663,10 @@ func TestShardedAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const flushEntries = 100
 	opts := Options{
 		Shards: 4,
-		// 100-entry flushes give each shard runs of the default
-		// compaction fanout.
-		Engine: engine.Options{PageBytes: 384, FlushEntries: 100},
+		Engine: engine.Options{PageBytes: 384, FlushEntries: flushEntries},
 	}
 	s, err := Open(t.TempDir(), c, opts)
 	if err != nil {
@@ -701,9 +700,36 @@ func TestShardedAdmission(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	for deadline := time.Now().Add(10 * time.Second); s.Stats().Compactions == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("background compaction never ran")
+	// The churn may end before any shard flushed a run of the default
+	// fanout: FlushEntries triggers a background flush, it does not bound
+	// the memtable. So write on in rounds of flushEntries distinct keys
+	// per shard, each ended by every shard's next background flush. The
+	// rounds add segments of 100 to 256 records to each shard (the first
+	// may carry churn leftovers), and four such in a row are a run. Stop
+	// at the first background compaction.
+	for round := uint64(0); s.Stats().Compactions == 0; round++ {
+		if round == 16 {
+			t.Fatal("no background compaction after 16 rounds of flushes")
+		}
+		before := s.Stats().PerShard
+		for i := range before {
+			kr, _ := s.part.Interval(i)
+			for j := uint64(0); j < flushEntries; j++ {
+				key := kr.Lo + (round*flushEntries+j)%kr.Cells()
+				pt := c.Coords(key, make(geom.Point, 2))
+				payload := round<<32 | key
+				if err := s.Put(pt, payload); err != nil {
+					t.Fatal(err)
+				}
+				survivors[key] = pagedstore.Record{Point: pt, Payload: payload}
+			}
+		}
+		for i := range before {
+			for deadline := time.Now().Add(10 * time.Second); s.Stats().PerShard[i].Flushes == before[i].Flushes; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("shard %d never flushed round %d", i, round)
+				}
+			}
 		}
 	}
 	if err := s.Flush(); err != nil {
@@ -715,6 +741,11 @@ func TestShardedAdmission(t *testing.T) {
 	}
 	if len(got) != len(survivors) {
 		t.Fatalf("%d records after churn, want %d", len(got), len(survivors))
+	}
+	for _, rec := range got {
+		if survivors[c.Index(rec.Point)].Payload != rec.Payload {
+			t.Fatalf("record %v/%d diverges", rec.Point, rec.Payload)
+		}
 	}
 	es := s.Stats()
 	if es.Flushes == 0 {
