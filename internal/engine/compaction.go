@@ -152,13 +152,10 @@ func (e *Engine) Compact() error {
 // compactRun merges segments [lo, hi) of the current list into one. The
 // caller holds flushMu, which is what freezes the segment list's identity
 // in [lo, hi): only flushes append (beyond hi) and only compactions
-// remove, and both hold flushMu.
+// remove, and both hold flushMu. Both callers saw the engine open under
+// flushMu, which Close holds to mark it closed.
 func (e *Engine) compactRun(lo, hi int) error {
 	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return ErrClosed
-	}
 	run := append([]*segment{}, e.segs[lo:hi]...)
 	e.mu.RUnlock()
 	recsIn := 0

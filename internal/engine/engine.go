@@ -196,9 +196,8 @@ type Engine struct {
 
 	// walMu is the write lock: PutBatch holds it from sequence assignment
 	// through the memtable inserts, so log order, sequence order and
-	// memtable order agree. It also pins the active WAL and memtable
-	// against rotation. wal is nil once Close has begun: the engine is
-	// closed for writes.
+	// memtable order agree, and pins the active WAL and memtable against
+	// rotation. A nil wal means the engine is closed for writes.
 	walMu sync.Mutex
 	wal   *wal
 	seq   uint64     // last assigned sequence number (under walMu)
@@ -807,8 +806,9 @@ func (e *Engine) Flush() error {
 }
 
 // rotateLocked swaps in a fresh WAL and memtable for generation e.gen and
-// returns the pair they replace. The caller holds walMu and e.mu
-// exclusively (or is Open, before the engine is shared).
+// returns the pair they replace. It creates the log file, so only a
+// caller that has the engine to itself, as Open does, calls it; freeze
+// creates the log under walMu alone and takes e.mu only for the swap.
 func (e *Engine) rotateLocked() (*wal, *memtable, error) {
 	w, err := createWAL(e.fs, walPath(e.dir, e.gen), e.c.Universe().Dims())
 	if err != nil {
@@ -821,43 +821,68 @@ func (e *Engine) rotateLocked() (*wal, *memtable, error) {
 }
 
 func (e *Engine) flushLocked() error {
-	oldWal, _, frozen, err := e.freeze(false)
+	oldWal, _, err := e.freeze(false, true)
 	if err != nil {
 		return err
 	}
 	if tel := e.tel; tel != nil && oldWal != nil {
 		tel.walRotations.Inc()
 	}
-	return e.flushFrozen(oldWal, frozen)
+	return e.flushFrozen(oldWal)
 }
 
-// freeze (flushMu held) rotates the log and memtable if the active
-// memtable holds a version or force is set, queueing a non-empty one for
-// flushing, and returns what it retired (nil if nothing) and the frozen
-// memtables, oldest first — including leftovers of an earlier failed
-// flush, so a transient write error never strands data in memory. It
-// waits out an in-flight batch on walMu and takes e.mu only for the swap,
-// so queries never wait on the batch.
-func (e *Engine) freeze(force bool) (oldWal *wal, oldMem *memtable, frozen []*memtable, err error) {
+// freeze (flushMu held) retires the active WAL and memtable if the
+// memtable holds a version or force is set, queues a non-empty one on
+// e.imm, and returns what it retired (nil if nothing). With next set a
+// fresh log replaces the old one; without, the engine closes for writes.
+// It waits out an in-flight batch and creates the log under walMu, and
+// takes e.mu only for the pointer swap, so queries wait on neither.
+func (e *Engine) freeze(force, next bool) (oldWal *wal, oldMem *memtable, err error) {
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
 	if e.wal == nil {
-		return nil, nil, nil, ErrClosed
+		return nil, nil, ErrClosed
+	}
+	if !force && e.mem.entries.Load() == 0 {
+		return nil, nil, nil
+	}
+	var w *wal
+	if next {
+		if w, err = createWAL(e.fs, walPath(e.dir, e.gen), e.c.Universe().Dims()); err != nil {
+			return nil, nil, err
+		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if force || e.mem.entries.Load() > 0 {
-		if oldWal, oldMem, err = e.rotateLocked(); err == nil && oldMem.entries.Load() > 0 {
-			e.imm = append(e.imm, oldMem)
+	oldWal, oldMem = e.wal, e.mem
+	e.wal, e.mem = w, newMemtable(e.gen)
+	e.gen++
+	if oldMem.entries.Load() > 0 {
+		e.imm = append(e.imm, oldMem)
+	}
+	return oldWal, oldMem, nil
+}
+
+// dropEmptyLog deletes the retired, closed log of memtable m if no
+// acknowledged write reached it, so a reopen cannot replay frames of
+// failed, unacknowledged appends.
+func (e *Engine) dropEmptyLog(m *memtable) (err error) {
+	if m.entries.Load() == 0 {
+		if err = e.fs.Remove(walPath(e.dir, m.gen)); err != nil {
+			err = fmt.Errorf("engine: %w", err)
 		}
 	}
-	return oldWal, oldMem, append(frozen, e.imm...), err
+	return err
 }
 
 // flushFrozen (flushMu held) closes the rotated-out WAL, if any, then
 // writes each frozen memtable to a segment, installs it and retires the
-// memtable's WAL.
-func (e *Engine) flushFrozen(oldWal *wal, frozen []*memtable) (err error) {
+// memtable's WAL. The frozen memtables include leftovers of an earlier
+// failed flush, so a transient write error never strands data in memory.
+func (e *Engine) flushFrozen(oldWal *wal) (err error) {
+	e.mu.RLock()
+	frozen := append([]*memtable(nil), e.imm...)
+	e.mu.RUnlock()
 	if oldWal == nil && len(frozen) == 0 {
 		return nil
 	}
@@ -945,43 +970,30 @@ func (e *Engine) CacheStats() pagedstore.CacheStats {
 // Close flushes the memtable, stops the background worker and releases
 // every file. The engine is unusable afterwards; reopen with Open.
 func (e *Engine) Close() error {
-	// Close for writes and freeze the last memtable, with no successor log.
-	e.walMu.Lock()
-	w, last := e.wal, e.mem
-	if w == nil {
-		e.walMu.Unlock()
-		return ErrClosed
+	// Close for writes and freeze the last memtable. Under flushMu, so no
+	// in-flight flush takes up the last memtable while its log is open.
+	e.flushMu.Lock()
+	w, last, err := e.freeze(true, false)
+	e.flushMu.Unlock()
+	if err != nil {
+		return err
 	}
-	e.wal = nil
-	if last.entries.Load() > 0 {
-		e.mu.Lock()
-		e.imm = append(e.imm, last)
-		e.mem = newMemtable(e.gen)
-		e.mu.Unlock()
-	}
-	e.walMu.Unlock()
 	close(e.bgStop)
 	<-e.bgDone
-	// flushMu serializes the teardown against any in-flight Flush or
-	// Compact body, so segment stores are never closed under a running
-	// merge.
+	// flushMu again: segment stores never close under a running Flush or
+	// Compact body.
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	var err error
 	if last.entries.Load() == 0 {
-		// No acknowledged write reached the last log: delete it.
 		err = w.close()
-		if rerr := e.fs.Remove(walPath(e.dir, last.gen)); rerr != nil && err == nil {
-			err = fmt.Errorf("engine: %w", rerr)
+		if rerr := e.dropEmptyLog(last); err == nil {
+			err = rerr
 		}
 		w = nil
 	}
 	// A frozen memtable whose flush fails keeps its WAL, the sole durable
 	// copy, for the next Open to replay.
-	e.mu.RLock()
-	frozen := append([]*memtable{}, e.imm...)
-	e.mu.RUnlock()
-	if ferr := e.flushFrozen(w, frozen); err == nil {
+	if ferr := e.flushFrozen(w); err == nil {
 		err = ferr
 	}
 	e.mu.Lock()

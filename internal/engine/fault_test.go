@@ -246,7 +246,9 @@ func TestFaultMatrix(t *testing.T) {
 // it does not bound the memtable, so a churn may end before it flushed a
 // run. It writes rounds of FlushEntries distinct keys, each ended by the
 // next background flush, so each round adds a segment of similar size,
-// until a compaction has run; 16 rounds without one fail t. The writes
+// until a compaction has run; 16 rounds without one fail t. A round's
+// writes ring the flush doorbell, so its flush comes by construction: the
+// wait has no deadline and fails only on a background error. The writes
 // are folded into survivors.
 func writeUntilCompaction(t *testing.T, e *Engine, survivors map[uint64]pagedstore.Record) {
 	t.Helper()
@@ -265,9 +267,9 @@ func writeUntilCompaction(t *testing.T, e *Engine, survivors map[uint64]pagedsto
 			}
 			survivors[key] = pagedstore.Record{Point: pt, Payload: payload}
 		}
-		for deadline := time.Now().Add(10 * time.Second); e.Stats().Flushes == flushes; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d never flushed", round)
+		for ; e.Stats().Flushes == flushes; time.Sleep(time.Millisecond) {
+			if err := e.BackgroundErr(); err != nil {
+				t.Fatalf("round %d: %v", round, err)
 			}
 		}
 	}

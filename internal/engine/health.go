@@ -340,20 +340,17 @@ func (e *Engine) probeWrite() error {
 // acknowledged write of the old log) freezes for flushing, and the old
 // log file is condemned — its close errors are expected and ignored,
 // because the frozen memtable is about to persist its content to a
-// segment. An empty old log (no acknowledged writes) is deleted so a
-// reopen cannot resurrect frames of failed, unacknowledged appends.
+// segment — or, if empty, deleted.
 func (e *Engine) recoverRotateLocked() error {
-	old, oldMem, _, err := e.freeze(true)
+	old, oldMem, err := e.freeze(true, true)
 	if err != nil {
 		return err
 	}
 	// Condemned log: whatever it still buffers belongs to failed,
 	// unacknowledged writes and must not reach the file; errors expected.
 	old.Abandon()
-	if oldMem.entries.Load() == 0 {
-		if err := e.fs.Remove(walPath(e.dir, oldMem.gen)); err != nil {
-			return fmt.Errorf("engine: %w", err)
-		}
+	if err := e.dropEmptyLog(oldMem); err != nil {
+		return err
 	}
 	// Flush the frozen memtables — the one just rotated out plus any
 	// stranded by earlier failed flushes. Each success writes a segment

@@ -152,9 +152,9 @@ func (e *Engine) repairLocked(snapshotDir string) (RepairReport, error) {
 // the pass continues without surfacing an error.
 var errIrreparable = errors.New("engine: not repairable from this snapshot")
 
-// repairOne salvages and replaces a single quarantined segment,
-// returning how many records were salvaged from clean pages and how many
-// back-filled from the snapshot.
+// repairOne (flushMu held, so the engine stays open) salvages and
+// replaces a single quarantined segment, returning how many records were
+// salvaged from clean pages and how many back-filled from the snapshot.
 func (e *Engine) repairOne(qdir string, qid segID, snapshotDir string, man *snapManifest, snapIDs []segID) (salvaged, backfilled int, err error) {
 	qpath := segPath(qdir, qid.lo, qid.hi, qid.epoch)
 
@@ -210,11 +210,6 @@ func (e *Engine) repairOne(qdir string, qid segID, snapshotDir string, man *snap
 		// priority, and generation ranges are disjoint, so sorting by lo
 		// is sorting by age.
 		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			seg.st.Close()
-			return 0, 0, ErrClosed
-		}
 		at := sort.Search(len(e.segs), func(i int) bool { return e.segs[i].lo > seg.lo })
 		e.segs = append(e.segs, nil)
 		copy(e.segs[at+1:], e.segs[at:])

@@ -5,18 +5,17 @@
 // and in a curve-key-ordered skiplist memtable, under one lock that keeps
 // log, sequence and memtable order the same. Concurrent synchronous callers
 // serialize on that lock, each batch paying its own fsync; durable
-// batching across producers is the ingest pipeline's job.
-//
-// Memtables flush into immutable curve-ordered segment files that are
-// pagedstore files (tombstones ride in the mark bitmap); size-tiered
-// background compaction merges segments and garbage-collects tombstones.
+// batching across producers is the ingest pipeline's job. Memtables
+// flush into immutable curve-ordered segment files that are pagedstore
+// files (tombstones ride in the mark bitmap); size-tiered background
+// compaction merges segments and garbage-collects tombstones.
 //
 // Lock order: flushMu (a whole flush, compaction, verify, repair or
 // snapshot), then walMu (the writer's), then mu (the structure lock). A
-// writer never takes mu; a query holds it shared for its whole body; a
-// rotation, install or Close holds it exclusively only for a pointer swap
-// (a rotation also creates the next log file, without fsync). So a query
-// never waits on another batch's fsync or quorum round.
+// writer never takes mu and a query holds it shared for its whole body;
+// a rotation, install or Close holds it exclusively only for a pointer
+// swap, never across a file create or fsync. So a query never waits on
+// another batch's fsync or quorum round.
 //
 // A rectangle query consults the curve's range planner exactly once, then
 // streams a k-way merge of the memtable and every live segment over each
