@@ -64,10 +64,11 @@ func (e *Engine) PutBatch(ops []BatchOp) error {
 		return e.readOnlyErr()
 	}
 	prevN := w.Bytes()
-	firstSeq := e.seq + 1
+	firstSeq := e.seq.Load() + 1
 	err := w.append(ops)
+	e.walBytes.Store(w.Bytes())
 	if err == nil {
-		e.seq += uint64(len(ops))
+		e.seq.Add(uint64(len(ops)))
 		if e.opts.SyncWrites {
 			err = e.syncLocked(w, len(ops))
 		}
@@ -86,7 +87,7 @@ func (e *Engine) PutBatch(ops []BatchOp) error {
 	for i := range ops {
 		mem.put(e.c.Index(ops[i].Point), ops[i].Payload, firstSeq+uint64(i), ops[i].Del)
 	}
-	e.visible.Store(e.seq)
+	e.visible.Store(e.seq.Load())
 	if tel := e.tel; tel != nil {
 		tel.walAppends.Add(uint64(len(ops)))
 		tel.walAppendBytes.Add(uint64(w.Bytes() - prevN))
@@ -111,9 +112,9 @@ func (e *Engine) syncLocked(w *wal, ops int) error {
 	// alternating pairs), dropping it costs 30% of query throughput
 	// (2 582 vs 3 670 q/s) and 44% of engine time per query, although the
 	// ingest batches grow (9.2 vs 7.2 ops). The likely cause: goroutines
-	// queued on this P — a query's per-shard fan-out among them — would
-	// otherwise wait while this thread blocks in write and fsync, until
-	// the runtime hands the P off.
+	// queued on this P — queries among them — would otherwise wait while
+	// this thread blocks in write and fsync, until the runtime hands the
+	// P off.
 	runtime.Gosched()
 
 	if err := w.Flush(); err != nil {
@@ -124,7 +125,7 @@ func (e *Engine) syncLocked(w *wal, ops int) error {
 		// framed in the OS buffer, so the hook can start shipping it now
 		// and Commit below finds the quorum acks already (or nearly) in
 		// place.
-		h.Append(e.seq, w.enc)
+		h.Append(e.seq.Load(), w.enc)
 	}
 	tel := e.tel
 	var start time.Time
@@ -143,7 +144,7 @@ func (e *Engine) syncLocked(w *wal, ops int) error {
 	if h := e.hook; h != nil {
 		// The batch is acknowledged only once it is also durable on a
 		// quorum: one round-trip per batch, like the one disk barrier.
-		return h.Commit(e.seq)
+		return h.Commit(e.seq.Load())
 	}
 	return nil
 }

@@ -412,16 +412,37 @@ func (h *gateHook) Commit(uint64) error {
 // quorum round held open by the hook — and a Flush or a Compact is queued
 // behind it, a new query still returns before the batch is released. A
 // query waits on pointer swaps behind other queries, never on another
-// batch's fsync or quorum round. There is no sleep and no deadline: the
-// test yields until each goroutine it watches returns or parks on a lock.
+// batch's fsync or quorum round. Neither do the stats readers, Stats and
+// the telemetry snapshot's engine_wal_bytes gauge: they see the held
+// batch's sequence number assigned and its frame in the log. There is no
+// sleep and no deadline: the test yields until each goroutine it watches
+// returns or parks on a lock.
 func TestQueryDoesNotWaitOutABatch(t *testing.T) {
+	query := func(e *Engine) error {
+		_, _, err := e.Query(e.c.Universe().Rect())
+		return err
+	}
 	for _, tc := range []struct {
 		name, frame string // frame: the queued operation, as stacks print it
 		op          func(*Engine) error
+		reader      string // the reader, as stacks print it
+		read        func(*Engine) error
 	}{
-		{"flush", "(*Engine).Flush", (*Engine).Flush},
+		{"flush", "(*Engine).Flush", (*Engine).Flush, "(*Engine).Query", query},
 		// Over two segments, so the merge output is installed under e.mu.
-		{"compact", "(*Engine).Compact", (*Engine).Compact},
+		{"compact", "(*Engine).Compact", (*Engine).Compact, "(*Engine).Query", query},
+		{"stats", "", nil, "(*Engine).Stats", func(e *Engine) error {
+			if st := e.Stats(); st.LastSeq != 3 || st.WALBytes == 0 {
+				return fmt.Errorf("stats during the held batch: last seq %d, WAL %d bytes; want 3, > 0", st.LastSeq, st.WALBytes)
+			}
+			return nil
+		}},
+		{"telemetry", "", nil, "(*Engine).TelemetrySnapshot", func(e *Engine) error {
+			if m, _ := e.TelemetrySnapshot().Metric("engine_wal_bytes"); m.Int == 0 {
+				return fmt.Errorf("engine_wal_bytes = 0 during the held batch")
+			}
+			return nil
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := fwCurve(t)
@@ -444,21 +465,22 @@ func TestQueryDoesNotWaitOutABatch(t *testing.T) {
 				}
 			}
 			hook.armed.Store(true)
-			put, queued, query := make(chan error, 1), make(chan error, 1), make(chan error, 1)
+			put, queued, read := make(chan error, 1), make(chan error, 1), make(chan error, 1)
 			go func() { put <- e.Put(fwPoint(2), 2) }()
 			<-hook.entered
-			go func() { queued <- tc.op(e) }()
-			parkedOrDone(tc.frame, queued)
-			go func() {
-				_, _, err := e.Query(o.Universe().Rect())
-				query <- err
-			}()
-			if parkedOrDone("(*Engine).Query", query) {
+			if tc.op != nil {
+				go func() { queued <- tc.op(e) }()
+				parkedOrDone(tc.frame, queued)
+			} else {
+				queued <- nil
+			}
+			go func() { read <- tc.read(e) }()
+			if parkedOrDone(tc.reader, read) {
 				release()
-				t.Fatalf("a query waits out the in-flight batch while a %s is queued", tc.name)
+				t.Fatalf("%s waits out the in-flight batch", tc.reader)
 			}
 			release()
-			for _, ch := range []chan error{put, queued, query} {
+			for _, ch := range []chan error{put, queued, read} {
 				if err := <-ch; err != nil {
 					t.Fatal(err)
 				}

@@ -200,8 +200,12 @@ type Engine struct {
 	// rotation. A nil wal means the engine is closed for writes.
 	walMu sync.Mutex
 	wal   *wal
-	seq   uint64     // last assigned sequence number (under walMu)
 	hook  CommitHook // replication seam; nil for a standalone engine
+	// seq is the last assigned sequence number and walBytes the active
+	// log's length (0 with none). Both are written under walMu and read
+	// without it, so Stats and the gauges never wait out a batch.
+	seq      atomic.Uint64
+	walBytes atomic.Int64
 	// visible is the last sequence number queries see: PutBatch stores it
 	// after a batch's memtable inserts, so a snapshot is always a prefix
 	// of history made of whole batches.
@@ -295,11 +299,10 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 			if recovered == nil {
 				recovered = newMemtable(e.gen)
 			}
-			e.seq++
-			recovered.put(c.Index(op.Point), op.Payload, e.seq, op.Del)
+			recovered.put(c.Index(op.Point), op.Payload, e.seq.Add(1), op.Del)
 		}
 	}
-	e.visible.Store(e.seq)
+	e.visible.Store(e.seq.Load())
 	if recovered != nil {
 		seg, err := writeSegment(fsys, dir, c, segID{lo: e.gen, hi: e.gen}, recovered.flushEntries(), opts.PageBytes, e.cache)
 		if err != nil {
@@ -816,6 +819,7 @@ func (e *Engine) rotateLocked() (*wal, *memtable, error) {
 	}
 	oldWal, oldMem := e.wal, e.mem
 	e.wal, e.mem = w, newMemtable(e.gen)
+	e.walBytes.Store(0)
 	e.gen++
 	return oldWal, oldMem, nil
 }
@@ -856,6 +860,7 @@ func (e *Engine) freeze(force, next bool) (oldWal *wal, oldMem *memtable, err er
 	defer e.mu.Unlock()
 	oldWal, oldMem = e.wal, e.mem
 	e.wal, e.mem = w, newMemtable(e.gen)
+	e.walBytes.Store(0) // a fresh log, or none
 	e.gen++
 	if oldMem.entries.Load() > 0 {
 		e.imm = append(e.imm, oldMem)
@@ -932,13 +937,7 @@ func (e *Engine) flushFrozen(oldWal *wal) (err error) {
 
 // Stats returns a point-in-time summary of the engine's shape.
 func (e *Engine) Stats() EngineStats {
-	var st EngineStats
-	e.walMu.Lock()
-	if e.wal != nil {
-		st.WALBytes = e.wal.Bytes()
-	}
-	st.LastSeq = e.seq
-	e.walMu.Unlock()
+	st := EngineStats{WALBytes: e.walBytes.Load(), LastSeq: e.seq.Load()}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	st.MemEntries = e.mem.entries.Load()

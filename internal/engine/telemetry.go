@@ -158,14 +158,7 @@ func (e *Engine) registerSampledTelemetry() {
 		}
 		return n
 	})
-	reg.GaugeFunc("engine_wal_bytes", func() int64 {
-		e.walMu.Lock()
-		defer e.walMu.Unlock()
-		if e.wal == nil {
-			return 0
-		}
-		return e.wal.Bytes()
-	})
+	reg.GaugeFunc("engine_wal_bytes", e.walBytes.Load)
 	reg.CounterFunc("engine_flushes_total", e.flushes.Load)
 	reg.CounterFunc("engine_compactions_total", e.compactions.Load)
 }

@@ -42,7 +42,7 @@ func benchOpen(b *testing.B, k int) *Sharded {
 // BenchmarkShardedMixed measures mixed read/write throughput against the
 // shard count: each op is one 32x32 rectangle query or (4x as often) one
 // point write, issued from GOMAXPROCS client goroutines. Writes contend
-// on per-shard WALs and queries fan out per shard, so throughput scales
+// on per-shard WALs and queries split per shard, so throughput scales
 // with shards on multi-core hosts — this series is BENCH_4.json's
 // throughput-vs-shard-count curve.
 func BenchmarkShardedMixed(b *testing.B) {

@@ -10,7 +10,6 @@ import (
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/geom"
-	"github.com/onioncurve/onion/internal/pagedstore"
 	"github.com/onioncurve/onion/internal/partition"
 	"github.com/onioncurve/onion/internal/ranges"
 )
@@ -112,50 +111,23 @@ func splitPlanFlat(part *partition.Partitioner, plan []curve.KeyRange, flat []cu
 	return flat, parts
 }
 
-// routerQuery is the pooled scratch of one query: the plan buffer, the
-// flat split plan and the per-part results with their recycled record
-// buffers. States recycle through rqPool, so the router's steady state
-// costs no per-query allocation beyond the caller-visible PerShard
+// routerQuery is the pooled scratch of one query: the plan buffer and the
+// flat split plan. States recycle through rqPool, so the router's steady
+// state costs no per-query allocation beyond the caller-visible PerShard
 // breakdown.
 type routerQuery struct {
-	s     *Sharded
-	ctx   context.Context
 	plan  []curve.KeyRange
 	flat  []curve.KeyRange
 	parts []partRef
-	res   []partResult
-	fn    func(i int) error // q.run, bound once so a fan-out allocates nothing
 }
 
-type partResult struct {
-	recs []Record // recycled append buffer, holding this query's records
-	st   engine.Stats
-	err  error
-}
-
-var rqPool = sync.Pool{New: func() any {
-	q := new(routerQuery)
-	q.fn = q.run
-	return q
-}}
-
-// run executes part i against its shard engine, appending into the
-// part's recycled record buffer. The part keeps its own error: the
-// gather step applies the query policy to every part's outcome, so run
-// reports none to the fan-out.
-func (q *routerQuery) run(i int) error {
-	p := q.parts[i]
-	r := &q.res[i]
-	r.recs, r.st, r.err = q.s.engines[p.shard].QueryRanges(q.ctx, r.recs[:0], q.flat[p.start:p.end])
-	return nil
-}
+var rqPool = sync.Pool{New: func() any { return new(routerQuery) }}
 
 // Query returns every live record whose point lies inside r together
 // with the aggregated access pattern (see Stats for the contract). The
 // rectangle is planned ONCE with the curve's range planner; the plan is
-// split at shard boundaries and sent only to intersecting shards. A plan
-// inside one shard runs on the caller's goroutine; a plan spanning shards
-// runs them concurrently, one goroutine per further shard.
+// split at shard boundaries and sent only to intersecting shards, one
+// after another on the caller's goroutine.
 func (s *Sharded) Query(r geom.Rect) ([]Record, Stats, error) {
 	return s.QueryAppendContext(context.Background(), nil, r, QueryPolicy{})
 }
@@ -198,9 +170,7 @@ func (s *Sharded) QueryAppendContext(ctx context.Context, dst []Record, r geom.R
 		return dst, Stats{}, ErrClosed
 	}
 	q := rqPool.Get().(*routerQuery)
-	q.s, q.ctx = s, ctx
-	dst, st, err := q.exec(dst, r, pol)
-	q.s, q.ctx = nil, nil
+	dst, st, err := s.exec(ctx, q, dst, r, pol)
 	rqPool.Put(q)
 	if rtel != nil && err == nil {
 		rtel.recordQuery(start, &st)
@@ -208,10 +178,14 @@ func (s *Sharded) QueryAppendContext(ctx context.Context, dst []Record, r geom.R
 	return dst, st, err
 }
 
-// exec plans r once, fans the split plan out to the touched shards and
-// gathers their answers into dst under pol.
-func (q *routerQuery) exec(dst []Record, r geom.Rect, pol QueryPolicy) ([]Record, Stats, error) {
-	s, rtel := q.s, q.s.rtel
+// exec plans r once and runs the split plan's parts in shard order, each
+// shard appending straight into dst: shard order is key order, so dst
+// comes out key-sorted with no record copied twice. A failed part leaves
+// nothing behind (QueryRanges returns dst as it found it), so a strict
+// failure returns the caller's prefix and a partial one keeps every
+// other shard's records.
+func (s *Sharded) exec(ctx context.Context, q *routerQuery, dst []Record, r geom.Rect, pol QueryPolicy) ([]Record, Stats, error) {
+	rtel := s.rtel
 	// One planner call per query, whatever the fan-out.
 	var err error
 	q.plan, err = ranges.DecomposeAppend(s.c, r, 0, q.plan)
@@ -222,23 +196,17 @@ func (q *routerQuery) exec(dst []Record, r geom.Rect, pol QueryPolicy) ([]Record
 	st.Planned = len(q.plan)
 	q.flat, q.parts = splitPlanFlat(s.part, q.plan, q.flat, q.parts)
 	st.ShardsTouched = len(q.parts)
-	q.res = q.res[:cap(q.res)]
-	for len(q.res) < len(q.parts) {
-		q.res = append(q.res, partResult{})
-	}
-	q.res = q.res[:len(q.parts)]
-
-	// Few cluster ranges means few shards: most plans lie inside one
-	// shard and run right here, on the caller's goroutine.
-	if len(q.parts) == 1 {
-		q.run(0)
-	} else {
-		_ = fanOut(len(q.parts), q.fn) // parts keep their own errors
-	}
-
-	for i := range q.parts {
-		perr := q.res[i].err
+	base := len(dst)
+	var firstErr error
+	for _, p := range q.parts {
+		var pst engine.Stats
+		var perr error
+		dst, pst, perr = s.engines[p.shard].QueryRanges(ctx, dst, q.flat[p.start:p.end])
 		if perr == nil {
+			if st.PerShard == nil {
+				st.PerShard = make([]ShardStats, 0, len(q.parts))
+			}
+			st.PerShard = append(st.PerShard, ShardStats{Shard: p.shard, Stats: pst})
 			continue
 		}
 		// Cancellation is never maskable: a partial result under a fired
@@ -248,28 +216,22 @@ func (q *routerQuery) exec(dst []Record, r geom.Rect, pol QueryPolicy) ([]Record
 			if rtel != nil {
 				rtel.shardFailures.Inc()
 			}
-			return dst, st, fmt.Errorf("shard %d: %w", q.parts[i].shard, perr)
+			st.PerShard = nil
+			return dst[:base], st, fmt.Errorf("shard %d: %w", p.shard, perr)
+		}
+		if firstErr == nil {
+			firstErr = perr
 		}
 		st.Degraded = true
-		st.FailedShards = append(st.FailedShards, q.parts[i].shard)
+		st.FailedShards = append(st.FailedShards, p.shard)
 	}
 	if st.Degraded && len(st.FailedShards) == len(q.parts) {
 		// Nothing answered; "partial" would be an empty lie.
-		return dst, st, fmt.Errorf("shard %d: %w", q.parts[0].shard, q.res[0].err)
+		return dst, st, fmt.Errorf("shard %d: %w", q.parts[0].shard, firstErr)
 	}
 	st.SubRanges = len(q.flat)
-	base := len(dst)
-	st.PerShard = make([]ShardStats, 0, len(q.parts))
-	for i, p := range q.parts {
-		res := &q.res[i]
-		if res.err != nil {
-			continue
-		}
-		for _, rec := range res.recs {
-			dst = pagedstore.AppendRecord(dst, rec.Point, rec.Payload)
-		}
-		st.PerShard = append(st.PerShard, ShardStats{Shard: p.shard, Stats: res.st})
-		st.Stats.Add(res.st)
+	for _, ps := range st.PerShard {
+		st.Stats.Add(ps.Stats)
 	}
 	st.Results = len(dst) - base
 	return dst, st, nil

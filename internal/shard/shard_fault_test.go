@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/engine"
+	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
 )
 
@@ -104,59 +106,114 @@ func sfFill(t *testing.T, s *Sharded) int {
 	return n
 }
 
+// TestPartialQuerySkipsFailingShard: a shard whose page reads fail fails
+// a strict query, which hands back the caller's dst prefix unchanged, and
+// is skipped by a partial one, which returns the prefix plus exactly
+// every other shard's records. Shard 0 fails its first read. Shard 1, a
+// later shard, serves every read but its last, so it has appended
+// records into dst before its error and after shard 0's. The service
+// caches no pages, so every query reads them. Every cell holds a record
+// and the query is a vertical strip, which crosses each ring twice, so
+// shard 1 reads its pages in several runs rather than one.
 func TestPartialQuerySkipsFailingShard(t *testing.T) {
-	o, err := core.NewOnion2D(32)
-	if err != nil {
-		t.Fatal(err)
-	}
 	inj := vfs.NewInjecting(vfs.OS{})
 	s := sfOpen(t, t.TempDir(), inj, false)
 	defer s.Close()
-	n := sfFill(t, s)
-	full := o.Universe().Rect()
-
-	recs, st, err := s.QueryAppendContext(context.Background(), nil, full, QueryPolicy{})
-	if err != nil || len(recs) != n || st.Degraded {
-		t.Fatalf("clean query: %d records (want %d), degraded=%v, err %v", len(recs), n, st.Degraded, err)
-	}
-	shard0 := 0
-	for _, ps := range st.PerShard {
-		if ps.Shard == 0 {
-			shard0 = ps.Results
+	for x := uint32(0); x < 32; x++ {
+		for y := uint32(0); y < 32; y++ {
+			if x%2 == 1 || y%2 == 1 { // sfFill writes the rest
+				if err := s.Put([]uint32{x, y}, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
-	if shard0 == 0 {
-		t.Fatal("shard 0 serves no records; the fixture cannot exercise partial results")
-	}
+	sfFill(t, s)
+	strip := geom.Rect{Lo: geom.Point{12, 0}, Hi: geom.Point{19, 31}}
+	ctx := context.Background()
 
-	// Every read in shard 0 fails from here on.
-	inj.SetFaults(vfs.Fault{Op: vfs.OpRead, Path: "shard-000", N: 1, Repeat: true})
-
-	// Strict policy: the shard failure fails the query.
-	if _, _, err := s.QueryAppendContext(context.Background(), nil, full, QueryPolicy{}); !errors.Is(err, vfs.ErrInjected) {
-		t.Fatalf("strict query over failing shard = %v, want the injected fault", err)
+	clean, st, err := s.QueryAppendContext(ctx, nil, strip, QueryPolicy{})
+	if err != nil || len(clean) != 8*32 || st.Degraded {
+		t.Fatalf("clean query: %d records (want the strip's 8x32), degraded=%v, err %v", len(clean), st.Degraded, err)
 	}
-
-	// Partial policy: the failing shard is skipped and reported.
-	recs, st, err = s.QueryAppendContext(context.Background(), nil, full, QueryPolicy{Partial: true})
-	if err != nil {
-		t.Fatalf("partial query: %v", err)
-	}
-	if !st.Degraded || len(st.FailedShards) != 1 || st.FailedShards[0] != 0 {
-		t.Fatalf("partial stats: degraded=%v failed=%v, want shard 0 reported", st.Degraded, st.FailedShards)
-	}
-	if len(recs) != n-shard0 {
-		t.Fatalf("partial query returned %d records, want %d (all but shard 0's %d)", len(recs), n, shard0)
-	}
+	// Shard order is key order: shard i's records are one run of clean.
+	byShard := map[int][]Record{}
+	off := 0
 	for _, ps := range st.PerShard {
-		if ps.Shard == 0 {
-			t.Fatalf("failed shard present in PerShard breakdown: %+v", st.PerShard)
+		byShard[ps.Shard] = clean[off : off+ps.Results]
+		off += ps.Results
+	}
+	prefix := []Record{{Point: geom.Point{7, 7}, Payload: 1}, {Point: geom.Point{9, 9}, Payload: 2}}
+	withPrefix := func() []Record {
+		dst := make([]Record, len(prefix))
+		for i, r := range prefix {
+			dst[i] = Record{Point: r.Point.Clone(), Payload: r.Payload}
 		}
+		return dst
+	}
+
+	for _, failing := range []int{0, 1} {
+		t.Run(fmt.Sprintf("shard%d", failing), func(t *testing.T) {
+			if len(byShard[failing]) == 0 {
+				t.Fatalf("shard %d serves no records; the fixture cannot exercise partial results", failing)
+			}
+			// Count the shard's page reads in one query, then fail its
+			// first (shard 0) or its last (shard 1).
+			path := fmt.Sprintf("shard-%03d", failing)
+			inj.SetFaults(vfs.Fault{Op: vfs.OpRead, Path: path})
+			if _, _, err := s.Query(strip); err != nil {
+				t.Fatal(err)
+			}
+			fault := vfs.Fault{Op: vfs.OpRead, Path: path, N: 1}
+			if failing == 1 {
+				if fault.N = inj.Matched(0); fault.N < 2 {
+					t.Fatalf("shard 1 reads %d pages; the row needs a read that succeeds before the failing one", fault.N)
+				}
+			}
+
+			// Strict policy: the shard failure fails the query, and the
+			// caller gets its prefix back as it was.
+			inj.SetFaults(fault)
+			got, _, err := s.QueryAppendContext(ctx, withPrefix(), strip, QueryPolicy{})
+			if !errors.Is(err, vfs.ErrInjected) {
+				t.Fatalf("strict query over failing shard = %v, want the injected fault", err)
+			}
+			if !reflect.DeepEqual(got, prefix) {
+				t.Fatalf("strict query returned %d records, want the %d-record prefix unchanged", len(got), len(prefix))
+			}
+
+			// Partial policy: the failing shard is skipped and reported.
+			inj.SetFaults(fault)
+			got, st, err := s.QueryAppendContext(ctx, withPrefix(), strip, QueryPolicy{Partial: true})
+			if err != nil {
+				t.Fatalf("partial query: %v", err)
+			}
+			if !st.Degraded || !reflect.DeepEqual(st.FailedShards, []int{failing}) {
+				t.Fatalf("partial stats: degraded=%v failed=%v, want shard %d reported", st.Degraded, st.FailedShards, failing)
+			}
+			want := append([]Record(nil), prefix...)
+			for _, ps := range st.PerShard {
+				if ps.Shard == failing {
+					t.Fatalf("failed shard present in PerShard breakdown: %+v", st.PerShard)
+				}
+			}
+			for i := 0; i < len(s.engines); i++ {
+				if i != failing {
+					want = append(want, byShard[i]...)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("partial query returned %d records, want the prefix plus every other shard's: %d", len(got), len(want))
+			}
+			if st.Results != len(want)-len(prefix) {
+				t.Fatalf("partial Results = %d, want %d appended records", st.Results, len(want)-len(prefix))
+			}
+		})
 	}
 
 	// All shards failing: partial cannot pretend an empty answer.
 	inj.SetFaults(vfs.Fault{Op: vfs.OpRead, N: 1, Repeat: true})
-	if _, _, err := s.QueryAppendContext(context.Background(), nil, full, QueryPolicy{Partial: true}); err == nil {
+	if _, _, err := s.QueryAppendContext(ctx, nil, strip, QueryPolicy{Partial: true}); err == nil {
 		t.Fatal("partial query with every shard failing returned success")
 	}
 }

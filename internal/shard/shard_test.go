@@ -942,7 +942,8 @@ func TestSharedCacheAcrossShards(t *testing.T) {
 // plan inside one shard, run on the caller's goroutine — at the count
 // measured with the parent's worker pool: one allocation, the
 // caller-visible PerShard breakdown. A plan spanning both shards pays
-// the same: the fan-out's scratch is pooled.
+// the same: it runs the two shards one after another on the same
+// goroutine, each appending straight into dst.
 func TestRouterOneShardQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -1034,9 +1035,10 @@ func TestQueryEntryPointsPinned(t *testing.T) {
 }
 
 // TestFanOut pins the one fan-out helper every whole-service operation
-// and every multi-shard query runs on: each index runs exactly once, a
-// failure stops no other index, and the error is the lowest failing
-// index's, wrapped with its number and still matchable.
+// runs on (queries do not: they visit their shards one after another on
+// the caller's goroutine): each index runs exactly once, a failure stops
+// no other index, and the error is the lowest failing index's, wrapped
+// with its number and still matchable.
 func TestFanOut(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5, 16} {
 		for _, failing := range [][]int{nil, {0}, {3, 1}, {n - 1}} {

@@ -137,7 +137,8 @@ type (
 	EngineStats = engine.EngineStats
 	// ShardedEngine is the horizontally partitioned query service:
 	// N independent Engines over contiguous curve-key intervals behind a
-	// concurrent query router, opened with OpenShardedEngine.
+	// query router that runs on the caller's goroutine, opened with
+	// OpenShardedEngine.
 	ShardedEngine = shard.Sharded
 	// ShardedEngineOptions tunes OpenShardedEngine (shard count,
 	// per-shard engine options, the shared page cache budget, the
