@@ -83,11 +83,12 @@ func fwStateAfter(c curve.Curve, ops []fwOp, j int) map[uint64]uint64 {
 	return m
 }
 
-// fwOpts: 120-byte pages hold ten 12-byte slots, so a segment build
-// pays one page write per ten entries — the fault points the matrices
-// enumerate.
+// fwOpts: 88-byte pages hold at most ten records of distinct keys (eleven
+// take 88 payload bytes and at least 2 bytes of key offsets), so a segment
+// build pays at least one page write per ten entries — the fault points
+// the matrices enumerate.
 func fwOpts(fsys vfs.FS) Options {
-	return Options{PageBytes: 120, FlushEntries: -1, compactFanout: 2,
+	return Options{PageBytes: 88, FlushEntries: -1, compactFanout: 2,
 		SyncWrites: true, FS: fsys}
 }
 

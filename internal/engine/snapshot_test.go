@@ -14,9 +14,12 @@ import (
 )
 
 // snapOpts disables compaction so segment generation ranges (and hence
-// which archived WALs a snapshot covers) are fully deterministic.
+// which archived WALs a snapshot covers) are fully deterministic. A
+// 136-byte page holds at most sixteen records of distinct keys, so a
+// segment build pays a page write per sixteen entries or fewer — the fault
+// points the snapshot and restore matrices enumerate.
 func snapOpts(fsys vfs.FS) Options {
-	return Options{PageBytes: 192, FlushEntries: -1, compactFanout: -1,
+	return Options{PageBytes: 136, FlushEntries: -1, compactFanout: -1,
 		SyncWrites: true, FS: fsys}
 }
 
@@ -544,8 +547,8 @@ func TestSeedManifestGoldenBytes(t *testing.T) {
 	}
 	const want = "onion-snapshot v1\ncurve onion\ndims 2\nside 64\nepoch 1\n" +
 		"parent -\narchive -\nsegments 2\n" +
-		"seg-000000000000-000000000000-000.pst 262 9\n" +
-		"seg-000000000001-000000000001-000.pst 261 5\n"
+		"seg-000000000000-000000000000-000.pst 207 9\n" +
+		"seg-000000000001-000000000001-000.pst 206 5\n"
 	if string(got) != want {
 		t.Fatalf("seed manifest:\n%s\nwant:\n%s", got, want)
 	}
@@ -643,9 +646,9 @@ func TestRestoreParentFormatManifest(t *testing.T) {
 	}
 	literal := "onion-snapshot v1\ncurve onion\ndims 2\nside 64\nepoch 1\n" +
 		"parent -\narchive " + archiveDir(dir) + "\nsegments 3\n" +
-		"seg-000000000000-000000000000-000.pst 262 9\n" +
-		"seg-000000000001-000000000001-000.pst 262 9\n" +
-		"seg-000000000002-000000000002-000.pst 262 9\n"
+		"seg-000000000000-000000000000-000.pst 207 9\n" +
+		"seg-000000000001-000000000001-000.pst 207 9\n" +
+		"seg-000000000002-000000000002-000.pst 207 9\n"
 	path := filepath.Join(snap, snapshotManifestName)
 	got, err := os.ReadFile(path)
 	if err != nil {

@@ -53,8 +53,9 @@ func igWorkload(n int) []igOp {
 	return ops
 }
 
-// igOpts: tiny pages (ten 12-byte slots) and caches, no background
-// maintenance — the deterministic shape the cross-checks need.
+// igOpts: tiny pages (120 bytes, ten to fourteen records of distinct
+// keys) and caches, no background maintenance — the deterministic shape
+// the cross-checks need.
 func igOpts() engine.Options {
 	return engine.Options{PageBytes: 120, FlushEntries: -1, Cache: pagedstore.NewCache(3072)}
 }

@@ -267,34 +267,51 @@ func referenceRanges(s *Store, krs []curve.KeyRange) ([]Record, Stats, IOStats, 
 				run++
 				lastFetched = p
 			}
-			// The page's first key and record count come from the file's
-			// page index: pageCount first keys from byte 40, then pageCount
-			// counts. A v7 slot is the key's offset from the first key (4)
-			// + payload (8). The point is the curve's per-key inverse of the
-			// key, not the cursor's batch path.
+			// The page's first key, record count and key width come from the
+			// file's page index: pageCount first keys from byte 40, then
+			// pageCount counts, then pageCount one-byte widths. A page is its
+			// key offsets from the first key, packed at that width, then its
+			// 8-byte payloads; refOffset unpacks an offset bit by bit. The
+			// point is the curve's per-key inverse of the key, not the
+			// cursor's batch path.
 			pages := int64(len(s.firstKeys))
 			var first [8]byte
 			var count [4]byte
+			var width [1]byte
 			if _, err := s.f.ReadAt(first[:], 40+8*int64(p)); err != nil {
 				return nil, st, io, err
 			}
 			if _, err := s.f.ReadAt(count[:], 40+8*pages+4*int64(p)); err != nil {
 				return nil, st, io, err
 			}
-			for i := 0; i < int(binary.LittleEndian.Uint32(count[:])); i++ {
-				off := i * 12
-				key := binary.LittleEndian.Uint64(first[:]) + uint64(binary.LittleEndian.Uint32(buf[off:]))
+			if _, err := s.f.ReadAt(width[:], 40+12*pages+int64(p)); err != nil {
+				return nil, st, io, err
+			}
+			n, w := int(binary.LittleEndian.Uint32(count[:])), int(width[0])
+			for i := 0; i < n; i++ {
+				key := binary.LittleEndian.Uint64(first[:]) + refOffset(buf, i, w)
 				if key < kr.Lo || key > kr.Hi {
 					continue
 				}
 				st.RecordsScanned++
 				out = append(out, Record{
 					Point:   s.c.Coords(key, nil),
-					Payload: binary.LittleEndian.Uint64(buf[off+4:]),
+					Payload: binary.LittleEndian.Uint64(buf[(n*w+7)/8+8*i:]),
 				})
 			}
 		}
 	}
 	st.Results = len(out)
 	return out, st, io, nil
+}
+
+// refOffset returns offset i of a key column packed w bits to an offset,
+// least significant bit first, reading it one bit at a time.
+func refOffset(col []byte, i, w int) uint64 {
+	var v uint64
+	for b := 0; b < w; b++ {
+		bit := i*w + b
+		v |= uint64(col[bit/8]>>(bit%8)&1) << b
+	}
+	return v
 }

@@ -157,13 +157,15 @@ func TestV4MetadataCorruptionDetectedAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxOff := int64(40) + 8                              // second first key of the page index
-	tailOff := int64(40) + 8*int64(len(s.firstKeys)) - 8 // last first key
-	countOff := s.dataOff - 4                            // last record count
-	marksOff := s.dataOff + int64(len(s.firstKeys))*int64(s.pageBytes)
+	pages := int64(len(s.firstKeys))
+	idxOff := int64(40) + 8              // second first key of the page index
+	tailOff := int64(40) + 8*pages - 8   // last first key
+	countOff := int64(40) + 12*pages - 4 // last record count
+	widthOff := s.dataOff - 1            // last key width
+	marksOff := s.dataOff + pages*int64(s.pageBytes)
 	s.Close()
 
-	for _, off := range []int64{idxOff, tailOff, countOff, marksOff} {
+	for _, off := range []int64{idxOff, tailOff, countOff, widthOff, marksOff} {
 		func() {
 			cp := filepath.Join(t.TempDir(), "cp.pst")
 			b, err := os.ReadFile(path)
@@ -266,11 +268,12 @@ func TestFileLengthExact(t *testing.T) {
 	}
 }
 
-// TestCountTableRejected: the page index's record counts must each lie in
-// [1, perPage] and sum to the header's record count, or Open rejects the
-// file — even when the metadata checksum is resealed over the edit. The
-// edits leave the last page's count alone, so the mark bitmap keeps its
-// length.
+// TestCountTableRejected: the page index's record counts must each be at
+// least 1 and sum to the header's record count, each page's key width must
+// be at most 32 bits, and a page's records at its width must fit the page,
+// or Open rejects the file — even when the metadata checksum is resealed
+// over the edit. The mark bitmap holds one bit per record, so it is
+// exactly ⌈records/8⌉ bytes: one byte short is damage too.
 func TestCountTableRejected(t *testing.T) {
 	path := writeStore(t, 300)
 	o, _ := core.NewOnion2D(64)
@@ -278,27 +281,50 @@ func TestCountTableRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages, perPage := int64(len(s.firstKeys)), uint32(s.perPage)
+	pages := int64(len(s.firstKeys))
+	count, width := s.counts[0], s.widths[0]
+	pageBytes := uint32(s.pageBytes)
 	dataOff, marksOff := s.dataOff, s.dataOff+pages*int64(s.pageBytes)
+	if len(s.marks) != (s.Len()+7)/8 {
+		t.Fatalf("mark bitmap of %d bytes for %d records", len(s.marks), s.Len())
+	}
 	s.Close()
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	count0 := 40 + 8*pages // the first page's record count
+	if fits(int(count), maxWidth, int(pageBytes)) {
+		t.Fatalf("page 0's %d records fit its page at 32 bits a key: the table tests nothing", count)
+	}
+	count0 := 40 + 8*pages  // the first page's record count
+	width0 := 40 + 12*pages // the first page's key width
+	// page0 sets the first page's count and width and adds delta to the
+	// header's record count.
+	page0 := func(n uint32, w byte, delta int64) func(b []byte) []byte {
+		return func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[count0:], n)
+			b[width0] = w
+			binary.LittleEndian.PutUint64(b[24:], uint64(int64(binary.LittleEndian.Uint64(b[24:]))+delta))
+			return b
+		}
+	}
 	for _, tc := range []struct {
-		name  string
-		count uint32 // the first page's count
-		delta int64  // added to the header's record count
-		want  string
+		name string
+		edit func(b []byte) []byte
+		want string
 	}{
-		{"counts do not sum to the header", perPage - 1, 0, "page counts sum to"},
-		{"an empty page", 0, -int64(perPage), "page 0: 0 records"},
-		{"more records than slots", perPage + 1, 1, fmt.Sprintf("page 0: %d records in %d slots", perPage+1, perPage)},
+		{"counts do not sum to the header", page0(count-1, width, 0), "page counts sum to"},
+		{"an empty page", page0(0, width, -int64(count)), "page 0: 0 records"},
+		{"a width above 32", page0(count, maxWidth+1, 0), "page 0: key width 33 over 32"},
+		{"records that do not fit the page at their width", page0(count, maxWidth, 0),
+			fmt.Sprintf("page 0: %d records of 32-bit keys overflow a %d-byte page", count, pageBytes)},
+		{"more records than the page holds at width 0", page0(pageBytes/8+1, 0, int64(pageBytes/8+1-count)),
+			fmt.Sprintf("page 0: %d records of 0-bit keys overflow", pageBytes/8+1)},
+		{"a mark bitmap one byte short", func(b []byte) []byte {
+			return append(b[:marksOff:marksOff], b[marksOff+1:]...)
+		}, "short pruning footer"},
 	} {
-		b := append([]byte(nil), orig...)
-		binary.LittleEndian.PutUint32(b[count0:], tc.count)
-		binary.LittleEndian.PutUint64(b[24:], uint64(int64(binary.LittleEndian.Uint64(b[24:]))+tc.delta))
+		b := tc.edit(append([]byte(nil), orig...))
 		resealMeta(b, dataOff, marksOff)
 		p := filepath.Join(t.TempDir(), "counts.pst")
 		if err := os.WriteFile(p, b, 0o644); err != nil {
@@ -310,10 +336,10 @@ func TestCountTableRejected(t *testing.T) {
 	}
 }
 
-// TestSlotZeroOffsetRejected: a page's first slot holds the page's first
-// key, so its offset is 0. A page whose slot 0 says otherwise fails
-// VerifyPages as ErrCorrupt even with its checksum and the metadata
-// checksum resealed over the edit.
+// TestSlotZeroOffsetRejected: a page's first record holds the page's
+// first key, so its key offset is 0. A page whose first offset says
+// otherwise fails VerifyPages as ErrCorrupt even with its checksum and the
+// metadata checksum resealed over the edit.
 func TestSlotZeroOffsetRejected(t *testing.T) {
 	path := writeStore(t, 300)
 	o, _ := core.NewOnion2D(64)
@@ -332,7 +358,10 @@ func TestSlotZeroOffsetRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(b[page:], 1)
+	if s.widths[p] == 0 {
+		t.Fatalf("page %d has key width 0: no offset bit to set", p)
+	}
+	b[page] |= 1 // bit 0 of the key column: the first offset's low bit
 	binary.LittleEndian.PutUint32(b[sumOff:], crc32.Checksum(b[page:page+pageBytes], pageCRC))
 	resealMeta(b, dataOff, marksOff)
 	if err := os.WriteFile(path, b, 0o644); err != nil {
@@ -343,19 +372,21 @@ func TestSlotZeroOffsetRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.VerifyPages(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("page %d: first slot", p)) {
-		t.Fatalf("VerifyPages with slot 0 of page %d at offset 1 = %v, want ErrCorrupt", p, err)
+	if err := s.VerifyPages(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("page %d: first record", p)) {
+		t.Fatalf("VerifyPages with record 0 of page %d at offset 1 = %v, want ErrCorrupt", p, err)
 	}
 }
 
-// TestRetiredVersionsRejected: nothing writes format versions 1 to 6 any
+// TestRetiredVersionsRejected: nothing writes format versions 1 to 7 any
 // more and Open no longer reads them — a header naming one is an
 // unsupported version, not a file to reinterpret. That holds for a current
-// file whose version field is overwritten (a v6 file differed only in the
-// Bloom filter after its page checksums, a v5 file in its 16-byte slots,
-// which held the whole key, and in having no record counts) and for a
-// literal version-1 file (header, page index, pages, nothing after them)
-// as the retired writer laid it out.
+// file whose version field is overwritten (a v7 file differed in its
+// 12-byte slots, each key offset in 32 bits beside its payload, in having
+// no key widths and in a mark bit per slot, a v6 file also in the Bloom
+// filter after its page checksums, a v5 file in its 16-byte slots, which
+// held the whole key, and in having no record counts) and for a literal
+// version-1 file (header, page index, pages, nothing after them) as the
+// retired writer laid it out.
 func TestRetiredVersionsRejected(t *testing.T) {
 	path := writeStore(t, 300)
 	o, _ := core.NewOnion2D(64)
@@ -365,7 +396,7 @@ func TestRetiredVersionsRejected(t *testing.T) {
 	}
 	files := map[string][]byte{}
 	wantVer := map[string]uint32{}
-	for _, ver := range []uint32{1, 2, 3, 4, 5, 6} {
+	for _, ver := range []uint32{1, 2, 3, 4, 5, 6, 7} {
 		mut := append([]byte(nil), orig...)
 		binary.LittleEndian.PutUint32(mut[8:], ver)
 		name := fmt.Sprintf("version-%d header", ver)
@@ -424,12 +455,20 @@ func FuzzVerifyCorrupt(f *testing.F) {
 	pages := binary.LittleEndian.Uint64(orig[32:])
 	f.Add(uint32(40+8*pages+4*3), byte(0x01))           // record count of page 3
 	f.Add(uint32(40+8*pages+4*(pages-1)+1), byte(0x80)) // record count of the last page, high byte
-	dataOff := uint32(40 + 12*pages)
+	f.Add(uint32(40+12*pages+5), byte(0x01))            // key width of page 5
+	dataOff := uint32(40 + indexEntry*pages)
 	pageBytes := binary.LittleEndian.Uint32(orig[20:])
-	f.Add(dataOff+2*pageBytes+5*recordSize, byte(0x02))      // key offset of slot 5 of page 2
-	f.Add(dataOff+7*pageBytes, byte(0x01))                   // key offset of slot 0 of page 7, nonzero
-	f.Add(uint32(len(orig))-4-4*uint32(pages)-8, byte(0x01)) // last fence
-	f.Add(uint32(len(orig))-8, byte(0x01))                   // last page checksum
+	// keyColumn is the length of page p's key column.
+	keyColumn := func(p uint32) uint32 {
+		n := binary.LittleEndian.Uint32(orig[40+8*pages+4*uint64(p):])
+		w := uint32(orig[40+12*pages+uint64(p)])
+		return (n*w + 7) / 8
+	}
+	f.Add(dataOff+2*pageBytes+keyColumn(2)/2, byte(0x02))     // a packed key offset mid-page 2
+	f.Add(dataOff+7*pageBytes, byte(0x01))                    // the first key offset of page 7, nonzero
+	f.Add(dataOff+3*pageBytes+keyColumn(3)+8*2+1, byte(0x40)) // payload 2 of page 3
+	f.Add(uint32(len(orig))-4-4*uint32(pages)-8, byte(0x01))  // last fence
+	f.Add(uint32(len(orig))-8, byte(0x01))                    // last page checksum
 	f.Fuzz(func(t *testing.T, off uint32, xor byte) {
 		if xor == 0 {
 			return

@@ -12,36 +12,41 @@
 // in its memtable iterators, merge heads and flush runs, so a run goes
 // from memory to the file and back without changing shape.
 //
-// There is one file layout. A fixed header, a page index (first curve key
-// and record count of every page), and fixed-size pages of 12-byte slots
-// sorted by curve key, in every dimension. A slot holds its key as a
-// 32-bit offset from the page's first key, then the payload: the page
-// index already brackets every key of the page, so the slot stores only
-// the difference. The writer starts a new page when a page is full, or
-// when the next key lies 2³² or more past the page's first key — which
-// only a curve with more keys than that can produce — so a page may hold
-// fewer records than it has slots, and every curve shares one slot width.
-// A rectangle query decomposes into cluster ranges (internal/ranges) and
-// maps each range to a run of pages via the index — seeks and pages are
-// counted and returned. Pages are read in runs, not per range: one
-// positioned read fetches the consecutive pages the plan fetches next and
-// no cache holds, however many ranges they span, up to 32 pages (see
-// Cursor).
+// There is one file layout. A fixed header, a page index (first curve key,
+// record count and key width of every page), and fixed-size pages sorted
+// by curve key, in every dimension. A page holds two columns: first the
+// keys, each stored as its offset from the page's first key, bit-packed
+// at the page's key width w (at most 32 bits: the bit length of the
+// page's last key less its first), then the 8-byte payloads. The page
+// index already brackets every key of the page, so a page stores only
+// the differences, and no wider than its own keys need: w + 7 ≤ 39 bits,
+// so one unaligned 64-bit load reads any offset, and with the payloads
+// after the key column that load never leaves the page. The writer fills
+// a page greedily while its n records fit, n·8 + ⌈n·w/8⌉ ≤ pageBytes,
+// and w stays at most 32 — so a page whose next key lies 2³² or more past
+// its first ends early, which only a curve with more keys than that can
+// produce. A rectangle query decomposes into cluster ranges
+// (internal/ranges) and maps each range to a run of pages via the index —
+// seeks and pages are counted and returned. Pages are read in runs, not
+// per range: one positioned read fetches the consecutive pages the plan
+// fetches next and no cache holds, however many ranges they span, up to
+// 32 pages (see Cursor).
 //
 // After the pages come three things, and nothing else. A mark bitmap: one
-// bit per slot, up to the last record's, so slot i of page p owns bit
-// p·perPage+i. A pruning footer: a fence table of per-page maximum keys,
-// the one structure that lets a visit skip its page without a read.
-// Integrity checksums: a crc32c per page, verified before a fetched page
-// is first used, and a trailing crc32c over all metadata (header, page
-// index, record counts, marks, fences, page checksums), verified at open —
-// so any single flipped byte anywhere in a file is detected, either
-// immediately at open or at the first use of the damaged page, and
-// surfaces as ErrCorrupt. The file has one exact length.
-// The header calls this layout version 7; versions 1 to 6 were earlier
-// layouts nothing writes any more (version 6 also carried a Bloom filter
-// over all keys, version 5 stored each key in 8 bytes, version 4 the
-// coordinates beside it), and Open rejects them.
+// bit per record, in key order, so record i of page p owns bit
+// (records before page p) + i. A pruning footer: a fence table of
+// per-page maximum keys, the one structure that lets a visit skip its page
+// without a read. Integrity checksums: a crc32c per page, verified before
+// a fetched page is first used, and a trailing crc32c over all metadata
+// (header, page index, record counts and key widths, marks, fences, page
+// checksums), verified at open — so any single flipped byte anywhere in a
+// file is detected, either immediately at open or at the first use of the
+// damaged page, and surfaces as ErrCorrupt. The file has one exact length.
+// The header calls this layout version 8; versions 1 to 7 were earlier
+// layouts nothing writes any more (version 7 stored every key offset in
+// 32 bits, version 6 also carried a Bloom filter over all keys, version 5
+// stored each key in 8 bytes, version 4 the coordinates beside it), and
+// Open rejects them.
 //
 // Two aliasing rules keep entries cheap to move. WriteEntries only reads
 // its input, and never its points: an Entry.Point may be nil or alias
@@ -75,6 +80,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -88,18 +94,19 @@ import (
 const (
 	magic = uint64(0x4f4e494f4e435256) // "ONIONCRV"
 	// version names the one layout: header, page index (first keys, then
-	// record counts), pages of recordSize-byte slots, then a mark bitmap
-	// (one bit per slot), a pruning footer (per-page max-key fences, a
-	// crc32c per page) and a trailing crc32c over all metadata. Versions 1
-	// to 6 are retired.
-	version = uint32(7)
-	// recordSize is the on-disk bytes per slot: the key's uint32 offset
-	// from its page's first key, then the payload. The point is not stored;
-	// it is Coords(key).
-	recordSize = 4 + 8
-	// pageSpan bounds the keys of one page: each lies less than pageSpan
-	// past the page's first key, so its offset fits the slot's 32 bits.
-	pageSpan = 1 << 32
+	// record counts, then key widths), pages of a bit-packed key column and
+	// a payload column, then a mark bitmap (one bit per record), a pruning
+	// footer (per-page max-key fences, a crc32c per page) and a trailing
+	// crc32c over all metadata. Versions 1 to 7 are retired.
+	version = uint32(8)
+	// recordSize is the most on-disk bytes one record takes: its payload
+	// and a key offset of at most maxWidth bits. A page must hold at least
+	// that, so any one record fits it. The point is not stored; it is
+	// Coords(key).
+	recordSize = 8 + maxWidth/8
+	// maxWidth bounds the key width of a page: each of its keys lies less
+	// than 2^maxWidth past the page's first key.
+	maxWidth = 32
 )
 
 // pageCRC is the checksum polynomial of the integrity footer — crc32c,
@@ -122,7 +129,7 @@ type Record struct {
 	Payload uint64
 }
 
-// Entry is one stored version: the tuple a store file holds per slot and
+// Entry is one stored version: the tuple a store file holds per record and
 // the one shape it travels in between the engine's memtable and the file.
 // Key is the point's curve key — the writer trusts it, it does not
 // re-evaluate the curve. The file does not hold Point: a stored entry's
@@ -230,10 +237,12 @@ func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageByt
 		return fmt.Errorf("%w: %d < %d", ErrPageBytes, pageBytes, recordSize)
 	}
 	size := c.Universe().Size()
-	perPage := pageBytes / recordSize
-	// starts[p] is the first entry of page p. A page ends when it is full
-	// or when the next key lies pageSpan or more past its first key.
+	// starts[p] is the first entry of page p and widths[p] its key width.
+	// An entry joins the current page while the page, widened to the
+	// entry's offset, still fits: a page ends when it is full or when the
+	// next key lies 2^maxWidth or more past its first key.
 	var starts []int
+	var widths []byte
 	for i := range ents {
 		e := &ents[i]
 		if e.Key >= size {
@@ -242,9 +251,14 @@ func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageByt
 		if i > 0 && e.Key < ents[i-1].Key {
 			return fmt.Errorf("pagedstore: entry %d: key %d after key %d", i, e.Key, ents[i-1].Key)
 		}
-		if n := len(starts); n == 0 || i-starts[n-1] == perPage || e.Key-ents[starts[n-1]].Key >= pageSpan {
-			starts = append(starts, i)
+		if n := len(starts); n > 0 {
+			if w := bits.Len64(e.Key - ents[starts[n-1]].Key); fits(i-starts[n-1]+1, w, pageBytes) {
+				widths[n-1] = byte(w)
+				continue
+			}
 		}
+		starts = append(starts, i)
+		widths = append(widths, 0)
 	}
 	pageCount := len(starts)
 	starts = append(starts, len(ents)) // page p holds entries [starts[p], starts[p+1])
@@ -276,34 +290,39 @@ func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageByt
 	if err := writeMeta(head); err != nil {
 		return err
 	}
-	// Page index (first key of each page, then the record count of each)
-	// and fences (last key of each).
-	idx := make([]byte, 12*pageCount)
+	// Page index (first key of each page, then the record count of each,
+	// then the key width of each) and fences (last key of each).
+	idx := make([]byte, indexEntry*pageCount)
 	fences := make([]byte, 8*pageCount)
 	for p := 0; p < pageCount; p++ {
 		binary.LittleEndian.PutUint64(idx[8*p:], ents[starts[p]].Key)
 		binary.LittleEndian.PutUint32(idx[8*pageCount+4*p:], uint32(starts[p+1]-starts[p]))
+		idx[12*pageCount+p] = widths[p]
 		binary.LittleEndian.PutUint64(fences[8*p:], ents[starts[p+1]-1].Key)
 	}
 	if err := writeMeta(idx); err != nil {
 		return err
 	}
-	// Pages and the mark bitmap, in one pass.
+	// Pages and the mark bitmap, in one pass. Entry i's mark is bit i: the
+	// records before its page, plus its place in the page.
 	buf := make([]byte, pageBytes)
 	crcs := make([]byte, 4*pageCount)
-	var bm []byte
-	if pageCount > 0 {
-		bm = make([]byte, markBytes(pageCount, perPage, starts[pageCount]-starts[pageCount-1]))
-	}
+	bm := make([]byte, markBytes(len(ents)))
 	for p := 0; p < pageCount; p++ {
 		clear(buf)
 		page := ents[starts[p]:starts[p+1]]
-		for slot := range page {
-			e := &page[slot]
-			binary.LittleEndian.PutUint32(buf[slot*recordSize:], uint32(e.Key-page[0].Key))
-			binary.LittleEndian.PutUint64(buf[slot*recordSize+4:], e.Payload)
+		w := uint(widths[p])
+		pay := keyBytes(len(page), int(w))
+		for i := range page {
+			e := &page[i]
+			// The column is zeroed and offsets ascend in bit position, so
+			// OR-ing each one in at its bit leaves the earlier ones intact.
+			bit := uint(i) * w
+			v := binary.LittleEndian.Uint64(buf[bit/8:]) | (e.Key-page[0].Key)<<(bit%8)
+			binary.LittleEndian.PutUint64(buf[bit/8:], v)
+			binary.LittleEndian.PutUint64(buf[pay+8*i:], e.Payload)
 			if e.Marked {
-				j := p*perPage + slot
+				j := starts[p] + i
 				bm[j/8] |= 1 << (j % 8)
 			}
 		}
@@ -327,11 +346,34 @@ func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageByt
 	return f.Sync()
 }
 
-// markBytes returns the length of the mark bitmap of a file of pageCount
-// (> 0) pages of perPage slots whose last page holds last records: one bit
-// per slot, up to the last record's.
-func markBytes(pageCount, perPage, last int) int {
-	return ((pageCount-1)*perPage + last + 7) / 8
+// indexEntry is the page index's bytes per page: its first key (8), its
+// record count (4) and its key width (1), each in a column of its own.
+const indexEntry = 8 + 4 + 1
+
+// markBytes returns the length of the mark bitmap of a file of count
+// records: one bit per record.
+func markBytes(count int) int { return (count + 7) / 8 }
+
+// keyBytes returns the length of the key column of a page of n records
+// whose key offsets are w bits wide.
+func keyBytes(n, w int) int { return (n*w + 7) / 8 }
+
+// fits reports whether n records with w-bit key offsets fit a page of
+// pageBytes: the width is at most maxWidth, and the key column and the
+// payloads take no more than the page.
+func fits(n, w, pageBytes int) bool {
+	return w <= maxWidth && n*8+keyBytes(n, w) <= pageBytes
+}
+
+// keyOffset returns offset i of a page's key column, whose offsets are w
+// bits wide: one unaligned 64-bit load at the byte holding the offset's
+// first bit, shifted down and masked. It reads at most w + 7 ≤ 39 bits,
+// and the load stays inside the page: the payload column follows the key
+// column, so at least 8 bytes of page lie at or after any offset's first
+// byte.
+func keyOffset(page []byte, i int, w uint) uint64 {
+	bit := uint(i) * w
+	return binary.LittleEndian.Uint64(page[bit/8:]) >> (bit % 8) & (1<<w - 1)
 }
 
 // Store is an open clustered table. It is safe for concurrent use: reads
@@ -342,12 +384,14 @@ type Store struct {
 	c         curve.Curve
 	dims      int
 	pageBytes int
-	perPage   int
 	count     uint64
-	firstKeys []uint64 // first key of each page: the base of its slots' key offsets
-	counts    []uint32 // records of each page, in [1, perPage]
+	firstKeys []uint64 // first key of each page: the base of its key offsets
+	counts    []uint32 // records of each page, at least 1
+	widths    []uint8  // key width of each page, at most maxWidth
+	before    []int    // records before each page: the first mark bit of the page
+	maxCount  int      // the largest page count: the size of a cursor's scratch
 	dataOff   int64
-	marks     []byte // one bit per slot: slot i of page p owns bit p*perPage+i
+	marks     []byte // one bit per record: record i of page p owns bit before[p]+i
 	anyMarked bool
 
 	pageMax  []uint64 // fence: max key of each page
@@ -423,14 +467,13 @@ func load(f vfs.File, c curve.Curve) (*Store, error) {
 	if pageBytes < recordSize {
 		return nil, fmt.Errorf("%w: page bytes %d", ErrCorrupt, pageBytes)
 	}
-	perPage := pageBytes / recordSize
 	// Structural sanity before any sized allocation: a corrupted page
 	// count must be rejected, not trusted as an allocation size. Each page
-	// takes pageBytes of the file and 12 bytes of its index.
-	if pageCount > uint64(fileSize)/(uint64(pageBytes)+12) {
+	// takes pageBytes of the file and indexEntry bytes of its index.
+	if pageCount > uint64(fileSize)/(uint64(pageBytes)+indexEntry) {
 		return nil, fmt.Errorf("%w: %d pages of %d bytes", ErrCorrupt, pageCount, pageBytes)
 	}
-	idx := make([]byte, 12*pageCount)
+	idx := make([]byte, indexEntry*pageCount)
 	if _, err := f.ReadAt(idx, 40); err != nil {
 		return nil, fmt.Errorf("%w: short page index", ErrCorrupt)
 	}
@@ -439,11 +482,12 @@ func load(f vfs.File, c curve.Curve) (*Store, error) {
 		c:         c,
 		dims:      dims,
 		pageBytes: pageBytes,
-		perPage:   perPage,
 		count:     count,
 		firstKeys: make([]uint64, pageCount),
 		counts:    make([]uint32, pageCount),
-		dataOff:   int64(40 + 12*pageCount),
+		widths:    append([]uint8(nil), idx[12*pageCount:]...),
+		before:    make([]int, pageCount),
+		dataOff:   int64(40 + indexEntry*pageCount),
 		pageMax:   make([]uint64, pageCount),
 		pageSums:  make([]uint32, pageCount),
 	}
@@ -451,17 +495,23 @@ func load(f vfs.File, c curve.Curve) (*Store, error) {
 	for p := range s.firstKeys {
 		s.firstKeys[p] = binary.LittleEndian.Uint64(idx[8*p:])
 		s.counts[p] = binary.LittleEndian.Uint32(idx[8*pageCount+4*uint64(p):])
-		if s.counts[p] < 1 || int(s.counts[p]) > perPage {
-			return nil, fmt.Errorf("%w: page %d: %d records in %d slots", ErrCorrupt, p, s.counts[p], perPage)
+		n, w := int(s.counts[p]), int(s.widths[p])
+		switch {
+		case n < 1:
+			return nil, fmt.Errorf("%w: page %d: 0 records", ErrCorrupt, p)
+		case w > maxWidth:
+			return nil, fmt.Errorf("%w: page %d: key width %d over %d", ErrCorrupt, p, w, maxWidth)
+		case !fits(n, w, pageBytes):
+			return nil, fmt.Errorf("%w: page %d: %d records of %d-bit keys overflow a %d-byte page", ErrCorrupt, p, n, w, pageBytes)
 		}
-		total += uint64(s.counts[p])
+		s.before[p] = int(total)
+		s.maxCount = max(s.maxCount, n)
+		total += uint64(n)
 	}
 	if total != count {
 		return nil, fmt.Errorf("%w: page counts sum to %d, header says %d records", ErrCorrupt, total, count)
 	}
-	if pageCount > 0 {
-		s.marks = make([]byte, markBytes(int(pageCount), perPage, int(s.counts[pageCount-1])))
-	}
+	s.marks = make([]byte, markBytes(int(count)))
 	marksOff := s.dataOff + int64(pageCount)*int64(pageBytes)
 	if _, err := f.ReadAt(s.marks, marksOff); err != nil && count > 0 {
 		return nil, fmt.Errorf("%w: short mark bitmap", ErrCorrupt)
@@ -596,8 +646,8 @@ func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) 
 // moves to the next range, and NextInto yields its records until it
 // reports the range exhausted. Inside a page it searches — lower bound of
 // the range, stop at the first key past it — so a visit costs a search
-// plus the records it yields, not the page's slot count. The seek and page
-// accounting is logical — computed against the in-memory page index —
+// plus the records it yields, not the page's record count. The seek and
+// page accounting is logical — computed against the in-memory page index —
 // while the page bytes themselves come from the cache, from disk, or
 // (when a visited page's fence ends before the range) from nowhere at
 // all; IO reports the physical remainder.
@@ -632,9 +682,10 @@ type Cursor struct {
 	// state of the current range
 	lo, hi uint64
 	p      int // current page
-	i      int // next record slot within the page
-	end    int // slots [i, end) of the current page are in the range, their points in pts
+	i      int // next record within the page
+	end    int // records [i, end) of the current page are in the range, their points in pts
 	n      int // records resident in the current page; 0 = no page of the range visited yet
+	pay    int // offset of the current page's payload column
 	active bool
 
 	// The last physical read: pages [runLo, runLo+runN) of the file in
@@ -648,9 +699,10 @@ type Cursor struct {
 	held        []byte
 	heldPage    int
 
-	// Per-slot scratch of the current page, lazily allocated and kept
-	// across pooled reuses: the keys of the in-range run and the points
-	// rebuilt from them, each a view into one flat buffer.
+	// Per-record scratch of the current page, lazily allocated for the
+	// store's fullest page and kept across pooled reuses: the keys of the
+	// in-range run and the points rebuilt from them, each a view into one
+	// flat buffer.
 	keys []uint64
 	pts  []geom.Point
 }
@@ -905,10 +957,10 @@ func (c *Cursor) useRun(j int) error {
 //
 // A page visit is a search, not a scan: a materialized page is entered at
 // the lower bound of lo and left at the first key past hi, so the only
-// slots decoded are the records the range yields, and their points are
-// rebuilt from their keys in one batch per visit. A visit its page's fence
-// prunes, and a materialized page that turns out to hold no key of the
-// range, decode nothing.
+// keys unpacked are those of the records the range yields, and their
+// points are rebuilt from their keys in one batch per visit. A visit its
+// page's fence prunes, and a materialized page that turns out to hold no
+// key of the range, decode nothing.
 func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 	if !c.active {
 		return false, nil
@@ -917,7 +969,7 @@ func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 	for {
 		if c.i < c.end {
 			e.Key = c.keys[c.i]
-			e.Payload = binary.LittleEndian.Uint64(c.data[c.i*recordSize+4:])
+			e.Payload = binary.LittleEndian.Uint64(c.data[c.pay+8*c.i:])
 			e.Marked = s.marked(c.p, c.i)
 			e.Point = c.pts[c.i]
 			c.i++
@@ -925,7 +977,7 @@ func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 			c.st.Results++
 			return true, nil
 		}
-		// The page's in-range slots are done. If they stopped short of the
+		// The page's in-range records are done. If they stopped short of the
 		// page's end, a key past hi ended them — and the range: keys are
 		// sorted, so the next page starts at or after that key, which the
 		// advance below finds out from the page index.
@@ -964,25 +1016,27 @@ func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 			return false, err
 		}
 		// Enter the page at the first key >= lo. A page the range runs
-		// into from its predecessor starts inside the range: slot 0.
+		// into from its predecessor starts inside the range: record 0.
+		w := uint(s.widths[c.p])
+		c.pay = keyBytes(c.n, int(w))
 		c.i = 0
 		if c.lo > s.firstKeys[c.p] {
-			c.i = lowerBound(c.data, c.n, c.lo, s.firstKeys[c.p], s.pageMax[c.p])
+			c.i = lowerBound(c.data, c.n, w, c.lo, s.firstKeys[c.p], s.pageMax[c.p])
 		}
-		c.decodeRun()
+		c.decodeRun(w)
 	}
 }
 
-// decodeRun finds the in-range run of the materialized page — the slots
-// from c.i up to the first key past c.hi — adding the page's first key back
-// to each slot's offset, and rebuilds the points of its keys with one batch
-// inverse of the curve into c.pts.
-func (c *Cursor) decodeRun() {
+// decodeRun finds the in-range run of the materialized page, whose key
+// offsets are w bits wide — the records from c.i up to the first key past
+// c.hi — adding the page's first key back to each offset, and rebuilds
+// the points of its keys with one batch inverse of the curve into c.pts.
+func (c *Cursor) decodeRun(w uint) {
 	s := c.s
 	if c.pts == nil {
-		c.keys = make([]uint64, s.perPage)
-		c.pts = make([]geom.Point, s.perPage)
-		flat := make([]uint32, s.perPage*s.dims)
+		c.keys = make([]uint64, s.maxCount)
+		c.pts = make([]geom.Point, s.maxCount)
+		flat := make([]uint32, s.maxCount*s.dims)
 		for k := range c.pts {
 			c.pts[k] = flat[k*s.dims : (k+1)*s.dims : (k+1)*s.dims]
 		}
@@ -990,7 +1044,7 @@ func (c *Cursor) decodeRun() {
 	first := s.firstKeys[c.p]
 	end := c.i
 	for ; end < c.n; end++ {
-		key := first + uint64(binary.LittleEndian.Uint32(c.data[end*recordSize:]))
+		key := first + keyOffset(c.data, end, w)
 		if key > c.hi {
 			break
 		}
@@ -1000,33 +1054,33 @@ func (c *Cursor) decodeRun() {
 	c.end = end
 }
 
-// marked reports the mark bit of slot i of page p.
+// marked reports the mark bit of record i of page p.
 func (s *Store) marked(p, i int) bool {
-	j := uint(p*s.perPage + i) // slot position: the entry's bit in the mark bitmap
+	j := uint(s.before[p] + i) // the record's ordinal: its bit in the mark bitmap
 	return s.anyMarked && s.marks[j/8]&(1<<(j%8)) != 0
 }
 
-// decodeSlot fills e from slot i of the materialized page p, its point
+// decodeSlot fills e from record i of the materialized page p, its point
 // rebuilt with a per-key inverse of the curve into e.Point's capacity.
 func (s *Store) decodeSlot(page []byte, p, i int, e *Entry) {
-	off := i * recordSize
-	e.Key = s.firstKeys[p] + uint64(binary.LittleEndian.Uint32(page[off:]))
-	e.Payload = binary.LittleEndian.Uint64(page[off+4:])
+	n, w := int(s.counts[p]), int(s.widths[p])
+	e.Key = s.firstKeys[p] + keyOffset(page, i, uint(w))
+	e.Payload = binary.LittleEndian.Uint64(page[keyBytes(n, w)+8*i:])
 	e.Marked = s.marked(p, i)
 	e.Point = s.c.Coords(e.Key, e.Point)
 }
 
-// lowerBound returns the first of the n key-sorted record slots of page
-// whose key is >= lo, or n when every key is smaller. first is the page's
-// first key, the base its slots' offsets are added to; last is its last
-// key, a hint that may cost time when wrong but never the answer. The
-// search starts at the slot lo would take were the keys spread evenly
-// between them and gallops out from there to a bracket it then bisects:
-// on evenly spread keys that touches a cache line or two of the page where
-// a bisection from the ends touches eight, and on any keys it costs at
-// most about twice a bisection.
-func lowerBound(page []byte, n int, lo, first, last uint64) int {
-	key := func(i int) uint64 { return first + uint64(binary.LittleEndian.Uint32(page[i*recordSize:])) }
+// lowerBound returns the first of the n key-sorted records of page, whose
+// key offsets are w bits wide, with a key >= lo, or n when every key is
+// smaller. first is the page's first key, the base its offsets are added
+// to; last is its last key, a hint that may cost time when wrong but never
+// the answer. The search starts at the record lo would be were the keys
+// spread evenly between them and gallops out from there to a bracket it
+// then bisects: on evenly spread keys that touches a cache line or two of
+// the key column where a bisection from the ends touches eight, and on any
+// keys it costs at most about twice a bisection.
+func lowerBound(page []byte, n int, w uint, lo, first, last uint64) int {
+	key := func(i int) uint64 { return first + keyOffset(page, i, w) }
 	g := 0 // the guess
 	switch {
 	case lo > last:
@@ -1102,7 +1156,7 @@ func (s *Store) VerifyPages() error {
 		if s.firstKeys[p] < prev {
 			return fmt.Errorf("%w: page %d: keys out of order", ErrCorrupt, p)
 		}
-		prev = s.firstKeys[p] + uint64(binary.LittleEndian.Uint32(buf[(s.residentCount(p)-1)*recordSize:]))
+		prev = s.firstKeys[p] + keyOffset(buf, s.residentCount(p)-1, uint(s.widths[p]))
 	}
 	return nil
 }
@@ -1130,18 +1184,19 @@ func (s *Store) VerifyPage(p int, buf []byte) error {
 }
 
 // checkPage validates one materialized page against its checksum and
-// key invariants: slot 0 holds the page's first key (offset 0), and the
+// key invariants: record 0 holds the page's first key (offset 0), and the
 // keys ascend to no further than the page's fence.
 func (s *Store) checkPage(p int, buf []byte) error {
 	if crc32.Checksum(buf, pageCRC) != s.pageSums[p] {
 		return fmt.Errorf("%w: page %d: checksum mismatch", ErrCorrupt, p)
 	}
-	if binary.LittleEndian.Uint32(buf) != 0 {
-		return fmt.Errorf("%w: page %d: first slot is not the page's first key", ErrCorrupt, p)
+	w := uint(s.widths[p])
+	if keyOffset(buf, 0, w) != 0 {
+		return fmt.Errorf("%w: page %d: first record is not the page's first key", ErrCorrupt, p)
 	}
 	prev := s.firstKeys[p]
 	for i := 0; i < s.residentCount(p); i++ {
-		key := s.firstKeys[p] + uint64(binary.LittleEndian.Uint32(buf[i*recordSize:]))
+		key := s.firstKeys[p] + keyOffset(buf, i, w)
 		if key < prev {
 			return fmt.Errorf("%w: page %d: keys out of order", ErrCorrupt, p)
 		}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -108,10 +109,11 @@ func TestWriteOpenQueryRoundTrip(t *testing.T) {
 // TestQueryAcrossCurves round-trips the same records through stores
 // clustered by different curves, in 2-D and 3-D: every query returns
 // exactly the brute-force records, points included — rebuilt from the
-// keys, since a slot holds only a key offset and the payload, 12 bytes in
-// any dimension. The last universe has 2⁴⁰ keys, so its sparse keys make
-// the writer start pages before they are full, wherever the next key lies
-// 2³² or more past the page's first.
+// keys, since a page holds only key offsets and payloads, in any
+// dimension. Every store's pages are filled greedily (checkGreedy). The
+// last universe has 2⁴⁰ keys, so its sparse keys make the writer start
+// pages before they are full, wherever the next key lies 2³² or more past
+// the page's first; no other store has a page cut short.
 func TestQueryAcrossCurves(t *testing.T) {
 	side := uint32(32)
 	o, _ := core.NewOnion2D(side)
@@ -131,7 +133,6 @@ func TestQueryAcrossCurves(t *testing.T) {
 		recs []Record
 		r    geom.Rect
 	}
-	const perPage = 256 / recordSize
 	for _, tc := range []cs{{o, recs2, r2}, {h, recs2, r2}, {z, recs2, r2}, {o3, recs3, r3}, {h3, recs3, r3}, {ow, recsW, rW}} {
 		path := tmpPath(t)
 		if err := Write(path, tc.c, tc.recs, 256); err != nil {
@@ -141,16 +142,15 @@ func TestQueryAcrossCurves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages := st.Pages()
+		cut := checkGreedy(t, st)
 		got, _, err := st.Query(tc.r)
 		st.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := (len(tc.recs) + perPage - 1) / perPage
-		if wide := tc.c.Universe().Size() > pageSpan; wide != (pages > full) || pages < full {
-			t.Errorf("%s %dD side %d: %d pages of 256 bytes for %d records, want %d full pages of 12-byte slots (more only past 2³² keys)",
-				tc.c.Name(), tc.c.Universe().Dims(), tc.c.Universe().Side(), pages, len(tc.recs), full)
+		if wide := tc.c.Universe().Size() > 1<<32; wide != (cut > 0) {
+			t.Errorf("%s %dD side %d: %d pages cut short by a key 2³² past their first (want some only past 2³² keys)",
+				tc.c.Name(), tc.c.Universe().Dims(), tc.c.Universe().Side(), cut)
 		}
 		var want []Record
 		for _, rec := range tc.recs {
@@ -175,6 +175,34 @@ func TestQueryAcrossCurves(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkGreedy holds an open store to the writer's page cut: each page's
+// key width is the bit length of its last key less its first, at most 32;
+// its records fit the page, n·8 + ⌈n·w/8⌉ ≤ pageBytes; and every page but
+// the last is full — the next page's first record, added to it, would
+// overflow it or widen its keys past 32 bits. It returns how many pages
+// ended on the width alone: the next record would have fit at the page's
+// width, but lies 2³² or more past its first key.
+func checkGreedy(t *testing.T, s *Store) (cut int) {
+	t.Helper()
+	fit := func(n, w int) bool { return w <= 32 && n*8+(n*w+7)/8 <= s.pageBytes }
+	for p := range s.firstKeys {
+		n, w := int(s.counts[p]), int(s.widths[p])
+		if want := bits.Len64(s.pageMax[p] - s.firstKeys[p]); w != want || !fit(n, w) {
+			t.Fatalf("page %d: %d records of width %d in %d bytes, keys %d..%d need width %d",
+				p, n, w, s.pageBytes, s.firstKeys[p], s.pageMax[p], want)
+		}
+		if p+1 == len(s.firstKeys) {
+			break
+		}
+		if next := bits.Len64(s.firstKeys[p+1] - s.firstKeys[p]); fit(n+1, next) {
+			t.Fatalf("page %d of %d records ends before key %d, which fits it at width %d", p, n, s.firstKeys[p+1], next)
+		} else if next > 32 && fit(n+1, w) {
+			cut++
+		}
+	}
+	return cut
 }
 
 func TestEmptyStore(t *testing.T) {
@@ -247,6 +275,9 @@ func TestCorruptFiles(t *testing.T) {
 func TestSeeksReflectClustering(t *testing.T) {
 	// A full-width row query is one cluster under rowmajor ordering but
 	// many under column-major: the physical seek counts must reflect it.
+	// A 128-byte page holds 15 of these dense keys (4-bit offsets), under
+	// half a 32-key column, so column-major's row keys land on pages two or
+	// three apart, never adjacent.
 	side := uint32(32)
 	rm, _ := baseline.NewRowMajor(2, side)
 	cm, _ := baseline.NewColumnMajor(2, side)
@@ -259,10 +290,10 @@ func TestSeeksReflectClustering(t *testing.T) {
 	row := geom.Rect{Lo: geom.Point{0, 7}, Hi: geom.Point{side - 1, 7}}
 	pathRM := tmpPath(t)
 	pathCM := tmpPath(t)
-	if err := Write(pathRM, rm, recs, 256); err != nil {
+	if err := Write(pathRM, rm, recs, 128); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(pathCM, cm, recs, 256); err != nil {
+	if err := Write(pathCM, cm, recs, 128); err != nil {
 		t.Fatal(err)
 	}
 	stRM, err := Open(pathRM, rm)
@@ -481,7 +512,7 @@ func TestNilPointsRoundTrip(t *testing.T) {
 	}
 }
 
-// goldenInput is the fixed input of TestV7GoldenBytes: 61 records in no
+// goldenInput is the fixed input of TestV8GoldenBytes: 61 records in no
 // key order, several to a cell, every fourth marked.
 func goldenInput() (recs []Record, marks []bool) {
 	for i := 0; i < 61; i++ {
@@ -492,14 +523,15 @@ func goldenInput() (recs []Record, marks []bool) {
 	return recs, marks
 }
 
-// TestV7GoldenBytes pins the file layout: a three-record file byte for
+// TestV8GoldenBytes pins the file layout: a three-record file byte for
 // byte, and the digests of a marked file with a partial last page, of the
 // bulk Write of the same records (no marks, another page size), of an
 // empty store, and of the same records spread over a curve of 2⁴⁰ keys,
 // whose pages the writer cuts short where keys lie 2³² or more apart. A
-// slot is the key's offset from its page's first key (4) + payload (8);
-// the points are not stored.
-func TestV7GoldenBytes(t *testing.T) {
+// page is a column of key offsets from its first key, bit-packed at the
+// page's key width, then a column of 8-byte payloads; the points are not
+// stored.
+func TestV8GoldenBytes(t *testing.T) {
 	o, _ := core.NewOnion2D(16)
 	recs, marks := goldenInput()
 	read := func(write func(path string)) []byte {
@@ -512,20 +544,27 @@ func TestV7GoldenBytes(t *testing.T) {
 		}
 		return b
 	}
-	small := read(func(path string) { writeMarked(t, path, o, recs[:3], marks[:3], 28) })
-	const smallWant = "VRCNOINO\x07\x00\x00\x00\x02\x00\x00\x00\x10\x00\x00\x00\x1c\x00\x00\x00" + // magic, version 7, dims, side, 28-byte pages
+	// Keys 0 (payload 0), 82 (the cell (14,10), payload 0x0202020202) and
+	// 222 (the cell (7,5), payload 0x0101010101, marked). Three records
+	// would take 3·8 payload bytes and 3 bytes of 8-bit offsets, 27 > 24,
+	// so page 0 holds keys 0 and 82 at width 7 (16 + 2 bytes) and page 1
+	// key 222 alone at width 0 (8 bytes).
+	small := read(func(path string) { writeMarked(t, path, o, recs[:3], marks[:3], 24) })
+	const smallWant = "VRCNOINO\x08\x00\x00\x00\x02\x00\x00\x00\x10\x00\x00\x00\x18\x00\x00\x00" + // magic, version 8, dims, side, 24-byte pages
 		"\x03\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00" + // 3 records, 2 pages
 		"\x00\x00\x00\x00\x00\x00\x00\x00\xde\x00\x00\x00\x00\x00\x00\x00" + // page index: first keys 0 and 222,
-		"\x02\x00\x00\x00\x01\x00\x00\x00" + // then record counts 2 and 1
-		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" + // page 0: key 0 + 0, payload 0
-		"R\x00\x00\x00\x02\x02\x02\x02\x02\x00\x00\x00" + // key 0 + 82, the cell (14,10)
-		"\x00\x00\x00\x00" + // slack
-		"\x00\x00\x00\x00\x01\x01\x01\x01\x01\x00\x00\x00" + // page 1: key 222 + 0, the cell (7,5)
-		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
-		"\x04" + // marks: slot 0 of page 1, bit 1·2+0
-		"R\x00\x00\x00\x00\x00\x00\x00\xde\x00\x00\x00\x00\x00\x00\x00" + // fences
-		"\xa0\xb0\xc6\xfd;\x91\t^" + // page checksums
-		"=E\xed\xf1" // metadata checksum
+		"\x02\x00\x00\x00\x01\x00\x00\x00" + // then record counts 2 and 1,
+		"\x07\x00" + // then key widths 7 and 0
+		"\x00\x29" + // page 0 key column: offsets 0 (bits 0–6) and 82 (bits 7–13), 82<<7 = 0x2900
+		"\x00\x00\x00\x00\x00\x00\x00\x00" + // payload column: 0,
+		"\x02\x02\x02\x02\x02\x00\x00\x00" + // 0x0202020202
+		"\x00\x00\x00\x00\x00\x00" + // slack
+		"\x01\x01\x01\x01\x01\x00\x00\x00" + // page 1: no key column (width 0), payload 0x0101010101
+		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" + // slack
+		"\x04" + // marks: bit 2, the third record (2 records before page 1, + 0)
+		"R\x00\x00\x00\x00\x00\x00\x00\xde\x00\x00\x00\x00\x00\x00\x00" + // fences 82 and 222
+		"\x45\xea\xf1\xcb\xbc\xba\x3b\x2d" + // page checksums
+		"\xf0\xfd\x82\x5c" // metadata checksum
 	if string(small) != smallWant {
 		t.Errorf("three-record file:\n got %q\nwant %q", small, smallWant)
 	}
@@ -541,16 +580,16 @@ func TestV7GoldenBytes(t *testing.T) {
 		sum    string
 	}{
 		{"marked, 100-byte pages", read(func(path string) { writeMarked(t, path, o, recs, marks, 100) }),
-			1044, "ae18195c552ed4b0e8436a5e014fb1b0ab6b7be580b1865b8d05e744d3ec3f02"},
+			802, "e19db631a9bf1463cebdf94a6b435b26480a89768ca60a52c74e1daf54303236"}, // 6 pages
 		{"bulk Write, 256-byte pages", read(func(path string) {
 			if err := Write(path, o, recs, 256); err != nil {
 				t.Fatal(err)
 			}
-		}), 892, "dd25ee4a4584a08d112e0065025d9f9be699bc3c3e6170b2d2257f6771d35040"},
+		}), 895, "083796cb26a851de5bc89faf71e3ec6337ba5e6be0b8e04f5a7b45a0c2552cf2"}, // 3 pages
 		{"empty", read(func(path string) { writeMarked(t, path, o, nil, nil, 28) }),
-			44, "ad945c9ae6a61586196eeb3310a68e7848092644c97aa12b70e1b4bc696c24c0"},
+			44, "51ca707e16e21a128a3e89b17c1cec85907d04af4a0c2eb6c271948c9e5b8fbf"},
 		{"marked, 2⁴⁰ keys, 100-byte pages cut short", read(func(path string) { writeMarked(t, path, wide, spread, marks, 100) }),
-			1544, "ee1cc2645895a6c7414ede2bf5943db686be46b8fa028a1d3a3b15b4ea102bc9"}, // 12 pages, not 8
+			1552, "5063d90f86dda30381a328a56f908078e2358e2195a04f5759653c55a6d786f2"}, // 12 pages, not 6
 	} {
 		if sum := fmt.Sprintf("%x", sha256.Sum256(tc.got)); len(tc.got) != tc.length || sum != tc.sum {
 			t.Errorf("%s: %d bytes, sha256 %s; want %d bytes, %s", tc.name, len(tc.got), sum, tc.length, tc.sum)

@@ -1,10 +1,14 @@
 package pagedstore
 
 import (
-	"encoding/binary"
+	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/core"
@@ -28,14 +32,21 @@ type seekCase struct {
 // genSeekCase derives a case from the fuzz arguments. Keys come from the
 // middle of the key space, so ranges can fall before the first and after
 // the last one; every so often a key repeats for up to three pages' worth
-// of records, so runs of duplicates straddle page boundaries; n is free, so
-// the last page is usually partial. Ranges advance by a gap of zero (the
-// next range starts on the key after the previous one ended — the two
-// share a page), a few keys, or a few pages, and span one key (lo == hi),
-// a few keys, or a few pages.
+// of records, so runs of duplicates straddle page boundaries and fill
+// pages of key width 0; n is free, so the last page is usually partial.
+// On a curve of more than 2³² keys the keys lie about 2^e apart, for an e
+// from 0 to 32 drawn per case, and one gap in sixteen is 2^x, give or
+// take two, for an x from 28 to 32 — offsets just below and just past a
+// power of two: the pages' key widths span 0 to 32, and pages end short of
+// full where a key lies 2³² or more past their first. Ranges advance by a
+// gap of zero (the next range starts on the key after the previous one
+// ended — the two share a page), a few keys, a few pages, or to just short
+// of the next stored key, which crosses any gap in one step; and span one
+// key (lo == hi), a few keys, a few pages, or up to the next stored key.
 func genSeekCase(o curve.Curve, seed int64, n uint16, perPage uint8) seekCase {
 	rng := rand.New(rand.NewSource(seed))
 	size := o.Universe().Size()
+	wide := size > 1<<32
 	per := int(perPage)%12 + 1
 	cs := seekCase{pageBytes: per*recordSize + rng.Intn(recordSize)}
 
@@ -43,6 +54,9 @@ func genSeekCase(o curve.Curve, seed int64, n uint16, perPage uint8) seekCase {
 	stride := max(size/4096, 1) // with no keys, still a few thousand ranges at most
 	if count > 0 {
 		stride = max((size*3/4)/uint64(count), 1)
+	}
+	if wide {
+		stride = min(stride, 1<<rng.Intn(33))
 	}
 	key := size / 8
 	pt := make(geom.Point, 2)
@@ -57,27 +71,83 @@ func genSeekCase(o curve.Curve, seed int64, n uint16, perPage uint8) seekCase {
 			cs.marks = append(cs.marks, rng.Intn(5) == 0)
 			cs.keys = append(cs.keys, key)
 		}
-		key += 1 + uint64(rng.Int63n(int64(2*stride)))
+		gap := 1 + uint64(rng.Int63n(int64(2*stride)))
+		if wide && rng.Intn(16) == 0 {
+			gap = 1<<(28+rng.Intn(5)) - 2 + uint64(rng.Intn(5))
+		}
+		key += gap
 	}
 
-	step := func() uint64 {
-		switch rng.Intn(3) {
+	// step draws the distance from at to the next range bound. Past the
+	// last key it may end the plan.
+	step := func(at uint64) uint64 {
+		switch rng.Intn(4) {
 		case 0:
 			return 0
 		case 1:
 			return uint64(rng.Int63n(int64(4 * stride)))
+		case 2:
+			return uint64(rng.Int63n(int64(4 * stride * uint64(per))))
 		}
-		return uint64(rng.Int63n(int64(4 * stride * uint64(per))))
+		j := sort.Search(len(cs.keys), func(j int) bool { return cs.keys[j] > at })
+		if j == len(cs.keys) {
+			return size
+		}
+		d := cs.keys[j] - at
+		return d - uint64(rng.Int63n(int64(min(d, 3))))
 	}
-	for lo := step(); ; {
-		hi := lo + step()
+	for lo := step(0); ; {
+		hi := lo + step(lo)
 		if hi >= size {
 			break
 		}
 		cs.krs = append(cs.krs, curve.KeyRange{Lo: lo, Hi: hi})
-		lo = hi + 1 + step()
+		lo = hi + 1
+		lo += step(lo)
 	}
 	return cs
+}
+
+// seekArgs is one input of FuzzCursorSeek.
+type seekArgs struct {
+	seed    int64
+	n       uint16
+	perPage uint8
+	wide    bool
+}
+
+// seekSeeds is FuzzCursorSeek's seed corpus in code. The committed corpus
+// files under testdata/fuzz/FuzzCursorSeek add cases whose pages reach
+// key widths 0, 1, 31 and 32, each named for its width.
+func seekSeeds() []seekArgs {
+	var seeds []seekArgs
+	for seed := int64(0); seed < 48; seed++ {
+		seeds = append(seeds, seekArgs{seed, uint16(37 * seed), uint8(seed), false})
+	}
+	seeds = append(seeds,
+		seekArgs{-1, 0, 0, false}, // empty store
+		seekArgs{-2, 1, 0, false}, // one record, one record a page
+	)
+	for seed := int64(0); seed < 32; seed++ {
+		seeds = append(seeds, seekArgs{seed, uint16(91*seed + 40), uint8(seed + 4), true})
+	}
+	return seeds
+}
+
+// seekCurves returns FuzzCursorSeek's two curves: a 64×64 onion, whose
+// pages are dense, and an onion of side 2¹⁷ — 2³⁴ keys, room for key
+// offsets of every width up to 32 and past it.
+func seekCurves(t testing.TB) (narrow, wide curve.Curve) {
+	t.Helper()
+	n, err := core.NewOnion2D(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := core.NewOnion2D(1 << 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, w
 }
 
 // walkRanges drives one pooled cursor over krs, hands every record it
@@ -116,27 +186,18 @@ func walkRanges(s *Store, krs []curve.KeyRange, fn func(kr curve.KeyRange, e *En
 // reference's own walk: with nothing resident (bare, and the ample cache's
 // first pass) the cursor fetches exactly the pages that walk fetches, in
 // exactly its runs, and on the ample cache's second pass it reads nothing.
-// With wide set, the keys come from a curve of 2⁴⁰ keys, so they are
-// sparse enough that the writer often starts a page before it is full: the
-// next key lies 2³² or more past the page's first. Its seed corpus is the
-// property test plain `go test` runs.
+// With wide set, the keys come from a curve of 2³⁴ keys, spread so that
+// the pages' key widths span 0 to 32 and the writer often starts a page
+// before it is full: the next key lies 2³² or more past the page's first.
+// The bare store is also held to the writer's greedy page cut
+// (checkGreedy). Its seed corpus — seekSeeds and the committed files under
+// testdata/fuzz/FuzzCursorSeek — is the property test plain `go test`
+// runs.
 func FuzzCursorSeek(f *testing.F) {
-	for seed := int64(0); seed < 48; seed++ {
-		f.Add(seed, uint16(37*seed), uint8(seed), false)
+	for _, a := range seekSeeds() {
+		f.Add(a.seed, a.n, a.perPage, a.wide)
 	}
-	f.Add(int64(-1), uint16(0), uint8(0), false) // empty store
-	f.Add(int64(-2), uint16(1), uint8(0), false) // one record, one record a page
-	for seed := int64(0); seed < 16; seed++ {
-		f.Add(seed, uint16(91*seed+40), uint8(seed+4), true)
-	}
-	narrow, err := core.NewOnion2D(64)
-	if err != nil {
-		f.Fatal(err)
-	}
-	wideCurve, err := core.NewOnion2D(1 << 20)
-	if err != nil {
-		f.Fatal(err)
-	}
+	narrow, wideCurve := seekCurves(f)
 	const ampleBytes = 64 << 20 // never full: every miss is admitted
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, perPage uint8, wide bool) {
 		o := narrow
@@ -161,6 +222,7 @@ func FuzzCursorSeek(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkGreedy(t, bare)
 		refRecs, ref, refIO, err := referenceRanges(bare, cs.krs)
 		bare.Close()
 		if err != nil {
@@ -233,17 +295,103 @@ func FuzzCursorSeek(f *testing.F) {
 	})
 }
 
+// TestSeekCaseWidths holds FuzzCursorSeek's seed corpus to its promise:
+// across seekSeeds the pages take every key width from 0 to 32, some wide
+// case has pages cut short at the 32-bit limit, and each committed corpus
+// file named width-N has a page of width N.
+func TestSeekCaseWidths(t *testing.T) {
+	narrow, wideCurve := seekCurves(t)
+	// widths writes the case of a and returns its pages' key widths and
+	// how many pages ended on the width alone.
+	widths := func(a seekArgs) ([]uint8, int) {
+		o := narrow
+		if a.wide {
+			o = wideCurve
+		}
+		cs := genSeekCase(o, a.seed, a.n, a.perPage)
+		path := filepath.Join(t.TempDir(), "widths.pst")
+		writeMarked(t, path, o, cs.recs, cs.marks, cs.pageBytes)
+		s, err := Open(path, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		return s.widths, checkGreedy(t, s)
+	}
+	seen := map[uint8]bool{}
+	cut := 0
+	for _, a := range seekSeeds() {
+		ws, c := widths(a)
+		for _, w := range ws {
+			seen[w] = true
+		}
+		cut += c
+	}
+	for w := uint8(0); w <= 32; w++ {
+		if !seen[w] {
+			t.Errorf("no page of the seed corpus has key width %d", w)
+		}
+	}
+	if cut == 0 {
+		t.Error("no page of the seed corpus ends at the 32-bit limit")
+	}
+
+	dir := filepath.Join("testdata", "fuzz", "FuzzCursorSeek")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []uint8{0, 1, 31, 32} {
+		name := fmt.Sprintf("width-%d", want)
+		if !slices.ContainsFunc(files, func(f os.DirEntry) bool { return f.Name() == name }) {
+			t.Errorf("no corpus file %s", name)
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a seekArgs
+		if _, err := fmt.Sscanf(string(b), "go test fuzz v1\nint64(%d)\nuint16(%d)\nuint8(%d)\nbool(%t)\n",
+			&a.seed, &a.n, &a.perPage, &a.wide); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ws, _ := widths(a); !slices.Contains(ws, want) {
+			t.Errorf("%s: %+v has no page of width %d (widths %v)", name, a, want, ws)
+		}
+	}
+}
+
+// packOffsets lays keys out as a page of the current layout — a key
+// column of offsets from the first key, packed least significant bit
+// first at the bit length of the keys' span, then a zeroed payload column
+// — bit by bit, an encoder of its own rather than the writer's. It returns
+// the page and the width.
+func packOffsets(keys []uint64) ([]byte, uint) {
+	w := uint(bits.Len64(keys[len(keys)-1] - keys[0]))
+	page := make([]byte, (len(keys)*int(w)+7)/8+8*len(keys))
+	for i, k := range keys {
+		for b := uint(0); b < w; b++ {
+			if (k-keys[0])>>b&1 != 0 {
+				bit := uint(i)*w + b
+				page[bit/8] |= 1 << (bit % 8)
+			}
+		}
+	}
+	return page, w
+}
+
 // TestLowerBoundMatchesLinearScan pins the interpolating in-page search to
-// a linear scan over v7 pages — each slot the key's 32-bit offset from the
-// page's first key: on evenly spread, clustered, duplicate-heavy and
-// 2³²-wide pages of every size up to a 4 KiB page's 341 slots, for bounds
-// before, inside and after the keys, and with last-key hints that are
-// exact, before the first key or unrelated to the page — a wrong hint may
-// cost time, never the answer.
+// a linear scan over the keys, on pages packed by packOffsets: on evenly
+// spread, clustered, duplicate-heavy and 2³²-wide pages of every size up
+// to a 4 KiB page's 512 records at width 0, for bounds before, inside and
+// after the keys, and with last-key hints that are exact, before the first
+// key or unrelated to the page — a wrong hint may cost time, never the
+// answer.
 func TestLowerBoundMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 4000; trial++ {
-		n := 1 + rng.Intn(341)
+		n := 1 + rng.Intn(512)
 		keys := make([]uint64, n)
 		k := rng.Uint64() >> 24
 		for i := range keys {
@@ -262,16 +410,13 @@ func TestLowerBoundMatchesLinearScan(t *testing.T) {
 				}
 			default: // offsets up to the top of their 32 bits
 				if i > 0 {
-					k += uint64(rng.Int63n((pageSpan - 1) / int64(n)))
+					k += uint64(rng.Int63n((1<<32 - 1) / int64(n)))
 				}
 			}
 			keys[i] = k
 		}
 		first, last := keys[0], keys[n-1]
-		page := make([]byte, n*recordSize)
-		for i, k := range keys {
-			binary.LittleEndian.PutUint32(page[i*recordSize:], uint32(k-first))
-		}
+		page, w := packOffsets(keys)
 		hints := []uint64{last, first, first - 1, ^uint64(0), rng.Uint64()}
 		for q := 0; q < 20; q++ {
 			lo := first - 2 + uint64(rng.Int63n(int64(last-first)+5))
@@ -283,8 +428,8 @@ func TestLowerBoundMatchesLinearScan(t *testing.T) {
 				want++
 			}
 			for _, h := range hints {
-				if got := lowerBound(page, n, lo, first, h); got != want {
-					t.Fatalf("trial %d: lowerBound(lo %d, first %d, last hint %d) = %d, want %d (keys %v)", trial, lo, first, h, got, want, keys)
+				if got := lowerBound(page, n, w, lo, first, h); got != want {
+					t.Fatalf("trial %d: lowerBound(width %d, lo %d, first %d, last hint %d) = %d, want %d (keys %v)", trial, w, lo, first, h, got, want, keys)
 				}
 			}
 		}
@@ -335,8 +480,8 @@ func (f spyFile) ReadAt(p []byte, off int64) (int, error) {
 // fetched page is also one cache miss and every other visit one hit, so
 // no resident page is ever read from the file. The queries run bare,
 // behind a cache that thrashes and behind one that holds everything,
-// twice each; a whole-store scan is one range over all 125 pages of 32
-// slots, read in reads of runPages pages.
+// twice each; a whole-store scan is one range over all 91 pages of 384
+// bytes, read in reads of runPages pages.
 func TestRunReadsMatchIOStats(t *testing.T) {
 	side := uint32(64)
 	o, _ := core.NewOnion2D(side)
@@ -362,8 +507,8 @@ func TestRunReadsMatchIOStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Pages() != 125 {
-			t.Fatalf("store has %d pages, want 125", s.Pages())
+		if s.Pages() != 91 {
+			t.Fatalf("store has %d pages, want 91", s.Pages())
 		}
 		var total IOStats
 		for pass := 0; pass < 2; pass++ {
