@@ -9,13 +9,25 @@ import (
 	"github.com/onioncurve/onion/internal/geom"
 )
 
-// BatchOp is one logical write inside a PutBatch: a put of (Point,
-// Payload) or, with Del set, a blind tombstone at Point. PutBatch does
-// not retain the ops or their Points; callers may reuse both.
+// BatchOp is one logical write inside a PutBatch: a put of (Key,
+// Payload) or, with Del set, a blind tombstone at Key. Key is the curve
+// key of the write's point (KeyOf): the engine stores and logs keys, and
+// never evaluates the curve on the write path. PutBatch does not retain
+// the ops; callers may reuse them.
 type BatchOp struct {
-	Point   geom.Point
+	Key     uint64
 	Payload uint64
 	Del     bool
+}
+
+// KeyOf is the write edge: it checks that p is a cell of c's universe and
+// returns its curve key, or an ErrPoint error. Every point that enters the
+// store becomes a key here, once.
+func KeyOf(c curve.Curve, p geom.Point) (uint64, error) {
+	if !c.Universe().Contains(p) {
+		return 0, fmt.Errorf("%w: %v in %v", ErrPoint, p, c.Universe())
+	}
+	return c.Index(p), nil
 }
 
 // PutBatch is the engine's one write body and its one writer (Put and
@@ -39,15 +51,15 @@ type BatchOp struct {
 // before the next writer can take the WAL mutex, so nothing is appended
 // behind a log whose tail is unknown.
 //
-// An op whose Point lies outside the universe rejects the whole batch
-// before anything is written.
+// An op whose Key lies outside the curve's key space rejects the whole
+// batch before anything is written.
 func (e *Engine) PutBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
 	for i := range ops {
-		if !e.c.Universe().Contains(ops[i].Point) {
-			return fmt.Errorf("%w: %v in %v", ErrPoint, ops[i].Point, e.c.Universe())
+		if n := e.c.Universe().Size(); ops[i].Key >= n {
+			return fmt.Errorf("%w: key %d outside key space [0,%d)", ErrPoint, ops[i].Key, n)
 		}
 	}
 	if Health(e.health.state.Load()) >= ReadOnly {
@@ -85,7 +97,7 @@ func (e *Engine) PutBatch(ops []BatchOp) error {
 	}
 	mem := e.mem
 	for i := range ops {
-		mem.put(e.c.Index(ops[i].Point), ops[i].Payload, firstSeq+uint64(i), ops[i].Del)
+		mem.put(ops[i].Key, ops[i].Payload, firstSeq+uint64(i), ops[i].Del)
 	}
 	e.visible.Store(e.seq.Load())
 	if tel := e.tel; tel != nil {

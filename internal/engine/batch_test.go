@@ -61,7 +61,7 @@ func TestPutBatchCrossCheck(t *testing.T) {
 		} else if err := ref.Put(op.pt, op.pay); err != nil {
 			t.Fatal(err)
 		}
-		batch = append(batch, BatchOp{Point: op.pt, Payload: op.pay, Del: op.del})
+		batch = append(batch, BatchOp{Key: o.Index(op.pt), Payload: op.pay, Del: op.del})
 		if len(batch) == 7 { // uneven batch boundary, crosses the flush points
 			flushBatch()
 		}
@@ -123,7 +123,7 @@ func TestPutBatchDurableRecovery(t *testing.T) {
 	want := make(map[uint64]uint64)
 	for i := range ops {
 		pt := fwPoint(i)
-		ops[i] = BatchOp{Point: pt, Payload: uint64(100 + i)}
+		ops[i] = BatchOp{Key: o.Index(pt), Payload: uint64(100 + i)}
 		want[o.Index(pt)] = uint64(100 + i)
 	}
 	if err := e.PutBatch(ops); err != nil {
@@ -150,8 +150,9 @@ func TestPutBatchDurableRecovery(t *testing.T) {
 	}
 }
 
-// TestPutBatchValidation: one out-of-universe op rejects the whole batch
-// before anything reaches the log.
+// TestPutBatchValidation: one op whose key lies outside the key space
+// rejects the whole batch before anything reaches the log, and Put
+// rejects a point outside the universe.
 func TestPutBatchValidation(t *testing.T) {
 	o := fwCurve(t)
 	e, err := Open(t.TempDir(), o, batchManualOpts())
@@ -160,11 +161,14 @@ func TestPutBatchValidation(t *testing.T) {
 	}
 	defer e.Close()
 	err = e.PutBatch([]BatchOp{
-		{Point: fwPoint(1), Payload: 1},
-		{Point: geom.Point{fwSide + 3, 0}, Payload: 2},
+		{Key: o.Index(fwPoint(1)), Payload: 1},
+		{Key: o.Universe().Size(), Payload: 2},
 	})
 	if !errors.Is(err, ErrPoint) {
-		t.Fatalf("batch with bad point = %v, want ErrPoint", err)
+		t.Fatalf("batch with bad key = %v, want ErrPoint", err)
+	}
+	if err := e.Put(geom.Point{fwSide + 3, 0}, 2); !errors.Is(err, ErrPoint) {
+		t.Fatalf("put of a bad point = %v, want ErrPoint", err)
 	}
 	recs, _, err := e.Query(o.Universe().Rect())
 	if err != nil {
@@ -193,12 +197,12 @@ func TestPutBatchWALFaultTurnsReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close() //nolint:errcheck
-	good := []BatchOp{{Point: fwPoint(0), Payload: 1}, {Point: fwPoint(1), Payload: 2}}
+	good := []BatchOp{{Key: o.Index(fwPoint(0)), Payload: 1}, {Key: o.Index(fwPoint(1)), Payload: 2}}
 	if err := e.PutBatch(good); err != nil {
 		t.Fatal(err)
 	}
 	inj.SetFaults(vfs.Fault{Op: vfs.OpSync, Path: "wal-", N: 1})
-	bad := []BatchOp{{Point: fwPoint(2), Payload: 3}, {Point: fwPoint(3), Payload: 4}}
+	bad := []BatchOp{{Key: o.Index(fwPoint(2)), Payload: 3}, {Key: o.Index(fwPoint(3)), Payload: 4}}
 	err = e.PutBatch(bad)
 	if !errors.Is(err, ErrReadOnly) || !errors.Is(err, ErrWAL) {
 		t.Fatalf("batch under failed fsync = %v, want ErrReadOnly wrapping ErrWAL", err)
@@ -255,7 +259,7 @@ func TestEngineVisibilityIsBatchPrefix(t *testing.T) {
 			for b := 0; b < batches; b++ {
 				for i := range batch {
 					n := (w*batches+b)*ops + i
-					batch[i] = BatchOp{Point: geom.Point{uint32(n % fwSide), uint32(n / fwSide)}, Payload: uint64(n)}
+					batch[i] = BatchOp{Key: o.Index(geom.Point{uint32(n % fwSide), uint32(n / fwSide)}), Payload: uint64(n)}
 				}
 				if err := e.PutBatch(batch); err != nil {
 					t.Error(err)
@@ -544,7 +548,7 @@ func TestCommitHookAppendIsTheWALFrame(t *testing.T) {
 	var all []BatchOp
 	var seq uint64
 	for i, n := range []int{1, 3, 64} {
-		ops := sampleOps(2, n)
+		ops := sampleOps(o, n)
 		if err := e.PutBatch(ops); err != nil {
 			t.Fatal(err)
 		}
@@ -568,17 +572,17 @@ func TestCommitHookAppendIsTheWALFrame(t *testing.T) {
 	if !slices.EqualFunc(frames, hook.batches, bytes.Equal) {
 		t.Fatalf("WAL frames %x, hook saw %x", frames, hook.batches)
 	}
-	got, err := replayWAL(vfs.OS{}, wals[0], 2)
+	got, err := replayWAL(vfs.OS{}, wals[0], o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded []BatchOp
 	for _, b := range hook.batches {
-		if decoded, err = DecodeBatch(decoded, b, 2); err != nil {
+		if decoded, err = DecodeBatch(decoded, b, o); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !walOpsEqual(got, all) || !walOpsEqual(decoded, all) {
+	if !slices.Equal(got, all) || !slices.Equal(decoded, all) {
 		t.Fatalf("replayWAL %+v, hook bytes decode to %+v, want %+v", got, decoded, all)
 	}
 }

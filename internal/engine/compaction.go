@@ -56,10 +56,8 @@ func pickCompaction(recs []int, fanout, sizeRatio int) (lo, hi int) {
 	return 0, 0
 }
 
-// compactSink collects the merged stream of a compaction. The winning
-// source's point is transient (the cursor reuses its decode buffer), and
-// the segment writer stores no points — a stored entry's point is
-// Coords(Key) — so every retained entry drops it.
+// compactSink collects the merged stream of a compaction: the winning
+// entries, in key order.
 type compactSink struct {
 	out            []pagedstore.Entry
 	dropTombstones bool
@@ -71,9 +69,7 @@ func (cs *compactSink) emit(win *mergeSource) {
 		cs.dropped++
 		return
 	}
-	ent := win.head
-	ent.Point = nil
-	cs.out = append(cs.out, ent)
+	cs.out = append(cs.out, win.head)
 }
 
 // mergeSegments k-way merges an age-adjacent run of segments (oldest

@@ -20,7 +20,8 @@ import (
 var (
 	// ErrClosed reports use of a closed engine.
 	ErrClosed = errors.New("engine: closed")
-	// ErrPoint reports a point outside the engine's universe.
+	// ErrPoint reports a point outside the engine's universe, or a key
+	// outside its curve's key space.
 	ErrPoint = errors.New("engine: point outside universe")
 	// ErrRanges reports a malformed pre-planned range list passed to
 	// QueryRanges: unsorted, overlapping, or beyond the key space.
@@ -276,7 +277,6 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 	// Replay surviving WALs (oldest first) into a recovery memtable and
 	// flush it: after Open the log is empty and the data is in segments.
 	var recovered *memtable
-	dims := c.Universe().Dims()
 	for _, g := range walGens {
 		if g >= e.gen {
 			e.gen = g + 1
@@ -290,7 +290,7 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 			// deletes the file).
 			continue
 		}
-		ops, err := replayWAL(fsys, walPath(dir, g), dims)
+		ops, err := replayWAL(fsys, walPath(dir, g), c)
 		if err != nil {
 			e.releaseSegments()
 			return nil, err
@@ -299,7 +299,7 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 			if recovered == nil {
 				recovered = newMemtable(e.gen)
 			}
-			recovered.put(c.Index(op.Point), op.Payload, e.seq.Add(1), op.Del)
+			recovered.put(op.Key, op.Payload, e.seq.Add(1), op.Del)
 		}
 	}
 	e.visible.Store(e.seq.Load())
@@ -450,15 +450,19 @@ func (e *Engine) memEntries() int64 {
 // Put inserts or overwrites the record at point p. The write is
 // acknowledged after it is framed into the WAL and inserted into the
 // memtable; with Options.SyncWrites it is also fsynced first.
-func (e *Engine) Put(p geom.Point, payload uint64) error {
-	op := [1]BatchOp{{Point: p, Payload: payload}}
-	return e.PutBatch(op[:])
-}
+func (e *Engine) Put(p geom.Point, payload uint64) error { return e.write(p, payload, false) }
 
 // Delete removes the record at point p (a blind tombstone write: deleting
 // an absent point is not an error, matching LSM semantics).
-func (e *Engine) Delete(p geom.Point) error {
-	op := [1]BatchOp{{Point: p, Del: true}}
+func (e *Engine) Delete(p geom.Point) error { return e.write(p, 0, true) }
+
+// write is Put and Delete: a one-op batch, keyed here.
+func (e *Engine) write(p geom.Point, payload uint64, del bool) error {
+	key, err := KeyOf(e.c, p)
+	if err != nil {
+		return err
+	}
+	op := [1]BatchOp{{Key: key, Payload: payload, Del: del}}
 	return e.PutBatch(op[:])
 }
 
@@ -489,10 +493,7 @@ func (e *Engine) Sync() error {
 type mergeSource struct {
 	mem *memIter           // nil for segment sources
 	cur *pagedstore.Cursor // nil for memtable sources
-	// head is the current entry, meaningful while ok. Its Point is a
-	// view into the cursor's or the memtable iterator's scratch, valid
-	// only until the next advance, so sinks that retain it must clone
-	// the point.
+	// head is the current entry, meaningful while ok.
 	head pagedstore.Entry
 	ok   bool
 	prio int
@@ -508,32 +509,33 @@ func (m *mergeSource) advance() (err error) {
 }
 
 // queryState is the reusable scratch of one query execution: the plan
-// buffer, the per-segment cursors, the merge sources and iterators, and
-// the in-flight output. States recycle through a pool, so a steady-state
-// query allocates nothing — the cursors come from their stores' pools,
+// buffer, the merge sources (a segment's holds its cursor) and
+// iterators, and the in-flight output. States recycle through a pool, so
+// a steady-state query allocates nothing — the cursors come from their stores' pools,
 // the records land in the caller's buffer, and everything in between
 // lives here.
 type queryState struct {
 	plan    []curve.KeyRange
-	cursors []*pagedstore.Cursor
-	segSrcs []mergeSource
+	segSrcs []mergeSource // one per segment, holding its cursor
 	memSrcs []mergeSource
 	iters   []memIter
 	mems    []*memtable
 	pass    []*mergeSource
 	live    []*mergeSource
 	out     []Record
+	recs    pagedstore.KeyedRecords // the keys of out's new records
 	memHits int
 }
 
 var qsPool = sync.Pool{New: func() any { return new(queryState) }}
 
 // emit implements mergeSink: the merge hands over the newest holder of
-// each key; live records append to the output (copying the point — the
-// source's is transient) and memtable wins are tallied.
+// each key; live records append to the output by key and payload (their
+// points are filled in once the merge is done) and memtable wins are
+// tallied.
 func (q *queryState) emit(win *mergeSource) {
 	if !win.head.Marked {
-		q.out = pagedstore.AppendRecord(q.out, win.head.Point, win.head.Payload)
+		q.out = q.recs.Append(q.out, win.head.Key, win.head.Payload)
 	}
 	if win.mem != nil {
 		q.memHits++
@@ -647,19 +649,13 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 	// cursor takes the whole plan here, once, and steps to the next range
 	// in the loop below: holding the plan, it reads a run of pages that
 	// spans several ranges with one positioned read.
-	qs.cursors = qs.cursors[:0]
 	if cap(qs.segSrcs) < len(e.segs) {
 		qs.segSrcs = make([]mergeSource, len(e.segs))
 	}
 	qs.segSrcs = qs.segSrcs[:len(e.segs)]
 	for i, seg := range e.segs {
-		cur := seg.st.AcquireCursor()
-		cur.Plan(krs)
-		qs.cursors = append(qs.cursors, cur)
-		s := &qs.segSrcs[i]
-		pt := s.head.Point // keep the decode buffer across reuses
-		*s = mergeSource{cur: cur, prio: i}
-		s.head.Point = pt
+		qs.segSrcs[i] = mergeSource{cur: seg.st.AcquireCursor(), prio: i}
+		qs.segSrcs[i].cur.Plan(krs)
 	}
 	qs.mems = append(qs.mems[:0], e.imm...)
 	// An active memtable with no version visible at snap is left out once,
@@ -699,7 +695,7 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 		}
 		for j := range qs.mems {
 			it := &qs.iters[j]
-			it.init(e.c, qs.mems[j], kr, snap)
+			it.init(qs.mems[j], kr, snap)
 			qs.memSrcs[j] = mergeSource{mem: it, prio: len(qs.pass)}
 			qs.pass = append(qs.pass, &qs.memSrcs[j])
 		}
@@ -710,11 +706,12 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 	out := qs.out
 	qs.out = nil
 	st.MemEntries = qs.memHits
-	for _, cur := range qs.cursors {
-		st.Add(Stats{Stats: cur.Stats(), IO: cur.IO()})
-		cur.Release()
+	for _, s := range qs.segSrcs {
+		st.Add(Stats{Stats: s.cur.Stats(), IO: s.cur.IO()})
+		s.cur.Release()
 	}
 	if err != nil {
+		qs.recs = pagedstore.KeyedRecords{} // drop the keys of the records cut off
 		if errors.Is(err, pagedstore.ErrCorrupt) {
 			// A segment served a damaged page. Queue a background Verify
 			// — it will quarantine the segment so later queries stop
@@ -727,6 +724,7 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 		}
 		return out[:base], st, err
 	}
+	qs.recs.Fill(e.c, out)
 	st.Results = len(out) - base
 	return out, st, nil
 }
@@ -813,7 +811,7 @@ func (e *Engine) Flush() error {
 // caller that has the engine to itself, as Open does, calls it; freeze
 // creates the log under walMu alone and takes e.mu only for the swap.
 func (e *Engine) rotateLocked() (*wal, *memtable, error) {
-	w, err := createWAL(e.fs, walPath(e.dir, e.gen), e.c.Universe().Dims())
+	w, err := createWAL(e.fs, walPath(e.dir, e.gen))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -852,7 +850,7 @@ func (e *Engine) freeze(force, next bool) (oldWal *wal, oldMem *memtable, err er
 	}
 	var w *wal
 	if next {
-		if w, err = createWAL(e.fs, walPath(e.dir, e.gen), e.c.Universe().Dims()); err != nil {
+		if w, err = createWAL(e.fs, walPath(e.dir, e.gen)); err != nil {
 			return nil, nil, err
 		}
 	}

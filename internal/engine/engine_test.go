@@ -404,7 +404,7 @@ func TestEngineCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := 8 + walPayloadSize(2, true)
+	frame := 8 + keyOpSize(true)
 	torn := append(append([]byte{}, data...), data[:frame/2]...)
 	torn = append(torn, 0xde, 0xad)
 	if err := os.WriteFile(wals[0], torn, 0o644); err != nil {

@@ -207,7 +207,8 @@ func TestFaultMatrix(t *testing.T) {
 
 	// Enumeration pass: count-only rules (N == 0 never fires) tally how
 	// many operations each filter matches under the recorded workload.
-	inj := vfs.NewInjecting(vfs.OS{})
+	rec := newOpRecorder()
+	inj := vfs.NewInjecting(rec)
 	inj.SetFaults(filters...)
 	enumDir := t.TempDir()
 	acked, compactions := fwRun(t, enumDir, inj, ops)
@@ -224,10 +225,11 @@ func TestFaultMatrix(t *testing.T) {
 		if total == 0 {
 			t.Fatalf("filter %+v matched no operations — the workload no longer exercises it", f)
 		}
+		names := rec.names(t, f, total)
 		for _, kind := range []vfs.Kind{vfs.KindFail, vfs.KindCrash} {
 			for n := int64(1); n <= total; n++ {
 				name := fmt.Sprintf("%s-%s-%s-n%d", f.Op, f.Path, kind, n)
-				t.Run(name, func(t *testing.T) {
+				runFaultCase(t, name, names[n-1], func(t *testing.T) {
 					dir := t.TempDir()
 					ifs := vfs.NewInjecting(vfs.OS{})
 					ifs.SetFaults(vfs.Fault{Op: f.Op, Path: f.Path, N: n, Kind: kind})

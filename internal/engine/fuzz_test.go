@@ -3,8 +3,10 @@ package engine
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
 )
@@ -13,54 +15,68 @@ import (
 // fuzzed truncation point: the round trip must be exact, and recovery of
 // any prefix of the file must yield exactly the ops of the batches whose
 // frames are complete — the torn-tail contract, explored byte by byte by
-// the fuzzer.
+// the fuzzer. A batch may be framed in the coordinate-tagged encoding
+// older logs hold, so a log can mix both op families.
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint16(7))
 	f.Add([]byte{0xff, 0x00, 0xaa}, uint16(0))
 	f.Add([]byte{}, uint16(100))
 	// A three-op batch with a delete in the middle, then a one-op batch.
 	f.Add([]byte{1, 2, 0x01, 3, 4, 0x04, 5, 6, 0x41, 7, 8, 0x42}, uint16(40))
+	// Mixed logs: a coordinate-tagged three-op batch, a key-tagged one-op
+	// batch and a coordinate-tagged delete; then key, coordinate, key.
+	f.Add([]byte{1, 2, 0x81, 3, 4, 0x04, 5, 6, 0x41, 7, 8, 0x42, 9, 10, 0xc4}, uint16(40))
+	f.Add([]byte{0xff, 0xfe, 0x45, 0, 0, 0xc4, 0x10, 0x20, 0x41}, uint16(30))
+	c, err := core.NewOnion2D(256)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, cutSeed uint16) {
-		const dims = 2
 		// Decode a deterministic op stream out of the raw bytes; bit 0x40
-		// of an op's third byte ends its batch.
+		// of an op's third byte ends its batch, and bit 0x80 of any of a
+		// batch's ops frames it with coordinate tags.
 		var ops []BatchOp
 		var batches [][]BatchOp
-		start := 0
+		var coords []bool
+		start, coord := 0, false
 		for i := 0; i+2 < len(raw) && len(ops) < 64; i += 3 {
-			pt := geom.Point{uint32(raw[i]), uint32(raw[i+1])}
+			key := c.Index(geom.Point{uint32(raw[i]), uint32(raw[i+1])})
 			if raw[i+2]%4 == 0 {
-				ops = append(ops, BatchOp{Point: pt, Del: true})
+				ops = append(ops, BatchOp{Key: key, Del: true})
 			} else {
-				ops = append(ops, BatchOp{Point: pt, Payload: uint64(raw[i+2]) << 3})
+				ops = append(ops, BatchOp{Key: key, Payload: uint64(raw[i+2]) << 3})
 			}
-			if raw[i+2]&0x40 != 0 {
+			coord = coord || raw[i+2]&0x80 != 0
+			if raw[i+2]&0x40 != 0 || i+5 >= len(raw) || len(ops) == 64 {
 				batches = append(batches, ops[start:])
-				start = len(ops)
+				coords = append(coords, coord)
+				start, coord = len(ops), false
 			}
-		}
-		if start < len(ops) {
-			batches = append(batches, ops[start:])
 		}
 		dir := t.TempDir()
 		path := filepath.Join(dir, "wal.log")
-		w, err := createWAL(vfs.OS{}, path, dims)
+		w, err := createWAL(vfs.OS{}, path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range batches {
-			if err := w.append(b); err != nil {
+		for i, b := range batches {
+			if coords[i] {
+				err = w.Append(coordBatch(nil, b, c))
+			} else {
+				err = w.append(b)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
 		if err := w.close(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := replayWAL(vfs.OS{}, path, dims)
+		got, err := replayWAL(vfs.OS{}, path, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !walOpsEqual(got, ops) {
+		if !slices.Equal(got, ops) {
 			t.Fatalf("round trip: %d ops back, wrote %d", len(got), len(ops))
 		}
 		// Truncate at a fuzzed point and demand whole-batch prefix recovery.
@@ -75,22 +91,31 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		torn, err := replayWAL(vfs.OS{}, path, dims)
+		torn, err := replayWAL(vfs.OS{}, path, c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		complete, off := 0, 0
-		for _, b := range batches {
+		for i, b := range batches {
 			off += 8
 			for _, op := range b {
-				off += walPayloadSize(dims, op.Del)
+				tag := walKeyPut
+				switch {
+				case coords[i] && op.Del:
+					tag = walOpDel
+				case coords[i]:
+					tag = walOpPut
+				case op.Del:
+					tag = walKeyDel
+				}
+				off += opSize(tag, 2)
 			}
 			if off > cut {
 				break
 			}
 			complete += len(b)
 		}
-		if !walOpsEqual(torn, ops[:complete]) {
+		if !slices.Equal(torn, ops[:complete]) {
 			t.Fatalf("cut %d: recovered %d ops, want %d", cut, len(torn), complete)
 		}
 	})

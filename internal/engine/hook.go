@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"github.com/onioncurve/onion/internal/curve"
+	"github.com/onioncurve/onion/internal/geom"
 )
 
 // ErrQuorum reports a synchronous write that became durable locally but
@@ -50,35 +53,45 @@ type CommitHook interface {
 }
 
 const (
-	walOpPut = byte(1)
-	walOpDel = byte(2)
+	// Coordinate-tagged ops, the only ops before a logged op carried its
+	// key: the tag, dims 4-byte coordinates, and for puts the 8-byte
+	// payload. Nothing writes them any more; DecodeBatch still reads them,
+	// so WALs, archives and replication logs written then replay as they
+	// are.
+	walOpPut, walOpDel = byte(1), byte(2)
+	// Key-tagged ops: the tag, the 8-byte curve key, and for puts the
+	// 8-byte payload.
+	walKeyPut, walKeyDel = byte(3), byte(4)
 )
 
-// walPayloadSize returns the encoded length of one op: op byte, coords,
-// and (for puts) the 8-byte payload.
-func walPayloadSize(dims int, del bool) int {
-	if del {
+// opSize returns the encoded length of an op whose tag is t, in a batch
+// of dims-dimensional points, or 0 for an unknown tag.
+func opSize(t byte, dims int) int {
+	switch t {
+	case walKeyPut:
+		return 1 + 8 + 8
+	case walKeyDel:
+		return 1 + 8
+	case walOpPut:
+		return 1 + 4*dims + 8
+	case walOpDel:
 		return 1 + 4*dims
 	}
-	return 1 + 4*dims + 8
+	return 0
 }
 
 // EncodeBatch appends the encoding of ops to dst and returns the
-// extended slice. Each op is an op byte, 4*dims little-endian coords,
-// and for puts the 8-byte payload, back to back. It is the store's only
-// op codec: a WAL frame's payload is one batch's encoding, and a
-// replication entry carries the same bytes, so both are decoded by
-// DecodeBatch.
-func EncodeBatch(dst []byte, ops []BatchOp, dims int) []byte {
+// extended slice: per op a key tag, the 8-byte little-endian key, and for
+// puts the 8-byte payload, back to back. It is the store's only op codec:
+// a WAL frame's payload is one batch's encoding, and a replication entry
+// carries the same bytes, so both are decoded by DecodeBatch.
+func EncodeBatch(dst []byte, ops []BatchOp) []byte {
 	for _, op := range ops {
+		tag := walKeyPut
 		if op.Del {
-			dst = append(dst, walOpDel)
-		} else {
-			dst = append(dst, walOpPut)
+			tag = walKeyDel
 		}
-		for d := 0; d < dims; d++ {
-			dst = binary.LittleEndian.AppendUint32(dst, op.Point[d])
-		}
+		dst = binary.LittleEndian.AppendUint64(append(dst, tag), op.Key)
 		if !op.Del {
 			dst = binary.LittleEndian.AppendUint64(dst, op.Payload)
 		}
@@ -86,37 +99,61 @@ func EncodeBatch(dst []byte, ops []BatchOp, dims int) []byte {
 	return dst
 }
 
-// BatchLen returns how many ops the EncodeBatch bytes b hold. It only
-// steps over op sizes and validates nothing: DecodeBatch does.
+// BatchLen returns how many ops the batch encoding b of dims-dimensional
+// points holds. It only steps over op sizes and validates nothing
+// (DecodeBatch does): an unknown tag or a short op counts as one op that
+// takes the rest.
 func BatchLen(b []byte, dims int) int {
 	n := 0
 	for ; len(b) > 0; n++ {
-		b = b[min(walPayloadSize(dims, b[0] == walOpDel), len(b)):]
+		if size := opSize(b[0], dims); size > 0 && size <= len(b) {
+			b = b[size:]
+		} else {
+			b = nil
+		}
 	}
 	return n
 }
 
-// DecodeBatch appends the ops of one EncodeBatch encoding to dst. It
-// rejects an unknown op byte or an op cut short, and then returns dst
-// unextended. The decoded Points share one allocation. Integrity is the
-// carrier's job (the framed log's CRC, the transport).
-func DecodeBatch(dst []BatchOp, b []byte, dims int) ([]BatchOp, error) {
+// DecodeBatch appends the ops of one batch encoding to dst. It reads both
+// op families: a key-tagged op as it is, a coordinate-tagged op by
+// evaluating c at its coordinates. It rejects an unknown tag, an op cut
+// short, a key outside c's key space and a coordinate outside its
+// universe, and then returns dst unextended. Past dst's growth it
+// allocates nothing on key-tagged ops, and one scratch point for a batch
+// that holds coordinate-tagged ones. Integrity is the carrier's job (the
+// framed log's CRC, the transport).
+func DecodeBatch(dst []BatchOp, b []byte, c curve.Curve) ([]BatchOp, error) {
 	n := len(dst)
-	coords := make([]uint32, BatchLen(b, dims)*dims)
+	u := c.Universe()
+	var pt geom.Point
 	for len(b) > 0 {
-		if (b[0] != walOpPut && b[0] != walOpDel) || len(b) < walPayloadSize(dims, b[0] == walOpDel) {
+		size := opSize(b[0], u.Dims())
+		if size == 0 || len(b) < size {
 			return dst[:n], fmt.Errorf("%w: malformed op payload (%d bytes left)", ErrWAL, len(b))
 		}
-		op := BatchOp{Point: coords[:dims:dims], Del: b[0] == walOpDel}
-		coords = coords[dims:]
-		for d := range op.Point {
-			op.Point[d] = binary.LittleEndian.Uint32(b[1+4*d:])
+		op := BatchOp{Del: b[0] == walKeyDel || b[0] == walOpDel}
+		if b[0] == walKeyPut || b[0] == walKeyDel {
+			if op.Key = binary.LittleEndian.Uint64(b[1:]); op.Key >= u.Size() {
+				return dst[:n], fmt.Errorf("%w: key %d outside key space [0,%d)", ErrWAL, op.Key, u.Size())
+			}
+		} else {
+			if pt == nil {
+				pt = make(geom.Point, u.Dims())
+			}
+			for d := range pt {
+				pt[d] = binary.LittleEndian.Uint32(b[1+4*d:])
+			}
+			var err error
+			if op.Key, err = KeyOf(c, pt); err != nil {
+				return dst[:n], fmt.Errorf("%w: %w", ErrWAL, err)
+			}
 		}
 		if !op.Del {
-			op.Payload = binary.LittleEndian.Uint64(b[1+4*dims:])
+			op.Payload = binary.LittleEndian.Uint64(b[size-8:])
 		}
 		dst = append(dst, op)
-		b = b[walPayloadSize(dims, op.Del):]
+		b = b[size:]
 	}
 	return dst, nil
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"github.com/onioncurve/onion/internal/curve"
-	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/pagedstore"
 )
 
@@ -108,28 +107,24 @@ func (m *memtable) put(key, payload, seq uint64, del bool) {
 // snap. The memtable lock is held only inside init and next.
 type memIter struct {
 	m      *memtable
-	c      curve.Curve
 	snap   uint64
 	lo, hi uint64 // lo rises past each key returned, skipping its older versions
 	cur    uint32 // last visited node
-	pt     geom.Point
 }
 
 // init (re)positions an existing iterator over [lo, hi] at snapshot snap
 // — the reusable form the pooled query state drives, one reset per
 // (range, memtable) pass with no allocation.
-func (it *memIter) init(c curve.Curve, m *memtable, kr curve.KeyRange, snap uint64) {
+func (it *memIter) init(m *memtable, kr curve.KeyRange, snap uint64) {
 	var prev [maxSkipLevel]uint32
 	m.mu.RLock()
 	m.descend(kr.Lo, &prev)
 	m.mu.RUnlock()
-	*it = memIter{m: m, c: c, snap: snap, lo: kr.Lo, hi: kr.Hi, cur: prev[0], pt: it.pt}
+	*it = memIter{m: m, snap: snap, lo: kr.Lo, hi: kr.Hi, cur: prev[0]}
 }
 
 // next decodes the next visible entry of the range into e and reports
-// whether there was one. e.Point is rebuilt from the key into the
-// iterator's scratch: like a segment cursor's, it is valid until the
-// iterator's next call, and a caller that retains it must clone it.
+// whether there was one.
 func (it *memIter) next(e *pagedstore.Entry) bool {
 	it.m.mu.RLock()
 	a := it.m.arena
@@ -141,8 +136,6 @@ func (it *memIter) next(e *pagedstore.Entry) bool {
 		e.Key, e.Payload, e.Marked = a[n], a[n+nodePayload], a[n+nodeSeq]&1 != 0
 		it.m.mu.RUnlock()
 		it.lo = e.Key + 1
-		it.pt = it.c.Coords(e.Key, it.pt)
-		e.Point = it.pt
 		return true
 	}
 	it.m.mu.RUnlock()
@@ -150,8 +143,7 @@ func (it *memIter) next(e *pagedstore.Entry) bool {
 }
 
 // flushEntries returns every key's newest version in ascending key order
-// with a nil Point (the segment writer stores keys only) — the sorted run
-// a flush writes out. Tombstones are included (they must shadow older
+// — the sorted run a flush writes out. Tombstones are included (they must shadow older
 // segments until compaction drops them at the bottom level). The
 // memtable must be frozen (no concurrent writers) when this runs.
 func (m *memtable) flushEntries() []pagedstore.Entry {

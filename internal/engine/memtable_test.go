@@ -49,43 +49,32 @@ func (o memOracle) want(lo, hi, snap uint64) []pagedstore.Entry {
 	return out
 }
 
-// scanMem drains a memIter over [lo, hi] at snap. Every point must be
-// the key's cell; the returned entries carry none. It may run off the
+// scanMem drains a memIter over [lo, hi] at snap. It may run off the
 // test goroutine.
-func scanMem(t *testing.T, c curve.Curve, m *memtable, lo, hi, snap uint64) []pagedstore.Entry {
-	t.Helper()
+func scanMem(m *memtable, lo, hi, snap uint64) []pagedstore.Entry {
 	var it memIter
-	it.init(c, m, curve.KeyRange{Lo: lo, Hi: hi}, snap)
+	it.init(m, curve.KeyRange{Lo: lo, Hi: hi}, snap)
 	var out []pagedstore.Entry
 	var e pagedstore.Entry
 	for it.next(&e) {
-		if !e.Point.Equal(c.Coords(e.Key, nil)) {
-			t.Errorf("key %d: point %v, want %v", e.Key, e.Point, c.Coords(e.Key, nil))
-		}
-		out = append(out, pagedstore.Entry{Key: e.Key, Payload: e.Payload, Marked: e.Marked})
+		out = append(out, e)
 	}
 	return out
-}
-
-func entriesEqual(a, b []pagedstore.Entry) bool {
-	return slices.EqualFunc(a, b, func(x, y pagedstore.Entry) bool {
-		return x.Key == y.Key && x.Payload == y.Payload && x.Marked == y.Marked && x.Point == nil && y.Point == nil
-	})
 }
 
 // checkMemtable compares a range scan at snap against the oracle.
 func checkMemtable(t *testing.T, c curve.Curve, m *memtable, o memOracle, lo, hi, snap uint64) {
 	t.Helper()
-	if got, want := scanMem(t, c, m, lo, hi, snap), o.want(lo, hi, snap); !entriesEqual(got, want) {
+	if got, want := scanMem(m, lo, hi, snap), o.want(lo, hi, snap); !slices.Equal(got, want) {
 		t.Fatalf("[%d,%d] at snap %d:\n got %v\nwant %v", lo, hi, snap, got, want)
 	}
 }
 
 // checkFlush compares flushEntries — each key's newest version,
-// tombstones kept, no points — against the oracle.
+// tombstones kept — against the oracle.
 func checkFlush(t *testing.T, m *memtable, o memOracle) {
 	t.Helper()
-	if got, want := m.flushEntries(), o.want(0, math.MaxUint64, math.MaxUint64); !entriesEqual(got, want) {
+	if got, want := m.flushEntries(), o.want(0, math.MaxUint64, math.MaxUint64); !slices.Equal(got, want) {
 		t.Fatalf("flushEntries:\n got %v\nwant %v", got, want)
 	}
 }
@@ -115,7 +104,7 @@ func TestMemtableSnapshotFilter(t *testing.T) {
 		want int64 // -1 = invisible, -2 = tombstone
 	}{{0, -1}, {1, 10}, {2, 10}, {3, 20}, {4, 20}, {5, -2}, {99, -2}} {
 		var it memIter
-		it.init(c, m, full, tc.snap)
+		it.init(m, full, tc.snap)
 		var ent pagedstore.Entry
 		ok := it.next(&ent)
 		switch tc.want {
@@ -196,7 +185,7 @@ func TestMemtableReadersDuringGrowth(t *testing.T) {
 						newest[k] = s
 					}
 				}
-				got := scanMem(t, c, m, lo, hi, snap)
+				got := scanMem(m, lo, hi, snap)
 				if len(got) != len(newest) {
 					t.Errorf("[%d,%d] at snap %d: %d entries, want %d", lo, hi, snap, len(got), len(newest))
 					return

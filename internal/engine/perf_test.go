@@ -352,7 +352,7 @@ func TestGroupCommitDurability(t *testing.T) {
 	if err := os.WriteFile(fullPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	full, err := replayWAL(vfs.OS{}, fullPath, 2)
+	full, err := replayWAL(vfs.OS{}, fullPath, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestGroupCommitDurability(t *testing.T) {
 		if err := os.WriteFile(torn, data[:b], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ops, err := replayWAL(vfs.OS{}, torn, 2)
+		ops, err := replayWAL(vfs.OS{}, torn, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +376,7 @@ func TestGroupCommitDurability(t *testing.T) {
 		}
 		for i, op := range ops {
 			w := full[i]
-			if !op.Point.Equal(w.Point) || op.Payload != w.Payload || op.Del != w.Del {
+			if op != w {
 				t.Fatalf("cut %d: op %d = %+v, want %+v", b, i, op, w)
 			}
 		}

@@ -164,14 +164,16 @@ func TestFirstSnapshotFaultMatrix(t *testing.T) {
 	ops := fwWorkload()
 	o := fwCurve(t)
 	const snapAt, flushAt = 40, 65
+	rec := newOpRecorder() // records the enumeration run's fault window
+	rec.setOn(false)
 
 	// run drives ops through an injecting filesystem whose faults are
 	// active from the flush at op 20 to the end of the first Snapshot,
 	// and returns the acked count and how many operations that window
 	// performed.
-	run := func(t *testing.T, root string, fault vfs.Fault) (acked int, points int64) {
+	run := func(t *testing.T, root string, fault vfs.Fault, base vfs.FS) (acked int, points int64) {
 		t.Helper()
-		inj := vfs.NewInjecting(vfs.OS{})
+		inj := vfs.NewInjecting(base)
 		e, err := Open(filepath.Join(root, "db"), o, snapOpts(inj))
 		if err != nil {
 			t.Fatal(err)
@@ -181,11 +183,13 @@ func TestFirstSnapshotFaultMatrix(t *testing.T) {
 			switch i {
 			case 20:
 				inj.SetFaults(fault)
+				rec.setOn(true)
 				e.Flush() //nolint:errcheck // may fail; the WAL it retires is deleted
 			case snapAt:
 				e.Snapshot(filepath.Join(root, "snap")) //nolint:errcheck // may fail; the engine must survive
 				points = inj.Matched(0)
 				inj.SetFaults()
+				rec.setOn(false)
 			case flushAt:
 				e.Flush() //nolint:errcheck // may fail after an injected fault
 			}
@@ -226,7 +230,7 @@ func TestFirstSnapshotFaultMatrix(t *testing.T) {
 	}
 
 	enumRoot := t.TempDir()
-	acked, total := run(t, enumRoot, vfs.Fault{Op: vfs.OpAny})
+	acked, total := run(t, enumRoot, vfs.Fault{Op: vfs.OpAny}, rec)
 	if acked != len(ops) {
 		t.Fatalf("enumeration run dropped writes: %d/%d acked", acked, len(ops))
 	}
@@ -234,11 +238,12 @@ func TestFirstSnapshotFaultMatrix(t *testing.T) {
 	if total == 0 {
 		t.Fatal("the fault window performed no injectable operations")
 	}
+	names := rec.names(t, vfs.Fault{Op: vfs.OpAny}, total)
 	for _, kind := range []vfs.Kind{vfs.KindFail, vfs.KindCrash} {
 		for n := int64(1); n <= total; n++ {
-			t.Run(fmt.Sprintf("%s-n%d", kind, n), func(t *testing.T) {
+			runFaultCase(t, fmt.Sprintf("%s-n%d", kind, n), names[n-1], func(t *testing.T) {
 				root := t.TempDir()
-				acked, _ := run(t, root, vfs.Fault{Op: vfs.OpAny, N: n, Kind: kind})
+				acked, _ := run(t, root, vfs.Fault{Op: vfs.OpAny, N: n, Kind: kind}, vfs.OS{})
 				check(t, root, acked)
 			})
 		}
@@ -286,7 +291,8 @@ func TestRestoreFaultMatrix(t *testing.T) {
 	// Enumeration: every operation a full restore performs is a fault
 	// point (the restore touches nothing but its own staging tree and the
 	// read-only snapshot chain + archive).
-	inj := vfs.NewInjecting(vfs.OS{})
+	rec := newOpRecorder()
+	inj := vfs.NewInjecting(rec)
 	inj.SetFaults(vfs.Fault{Op: vfs.OpAny})
 	enumTarget := filepath.Join(t.TempDir(), "restored")
 	if _, err := Restore(snapDir, enumTarget, -1, o, snapOpts(inj)); err != nil {
@@ -299,10 +305,11 @@ func TestRestoreFaultMatrix(t *testing.T) {
 	if total == 0 {
 		t.Fatal("restore performed no injectable operations")
 	}
+	names := rec.names(t, vfs.Fault{Op: vfs.OpAny}, total)
 
 	for _, kind := range []vfs.Kind{vfs.KindFail, vfs.KindCrash} {
 		for n := int64(1); n <= total; n++ {
-			t.Run(fmt.Sprintf("%s-n%d", kind, n), func(t *testing.T) {
+			runFaultCase(t, fmt.Sprintf("%s-n%d", kind, n), names[n-1], func(t *testing.T) {
 				target := filepath.Join(t.TempDir(), "restored")
 				ifs := vfs.NewInjecting(vfs.OS{})
 				ifs.SetFaults(vfs.Fault{Op: vfs.OpAny, N: n, Kind: kind})
@@ -406,7 +413,8 @@ func TestRepairFaultMatrix(t *testing.T) {
 
 	enumRoot := t.TempDir()
 	enumDir, enumSnap := buildFixture(t, enumRoot)
-	inj := vfs.NewInjecting(vfs.OS{})
+	rec := newOpRecorder()
+	inj := vfs.NewInjecting(rec)
 	inj.SetFaults(filters...)
 	repairOnce(enumDir, enumSnap, inj)
 	// The fault-free pass heals completely.
@@ -422,10 +430,11 @@ func TestRepairFaultMatrix(t *testing.T) {
 		if total == 0 {
 			t.Fatalf("filter %+v matched no operations — repair no longer exercises it", f)
 		}
+		names := rec.names(t, f, total)
 		for _, kind := range []vfs.Kind{vfs.KindFail, vfs.KindCrash} {
 			for n := int64(1); n <= total; n++ {
 				name := fmt.Sprintf("%s-%s-%s-n%d", f.Op, f.Path, kind, n)
-				t.Run(name, func(t *testing.T) {
+				runFaultCase(t, name, names[n-1], func(t *testing.T) {
 					dir, snapDir := buildFixture(t, t.TempDir())
 					ifs := vfs.NewInjecting(vfs.OS{})
 					ifs.SetFaults(vfs.Fault{Op: f.Op, Path: f.Path, N: n, Kind: kind})

@@ -110,7 +110,6 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 	}
 	var mem *memtable
 	var seq uint64
-	dims := u.Dims()
 	for _, g := range gens {
 		if walCovered(segIDs, g) {
 			continue
@@ -118,7 +117,7 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 		if upTo >= 0 && rep.Replayed >= upTo {
 			break
 		}
-		ops, err := replayWAL(fsys, walPath(man.archive, g), dims)
+		ops, err := replayWAL(fsys, walPath(man.archive, g), c)
 		if err != nil {
 			return rep, err
 		}
@@ -137,7 +136,7 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 				mem = newMemtable(nextGen)
 			}
 			seq++
-			mem.put(c.Index(op.Point), op.Payload, seq, op.Del)
+			mem.put(op.Key, op.Payload, seq, op.Del)
 			rep.Replayed++
 		}
 	}

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/framedlog"
 	"github.com/onioncurve/onion/internal/vfs"
 )
@@ -55,21 +56,20 @@ func walErr(err error) error {
 // that log order equals sequence-number order).
 type wal struct {
 	*framedlog.Writer
-	dims int
-	enc  []byte // the last appended frame's payload, reused by every append
+	enc []byte // the last appended frame's payload, reused by every append
 }
 
-func createWAL(fsys vfs.FS, path string, dims int) (*wal, error) {
+func createWAL(fsys vfs.FS, path string) (*wal, error) {
 	w, err := framedlog.Create(fsys, path)
 	if err != nil {
 		return nil, walErr(err)
 	}
-	return &wal{Writer: w, dims: dims, enc: make([]byte, 0, walPayloadSize(dims, false))}, nil
+	return &wal{Writer: w}, nil
 }
 
 // append frames and buffers one batch. Durability requires a later sync.
 func (l *wal) append(ops []BatchOp) error {
-	l.enc = EncodeBatch(l.enc[:0], ops, l.dims)
+	l.enc = EncodeBatch(l.enc[:0], ops)
 	return walErr(l.Append(l.enc))
 }
 
@@ -83,11 +83,11 @@ func (l *wal) close() error { return walErr(l.Close()) }
 // refuses — ends the replay silently: recovery keeps exactly the longest
 // valid prefix of whole batches, so an acknowledged (synced) batch is
 // never lost and a torn one never resurrects, not even in part.
-func replayWAL(fsys vfs.FS, path string, dims int) ([]BatchOp, error) {
+func replayWAL(fsys vfs.FS, path string, c curve.Curve) ([]BatchOp, error) {
 	var ops []BatchOp
 	err := framedlog.Replay(fsys, path, func(payload []byte) bool {
 		var err error
-		ops, err = DecodeBatch(ops, payload, dims)
+		ops, err = DecodeBatch(ops, payload, c)
 		return err == nil
 	})
 	return ops, walErr(err)

@@ -4,50 +4,81 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"github.com/onioncurve/onion/internal/baseline"
 	"github.com/onioncurve/onion/internal/core"
+	"github.com/onioncurve/onion/internal/curve"
+	"github.com/onioncurve/onion/internal/framedlog"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
 )
 
-// walOpsEqual compares two op slices structurally.
-func walOpsEqual(a, b []BatchOp) bool {
-	if len(a) != len(b) {
-		return false
+// walCurve is a curve over dims-dimensional points of side 16, for the
+// log tests that run in several dimensions.
+func walCurve(t testing.TB, dims int) curve.Curve {
+	c, err := baseline.NewRowMajor(dims, 16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i].Del != b[i].Del || a[i].Payload != b[i].Payload || !a[i].Point.Equal(b[i].Point) {
-			return false
-		}
-	}
-	return true
+	return c
 }
 
-func sampleOps(dims, n int) []BatchOp {
+func sampleOps(c curve.Curve, n int) []BatchOp {
 	ops := make([]BatchOp, n)
 	for i := range ops {
-		pt := make(geom.Point, dims)
+		pt := make(geom.Point, c.Universe().Dims())
 		for d := range pt {
 			pt[d] = uint32(i*7+d) % 16
 		}
 		if i%3 == 2 {
-			ops[i] = BatchOp{Point: pt, Del: true}
+			ops[i] = BatchOp{Key: c.Index(pt), Del: true}
 		} else {
-			ops[i] = BatchOp{Point: pt, Payload: uint64(i) * 1000003}
+			ops[i] = BatchOp{Key: c.Index(pt), Payload: uint64(i) * 1000003}
 		}
 	}
 	return ops
 }
 
+// keyOpSize is the encoded length of a key-tagged op.
+func keyOpSize(del bool) int {
+	if del {
+		return opSize(walKeyDel, 0)
+	}
+	return opSize(walKeyPut, 0)
+}
+
+// coordBatch appends the encoding of ops the store wrote before an op
+// carried its key: per op a coordinate tag, the dims coordinates of its
+// key's cell under c, and for puts the payload. Nothing writes it any
+// more; tests write it to check that such logs still replay.
+func coordBatch(dst []byte, ops []BatchOp, c curve.Curve) []byte {
+	for _, op := range ops {
+		tag := walOpPut
+		if op.Del {
+			tag = walOpDel
+		}
+		dst = append(dst, tag)
+		for _, x := range c.Coords(op.Key, nil) {
+			dst = binary.LittleEndian.AppendUint32(dst, x)
+		}
+		if !op.Del {
+			dst = binary.LittleEndian.AppendUint64(dst, op.Payload)
+		}
+	}
+	return dst
+}
+
 // writeOps writes ops as one-op batches: one frame per op, the layout
 // every log had before a frame carried a whole batch.
-func writeOps(t *testing.T, path string, dims int, ops []BatchOp) {
+func writeOps(t *testing.T, path string, ops []BatchOp) {
 	t.Helper()
-	w, err := createWAL(vfs.OS{}, path, dims)
+	w, err := createWAL(vfs.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +95,15 @@ func writeOps(t *testing.T, path string, dims int, ops []BatchOp) {
 // TestWALRoundTrip replays a cleanly closed log.
 func TestWALRoundTrip(t *testing.T) {
 	for _, dims := range []int{1, 2, 3, 5} {
+		c := walCurve(t, dims)
 		path := filepath.Join(t.TempDir(), "wal.log")
-		ops := sampleOps(dims, 50)
-		writeOps(t, path, dims, ops)
-		got, err := replayWAL(vfs.OS{}, path, dims)
+		ops := sampleOps(c, 50)
+		writeOps(t, path, ops)
+		got, err := replayWAL(vfs.OS{}, path, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !walOpsEqual(got, ops) {
+		if !slices.Equal(got, ops) {
 			t.Fatalf("dims %d: replay mismatch: %d ops vs %d", dims, len(got), len(ops))
 		}
 	}
@@ -81,11 +113,11 @@ func TestWALRoundTrip(t *testing.T) {
 // recovery keeps exactly the complete frames before the cut: acknowledged
 // (synced) writes survive, the torn tail is dropped, nothing else.
 func TestWALTornTail(t *testing.T) {
-	dims := 2
+	c := walCurve(t, 2)
 	dir := t.TempDir()
 	full := filepath.Join(dir, "wal.log")
-	ops := sampleOps(dims, 9)
-	writeOps(t, full, dims, ops)
+	ops := sampleOps(c, 9)
+	writeOps(t, full, ops)
 	data, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +125,7 @@ func TestWALTornTail(t *testing.T) {
 	// Frame boundaries, for computing how many complete frames a cut keeps.
 	bounds := []int{0}
 	for _, op := range ops {
-		bounds = append(bounds, bounds[len(bounds)-1]+8+walPayloadSize(dims, op.Del))
+		bounds = append(bounds, bounds[len(bounds)-1]+8+keyOpSize(op.Del))
 	}
 	if bounds[len(bounds)-1] != len(data) {
 		t.Fatalf("frame accounting: %d vs file %d", bounds[len(bounds)-1], len(data))
@@ -103,7 +135,7 @@ func TestWALTornTail(t *testing.T) {
 		if err := os.WriteFile(torn, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := replayWAL(vfs.OS{}, torn, dims)
+		got, err := replayWAL(vfs.OS{}, torn, c)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -111,7 +143,7 @@ func TestWALTornTail(t *testing.T) {
 		for complete < len(ops) && bounds[complete+1] <= cut {
 			complete++
 		}
-		if !walOpsEqual(got, ops[:complete]) {
+		if !slices.Equal(got, ops[:complete]) {
 			t.Fatalf("cut %d: recovered %d ops, want the %d complete frames", cut, len(got), complete)
 		}
 	}
@@ -120,24 +152,24 @@ func TestWALTornTail(t *testing.T) {
 // TestWALCorruptTail flips a payload byte of the final frame: the CRC must
 // reject it and recovery must stop at the preceding frame.
 func TestWALCorruptTail(t *testing.T) {
-	dims := 3
+	c := walCurve(t, 3)
 	path := filepath.Join(t.TempDir(), "wal.log")
-	ops := sampleOps(dims, 5)
-	writeOps(t, path, dims, ops)
+	ops := sampleOps(c, 5)
+	writeOps(t, path, ops)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := len(data) - walPayloadSize(dims, ops[4].Del)
+	last := len(data) - keyOpSize(ops[4].Del)
 	data[last] ^= 0x40 // corrupt inside the final payload
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := replayWAL(vfs.OS{}, path, dims)
+	got, err := replayWAL(vfs.OS{}, path, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !walOpsEqual(got, ops[:4]) {
+	if !slices.Equal(got, ops[:4]) {
 		t.Fatalf("recovered %d ops after CRC damage, want 4", len(got))
 	}
 }
@@ -145,10 +177,10 @@ func TestWALCorruptTail(t *testing.T) {
 // TestWALGarbageLength rejects a frame announcing a nonsense length
 // without reading past it.
 func TestWALGarbageLength(t *testing.T) {
-	dims := 2
+	c := walCurve(t, 2)
 	path := filepath.Join(t.TempDir(), "wal.log")
-	ops := sampleOps(dims, 3)
-	writeOps(t, path, dims, ops)
+	ops := sampleOps(c, 3)
+	writeOps(t, path, ops)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -159,40 +191,56 @@ func TestWALGarbageLength(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := replayWAL(vfs.OS{}, path, dims)
+	got, err := replayWAL(vfs.OS{}, path, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !walOpsEqual(got, ops) {
+	if !slices.Equal(got, ops) {
 		t.Fatalf("recovered %d ops, want %d", len(got), len(ops))
 	}
 }
 
 // goldenWAL is the file the framing before internal/framedlog produced
-// for goldenOps (dims 2), byte for byte: four frames of
-// len(4) | crc32c(4) | op(1) | coords(4*dims) | payload(8, puts only).
+// for four coordinate-tagged one-op batches (dims 2), byte for byte: four
+// frames of len(4) | crc32c(4) | op(1) | coords(4*dims) | payload(8, puts
+// only). Nothing writes coordinate tags any more; it is a replay fixture.
 const goldenWAL = "11000000" + "29783641" + "01" + "03000000" + "05000000" + "8877665544332211" +
 	"09000000" + "96745c9c" + "02" + "efbeadde" + "07000000" +
 	"11000000" + "b67f0985" + "01" + "00000000" + "00000000" + "0000000000000000" +
 	"11000000" + "e7a3d97e" + "01" + "01000000" + "ffffffff" + "2a00000000000000"
 
-var goldenOps = []BatchOp{
-	{Point: geom.Point{3, 5}, Payload: 0x1122334455667788},
-	{Point: geom.Point{0xdeadbeef, 7}, Del: true},
-	{Point: geom.Point{0, 0}, Payload: 0},
-	{Point: geom.Point{1, 0xffffffff}, Payload: 42},
+// goldenKeyWAL is the file the writer produces for goldenKeyOps, byte for
+// byte: four frames of len(4) | crc32c(4) | tag(1) | key(8) | payload(8,
+// puts only), tag 3 a put and 4 a delete.
+const goldenKeyWAL = "11000000" + "f9e52694" + "03" + "7856341200000000" + "8877665544332211" +
+	"09000000" + "156352d4" + "04" + "f0debc0a00000000" +
+	"11000000" + "08c7c03a" + "03" + "0000000000000000" + "0000000000000000" +
+	"11000000" + "04a6e84e" + "03" + "ffffff3f00000000" + "2a00000000000000"
+
+var goldenKeyOps = []BatchOp{
+	{Key: 0x12345678, Payload: 0x1122334455667788},
+	{Key: 0x0abcdef0, Del: true},
+	{Key: 0, Payload: 0},
+	{Key: 1<<30 - 1, Payload: 42},
 }
 
-// TestWALGoldenBytes pins the on-disk format across the move to the
-// shared framed log: the same op sequence produces the same file, and a
-// WAL archived before the change still replays.
+// TestWALGoldenBytes pins the log format. The writer turns goldenKeyOps
+// into goldenKeyWAL's bytes, which replay to the same ops. goldenWAL, a
+// log of coordinate-tagged ops, still replays without a version gate: its
+// frames 1 and 3 decode to the keys of their points, and frames 2 and 4,
+// whose coordinates 0xdeadbeef and 0xffffffff lie outside every universe,
+// are malformed, so a replay keeps frame 1 alone.
 func TestWALGoldenBytes(t *testing.T) {
-	want, err := hex.DecodeString(goldenWAL)
+	c, err := core.NewOnion2D(1 << 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(goldenKeyWAL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "wal.log")
-	writeOps(t, path, 2, goldenOps)
+	writeOps(t, path, goldenKeyOps)
 	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -200,16 +248,47 @@ func TestWALGoldenBytes(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("WAL bytes changed:\n got %x\nwant %x", got, want)
 	}
-	old := filepath.Join(t.TempDir(), "archived.log")
-	if err := os.WriteFile(old, want, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ops, err := replayWAL(vfs.OS{}, old, 2)
+	ops, err := replayWAL(vfs.OS{}, path, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !walOpsEqual(ops, goldenOps) {
-		t.Fatalf("archived WAL replayed as %+v", ops)
+	if !slices.Equal(ops, goldenKeyOps) {
+		t.Fatalf("WAL replayed as %+v", ops)
+	}
+
+	old, err := hex.DecodeString(goldenWAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(x, y uint32) uint64 { return c.Index(geom.Point{x, y}) }
+	frames := [][]BatchOp{
+		{{Key: at(3, 5), Payload: 0x1122334455667788}},
+		nil, // (0xdeadbeef, 7): malformed
+		{{Key: at(0, 0), Payload: 0}},
+		nil, // (1, 0xffffffff): malformed
+	}
+	i := 0
+	framedlog.ReplayBytes(old, func(payload []byte) bool {
+		ops, err := DecodeBatch(nil, payload, c)
+		if frames[i] == nil {
+			if !errors.Is(err, ErrWAL) || len(ops) != 0 {
+				t.Errorf("frame %d decoded as %+v, %v; want ErrWAL", i+1, ops, err)
+			}
+		} else if err != nil || !slices.Equal(ops, frames[i]) {
+			t.Errorf("frame %d decoded as %+v, %v; want %+v", i+1, ops, err, frames[i])
+		}
+		i++
+		return true
+	})
+	if i != len(frames) {
+		t.Fatalf("%d frames, want %d", i, len(frames))
+	}
+	archived := filepath.Join(t.TempDir(), "archived.log")
+	if err := os.WriteFile(archived, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ops, err = replayWAL(vfs.OS{}, archived, c); err != nil || !slices.Equal(ops, frames[0]) {
+		t.Fatalf("archived WAL replayed as %+v, %v; want frame 1 alone", ops, err)
 	}
 }
 
@@ -229,16 +308,17 @@ func TestWALTornBatchIsAbsent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	at := func(x, y uint32) uint64 { return c.Index(geom.Point{x, y}) }
 	first := []BatchOp{
-		{Point: geom.Point{1, 1}, Payload: 11},
-		{Point: geom.Point{2, 2}, Payload: 22},
-		{Point: geom.Point{3, 3}, Payload: 33},
+		{Key: at(1, 1), Payload: 11},
+		{Key: at(2, 2), Payload: 22},
+		{Key: at(3, 3), Payload: 33},
 	}
 	second := []BatchOp{
-		{Point: geom.Point{4, 4}, Payload: 44},
-		{Point: geom.Point{1, 1}, Del: true},
-		{Point: geom.Point{2, 2}, Payload: 99},
-		{Point: geom.Point{5, 5}, Payload: 55},
+		{Key: at(4, 4), Payload: 44},
+		{Key: at(1, 1), Del: true},
+		{Key: at(2, 2), Payload: 99},
+		{Key: at(5, 5), Payload: 55},
 	}
 	for _, b := range [][]BatchOp{first, second} {
 		if err := e.PutBatch(b); err != nil {
@@ -261,7 +341,7 @@ func TestWALTornBatchIsAbsent(t *testing.T) {
 	frame := func(ops []BatchOp) int {
 		n := 8
 		for _, op := range ops {
-			n += walPayloadSize(2, op.Del)
+			n += keyOpSize(op.Del)
 		}
 		return n
 	}
@@ -290,7 +370,6 @@ func TestWALTornBatchIsAbsent(t *testing.T) {
 		}
 		return m
 	}
-	at := func(x, y uint32) uint64 { return c.Index(geom.Point{x, y}) }
 	firstOnly := map[uint64]uint64{at(1, 1): 11, at(2, 2): 22, at(3, 3): 33}
 	for cut := cutAt; cut < len(data); cut++ {
 		if got := state(cut); !maps.Equal(got, firstOnly) {
@@ -300,5 +379,82 @@ func TestWALTornBatchIsAbsent(t *testing.T) {
 	both := map[uint64]uint64{at(2, 2): 99, at(3, 3): 33, at(4, 4): 44, at(5, 5): 55}
 	if got := state(len(data)); !maps.Equal(got, both) {
 		t.Fatalf("whole log: recovered %v, want %v", got, both)
+	}
+}
+
+// TestDecodeBatchRejects: DecodeBatch reads bytes that may come off a
+// damaged disk or a peer, so it must never panic on them. An unknown tag,
+// an op cut short, a key outside the key space and a coordinate outside
+// the universe are each malformed: ErrWAL, and dst comes back unextended.
+func TestDecodeBatchRejects(t *testing.T) {
+	c, err := core.NewOnion2D(16) // 256 keys
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(tag byte, k uint64) []byte { return binary.LittleEndian.AppendUint64([]byte{tag}, k) }
+	coord := func(tag byte, x, y uint32) []byte {
+		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32([]byte{tag}, x), y)
+	}
+	pay := func(b []byte) []byte { return binary.LittleEndian.AppendUint64(b, 9) }
+	good := append(pay(key(walKeyPut, 255)), coord(walOpDel, 15, 15)...)
+	for _, tc := range []struct {
+		name string
+		b    []byte
+	}{
+		{"tag 0", []byte{0}},
+		{"tag 5", pay(key(5, 1))},
+		{"tag 0xff", slices.Concat(good, []byte{0xff})},
+		{"key put cut short", key(walKeyPut, 1)},
+		{"key delete cut short", key(walKeyDel, 1)[:8]},
+		{"coordinate put cut short", coord(walOpPut, 1, 1)},
+		{"coordinate delete cut short", coord(walOpDel, 1, 1)[:8]},
+		{"key at the key space's size", key(walKeyDel, 256)},
+		{"key 2^64-1", pay(key(walKeyPut, ^uint64(0)))},
+		{"x at the side", coord(walOpDel, 16, 0)},
+		{"y 2^32-1", pay(coord(walOpPut, 0, ^uint32(0)))},
+		{"good ops, then a bad one", slices.Concat(good, key(walKeyDel, 1<<40))},
+	} {
+		dst := []BatchOp{{Key: 7}}
+		got, err := DecodeBatch(dst, tc.b, c)
+		if !errors.Is(err, ErrWAL) || len(got) != 1 || got[0] != dst[0] {
+			t.Errorf("%s: decoded %+v, %v; want ErrWAL and dst unextended", tc.name, got, err)
+		}
+	}
+	got, err := DecodeBatch(nil, good, c)
+	want := []BatchOp{{Key: 255, Payload: 9}, {Key: c.Index(geom.Point{15, 15}), Del: true}}
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("good ops decoded as %+v, %v; want %+v", got, err, want)
+	}
+}
+
+// TestDecodeBatchAllocs pins what decoding costs past dst's growth: nothing
+// on a key-tagged batch, and one scratch point for a batch of
+// coordinate-tagged ops, however many it holds.
+func TestDecodeBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on allocation-free paths")
+	}
+	c, err := core.NewOnion2D(1 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := sampleOps(c, 110)
+	dst := make([]BatchOp, 0, len(ops))
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		max  float64
+	}{
+		{"key tags", EncodeBatch(nil, ops), 0},
+		{"coordinate tags", coordBatch(nil, ops, c), 1},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if dst, err = DecodeBatch(dst[:0], tc.b, c); err != nil || len(dst) != len(ops) {
+				t.Fatalf("%s: decoded %d ops, %v", tc.name, len(dst), err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("%s: %.1f allocations a batch, want at most %.0f", tc.name, allocs, tc.max)
+		}
 	}
 }

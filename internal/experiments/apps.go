@@ -181,6 +181,7 @@ func probeSeeks(s *pagedstore.Store, c curve.Curve, q geom.Rect) (seeksProbe, er
 	cur := s.AcquireCursor()
 	defer cur.Release()
 	var e pagedstore.Entry
+	pt := make(geom.Point, c.Universe().Dims())
 	cur.Plan(m.Ranges)
 	for cur.NextRange() {
 		for {
@@ -191,8 +192,9 @@ func probeSeeks(s *pagedstore.Store, c curve.Curve, q geom.Rect) (seeksProbe, er
 			if !ok {
 				break
 			}
-			if q.Contains(e.Point) {
-				p.budget = pagedstore.AppendRecord(p.budget, e.Point, e.Payload)
+			// The budget plan's ranges reach past q: keep what lies in it.
+			if pt = c.Coords(e.Key, pt); q.Contains(pt) {
+				p.budget = append(p.budget, pagedstore.Record{Point: pt.Clone(), Payload: e.Payload})
 			}
 		}
 	}

@@ -88,15 +88,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// op is one routed write in flight: the pre-computed curve key (routing
-// and coalescing identity), the cloned point, and the completion handle.
+// op is one routed write in flight: the engine op, keyed at enqueue (its
+// key is the write's identity for routing and coalescing), and the
+// completion handle.
 type op struct {
-	key uint64
-	pt  geom.Point
-	pay uint64
-	del bool
-	at  time.Time // enqueue time, for the ack-latency histogram
-	h   *Handle
+	engine.BatchOp
+	at time.Time // enqueue time, for the ack-latency histogram
+	h  *Handle
 }
 
 // Handle is the completion side of one enqueued op: Wait blocks until the
@@ -236,21 +234,19 @@ func (p *Pipeline) enqueue(ctx context.Context, pt geom.Point, payload uint64, d
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
-	if !p.c.Universe().Contains(pt) {
-		return nil, fmt.Errorf("%w: %v in %v", engine.ErrPoint, pt, p.c.Universe())
+	key, err := engine.KeyOf(p.c, pt)
+	if err != nil {
+		return nil, err
 	}
 	o := op{
-		key: p.c.Index(pt),
-		pt:  pt.Clone(), // the caller may reuse pt the moment we return
-		pay: payload,
-		del: del,
-		at:  time.Now(),
-		h:   &Handle{ch: make(chan error, 1)},
+		BatchOp: engine.BatchOp{Key: key, Payload: payload, Del: del},
+		at:      time.Now(),
+		h:       &Handle{ch: make(chan error, 1)},
 	}
 	if err := p.reserve(ctx, block); err != nil {
 		return nil, err
 	}
-	st := &p.stripes[p.target.StripeOf(o.key)]
+	st := &p.stripes[p.target.StripeOf(o.Key)]
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
@@ -356,9 +352,9 @@ func (p *Pipeline) runBatch(st int, batch []op, ops []engine.BatchOp) []engine.B
 	// future flush want them in.
 	slices.SortStableFunc(batch, func(a, b op) int {
 		switch {
-		case a.key < b.key:
+		case a.Key < b.Key:
 			return -1
-		case a.key > b.key:
+		case a.Key > b.Key:
 			return 1
 		}
 		return 0
@@ -366,11 +362,11 @@ func (p *Pipeline) runBatch(st int, batch []op, ops []engine.BatchOp) []engine.B
 	ops = ops[:0]
 	coalesced := 0
 	for i := range batch {
-		if i+1 < len(batch) && batch[i+1].key == batch[i].key {
+		if i+1 < len(batch) && batch[i+1].Key == batch[i].Key {
 			coalesced++ // superseded by a newer op on the same key
 			continue
 		}
-		ops = append(ops, engine.BatchOp{Point: batch[i].pt, Payload: batch[i].pay, Del: batch[i].del})
+		ops = append(ops, batch[i].BatchOp)
 	}
 	err := p.target.ApplyBatch(st, ops)
 	if err != nil {
@@ -380,7 +376,7 @@ func (p *Pipeline) runBatch(st int, batch []op, ops []engine.BatchOp) []engine.B
 	for i := range batch {
 		batch[i].h.ch <- err
 		p.tel.ackLatencyUS.Record(uint64(now.Sub(batch[i].at).Microseconds()))
-		batch[i] = op{} // release the point and handle
+		batch[i] = op{} // release the handle
 	}
 	p.release(len(batch))
 	tel := p.tel

@@ -10,6 +10,7 @@ import (
 
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/curve"
+	"github.com/onioncurve/onion/internal/curvetest"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/pagedstore"
@@ -508,5 +509,41 @@ func TestIngestBackpressureWakeup(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIngestOpKeysOnce: an ingest op is keyed once, at enqueue; its stripe,
+// its coalescing and the engine's batch all use that key. One acknowledged
+// put or delete makes one Index call and no Coords call.
+func TestIngestOpKeysOnce(t *testing.T) {
+	o, err := core.NewOnion2D(igSide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &curvetest.Counting{PlannedCurve: o}
+	e, err := engine.Open(t.TempDir(), c, igOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close() //nolint:errcheck
+	p, err := NewEngine(e, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close() //nolint:errcheck
+	ctx := context.Background()
+	for i, op := range igWorkload(30) {
+		c.Reset()
+		if op.del {
+			err = p.Delete(ctx, op.pt)
+		} else {
+			err = p.Put(ctx, op.pt, op.pay)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, k := c.IndexKeys.Load(), c.CoordsKeys.Load(); n != 1 || k != 0 {
+			t.Fatalf("op %d: curve evaluated at %d points and %d keys, want 1 and 0", i, n, k)
+		}
 	}
 }

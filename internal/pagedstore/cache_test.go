@@ -23,6 +23,7 @@ func runCursorQuery(t *testing.T, s *Store, r geom.Rect) ([]Record, Stats, IOSta
 	cur := s.AcquireCursor()
 	defer cur.Release()
 	var out []Record
+	var recs KeyedRecords
 	var e Entry
 	cur.Plan(krs)
 	for cur.NextRange() {
@@ -35,10 +36,11 @@ func runCursorQuery(t *testing.T, s *Store, r geom.Rect) ([]Record, Stats, IOSta
 				break
 			}
 			if !e.Marked {
-				out = AppendRecord(out, e.Point, e.Payload)
+				out = recs.Append(out, e.Key, e.Payload)
 			}
 		}
 	}
+	recs.Fill(s.c, out)
 	st := cur.Stats()
 	st.Results = len(out)
 	return out, st, cur.IO()

@@ -23,7 +23,7 @@ func writeMarked(t testing.TB, path string, c curve.Curve, recs []Record, marks 
 	t.Helper()
 	ents := make([]Entry, len(recs))
 	for i, r := range recs {
-		ents[i] = Entry{Key: c.Index(r.Point), Point: r.Point, Payload: r.Payload, Marked: marks[i]}
+		ents[i] = Entry{Key: c.Index(r.Point), Payload: r.Payload, Marked: marks[i]}
 	}
 	sort.SliceStable(ents, func(a, b int) bool { return ents[a].Key < ents[b].Key })
 	if err := WriteEntries(vfs.OS{}, path, c, ents, pageBytes); err != nil {

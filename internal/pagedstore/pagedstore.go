@@ -3,12 +3,12 @@
 // realization of the paper's motivating scenario, where the clustering
 // number of a query is the number of real file seeks its execution pays.
 //
-// One stored version is an Entry: its curve key, its point, an opaque
-// payload and a mark bit. The curve is a bijection between cells and keys,
-// so a file stores only the key, the payload and the mark: a stored
-// entry's point is Coords(Key), rebuilt when the entry is read. Marks are
-// opaque to this package; the LSM storage engine (internal/engine) uses
-// them as tombstones in its immutable segments, and holds the same Entry
+// One stored version is an Entry: its curve key, an opaque payload and a
+// mark bit. The curve is a bijection between cells and keys, so the key is
+// the point's whole identity: files, cursors and the engine's merges move
+// keys only, and a record's point is Coords(Key), rebuilt once when the
+// record leaves a query (KeyedRecords). Marks are opaque to this package;
+// the LSM storage engine (internal/engine) uses them as tombstones in its immutable segments, and holds the same Entry
 // in its memtable iterators, merge heads and flush runs, so a run goes
 // from memory to the file and back without changing shape.
 //
@@ -47,13 +47,6 @@
 // 32 bits, version 6 also carried a Bloom filter over all keys, version 5
 // stored each key in 8 bytes, version 4 the coordinates beside it), and
 // Open rejects them.
-//
-// Two aliasing rules keep entries cheap to move. WriteEntries only reads
-// its input, and never its points: an Entry.Point may be nil or alias
-// memory the caller still owns (a flushed entry's point is the memtable
-// node's). Cursor.NextInto decodes into the caller's Entry, whose Point is
-// then a view into the cursor's scratch: it is valid until the cursor's
-// next NextInto call, and a caller that retains it must clone it.
 //
 // Logical vs physical accounting. Stats counts the LOGICAL access
 // pattern: the seeks and pages the query plan pays on a bare store — the
@@ -101,8 +94,7 @@ const (
 	version = uint32(8)
 	// recordSize is the most on-disk bytes one record takes: its payload
 	// and a key offset of at most maxWidth bits. A page must hold at least
-	// that, so any one record fits it. The point is not stored; it is
-	// Coords(key).
+	// that, so any one record fits it.
 	recordSize = 8 + maxWidth/8
 	// maxWidth bounds the key width of a page: each of its keys lies less
 	// than 2^maxWidth past the page's first key.
@@ -132,12 +124,9 @@ type Record struct {
 // Entry is one stored version: the tuple a store file holds per record and
 // the one shape it travels in between the engine's memtable and the file.
 // Key is the point's curve key — the writer trusts it, it does not
-// re-evaluate the curve. The file does not hold Point: a stored entry's
-// point is Coords(Key), so the writer ignores it and a reader rebuilds it.
-// Marked is opaque here (the engine's tombstone).
+// re-evaluate the curve. Marked is opaque here (the engine's tombstone).
 type Entry struct {
 	Key     uint64
-	Point   geom.Point
 	Payload uint64
 	Marked  bool
 }
@@ -187,20 +176,47 @@ func (s *IOStats) Add(b IOStats) {
 	s.ReadCalls += b.ReadCalls
 }
 
-// AppendRecord appends one record to dst, reusing the Point buffer
-// already sitting in the slot it lands in when dst has spare capacity.
-// It is the allocation-free building block of the QueryAppend-style
-// APIs: recycling the same dst across queries reaches a steady state
-// where no append allocates.
-func AppendRecord(dst []Record, pt geom.Point, payload uint64) []Record {
+// KeyedRecords is the read edge, where keys become points again: a query
+// appends each record it returns by key and payload (Append), and Fill
+// then writes all their points into the records' own Point buffers with
+// one batch inverse of the curve — once per returned record, never for a
+// shadowed version or a tombstone. Reused across queries with the same
+// dst, it allocates nothing in the steady state.
+type KeyedRecords struct {
+	keys []uint64     // keys of the records appended since the last Fill
+	pts  []geom.Point // Fill's scratch: views of those records' Points
+}
+
+// Append appends a record of payload to dst and notes key as its key;
+// its Point is set by the next Fill. A slot dst already has capacity for
+// keeps its Point buffer for Fill to overwrite.
+func (k *KeyedRecords) Append(dst []Record, key, payload uint64) []Record {
+	k.keys = append(k.keys, key)
 	if len(dst) < cap(dst) {
 		dst = dst[:len(dst)+1]
-		r := &dst[len(dst)-1]
-		r.Point = append(r.Point[:0], pt...)
-		r.Payload = payload
+		dst[len(dst)-1].Payload = payload
 		return dst
 	}
-	return append(dst, Record{Point: pt.Clone(), Payload: payload})
+	return append(dst, Record{Payload: payload})
+}
+
+// Fill sets the Point of every record appended since the last Fill — the
+// last ones of dst — to the cell of its key, with one curve.CoordsBatch,
+// and forgets the keys. A Point buffer too short for the universe's
+// dimensions is replaced; the others are overwritten in place.
+func (k *KeyedRecords) Fill(c curve.Curve, dst []Record) {
+	recs := dst[len(dst)-len(k.keys):]
+	dims := c.Universe().Dims()
+	k.pts = k.pts[:0]
+	for _, r := range recs {
+		k.pts = append(k.pts, r.Point[:min(cap(r.Point), dims)]) // CoordsBatch replaces a short one
+	}
+	curve.CoordsBatch(c, k.keys, k.pts)
+	for i := range recs {
+		recs[i].Point = k.pts[i]
+	}
+	clear(k.pts) // hold no reference to the caller's records
+	k.keys = k.keys[:0]
 }
 
 // Write bulk-loads records into path, clustered by c. Records may be in
@@ -225,11 +241,10 @@ func Write(path string, c curve.Curve, recs []Record, pageBytes int) error {
 // and syncs the file. ents must be in non-decreasing key order with every
 // key inside the curve's key space; that is checked before the file is
 // created, so bad input is an error that leaves nothing at path. Only
-// keys, payloads and marks are written: a stored entry's point is
-// Coords(Key), so Entry.Point is never read and may be nil. The marks
-// travel in a bitmap after the pages and come back in Entry.Marked; the
-// footer carries per-page max-key fences so a visit to a page that ends
-// before its range is skipped — physically, never logically — without
+// keys, payloads and marks are written. The marks travel in a bitmap
+// after the pages and come back in Entry.Marked; the footer carries
+// per-page max-key fences so a visit to a page that ends before its range
+// is skipped — physically, never logically — without
 // touching disk, and the integrity checksums make every byte of the file
 // tamper-evident.
 func WriteEntries(fsys vfs.FS, path string, c curve.Curve, ents []Entry, pageBytes int) error {
@@ -382,14 +397,12 @@ func keyOffset(page []byte, i int, w uint) uint64 {
 type Store struct {
 	f         vfs.File
 	c         curve.Curve
-	dims      int
 	pageBytes int
 	count     uint64
 	firstKeys []uint64 // first key of each page: the base of its key offsets
 	counts    []uint32 // records of each page, at least 1
 	widths    []uint8  // key width of each page, at most maxWidth
 	before    []int    // records before each page: the first mark bit of the page
-	maxCount  int      // the largest page count: the size of a cursor's scratch
 	dataOff   int64
 	marks     []byte // one bit per record: record i of page p owns bit before[p]+i
 	anyMarked bool
@@ -480,7 +493,6 @@ func load(f vfs.File, c curve.Curve) (*Store, error) {
 	s := &Store{
 		f:         f,
 		c:         c,
-		dims:      dims,
 		pageBytes: pageBytes,
 		count:     count,
 		firstKeys: make([]uint64, pageCount),
@@ -505,7 +517,6 @@ func load(f vfs.File, c curve.Curve) (*Store, error) {
 			return nil, fmt.Errorf("%w: page %d: %d records of %d-bit keys overflow a %d-byte page", ErrCorrupt, p, n, w, pageBytes)
 		}
 		s.before[p] = int(total)
-		s.maxCount = max(s.maxCount, n)
 		total += uint64(n)
 	}
 	if total != count {
@@ -545,8 +556,8 @@ func load(f vfs.File, c curve.Curve) (*Store, error) {
 		return nil, fmt.Errorf("%w: metadata checksum mismatch", ErrCorrupt)
 	}
 	// A verified page's keys lie within its fence (checkPage), so a fence
-	// inside the key space keeps every key Salvage decodes a valid input
-	// to the curve's inverse. A cursor decodes only keys of its range.
+	// inside the key space keeps every key a cursor or Salvage decodes a
+	// key of the curve.
 	size := c.Universe().Size()
 	for p := range s.pageMax {
 		s.pageMax[p] = binary.LittleEndian.Uint64(body[8*p:])
@@ -605,9 +616,9 @@ func (s *Store) Query(r geom.Rect) ([]Record, Stats, error) {
 }
 
 // QueryAppend is Query appending into dst: recycling the same dst across
-// queries reuses both the record slots and their Point buffers, so a
-// steady-state caller allocates nothing per query. Stats.Results counts
-// only the records this call appended.
+// queries reuses both the record slots and their Point buffers. The
+// points are rebuilt from the keys once the scan is done (KeyedRecords).
+// Stats.Results counts only the records this call appended.
 func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) {
 	krs, err := ranges.Decompose(s.c, r, 0)
 	if err != nil {
@@ -617,6 +628,7 @@ func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) 
 	cur := s.AcquireCursor()
 	defer cur.Release()
 	var e Entry
+	var out KeyedRecords
 	cur.Plan(krs)
 	for cur.NextRange() {
 		for {
@@ -628,10 +640,11 @@ func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) 
 				break
 			}
 			if !e.Marked {
-				dst = AppendRecord(dst, e.Point, e.Payload)
+				dst = out.Append(dst, e.Key, e.Payload)
 			}
 		}
 	}
+	out.Fill(s.c, dst)
 	st := cur.Stats()
 	st.Results = len(dst) - base
 	return dst, st, nil
@@ -681,11 +694,11 @@ type Cursor struct {
 
 	// state of the current range
 	lo, hi uint64
-	p      int // current page
-	i      int // next record within the page
-	end    int // records [i, end) of the current page are in the range, their points in pts
-	n      int // records resident in the current page; 0 = no page of the range visited yet
-	pay    int // offset of the current page's payload column
+	p      int  // current page
+	i      int  // next record within the page
+	n      int  // records resident in the current page; 0 = no page of the range visited yet
+	w      uint // key width of the current page
+	pay    int  // offset of the current page's payload column
 	active bool
 
 	// The last physical read: pages [runLo, runLo+runN) of the file in
@@ -698,13 +711,6 @@ type Cursor struct {
 	runAdmit    uint32
 	held        []byte
 	heldPage    int
-
-	// Per-record scratch of the current page, lazily allocated for the
-	// store's fullest page and kept across pooled reuses: the keys of the
-	// in-range run and the points rebuilt from them, each a view into one
-	// flat buffer.
-	keys []uint64
-	pts  []geom.Point
 }
 
 // runPages caps the pages one physical read fetches: 32 pages, 128 KiB of
@@ -790,7 +796,7 @@ func (c *Cursor) NextRange() bool {
 	kr := c.plan[c.k]
 	c.lo, c.hi = kr.Lo, kr.Hi
 	c.p = c.sched[c.k]
-	c.i, c.end, c.n = 0, 0, 0
+	c.i, c.n = 0, 0
 	c.active = true
 	return true
 }
@@ -830,9 +836,6 @@ func (s *Store) firstPage(from int, lo uint64) int {
 	}
 	return a
 }
-
-// residentCount returns the number of records stored in page p.
-func (s *Store) residentCount(p int) int { return int(s.counts[p]) }
 
 // fetch materializes the bytes of page p of the current range into
 // c.data: from the last run read, from the resident page that run stopped
@@ -947,41 +950,36 @@ func (c *Cursor) useRun(j int) error {
 }
 
 // NextInto decodes the next entry of the current range, in key order, into
-// e — key, payload, mark, and the point rebuilt from the key — and
-// reports whether there was one; ok == false means the range is
-// exhausted. Errors report unreadable pages. e.Point is a view into the
-// cursor's scratch, which is what keeps the storage engine's merge loop
-// allocation-free and copy-free: it is valid until the cursor's next
-// NextInto call or its Release, and a caller that retains it must clone
-// it.
+// e — key, payload and mark — and reports whether there was one; ok ==
+// false means the range is exhausted. Errors report unreadable pages.
 //
 // A page visit is a search, not a scan: a materialized page is entered at
 // the lower bound of lo and left at the first key past hi, so the only
-// keys unpacked are those of the records the range yields, and their
-// points are rebuilt from their keys in one batch per visit. A visit its
-// page's fence prunes, and a materialized page that turns out to hold no
-// key of the range, decode nothing.
+// keys unpacked are those of the records the range yields, and that one
+// key past it. A visit its page's fence prunes, and a materialized page
+// that turns out to hold no key of the range, decode nothing.
 func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 	if !c.active {
 		return false, nil
 	}
 	s := c.s
 	for {
-		if c.i < c.end {
-			e.Key = c.keys[c.i]
-			e.Payload = binary.LittleEndian.Uint64(c.data[c.pay+8*c.i:])
-			e.Marked = s.marked(c.p, c.i)
-			e.Point = c.pts[c.i]
-			c.i++
-			c.st.RecordsScanned++
-			c.st.Results++
-			return true, nil
+		if c.i < c.n {
+			if key := s.firstKeys[c.p] + keyOffset(c.data, c.i, c.w); key <= c.hi {
+				e.Key = key
+				e.Payload = binary.LittleEndian.Uint64(c.data[c.pay+8*c.i:])
+				e.Marked = s.marked(c.p, c.i)
+				c.i++
+				c.st.RecordsScanned++
+				c.st.Results++
+				return true, nil
+			}
+			// A key past hi ended the page's in-range records — and the
+			// range: keys are sorted, so the next page starts at or after
+			// that key, which the advance below finds out from the page
+			// index.
+			c.i = c.n
 		}
-		// The page's in-range records are done. If they stopped short of the
-		// page's end, a key past hi ended them — and the range: keys are
-		// sorted, so the next page starts at or after that key, which the
-		// advance below finds out from the page index.
-		//
 		// Advance to the next page of the range. c.n > 0 means a page of
 		// this range has been consumed and c.p must move past it; right
 		// after NextRange (c.n == 0) c.p already names the first candidate
@@ -1002,13 +1000,13 @@ func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 			c.st.PagesRead++
 			c.lastPage = c.p
 		}
-		c.n = s.residentCount(c.p)
+		c.n = int(s.counts[c.p])
 		// Physical fetch only when the page can hold a key of the range:
 		// the max fence prunes a leading page that ends before lo. A
 		// pruned visit yields nothing and leaves the previously fetched
 		// page in place — a later range may still share it.
 		if s.pageMax[c.p] < c.lo {
-			c.i, c.end = c.n, c.n
+			c.i = c.n
 			continue
 		}
 		if err := c.fetch(c.p); err != nil {
@@ -1017,41 +1015,13 @@ func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 		}
 		// Enter the page at the first key >= lo. A page the range runs
 		// into from its predecessor starts inside the range: record 0.
-		w := uint(s.widths[c.p])
-		c.pay = keyBytes(c.n, int(w))
+		c.w = uint(s.widths[c.p])
+		c.pay = keyBytes(c.n, int(c.w))
 		c.i = 0
 		if c.lo > s.firstKeys[c.p] {
-			c.i = lowerBound(c.data, c.n, w, c.lo, s.firstKeys[c.p], s.pageMax[c.p])
-		}
-		c.decodeRun(w)
-	}
-}
-
-// decodeRun finds the in-range run of the materialized page, whose key
-// offsets are w bits wide — the records from c.i up to the first key past
-// c.hi — adding the page's first key back to each offset, and rebuilds
-// the points of its keys with one batch inverse of the curve into c.pts.
-func (c *Cursor) decodeRun(w uint) {
-	s := c.s
-	if c.pts == nil {
-		c.keys = make([]uint64, s.maxCount)
-		c.pts = make([]geom.Point, s.maxCount)
-		flat := make([]uint32, s.maxCount*s.dims)
-		for k := range c.pts {
-			c.pts[k] = flat[k*s.dims : (k+1)*s.dims : (k+1)*s.dims]
+			c.i = lowerBound(c.data, c.n, c.w, c.lo, s.firstKeys[c.p], s.pageMax[c.p])
 		}
 	}
-	first := s.firstKeys[c.p]
-	end := c.i
-	for ; end < c.n; end++ {
-		key := first + keyOffset(c.data, end, w)
-		if key > c.hi {
-			break
-		}
-		c.keys[end] = key
-	}
-	curve.CoordsBatch(s.c, c.keys[c.i:end], c.pts[c.i:end])
-	c.end = end
 }
 
 // marked reports the mark bit of record i of page p.
@@ -1060,14 +1030,14 @@ func (s *Store) marked(p, i int) bool {
 	return s.anyMarked && s.marks[j/8]&(1<<(j%8)) != 0
 }
 
-// decodeSlot fills e from record i of the materialized page p, its point
-// rebuilt with a per-key inverse of the curve into e.Point's capacity.
-func (s *Store) decodeSlot(page []byte, p, i int, e *Entry) {
+// decodeSlot returns record i of the materialized page p.
+func (s *Store) decodeSlot(page []byte, p, i int) Entry {
 	n, w := int(s.counts[p]), int(s.widths[p])
-	e.Key = s.firstKeys[p] + keyOffset(page, i, uint(w))
-	e.Payload = binary.LittleEndian.Uint64(page[keyBytes(n, w)+8*i:])
-	e.Marked = s.marked(p, i)
-	e.Point = s.c.Coords(e.Key, e.Point)
+	return Entry{
+		Key:     s.firstKeys[p] + keyOffset(page, i, uint(w)),
+		Payload: binary.LittleEndian.Uint64(page[keyBytes(n, w)+8*i:]),
+		Marked:  s.marked(p, i),
+	}
 }
 
 // lowerBound returns the first of the n key-sorted records of page, whose
@@ -1156,7 +1126,7 @@ func (s *Store) VerifyPages() error {
 		if s.firstKeys[p] < prev {
 			return fmt.Errorf("%w: page %d: keys out of order", ErrCorrupt, p)
 		}
-		prev = s.firstKeys[p] + keyOffset(buf, s.residentCount(p)-1, uint(s.widths[p]))
+		prev = s.firstKeys[p] + keyOffset(buf, int(s.counts[p])-1, uint(s.widths[p]))
 	}
 	return nil
 }
@@ -1195,7 +1165,7 @@ func (s *Store) checkPage(p int, buf []byte) error {
 		return fmt.Errorf("%w: page %d: first record is not the page's first key", ErrCorrupt, p)
 	}
 	prev := s.firstKeys[p]
-	for i := 0; i < s.residentCount(p); i++ {
+	for i := 0; i < int(s.counts[p]); i++ {
 		key := s.firstKeys[p] + keyOffset(buf, i, w)
 		if key < prev {
 			return fmt.Errorf("%w: page %d: keys out of order", ErrCorrupt, p)
@@ -1220,8 +1190,8 @@ type Salvage struct {
 	MetaOK bool
 	// Pages and BadPages count the data pages examined and failed.
 	Pages, BadPages int
-	// Entries holds the entries of every clean page in key order, each
-	// with a point of its own — ready for WriteEntries.
+	// Entries holds the entries of every clean page in key order — ready
+	// for WriteEntries.
 	Entries []Entry
 	// Damaged is the sorted, disjoint set of inclusive key intervals
 	// whose records may be lost — the bounds of every failed page, with
@@ -1264,10 +1234,8 @@ func SalvageFS(fsys vfs.FS, path string, c curve.Curve) (Salvage, error) {
 			}
 			continue
 		}
-		for i := 0; i < s.residentCount(p); i++ {
-			var e Entry
-			s.decodeSlot(buf, p, i, &e)
-			sv.Entries = append(sv.Entries, e)
+		for i := 0; i < int(s.counts[p]); i++ {
+			sv.Entries = append(sv.Entries, s.decodeSlot(buf, p, i))
 		}
 	}
 	return sv, nil

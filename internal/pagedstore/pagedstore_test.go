@@ -15,6 +15,7 @@ import (
 	"github.com/onioncurve/onion/internal/cluster"
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/curve"
+	"github.com/onioncurve/onion/internal/curvetest"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
 	"github.com/onioncurve/onion/internal/workload"
@@ -420,15 +421,14 @@ func TestEstimateSeeks(t *testing.T) {
 // TestWriteEntriesRejectsBadInput: WriteEntries trusts its caller for the
 // keys' values but not for their shape. A run that steps back and a key
 // outside the curve's key space are each an error, found before the file
-// is created: nothing is at path. Points are not checked: they are not
-// written.
+// is created: nothing is at path.
 func TestWriteEntriesRejectsBadInput(t *testing.T) {
 	o, _ := core.NewOnion2D(16)
 	good := func() []Entry {
 		return []Entry{
-			{Key: 3, Point: geom.Point{1, 1}, Payload: 1},
-			{Key: 3, Point: geom.Point{1, 1}, Payload: 2}, // equal keys are in order
-			{Key: 9, Point: geom.Point{2, 2}, Payload: 3, Marked: true},
+			{Key: 3, Payload: 1},
+			{Key: 3, Payload: 2}, // equal keys are in order
+			{Key: 9, Payload: 3, Marked: true},
 		}
 	}
 	path := tmpPath(t)
@@ -454,11 +454,10 @@ func TestWriteEntriesRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestNilPointsRoundTrip: a stored entry's point is Coords(Key), so a
-// writer handed entries without points — as compaction hands it — loses
-// nothing: the cursor and Salvage both read back the curve's cell of
-// every key.
-func TestNilPointsRoundTrip(t *testing.T) {
+// TestKeysRoundTrip: an entry is its key, payload and mark, so the cursor
+// and Salvage both read back exactly the entries written, every key of
+// the key space at a stride of 3 among them.
+func TestKeysRoundTrip(t *testing.T) {
 	o, _ := core.NewOnion2D(16)
 	var ents []Entry
 	for k := uint64(0); k < o.Universe().Size(); k += 3 {
@@ -470,10 +469,8 @@ func TestNilPointsRoundTrip(t *testing.T) {
 	}
 	check := func(how string, i int, e Entry) {
 		t.Helper()
-		want := ents[i]
-		if e.Key != want.Key || e.Payload != want.Payload || e.Marked != want.Marked ||
-			!e.Point.Equal(o.Coords(want.Key, nil)) {
-			t.Fatalf("%s entry %d = %+v, want key %d at %v", how, i, e, want.Key, o.Coords(want.Key, nil))
+		if e != ents[i] {
+			t.Fatalf("%s entry %d = %+v, want %+v", how, i, e, ents[i])
 		}
 	}
 	s, err := Open(path, o)
@@ -594,5 +591,37 @@ func TestV8GoldenBytes(t *testing.T) {
 		if sum := fmt.Sprintf("%x", sha256.Sum256(tc.got)); len(tc.got) != tc.length || sum != tc.sum {
 			t.Errorf("%s: %d bytes, sha256 %s; want %d bytes, %s", tc.name, len(tc.got), sum, tc.length, tc.sum)
 		}
+	}
+}
+
+// TestQueryMapsBackOnlyResults: a store query reads keys and maps back to
+// points only the records it returns, in one batch — not the marked
+// records it scans past.
+func TestQueryMapsBackOnlyResults(t *testing.T) {
+	o, _ := core.NewOnion2D(32)
+	c := &curvetest.Counting{PlannedCurve: o}
+	var recs []Record
+	var marks []bool
+	for i := 0; i < 400; i++ {
+		recs = append(recs, Record{Point: geom.Point{uint32(i*7) % 32, uint32(i*3) % 32}, Payload: uint64(i)})
+		marks = append(marks, i%3 == 0)
+	}
+	path := tmpPath(t)
+	writeMarked(t, path, c, recs, marks, 256)
+	s, err := Open(path, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c.Reset()
+	got, st, err := s.Query(geom.Rect{Lo: geom.Point{3, 2}, Hi: geom.Point{25, 29}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || st.RecordsScanned <= st.Results || st.Results != len(got) {
+		t.Fatalf("%d records, stats %+v: want some returned and some marked ones scanned", len(got), st)
+	}
+	if n, k := c.IndexKeys.Load(), c.CoordsKeys.Load(); n != 0 || k != int64(len(got)) {
+		t.Fatalf("query evaluated the curve at %d points and %d keys, want 0 and %d", n, k, len(got))
 	}
 }

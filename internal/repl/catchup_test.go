@@ -79,7 +79,15 @@ func TestReplSeedsDoNotArchive(t *testing.T) {
 		// several times, and f2 comes back through a seed.
 		cl.tr.Partition("f2")
 		seeds := f2.Status().Seeds
-		putRange(t, e, 10+40*round, 50+40*round)
+		// A flush every 8 puts, as FlushEntries asks of the background
+		// flusher: under load it coalesces them, and the count below must
+		// not rest on its pace.
+		for from := 10 + 40*round; from < 50+40*round; from += 8 {
+			putRange(t, e, from, from+8)
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		cl.tr.Heal()
 		converge(t, cl.g, f2)
 		if st := f2.Status(); st.Seeds <= seeds {

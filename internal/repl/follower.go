@@ -3,6 +3,7 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/onioncurve/onion/internal/curve"
@@ -31,7 +32,8 @@ type Follower struct {
 	eng     *engine.Engine
 	log     *replLog
 	st      nodeState
-	applied uint64 // in-memory apply watermark; >= st.applied, persisted lazily
+	applied uint64           // in-memory apply watermark; >= st.applied, persisted lazily
+	ops     []engine.BatchOp // applyCommitted's decode scratch, kept across applies
 	// mustSeed latches when the durable state says this node was a
 	// leader — its engine holds writes no quorum may have acknowledged,
 	// and an LSM cannot truncate — or sits beside a log in the retired
@@ -293,10 +295,11 @@ func (f *Follower) applyCommitted(upTo uint64) error {
 		return nil
 	}
 	es := f.log.slice(f.applied, upTo)
-	ops := make([]engine.BatchOp, 0, len(es)) // exact when every batch is one op
+	ops := slices.Grow(f.ops[:0], f.log.countOps(es))
+	f.ops = ops
 	for _, e := range es {
 		var err error
-		if ops, err = engine.DecodeBatch(ops, e.Batch, f.log.dims); err != nil {
+		if ops, err = engine.DecodeBatch(ops, e.Batch, f.c); err != nil {
 			return fmt.Errorf("repl: follower %s: entry %d: %w", f.id, e.Index, err)
 		}
 	}

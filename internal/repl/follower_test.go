@@ -2,10 +2,13 @@ package repl
 
 import (
 	"fmt"
+	"maps"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"github.com/onioncurve/onion/internal/core"
+	"github.com/onioncurve/onion/internal/curvetest"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/vfs"
 )
@@ -47,7 +50,7 @@ func seedFaultRun(t *testing.T, fault vfs.Fault) (matched int64, failed, latched
 	put := func(from, to int) {
 		var ops []engine.BatchOp
 		for i := from; i < to; i++ {
-			ops = append(ops, engine.BatchOp{Point: rtPoint(i), Payload: uint64(100 + i)})
+			ops = append(ops, engine.BatchOp{Key: rtKey(i), Payload: uint64(100 + i)})
 		}
 		if err := e.PutBatch(ops); err != nil {
 			t.Fatal(err)
@@ -290,5 +293,60 @@ func TestFollowerSnapshotStopsAtItsBoundary(t *testing.T) {
 	}
 	if archivedWALs(t, f1.dir) == 0 {
 		t.Fatal("the promoted leader archived no WAL after a user snapshot")
+	}
+}
+
+// TestFollowerAppliesKeysWithoutCurve: a follower applies key-tagged
+// entries as they are. Holding them, applying them and reopening over its
+// engine's log evaluate the curve zero times, and the engine ends up with
+// the leader's records.
+func TestFollowerAppliesKeysWithoutCurve(t *testing.T) {
+	o, err := core.NewOnion2D(rtSide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &curvetest.Counting{PlannedCurve: o}
+	dir := filepath.Join(t.TempDir(), "f1")
+	f, err := OpenFollower("f1", dir, c, FollowerOptions{Engine: rtEngOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[uint64]uint64)
+	var es []Entry
+	for i := uint64(1); i <= 4; i++ {
+		var ops []engine.BatchOp
+		for k := range 3 {
+			n := int(3*i) + k
+			ops = append(ops, engine.BatchOp{Key: rtKey(n), Payload: uint64(n)})
+			want[rtKey(n)] = uint64(n)
+		}
+		es = append(es, Entry{Index: i, Epoch: 1, Batch: engine.EncodeBatch(nil, ops)})
+	}
+	c.Reset()
+	if resp, err := f.HandleAppend(AppendRequest{Epoch: 1, LeaderID: "leader", Entries: es[:2]}); err != nil || !resp.Ok {
+		t.Fatalf("append: %+v, %v", resp, err)
+	}
+	if resp, err := f.HandleAppend(AppendRequest{Epoch: 1, LeaderID: "leader", PrevIndex: 2, PrevEpoch: 1, Entries: es[2:]}); err != nil || !resp.Ok || resp.Ack != 4 {
+		t.Fatalf("append: %+v, %v", resp, err)
+	}
+	// The bare watermark push applies the committed entries.
+	if resp, err := f.HandleAppend(AppendRequest{Epoch: 1, LeaderID: "leader", PrevIndex: 4, PrevEpoch: 1, Commit: 4}); err != nil || !resp.Ok {
+		t.Fatalf("watermark push: %+v, %v", resp, err)
+	}
+	if f.Status().Applied != 4 {
+		t.Fatalf("status %+v, want all four entries applied", f.Status())
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = OpenFollower("f1", dir, c, FollowerOptions{Engine: rtEngOpts()}); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck
+	if n, k := c.IndexKeys.Load(), c.CoordsKeys.Load(); n != 0 || k != 0 {
+		t.Fatalf("follower evaluated the curve at %d points and %d keys, want none", n, k)
+	}
+	if got := stateOf(t, c, f.Engine()); !maps.Equal(got, want) {
+		t.Fatalf("applied %v, want %v", got, want)
 	}
 }

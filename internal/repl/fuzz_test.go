@@ -2,10 +2,13 @@ package repl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"github.com/onioncurve/onion/internal/core"
+	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
@@ -18,7 +21,8 @@ import (
 //   - recovery never errors and never panics, whatever the damage;
 //   - recovered indices are strictly increasing with sane payloads:
 //     each decodes to the batch of one to four ops it was written as,
-//     and the log counts the ops they hold;
+//     whether it was written with key tags or with the coordinate tags
+//     older logs hold, and the log counts the ops they hold;
 //   - recovery is idempotent — reopening the recovered file yields the
 //     same entries;
 //   - the recovered log accepts appends, and they survive a reopen;
@@ -28,6 +32,14 @@ func FuzzReplLog(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(0), false)
 	f.Add([]byte{0xff, 0x00, 0x10, 0x20, 0x30, 0x40}, uint16(17), true)
 	f.Add([]byte{}, uint16(5), false)
+	// Mixed logs: coordinate-tagged entries (bit 0x80 of the third byte)
+	// between key-tagged ones, intact and then with a flipped byte.
+	f.Add([]byte{1, 2, 0x83, 4, 5, 0x02, 7, 8, 0x81, 9, 10, 0x00}, uint16(500), false)
+	f.Add([]byte{3, 0x11, 0x01, 6, 0x22, 0x82, 9, 0x33, 0x03}, uint16(60), true)
+	c, err := core.NewOnion2D(2048)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16, flip bool) {
 		dir := t.TempDir()
 		l, err := openReplLog(vfs.OS{}, dir, 2)
@@ -45,12 +57,15 @@ func FuzzReplLog(f *testing.F) {
 			ops := make([]engine.BatchOp, 1+data[i+2]%4)
 			for k := range ops {
 				v := uint32(data[i+k%3]) + uint32(k)
-				ops[k] = engine.BatchOp{Point: geom.Point{v, v * 7}, Payload: uint64(v) << 32, Del: data[i+1]>>k&1 == 1}
+				ops[k] = engine.BatchOp{Key: c.Index(geom.Point{v, v * 7}), Payload: uint64(v) << 32, Del: data[i+1]>>k&1 == 1}
 			}
 			e := Entry{
 				Index: idx,
 				Epoch: uint64(data[i+1]%4) + 1,
-				Batch: engine.EncodeBatch(nil, ops, 2),
+				Batch: engine.EncodeBatch(nil, ops),
+			}
+			if data[i+2]&0x80 != 0 {
+				e.Batch = coordBatch(ops, c)
 			}
 			if err := l.append([]Entry{e}); err != nil {
 				t.Fatal(err)
@@ -91,7 +106,7 @@ func FuzzReplLog(f *testing.F) {
 			if len(e.Batch) <= 0 || len(e.Batch) > 1<<20 {
 				t.Fatalf("recovered entry %d has payload length %d", e.Index, len(e.Batch))
 			}
-			ops, err := engine.DecodeBatch(nil, e.Batch, 2)
+			ops, err := engine.DecodeBatch(nil, e.Batch, c)
 			if n := engine.BatchLen(e.Batch, 2); err != nil || n != len(ops) || n < 1 || n > 4 {
 				t.Fatalf("recovered entry %d: %d ops decoded of %d counted (%v)", e.Index, len(ops), n, err)
 			}
@@ -147,4 +162,26 @@ func FuzzReplLog(f *testing.F) {
 			t.Fatal("post-recovery append lost on reopen")
 		}
 	})
+}
+
+// coordBatch is the encoding of ops the store wrote before an op carried
+// its key: per op a coordinate tag (1 a put, 2 a delete), the coordinates
+// of its key's cell under c, and for puts the payload. Nothing writes it
+// any more; the tests write it to check that such logs still replay.
+func coordBatch(ops []engine.BatchOp, c curve.Curve) []byte {
+	var b []byte
+	for _, op := range ops {
+		tag := byte(1)
+		if op.Del {
+			tag = 2
+		}
+		b = append(b, tag)
+		for _, x := range c.Coords(op.Key, nil) {
+			b = binary.LittleEndian.AppendUint32(b, x)
+		}
+		if !op.Del {
+			b = binary.LittleEndian.AppendUint64(b, op.Payload)
+		}
+	}
+	return b
 }

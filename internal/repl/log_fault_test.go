@@ -9,6 +9,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/engine"
@@ -19,8 +20,8 @@ import (
 // lfEntry is entry i of a fault-test log: a put of rtPoint(i), a distinct
 // point per index below rtSide, so engine state maps back to indices.
 func lfEntry(i, epoch uint64) Entry {
-	op := engine.BatchOp{Point: rtPoint(int(i)), Payload: 1000*epoch + i}
-	return Entry{Index: i, Epoch: epoch, Batch: engine.EncodeBatch(nil, []engine.BatchOp{op}, 2)}
+	op := engine.BatchOp{Key: rtKey(int(i)), Payload: 1000*epoch + i}
+	return Entry{Index: i, Epoch: epoch, Batch: engine.EncodeBatch(nil, []engine.BatchOp{op})}
 }
 
 func lfEntries(lo, hi, epoch uint64) []Entry {
@@ -212,20 +213,29 @@ func TestFollowerRetiredLogLayoutReseeds(t *testing.T) {
 
 // TestReplLogGoldenBytes pins a REPL_LOG frame holding one three-op
 // batch entry (put, delete, put): the framed log's len | crc32c header,
-// then index | epoch | the batch's EncodeBatch bytes. Replay yields the
-// entry back, and its batch decodes to the three ops.
+// then index | epoch | the batch's EncodeBatch bytes, each op a key tag,
+// its 8-byte key and, for puts, its payload. Replay yields the entry
+// back, and its batch decodes to the three ops. A frame of the same entry
+// written with coordinate tags, as logs were before ops carried keys,
+// replays too, and decodes to the keys of its points.
 func TestReplLogGoldenBytes(t *testing.T) {
+	c := rtCurve(t)
 	ops := []engine.BatchOp{
-		{Point: geom.Point{1, 2}, Payload: 0x0102030405060708},
-		{Point: geom.Point{3, 4}, Del: true},
-		{Point: geom.Point{5, 6}, Payload: 9},
+		{Key: 0x21, Payload: 0x0102030405060708},
+		{Key: 0x43, Del: true},
+		{Key: 0x3ff, Payload: 9},
 	}
-	e := Entry{Index: 7, Epoch: 3, Batch: engine.EncodeBatch(nil, ops, 2)}
-	want, _ := hex.DecodeString("3b000000" + "8343bb9f" + // len 59, crc32c
+	keyFrame, _ := hex.DecodeString("3b000000" + "11a1c450" + // len 59, crc32c
+		"0700000000000000" + "0300000000000000" + // index 7, epoch 3
+		"03" + "2100000000000000" + "0807060504030201" + // put 0x21
+		"04" + "4300000000000000" + // delete 0x43
+		"03" + "ff03000000000000" + "0900000000000000") // put 0x3ff
+	coordFrame, _ := hex.DecodeString("3b000000" + "8343bb9f" + // len 59, crc32c
 		"0700000000000000" + "0300000000000000" + // index 7, epoch 3
 		"01" + "01000000" + "02000000" + "0807060504030201" + // put (1,2)
 		"02" + "03000000" + "04000000" + // delete (3,4)
 		"01" + "05000000" + "06000000" + "0900000000000000") // put (5,6)
+	e := Entry{Index: 7, Epoch: 3, Batch: engine.EncodeBatch(nil, ops)}
 	dir := t.TempDir()
 	l, err := openReplLog(vfs.OS{}, dir, 2)
 	if err != nil {
@@ -241,24 +251,37 @@ func TestReplLogGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("REPL_LOG bytes changed:\n got %x\nwant %x", got, want)
+	if !bytes.Equal(got, keyFrame) {
+		t.Fatalf("REPL_LOG bytes changed:\n got %x\nwant %x", got, keyFrame)
 	}
-	l, err = openReplLog(vfs.OS{}, dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.close() //nolint:errcheck
-	if !sameEntries(l.entries, []Entry{e}) || l.ops != 3 {
-		t.Fatalf("replayed %+v holding %d ops, want the one 3-op entry", l.entries, l.ops)
-	}
-	dec, err := engine.DecodeBatch(nil, l.entries[0].Batch, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ops {
-		if dec[i].Del != ops[i].Del || dec[i].Payload != ops[i].Payload || !dec[i].Point.Equal(ops[i].Point) {
-			t.Fatalf("op %d decoded as %+v, want %+v", i, dec[i], ops[i])
+	at := func(x, y uint32) uint64 { return c.Index(geom.Point{x, y}) }
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  []engine.BatchOp
+	}{
+		{"key tags", keyFrame, ops},
+		{"coordinate tags", coordFrame, []engine.BatchOp{
+			{Key: at(1, 2), Payload: 0x0102030405060708},
+			{Key: at(3, 4), Del: true},
+			{Key: at(5, 6), Payload: 9},
+		}},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logName), tc.frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := openReplLog(vfs.OS{}, dir, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.close() //nolint:errcheck
+		if len(l.entries) != 1 || l.entries[0].Index != 7 || l.entries[0].Epoch != 3 || l.ops != 3 {
+			t.Fatalf("%s: replayed %+v holding %d ops, want the one 3-op entry", tc.name, l.entries, l.ops)
+		}
+		dec, err := engine.DecodeBatch(nil, l.entries[0].Batch, c)
+		if err != nil || !slices.Equal(dec, tc.want) {
+			t.Fatalf("%s: decoded as %+v, %v; want %+v", tc.name, dec, err, tc.want)
 		}
 	}
 }
@@ -318,9 +341,9 @@ func TestFollowerLogBoundCountsOps(t *testing.T) {
 	entry := func(i uint64) Entry {
 		var ops []engine.BatchOp
 		for k := uint64(0); k < 3; k++ {
-			ops = append(ops, engine.BatchOp{Point: rtPoint(int(3*i + k)), Payload: 10*i + k})
+			ops = append(ops, engine.BatchOp{Key: rtKey(int(3*i + k)), Payload: 10*i + k})
 		}
-		return Entry{Index: i, Epoch: 1, Batch: engine.EncodeBatch(nil, ops, 2)}
+		return Entry{Index: i, Epoch: 1, Batch: engine.EncodeBatch(nil, ops)}
 	}
 	for i := uint64(1); i <= 3; i++ {
 		req := AppendRequest{Epoch: 1, PrevIndex: i - 1, PrevEpoch: min(i-1, 1), Entries: []Entry{entry(i)}, Commit: i}
@@ -511,12 +534,12 @@ func lfCheck(t *testing.T, dir string, acked []Entry, inflight *AppendRequest) {
 		}
 		have := stateOf(t, f.c, f.eng)
 		for _, e := range want[:k] {
-			ops, err := engine.DecodeBatch(nil, e.Batch, 2)
+			ops, err := engine.DecodeBatch(nil, e.Batch, f.c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			op := ops[0]
-			if have[f.c.Index(op.Point)] != op.Payload {
+			if have[op.Key] != op.Payload {
 				return false
 			}
 		}

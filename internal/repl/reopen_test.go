@@ -193,7 +193,7 @@ func TestReplBatchLargerThanHistory(t *testing.T) {
 	e := cl.g.Engine()
 	batch := make([]engine.BatchOp, 30)
 	for i := range batch {
-		batch[i] = engine.BatchOp{Point: rtPoint(i), Payload: uint64(1000 + i)}
+		batch[i] = engine.BatchOp{Key: rtKey(i), Payload: uint64(1000 + i)}
 	}
 	if err := e.PutBatch(batch); err != nil {
 		t.Fatalf("oversized batch: %v", err)

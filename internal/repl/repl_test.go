@@ -31,6 +31,12 @@ func rtPoint(i int) geom.Point {
 	return geom.Point{uint32(i*7) % rtSide, uint32(i*13+5) % rtSide}
 }
 
+// rtKey is rtPoint(i)'s key under rtCurve.
+func rtKey(i int) uint64 {
+	o, _ := core.NewOnion2D(rtSide)
+	return o.Index(rtPoint(i))
+}
+
 func rtEngOpts() engine.Options {
 	return engine.Options{PageBytes: 192, FlushEntries: -1}
 }
@@ -130,7 +136,7 @@ func TestReplBasic(t *testing.T) {
 	}
 	batch := make([]engine.BatchOp, 10)
 	for i := range batch {
-		batch[i] = engine.BatchOp{Point: rtPoint(100 + i), Payload: uint64(5000 + i)}
+		batch[i] = engine.BatchOp{Key: rtKey(100 + i), Payload: uint64(5000 + i)}
 	}
 	if err := e.PutBatch(batch); err != nil {
 		t.Fatal(err)
@@ -505,7 +511,7 @@ func TestLeaderAllocsPerBatchFlat(t *testing.T) {
 	allocs := func(n int) float64 {
 		ops := make([]engine.BatchOp, n)
 		for i := range ops {
-			ops[i] = engine.BatchOp{Point: rtPoint(i), Payload: uint64(i)}
+			ops[i] = engine.BatchOp{Key: rtKey(i), Payload: uint64(i)}
 		}
 		return testing.AllocsPerRun(50, func() {
 			if err := g.Engine().PutBatch(ops); err != nil {

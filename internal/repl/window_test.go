@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/onioncurve/onion/internal/engine"
-	"github.com/onioncurve/onion/internal/geom"
 )
 
 // histModel is the reference the window is checked against: the resend
@@ -291,10 +290,10 @@ func TestWindowCountsOps(t *testing.T) {
 	h := NewHook(2)
 	h.bind(g)
 	batch := engine.EncodeBatch(nil, []engine.BatchOp{
-		{Point: geom.Point{1, 2}, Payload: 3},
-		{Point: geom.Point{4, 5}, Del: true},
-		{Point: geom.Point{6, 7}, Payload: 8},
-	}, 2)
+		{Key: 1, Payload: 3},
+		{Key: 4, Del: true},
+		{Key: 6, Payload: 8},
+	})
 	var seq uint64
 	for i := 1; i <= 10; i++ {
 		seq += 3

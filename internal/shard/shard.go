@@ -271,14 +271,12 @@ func (s *Sharded) write(p geom.Point, payload uint64, del bool) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if !s.c.Universe().Contains(p) {
-		return fmt.Errorf("%w: %v in %v", engine.ErrPoint, p, s.c.Universe())
+	key, err := engine.KeyOf(s.c, p)
+	if err != nil {
+		return err
 	}
-	e := s.engines[s.part.Of(s.c.Index(p))]
-	if del {
-		return e.Delete(p)
-	}
-	return e.Put(p, payload)
+	op := [1]engine.BatchOp{{Key: key, Payload: payload, Del: del}}
+	return s.engines[s.part.Of(key)].PutBatch(op[:])
 }
 
 // fanOut runs fn(i) for every shard index i in [0, n), each on a

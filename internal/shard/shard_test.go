@@ -1088,3 +1088,34 @@ func TestFanOut(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedPutKeysOnce: a sharded write evaluates the curve once, at the
+// edge, and hands the owning engine the key it routed by: Put and Delete
+// make one Index call each and no Coords call.
+func TestShardedPutKeysOnce(t *testing.T) {
+	o, err := core.NewOnion2D(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &curvetest.Counting{PlannedCurve: o}
+	s, err := Open(t.TempDir(), c, manualShardOpts(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck
+	for i := range 20 {
+		p := geom.Point{uint32(i * 3), uint32(i * 2)}
+		c.Reset()
+		if i%4 == 3 {
+			err = s.Delete(p)
+		} else {
+			err = s.Put(p, uint64(i))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, k := c.IndexKeys.Load(), c.CoordsKeys.Load(); n != 1 || k != 0 {
+			t.Fatalf("write %d: curve evaluated at %d points and %d keys, want 1 and 0", i, n, k)
+		}
+	}
+}

@@ -99,10 +99,11 @@ type (
 	// StoreStats is the logical access pattern of a Store query: seeks,
 	// pages and records, whatever the cache and the read grouping did.
 	StoreStats = pagedstore.Stats
-	// StoreCursor streams the records of a plan — ascending key ranges,
-	// handed over once with Plan and walked with NextRange — out of a
-	// Store with the same seek/page accounting as Store.Query; the
-	// storage engine drives one per live segment.
+	// StoreCursor streams the stored entries of a plan — ascending key
+	// ranges, handed over once with Plan and walked with NextRange — out
+	// of a Store with the same seek/page accounting as Store.Query; the
+	// storage engine drives one per live segment. An entry is a key, a
+	// payload and a mark: the cursor never maps a key back to its point.
 	StoreCursor = pagedstore.Cursor
 	// PageCache is a shared page cache for Stores and Engine segments:
 	// immutable page images under one byte budget with clock eviction,
@@ -192,8 +193,9 @@ type (
 	// composite export: the epoch, per-shard engine reports and totals.
 	ShardedSnapshotReport = shard.SnapshotReport
 	// EngineBatchOp is one logical write inside Engine.PutBatch: a put of
-	// (Point, Payload) or, with Del set, a blind tombstone at Point. The
-	// whole batch rides one WAL fsync.
+	// (Key, Payload) or, with Del set, a blind tombstone at Key, where Key
+	// is the curve key of the write's point (Index, after a universe
+	// check). The whole batch rides one WAL fsync, which logs keys.
 	EngineBatchOp = engine.BatchOp
 	// IngestPipeline is the asynchronous write front-end: one queue per
 	// shard whose submitter coalesces ops (last-write-wins per key, curve
