@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,6 +181,7 @@ type EngineStats struct {
 type Engine struct {
 	dir   string
 	c     curve.Curve
+	id    curve.Identity // c's, computed once at Open
 	opts  Options
 	fs    vfs.FS            // all file access funnels through here
 	cache *pagedstore.Cache // segment page cache; nil when disabled
@@ -244,18 +246,24 @@ type Engine struct {
 // Open opens (creating if needed) the engine rooted at dir, clustered by
 // c. Any WAL left by a crash is replayed — torn tails are truncated away,
 // so exactly the acknowledged writes survive — and immediately flushed to
-// a fresh segment.
+// a fresh segment. First Open checks c against the directory's identity
+// file, which covers every file in it (curve.ErrMismatch), or stamps a
+// directory that has none.
 func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	fsys := vfs.Or(opts.FS)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
+	id := curve.IdentityOf(c)
+	if err := vfs.CheckOrCreate(fsys, filepath.Join(dir, identityFile), id.Record(), id.CheckRecord); err != nil {
+		return nil, fmt.Errorf("engine: %s: %w", dir, err)
+	}
 	segIDs, walGens, archived, err := scanDir(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{dir: dir, c: c, opts: opts, fs: fsys, hook: opts.CommitHook, cache: opts.Cache,
+	e := &Engine{dir: dir, c: c, id: id, opts: opts, fs: fsys, hook: opts.CommitHook, cache: opts.Cache,
 		archiving: archived && !opts.noArchive}
 	e.reg = telemetry.NewRegistry()
 	e.events = telemetry.NewEvents(0)
@@ -329,6 +337,12 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 	go e.background()
 	return e, nil
 }
+
+// identityFile records the identity of the curve that wrote a directory.
+const identityFile = "CURVE"
+
+// Identity returns the identity of the engine's curve.
+func (e *Engine) Identity() curve.Identity { return e.id }
 
 // walCovered reports whether generation g's data already reached a live
 // segment: flush installs segment [g, g] (and compaction may merge it

@@ -102,11 +102,18 @@ func fwOpts(fsys vfs.FS) Options {
 // against. The directory starts with an archive/, as an engine's does
 // after its first snapshot, so every WAL retirement takes the archive
 // path (rename and two directory fsyncs); TestFirstSnapshotFaultMatrix
-// covers the delete before it.
-func fwRun(t *testing.T, dir string, fsys vfs.FS, ops []fwOp) (acked int, compactions uint64) {
+// covers the delete before it. Unless fresh, it also starts with the
+// curve identity file, as a directory does after its first open; a fresh
+// run's Open writes it.
+func fwRun(t *testing.T, dir string, fsys vfs.FS, ops []fwOp, fresh bool) (acked int, compactions uint64) {
 	t.Helper()
 	if err := os.MkdirAll(archiveDir(dir), 0o755); err != nil {
 		t.Fatal(err)
+	}
+	if !fresh {
+		if err := os.WriteFile(filepath.Join(dir, identityFile), curve.IdentityOf(fwCurve(t)).Record(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	e, err := Open(dir, fwCurve(t), fwOpts(fsys))
 	if err != nil {
@@ -190,28 +197,35 @@ func fwCheck(t *testing.T, c curve.Curve, ops []fwOp, acked int, got map[uint64]
 
 func TestFaultMatrix(t *testing.T) {
 	ops := fwWorkload()
-	o := fwCurve(t)
-
 	// Every fault point class the storage stack owns: WAL appends and
 	// fsyncs, segment builds (flush and compaction write through the
 	// same tmp files), segment installs (rename + directory fsync), and
-	// WAL/input retirement.
-	filters := []vfs.Fault{
-		{Op: vfs.OpWrite, Path: "wal-"},
-		{Op: vfs.OpSync, Path: "wal-"},
-		{Op: vfs.OpAny, Path: ".pst.tmp"},
-		{Op: vfs.OpRename},
-		{Op: vfs.OpSyncDir},
-		{Op: vfs.OpRemove},
-	}
+	// WAL/input retirement, all from a directory already stamped with
+	// its curve identity; then every operation on the identity file when
+	// Open stamps a fresh directory.
+	fwMatrix(t, ops, false,
+		vfs.Fault{Op: vfs.OpWrite, Path: "wal-"},
+		vfs.Fault{Op: vfs.OpSync, Path: "wal-"},
+		vfs.Fault{Op: vfs.OpAny, Path: ".pst.tmp"},
+		vfs.Fault{Op: vfs.OpRename},
+		vfs.Fault{Op: vfs.OpSyncDir},
+		vfs.Fault{Op: vfs.OpRemove},
+	)
+	fwMatrix(t, ops, true, vfs.Fault{Op: vfs.OpAny, Path: identityFile})
+}
 
+// fwMatrix enumerates the operations each filter matches in one
+// fault-free fwRun, then runs fwRun again once per matched operation with
+// that operation failing, and once with it crashing the filesystem.
+func fwMatrix(t *testing.T, ops []fwOp, fresh bool, filters ...vfs.Fault) {
+	o := fwCurve(t)
 	// Enumeration pass: count-only rules (N == 0 never fires) tally how
 	// many operations each filter matches under the recorded workload.
 	rec := newOpRecorder()
 	inj := vfs.NewInjecting(rec)
 	inj.SetFaults(filters...)
 	enumDir := t.TempDir()
-	acked, compactions := fwRun(t, enumDir, inj, ops)
+	acked, compactions := fwRun(t, enumDir, inj, ops, fresh)
 	if acked != len(ops) {
 		t.Fatalf("enumeration run dropped writes: %d/%d acked", acked, len(ops))
 	}
@@ -220,6 +234,7 @@ func TestFaultMatrix(t *testing.T) {
 	}
 	fwCheck(t, o, ops, len(ops), fwRecover(t, enumDir))
 
+	root := t.TempDir()
 	for fi, f := range filters {
 		total := inj.Matched(fi)
 		if total == 0 {
@@ -230,10 +245,10 @@ func TestFaultMatrix(t *testing.T) {
 			for n := int64(1); n <= total; n++ {
 				name := fmt.Sprintf("%s-%s-%s-n%d", f.Op, f.Path, kind, n)
 				runFaultCase(t, name, names[n-1], func(t *testing.T) {
-					dir := t.TempDir()
+					dir := caseDir(t, root)
 					ifs := vfs.NewInjecting(vfs.OS{})
 					ifs.SetFaults(vfs.Fault{Op: f.Op, Path: f.Path, N: n, Kind: kind})
-					acked, _ := fwRun(t, dir, ifs, ops)
+					acked, _ := fwRun(t, dir, ifs, ops, fresh)
 					if len(ifs.Injected()) == 0 {
 						t.Fatalf("fault point %d of %d never fired", n, total)
 					}

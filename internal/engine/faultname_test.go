@@ -155,3 +155,17 @@ func (r *opRecorder) names(t *testing.T, f vfs.Fault, want int64) []string {
 func runFaultCase(t *testing.T, indexName, opName string, body func(t *testing.T)) {
 	t.Run(indexName, func(t *testing.T) { t.Run(opName, body) })
 }
+
+// caseDir returns a new empty directory under root for one fault case.
+// t.TempDir would name it after the case, whose name spells the fault
+// filter's path, and then every operation in it would match the filter.
+// root must not spell one either: the enclosing test's TempDir serves.
+func caseDir(t *testing.T, root string) string {
+	t.Helper()
+	dir, err := os.MkdirTemp(root, "case")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.RemoveAll(dir) })
+	return dir
+}

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/core"
+	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
 )
@@ -117,6 +119,43 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if !slices.Equal(torn, ops[:complete]) {
 			t.Fatalf("cut %d: recovered %d ops, want %d", cut, len(torn), complete)
+		}
+	})
+}
+
+// FuzzIdentityRecords feeds arbitrary bytes to the parsers of the records
+// that name a directory's curve: the CURVE identity record and the
+// snapshot manifest. Neither may panic, and whatever one accepts must
+// render and parse back to the same identity (and the same manifest). A
+// v1 manifest, which records no fingerprint, has no v2 rendering.
+func FuzzIdentityRecords(f *testing.F) {
+	id := curve.Identity{Name: "onion", Dims: 2, Side: 64, Fingerprint: 0x4fcd3dd6f7fc49bd}
+	f.Add(id.Record())
+	f.Add([]byte("onion-snapshot v2\n" + id.Lines() + "epoch 2\nparent /s 1\narchive -\nsegments 1\nseg-000000000001-000000000002-000.pst 207 9\n"))
+	f.Add([]byte("onion-snapshot v1\ncurve onion\ndims 2\nside 64\nepoch 1\nparent -\narchive -\nsegments 0\n"))
+	f.Add([]byte("onion-curve v1\ncurve onion\ndims two\nside 64\nfingerprint 4fcd3dd6f7fc49b\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, err := curve.ParseRecord(data); err == nil {
+			if back, err := curve.ParseRecord(got.Record()); err != nil || back != got {
+				t.Fatalf("record %q parsed to %v, which renders back to %v (%v)", data, got, back, err)
+			}
+		} else if !errors.Is(err, curve.ErrBadIdentity) {
+			t.Fatalf("record %q: %v, want ErrBadIdentity", data, err)
+		}
+		m, err := parseSnapshotManifest(data)
+		if err != nil {
+			if !errors.Is(err, ErrSnapshot) {
+				t.Fatalf("manifest %q: %v, want ErrSnapshot", data, err)
+			}
+			return
+		}
+		if m.id.Fingerprint == 0 {
+			return
+		}
+		back, err := parseSnapshotManifest([]byte(m.body()))
+		if err != nil || back.id != m.id || back.epoch != m.epoch || back.parent != m.parent ||
+			back.archive != m.archive || !slices.Equal(back.segs, m.segs) {
+			t.Fatalf("manifest %q parsed to %+v, which renders back to %+v (%v)", data, m, back, err)
 		}
 	})
 }

@@ -118,6 +118,7 @@ func TestSnapshotFaultMatrix(t *testing.T) {
 	rwCheckSnapshot(t, filepath.Join(enumRoot, "snap1"), o, ops)
 	rwCheckSnapshot(t, filepath.Join(enumRoot, "snap2"), o, ops)
 
+	caseRoot := t.TempDir()
 	for fi, f := range filters {
 		total := inj.Matched(fi)
 		if total == 0 {
@@ -127,7 +128,7 @@ func TestSnapshotFaultMatrix(t *testing.T) {
 			for n := int64(1); n <= total; n++ {
 				name := fmt.Sprintf("%s-%s-%s-n%d", f.Op, f.Path, kind, n)
 				t.Run(name, func(t *testing.T) {
-					root := t.TempDir()
+					root := caseDir(t, caseRoot)
 					dir := filepath.Join(root, "db")
 					snap1, snap2 := filepath.Join(root, "snap1"), filepath.Join(root, "snap2")
 					ifs := vfs.NewInjecting(vfs.OS{})
@@ -425,6 +426,7 @@ func TestRepairFaultMatrix(t *testing.T) {
 	checkBothRows(t, e, o)
 	e.Close()
 
+	caseRoot := t.TempDir()
 	for fi, f := range filters {
 		total := inj.Matched(fi)
 		if total == 0 {
@@ -435,7 +437,7 @@ func TestRepairFaultMatrix(t *testing.T) {
 			for n := int64(1); n <= total; n++ {
 				name := fmt.Sprintf("%s-%s-%s-n%d", f.Op, f.Path, kind, n)
 				runFaultCase(t, name, names[n-1], func(t *testing.T) {
-					dir, snapDir := buildFixture(t, t.TempDir())
+					dir, snapDir := buildFixture(t, caseDir(t, caseRoot))
 					ifs := vfs.NewInjecting(vfs.OS{})
 					ifs.SetFaults(vfs.Fault{Op: f.Op, Path: f.Path, N: n, Kind: kind})
 					repairOnce(dir, snapDir, ifs)

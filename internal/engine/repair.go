@@ -113,18 +113,12 @@ func (e *Engine) repairLocked(snapshotDir string) (RepairReport, error) {
 	var snapIDs []segID
 	if snapshotDir != "" {
 		var err error
-		man, err = readSnapshotManifest(e.fs, snapshotDir)
+		man, err = readSnapshotManifest(e.fs, snapshotDir, e.id)
 		if err != nil {
 			return rep, err
 		}
-		u := e.c.Universe()
-		if man.curveName != e.c.Name() || man.dims != u.Dims() || man.side != int(u.Side()) {
-			return rep, fmt.Errorf("%w: snapshot %s is of a different store", ErrSnapshot, snapshotDir)
-		}
 		for _, s := range man.segs {
-			var id segID
-			fmt.Sscanf(s.name, "seg-%d-%d-%d.pst", &id.lo, &id.hi, &id.epoch) //nolint:errcheck // validated at parse
-			snapIDs = append(snapIDs, id)
+			snapIDs = append(snapIDs, s.id)
 		}
 	}
 

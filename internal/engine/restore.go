@@ -35,6 +35,9 @@ type RestoreReport struct {
 // engine) restores to its own boundary whatever upTo is, and reads
 // nothing but the snapshot chain.
 //
+// The snapshot must record curve c (ErrSnapshot wrapping
+// curve.ErrMismatch), and the restored directory records it too.
+//
 // targetDir must not exist. The build happens in a sibling directory
 // renamed into place, so an injected failure or crash at any point leaves
 // targetDir absent or complete — never a half-built engine — and never
@@ -47,14 +50,10 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 	fsys := vfs.Or(opts.FS)
 	rep := RestoreReport{Dir: targetDir}
 
-	man, err := readSnapshotManifest(fsys, snapshotDir)
+	id := curve.IdentityOf(c)
+	man, err := readSnapshotManifest(fsys, snapshotDir, id)
 	if err != nil {
 		return rep, err
-	}
-	u := c.Universe()
-	if man.curveName != c.Name() || man.dims != u.Dims() || man.side != int(u.Side()) {
-		return rep, fmt.Errorf("%w: snapshot %s is of a different store (curve %s dims %d side %d)",
-			ErrSnapshot, snapshotDir, man.curveName, man.dims, man.side)
 	}
 	if _, err := fsys.ReadDir(targetDir); err == nil {
 		return rep, fmt.Errorf("engine: restore: target %s already exists", targetDir)
@@ -90,12 +89,8 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 		}
 		rep.Segments++
 		rep.Records += s.recs
-		var id segID
-		fmt.Sscanf(s.name, "seg-%d-%d-%d.pst", &id.lo, &id.hi, &id.epoch) //nolint:errcheck // validated at parse
-		segIDs = append(segIDs, id)
-		if id.hi >= nextGen {
-			nextGen = id.hi + 1
-		}
+		segIDs = append(segIDs, s.id)
+		nextGen = max(nextGen, s.id.hi+1)
 	}
 
 	// Replay the archive past the snapshot: WALs whose generation a
@@ -150,10 +145,11 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 		seg.st.Close()
 	}
 
-	// Commit: fsync the staged entries, then atomically rename the whole
-	// directory into place and fsync the parent.
-	if err := syncDir(fsys, tmp); err != nil {
-		return rep, err
+	// Commit: stamp the curve identity (its write ends with the fsync
+	// that makes every staged entry durable), then atomically rename the
+	// whole directory into place and fsync the parent.
+	if err := vfs.WriteFileAtomic(fsys, filepath.Join(tmp, identityFile), id.Record()); err != nil {
+		return rep, fmt.Errorf("engine: restore: %w", err)
 	}
 	if err := fsys.Rename(tmp, targetDir); err != nil {
 		return rep, fmt.Errorf("engine: restore: %w", err)

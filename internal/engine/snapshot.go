@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/telemetry"
 	"github.com/onioncurve/onion/internal/vfs"
 )
@@ -37,6 +38,7 @@ type SnapshotReport struct {
 // snapSeg is one segment line of a snapshot manifest.
 type snapSeg struct {
 	name string
+	id   segID // parsed from name
 	size int64
 	recs int
 }
@@ -46,10 +48,9 @@ type snapSeg struct {
 // set-difference against the parent on disk, so resolving a segment file
 // walks the parent chain.
 type snapManifest struct {
-	curveName  string
-	dims, side int
-	epoch      uint64
-	parent     string // parent snapshot dir, "" for a full snapshot
+	id     curve.Identity // Fingerprint 0 in a v1 manifest, which recorded none
+	epoch  uint64
+	parent string // parent snapshot dir, "" for a full snapshot
 	// archive is the source engine's WAL archive dir, which a restore
 	// replays past the snapshot boundary; "" (written "-") for a snapshot
 	// that restores to its own boundary only: a seed, or a snapshot of an
@@ -60,8 +61,7 @@ type snapManifest struct {
 
 func (m *snapManifest) body() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "onion-snapshot v1\ncurve %s\ndims %d\nside %d\nepoch %d\n",
-		m.curveName, m.dims, m.side, m.epoch)
+	fmt.Fprintf(&b, "onion-snapshot v2\n%sepoch %d\n", m.id.Lines(), m.epoch)
 	fmt.Fprintf(&b, "parent %s\narchive %s\nsegments %d\n", orDash(m.parent), orDash(m.archive), len(m.segs))
 	for _, s := range m.segs {
 		fmt.Fprintf(&b, "%s %d %d\n", s.name, s.size, s.recs)
@@ -82,32 +82,30 @@ func parseSnapshotManifest(data []byte) (*snapManifest, error) {
 	bad := func(what string) error {
 		return fmt.Errorf("%w: manifest %s", ErrSnapshot, what)
 	}
-	if len(lines) < 7 || lines[0] != "onion-snapshot v1" {
+	// v1, written before fingerprints, has no fingerprint line.
+	idLines := map[string]int{"onion-snapshot v1": 3, "onion-snapshot v2": 4}[lines[0]]
+	if idLines == 0 || len(lines) < 5+idLines {
 		return nil, bad("header")
 	}
-	m := &snapManifest{}
-	if _, err := fmt.Sscanf(lines[1], "curve %s", &m.curveName); err != nil {
-		return nil, bad("curve line")
+	id, err := curve.ParseIdentity(lines[1 : 1+idLines])
+	if err != nil {
+		return nil, fmt.Errorf("%w: manifest: %w", ErrSnapshot, err)
 	}
-	if _, err := fmt.Sscanf(lines[2], "dims %d", &m.dims); err != nil {
-		return nil, bad("dims line")
-	}
-	if _, err := fmt.Sscanf(lines[3], "side %d", &m.side); err != nil {
-		return nil, bad("side line")
-	}
-	if _, err := fmt.Sscanf(lines[4], "epoch %d", &m.epoch); err != nil {
+	m := &snapManifest{id: id}
+	lines = lines[idLines:] // the v1 layout from the epoch line on
+	if _, err := fmt.Sscanf(lines[1], "epoch %d", &m.epoch); err != nil {
 		return nil, bad("epoch line")
 	}
 	// parent and archive are paths (may contain spaces): everything after
 	// the first space is the value.
-	key, val, ok := strings.Cut(lines[5], " ")
+	key, val, ok := strings.Cut(lines[2], " ")
 	if !ok || key != "parent" {
 		return nil, bad("parent line")
 	}
 	if val != "-" {
 		m.parent = val
 	}
-	key, val, ok = strings.Cut(lines[6], " ")
+	key, val, ok = strings.Cut(lines[3], " ")
 	if !ok || key != "archive" {
 		return nil, bad("archive line")
 	}
@@ -115,23 +113,19 @@ func parseSnapshotManifest(data []byte) (*snapManifest, error) {
 		m.archive = val
 	}
 	var n int
-	if len(lines) < 8 {
+	if _, err := fmt.Sscanf(lines[4], "segments %d", &n); err != nil {
 		return nil, bad("segments line")
 	}
-	if _, err := fmt.Sscanf(lines[7], "segments %d", &n); err != nil {
-		return nil, bad("segments line")
-	}
-	if len(lines) != 8+n {
+	if len(lines) != 5+n {
 		return nil, bad("segment count")
 	}
-	for _, ln := range lines[8:] {
+	for _, ln := range lines[5:] {
 		var s snapSeg
 		if _, err := fmt.Sscanf(ln, "%s %d %d", &s.name, &s.size, &s.recs); err != nil {
 			return nil, bad("segment line")
 		}
-		var lo, hi, epoch uint64
-		if n, _ := fmt.Sscanf(s.name, "seg-%d-%d-%d.pst", &lo, &hi, &epoch); n != 3 ||
-			s.name != filepath.Base(segPath(".", lo, hi, epoch)) {
+		if n, _ := fmt.Sscanf(s.name, "seg-%d-%d-%d.pst", &s.id.lo, &s.id.hi, &s.id.epoch); n != 3 ||
+			s.name != filepath.Base(segPath(".", s.id.lo, s.id.hi, s.id.epoch)) {
 			return nil, bad("segment name")
 		}
 		m.segs = append(m.segs, s)
@@ -139,8 +133,9 @@ func parseSnapshotManifest(data []byte) (*snapManifest, error) {
 	return m, nil
 }
 
-// readSnapshotManifest loads and parses dir's SNAPSHOT manifest.
-func readSnapshotManifest(fsys vfs.FS, dir string) (*snapManifest, error) {
+// readSnapshotManifest loads and parses dir's SNAPSHOT manifest, which
+// must record the curve want (ErrSnapshot wrapping curve.ErrMismatch).
+func readSnapshotManifest(fsys vfs.FS, dir string, want curve.Identity) (*snapManifest, error) {
 	data, err := vfs.ReadFile(fsys, filepath.Join(dir, snapshotManifestName))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -148,7 +143,14 @@ func readSnapshotManifest(fsys vfs.FS, dir string) (*snapManifest, error) {
 		}
 		return nil, fmt.Errorf("engine: snapshot: %w", err)
 	}
-	return parseSnapshotManifest(data)
+	m, err := parseSnapshotManifest(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := want.Check(m.id); err != nil {
+		return nil, fmt.Errorf("%w: %s: %w", ErrSnapshot, dir, err)
+	}
+	return m, nil
 }
 
 // copyFileOrLink materializes src at dst: a hardlink when the filesystem
@@ -302,14 +304,9 @@ func (e *Engine) snapshotSinceLocked(dir, parent string, seed bool) (SnapshotRep
 	parentSegs := map[string]snapSeg{}
 	if parent != "" {
 		var err error
-		parentMan, err = readSnapshotManifest(e.fs, parent)
+		parentMan, err = readSnapshotManifest(e.fs, parent, e.id)
 		if err != nil {
 			return SnapshotReport{}, err
-		}
-		u := e.c.Universe()
-		if parentMan.curveName != e.c.Name() || parentMan.dims != u.Dims() || parentMan.side != int(u.Side()) {
-			return SnapshotReport{}, fmt.Errorf("%w: parent %s is of a different store (curve %s dims %d side %d)",
-				ErrSnapshot, parent, parentMan.curveName, parentMan.dims, parentMan.side)
 		}
 		for _, s := range parentMan.segs {
 			parentSegs[s.name] = s
@@ -327,14 +324,7 @@ func (e *Engine) snapshotSinceLocked(dir, parent string, seed bool) (SnapshotRep
 	if err := e.fs.MkdirAll(dir, 0o755); err != nil {
 		return SnapshotReport{}, fmt.Errorf("engine: snapshot: %w", err)
 	}
-	u := e.c.Universe()
-	man := &snapManifest{
-		curveName: e.c.Name(),
-		dims:      u.Dims(),
-		side:      int(u.Side()),
-		epoch:     1,
-		parent:    parent,
-	}
+	man := &snapManifest{id: e.id, epoch: 1, parent: parent}
 	if archive {
 		man.archive = archiveDir(e.dir)
 	}
@@ -359,7 +349,7 @@ func (e *Engine) snapshotSinceLocked(dir, parent string, seed bool) (SnapshotRep
 		} else {
 			rep.Copied++
 		}
-		man.segs = append(man.segs, snapSeg{name: name, size: size, recs: s.recs})
+		man.segs = append(man.segs, snapSeg{name: name, id: segID{s.lo, s.hi, s.epoch}, size: size, recs: s.recs})
 		rep.Records += s.recs
 	}
 	sort.Slice(man.segs, func(a, b int) bool { return man.segs[a].name < man.segs[b].name })
@@ -402,7 +392,7 @@ func resolveSnapshotSegment(fsys vfs.FS, dir string, man *snapManifest, want sna
 		}
 		var err error
 		dir = man.parent
-		man, err = readSnapshotManifest(fsys, dir)
+		man, err = readSnapshotManifest(fsys, dir, man.id)
 		if err != nil {
 			return "", err
 		}

@@ -9,7 +9,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/onioncurve/onion/internal/baseline"
 	"github.com/onioncurve/onion/internal/core"
+	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/vfs"
 )
 
@@ -458,20 +460,20 @@ func TestArchiveInvisibleToOpen(t *testing.T) {
 
 func TestSnapshotManifestRoundTrip(t *testing.T) {
 	m := &snapManifest{
-		curveName: "onion2d", dims: 2, side: 64, epoch: 3,
+		id:      curve.Identity{Name: "onion2d", Dims: 2, Side: 64, Fingerprint: 0x0123456789abcdef},
+		epoch:   3,
 		parent:  "/tmp/with space/s2",
 		archive: "/tmp/db/archive",
 		segs: []snapSeg{
-			{name: filepath.Base(segPath(".", 1, 2, 0)), size: 4096, recs: 17},
-			{name: filepath.Base(segPath(".", 3, 3, 1)), size: 512, recs: 2},
+			{name: filepath.Base(segPath(".", 1, 2, 0)), id: segID{1, 2, 0}, size: 4096, recs: 17},
+			{name: filepath.Base(segPath(".", 3, 3, 1)), id: segID{3, 3, 1}, size: 512, recs: 2},
 		},
 	}
 	got, err := parseSnapshotManifest([]byte(m.body()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.curveName != m.curveName || got.dims != m.dims || got.side != m.side ||
-		got.epoch != m.epoch || got.parent != m.parent || got.archive != m.archive ||
+	if got.id != m.id || got.epoch != m.epoch || got.parent != m.parent || got.archive != m.archive ||
 		len(got.segs) != len(m.segs) {
 		t.Fatalf("round trip: %+v != %+v", got, m)
 	}
@@ -525,7 +527,8 @@ func applyFlushing(t *testing.T, dir string, ops []fwOp, from, to int, e *Engine
 // TestSeedManifestGoldenBytes pins a seed's manifest byte for byte: it
 // is a full snapshot (parent -) that names no archive (archive -), and
 // exporting it creates no archive/ and leaves the engine deleting the
-// WALs it retires.
+// WALs it retires. The v2 golden records the curve's identity; the v1
+// bytes earlier releases wrote still parse and restore.
 func TestSeedManifestGoldenBytes(t *testing.T) {
 	ops := fwWorkload()
 	dir := t.TempDir()
@@ -545,19 +548,45 @@ func TestSeedManifestGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "onion-snapshot v1\ncurve onion\ndims 2\nside 64\nepoch 1\n" +
-		"parent -\narchive -\nsegments 2\n" +
+	const segs = "parent -\narchive -\nsegments 2\n" +
 		"seg-000000000000-000000000000-000.pst 207 9\n" +
 		"seg-000000000001-000000000001-000.pst 206 5\n"
+	// The fingerprint is pinned too: a change to how it is computed would
+	// refuse every directory written before it.
+	const want = "onion-snapshot v2\ncurve onion\ndims 2\nside 64\nfingerprint 4fcd3dd6f7fc49bd\nepoch 1\n" + segs
+	// v1, written before fingerprints, is a fixture that must still
+	// parse and restore.
+	const v1 = "onion-snapshot v1\ncurve onion\ndims 2\nside 64\nepoch 1\n" + segs
 	if string(got) != want {
 		t.Fatalf("seed manifest:\n%s\nwant:\n%s", got, want)
 	}
-	m, err := parseSnapshotManifest(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.parent != "" || m.archive != "" {
-		t.Fatalf("parsed seed manifest: parent %q archive %q, want both absent", m.parent, m.archive)
+	for _, golden := range []string{want, v1} {
+		m, err := parseSnapshotManifest([]byte(golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.parent != "" || m.archive != "" {
+			t.Fatalf("parsed seed manifest: parent %q archive %q, want both absent", m.parent, m.archive)
+		}
+		if err := os.WriteFile(filepath.Join(seed, snapshotManifestName), []byte(golden), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		target := filepath.Join(t.TempDir(), "restored")
+		if _, err := Restore(seed, target, -1, fwCurve(t), snapOpts(nil)); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fwRecover(t, target), fwStateAfter(fwCurve(t), ops, 15); !maps.Equal(got, want) {
+			t.Fatalf("restore of the %.17s manifest: %d records, want %d", golden, len(got), len(want))
+		}
+		// Either is checked on what it records: the v1 name alone refuses
+		// another curve of the universe.
+		h, err := baseline.NewHilbert(2, fwSide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(seed, target+"-h", -1, h, snapOpts(nil)); !errors.Is(err, curve.ErrMismatch) || !errors.Is(err, ErrSnapshot) {
+			t.Fatalf("restore of the %.17s manifest under Hilbert: %v, want ErrSnapshot wrapping ErrMismatch", golden, err)
+		}
 	}
 }
 
@@ -626,9 +655,9 @@ func TestRestoreSeedStopsAtBoundary(t *testing.T) {
 }
 
 // TestRestoreParentFormatManifest: a user snapshot's manifest names the
-// archive by path, in the format older releases wrote, and a literal
-// manifest of that format parses and replays the archive past its
-// boundary.
+// archive by path, in the format older releases wrote but for the curve
+// fingerprint v2 adds, and a literal v1 manifest parses and replays the
+// archive past its boundary.
 func TestRestoreParentFormatManifest(t *testing.T) {
 	ops := fwWorkload()
 	o := fwCurve(t)
@@ -644,18 +673,20 @@ func TestRestoreParentFormatManifest(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	literal := "onion-snapshot v1\ncurve onion\ndims 2\nside 64\nepoch 1\n" +
+	rest := "epoch 1\n" +
 		"parent -\narchive " + archiveDir(dir) + "\nsegments 3\n" +
 		"seg-000000000000-000000000000-000.pst 207 9\n" +
 		"seg-000000000001-000000000001-000.pst 207 9\n" +
 		"seg-000000000002-000000000002-000.pst 207 9\n"
+	literal := "onion-snapshot v1\ncurve onion\ndims 2\nside 64\n" + rest
 	path := filepath.Join(snap, snapshotManifestName)
 	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != literal {
-		t.Fatalf("user snapshot manifest:\n%s\nwant:\n%s", got, literal)
+	// This build writes v2: the same manifest with the curve's fingerprint.
+	if want := "onion-snapshot v2\n" + curve.IdentityOf(o).Lines() + rest; string(got) != want {
+		t.Fatalf("user snapshot manifest:\n%s\nwant:\n%s", got, want)
 	}
 	// Republish the literal itself, so the restore reads exactly those
 	// bytes rather than what this build wrote.

@@ -60,7 +60,8 @@ type FollowerStatus struct {
 }
 
 // OpenFollower opens (or creates) a replica at dir. The id is the peer
-// id the leader routes to; the curve must match the leader's.
+// id the leader routes to; the curve must match the leader's, and a
+// directory, seed or append of another fails with curve.ErrMismatch.
 func OpenFollower(id, dir string, c curve.Curve, opts FollowerOptions) (*Follower, error) {
 	opts = opts.withDefaults()
 	fsys := vfs.Or(opts.Engine.FS)
@@ -169,6 +170,9 @@ func (f *Follower) HandleAppend(req AppendRequest) (AppendResponse, error) {
 	defer f.mu.Unlock()
 	if f.closed {
 		return AppendResponse{}, ErrClosed
+	}
+	if id := f.eng.Identity(); req.Curve != id {
+		return AppendResponse{}, fmt.Errorf("repl: follower %s: leader %s: %w", f.id, req.LeaderID, id.Mismatch(req.Curve))
 	}
 	if req.Epoch < f.st.epoch {
 		return AppendResponse{Epoch: f.st.epoch}, nil

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/onioncurve/onion/internal/core"
+	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/curvetest"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/vfs"
@@ -298,8 +299,9 @@ func TestFollowerSnapshotStopsAtItsBoundary(t *testing.T) {
 
 // TestFollowerAppliesKeysWithoutCurve: a follower applies key-tagged
 // entries as they are. Holding them, applying them and reopening over its
-// engine's log evaluate the curve zero times, and the engine ends up with
-// the leader's records.
+// engine's log evaluate the curve zero times beyond the reopen's curve
+// identity, a fixed number of keys, and the engine ends up with the
+// leader's records.
 func TestFollowerAppliesKeysWithoutCurve(t *testing.T) {
 	o, err := core.NewOnion2D(rtSide)
 	if err != nil {
@@ -323,14 +325,14 @@ func TestFollowerAppliesKeysWithoutCurve(t *testing.T) {
 		es = append(es, Entry{Index: i, Epoch: 1, Batch: engine.EncodeBatch(nil, ops)})
 	}
 	c.Reset()
-	if resp, err := f.HandleAppend(AppendRequest{Epoch: 1, LeaderID: "leader", Entries: es[:2]}); err != nil || !resp.Ok {
+	if resp, err := appendFrom(f, AppendRequest{Epoch: 1, LeaderID: "leader", Entries: es[:2]}); err != nil || !resp.Ok {
 		t.Fatalf("append: %+v, %v", resp, err)
 	}
-	if resp, err := f.HandleAppend(AppendRequest{Epoch: 1, LeaderID: "leader", PrevIndex: 2, PrevEpoch: 1, Entries: es[2:]}); err != nil || !resp.Ok || resp.Ack != 4 {
+	if resp, err := appendFrom(f, AppendRequest{Epoch: 1, LeaderID: "leader", PrevIndex: 2, PrevEpoch: 1, Entries: es[2:]}); err != nil || !resp.Ok || resp.Ack != 4 {
 		t.Fatalf("append: %+v, %v", resp, err)
 	}
 	// The bare watermark push applies the committed entries.
-	if resp, err := f.HandleAppend(AppendRequest{Epoch: 1, LeaderID: "leader", PrevIndex: 4, PrevEpoch: 1, Commit: 4}); err != nil || !resp.Ok {
+	if resp, err := appendFrom(f, AppendRequest{Epoch: 1, LeaderID: "leader", PrevIndex: 4, PrevEpoch: 1, Commit: 4}); err != nil || !resp.Ok {
 		t.Fatalf("watermark push: %+v, %v", resp, err)
 	}
 	if f.Status().Applied != 4 {
@@ -339,14 +341,23 @@ func TestFollowerAppliesKeysWithoutCurve(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	curve.IdentityOf(c)
+	idKeys := c.CoordsKeys.Swap(0)
 	if f, err = OpenFollower("f1", dir, c, FollowerOptions{Engine: rtEngOpts()}); err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close() //nolint:errcheck
-	if n, k := c.IndexKeys.Load(), c.CoordsKeys.Load(); n != 0 || k != 0 {
-		t.Fatalf("follower evaluated the curve at %d points and %d keys, want none", n, k)
+	if n, k := c.IndexKeys.Load(), c.CoordsKeys.Load(); n != 0 || k != idKeys {
+		t.Fatalf("follower evaluated the curve at %d points and %d keys, want none beyond its identity's %d", n, k, idKeys)
 	}
 	if got := stateOf(t, c, f.Engine()); !maps.Equal(got, want) {
 		t.Fatalf("applied %v, want %v", got, want)
 	}
+}
+
+// appendFrom delivers req to f as a leader on f's curve does: stamped
+// with the curve's identity.
+func appendFrom(f *Follower, req AppendRequest) (AppendResponse, error) {
+	req.Curve = f.eng.Identity()
+	return f.HandleAppend(req)
 }

@@ -94,6 +94,7 @@ type peerState struct {
 type Group struct {
 	cfg        Config
 	eng        *engine.Engine
+	curve      curve.Identity // eng's, stamped on every AppendRequest
 	dir        string
 	hook       *Hook
 	ownsEngine bool
@@ -220,7 +221,7 @@ func newGroup(eng *engine.Engine, dir string, hook *Hook, cfg Config, init group
 		return nil, err
 	}
 	g := &Group{
-		cfg: cfg, eng: eng, dir: dir, hook: hook,
+		cfg: cfg, eng: eng, curve: eng.Identity(), dir: dir, hook: hook,
 		epoch: init.epoch, nextIndex: init.nextIndex, commit: init.commit,
 		hist: init.hist, histBase: init.histBase, marks: init.marks,
 		bell: make(chan struct{}, 1),
@@ -551,6 +552,7 @@ func (g *Group) shipLocked(p *peerState, target uint64) bool {
 		req := AppendRequest{
 			Epoch:     g.epoch,
 			LeaderID:  g.cfg.ID,
+			Curve:     g.curve,
 			PrevIndex: ack,
 			PrevEpoch: g.epochOf(ack),
 			Entries:   entries,
@@ -763,7 +765,7 @@ func (g *Group) servePeerOnce(p *peerState, resend bool) {
 		prevEpoch := g.epochOf(ack)
 		g.mu.Unlock()
 		resp, err := g.cfg.Transport.Append(p.id, AppendRequest{
-			Epoch: epoch, LeaderID: g.cfg.ID,
+			Epoch: epoch, LeaderID: g.cfg.ID, Curve: g.curve,
 			PrevIndex: ack, PrevEpoch: prevEpoch, Commit: commit,
 		})
 		if err != nil {

@@ -126,13 +126,13 @@ func TestFollowerNeverAcksPastTornRegion(t *testing.T) {
 				t.Fatal(err)
 			}
 			first := AppendRequest{Epoch: 1, Entries: lfEntries(1, 3, 1)}
-			if resp, err := f.HandleAppend(first); err != nil || !resp.Ok || resp.Ack != 3 {
+			if resp, err := appendFrom(f, first); err != nil || !resp.Ok || resp.Ack != 3 {
 				t.Fatalf("clean append: %+v, %v", resp, err)
 			}
 			inj.SetFaults(fault)
 			// One entry, so the half a short write lands is a torn frame.
 			second := AppendRequest{Epoch: 1, PrevIndex: 3, PrevEpoch: 1, Entries: lfEntries(4, 4, 1)}
-			if resp, err := f.HandleAppend(second); err == nil {
+			if resp, err := appendFrom(f, second); err == nil {
 				t.Fatalf("faulted append answered %+v", resp)
 			}
 			inj.SetFaults() // the disk is healthy again; the log is not
@@ -140,7 +140,7 @@ func TestFollowerNeverAcksPastTornRegion(t *testing.T) {
 				second,
 				{Epoch: 1, PrevIndex: 3, PrevEpoch: 1, Entries: lfEntries(4, 6, 1)},
 			} {
-				resp, err := f.HandleAppend(req)
+				resp, err := appendFrom(f, req)
 				if err == nil || resp.Ok {
 					t.Fatalf("request %d after the fault answered %+v, %v: acked past a torn region", i, resp, err)
 				}
@@ -161,7 +161,7 @@ func TestFollowerNeverAcksPastTornRegion(t *testing.T) {
 			if !sameEntries(f.log.entries, first.Entries) {
 				t.Fatalf("reopened log holds %d entries, want exactly the 3 acked before the fault", len(f.log.entries))
 			}
-			if resp, err := f.HandleAppend(second); err != nil || !resp.Ok || resp.Ack != 4 {
+			if resp, err := appendFrom(f, second); err != nil || !resp.Ok || resp.Ack != 4 {
 				t.Fatalf("retry after reopen: %+v, %v", resp, err)
 			}
 		})
@@ -202,7 +202,7 @@ func TestFollowerRetiredLogLayoutReseeds(t *testing.T) {
 			t.Fatalf("round %d: status %+v, want MustSeed at epoch 3", round, st)
 		}
 		req := AppendRequest{Epoch: 4, Entries: lfEntries(1, 1, 4)}
-		if resp, err := f.HandleAppend(req); err != nil || !resp.NeedSeed || resp.Ok {
+		if resp, err := appendFrom(f, req); err != nil || !resp.NeedSeed || resp.Ok {
 			t.Fatalf("round %d: append answered %+v, %v, want NeedSeed", round, resp, err)
 		}
 		if err := f.Close(); err != nil {
@@ -317,7 +317,7 @@ func TestFollowerReplaysOneOpEntryLog(t *testing.T) {
 	if st := f.Status(); st.MustSeed || st.Last != 4 || len(f.log.entries) != 4 || f.log.ops != 4 {
 		t.Fatalf("status %+v with %d entries holding %d ops, want 4 one-op entries", st, len(f.log.entries), f.log.ops)
 	}
-	resp, err := f.HandleAppend(AppendRequest{Epoch: 1, LeaderID: "leader", PrevIndex: 4, PrevEpoch: 1, Commit: 4})
+	resp, err := appendFrom(f, AppendRequest{Epoch: 1, LeaderID: "leader", PrevIndex: 4, PrevEpoch: 1, Commit: 4})
 	if err != nil || !resp.Ok || resp.Ack != 4 {
 		t.Fatalf("watermark push: %+v, %v", resp, err)
 	}
@@ -347,7 +347,7 @@ func TestFollowerLogBoundCountsOps(t *testing.T) {
 	}
 	for i := uint64(1); i <= 3; i++ {
 		req := AppendRequest{Epoch: 1, PrevIndex: i - 1, PrevEpoch: min(i-1, 1), Entries: []Entry{entry(i)}, Commit: i}
-		if resp, err := f.HandleAppend(req); err != nil || !resp.Ok || resp.Ack != i {
+		if resp, err := appendFrom(f, req); err != nil || !resp.Ok || resp.Ack != i {
 			t.Fatalf("append %d: %+v, %v", i, resp, err)
 		}
 		wantBase, wantEntries := uint64(0), int(i)
@@ -436,7 +436,7 @@ func lfRun(t *testing.T, dir string, fsys vfs.FS) (acked []Entry, inflight *Appe
 			}
 			continue
 		}
-		resp, err := f.HandleAppend(steps[i].req)
+		resp, err := appendFrom(f, steps[i].req)
 		if err != nil {
 			return acked, &steps[i].req, true
 		}
@@ -562,7 +562,7 @@ func lfCheck(t *testing.T, dir string, acked []Entry, inflight *AppendRequest) {
 		// The retry is acknowledged — or, where a compaction cut the log
 		// past the request's PrevIndex before its state record landed,
 		// answered with a resend hint at the request's own last entry.
-		resp, err := f.HandleAppend(*inflight)
+		resp, err := appendFrom(f, *inflight)
 		if err != nil || resp.NeedSeed || (!resp.Ok && resp.Ack != attempt[len(attempt)-1].Index) {
 			t.Fatalf("retry of the in-flight request after reopen: %+v, %v", resp, err)
 		}

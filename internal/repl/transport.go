@@ -3,6 +3,8 @@ package repl
 import (
 	"fmt"
 	"sync"
+
+	"github.com/onioncurve/onion/internal/curve"
 )
 
 // AppendRequest ships a run of entries to a follower. PrevIndex and
@@ -12,10 +14,11 @@ import (
 // mean "my log is a prefix-plus-Entries of yours". Commit is the
 // highest quorum-committed index: the follower may apply entries up to
 // it. An empty Entries slice is a heartbeat carrying the commit
-// watermark.
+// watermark. Curve is the leader's curve identity, which a follower checks.
 type AppendRequest struct {
 	Epoch     uint64
 	LeaderID  string
+	Curve     curve.Identity
 	PrevIndex uint64
 	PrevEpoch uint64
 	Entries   []Entry

@@ -29,9 +29,9 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 
 	"github.com/onioncurve/onion/internal/curve"
@@ -148,7 +148,7 @@ type Sharded struct {
 // clustered by c. Shard i's engine lives in dir/shard-<i> and recovers
 // independently: a crash affects only the shards it interrupted. The
 // shard count and curve identity are recorded in dir/MANIFEST on first
-// open and verified afterwards.
+// open and verified afterwards (ErrManifest, and curve.ErrMismatch).
 func Open(dir string, c curve.Curve, opts Options) (*Sharded, error) {
 	opts = opts.withDefaults()
 	engOpts, err := opts.engineOpts()
@@ -163,8 +163,10 @@ func Open(dir string, c curve.Curve, opts Options) (*Sharded, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	if err := checkOrWriteManifest(fsys, dir, c, opts.Shards); err != nil {
-		return nil, err
+	id := curve.IdentityOf(c)
+	check := func(data []byte) error { return checkManifest(string(data), c, id, opts.Shards) }
+	if err := vfs.CheckOrCreate(fsys, filepath.Join(dir, manifestName), []byte(manifest(id, opts.Shards)), check); err != nil {
+		return nil, fmt.Errorf("shard: %s: %w", dir, err)
 	}
 	s := &Sharded{c: c, part: part, opts: opts}
 	// One page cache for every shard engine: a single byte budget over
@@ -207,44 +209,37 @@ func shardDir(dir string, i int) string {
 
 const manifestName = "MANIFEST"
 
-// manifestBody renders the configuration identity of a shard directory.
-// The universe is part of it (the same curve family at a different side
-// has a different key space), and so is a fingerprint of the actual
-// bijection: the curve's name alone cannot distinguish variants of one
-// family — every Onion3D segment permutation is named "onion" — but the
-// cells at eight keys spread across the key range do.
-func manifestBody(c curve.Curve, shards int) string {
-	u := c.Universe()
-	n := u.Size()
-	probe := ""
-	p := make(geom.Point, u.Dims())
-	for j := uint64(0); j < 8; j++ {
-		c.Coords(j*(n-1)/7, p)
-		probe += fmt.Sprintf(" %v", p)
-	}
-	return fmt.Sprintf("onion-sharded v1\nshards %d\ncurve %s\ndims %d\nside %d\nprobe%s\n",
-		shards, c.Name(), u.Dims(), u.Side(), probe)
+// manifest renders the configuration identity of a sharded directory:
+// its shard count and its curve's identity.
+func manifest(id curve.Identity, shards int) string {
+	return fmt.Sprintf("onion-sharded v2\nshards %d\n%s", shards, id.Lines())
 }
 
-// checkOrWriteManifest verifies an existing manifest against the opening
-// configuration, or durably creates one for a fresh directory. The write
-// is atomic, so a crash at any point leaves either no manifest (next open
-// recreates it) or the complete one — never a torn prefix that would
-// spuriously fail the identity check.
-func checkOrWriteManifest(fsys vfs.FS, dir string, c curve.Curve, shards int) error {
-	path := filepath.Join(dir, manifestName)
-	want := manifestBody(c, shards)
-	if data, err := vfs.ReadFile(fsys, path); err == nil {
-		if string(data) != want {
-			return fmt.Errorf("%w: directory records %q, opening with %q",
-				ErrManifest, string(data), want)
-		}
-		return nil
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("shard: %w", err)
+// checkManifest checks a manifest body against curve c, of identity id,
+// over shards shards (ErrManifest); a v1 body, which has no fingerprint,
+// on its name, dims, side and the cells at eight keys.
+func checkManifest(body string, c curve.Curve, id curve.Identity, shards int) error {
+	lines := strings.Split(body, "\n")
+	if len(body) > curve.MaxRecordBytes || len(lines) != 7 || lines[6] != "" ||
+		lines[0] != "onion-sharded v1" && lines[0] != "onion-sharded v2" {
+		return fmt.Errorf("%w: %w: not a sharded manifest: %.80q", ErrManifest, curve.ErrBadIdentity, body)
 	}
-	if err := vfs.WriteFileAtomic(fsys, path, []byte(want)); err != nil {
-		return fmt.Errorf("shard: %w", err)
+	v1, idEnd := lines[0] == "onion-sharded v1", 6
+	if v1 {
+		idEnd = 5 // the probe line stands where v2 has the fingerprint
+	}
+	got, err := curve.ParseIdentity(lines[2:idEnd])
+	if err == nil {
+		err = id.Check(got)
+	}
+	if err == nil && v1 && lines[5] != curve.LegacyProbe(c) {
+		err = id.Mismatch(got)
+	}
+	if want := fmt.Sprintf("shards %d", shards); err == nil && lines[1] != want {
+		err = fmt.Errorf("directory records %q, opening with %q", lines[1], want)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrManifest, err)
 	}
 	return nil
 }

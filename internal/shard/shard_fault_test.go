@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/onioncurve/onion/internal/core"
+	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
@@ -42,7 +43,7 @@ func TestManifestFaultMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := manifestBody(o, 4)
+	want := manifest(curve.IdentityOf(o), 4)
 
 	// Enumeration pass: count every operation touching the manifest.
 	inj := vfs.NewInjecting(vfs.OS{})

@@ -39,13 +39,13 @@ type SnapshotReport struct {
 // snapshotManifestBody stamps the composite: the epoch orders snapshots
 // of one store, and the embedded configuration identity (the same body
 // the directory MANIFEST records) pins which store the snapshot is of.
-func snapshotManifestBody(c curve.Curve, shards int, epoch uint64) string {
-	return fmt.Sprintf("onion-sharded-snapshot v1\nepoch %d\n%s", epoch, manifestBody(c, shards))
+func snapshotManifestBody(id curve.Identity, shards int, epoch uint64) string {
+	return fmt.Sprintf("onion-sharded-snapshot v1\nepoch %d\n%s", epoch, manifest(id, shards))
 }
 
 // readSnapshotEpoch validates dir as a snapshot of this configuration
 // and returns its epoch.
-func readSnapshotEpoch(fsys vfs.FS, dir string, c curve.Curve, shards int) (uint64, error) {
+func readSnapshotEpoch(fsys vfs.FS, dir string, c curve.Curve, id curve.Identity, shards int) (uint64, error) {
 	data, err := vfs.ReadFile(fsys, filepath.Join(dir, snapshotManifestName))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -61,8 +61,8 @@ func readSnapshotEpoch(fsys vfs.FS, dir string, c curve.Curve, shards int) (uint
 	if _, err := fmt.Sscanf(lines[1], "epoch %d", &epoch); err != nil {
 		return 0, fmt.Errorf("%w: manifest epoch", ErrSnapshot)
 	}
-	if lines[2] != manifestBody(c, shards) {
-		return 0, fmt.Errorf("%w: %s is of a different store or partition", ErrSnapshot, dir)
+	if err := checkManifest(lines[2], c, id, shards); err != nil {
+		return 0, fmt.Errorf("%w: %s: %w", ErrSnapshot, dir, err)
 	}
 	return epoch, nil
 }
@@ -89,7 +89,7 @@ func (s *Sharded) SnapshotSince(dir, parent string) (SnapshotReport, error) {
 	}
 	fsys := vfs.Or(s.opts.FS)
 	if parent != "" {
-		pe, err := readSnapshotEpoch(fsys, parent, s.c, len(s.engines))
+		pe, err := readSnapshotEpoch(fsys, parent, s.c, s.engines[0].Identity(), len(s.engines))
 		if err != nil {
 			return rep, err
 		}
@@ -117,7 +117,7 @@ func (s *Sharded) SnapshotSince(dir, parent string) (SnapshotReport, error) {
 		rep.Records += pr.Records
 	}
 	if err := vfs.WriteFileAtomic(fsys, filepath.Join(dir, snapshotManifestName),
-		[]byte(snapshotManifestBody(s.c, len(s.engines), rep.Epoch))); err != nil {
+		[]byte(snapshotManifestBody(s.engines[0].Identity(), len(s.engines), rep.Epoch))); err != nil {
 		return rep, fmt.Errorf("shard: snapshot: %w", err)
 	}
 	return rep, nil
@@ -137,7 +137,8 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 		return nil, err
 	}
 	fsys := vfs.Or(opts.FS)
-	if _, err := readSnapshotEpoch(fsys, snapshotDir, c, opts.Shards); err != nil {
+	id := curve.IdentityOf(c)
+	if _, err := readSnapshotEpoch(fsys, snapshotDir, c, id, opts.Shards); err != nil {
 		return nil, err
 	}
 	if _, err := fsys.ReadDir(targetDir); err == nil {
@@ -164,7 +165,7 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 	}
 	// Stamp the directory MANIFEST so the restored service reopens with
 	// the identity it was snapshotted with, then commit the whole tree.
-	if err := vfs.WriteFileAtomic(fsys, filepath.Join(tmp, manifestName), []byte(manifestBody(c, opts.Shards))); err != nil {
+	if err := vfs.WriteFileAtomic(fsys, filepath.Join(tmp, manifestName), []byte(manifest(id, opts.Shards))); err != nil {
 		return reps, fmt.Errorf("shard: restore: %w", err)
 	}
 	if err := fsys.Rename(tmp, targetDir); err != nil {

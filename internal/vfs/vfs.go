@@ -134,6 +134,36 @@ func WriteFileAtomic(fs FS, path string, data []byte) error {
 	return fs.SyncDir(filepath.Dir(path))
 }
 
+// checkOrCreateMax bounds what CheckOrCreate reads of an existing file.
+const checkOrCreateMax = 64 << 10
+
+// CheckOrCreate verifies the small record file at path, or publishes data
+// there when there is none. An existing file is handed to check, which
+// decides whether it agrees with data; only its first 64 KiB and one
+// byte more are read, so a check that bounds a record's size sees an
+// oversized file as one. A missing file is written with WriteFileAtomic,
+// so a crash leaves no record or the whole one, never a prefix that would
+// fail a later check.
+func CheckOrCreate(fs FS, path string, data []byte, check func(existing []byte) error) error {
+	f, err := fs.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return WriteFileAtomic(fs, path, data)
+	}
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, min(fi.Size(), checkOrCreateMax+1))
+	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
+		return err
+	}
+	return check(buf)
+}
+
 // RemoveAll removes dir and everything under it through fs, one Remove
 // per entry, children before their directory. A dir that does not exist
 // is not an error. It stops at the first failure, leaving the tree

@@ -287,6 +287,20 @@ const (
 // Sentinel errors of the storage stack, for errors.Is checks at the
 // serving layer.
 var (
+	// ErrCurveMismatch reports data written by another curve than the
+	// one given: an engine or sharded directory, a snapshot (the one
+	// restored, a SnapshotSince parent, a Repair source, a replication
+	// seed) or a replication leader. A stored key means a point only
+	// under the exact bijection that wrote it, and two curves of one name
+	// and universe can differ (every Onion3D segment order is "onion"),
+	// so the check compares a fingerprint of the bijection too. Errors
+	// about a sharded MANIFEST or a snapshot wrap ErrShardManifest or
+	// ErrSnapshot (ErrShardedSnapshot) as well.
+	ErrCurveMismatch = curve.ErrMismatch
+	// ErrCurveIdentity reports a curve identity record that does not
+	// parse: a damaged CURVE file, or a damaged MANIFEST or snapshot
+	// manifest.
+	ErrCurveIdentity = curve.ErrBadIdentity
 	// ErrShardManifest reports a sharded engine directory opened with a
 	// shard count or curve different from the one it was created with.
 	ErrShardManifest = shard.ErrManifest
@@ -523,7 +537,11 @@ func WriteStore(path string, c Curve, recs []Record, pageBytes int) error {
 }
 
 // OpenStore opens a clustered store written by WriteStore; the curve must
-// match the one used at write time. A Store is safe for concurrent
+// match the one used at write time. A standalone store file records only
+// its universe's dims and side, which OpenStore checks; unlike an engine
+// directory it records no curve identity, so another curve over the same
+// universe opens it and maps its keys to the wrong points. A Store is
+// safe for concurrent
 // readers: all file access is positioned (pread) and per-query state
 // lives in per-call cursors.
 func OpenStore(path string, c Curve) (*Store, error) { return pagedstore.Open(path, c) }
@@ -560,6 +578,12 @@ func OpenStoreCached(path string, c Curve, cache *PageCache) (*Store, error) {
 // a fresh Store of the same records. All Engine methods
 // (Put, Delete, Query, Flush, Compact, Sync, Stats, Close) are safe for
 // concurrent use.
+//
+// The directory records c's identity in a CURVE file on first open, and
+// every later open checks it: another curve, even one of the same name
+// and universe, fails with ErrCurveMismatch. A directory written before
+// the file existed takes the curve it is next opened with, so reopen an
+// old directory with its own curve first.
 func OpenEngine(dir string, c Curve, opts EngineOptions) (*Engine, error) {
 	return engine.Open(dir, c, opts)
 }
@@ -571,7 +595,8 @@ func OpenEngine(dir string, c Curve, opts EngineOptions) (*Engine, error) {
 // segments, flush and compaction — so durability and crash recovery
 // compose shard by shard, and a crash damages at most the shards it
 // interrupted. The shard count and curve identity are recorded in a
-// manifest and verified on reopen.
+// manifest and verified on reopen (ErrShardManifest, wrapping
+// ErrCurveMismatch for another curve).
 //
 // Writes route by curve key to exactly one shard. Query plans each
 // rectangle ONCE with the curve's RangePlanner, splits the resulting
@@ -610,7 +635,9 @@ func LeadReplicated(dir string, c Curve, cfg ReplConfig) (*ReplGroup, error) {
 // served from the leader's directory, not a follower's. A seed from the
 // leader restores to its own boundary too: the leader's resend window
 // carries every entry past it, so seeding reads nothing of the leader's
-// directory but the seed and starts no archive there.
+// directory but the seed and starts no archive there. c must be the
+// leader's curve, and is checked: a directory, a seed or an append of
+// another curve fails with ErrCurveMismatch.
 func OpenReplFollower(id, dir string, c Curve, opts ReplFollowerOptions) (*ReplFollower, error) {
 	return repl.OpenFollower(id, dir, c, opts)
 }
@@ -675,7 +702,9 @@ func OpenReplicatedShardedEngine(dir string, c Curve, opts ShardedEngineOptions,
 // snapshot or the source. Only the last step, the fsync of targetDir's
 // parent after the rename, can fail with targetDir complete: it is then
 // an engine whose durability failed, and a retry is refused because it
-// exists. Open the result with OpenEngine and the same curve.
+// exists. c must be the snapshot's curve (ErrSnapshot wrapping
+// ErrCurveMismatch otherwise), and the restored directory records it, so
+// open the result with OpenEngine and the same curve.
 func RestoreEngine(snapshotDir, targetDir string, upTo int, c Curve, opts EngineOptions) (EngineRestoreReport, error) {
 	return engine.Restore(snapshotDir, targetDir, upTo, c, opts)
 }
