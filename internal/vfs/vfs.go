@@ -19,6 +19,7 @@ package vfs
 import (
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -91,6 +92,12 @@ func (OS) SyncDir(name string) error {
 
 // ReadFile reads the whole file at name through fs.
 func ReadFile(fs FS, name string) ([]byte, error) {
+	return readAtMost(fs, name, math.MaxInt64)
+}
+
+// readAtMost reads the first limit bytes of the file at name, or all of
+// it when it is shorter.
+func readAtMost(fs FS, name string, limit int64) ([]byte, error) {
 	f, err := fs.Open(name)
 	if err != nil {
 		return nil, err
@@ -100,7 +107,7 @@ func ReadFile(fs FS, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, fi.Size())
+	buf := make([]byte, min(fi.Size(), limit))
 	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
 		return nil, err
 	}
@@ -145,23 +152,14 @@ const checkOrCreateMax = 64 << 10
 // so a crash leaves no record or the whole one, never a prefix that would
 // fail a later check.
 func CheckOrCreate(fs FS, path string, data []byte, check func(existing []byte) error) error {
-	f, err := fs.Open(path)
+	existing, err := readAtMost(fs, path, checkOrCreateMax+1)
 	if errors.Is(err, os.ErrNotExist) {
 		return WriteFileAtomic(fs, path, data)
 	}
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, min(fi.Size(), checkOrCreateMax+1))
-	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
-		return err
-	}
-	return check(buf)
+	return check(existing)
 }
 
 // RemoveAll removes dir and everything under it through fs, one Remove
