@@ -27,8 +27,8 @@ var (
 // the fingerprint hashes the cells of the curve's innermost keys — the
 // last fingerprintKeys of the key space, where the onion curves' inner
 // layers show every segment order — and of eight keys spread across the
-// whole range. Build it once per open with IdentityOf and compare it
-// with ==; it is cheap to copy.
+// whole range. Build it once per open with IdentityOf; compare two
+// computed identities with ==, and one read from a record with Check.
 type Identity struct {
 	Name        string
 	Dims        int
