@@ -256,7 +256,7 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	id := curve.IdentityOf(c)
-	if err := vfs.CheckOrCreate(fsys, filepath.Join(dir, identityFile), id.Record(), id.CheckRecord); err != nil {
+	if err := vfs.CheckOrCreate(fsys, filepath.Join(dir, identityFile), id.Record(), curve.MaxRecordBytes+1, id.CheckRecord); err != nil {
 		return nil, fmt.Errorf("engine: %s: %w", dir, err)
 	}
 	segIDs, walGens, archived, err := scanDir(fsys, dir)

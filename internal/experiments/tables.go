@@ -287,12 +287,12 @@ func LowerBounds(cfg Config) ([]LBRow, error) {
 }
 
 // RenderLowerBounds renders the bound table.
-func RenderLowerBounds(rows []LBRow, names []string) string {
-	headers := append([]string{"shape", "LB-cont", "LB-any"}, names...)
+func RenderLowerBounds(rows []LBRow, curveNames []string) string {
+	headers := append([]string{"shape", "LB-cont", "LB-any"}, curveNames...)
 	out := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		cells := []string{r.Shape, fmt.Sprintf("%.2f", r.LBContinuous), fmt.Sprintf("%.2f", r.LBGeneral)}
-		for _, n := range names {
+		for _, n := range curveNames {
 			cells = append(cells, fmt.Sprintf("%.2f", r.Measured[n]))
 		}
 		out = append(out, cells)

@@ -341,8 +341,13 @@ func TestFollowerAppliesKeysWithoutCurve(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if n, k := c.IndexKeys.Load(), c.CoordsKeys.Load(); n != 0 || k != 0 {
+		t.Fatalf("holding and applying evaluated the curve at %d points and %d keys, want none", n, k)
+	}
+	c.Reset()
 	curve.IdentityOf(c)
-	idKeys := c.CoordsKeys.Swap(0)
+	idKeys := c.CoordsKeys.Load()
+	c.Reset()
 	if f, err = OpenFollower("f1", dir, c, FollowerOptions{Engine: rtEngOpts()}); err != nil {
 		t.Fatal(err)
 	}

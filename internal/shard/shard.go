@@ -165,7 +165,7 @@ func Open(dir string, c curve.Curve, opts Options) (*Sharded, error) {
 	}
 	id := curve.IdentityOf(c)
 	check := func(data []byte) error { return checkManifest(string(data), c, id, opts.Shards) }
-	if err := vfs.CheckOrCreate(fsys, filepath.Join(dir, manifestName), []byte(manifest(id, opts.Shards)), check); err != nil {
+	if err := vfs.CheckOrCreate(fsys, filepath.Join(dir, manifestName), []byte(manifest(id, opts.Shards)), curve.MaxRecordBytes+1, check); err != nil {
 		return nil, fmt.Errorf("shard: %s: %w", dir, err)
 	}
 	s := &Sharded{c: c, part: part, opts: opts}

@@ -141,18 +141,15 @@ func WriteFileAtomic(fs FS, path string, data []byte) error {
 	return fs.SyncDir(filepath.Dir(path))
 }
 
-// checkOrCreateMax bounds what CheckOrCreate reads of an existing file.
-const checkOrCreateMax = 64 << 10
-
 // CheckOrCreate verifies the small record file at path, or publishes data
 // there when there is none. An existing file is handed to check, which
-// decides whether it agrees with data; only its first 64 KiB and one
-// byte more are read, so a check that bounds a record's size sees an
-// oversized file as one. A missing file is written with WriteFileAtomic,
-// so a crash leaves no record or the whole one, never a prefix that would
-// fail a later check.
-func CheckOrCreate(fs FS, path string, data []byte, check func(existing []byte) error) error {
-	existing, err := readAtMost(fs, path, checkOrCreateMax+1)
+// decides whether it agrees with data; only its first limit bytes are
+// read, so a caller that bounds its record's size passes one byte more
+// than the bound and check sees an oversized file as one. A missing file
+// is written with WriteFileAtomic, so a crash leaves no record or the
+// whole one, never a prefix that would fail a later check.
+func CheckOrCreate(fs FS, path string, data []byte, limit int64, check func(existing []byte) error) error {
+	existing, err := readAtMost(fs, path, limit)
 	if errors.Is(err, os.ErrNotExist) {
 		return WriteFileAtomic(fs, path, data)
 	}
