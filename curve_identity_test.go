@@ -6,11 +6,13 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	onion "github.com/onioncurve/onion"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/repl"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 // identityEngine opens an engine at dir on c, writes a few points of c's
@@ -232,12 +234,41 @@ func TestEveryDirectoryRefusesAnotherCurve(t *testing.T) {
 	}
 }
 
+// readCounter is a filesystem that counts the bytes read from the files
+// of one base name.
+type readCounter struct {
+	vfs.FS
+	name string
+	read atomic.Int64
+}
+
+func (r *readCounter) Open(name string) (vfs.File, error) {
+	f, err := r.FS.Open(name)
+	if err != nil || filepath.Base(name) != r.name {
+		return f, err
+	}
+	return countingFile{f, &r.read}, nil
+}
+
+type countingFile struct {
+	vfs.File
+	read *atomic.Int64
+}
+
+func (f countingFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.read.Add(int64(n))
+	return n, err
+}
+
 // TestHostileIdentityRecords hands every file that records a curve
 // identity damaged or foreign bytes: empty, cut short, a number that is
 // not one, a fingerprint of the wrong length, a zero fingerprint, extra
-// lines, and a megabyte of garbage. These are input from outside the
-// program: each must fail with the file kind's named error, and none may
-// panic.
+// lines, and one and four megabytes of garbage. These are input from
+// outside the program: each must fail with the file kind's named error,
+// none may panic, and none may be read past its kind's size bound — at
+// most the engine snapshot manifest's 1 MiB and the one byte more that
+// shows a file oversized — so the four megabytes are never read whole.
 func TestHostileIdentityRecords(t *testing.T) {
 	c, err := onion.NewOnion2D(16)
 	if err != nil {
@@ -251,7 +282,7 @@ func TestHostileIdentityRecords(t *testing.T) {
 		file  string
 		named error
 		build func(t *testing.T, dir string)
-		read  func(dir string) error
+		read  func(dir string, fsys vfs.FS) error
 	}{
 		{"engine CURVE", "CURVE", onion.ErrCurveIdentity,
 			func(t *testing.T, dir string) {
@@ -259,8 +290,8 @@ func TestHostileIdentityRecords(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			func(dir string) error {
-				_, err := onion.OpenEngine(dir, c, onion.EngineOptions{})
+			func(dir string, fsys vfs.FS) error {
+				_, err := onion.OpenEngine(dir, c, onion.EngineOptions{FS: fsys})
 				return err
 			}},
 		{"sharded MANIFEST", "MANIFEST", onion.ErrShardManifest,
@@ -273,14 +304,16 @@ func TestHostileIdentityRecords(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			func(dir string) error {
-				_, err := onion.OpenShardedEngine(dir, c, sharded)
+			func(dir string, fsys vfs.FS) error {
+				opts := sharded
+				opts.FS = fsys
+				_, err := onion.OpenShardedEngine(dir, c, opts)
 				return err
 			}},
 		{"snapshot", "SNAPSHOT", onion.ErrSnapshot,
 			func(t *testing.T, dir string) { snapshotOf(t, dir, c) },
-			func(dir string) error {
-				_, err := onion.RestoreEngine(dir, dir+"-restored", -1, c, onion.EngineOptions{})
+			func(dir string, fsys vfs.FS) error {
+				_, err := onion.RestoreEngine(dir, dir+"-restored", -1, c, onion.EngineOptions{FS: fsys})
 				return err
 			}},
 		{"sharded snapshot", "SNAPSHOT", onion.ErrShardedSnapshot,
@@ -294,8 +327,10 @@ func TestHostileIdentityRecords(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			func(dir string) error {
-				_, err := onion.RestoreShardedEngine(dir, dir+"-restored", -1, c, sharded)
+			func(dir string, fsys vfs.FS) error {
+				opts := sharded
+				opts.FS = fsys
+				_, err := onion.RestoreShardedEngine(dir, dir+"-restored", -1, c, opts)
 				return err
 			}},
 	}
@@ -316,6 +351,7 @@ func TestHostileIdentityRecords(t *testing.T) {
 		}},
 		{"extra lines", func(g string) string { return g + "curve hilbert\nextra\n" }},
 		{"oversized", func(g string) string { return g + strings.Repeat("x", 1<<20) + "\n" }},
+		{"far oversized", func(g string) string { return g + strings.Repeat("x", 4<<20) + "\n" }},
 	}
 	for _, k := range kinds {
 		for _, m := range mutations {
@@ -330,8 +366,12 @@ func TestHostileIdentityRecords(t *testing.T) {
 				if err := os.WriteFile(path, []byte(m.edit(string(good))), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				if err := k.read(dir); !errors.Is(err, k.named) {
+				rc := &readCounter{FS: vfs.OS{}, name: k.file}
+				if err := k.read(dir, rc); !errors.Is(err, k.named) {
 					t.Fatalf("%s %s: %v, want %v", k.name, m.name, err, k.named)
+				}
+				if n := rc.read.Load(); n > 1<<20+1 {
+					t.Fatalf("%s %s: read %d bytes of %s, more than any bound", k.name, m.name, n, k.file)
 				}
 			})
 		}

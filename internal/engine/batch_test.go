@@ -2,9 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"maps"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -14,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/framedlog"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
@@ -314,6 +317,81 @@ func TestEngineVisibilityIsBatchPrefix(t *testing.T) {
 		t.Fatalf("%d records after the writers finished, want %d", n, writers*batches*ops)
 	}
 	t.Logf("%d queries", queries)
+}
+
+// TestQueryFilterSeesEveryPublishedKey runs queries whose plan puts each
+// written key in a range of its own, beside ranges that never hold one,
+// while a writer fills the memtables' occupancy bitmaps one key a batch
+// and flushes rotate them; each put starts as a query does. A query
+// skips a memtable for a range whose buckets are clear, so a bit set
+// after its batch was published would lose that key: every query must
+// return exactly the first n keys written, n at least the count
+// acknowledged before it began.
+func TestQueryFilterSeesEveryPublishedKey(t *testing.T) {
+	const keys, stride = 256, 16
+	o := fwCurve(t)
+	opts := batchManualOpts()
+	opts.FlushEntries = 64
+	e, err := Open(t.TempDir(), o, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plan []curve.KeyRange
+	for j := uint64(0); j < keys; j++ {
+		plan = append(plan, curve.KeyRange{Lo: j * stride, Hi: j*stride + stride/2 - 1}, curve.KeyRange{Lo: j*stride + stride/2, Hi: j*stride + stride - 1})
+	}
+	order := rand.New(rand.NewSource(5)).Perm(keys) // write i puts key order[i]*stride
+	var acked atomic.Int64
+	start, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(stop)
+		<-done // a failed check must not close the engine under the writer
+		e.Close()
+	}()
+	go func() {
+		defer close(done)
+		for i, j := range order {
+			select {
+			case <-start:
+			case <-stop:
+				return
+			}
+			if err := e.PutBatch([]BatchOp{{Key: uint64(j) * stride, Payload: uint64(i)}}); err != nil {
+				t.Error(err)
+				return
+			}
+			acked.Store(int64(i + 1))
+		}
+	}()
+	var recs []Record
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		case start <- struct{}{}:
+		default:
+		}
+		before := acked.Load()
+		if recs, _, err = e.QueryRanges(context.Background(), recs[:0], plan); err != nil {
+			t.Fatal(err)
+		}
+		seen := make([]bool, keys)
+		for _, r := range recs {
+			seen[r.Payload] = true
+		}
+		n := int64(len(recs))
+		if n < before {
+			t.Fatalf("%d records, but %d writes were acknowledged before the query", n, before)
+		}
+		for i := int64(0); i < n; i++ {
+			if !seen[i] {
+				t.Fatalf("%d records without write %d (key %d)", n, i, order[i]*stride)
+			}
+		}
+	}
+	if len(recs) != keys {
+		t.Fatalf("%d records after the writer finished, want %d", len(recs), keys)
+	}
 }
 
 // failingCommit is a CommitHook whose first Commit signals entered,

@@ -305,7 +305,7 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 		}
 		for _, op := range ops {
 			if recovered == nil {
-				recovered = newMemtable(e.gen)
+				recovered = newMemtable(e.gen, c.Universe().Size())
 			}
 			recovered.put(op.Key, op.Payload, e.seq.Add(1), op.Del)
 		}
@@ -539,6 +539,9 @@ type queryState struct {
 	out     []Record
 	recs    pagedstore.KeyedRecords // the keys of out's new records
 	memHits int
+	// memSearches and memSkips count the (range, memtable) pairs searched
+	// and those the occupancy bitmap ruled out, for telemetry.
+	memSearches, memSkips int
 }
 
 var qsPool = sync.Pool{New: func() any { return new(queryState) }}
@@ -624,10 +627,10 @@ func (e *Engine) query(ctx context.Context, dst []Record, r *geom.Rect, krs []cu
 			st.Planned = len(krs)
 		}
 	}
-	qsPool.Put(qs)
 	if tel != nil {
-		tel.recordQuery(start, st, err)
+		tel.recordQuery(start, st, qs.memSearches, qs.memSkips, err)
 	}
+	qsPool.Put(qs)
 	return dst, st, err
 }
 
@@ -692,7 +695,7 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 	qs.iters = qs.iters[:len(qs.mems)]
 
 	qs.out = dst
-	qs.memHits = 0
+	qs.memHits, qs.memSearches, qs.memSkips = 0, 0, 0
 	cancel := ctx.Done()
 	var err error
 	for _, kr := range krs {
@@ -707,9 +710,18 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 			s.cur.NextRange()
 			qs.pass = append(qs.pass, s)
 		}
-		for j := range qs.mems {
+		for j, m := range qs.mems {
+			// A clear occupancy bitmap over kr proves m holds no version
+			// in it, and so none at snap: put sets a key's bit before its
+			// batch is published, the same order the entries check above
+			// relies on.
+			if !m.mayHold(kr) {
+				qs.memSkips++
+				continue
+			}
+			qs.memSearches++
 			it := &qs.iters[j]
-			it.init(qs.mems[j], kr, snap)
+			it.init(m, kr, snap)
 			qs.memSrcs[j] = mergeSource{mem: it, prio: len(qs.pass)}
 			qs.pass = append(qs.pass, &qs.memSrcs[j])
 		}
@@ -830,7 +842,7 @@ func (e *Engine) rotateLocked() (*wal, *memtable, error) {
 		return nil, nil, err
 	}
 	oldWal, oldMem := e.wal, e.mem
-	e.wal, e.mem = w, newMemtable(e.gen)
+	e.wal, e.mem = w, newMemtable(e.gen, e.c.Universe().Size())
 	e.walBytes.Store(0)
 	e.gen++
 	return oldWal, oldMem, nil
@@ -871,7 +883,7 @@ func (e *Engine) freeze(force, next bool) (oldWal *wal, oldMem *memtable, err er
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	oldWal, oldMem = e.wal, e.mem
-	e.wal, e.mem = w, newMemtable(e.gen)
+	e.wal, e.mem = w, newMemtable(e.gen, e.c.Universe().Size())
 	e.walBytes.Store(0) // a fresh log, or none
 	e.gen++
 	if oldMem.entries.Load() > 0 {

@@ -39,15 +39,52 @@ const (
 // arena grows by append, and offsets survive that. Readers take mu as
 // RLock for O(1) windows per step — snapshot consistency comes from
 // sequence filtering, not from holding the lock across a scan.
+//
+// occ is the key-occupancy bitmap, one bit per bucket of 2^shift
+// consecutive keys, set by put before the key is linked: a range whose
+// buckets are all clear holds no version, and a query skips the table
+// for it without a descent (mayHold).
 type memtable struct {
 	mu      sync.RWMutex
 	arena   []uint64
 	gen     uint64       // file generation of the WAL backing this table
 	entries atomic.Int64 // total versions ever inserted
+	occ     []atomic.Uint64
+	shift   uint
 }
 
-func newMemtable(gen uint64) *memtable {
-	return &memtable{arena: make([]uint64, nodeTower+maxSkipLevel/2, 1<<10), gen: gen}
+// maxOccBits caps the occupancy bitmap at 2^20 bits, so a memtable costs
+// at most 128 KiB more whatever the key space: under a tenth of the
+// ~2 MiB arena a memtable fills by the default flush threshold. At that
+// size a bucket of a 4096² curve holds 16 keys, few enough that a query
+// range holding none of the table's keys mostly misses its buckets too.
+const maxOccBits = 1 << 20
+
+// newMemtable returns an empty memtable for the WAL of generation gen
+// over a key space of size keys.
+func newMemtable(gen, size uint64) *memtable {
+	shift := uint(max(bits.Len64(size-1)-bits.Len64(maxOccBits-1), 0))
+	return &memtable{
+		arena: make([]uint64, nodeTower+maxSkipLevel/2, 1<<10),
+		gen:   gen,
+		occ:   make([]atomic.Uint64, (size-1)>>shift/64+1),
+		shift: shift,
+	}
+}
+
+// mayHold reports whether any bucket overlapping kr has its bit set. A
+// false answer proves the table holds no version in kr; the scan stops
+// at the first non-zero word.
+func (m *memtable) mayHold(kr curve.KeyRange) bool {
+	lo, hi := kr.Lo>>m.shift, kr.Hi>>m.shift
+	mask := ^uint64(0) << (lo % 64)
+	for w := lo / 64; w < hi/64; w++ {
+		if m.occ[w].Load()&mask != 0 {
+			return true
+		}
+		mask = ^uint64(0)
+	}
+	return m.occ[hi/64].Load()&mask&(^uint64(0)>>(63-hi%64)) != 0
 }
 
 // next returns the offset of node n's successor on level lvl.
@@ -76,8 +113,12 @@ func (m *memtable) descend(key uint64, prev *[maxSkipLevel]uint32) {
 }
 
 // put inserts one version, whose seq must exceed every seq already in
-// the table: it links in front of the key's older versions.
+// the table: it links in front of the key's older versions. The key's
+// occupancy bit is set first, so it is set before the batch holding the
+// version is published.
 func (m *memtable) put(key, payload, seq uint64, del bool) {
+	b := key >> m.shift
+	m.occ[b/64].Or(1 << (b % 64))
 	h := min(1+bits.TrailingZeros64(rand.Uint64()), maxSkipLevel)
 	var d uint64
 	if del {

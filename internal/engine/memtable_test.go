@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,11 +50,27 @@ func (o memOracle) want(lo, hi, snap uint64) []pagedstore.Entry {
 	return out
 }
 
-// scanMem drains a memIter over [lo, hi] at snap. It may run off the
-// test goroutine.
+// occupied reports whether some key of the oracle lies in a bucket of
+// [lo, hi] under the given bucket shift: the answer mayHold must give.
+func (o memOracle) occupied(lo, hi uint64, shift uint) bool {
+	for k := range o {
+		if k>>shift >= lo>>shift && k>>shift <= hi>>shift {
+			return true
+		}
+	}
+	return false
+}
+
+// scanMem drains a memIter over [lo, hi] at snap, through the occupancy
+// filter as a query does: a range the filter rules out reads as empty.
+// It may run off the test goroutine.
 func scanMem(m *memtable, lo, hi, snap uint64) []pagedstore.Entry {
+	kr := curve.KeyRange{Lo: lo, Hi: hi}
+	if !m.mayHold(kr) {
+		return nil
+	}
 	var it memIter
-	it.init(m, curve.KeyRange{Lo: lo, Hi: hi}, snap)
+	it.init(m, kr, snap)
 	var out []pagedstore.Entry
 	var e pagedstore.Entry
 	for it.next(&e) {
@@ -62,11 +79,16 @@ func scanMem(m *memtable, lo, hi, snap uint64) []pagedstore.Entry {
 	return out
 }
 
-// checkMemtable compares a range scan at snap against the oracle.
-func checkMemtable(t *testing.T, c curve.Curve, m *memtable, o memOracle, lo, hi, snap uint64) {
+// checkMemtable compares a range scan at snap against the oracle, and
+// the occupancy filter's answer for the range against the buckets the
+// oracle's keys fill.
+func checkMemtable(t *testing.T, m *memtable, o memOracle, lo, hi, snap uint64) {
 	t.Helper()
 	if got, want := scanMem(m, lo, hi, snap), o.want(lo, hi, snap); !slices.Equal(got, want) {
 		t.Fatalf("[%d,%d] at snap %d:\n got %v\nwant %v", lo, hi, snap, got, want)
+	}
+	if got, want := m.mayHold(curve.KeyRange{Lo: lo, Hi: hi}), o.occupied(lo, hi, m.shift); got != want {
+		t.Fatalf("[%d,%d]: mayHold %v, want %v (bucket shift %d)", lo, hi, got, want, m.shift)
 	}
 }
 
@@ -83,7 +105,7 @@ func checkFlush(t *testing.T, m *memtable, o memOracle) {
 // newest first, and a snapshot sees the newest version at or below it.
 func TestMemtableSnapshotFilter(t *testing.T) {
 	c, _ := core.NewOnion2D(16)
-	m := newMemtable(1)
+	m := newMemtable(1, c.Universe().Size())
 	key := c.Index(geom.Point{3, 3})
 	m.put(key, 10, 1, false)
 	m.put(key, 20, 3, false)
@@ -129,45 +151,74 @@ func TestMemtableSnapshotFilter(t *testing.T) {
 
 // TestMemtableModel drives colliding puts and deletes into one memtable
 // and checks range scans at many snapshots, and the flush run, against
-// the oracle.
+// the oracle. It runs at key spaces on either side of the occupancy
+// bitmap's word and cap — one key a bit up to 2^20 keys, two at 2^20+1,
+// 2^20 at 2^40 — with keys at the ends of the key space and beside
+// bucket and word boundaries, and ranges that start and end on them.
 func TestMemtableModel(t *testing.T) {
-	c, _ := core.NewOnion2D(16)
-	size := c.Universe().Size()
-	rng := rand.New(rand.NewSource(7))
-	m, o := newMemtable(3), memOracle{}
-	for seq := uint64(1); seq <= 3000; seq++ {
-		key := uint64(rng.Intn(40)) * 6 // 40 keys, each rewritten ~75 times
-		o.put(m, key, uint64(rng.Int63()), seq, rng.Intn(4) == 0)
-		if seq%100 != 0 {
-			continue
-		}
-		for q := 0; q < 10; q++ {
-			lo := uint64(rng.Int63n(int64(size)))
-			hi := min(lo+uint64(rng.Int63n(80)), size-1)
-			checkMemtable(t, c, m, o, lo, hi, uint64(rng.Int63n(int64(seq)+1)))
-		}
-		checkMemtable(t, c, m, o, 0, size-1, seq)
+	for _, size := range []uint64{1, 2, 63, 64, 65, 1 << 20, 1<<20 + 1, 1 << 40} {
+		t.Run(strconv.FormatUint(size, 10), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			m, o := newMemtable(3, size), memOracle{}
+			bucket, word := uint64(1)<<m.shift, uint64(64)<<m.shift
+			keys := []uint64{0, size - 1}
+			for _, b := range []uint64{bucket, word, 2 * word, size / 2 &^ (word - 1)} {
+				keys = append(keys, b-1, b, b+1)
+			}
+			for len(keys) < 40 { // 40 keys, each rewritten ~75 times
+				keys = append(keys, uint64(rng.Int63n(int64(size))))
+			}
+			// edges are the keys, their neighbours and the first and last
+			// keys of their buckets and words: the bounds of the ranges.
+			var edges []uint64
+			for i, k := range keys {
+				keys[i] = min(k, size-1)
+				k = keys[i]
+				edges = append(edges, k, k+1, k&^(bucket-1), k|(bucket-1), k&^(word-1), k|(word-1))
+				if k > 0 {
+					edges = append(edges, k-1)
+				}
+			}
+			for i := range edges {
+				edges[i] = min(edges[i], size-1)
+			}
+			for seq := uint64(1); seq <= 3000; seq++ {
+				o.put(m, keys[rng.Intn(len(keys))], uint64(rng.Int63()), seq, rng.Intn(4) == 0)
+				if seq%100 != 0 {
+					continue
+				}
+				for q := 0; q < 10; q++ {
+					lo := uint64(rng.Int63n(int64(size)))
+					hi := min(lo+uint64(rng.Int63n(int64(3*word))), size-1)
+					checkMemtable(t, m, o, lo, hi, uint64(rng.Int63n(int64(seq)+1)))
+					a, b := edges[rng.Intn(len(edges))], edges[rng.Intn(len(edges))]
+					checkMemtable(t, m, o, min(a, b), max(a, b), uint64(rng.Int63n(int64(seq)+1)))
+				}
+				checkMemtable(t, m, o, 0, size-1, seq)
+			}
+			if got := m.entries.Load(); got != 3000 {
+				t.Fatalf("entries %d, want 3000", got)
+			}
+			checkFlush(t, m, o)
+		})
 	}
-	if got := m.entries.Load(); got != 3000 {
-		t.Fatalf("entries %d, want 3000", got)
-	}
-	checkFlush(t, m, o)
 }
 
 // TestMemtableReadersDuringGrowth runs range readers against the one
-// writer while its inserts grow (and so reallocate) the arena many times.
-// Every scan at a published snapshot must be exact. Under -race this is
-// the memtable's concurrency test.
+// writer while its inserts grow (and so reallocate) the arena many times
+// and fill the occupancy bitmap: a reader's range is empty at first and
+// holds about one key at the end, so its scans go both ways through the
+// filter. Every scan at a published snapshot must be exact. Under -race
+// this is the memtable's concurrency test.
 func TestMemtableReadersDuringGrowth(t *testing.T) {
-	c, _ := core.NewOnion2D(32)
-	size := c.Universe().Size()
+	const size = 1 << 22 // four keys a bucket
 	const puts = 20000
 	keyOf := make([]uint64, puts+1) // op seq's key; its payload is seq
 	rng := rand.New(rand.NewSource(11))
 	for s := 1; s <= puts; s++ {
 		keyOf[s] = uint64(rng.Int63n(int64(size)))
 	}
-	m := newMemtable(1)
+	m := newMemtable(1, size)
 	var visible atomic.Uint64
 	var wg sync.WaitGroup
 	for r := 0; r < 3; r++ {
@@ -212,7 +263,7 @@ func TestMemtablePutZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	m := newMemtable(1)
+	m := newMemtable(1, 4096)
 	m.arena = slices.Grow(m.arena, 1<<16)
 	words := cap(m.arena)
 	var seq uint64
@@ -228,29 +279,66 @@ func TestMemtablePutZeroAlloc(t *testing.T) {
 	}
 }
 
+// fuzzUniverses are the key spaces FuzzMemtable runs each input in, with
+// the key a byte stands for: one byte a key and one key a bitmap bucket;
+// and 2^22 keys, four a bucket, where the low bytes stand for keys three
+// apart from 0, so a bucket holds one or two of them and they cross the
+// first word boundary (key 256), and the high bytes for keys three
+// apart up to the last key.
+var fuzzUniverses = []struct {
+	size uint64
+	key  func(byte) uint64
+}{
+	{256, func(b byte) uint64 { return uint64(b) }},
+	{1 << 22, func(b byte) uint64 {
+		if b < 128 {
+			return 3 * uint64(b)
+		}
+		return 1<<22 - 1 - 3*uint64(255-b)
+	}},
+}
+
 // FuzzMemtable runs a fuzzed stream of puts, deletes and snapshot range
-// scans against the oracle, then checks the flush run.
+// scans against the oracle, then checks the flush run, in every key
+// space of fuzzUniverses. A scan's op byte may widen its range out to
+// the bounds of its end keys' buckets and bitmap words.
 func FuzzMemtable(f *testing.F) {
 	f.Add([]byte{5, 1, 0, 5, 4, 2, 0, 255, 3, 5, 9, 0, 5, 5, 0x21})
 	f.Add([]byte{0, 0, 0, 255, 255, 0, 0, 255, 0xff})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		c, _ := core.NewOnion2D(16) // keys are one byte
-		m, o := newMemtable(1), memOracle{}
-		var seq uint64
-		for i := 0; i+2 < len(raw); i += 3 {
-			a, b, op := uint64(raw[i]), uint64(raw[i+1]), raw[i+2]
-			if op&1 == 0 {
-				seq++
-				o.put(m, a, b, seq, b%4 == 0)
-				continue
+		for _, u := range fuzzUniverses {
+			m, o := newMemtable(1, u.size), memOracle{}
+			bucket, word := uint64(1)<<m.shift-1, uint64(64)<<m.shift-1
+			var seq uint64
+			for i := 0; i+2 < len(raw); i += 3 {
+				a, b, op := u.key(raw[i]), u.key(raw[i+1]), raw[i+2]
+				if op&1 == 0 {
+					seq++
+					o.put(m, a, uint64(raw[i+1]), seq, raw[i+1]%4 == 0)
+					continue
+				}
+				// A scan of [min(a,b), max(a,b)], widened as op's bits
+				// 1 to 4 say, at a snapshot op picks.
+				lo, hi := min(a, b), max(a, b)
+				if op&2 != 0 {
+					lo &^= bucket
+				}
+				if op&4 != 0 {
+					hi |= bucket
+				}
+				if op&8 != 0 {
+					lo &^= word
+				}
+				if op&16 != 0 {
+					hi = min(hi|word, u.size-1)
+				}
+				snap := uint64(op>>1) % (seq + 1)
+				if op == 0xff {
+					snap = seq
+				}
+				checkMemtable(t, m, o, lo, hi, snap)
 			}
-			// A scan of [min(a,b), max(a,b)] at a snapshot op picks.
-			snap := uint64(op>>1) % (seq + 1)
-			if op == 0xff {
-				snap = seq
-			}
-			checkMemtable(t, c, m, o, min(a, b), max(a, b), snap)
+			checkFlush(t, m, o)
 		}
-		checkFlush(t, m, o)
 	})
 }

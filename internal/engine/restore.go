@@ -128,7 +128,7 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 				break
 			}
 			if mem == nil {
-				mem = newMemtable(nextGen)
+				mem = newMemtable(nextGen, c.Universe().Size())
 			}
 			seq++
 			mem.put(op.Key, op.Payload, seq, op.Del)

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -23,6 +25,15 @@ var ErrSnapshot = errors.New("engine: invalid snapshot")
 // snapshot: a snapshot directory without it is garbage from an
 // interrupted export and is never read.
 const snapshotManifestName = "SNAPSHOT"
+
+// maxSnapshotManifestBytes bounds a SNAPSHOT manifest, which is input
+// from outside the program: a larger file is rejected after reading this
+// much of it. A manifest is its identity lines (under
+// curve.MaxRecordBytes), two paths (each under PATH_MAX, 4 096 bytes) and
+// a line of at most 113 bytes a segment, so 1 MiB holds over 9 000
+// segments, where size-tiered compaction keeps a live engine to a few
+// dozen.
+const maxSnapshotManifestBytes = 1 << 20
 
 // SnapshotReport summarizes one snapshot export.
 type SnapshotReport struct {
@@ -91,11 +102,12 @@ func parseSnapshotManifest(data []byte) (*snapManifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: manifest: %w", ErrSnapshot, err)
 	}
-	m := &snapManifest{id: id}
 	lines = lines[idLines:] // the v1 layout from the epoch line on
-	if _, err := fmt.Sscanf(lines[1], "epoch %d", &m.epoch); err != nil {
+	epoch, ok := parseField(lines[1], "epoch ")
+	if !ok {
 		return nil, bad("epoch line")
 	}
+	m := &snapManifest{id: id, epoch: epoch}
 	// parent and archive are paths (may contain spaces): everything after
 	// the first space is the value.
 	key, val, ok := strings.Cut(lines[2], " ")
@@ -112,18 +124,25 @@ func parseSnapshotManifest(data []byte) (*snapManifest, error) {
 	if val != "-" {
 		m.archive = val
 	}
-	var n int
-	if _, err := fmt.Sscanf(lines[4], "segments %d", &n); err != nil {
+	n, ok := parseField(lines[4], "segments ")
+	if !ok {
 		return nil, bad("segments line")
 	}
-	if len(lines) != 5+n {
+	if uint64(len(lines)-5) != n {
 		return nil, bad("segment count")
 	}
 	for _, ln := range lines[5:] {
 		var s snapSeg
-		if _, err := fmt.Sscanf(ln, "%s %d %d", &s.name, &s.size, &s.recs); err != nil {
+		f := strings.Split(ln, " ")
+		if len(f) != 3 {
 			return nil, bad("segment line")
 		}
+		size, ok1 := parseField(f[1], "")
+		recs, ok2 := parseField(f[2], "")
+		if !ok1 || !ok2 || size > math.MaxInt64 || recs > math.MaxInt {
+			return nil, bad("segment line")
+		}
+		s.name, s.size, s.recs = f[0], int64(size), int(recs)
 		if n, _ := fmt.Sscanf(s.name, "seg-%d-%d-%d.pst", &s.id.lo, &s.id.hi, &s.id.epoch); n != 3 ||
 			s.name != filepath.Base(segPath(".", s.id.lo, s.id.hi, s.id.epoch)) {
 			return nil, bad("segment name")
@@ -133,15 +152,26 @@ func parseSnapshotManifest(data []byte) (*snapManifest, error) {
 	return m, nil
 }
 
+// parseField parses line as prefix followed by a decimal number and
+// nothing else.
+func parseField(line, prefix string) (uint64, bool) {
+	v, ok := strings.CutPrefix(line, prefix)
+	n, err := strconv.ParseUint(v, 10, 64)
+	return n, ok && err == nil
+}
+
 // readSnapshotManifest loads and parses dir's SNAPSHOT manifest, which
 // must record the curve want (ErrSnapshot wrapping curve.ErrMismatch).
 func readSnapshotManifest(fsys vfs.FS, dir string, want curve.Identity) (*snapManifest, error) {
-	data, err := vfs.ReadFile(fsys, filepath.Join(dir, snapshotManifestName))
+	data, err := vfs.ReadAtMost(fsys, filepath.Join(dir, snapshotManifestName), maxSnapshotManifestBytes+1)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("%w: no manifest in %s (interrupted export?)", ErrSnapshot, dir)
 		}
 		return nil, fmt.Errorf("engine: snapshot: %w", err)
+	}
+	if len(data) > maxSnapshotManifestBytes {
+		return nil, fmt.Errorf("%w: manifest over %d bytes", ErrSnapshot, maxSnapshotManifestBytes)
 	}
 	m, err := parseSnapshotManifest(data)
 	if err != nil {

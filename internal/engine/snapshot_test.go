@@ -7,6 +7,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/baseline"
@@ -490,6 +491,50 @@ func TestSnapshotManifestRoundTrip(t *testing.T) {
 	} {
 		if _, err := parseSnapshotManifest([]byte(bad)); !errors.Is(err, ErrSnapshot) {
 			t.Fatalf("parse %q = %v, want ErrSnapshot", bad, err)
+		}
+	}
+}
+
+// TestSnapshotManifestStrict: every number of a manifest is the whole
+// of its field. A sign, a second space, a base prefix or trailing bytes
+// after a number are damage, not a value, and fail as ErrSnapshot.
+func TestSnapshotManifestStrict(t *testing.T) {
+	m := &snapManifest{
+		id:    curve.Identity{Name: "onion2d", Dims: 2, Side: 64, Fingerprint: 0x0123456789abcdef},
+		epoch: 1,
+		segs:  []snapSeg{{name: filepath.Base(segPath(".", 1, 2, 0)), id: segID{1, 2, 0}, size: 207, recs: 9}},
+	}
+	good := m.body()
+	if _, err := parseSnapshotManifest([]byte(good)); err != nil {
+		t.Fatalf("good manifest: %v", err)
+	}
+	seg := m.segs[0].name + " 207 9\n"
+	for _, tc := range []struct{ old, new string }{
+		{"epoch 1\n", "epoch 1 junk\n"},
+		{"epoch 1\n", "epoch 1x\n"},
+		{"epoch 1\n", "epoch +1\n"},
+		{"epoch 1\n", "epoch -1\n"},
+		{"epoch 1\n", "epoch  1\n"},
+		{"epoch 1\n", "epoch 0x1\n"},
+		{"epoch 1\n", "epoch \n"},
+		{"epoch 1\n", "epoch 18446744073709551616\n"},
+		{"segments 1\n", "segments 1 junk\n"},
+		{"segments 1\n", "segments 01x\n"},
+		{seg, m.segs[0].name + " 207 9xyz trailing\n"},
+		{seg, m.segs[0].name + " 207 9xyz\n"},
+		{seg, m.segs[0].name + " 207 9 \n"},
+		{seg, m.segs[0].name + "  207 9\n"},
+		{seg, m.segs[0].name + " -207 9\n"},
+		{seg, m.segs[0].name + " 207 +9\n"},
+		{seg, m.segs[0].name + " 9223372036854775808 9\n"},
+		{seg, m.segs[0].name + " 207\n"},
+	} {
+		bad := strings.Replace(good, tc.old, tc.new, 1)
+		if bad == good {
+			t.Fatalf("%q not in the good manifest", tc.old)
+		}
+		if _, err := parseSnapshotManifest([]byte(bad)); !errors.Is(err, ErrSnapshot) {
+			t.Errorf("line %q: %v, want ErrSnapshot", strings.TrimSuffix(tc.new, "\n"), err)
 		}
 	}
 }

@@ -24,6 +24,8 @@ type engineTelemetry struct {
 	recordsScanned *telemetry.Counter
 	recordsOut     *telemetry.Counter
 	seekAmp        *telemetry.FloatGauge
+	memSearches    *telemetry.Counter
+	memSkips       *telemetry.Counter
 
 	walAppends     *telemetry.Counter
 	walAppendBytes *telemetry.Counter
@@ -69,6 +71,8 @@ func newEngineTelemetry(reg *telemetry.Registry) *engineTelemetry {
 		recordsScanned: reg.Counter("engine_query_records_scanned_total"),
 		recordsOut:     reg.Counter("engine_query_records_total"),
 		seekAmp:        reg.FloatGauge("engine_query_seek_amplification"),
+		memSearches:    reg.Counter("engine_memtable_searches_total"),
+		memSkips:       reg.Counter("engine_memtable_searches_skipped_total"),
 
 		walAppends:     reg.Counter("engine_wal_appends_total"),
 		walAppendBytes: reg.Counter("engine_wal_append_bytes_total"),
@@ -105,10 +109,11 @@ func newEngineTelemetry(reg *telemetry.Registry) *engineTelemetry {
 }
 
 // recordQuery tallies one finished query. start is when the public call
-// began; st is the final logical stat set. Errors count separately and
-// contribute no latency sample, so the histograms describe served
-// queries only.
-func (t *engineTelemetry) recordQuery(start time.Time, st Stats, err error) {
+// began; st is the final logical stat set; searches and skips are the
+// (range, memtable) pairs the query searched and those the occupancy
+// bitmap let it skip. Errors count separately and contribute no latency
+// sample, so the histograms describe served queries only.
+func (t *engineTelemetry) recordQuery(start time.Time, st Stats, searches, skips int, err error) {
 	if err != nil {
 		t.queryErrors.Inc()
 		return
@@ -127,6 +132,8 @@ func (t *engineTelemetry) recordQuery(start time.Time, st Stats, err error) {
 	t.pagesRead.Add(uint64(st.PagesRead))
 	t.recordsScanned.Add(uint64(st.RecordsScanned))
 	t.recordsOut.Add(uint64(st.Results))
+	t.memSearches.Add(uint64(searches))
+	t.memSkips.Add(uint64(skips))
 }
 
 // registerSampledTelemetry wires the gauges and counters whose truth

@@ -232,3 +232,44 @@ func TestEngineQueryErrorsCountedOnce(t *testing.T) {
 		t.Errorf("rejected queries left %d latency samples", h.Count)
 	}
 }
+
+// TestEngineMemtableSearchCounters pins the occupancy filter's telemetry
+// on one memtable that holds keys in only one range of a five-range
+// plan: one search and four skips. An engine whose memtable is empty
+// leaves it out of the query altogether, searching and skipping nothing.
+func TestEngineMemtableSearchCounters(t *testing.T) {
+	o, _ := core.NewOnion2D(16)
+	e, err := Open(t.TempDir(), o, manualOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	plan := []curve.KeyRange{{Lo: 0, Hi: 9}, {Lo: 50, Hi: 59}, {Lo: 100, Hi: 109}, {Lo: 150, Hi: 159}, {Lo: 200, Hi: 209}}
+	check := func(when string, searches, skips uint64) {
+		t.Helper()
+		snap := e.TelemetrySnapshot()
+		if got := snap.Counter("engine_memtable_searches_total"); got != searches {
+			t.Errorf("%s: engine_memtable_searches_total = %d, want %d", when, got, searches)
+		}
+		if got := snap.Counter("engine_memtable_searches_skipped_total"); got != skips {
+			t.Errorf("%s: engine_memtable_searches_skipped_total = %d, want %d", when, got, skips)
+		}
+	}
+	if _, _, err := e.QueryRanges(context.Background(), nil, plan); err != nil {
+		t.Fatal(err)
+	}
+	check("empty memtable", 0, 0)
+	for _, k := range []uint64{100, 104, 109} {
+		if err := e.Put(o.Coords(k, nil), k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, _, err := e.QueryRanges(context.Background(), nil, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("%d records, want 3", len(recs))
+	}
+	check("keys in one range of five", 1, 4)
+}

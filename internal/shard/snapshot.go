@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"github.com/onioncurve/onion/internal/curve"
@@ -23,6 +24,13 @@ import (
 var ErrSnapshot = errors.New("shard: invalid snapshot")
 
 const snapshotManifestName = "SNAPSHOT"
+
+// maxSnapshotManifestBytes bounds a composite SNAPSHOT manifest, which
+// is input from outside the program: a header line and an epoch line
+// (under 64 bytes together) and a directory manifest body, which
+// checkManifest holds to curve.MaxRecordBytes. A larger file is rejected
+// after reading this much of it.
+const maxSnapshotManifestBytes = curve.MaxRecordBytes + 64
 
 // SnapshotReport summarizes one composite snapshot export.
 type SnapshotReport struct {
@@ -46,19 +54,23 @@ func snapshotManifestBody(id curve.Identity, shards int, epoch uint64) string {
 // readSnapshotEpoch validates dir as a snapshot of this configuration
 // and returns its epoch.
 func readSnapshotEpoch(fsys vfs.FS, dir string, c curve.Curve, id curve.Identity, shards int) (uint64, error) {
-	data, err := vfs.ReadFile(fsys, filepath.Join(dir, snapshotManifestName))
+	data, err := vfs.ReadAtMost(fsys, filepath.Join(dir, snapshotManifestName), maxSnapshotManifestBytes+1)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return 0, fmt.Errorf("%w: no manifest in %s (interrupted export?)", ErrSnapshot, dir)
 		}
 		return 0, fmt.Errorf("shard: snapshot: %w", err)
 	}
-	var epoch uint64
+	if len(data) > maxSnapshotManifestBytes {
+		return 0, fmt.Errorf("%w: manifest over %d bytes", ErrSnapshot, maxSnapshotManifestBytes)
+	}
 	lines := strings.SplitN(string(data), "\n", 3)
 	if len(lines) != 3 || lines[0] != "onion-sharded-snapshot v1" {
 		return 0, fmt.Errorf("%w: manifest header", ErrSnapshot)
 	}
-	if _, err := fmt.Sscanf(lines[1], "epoch %d", &epoch); err != nil {
+	v, ok := strings.CutPrefix(lines[1], "epoch ")
+	epoch, err := strconv.ParseUint(v, 10, 64)
+	if !ok || err != nil {
 		return 0, fmt.Errorf("%w: manifest epoch", ErrSnapshot)
 	}
 	if err := checkManifest(lines[2], c, id, shards); err != nil {

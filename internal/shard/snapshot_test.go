@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/core"
@@ -304,5 +305,39 @@ func TestShardedRepair(t *testing.T) {
 	}
 	if got := snapState(t, s, c); !mapsEqual(got, want) {
 		t.Fatalf("state after repair: %d records, want %d", len(got), len(want))
+	}
+}
+
+// TestSnapshotEpochStrict: the composite manifest's epoch line holds a
+// decimal number and nothing else; a manifest over its size bound is
+// refused after reading only the bound. Both fail as ErrSnapshot.
+func TestSnapshotEpochStrict(t *testing.T) {
+	c := snapCurve(t)
+	id := curve.IdentityOf(c)
+	dir := t.TempDir()
+	path := filepath.Join(dir, snapshotManifestName)
+	good := snapshotManifestBody(id, 2, 7)
+	for _, tc := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"good", good, true},
+		{"trailing word", strings.Replace(good, "epoch 7\n", "epoch 7 junk\n", 1), false},
+		{"trailing bytes", strings.Replace(good, "epoch 7\n", "epoch 7x\n", 1), false},
+		{"sign", strings.Replace(good, "epoch 7\n", "epoch +7\n", 1), false},
+		{"two spaces", strings.Replace(good, "epoch 7\n", "epoch  7\n", 1), false},
+		{"no number", strings.Replace(good, "epoch 7\n", "epoch \n", 1), false},
+		{"oversized", good + strings.Repeat("x", maxSnapshotManifestBytes), false},
+	} {
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		epoch, err := readSnapshotEpoch(vfs.OS{}, dir, c, id, 2)
+		switch {
+		case tc.ok && (err != nil || epoch != 7):
+			t.Errorf("%s: epoch %d, %v; want 7", tc.name, epoch, err)
+		case !tc.ok && !errors.Is(err, ErrSnapshot):
+			t.Errorf("%s: %v, want ErrSnapshot", tc.name, err)
+		}
 	}
 }

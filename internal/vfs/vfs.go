@@ -92,12 +92,14 @@ func (OS) SyncDir(name string) error {
 
 // ReadFile reads the whole file at name through fs.
 func ReadFile(fs FS, name string) ([]byte, error) {
-	return readAtMost(fs, name, math.MaxInt64)
+	return ReadAtMost(fs, name, math.MaxInt64)
 }
 
-// readAtMost reads the first limit bytes of the file at name, or all of
-// it when it is shorter.
-func readAtMost(fs FS, name string, limit int64) ([]byte, error) {
+// ReadAtMost reads the first limit bytes of the file at name, or all of
+// it when it is shorter. A caller that bounds a file's size passes one
+// byte more than the bound and sees an oversized file as one, having read
+// no more of it.
+func ReadAtMost(fs FS, name string, limit int64) ([]byte, error) {
 	f, err := fs.Open(name)
 	if err != nil {
 		return nil, err
@@ -149,7 +151,7 @@ func WriteFileAtomic(fs FS, path string, data []byte) error {
 // is written with WriteFileAtomic, so a crash leaves no record or the
 // whole one, never a prefix that would fail a later check.
 func CheckOrCreate(fs FS, path string, data []byte, limit int64, check func(existing []byte) error) error {
-	existing, err := readAtMost(fs, path, limit)
+	existing, err := ReadAtMost(fs, path, limit)
 	if errors.Is(err, os.ErrNotExist) {
 		return WriteFileAtomic(fs, path, data)
 	}
