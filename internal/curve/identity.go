@@ -213,3 +213,13 @@ func number(line, key string, base, bits int) (uint64, error) {
 	}
 	return n, nil
 }
+
+// ManifestNumber parses line as prefix followed by an unsigned decimal
+// number that is the whole rest of the line. Unlike fmt.Sscanf it accepts
+// no trailing bytes, sign, space or base prefix. The snapshot manifests
+// that embed an identity record parse their numbers with it.
+func ManifestNumber(line, prefix string) (uint64, bool) {
+	v, ok := strings.CutPrefix(line, prefix)
+	n, err := strconv.ParseUint(v, 10, 64)
+	return n, ok && err == nil
+}

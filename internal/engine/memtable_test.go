@@ -205,13 +205,21 @@ func TestMemtableModel(t *testing.T) {
 }
 
 // TestMemtableReadersDuringGrowth runs range readers against the one
-// writer while its inserts grow (and so reallocate) the arena many times
-// and fill the occupancy bitmap: a reader's range is empty at first and
-// holds about one key at the end, so its scans go both ways through the
-// filter. Every scan at a published snapshot must be exact. Under -race
-// this is the memtable's concurrency test.
+// writer while its inserts grow (and so reallocate) the arena many times.
+// Every scan at a published snapshot must be exact, and goes through the
+// occupancy filter as a query's does. In the 1 024-key space (one key a
+// bucket) a range ends up holding about 200 keys of many versions each,
+// so a reader steps node by node and past older versions while the arena
+// moves; in the 2^22-key space (four keys a bucket) a range is empty at
+// first and holds about one key at the end, so scans go both ways through
+// the filter. Under -race this is the memtable's concurrency test.
 func TestMemtableReadersDuringGrowth(t *testing.T) {
-	const size = 1 << 22 // four keys a bucket
+	for _, size := range []uint64{1 << 10, 1 << 22} {
+		t.Run(strconv.FormatUint(size, 10), func(t *testing.T) { testReadersDuringGrowth(t, size) })
+	}
+}
+
+func testReadersDuringGrowth(t *testing.T, size uint64) {
 	const puts = 20000
 	keyOf := make([]uint64, puts+1) // op seq's key; its payload is seq
 	rng := rand.New(rand.NewSource(11))

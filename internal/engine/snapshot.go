@@ -8,7 +8,6 @@ import (
 	"math"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -103,7 +102,7 @@ func parseSnapshotManifest(data []byte) (*snapManifest, error) {
 		return nil, fmt.Errorf("%w: manifest: %w", ErrSnapshot, err)
 	}
 	lines = lines[idLines:] // the v1 layout from the epoch line on
-	epoch, ok := parseField(lines[1], "epoch ")
+	epoch, ok := curve.ManifestNumber(lines[1], "epoch ")
 	if !ok {
 		return nil, bad("epoch line")
 	}
@@ -124,7 +123,7 @@ func parseSnapshotManifest(data []byte) (*snapManifest, error) {
 	if val != "-" {
 		m.archive = val
 	}
-	n, ok := parseField(lines[4], "segments ")
+	n, ok := curve.ManifestNumber(lines[4], "segments ")
 	if !ok {
 		return nil, bad("segments line")
 	}
@@ -137,8 +136,8 @@ func parseSnapshotManifest(data []byte) (*snapManifest, error) {
 		if len(f) != 3 {
 			return nil, bad("segment line")
 		}
-		size, ok1 := parseField(f[1], "")
-		recs, ok2 := parseField(f[2], "")
+		size, ok1 := curve.ManifestNumber(f[1], "")
+		recs, ok2 := curve.ManifestNumber(f[2], "")
 		if !ok1 || !ok2 || size > math.MaxInt64 || recs > math.MaxInt {
 			return nil, bad("segment line")
 		}
@@ -150,14 +149,6 @@ func parseSnapshotManifest(data []byte) (*snapManifest, error) {
 		m.segs = append(m.segs, s)
 	}
 	return m, nil
-}
-
-// parseField parses line as prefix followed by a decimal number and
-// nothing else.
-func parseField(line, prefix string) (uint64, bool) {
-	v, ok := strings.CutPrefix(line, prefix)
-	n, err := strconv.ParseUint(v, 10, 64)
-	return n, ok && err == nil
 }
 
 // readSnapshotManifest loads and parses dir's SNAPSHOT manifest, which

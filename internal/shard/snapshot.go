@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"github.com/onioncurve/onion/internal/curve"
@@ -68,9 +67,8 @@ func readSnapshotEpoch(fsys vfs.FS, dir string, c curve.Curve, id curve.Identity
 	if len(lines) != 3 || lines[0] != "onion-sharded-snapshot v1" {
 		return 0, fmt.Errorf("%w: manifest header", ErrSnapshot)
 	}
-	v, ok := strings.CutPrefix(lines[1], "epoch ")
-	epoch, err := strconv.ParseUint(v, 10, 64)
-	if !ok || err != nil {
+	epoch, ok := curve.ManifestNumber(lines[1], "epoch ")
+	if !ok {
 		return 0, fmt.Errorf("%w: manifest epoch", ErrSnapshot)
 	}
 	if err := checkManifest(lines[2], c, id, shards); err != nil {
