@@ -788,6 +788,24 @@ func mergeSources(srcs []*mergeSource, scratch *[]*mergeSource, sink mergeSink, 
 				return err
 			}
 		}
+		if len(live) == 1 {
+			// One live source left — the usual range, and the tail of a
+			// merge whose newer sources ran dry: it holds the next key
+			// alone, so it wins without the scans below and is stepped
+			// past that key's duplicates.
+			s := live[0]
+			sink.emit(s)
+			for key := s.head.Key; s.ok && s.head.Key == key; {
+				if err := s.advance(); err != nil {
+					*scratch = live
+					return err
+				}
+			}
+			if !s.ok {
+				live = live[:0]
+			}
+			continue
+		}
 		// Smallest key next; among equals the highest priority (newest)
 		// version is authoritative.
 		minKey := live[0].head.Key

@@ -18,12 +18,17 @@ import (
 // it safely while the garbage collector reclaims it afterwards. All
 // methods are safe for concurrent use.
 //
-// A page visit costs one hold of one shard's lock: a hit returns the
-// image, and a miss returns — from the same critical section that counted
-// it — whether the page the caller is about to read will be admitted, so
-// a miss the cache declines never comes back for a second lock. The
-// lifetime counters live in the shards, under that same lock, and are
-// summed on demand.
+// Every cached Store owns a page table: one atomic pointer a page, set
+// while that page is resident. A hit is a load of the page's slot and an
+// atomic bump of a hit counter, with no lock and no hash probe; a miss
+// bumps a miss counter and returns whether the page the caller is about
+// to read will be admitted, judged from the shard's byte count and tick,
+// both atomics, so a miss the cache declines takes no lock either. Only
+// admission and eviction (addCopy) and purge take a shard's lock, and
+// they alone publish and clear table slots: the slot of page p is written
+// only under the lock of p's shard. The counters are atomics, so
+// Counters takes no lock and Stats locks a shard only to read its
+// resident set.
 //
 // Caching is invisible to the logical access accounting: Stats keeps
 // counting the seeks and pages the query plan pays (the paper's
@@ -75,35 +80,49 @@ const cacheShardCount = 8 // fixed power of two; shard = key hash & mask
 // PR 19, has the runs).
 const gateEvery = 32
 
-type cacheKey struct {
-	store uint64
-	page  int
+// pageTable is a cached store's view of the cache: slot p points at page
+// p's resident entry, or is nil. Hits read it without a lock; only the
+// lock of page p's shard publishes or clears slot p.
+type pageTable struct {
+	id     uint64 // process-unique identity: with the page number, picks the shard
+	slots  []atomic.Pointer[cachePage]
+	closed atomic.Bool // set by purge: addCopy admits no page of a closed store
 }
 
-type cacheSlot struct {
-	key  cacheKey
-	buf  []byte
-	ref  bool // second-chance bit
-	live bool
+// newPageTable returns the empty table of a store of the given pages.
+func newPageTable(pages int) *pageTable {
+	return &pageTable{id: storeIDs.Add(1), slots: make([]atomic.Pointer[cachePage], pages)}
+}
+
+// cachePage is one resident page. Its image, owner and place never change
+// after admission, so a hit may keep the image after an eviction; only
+// the second-chance bit moves, set by hits and cleared by the clock.
+type cachePage struct {
+	buf   []byte
+	ref   atomic.Bool // second-chance bit
+	sh    *cacheShard // the shard whose budget holds the page
+	owner *pageTable
+	page  int // index in owner.slots
+	slot  int // index in sh.slots
 }
 
 type cacheShard struct {
-	mu     sync.Mutex
-	index  map[cacheKey]int // key -> slot
-	slots  []cacheSlot
-	free   []int // dead slot indices
-	hand   int   // clock hand over slots
-	bytes  int64
-	budget int64
-	tick   uint64 // admission counter while the shard is full
+	mu    sync.Mutex
+	slots []*cachePage // clock ring; nil = dead slot
+	free  []int        // dead slot indices
+	hand  int          // clock hand over slots
 
-	// Lifetime counters of the visits and inserts this shard served,
-	// guarded by mu like the rest: a visit bumps them inside the critical
-	// section it already holds, on the shard's own cache lines.
-	hits, misses, evictions, admissionRejects uint64
+	budget int64
+	// bytes is the resident size and tick the admission counter while the
+	// shard is full: written under mu, read by visit's verdict without it.
+	bytes atomic.Int64
+	tick  atomic.Uint64
+
+	// Lifetime counters of the visits and inserts this shard served.
+	hits, misses, evictions, admissionRejects atomic.Uint64
 }
 
-// storeIDs hands every opened Store a process-unique cache identity.
+// storeIDs hands every page table a process-unique identity.
 var storeIDs atomic.Uint64
 
 // NewCache returns a page cache with the given byte budget, spread
@@ -117,7 +136,6 @@ func NewCache(budgetBytes int64) *Cache {
 	per := budgetBytes / cacheShardCount
 	for i := range c.shards {
 		c.shards[i].budget = per
-		c.shards[i].index = make(map[cacheKey]int)
 	}
 	return c
 }
@@ -133,17 +151,17 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-func (c *Cache) shardOf(k cacheKey) *cacheShard {
-	h := mix64(k.store ^ mix64(uint64(k.page)))
+func (c *Cache) shardOf(t *pageTable, page int) *cacheShard {
+	h := mix64(t.id ^ mix64(uint64(page)))
 	return &c.shards[h&(cacheShardCount-1)]
 }
 
-// visit is one logical page visit, under a single hold of the shard lock.
-// A hit returns the shared page image and marks it recently used. A miss
-// returns nil and the admission verdict for the size-byte page the caller
-// is about to read: admit == true asks the caller to offer the verified
-// page to addCopy, admit == false means the cache has already declined
-// (and counted) it and there is nothing more to do.
+// visit is one logical page visit, and takes no lock. A hit returns the
+// shared page image and marks it recently used. A miss returns nil and
+// the admission verdict for the size-byte page the caller is about to
+// read: admit == true asks the caller to offer the verified page to
+// addCopy, admit == false means the cache has already declined (and
+// counted) it and there is nothing more to do.
 //
 // Admission is pressure-gated: once the shard is full, only every
 // gateEvery-th miss may displace a resident page. A cache smaller than a
@@ -152,145 +170,146 @@ func (c *Cache) shardOf(k cacheKey) *cacheShard {
 // cheap while still letting genuinely hot pages in — a hot page's
 // repeated misses soon cross the gate. Pages larger than the shard budget
 // are never admitted.
-func (c *Cache) visit(store uint64, page, size int) (buf []byte, admit bool) {
-	k := cacheKey{store: store, page: page}
-	sh := c.shardOf(k)
-	sh.mu.Lock()
-	if i, ok := sh.index[k]; ok {
-		sh.slots[i].ref = true
-		buf = sh.slots[i].buf
-		sh.hits++
-		sh.mu.Unlock()
-		return buf, false
+func (c *Cache) visit(t *pageTable, page, size int) (buf []byte, admit bool) {
+	if e := t.slots[page].Load(); e != nil {
+		if !e.ref.Load() {
+			e.ref.Store(true)
+		}
+		e.sh.hits.Add(1)
+		return e.buf, false
 	}
-	sh.misses++
+	sh := c.shardOf(t, page)
+	sh.misses.Add(1)
 	need := int64(size)
 	admit = need <= sh.budget
-	if admit && sh.bytes+need > sh.budget {
-		sh.tick++
-		admit = sh.tick&(gateEvery-1) == 0
+	if admit && sh.bytes.Load()+need > sh.budget {
+		admit = sh.tick.Add(1)&(gateEvery-1) == 0
 	}
 	if !admit {
-		sh.admissionRejects++
+		sh.admissionRejects.Add(1)
 	}
-	sh.mu.Unlock()
 	return nil, admit
 }
 
 // addCopy admits a copy of the borrowed page image — one visit said it
 // would take — evicting clock victims until the shard fits its budget. A
-// racing duplicate insert keeps the resident copy; a page larger than the
-// shard budget is rejected. The copy is taken only when the page is
-// actually admitted, so a skipped insert costs no allocation.
-func (c *Cache) addCopy(store uint64, page int, buf []byte) {
-	k := cacheKey{store: store, page: page}
-	sh := c.shardOf(k)
+// racing duplicate insert keeps the resident copy, a page of a closed
+// store is dropped, and a page larger than the shard budget is rejected.
+// The copy is taken only when the page is actually admitted, so a skipped
+// insert costs no allocation.
+func (c *Cache) addCopy(t *pageTable, page int, buf []byte) {
+	sh := c.shardOf(t, page)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.index[k]; ok {
+	if t.slots[page].Load() != nil || t.closed.Load() {
 		return
 	}
 	need := int64(len(buf))
 	if need > sh.budget {
-		sh.admissionRejects++
+		sh.admissionRejects.Add(1)
 		return
 	}
-	for sh.bytes+need > sh.budget {
+	for sh.bytes.Load()+need > sh.budget {
 		if !sh.evictOne() {
-			sh.admissionRejects++
+			sh.admissionRejects.Add(1)
 			return
 		}
-		sh.evictions++
+		sh.evictions.Add(1)
 	}
-	cp := make([]byte, len(buf))
-	copy(cp, buf)
-	slot := -1
+	e := &cachePage{buf: make([]byte, len(buf)), sh: sh, owner: t, page: page}
+	copy(e.buf, buf)
+	e.ref.Store(true)
 	if n := len(sh.free); n > 0 {
-		slot = sh.free[n-1]
+		e.slot = sh.free[n-1]
 		sh.free = sh.free[:n-1]
+		sh.slots[e.slot] = e
 	} else {
-		sh.slots = append(sh.slots, cacheSlot{})
-		slot = len(sh.slots) - 1
+		e.slot = len(sh.slots)
+		sh.slots = append(sh.slots, e)
 	}
-	sh.slots[slot] = cacheSlot{key: k, buf: cp, ref: true, live: true}
-	sh.index[k] = slot
-	sh.bytes += need
+	sh.bytes.Add(need)
+	t.slots[page].Store(e)
 }
 
-// evictOne advances the clock to the first slot without a second chance
+// evictOne advances the clock to the first page without a second chance
 // and drops it. It reports whether anything was evicted.
 func (sh *cacheShard) evictOne() bool {
 	// Two sweeps bound the scan: the first clears every ref bit, the
 	// second must find a victim (unless the shard is empty).
 	for scanned := 0; scanned < 2*len(sh.slots); scanned++ {
-		if len(sh.slots) == 0 {
-			return false
-		}
 		i := sh.hand
 		sh.hand = (sh.hand + 1) % len(sh.slots)
-		s := &sh.slots[i]
-		if !s.live {
+		e := sh.slots[i]
+		if e == nil {
 			continue
 		}
-		if s.ref {
-			s.ref = false
+		if e.ref.Load() {
+			e.ref.Store(false)
 			continue
 		}
-		sh.bytes -= int64(len(s.buf))
-		delete(sh.index, s.key)
-		*s = cacheSlot{}
-		sh.free = append(sh.free, i)
+		sh.drop(e)
 		return true
 	}
 	return false
 }
 
+// drop (sh.mu held) removes a resident page from the shard and its
+// owner's table.
+func (sh *cacheShard) drop(e *cachePage) {
+	e.owner.slots[e.page].Store(nil)
+	sh.slots[e.slot] = nil
+	sh.free = append(sh.free, e.slot)
+	sh.bytes.Add(-int64(len(e.buf)))
+}
+
 // purge drops every resident page of the given store; Store.Close calls
-// it so a closed (or compacted-away) segment stops occupying budget.
-// The scan is O(resident pages) across all shards — fine on the
-// flush/compaction cadence that retires segments; if profiles ever show
-// it, a per-store slot list would make it O(pages of this store).
-func (c *Cache) purge(store uint64) {
-	for si := range c.shards {
-		sh := &c.shards[si]
+// it so a closed (or compacted-away) segment stops occupying budget. It
+// walks the store's own table, so it costs O(pages of the store), and it
+// first marks the table closed, so an insert that races it cannot leave
+// a page behind.
+func (c *Cache) purge(t *pageTable) {
+	t.closed.Store(true)
+	for p := range t.slots {
+		if t.slots[p].Load() == nil {
+			continue
+		}
+		sh := c.shardOf(t, p)
 		sh.mu.Lock()
-		for k, i := range sh.index {
-			if k.store != store {
-				continue
-			}
-			sh.bytes -= int64(len(sh.slots[i].buf))
-			sh.slots[i] = cacheSlot{}
-			sh.free = append(sh.free, i)
-			delete(sh.index, k)
+		if e := t.slots[p].Load(); e != nil {
+			sh.drop(e)
 		}
 		sh.mu.Unlock()
 	}
 }
 
 // Stats sums the shards: their lifetime counters and their resident sets.
-// Each shard is read under its own lock, one after the other, so the sum
-// is not one instant across shards — but every shard's counters only
-// grow, so neither does any sum of them between two calls.
+// A shard's lock is held only to read its resident pages and bytes
+// together, and the shards are read one after the other, so the sum is
+// not one instant across shards — but every counter only grows, so
+// neither does any sum of them between two calls.
 func (c *Cache) Stats() CacheStats {
 	var st CacheStats
+	st.Hits, st.Misses, st.Evictions, st.AdmissionRejects = c.Counters()
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.mu.Lock()
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Evictions += sh.evictions
-		st.AdmissionRejects += sh.admissionRejects
 		st.Budget += sh.budget
-		st.Bytes += sh.bytes
-		st.Pages += len(sh.index)
+		sh.mu.Lock()
+		st.Bytes += sh.bytes.Load()
+		st.Pages += len(sh.slots) - len(sh.free)
 		sh.mu.Unlock()
 	}
 	return st
 }
 
 // Counters returns the monotonic lifetime counters of Stats alone — what
-// telemetry samples on every scrape.
+// telemetry samples on every scrape. It takes no lock.
 func (c *Cache) Counters() (hits, misses, evictions, admissionRejects uint64) {
-	st := c.Stats()
-	return st.Hits, st.Misses, st.Evictions, st.AdmissionRejects
+	for i := range c.shards {
+		sh := &c.shards[i]
+		hits += sh.hits.Load()
+		misses += sh.misses.Load()
+		evictions += sh.evictions.Load()
+		admissionRejects += sh.admissionRejects.Load()
+	}
+	return hits, misses, evictions, admissionRejects
 }

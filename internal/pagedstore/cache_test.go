@@ -1,6 +1,7 @@
 package pagedstore
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -290,7 +291,7 @@ func TestCachedParallelQueryRace(t *testing.T) {
 // get is the hit-or-miss half of Cache.visit in the two-result shape
 // TestCacheMonotonicCounters was written against; the verdict half needs
 // the page size, which is 64 bytes for every page that test looks up.
-func (c *Cache) get(store uint64, page int) ([]byte, bool) {
+func (c *Cache) get(store *pageTable, page int) ([]byte, bool) {
 	buf, _ := c.visit(store, page, 64)
 	return buf, buf != nil
 }
@@ -302,13 +303,14 @@ func (c *Cache) get(store uint64, page int) ([]byte, bool) {
 func TestCacheMonotonicCounters(t *testing.T) {
 	c := NewCache(cacheShardCount * 64) // one tiny 64-byte budget per shard
 	page := make([]byte, 64)
+	t1, t2, t3 := newPageTable(100), newPageTable(1000), newPageTable(5000)
 
 	// Miss then hit on the same key.
-	if _, ok := c.get(1, 0); ok {
+	if _, ok := c.get(t1, 0); ok {
 		t.Fatal("unexpected hit on empty cache")
 	}
-	c.addCopy(1, 0, page)
-	if _, ok := c.get(1, 0); !ok {
+	c.addCopy(t1, 0, page)
+	if _, ok := c.get(t1, 0); !ok {
 		t.Fatal("expected hit after addCopy")
 	}
 	st := c.Stats()
@@ -318,7 +320,7 @@ func TestCacheMonotonicCounters(t *testing.T) {
 
 	// Oversized pages are rejected by admission, not silently dropped.
 	big := make([]byte, 1024)
-	c.addCopy(1, 99, big)
+	c.addCopy(t1, 99, big)
 	if got := c.Stats().AdmissionRejects; got == 0 {
 		t.Fatalf("oversized insert should count as admission reject")
 	}
@@ -326,7 +328,7 @@ func TestCacheMonotonicCounters(t *testing.T) {
 	// Hammer one shard's budget: every insert beyond capacity either
 	// evicts (counter grows) or is gated (reject counter grows).
 	for i := 0; i < 1000; i++ {
-		c.addCopy(2, i, page)
+		c.addCopy(t2, i, page)
 	}
 	st = c.Stats()
 	if st.Evictions+st.AdmissionRejects < 900 {
@@ -347,8 +349,8 @@ func TestCacheMonotonicCounters(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 5000; i++ {
-			c.addCopy(3, i, page)
-			c.get(3, i)
+			c.addCopy(t3, i, page)
+			c.get(t3, i)
 		}
 	}()
 	var prev CacheStats
@@ -486,5 +488,221 @@ func TestCacheCountersAddUp(t *testing.T) {
 	end.Pages, end.Bytes = st.Pages, st.Bytes
 	if end != st {
 		t.Fatalf("close moved the counters: %+v then %+v", st, end)
+	}
+}
+
+// TestCacheHitsRaceEvictionAndPurge runs lock-free hits against the
+// evictions and purges that clear table slots. Two stores share a cache
+// of two pages a shard; cursors query both while another goroutine closes
+// and reopens one of them, so every visit races inserts and evictions of
+// both stores and the purge of one. Each query must return the records
+// and logical Stats of the same query on a bare store; the counters never
+// step back and the resident bytes never pass the budget. At quiescence
+// the resident bytes are whole pages, a closed store leaves no slot
+// behind, and the other store's resident pages survive its purge.
+func TestCacheHitsRaceEvictionAndPurge(t *testing.T) {
+	const side, pageBytes = 64, 512
+	o, _ := core.NewOnion2D(side)
+	paths := [2]string{tmpPath(t), tmpPath(t)}
+	for i, p := range paths {
+		if err := Write(p, o, buildRecords(t, o.Universe(), 5000, int64(31+i)), pageBytes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type answer struct {
+		recs []Entry
+		st   Stats
+	}
+	query := func(s *Store, krs []curve.KeyRange) (answer, error) {
+		var a answer
+		st, _, err := walkRanges(s, krs, func(_ curve.KeyRange, e *Entry) { a.recs = append(a.recs, *e) })
+		a.st = st
+		return a, err
+	}
+	equal := func(a, b answer) bool {
+		if a.st != b.st || len(a.recs) != len(b.recs) {
+			return false
+		}
+		for i := range a.recs {
+			if a.recs[i] != b.recs[i] {
+				return false
+			}
+		}
+		return true
+	}
+
+	// The bare answers of 40 seeded 12x12 rectangles, for both stores.
+	rng := rand.New(rand.NewSource(17))
+	plans := make([][]curve.KeyRange, 40)
+	var want [2][]answer
+	for q := range plans {
+		lo := geom.Point{uint32(rng.Intn(side - 12)), uint32(rng.Intn(side - 12))}
+		krs, err := ranges.Decompose(o, geom.Rect{Lo: lo, Hi: geom.Point{lo[0] + 11, lo[1] + 11}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[q] = krs
+	}
+	for i, p := range paths {
+		bare, err := Open(p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, krs := range plans {
+			a, err := query(bare, krs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], a)
+		}
+		bare.Close()
+	}
+
+	cache := NewCache(cacheShardCount * 2 * pageBytes)
+	a, err := OpenCached(paths[0], o, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var bmu sync.RWMutex // readers share b; the reopener swaps it
+	b, err := OpenCached(paths[1], o, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// leftover counts the slots a table still holds.
+	leftover := func(tb *pageTable) int {
+		n := 0
+		for p := range tb.slots {
+			if tb.slots[p].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+
+	// The reopener closes and reopens B a fixed number of times; each
+	// worker queries until it has, and at least once through the plans.
+	const workers, reopens = 4, 50
+	reopened := make(chan error, 1)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				if i >= len(plans) {
+					select {
+					case err := <-reopened:
+						reopened <- err
+						return
+					default:
+					}
+				}
+				q := (i*7 + w*13) % len(plans)
+				got, err := query(a, plans[q])
+				if err == nil && !equal(got, want[0][q]) {
+					t.Errorf("worker %d: store A query %d: %d records %+v, want %d %+v",
+						w, q, len(got.recs), got.st, len(want[0][q].recs), want[0][q].st)
+					return
+				}
+				if err == nil {
+					bmu.RLock()
+					got, err = query(b, plans[q])
+					bmu.RUnlock()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !equal(got, want[1][q]) {
+					t.Errorf("worker %d: store B query %d: %d records %+v, want %d %+v",
+						w, q, len(got.recs), got.st, len(want[1][q].recs), want[1][q].st)
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		var err error
+		defer func() { reopened <- err }()
+		for n := 0; n < reopens; n++ {
+			bmu.Lock()
+			closed := b.table
+			if err = b.Close(); err == nil {
+				if n := leftover(closed); n != 0 {
+					err = fmt.Errorf("a closed store left %d slots behind", n)
+				} else {
+					b, err = OpenCached(paths[1], o, cache)
+				}
+			}
+			bmu.Unlock()
+			if err != nil {
+				return
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var prev CacheStats
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		cur := cache.Stats()
+		if cur.Hits < prev.Hits || cur.Misses < prev.Misses ||
+			cur.Evictions < prev.Evictions || cur.AdmissionRejects < prev.AdmissionRejects {
+			t.Fatalf("counters went backwards: %+v then %+v", prev, cur)
+		}
+		if cur.Bytes > cur.Budget {
+			t.Fatalf("resident bytes over budget: %+v", cur)
+		}
+		prev = cur
+	}
+	if err := <-reopened; err != nil {
+		t.Fatal(err)
+	}
+
+	st := cache.Stats()
+	if st.Bytes != int64(st.Pages)*pageBytes || st.Hits == 0 || st.Evictions == 0 {
+		t.Fatalf("at quiescence: %+v", st)
+	}
+	// Every resident page belongs to one of the two open stores.
+	if n := leftover(a.table) + leftover(b.table); n != st.Pages {
+		t.Fatalf("%d resident pages, the open stores' tables hold %d", st.Pages, n)
+	}
+	// Fill A's share of the cache, then close B: A's pages stay put.
+	for _, krs := range plans {
+		if _, err := query(a, krs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := make(map[int]*cachePage)
+	for p := range a.table.slots {
+		if e := a.table.slots[p].Load(); e != nil {
+			before[p] = e
+		}
+	}
+	if len(before) == 0 {
+		t.Fatal("store A has no resident page")
+	}
+	closed := b.table
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// An insert that a cursor still in flight offers after the purge is
+	// dropped too.
+	cache.addCopy(closed, 0, make([]byte, pageBytes))
+	if n := leftover(closed); n != 0 {
+		t.Fatalf("a closed store left %d slots behind", n)
+	}
+	for p, e := range before {
+		if a.table.slots[p].Load() != e {
+			t.Fatalf("closing store B dropped page %d of store A", p)
+		}
+	}
+	if st := cache.Stats(); st.Pages != len(before) || st.Bytes != int64(len(before))*pageBytes {
+		t.Fatalf("after closing B: %+v, want A's %d pages", st, len(before))
 	}
 }

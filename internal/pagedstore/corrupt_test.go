@@ -503,12 +503,7 @@ func FuzzVerifyCorrupt(f *testing.F) {
 
 // resident reports whether page p of store s is in cache c.
 func resident(c *Cache, s *Store, p int) bool {
-	k := cacheKey{store: s.id, page: p}
-	sh := c.shardOf(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.index[k]
-	return ok
+	return s.cache == c && s.table.slots[p].Load() != nil
 }
 
 // TestFaultInsideRun: a fault in a multi-page read fails the query at the

@@ -410,8 +410,8 @@ type Store struct {
 	pageMax  []uint64 // fence: max key of each page
 	pageSums []uint32 // crc32c of every page, verified on each physical fetch
 
-	id      uint64 // process-unique cache identity
-	cache   *Cache // shared page cache, nil when uncached
+	cache   *Cache     // shared page cache, nil when uncached
+	table   *pageTable // this store's resident pages in cache, nil when uncached
 	curPool sync.Pool
 }
 
@@ -445,8 +445,9 @@ func OpenCachedFS(fsys vfs.FS, path string, c curve.Curve, cache *Cache) (*Store
 		f.Close()
 		return nil, err
 	}
-	s.id = storeIDs.Add(1)
-	s.cache = cache
+	if cache != nil {
+		s.cache, s.table = cache, newPageTable(len(s.firstKeys))
+	}
 	return s, nil
 }
 
@@ -579,7 +580,7 @@ func (s *Store) Marked() bool { return s.anyMarked }
 // its cache.
 func (s *Store) Close() error {
 	if s.cache != nil {
-		s.cache.purge(s.id)
+		s.cache.purge(s.table)
 	}
 	return s.f.Close()
 }
@@ -669,12 +670,16 @@ func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) 
 // cluster's pages often run on across several consecutive ranges of the
 // plan, so on a miss the cursor looks ahead along the plan at the pages it
 // will fetch next and visits each in the cache — the one visit each page
-// gets, so the cache counters are those of a page-at-a-time walk. It then
+// gets, so the cache counters are those of a page-at-a-time walk. A visit
+// takes no lock (a hit is one load of the store's page table), so the
+// look-ahead costs no lock either, whatever the cache decides. It then
 // reads the missed page and the non-resident pages directly after it with
 // one ReadAt. The run stops at the first resident page (whose image is
 // kept for its own visit), at a page the plan does not fetch, or at
 // runPages pages. Each page of a run is checksum-verified, and offered to
-// the cache, when the cursor first uses it; resident pages are never read.
+// the cache, when the cursor first uses it — the one step that takes a
+// cache shard's lock, and only for a page the cache admits; resident pages
+// are never read.
 //
 // Each Cursor owns its page state, so any number of cursors can run over
 // the same Store concurrently. The storage engine's merged query path
@@ -857,7 +862,7 @@ func (c *Cursor) fetch(p int) error {
 	admit := false
 	if s.cache != nil {
 		var b []byte
-		if b, admit = s.cache.visit(s.id, p, s.pageBytes); b != nil {
+		if b, admit = s.cache.visit(s.table, p, s.pageBytes); b != nil {
 			c.io.CacheHits++
 			c.data, c.dataPage = b, p
 			return nil
@@ -899,7 +904,7 @@ walk:
 			continue
 		}
 		if s.cache != nil {
-			b, admit := s.cache.visit(s.id, q, s.pageBytes)
+			b, admit := s.cache.visit(s.table, q, s.pageBytes)
 			if b != nil {
 				c.io.CacheHits++
 				c.held, c.heldPage = b, q
@@ -930,7 +935,7 @@ walk:
 // first: the cache must only ever hold pages that passed their checksum,
 // so a hit never needs re-verification, and the cache takes its own copy
 // only if the page's visit said it would admit it — a miss the cache
-// declines costs no allocation and no second trip to its lock. A damaged
+// declines costs no allocation and no lock at all. A damaged
 // page ends the run: neither it nor any page after it is used or
 // admitted.
 func (c *Cursor) useRun(j int) error {
@@ -943,7 +948,7 @@ func (c *Cursor) useRun(j int) error {
 	}
 	if c.runAdmit&(1<<j) != 0 {
 		c.runAdmit &^= 1 << j
-		s.cache.addCopy(s.id, p, page)
+		s.cache.addCopy(s.table, p, page)
 	}
 	c.data, c.dataPage = page, p
 	return nil

@@ -7,7 +7,9 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strings"
 
+	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/framedlog"
 	"github.com/onioncurve/onion/internal/vfs"
@@ -256,19 +258,48 @@ const (
 
 func statePath(dir string) string { return filepath.Join(dir, stateName) }
 
+// maxStateBytes bounds a REPL_STATE file, which is read at every open of
+// a node and must not be trusted as an allocation size. The longest state
+// writeState writes is 147 bytes: its six lines with the longer role and
+// four 20-digit numbers; a larger file is rejected after reading this
+// much of it.
+const maxStateBytes = 256
+
+// readState reads dir's REPL_STATE, reporting false when there is none.
+// The file must be exactly the six lines of stateFormat, newline
+// included, each number an unsigned decimal that ends its line.
 func readState(fsys vfs.FS, dir string) (nodeState, bool, error) {
-	b, err := vfs.ReadFile(fsys, statePath(dir))
+	b, err := vfs.ReadAtMost(fsys, statePath(dir), maxStateBytes+1)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nodeState{}, false, nil
 		}
 		return nodeState{}, false, fmt.Errorf("repl: state: %w", err)
 	}
+	if len(b) > maxStateBytes {
+		return nodeState{}, false, fmt.Errorf("repl: state %s: over %d bytes", statePath(dir), maxStateBytes)
+	}
+	malformed := fmt.Errorf("repl: state %s: malformed", statePath(dir))
+	lines := strings.Split(string(b), "\n")
+	if len(lines) != 7 || lines[6] != "" {
+		return nodeState{}, false, malformed
+	}
 	var st nodeState
-	n, err := fmt.Sscanf(string(b), stateFormat,
-		&st.version, &st.role, &st.epoch, &st.base, &st.baseEpoch, &st.applied)
-	if err != nil || n != 6 || st.version < 1 || st.version > stateVersion {
-		return nodeState{}, false, fmt.Errorf("repl: state %s: malformed", statePath(dir))
+	version, ok := curve.ManifestNumber(lines[0], "onion repl state v")
+	if !ok || version < 1 || version > stateVersion {
+		return nodeState{}, false, malformed
+	}
+	st.version = int(version)
+	if st.role, ok = strings.CutPrefix(lines[1], "role "); !ok {
+		return nodeState{}, false, malformed
+	}
+	for i, f := range []struct {
+		prefix string
+		v      *uint64
+	}{{"epoch ", &st.epoch}, {"base ", &st.base}, {"baseEpoch ", &st.baseEpoch}, {"applied ", &st.applied}} {
+		if *f.v, ok = curve.ManifestNumber(lines[2+i], f.prefix); !ok {
+			return nodeState{}, false, malformed
+		}
 	}
 	if st.role != "leader" && st.role != "follower" {
 		return nodeState{}, false, fmt.Errorf("repl: state %s: unknown role %q", statePath(dir), st.role)
