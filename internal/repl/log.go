@@ -266,8 +266,6 @@ func statePath(dir string) string { return filepath.Join(dir, stateName) }
 const maxStateBytes = 256
 
 // readState reads dir's REPL_STATE, reporting false when there is none.
-// The file must be exactly the six lines of stateFormat, newline
-// included, each number an unsigned decimal that ends its line.
 func readState(fsys vfs.FS, dir string) (nodeState, bool, error) {
 	b, err := vfs.ReadAtMost(fsys, statePath(dir), maxStateBytes+1)
 	if err != nil {
@@ -279,32 +277,40 @@ func readState(fsys vfs.FS, dir string) (nodeState, bool, error) {
 	if len(b) > maxStateBytes {
 		return nodeState{}, false, fmt.Errorf("repl: state %s: over %d bytes", statePath(dir), maxStateBytes)
 	}
-	malformed := fmt.Errorf("repl: state %s: malformed", statePath(dir))
-	lines := strings.Split(string(b), "\n")
-	if len(lines) != 7 || lines[6] != "" {
-		return nodeState{}, false, malformed
+	st, ok := parseState(string(b))
+	if !ok {
+		return nodeState{}, false, fmt.Errorf("repl: state %s: malformed", statePath(dir))
 	}
-	var st nodeState
+	if st.role != "leader" && st.role != "follower" {
+		return nodeState{}, false, fmt.Errorf("repl: state %s: unknown role %q", statePath(dir), st.role)
+	}
+	return st, true, nil
+}
+
+// parseState parses the exact six lines of stateFormat, final newline
+// included, each number an unsigned decimal that ends its line.
+func parseState(body string) (st nodeState, ok bool) {
+	lines := strings.Split(body, "\n")
+	if len(lines) != 7 || lines[6] != "" {
+		return st, false
+	}
 	version, ok := curve.ManifestNumber(lines[0], "onion repl state v")
 	if !ok || version < 1 || version > stateVersion {
-		return nodeState{}, false, malformed
+		return st, false
 	}
 	st.version = int(version)
 	if st.role, ok = strings.CutPrefix(lines[1], "role "); !ok {
-		return nodeState{}, false, malformed
+		return st, false
 	}
 	for i, f := range []struct {
 		prefix string
 		v      *uint64
 	}{{"epoch ", &st.epoch}, {"base ", &st.base}, {"baseEpoch ", &st.baseEpoch}, {"applied ", &st.applied}} {
 		if *f.v, ok = curve.ManifestNumber(lines[2+i], f.prefix); !ok {
-			return nodeState{}, false, malformed
+			return st, false
 		}
 	}
-	if st.role != "leader" && st.role != "follower" {
-		return nodeState{}, false, fmt.Errorf("repl: state %s: unknown role %q", statePath(dir), st.role)
-	}
-	return st, true, nil
+	return st, true
 }
 
 func writeState(fsys vfs.FS, dir string, st nodeState) error {
