@@ -3,6 +3,7 @@ package pagedstore
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -519,17 +520,7 @@ func TestCacheHitsRaceEvictionAndPurge(t *testing.T) {
 		a.st = st
 		return a, err
 	}
-	equal := func(a, b answer) bool {
-		if a.st != b.st || len(a.recs) != len(b.recs) {
-			return false
-		}
-		for i := range a.recs {
-			if a.recs[i] != b.recs[i] {
-				return false
-			}
-		}
-		return true
-	}
+	equal := func(a, b answer) bool { return a.st == b.st && slices.Equal(a.recs, b.recs) }
 
 	// The bare answers of 40 seeded 12x12 rectangles, for both stores.
 	rng := rand.New(rand.NewSource(17))
