@@ -1,7 +1,10 @@
 package onion_test
 
 import (
+	"encoding/hex"
 	"errors"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,6 +39,27 @@ func identityEngine(t *testing.T, dir string, c onion.Curve) *onion.Engine {
 	return e
 }
 
+// quarantineOne rots a page of the one segment of the engine e at dir
+// and has Verify quarantine it, so Repair has a file to rebuild.
+func quarantineOne(t *testing.T, dir string, e *onion.Engine) {
+	t.Helper()
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.pst"))
+	if len(segs) != 1 {
+		t.Fatalf("%d segments, want 1", len(segs))
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := e.Verify(); err != nil || len(rep.Quarantined) != 1 {
+		t.Fatalf("verify: %+v, %v", rep, err)
+	}
+}
+
 // snapshotOf writes an engine on c and exports a snapshot of it to dir.
 func snapshotOf(t *testing.T, dir string, c onion.Curve) {
 	t.Helper()
@@ -68,8 +92,7 @@ func (r *recordingFollower) HandleAppend(req repl.AppendRequest) (repl.AppendRes
 // snapshot or stream that carries curve keys under one curve and hands it
 // to code running another, for two pairs: two different curves of one
 // universe, and two Onion3D segment orders of one name that differ only
-// from key 722 on (a sharded MANIFEST's eight-key probe cannot tell them
-// apart). Each must fail with ErrCurveMismatch, and with the error callers
+// from key 722 on (an eight-key probe cannot tell them apart). Each must fail with ErrCurveMismatch, and with the error callers
 // matched on before wherever there was one.
 func TestEveryDirectoryRefusesAnotherCurve(t *testing.T) {
 	must := func(c onion.Curve, err error) onion.Curve {
@@ -150,23 +173,8 @@ func TestEveryDirectoryRefusesAnotherCurve(t *testing.T) {
 			dir := t.TempDir()
 			e := identityEngine(t, dir, b)
 			defer e.Close()
-			// Rot a page of the segment, so Repair has one to rebuild.
-			segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.pst"))
-			if len(segs) != 1 {
-				t.Fatalf("%d segments, want 1", len(segs))
-			}
-			data, err := os.ReadFile(segs[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			data[len(data)/2] ^= 0x40
-			if err := os.WriteFile(segs[0], data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if rep, err := e.Verify(); err != nil || len(rep.Quarantined) != 1 {
-				t.Fatalf("verify: %+v, %v", rep, err)
-			}
-			_, err = e.Repair(snap)
+			quarantineOne(t, dir, e)
+			_, err := e.Repair(snap)
 			return err
 		}},
 		{"seed", onion.ErrSnapshot, func(t *testing.T, a, b onion.Curve) error {
@@ -375,5 +383,184 @@ func TestHostileIdentityRecords(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// treeFiles returns the content of every file under dir, keyed by its
+// path relative to dir.
+func treeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		files[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// v1Of rewrites the v2 manifest in file the way releases before curve
+// fingerprints wrote it: the v1 header and no fingerprint line, and in a
+// sharded manifest an eight-key probe line in its place. A composite
+// snapshot manifest's embedded directory manifest becomes v1 the same way.
+func v1Of(t *testing.T, file string) {
+	t.Helper()
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := string(data)
+	i := strings.Index(v2, "fingerprint ")
+	if i < 0 {
+		t.Fatalf("%s holds no v2 manifest: %q", file, v2)
+	}
+	j := i + strings.Index(v2[i:], "\n") + 1
+	probe := ""
+	if strings.Contains(v2, "onion-sharded v2\n") {
+		probe = "probe (0,0) (5,1) (9,7) (3,13) (8,10) (8,4) (9,13) (15,0)\n"
+	}
+	v1 := strings.NewReplacer("onion-sharded v2\n", "onion-sharded v1\n", "onion-snapshot v2\n", "onion-snapshot v1\n").
+		Replace(v2[:i] + probe + v2[j:])
+	if err := os.WriteFile(file, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRetiredFormatsAreRefused hands the program every input it no longer
+// reads, each under the curve that wrote it: an engine directory with data
+// but no CURVE file, a v1 sharded MANIFEST, a v1 engine snapshot manifest
+// (restored, as a SnapshotSince parent and as a Repair source), a composite
+// snapshot that embeds a v1 directory manifest, and a WAL frame in the
+// coordinate op encoding whose CRC holds. Each fails with its named error,
+// and leaves every file of the retired input as it was.
+func TestRetiredFormatsAreRefused(t *testing.T) {
+	c, err := onion.NewOnion2D(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := onion.ShardedEngineOptions{Shards: 2}
+	rows := []struct {
+		name  string
+		named error
+		// build writes the retired input at dir; read reads it back.
+		build func(t *testing.T, dir string)
+		read  func(t *testing.T, dir string) error
+	}{
+		{"engine dir without CURVE", onion.ErrCurveIdentity,
+			func(t *testing.T, dir string) {
+				if err := identityEngine(t, dir, c).Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Remove(filepath.Join(dir, "CURVE")); err != nil {
+					t.Fatal(err)
+				}
+			},
+			func(t *testing.T, dir string) error {
+				_, err := onion.OpenEngine(dir, c, onion.EngineOptions{})
+				return err
+			}},
+		{"v1 MANIFEST", onion.ErrShardManifest,
+			func(t *testing.T, dir string) {
+				s, err := onion.OpenShardedEngine(dir, c, sharded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Put(c.Coords(5, nil), 5); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				v1Of(t, filepath.Join(dir, "MANIFEST"))
+			},
+			func(t *testing.T, dir string) error {
+				_, err := onion.OpenShardedEngine(dir, c, sharded)
+				return err
+			}},
+		{"v1 SNAPSHOT restored", onion.ErrSnapshot,
+			func(t *testing.T, dir string) {
+				snapshotOf(t, dir, c)
+				v1Of(t, filepath.Join(dir, "SNAPSHOT"))
+			},
+			func(t *testing.T, dir string) error {
+				_, err := onion.RestoreEngine(dir, filepath.Join(t.TempDir(), "restored"), -1, c, onion.EngineOptions{})
+				return err
+			}},
+		{"v1 SNAPSHOT parent", onion.ErrSnapshot,
+			func(t *testing.T, dir string) {
+				snapshotOf(t, dir, c)
+				v1Of(t, filepath.Join(dir, "SNAPSHOT"))
+			},
+			func(t *testing.T, dir string) error {
+				e := identityEngine(t, t.TempDir(), c)
+				defer e.Close()
+				_, err := e.SnapshotSince(filepath.Join(t.TempDir(), "child"), dir)
+				return err
+			}},
+		{"v1 SNAPSHOT repair source", onion.ErrSnapshot,
+			func(t *testing.T, dir string) {
+				snapshotOf(t, dir, c)
+				v1Of(t, filepath.Join(dir, "SNAPSHOT"))
+			},
+			func(t *testing.T, dir string) error {
+				edir := t.TempDir()
+				e := identityEngine(t, edir, c)
+				defer e.Close()
+				quarantineOne(t, edir, e)
+				_, err := e.Repair(dir)
+				return err
+			}},
+		{"composite snapshot embedding v1", onion.ErrShardedSnapshot,
+			func(t *testing.T, dir string) {
+				s, err := onion.OpenShardedEngine(t.TempDir(), c, sharded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if _, err := s.Snapshot(dir); err != nil {
+					t.Fatal(err)
+				}
+				v1Of(t, filepath.Join(dir, "SNAPSHOT"))
+			},
+			func(t *testing.T, dir string) error {
+				_, err := onion.RestoreShardedEngine(dir, filepath.Join(t.TempDir(), "restored"), -1, c, sharded)
+				return err
+			}},
+		{"coordinate-tagged WAL", onion.ErrRetiredOp,
+			func(t *testing.T, dir string) {
+				if err := identityEngine(t, dir, c).Close(); err != nil {
+					t.Fatal(err)
+				}
+				// One put of point (3,5), payload 0x1122334455667788:
+				// len | crc32c | tag 1 | two coordinates | payload.
+				frame, _ := hex.DecodeString("11000000" + "29783641" + "01" + "03000000" + "05000000" + "8877665544332211")
+				if err := os.WriteFile(filepath.Join(dir, "wal-000000000999.log"), frame, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			func(t *testing.T, dir string) error {
+				_, err := onion.OpenEngine(dir, c, onion.EngineOptions{})
+				return err
+			}},
+	}
+	for _, r := range rows {
+		t.Run(strings.ReplaceAll(r.name, " ", "-"), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "retired")
+			r.build(t, dir)
+			before := treeFiles(t, dir)
+			if err := r.read(t, dir); !errors.Is(err, r.named) {
+				t.Fatalf("%s: %v, want %v", r.name, err, r.named)
+			}
+			if after := treeFiles(t, dir); !maps.Equal(after, before) {
+				t.Fatalf("%s: refusing it changed its files (%d before, %d after)", r.name, len(before), len(after))
+			}
+		})
 	}
 }

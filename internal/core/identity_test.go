@@ -70,15 +70,12 @@ func TestIdentitySeparatesCurves(t *testing.T) {
 		}
 	}
 
-	// The measured pair: one name, one universe, one v1 manifest probe,
-	// but different bijections from key 722 on.
+	// The measured pair: one name, one universe, but different bijections
+	// from key 722 on.
 	def := must(NewOnion3D(16))
 	swapped := must(NewOnion3DWithSegmentOrder(16, [10]int{1, 2, 3, 4, 7, 5, 6, 8, 9, 10}))
 	if k, differ := firstDifference(def, swapped); !differ || k != 722 {
 		t.Fatalf("the pinned pair first differs at key %d (differ %v), want 722", k, differ)
-	}
-	if curve.LegacyProbe(def) != curve.LegacyProbe(swapped) {
-		t.Fatal("the pinned pair no longer shares its v1 probe")
 	}
 	if curve.IdentityOf(def) == curve.IdentityOf(swapped) {
 		t.Fatal("the pinned pair shares an identity")

@@ -33,7 +33,7 @@ type Identity struct {
 	Name        string
 	Dims        int
 	Side        uint32
-	Fingerprint uint64 // never 0 in a computed identity; 0 in a record written before fingerprints
+	Fingerprint uint64 // never 0: a record with a zero fingerprint is malformed
 }
 
 // fingerprintKeys is how many trailing keys the fingerprint hashes.
@@ -61,19 +61,15 @@ func IdentityOf(c Curve) Identity {
 	}
 	fp := h.Sum64()
 	if fp == 0 {
-		fp = 1 // 0 marks a record without a fingerprint
+		fp = 1 // ParseIdentity refuses 0
 	}
 	return Identity{Name: c.Name(), Dims: u.Dims(), Side: u.Side(), Fingerprint: fp}
 }
 
 // Check returns nil when got, an identity read from a record, names the
-// same bijection as want, and an error wrapping ErrMismatch otherwise. A
-// record written before fingerprints (Fingerprint 0) is checked on what
-// it recorded: name, dims and side.
+// same bijection as want, and an error wrapping ErrMismatch otherwise.
 func (want Identity) Check(got Identity) error {
-	legacy := want
-	legacy.Fingerprint = 0
-	if got == want || got == legacy {
+	if got == want {
 		return nil
 	}
 	return want.Mismatch(got)
@@ -127,13 +123,11 @@ func ParseRecord(data []byte) (Identity, error) {
 	return ParseIdentity(lines[1:5])
 }
 
-// ParseIdentity parses the record lines Lines renders: curve, dims, side
-// and fingerprint. Three lines are the form written before fingerprints,
-// which parses with Fingerprint 0; only an older format's parser passes
-// three. Every failure wraps ErrBadIdentity.
+// ParseIdentity parses the four record lines Lines renders: curve, dims,
+// side and fingerprint. Every failure wraps ErrBadIdentity.
 func ParseIdentity(lines []string) (Identity, error) {
 	var id Identity
-	if len(lines) != 3 && len(lines) != 4 {
+	if len(lines) != 4 {
 		return id, fmt.Errorf("%w: %d lines", ErrBadIdentity, len(lines))
 	}
 	name, err := field(lines[0], "curve")
@@ -157,9 +151,6 @@ func ParseIdentity(lines []string) (Identity, error) {
 		return id, err
 	}
 	id.Side = uint32(side)
-	if len(lines) == 3 {
-		return id, nil
-	}
 	v, err := field(lines[3], "fingerprint")
 	if err != nil {
 		return id, err
@@ -174,21 +165,6 @@ func ParseIdentity(lines []string) (Identity, error) {
 		return id, fmt.Errorf("%w: zero fingerprint", ErrBadIdentity)
 	}
 	return id, nil
-}
-
-// LegacyProbe renders the line a v1 sharded manifest recorded in place of
-// a fingerprint: "probe" and the cells at eight keys spread across the
-// key range. A v1 record is checked on it; nothing writes it any more.
-func LegacyProbe(c Curve) string {
-	u := c.Universe()
-	n := u.Size()
-	var b strings.Builder
-	b.WriteString("probe")
-	p := make(geom.Point, u.Dims())
-	for j := uint64(0); j < 8; j++ {
-		fmt.Fprintf(&b, " %v", c.Coords(j*(n-1)/7, p))
-	}
-	return b.String()
 }
 
 // field returns the value of the record line "key value".
@@ -216,8 +192,9 @@ func number(line, key string, base, bits int) (uint64, error) {
 
 // ManifestNumber parses line as prefix followed by an unsigned decimal
 // number that is the whole rest of the line. Unlike fmt.Sscanf it accepts
-// no trailing bytes, sign, space or base prefix. The snapshot manifests
-// that embed an identity record parse their numbers with it.
+// no trailing bytes, sign, space or base prefix. The record files beside
+// the identity parse their numbers with it: the engine and sharded
+// snapshot manifests and a replication node's REPL_STATE.
 func ManifestNumber(line, prefix string) (uint64, bool) {
 	v, ok := strings.CutPrefix(line, prefix)
 	n, err := strconv.ParseUint(v, 10, 64)

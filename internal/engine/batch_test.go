@@ -650,13 +650,13 @@ func TestCommitHookAppendIsTheWALFrame(t *testing.T) {
 	if !slices.EqualFunc(frames, hook.batches, bytes.Equal) {
 		t.Fatalf("WAL frames %x, hook saw %x", frames, hook.batches)
 	}
-	got, err := replayWAL(vfs.OS{}, wals[0], o)
+	got, err := replayWAL(vfs.OS{}, wals[0], o.Universe().Size())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded []BatchOp
 	for _, b := range hook.batches {
-		if decoded, err = DecodeBatch(decoded, b, o); err != nil {
+		if decoded, err = DecodeBatch(decoded, b, o.Universe().Size()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -246,22 +246,24 @@ type Engine struct {
 // Open opens (creating if needed) the engine rooted at dir, clustered by
 // c. Any WAL left by a crash is replayed — torn tails are truncated away,
 // so exactly the acknowledged writes survive — and immediately flushed to
-// a fresh segment. First Open checks c against the directory's identity
-// file, which covers every file in it (curve.ErrMismatch), or stamps a
-// directory that has none.
+// a fresh segment. Open checks c against the directory's identity file,
+// which covers every file in it (curve.ErrMismatch), or stamps a
+// directory without data. It refuses data without an identity file
+// (curve.ErrBadIdentity) and a WAL of retired ops (ErrRetiredOp), writing
+// nothing.
 func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	fsys := vfs.Or(opts.FS)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	id := curve.IdentityOf(c)
-	if err := vfs.CheckOrCreate(fsys, filepath.Join(dir, identityFile), id.Record(), curve.MaxRecordBytes+1, id.CheckRecord); err != nil {
-		return nil, fmt.Errorf("engine: %s: %w", dir, err)
-	}
 	segIDs, walGens, archived, err := scanDir(fsys, dir)
 	if err != nil {
 		return nil, err
+	}
+	id := curve.IdentityOf(c)
+	if err := vfs.CheckOrCreate(fsys, filepath.Join(dir, identityFile), id.Record(), curve.MaxRecordBytes+1, id.CheckRecord); err != nil {
+		return nil, fmt.Errorf("engine: %s: %w", dir, err)
 	}
 	e := &Engine{dir: dir, c: c, id: id, opts: opts, fs: fsys, hook: opts.CommitHook, cache: opts.Cache,
 		archiving: archived && !opts.noArchive}
@@ -298,7 +300,7 @@ func Open(dir string, c curve.Curve, opts Options) (*Engine, error) {
 			// deletes the file).
 			continue
 		}
-		ops, err := replayWAL(fsys, walPath(dir, g), c)
+		ops, err := replayWAL(fsys, walPath(dir, g), c.Universe().Size())
 		if err != nil {
 			e.releaseSegments()
 			return nil, err

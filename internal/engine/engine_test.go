@@ -580,6 +580,7 @@ func TestScanDirCrashArtifacts(t *testing.T) {
 	// A compaction of generations 3..5 crashed after renaming its output
 	// but before deleting its inputs; a lone-segment rewrite of 7..7
 	// crashed the same way, leaving two epochs of the same range.
+	touch(identityFile) // an engine directory: scanDir refuses data without one
 	touch("seg-000000000003-000000000005-000.pst")
 	touch("seg-000000000003-000000000003-000.pst")
 	touch("seg-000000000005-000000000005-000.pst")
@@ -693,6 +694,7 @@ func TestScanDirIgnoresTmp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	touch(identityFile)
 	touch("seg-000000000001-000000000001-000.pst")
 	touch("seg-000000000001-000000000001-001.pst.tmp") // crashed rewrite
 	touch("wal-000000000002.log.tmp")

@@ -4,9 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"github.com/onioncurve/onion/internal/curve"
-	"github.com/onioncurve/onion/internal/geom"
 )
 
 // ErrQuorum reports a synchronous write that became durable locally but
@@ -52,30 +49,28 @@ type CommitHook interface {
 	Commit(seq uint64) error
 }
 
+// ErrRetiredOp reports a logged op in the coordinate-tagged encoding (tags
+// 1 and 2) of releases before ops carried their key. It names a point,
+// and nothing evaluates the curve to read it any more.
+var ErrRetiredOp = errors.New("engine: coordinate-tagged op of a retired log format")
+
 const (
-	// Coordinate-tagged ops, the only ops before a logged op carried its
-	// key: the tag, dims 4-byte coordinates, and for puts the 8-byte
-	// payload. Nothing writes them any more; DecodeBatch still reads them,
-	// so WALs, archives and replication logs written then replay as they
-	// are.
-	walOpPut, walOpDel = byte(1), byte(2)
+	// Tags 1 and 2, the coordinate-tagged put and delete, are retired:
+	// DecodeBatch recognizes them only to refuse them.
+	retiredPut, retiredDel = byte(1), byte(2)
 	// Key-tagged ops: the tag, the 8-byte curve key, and for puts the
 	// 8-byte payload.
 	walKeyPut, walKeyDel = byte(3), byte(4)
 )
 
-// opSize returns the encoded length of an op whose tag is t, in a batch
-// of dims-dimensional points, or 0 for an unknown tag.
-func opSize(t byte, dims int) int {
+// opSize returns the encoded length of an op whose tag is t, or 0 for a
+// tag DecodeBatch refuses.
+func opSize(t byte) int {
 	switch t {
 	case walKeyPut:
 		return 1 + 8 + 8
 	case walKeyDel:
 		return 1 + 8
-	case walOpPut:
-		return 1 + 4*dims + 8
-	case walOpDel:
-		return 1 + 4*dims
 	}
 	return 0
 }
@@ -99,14 +94,13 @@ func EncodeBatch(dst []byte, ops []BatchOp) []byte {
 	return dst
 }
 
-// BatchLen returns how many ops the batch encoding b of dims-dimensional
-// points holds. It only steps over op sizes and validates nothing
-// (DecodeBatch does): an unknown tag or a short op counts as one op that
-// takes the rest.
-func BatchLen(b []byte, dims int) int {
+// BatchLen returns how many ops the batch encoding b holds. It only steps
+// over op sizes and validates nothing (DecodeBatch does): an unknown tag
+// or a short op counts as one op that takes the rest.
+func BatchLen(b []byte) int {
 	n := 0
 	for ; len(b) > 0; n++ {
-		if size := opSize(b[0], dims); size > 0 && size <= len(b) {
+		if size := opSize(b[0]); size > 0 && size <= len(b) {
 			b = b[size:]
 		} else {
 			b = nil
@@ -115,42 +109,28 @@ func BatchLen(b []byte, dims int) int {
 	return n
 }
 
-// DecodeBatch appends the ops of one batch encoding to dst. It reads both
-// op families: a key-tagged op as it is, a coordinate-tagged op by
-// evaluating c at its coordinates. It rejects an unknown tag, an op cut
-// short, a key outside c's key space and a coordinate outside its
-// universe, and then returns dst unextended. Past dst's growth it
-// allocates nothing on key-tagged ops, and one scratch point for a batch
-// that holds coordinate-tagged ones. Integrity is the carrier's job (the
-// framed log's CRC, the transport).
-func DecodeBatch(dst []BatchOp, b []byte, c curve.Curve) ([]BatchOp, error) {
+// DecodeBatch appends the ops of one batch encoding to dst, for a key
+// space of keys keys. It rejects a retired coordinate tag (ErrRetiredOp),
+// an unknown tag, an op cut short and a key at or past keys, each
+// wrapping ErrWAL, and then returns dst unextended. Past dst's growth it
+// allocates nothing. Integrity is the carrier's job (the framed log's
+// CRC, the transport).
+func DecodeBatch(dst []BatchOp, b []byte, keys uint64) ([]BatchOp, error) {
 	n := len(dst)
-	u := c.Universe()
-	var pt geom.Point
 	for len(b) > 0 {
-		size := opSize(b[0], u.Dims())
+		if b[0] == retiredPut || b[0] == retiredDel {
+			return dst[:n], fmt.Errorf("%w: %w (tag %d)", ErrWAL, ErrRetiredOp, b[0])
+		}
+		size := opSize(b[0])
 		if size == 0 || len(b) < size {
 			return dst[:n], fmt.Errorf("%w: malformed op payload (%d bytes left)", ErrWAL, len(b))
 		}
-		op := BatchOp{Del: b[0] == walKeyDel || b[0] == walOpDel}
-		if b[0] == walKeyPut || b[0] == walKeyDel {
-			if op.Key = binary.LittleEndian.Uint64(b[1:]); op.Key >= u.Size() {
-				return dst[:n], fmt.Errorf("%w: key %d outside key space [0,%d)", ErrWAL, op.Key, u.Size())
-			}
-		} else {
-			if pt == nil {
-				pt = make(geom.Point, u.Dims())
-			}
-			for d := range pt {
-				pt[d] = binary.LittleEndian.Uint32(b[1+4*d:])
-			}
-			var err error
-			if op.Key, err = KeyOf(c, pt); err != nil {
-				return dst[:n], fmt.Errorf("%w: %w", ErrWAL, err)
-			}
+		op := BatchOp{Key: binary.LittleEndian.Uint64(b[1:]), Del: b[0] == walKeyDel}
+		if op.Key >= keys {
+			return dst[:n], fmt.Errorf("%w: key %d outside key space [0,%d)", ErrWAL, op.Key, keys)
 		}
 		if !op.Del {
-			op.Payload = binary.LittleEndian.Uint64(b[size-8:])
+			op.Payload = binary.LittleEndian.Uint64(b[9:])
 		}
 		dst = append(dst, op)
 		b = b[size:]

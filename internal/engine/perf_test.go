@@ -352,7 +352,7 @@ func TestGroupCommitDurability(t *testing.T) {
 	if err := os.WriteFile(fullPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	full, err := replayWAL(vfs.OS{}, fullPath, c)
+	full, err := replayWAL(vfs.OS{}, fullPath, c.Universe().Size())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestGroupCommitDurability(t *testing.T) {
 		if err := os.WriteFile(torn, data[:b], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ops, err := replayWAL(vfs.OS{}, torn, c)
+		ops, err := replayWAL(vfs.OS{}, torn, c.Universe().Size())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,7 +112,7 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 		if upTo >= 0 && rep.Replayed >= upTo {
 			break
 		}
-		ops, err := replayWAL(fsys, walPath(man.archive, g), c)
+		ops, err := replayWAL(fsys, walPath(man.archive, g), c.Universe().Size())
 		if err != nil {
 			return rep, err
 		}

@@ -54,11 +54,15 @@ type segID struct {
 // epoch — is a stale input and is deleted. Ranges that partially overlap
 // have no legal history and are rejected. archive reports whether the
 // WAL archive directory exists.
+// A directory with a segment or a WAL, in it or in archive/, but no
+// identity file predates identities and is refused (curve.ErrBadIdentity)
+// before anything is deleted.
 func scanDir(fsys vfs.FS, dir string) (segs []segID, wals []uint64, archive bool, err error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("engine: %w", err)
 	}
+	stamped := false
 	for _, ent := range ents {
 		if ent.IsDir() {
 			archive = archive || ent.Name() == archiveDirName
@@ -66,6 +70,7 @@ func scanDir(fsys vfs.FS, dir string) (segs []segID, wals []uint64, archive bool
 		}
 		var lo, hi, epoch, gen uint64
 		name := ent.Name()
+		stamped = stamped || name == identityFile
 		// Sscanf ignores trailing bytes, so a leftover "seg-*.pst.tmp"
 		// from a crashed write would parse as a segment; demand the
 		// parsed id round-trips to the exact file name.
@@ -79,6 +84,19 @@ func scanDir(fsys vfs.FS, dir string) (segs []segID, wals []uint64, archive bool
 			name == filepath.Base(walPath(dir, gen)) {
 			wals = append(wals, gen)
 		}
+	}
+	data := len(segs) > 0 || len(wals) > 0
+	if !stamped && !data && archive {
+		// An empty archive/ makes a new directory archive from its start.
+		gens, err := archivedWALs(fsys, archiveDir(dir))
+		if err != nil {
+			return nil, nil, false, err
+		}
+		data = len(gens) > 0
+	}
+	if !stamped && data {
+		return nil, nil, false, fmt.Errorf("engine: %s: %w: it holds data but no %s file (written before directories recorded their curve)",
+			dir, curve.ErrBadIdentity, identityFile)
 	}
 	// Drop stale compaction inputs: ranges contained in another range, or
 	// equal ranges superseded by a higher epoch.

@@ -25,6 +25,10 @@ var ErrSnapshot = errors.New("engine: invalid snapshot")
 // interrupted export and is never read.
 const snapshotManifestName = "SNAPSHOT"
 
+// snapshotManifestHeader opens the one manifest format read: v1, which
+// recorded no curve fingerprint, is refused.
+const snapshotManifestHeader = "onion-snapshot v2"
+
 // maxSnapshotManifestBytes bounds a SNAPSHOT manifest, which is input
 // from outside the program: a larger file is rejected after reading this
 // much of it. A manifest is its identity lines (under
@@ -58,7 +62,7 @@ type snapSeg struct {
 // set-difference against the parent on disk, so resolving a segment file
 // walks the parent chain.
 type snapManifest struct {
-	id     curve.Identity // Fingerprint 0 in a v1 manifest, which recorded none
+	id     curve.Identity
 	epoch  uint64
 	parent string // parent snapshot dir, "" for a full snapshot
 	// archive is the source engine's WAL archive dir, which a restore
@@ -71,7 +75,7 @@ type snapManifest struct {
 
 func (m *snapManifest) body() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "onion-snapshot v2\n%sepoch %d\n", m.id.Lines(), m.epoch)
+	fmt.Fprintf(&b, "%s\n%sepoch %d\n", snapshotManifestHeader, m.id.Lines(), m.epoch)
 	fmt.Fprintf(&b, "parent %s\narchive %s\nsegments %d\n", orDash(m.parent), orDash(m.archive), len(m.segs))
 	for _, s := range m.segs {
 		fmt.Fprintf(&b, "%s %d %d\n", s.name, s.size, s.recs)
@@ -92,16 +96,14 @@ func parseSnapshotManifest(data []byte) (*snapManifest, error) {
 	bad := func(what string) error {
 		return fmt.Errorf("%w: manifest %s", ErrSnapshot, what)
 	}
-	// v1, written before fingerprints, has no fingerprint line.
-	idLines := map[string]int{"onion-snapshot v1": 3, "onion-snapshot v2": 4}[lines[0]]
-	if idLines == 0 || len(lines) < 5+idLines {
-		return nil, bad("header")
+	if lines[0] != snapshotManifestHeader || len(lines) < 9 {
+		return nil, bad(fmt.Sprintf("header %.40q: want %q and at least nine lines", lines[0], snapshotManifestHeader))
 	}
-	id, err := curve.ParseIdentity(lines[1 : 1+idLines])
+	id, err := curve.ParseIdentity(lines[1:5])
 	if err != nil {
 		return nil, fmt.Errorf("%w: manifest: %w", ErrSnapshot, err)
 	}
-	lines = lines[idLines:] // the v1 layout from the epoch line on
+	lines = lines[4:] // past the identity lines: lines[1] is the epoch line
 	epoch, ok := curve.ManifestNumber(lines[1], "epoch ")
 	if !ok {
 		return nil, bad("epoch line")

@@ -572,8 +572,8 @@ func applyFlushing(t *testing.T, dir string, ops []fwOp, from, to int, e *Engine
 // TestSeedManifestGoldenBytes pins a seed's manifest byte for byte: it
 // is a full snapshot (parent -) that names no archive (archive -), and
 // exporting it creates no archive/ and leaves the engine deleting the
-// WALs it retires. The v2 golden records the curve's identity; the v1
-// bytes earlier releases wrote still parse and restore.
+// WALs it retires. The golden records the curve's identity; the v1 bytes
+// earlier releases wrote, which record no fingerprint, are refused.
 func TestSeedManifestGoldenBytes(t *testing.T) {
 	ops := fwWorkload()
 	dir := t.TempDir()
@@ -599,39 +599,46 @@ func TestSeedManifestGoldenBytes(t *testing.T) {
 	// The fingerprint is pinned too: a change to how it is computed would
 	// refuse every directory written before it.
 	const want = "onion-snapshot v2\ncurve onion\ndims 2\nside 64\nfingerprint 4fcd3dd6f7fc49bd\nepoch 1\n" + segs
-	// v1, written before fingerprints, is a fixture that must still
-	// parse and restore.
-	const v1 = "onion-snapshot v1\ncurve onion\ndims 2\nside 64\nepoch 1\n" + segs
 	if string(got) != want {
 		t.Fatalf("seed manifest:\n%s\nwant:\n%s", got, want)
 	}
-	for _, golden := range []string{want, v1} {
-		m, err := parseSnapshotManifest([]byte(golden))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.parent != "" || m.archive != "" {
-			t.Fatalf("parsed seed manifest: parent %q archive %q, want both absent", m.parent, m.archive)
-		}
-		if err := os.WriteFile(filepath.Join(seed, snapshotManifestName), []byte(golden), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		target := filepath.Join(t.TempDir(), "restored")
-		if _, err := Restore(seed, target, -1, fwCurve(t), snapOpts(nil)); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := fwRecover(t, target), fwStateAfter(fwCurve(t), ops, 15); !maps.Equal(got, want) {
-			t.Fatalf("restore of the %.17s manifest: %d records, want %d", golden, len(got), len(want))
-		}
-		// Either is checked on what it records: the v1 name alone refuses
-		// another curve of the universe.
-		h, err := baseline.NewHilbert(2, fwSide)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Restore(seed, target+"-h", -1, h, snapOpts(nil)); !errors.Is(err, curve.ErrMismatch) || !errors.Is(err, ErrSnapshot) {
-			t.Fatalf("restore of the %.17s manifest under Hilbert: %v, want ErrSnapshot wrapping ErrMismatch", golden, err)
-		}
+	m, err := parseSnapshotManifest([]byte(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.parent != "" || m.archive != "" {
+		t.Fatalf("parsed seed manifest: parent %q archive %q, want both absent", m.parent, m.archive)
+	}
+	target := filepath.Join(t.TempDir(), "restored")
+	if _, err := Restore(seed, target, -1, fwCurve(t), snapOpts(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fwRecover(t, target), fwStateAfter(fwCurve(t), ops, 15); !maps.Equal(got, want) {
+		t.Fatalf("restore of the seed: %d records, want %d", len(got), len(want))
+	}
+	h, err := baseline.NewHilbert(2, fwSide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(seed, target+"-h", -1, h, snapOpts(nil)); !errors.Is(err, curve.ErrMismatch) || !errors.Is(err, ErrSnapshot) {
+		t.Fatalf("restore of the seed under Hilbert: %v, want ErrSnapshot wrapping ErrMismatch", err)
+	}
+
+	// v1, written before fingerprints: refused under its own curve, and
+	// the seed is left as it is.
+	const v1 = "onion-snapshot v1\ncurve onion\ndims 2\nside 64\nepoch 1\n" + segs
+	if err := os.WriteFile(filepath.Join(seed, snapshotManifestName), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := treeFiles(t, seed)
+	if _, err := Restore(seed, target+"-v1", -1, fwCurve(t), snapOpts(nil)); !errors.Is(err, ErrSnapshot) {
+		t.Fatalf("restore of the v1 manifest: %v, want ErrSnapshot", err)
+	}
+	if _, err := os.Stat(target + "-v1"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("target after a refused restore: %v, want absent", err)
+	}
+	if !maps.Equal(treeFiles(t, seed), before) {
+		t.Fatal("the refused restore changed the seed")
 	}
 }
 
@@ -700,9 +707,9 @@ func TestRestoreSeedStopsAtBoundary(t *testing.T) {
 }
 
 // TestRestoreParentFormatManifest: a user snapshot's manifest names the
-// archive by path, in the format older releases wrote but for the curve
-// fingerprint v2 adds, and a literal v1 manifest parses and replays the
-// archive past its boundary.
+// archive by path, and a restore replays the archive past its boundary.
+// The same manifest in the v1 format older releases wrote, without the
+// curve fingerprint, is refused (ErrSnapshot) and replays nothing.
 func TestRestoreParentFormatManifest(t *testing.T) {
 	ops := fwWorkload()
 	o := fwCurve(t)
@@ -723,22 +730,15 @@ func TestRestoreParentFormatManifest(t *testing.T) {
 		"seg-000000000000-000000000000-000.pst 207 9\n" +
 		"seg-000000000001-000000000001-000.pst 207 9\n" +
 		"seg-000000000002-000000000002-000.pst 207 9\n"
-	literal := "onion-snapshot v1\ncurve onion\ndims 2\nside 64\n" + rest
 	path := filepath.Join(snap, snapshotManifestName)
 	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// This build writes v2: the same manifest with the curve's fingerprint.
 	if want := "onion-snapshot v2\n" + curve.IdentityOf(o).Lines() + rest; string(got) != want {
 		t.Fatalf("user snapshot manifest:\n%s\nwant:\n%s", got, want)
 	}
-	// Republish the literal itself, so the restore reads exactly those
-	// bytes rather than what this build wrote.
-	if err := os.WriteFile(path, []byte(literal), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := parseSnapshotManifest([]byte(literal))
+	m, err := parseSnapshotManifest(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -755,5 +755,14 @@ func TestRestoreParentFormatManifest(t *testing.T) {
 	}
 	if got, want := fwRecover(t, target), fwStateAfter(o, ops, len(ops)); !maps.Equal(got, want) {
 		t.Fatalf("restore: %d records, want %d", len(got), len(want))
+	}
+
+	literal := "onion-snapshot v1\ncurve onion\ndims 2\nside 64\n" + rest
+	if err := os.WriteFile(path, []byte(literal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = Restore(snap, filepath.Join(t.TempDir(), "v1"), -1, o, snapOpts(nil))
+	if !errors.Is(err, ErrSnapshot) || rep.Replayed != 0 {
+		t.Fatalf("restore of the v1 manifest: replayed %d, %v; want ErrSnapshot", rep.Replayed, err)
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/framedlog"
 	"github.com/onioncurve/onion/internal/vfs"
 )
@@ -77,18 +76,26 @@ func (l *wal) append(ops []BatchOp) error {
 // is durable once it returns nil.
 func (l *wal) close() error { return walErr(l.Close()) }
 
-// replayWAL reads the ops of every intact frame (one batch, or one op in
-// older logs) of the log at path, in order. A torn tail — a final frame
-// cut short by a crash, any framing/CRC damage, or a payload DecodeBatch
-// refuses — ends the replay silently: recovery keeps exactly the longest
-// valid prefix of whole batches, so an acknowledged (synced) batch is
-// never lost and a torn one never resurrects, not even in part.
-func replayWAL(fsys vfs.FS, path string, c curve.Curve) ([]BatchOp, error) {
+// replayWAL reads the ops of every intact frame of the log at path, in
+// order, for a key space of keys keys. A torn tail — a final frame cut
+// short by a crash, any framing/CRC damage, or a payload DecodeBatch
+// finds malformed — ends the replay silently: recovery keeps exactly the
+// longest valid prefix of whole batches, so an acknowledged (synced)
+// batch is never lost and a torn one never resurrects, not even in part.
+// A frame whose CRC holds but whose ops are retired (ErrRetiredOp) is an
+// older release's log, not damage: it fails the replay instead.
+func replayWAL(fsys vfs.FS, path string, keys uint64) ([]BatchOp, error) {
 	var ops []BatchOp
+	var retired error
 	err := framedlog.Replay(fsys, path, func(payload []byte) bool {
 		var err error
-		ops, err = DecodeBatch(ops, payload, c)
+		if ops, err = DecodeBatch(ops, payload, keys); errors.Is(err, ErrRetiredOp) {
+			retired = fmt.Errorf("%w: %s", err, path)
+		}
 		return err == nil
 	})
+	if retired != nil {
+		return nil, retired
+	}
 	return ops, walErr(err)
 }

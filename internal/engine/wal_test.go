@@ -14,7 +14,6 @@ import (
 	"github.com/onioncurve/onion/internal/baseline"
 	"github.com/onioncurve/onion/internal/core"
 	"github.com/onioncurve/onion/internal/curve"
-	"github.com/onioncurve/onion/internal/framedlog"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
 )
@@ -48,30 +47,9 @@ func sampleOps(c curve.Curve, n int) []BatchOp {
 // keyOpSize is the encoded length of a key-tagged op.
 func keyOpSize(del bool) int {
 	if del {
-		return opSize(walKeyDel, 0)
+		return opSize(walKeyDel)
 	}
-	return opSize(walKeyPut, 0)
-}
-
-// coordBatch appends the encoding of ops the store wrote before an op
-// carried its key: per op a coordinate tag, the dims coordinates of its
-// key's cell under c, and for puts the payload. Nothing writes it any
-// more; tests write it to check that such logs still replay.
-func coordBatch(dst []byte, ops []BatchOp, c curve.Curve) []byte {
-	for _, op := range ops {
-		tag := walOpPut
-		if op.Del {
-			tag = walOpDel
-		}
-		dst = append(dst, tag)
-		for _, x := range c.Coords(op.Key, nil) {
-			dst = binary.LittleEndian.AppendUint32(dst, x)
-		}
-		if !op.Del {
-			dst = binary.LittleEndian.AppendUint64(dst, op.Payload)
-		}
-	}
-	return dst
+	return opSize(walKeyPut)
 }
 
 // writeOps writes ops as one-op batches: one frame per op, the layout
@@ -99,7 +77,7 @@ func TestWALRoundTrip(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "wal.log")
 		ops := sampleOps(c, 50)
 		writeOps(t, path, ops)
-		got, err := replayWAL(vfs.OS{}, path, c)
+		got, err := replayWAL(vfs.OS{}, path, c.Universe().Size())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +113,7 @@ func TestWALTornTail(t *testing.T) {
 		if err := os.WriteFile(torn, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := replayWAL(vfs.OS{}, torn, c)
+		got, err := replayWAL(vfs.OS{}, torn, c.Universe().Size())
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -165,7 +143,7 @@ func TestWALCorruptTail(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := replayWAL(vfs.OS{}, path, c)
+	got, err := replayWAL(vfs.OS{}, path, c.Universe().Size())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +169,7 @@ func TestWALGarbageLength(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := replayWAL(vfs.OS{}, path, c)
+	got, err := replayWAL(vfs.OS{}, path, c.Universe().Size())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,15 +177,6 @@ func TestWALGarbageLength(t *testing.T) {
 		t.Fatalf("recovered %d ops, want %d", len(got), len(ops))
 	}
 }
-
-// goldenWAL is the file the framing before internal/framedlog produced
-// for four coordinate-tagged one-op batches (dims 2), byte for byte: four
-// frames of len(4) | crc32c(4) | op(1) | coords(4*dims) | payload(8, puts
-// only). Nothing writes coordinate tags any more; it is a replay fixture.
-const goldenWAL = "11000000" + "29783641" + "01" + "03000000" + "05000000" + "8877665544332211" +
-	"09000000" + "96745c9c" + "02" + "efbeadde" + "07000000" +
-	"11000000" + "b67f0985" + "01" + "00000000" + "00000000" + "0000000000000000" +
-	"11000000" + "e7a3d97e" + "01" + "01000000" + "ffffffff" + "2a00000000000000"
 
 // goldenKeyWAL is the file the writer produces for goldenKeyOps, byte for
 // byte: four frames of len(4) | crc32c(4) | tag(1) | key(8) | payload(8,
@@ -224,12 +193,17 @@ var goldenKeyOps = []BatchOp{
 	{Key: 1<<30 - 1, Payload: 42},
 }
 
+// retiredWAL is a log an older release wrote: two frames of
+// len(4) | crc32c(4) | op, each op a coordinate tag (1 a put, 2 a
+// delete), the cell's two coordinates and, for puts, the payload. Both
+// CRCs hold.
+const retiredWAL = "11000000" + "29783641" + "01" + "03000000" + "05000000" + "8877665544332211" +
+	"09000000" + "96745c9c" + "02" + "efbeadde" + "07000000"
+
 // TestWALGoldenBytes pins the log format. The writer turns goldenKeyOps
-// into goldenKeyWAL's bytes, which replay to the same ops. goldenWAL, a
-// log of coordinate-tagged ops, still replays without a version gate: its
-// frames 1 and 3 decode to the keys of their points, and frames 2 and 4,
-// whose coordinates 0xdeadbeef and 0xffffffff lie outside every universe,
-// are malformed, so a replay keeps frame 1 alone.
+// into goldenKeyWAL's bytes, which replay to the same ops. A log in the
+// retired coordinate encoding is refused whole (ErrRetiredOp), not read
+// as a torn tail, even behind a valid key-tagged frame.
 func TestWALGoldenBytes(t *testing.T) {
 	c, err := core.NewOnion2D(1 << 15)
 	if err != nil {
@@ -248,7 +222,7 @@ func TestWALGoldenBytes(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("WAL bytes changed:\n got %x\nwant %x", got, want)
 	}
-	ops, err := replayWAL(vfs.OS{}, path, c)
+	ops, err := replayWAL(vfs.OS{}, path, c.Universe().Size())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,39 +230,18 @@ func TestWALGoldenBytes(t *testing.T) {
 		t.Fatalf("WAL replayed as %+v", ops)
 	}
 
-	old, err := hex.DecodeString(goldenWAL)
+	old, err := hex.DecodeString(retiredWAL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := func(x, y uint32) uint64 { return c.Index(geom.Point{x, y}) }
-	frames := [][]BatchOp{
-		{{Key: at(3, 5), Payload: 0x1122334455667788}},
-		nil, // (0xdeadbeef, 7): malformed
-		{{Key: at(0, 0), Payload: 0}},
-		nil, // (1, 0xffffffff): malformed
-	}
-	i := 0
-	framedlog.ReplayBytes(old, func(payload []byte) bool {
-		ops, err := DecodeBatch(nil, payload, c)
-		if frames[i] == nil {
-			if !errors.Is(err, ErrWAL) || len(ops) != 0 {
-				t.Errorf("frame %d decoded as %+v, %v; want ErrWAL", i+1, ops, err)
-			}
-		} else if err != nil || !slices.Equal(ops, frames[i]) {
-			t.Errorf("frame %d decoded as %+v, %v; want %+v", i+1, ops, err, frames[i])
+	for name, log := range map[string][]byte{"retired": old, "key-tagged then retired": slices.Concat(want, old)} {
+		archived := filepath.Join(t.TempDir(), "archived.log")
+		if err := os.WriteFile(archived, log, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		i++
-		return true
-	})
-	if i != len(frames) {
-		t.Fatalf("%d frames, want %d", i, len(frames))
-	}
-	archived := filepath.Join(t.TempDir(), "archived.log")
-	if err := os.WriteFile(archived, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if ops, err = replayWAL(vfs.OS{}, archived, c); err != nil || !slices.Equal(ops, frames[0]) {
-		t.Fatalf("archived WAL replayed as %+v, %v; want frame 1 alone", ops, err)
+		if ops, err := replayWAL(vfs.OS{}, archived, c.Universe().Size()); !errors.Is(err, ErrRetiredOp) || !errors.Is(err, ErrWAL) || ops != nil {
+			t.Fatalf("%s log replayed as %+v, %v; want ErrWAL wrapping ErrRetiredOp", name, ops, err)
+		}
 	}
 }
 
@@ -383,53 +336,48 @@ func TestWALTornBatchIsAbsent(t *testing.T) {
 }
 
 // TestDecodeBatchRejects: DecodeBatch reads bytes that may come off a
-// damaged disk or a peer, so it must never panic on them. An unknown tag,
-// an op cut short, a key outside the key space and a coordinate outside
-// the universe are each malformed: ErrWAL, and dst comes back unextended.
+// damaged disk or a peer, so it must never panic on them. A retired
+// coordinate tag is refused as such (ErrRetiredOp); an unknown tag, an op
+// cut short and a key outside the key space are malformed. Each is
+// ErrWAL, and dst comes back unextended.
 func TestDecodeBatchRejects(t *testing.T) {
-	c, err := core.NewOnion2D(16) // 256 keys
-	if err != nil {
-		t.Fatal(err)
-	}
+	const keys = 256
 	key := func(tag byte, k uint64) []byte { return binary.LittleEndian.AppendUint64([]byte{tag}, k) }
-	coord := func(tag byte, x, y uint32) []byte {
-		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32([]byte{tag}, x), y)
-	}
 	pay := func(b []byte) []byte { return binary.LittleEndian.AppendUint64(b, 9) }
-	good := append(pay(key(walKeyPut, 255)), coord(walOpDel, 15, 15)...)
+	good := append(pay(key(walKeyPut, 255)), key(walKeyDel, 7)...)
 	for _, tc := range []struct {
-		name string
-		b    []byte
+		name    string
+		b       []byte
+		retired bool
 	}{
-		{"tag 0", []byte{0}},
-		{"tag 5", pay(key(5, 1))},
-		{"tag 0xff", slices.Concat(good, []byte{0xff})},
-		{"key put cut short", key(walKeyPut, 1)},
-		{"key delete cut short", key(walKeyDel, 1)[:8]},
-		{"coordinate put cut short", coord(walOpPut, 1, 1)},
-		{"coordinate delete cut short", coord(walOpDel, 1, 1)[:8]},
-		{"key at the key space's size", key(walKeyDel, 256)},
-		{"key 2^64-1", pay(key(walKeyPut, ^uint64(0)))},
-		{"x at the side", coord(walOpDel, 16, 0)},
-		{"y 2^32-1", pay(coord(walOpPut, 0, ^uint32(0)))},
-		{"good ops, then a bad one", slices.Concat(good, key(walKeyDel, 1<<40))},
+		{"tag 0", []byte{0}, false},
+		{"tag 5", pay(key(5, 1)), false},
+		{"tag 0xff", slices.Concat(good, []byte{0xff}), false},
+		{"key put cut short", key(walKeyPut, 1), false},
+		{"key delete cut short", key(walKeyDel, 1)[:8], false},
+		{"key at the key space's size", key(walKeyDel, keys), false},
+		{"key 2^64-1", pay(key(walKeyPut, ^uint64(0))), false},
+		{"good ops, then a bad one", slices.Concat(good, key(walKeyDel, 1<<40)), false},
+		{"coordinate put", []byte{retiredPut, 1, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0}, true},
+		{"coordinate delete", []byte{retiredDel, 1, 0, 0, 0, 1, 0, 0, 0}, true},
+		{"coordinate tag alone", []byte{retiredDel}, true},
+		{"good ops, then a coordinate put", slices.Concat(good, []byte{retiredPut}), true},
 	} {
 		dst := []BatchOp{{Key: 7}}
-		got, err := DecodeBatch(dst, tc.b, c)
-		if !errors.Is(err, ErrWAL) || len(got) != 1 || got[0] != dst[0] {
-			t.Errorf("%s: decoded %+v, %v; want ErrWAL and dst unextended", tc.name, got, err)
+		got, err := DecodeBatch(dst, tc.b, keys)
+		if !errors.Is(err, ErrWAL) || errors.Is(err, ErrRetiredOp) != tc.retired || len(got) != 1 || got[0] != dst[0] {
+			t.Errorf("%s: decoded %+v, %v; want ErrWAL (retired %v) and dst unextended", tc.name, got, err, tc.retired)
 		}
 	}
-	got, err := DecodeBatch(nil, good, c)
-	want := []BatchOp{{Key: 255, Payload: 9}, {Key: c.Index(geom.Point{15, 15}), Del: true}}
+	got, err := DecodeBatch(nil, good, keys)
+	want := []BatchOp{{Key: 255, Payload: 9}, {Key: 7, Del: true}}
 	if err != nil || !slices.Equal(got, want) {
 		t.Fatalf("good ops decoded as %+v, %v; want %+v", got, err, want)
 	}
 }
 
-// TestDecodeBatchAllocs pins what decoding costs past dst's growth: nothing
-// on a key-tagged batch, and one scratch point for a batch of
-// coordinate-tagged ops, however many it holds.
+// TestDecodeBatchAllocs pins what decoding costs past dst's growth:
+// nothing, for every batch.
 func TestDecodeBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on allocation-free paths")
@@ -438,23 +386,17 @@ func TestDecodeBatchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := sampleOps(c, 110)
-	dst := make([]BatchOp, 0, len(ops))
-	for _, tc := range []struct {
-		name string
-		b    []byte
-		max  float64
-	}{
-		{"key tags", EncodeBatch(nil, ops), 0},
-		{"coordinate tags", coordBatch(nil, ops, c), 1},
-	} {
+	for _, n := range []int{1, 3, 110} {
+		ops := sampleOps(c, n)
+		b := EncodeBatch(nil, ops)
+		dst := make([]BatchOp, 0, n)
 		allocs := testing.AllocsPerRun(100, func() {
-			if dst, err = DecodeBatch(dst[:0], tc.b, c); err != nil || len(dst) != len(ops) {
-				t.Fatalf("%s: decoded %d ops, %v", tc.name, len(dst), err)
+			if dst, err = DecodeBatch(dst[:0], b, c.Universe().Size()); err != nil || len(dst) != n {
+				t.Fatalf("%d ops: decoded %d, %v", n, len(dst), err)
 			}
 		})
-		if allocs > tc.max {
-			t.Errorf("%s: %.1f allocations a batch, want at most %.0f", tc.name, allocs, tc.max)
+		if allocs != 0 {
+			t.Errorf("a batch of %d ops: %.1f allocations, want 0", n, allocs)
 		}
 	}
 }

@@ -37,8 +37,9 @@ type Follower struct {
 	// mustSeed latches when the durable state says this node was a
 	// leader — its engine holds writes no quorum may have acknowledged,
 	// and an LSM cannot truncate — or sits beside a log in the retired
-	// frame layout. The only way back into the group is a full re-seed:
-	// every Append is answered NeedSeed until then, and nothing is
+	// frame layout or an entry to apply holds retired ops
+	// (engine.ErrRetiredOp). The only way back into the group is a full
+	// re-seed: every Append is answered NeedSeed until then, and nothing is
 	// persisted before it, so the latch survives a reopen. It also
 	// latches, for this process only, when a seed fails after it began
 	// replacing the directory: eng and log are closed then, and the next
@@ -95,7 +96,7 @@ func OpenFollower(id, dir string, c curve.Curve, opts FollowerOptions) (*Followe
 
 // open opens the log and engine handles over f.dir.
 func (f *Follower) open() error {
-	log, err := openReplLog(f.fsys, f.dir, f.c.Universe().Dims())
+	log, err := openReplLog(f.fsys, f.dir)
 	if err != nil {
 		return err
 	}
@@ -251,7 +252,9 @@ func (f *Follower) HandleAppend(req AppendRequest) (AppendResponse, error) {
 	// the backlog up in one amortized batch instead, so a replica's
 	// engine trails its log by at most the catch-up interval.
 	if len(req.Entries) == 0 || f.log.ops > f.opts.maxLogEntries {
-		if err := f.applyCommitted(min(req.Commit, last)); err != nil {
+		if err := f.applyCommitted(min(req.Commit, last)); f.mustSeed {
+			return AppendResponse{Epoch: f.st.epoch, NeedSeed: true}, nil
+		} else if err != nil {
 			return AppendResponse{}, err
 		}
 	}
@@ -294,6 +297,7 @@ func (f *Follower) epochAt(index uint64) (uint64, bool) {
 
 // applyCommitted folds held entries in (applied, upTo] into the engine.
 // The caller has verified every held entry <= upTo matches the leader.
+// An entry of retired ops latches mustSeed: only a seed replaces it.
 func (f *Follower) applyCommitted(upTo uint64) error {
 	if upTo <= f.applied {
 		return nil
@@ -303,7 +307,10 @@ func (f *Follower) applyCommitted(upTo uint64) error {
 	f.ops = ops
 	for _, e := range es {
 		var err error
-		if ops, err = engine.DecodeBatch(ops, e.Batch, f.c); err != nil {
+		if ops, err = engine.DecodeBatch(ops, e.Batch, f.c.Universe().Size()); err != nil {
+			if errors.Is(err, engine.ErrRetiredOp) {
+				f.mustSeed = true
+			}
 			return fmt.Errorf("repl: follower %s: entry %d: %w", f.id, e.Index, err)
 		}
 	}

@@ -2,13 +2,12 @@ package repl
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/onioncurve/onion/internal/core"
-	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/engine"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
@@ -21,8 +20,10 @@ import (
 //   - recovery never errors and never panics, whatever the damage;
 //   - recovered indices are strictly increasing with sane payloads:
 //     each decodes to the batch of one to four ops it was written as,
-//     whether it was written with key tags or with the coordinate tags
-//     older logs hold, and the log counts the ops they hold;
+//     and the log counts the ops they hold; an entry whose first tag is
+//     a retired coordinate tag, as a log of an older release holds, is
+//     kept by the log (which does not read batches) and refused by the
+//     decoder with engine.ErrRetiredOp, never decoded;
 //   - recovery is idempotent — reopening the recovered file yields the
 //     same entries;
 //   - the recovered log accepts appends, and they survive a reopen;
@@ -32,17 +33,17 @@ func FuzzReplLog(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(0), false)
 	f.Add([]byte{0xff, 0x00, 0x10, 0x20, 0x30, 0x40}, uint16(17), true)
 	f.Add([]byte{}, uint16(5), false)
-	// Mixed logs: coordinate-tagged entries (bit 0x80 of the third byte)
-	// between key-tagged ones, intact and then with a flipped byte.
-	f.Add([]byte{1, 2, 0x83, 4, 5, 0x02, 7, 8, 0x81, 9, 10, 0x00}, uint16(500), false)
-	f.Add([]byte{3, 0x11, 0x01, 6, 0x22, 0x82, 9, 0x33, 0x03}, uint16(60), true)
+	// A retired entry (bit 0x80 of the third byte) between key-tagged
+	// ones, left whole: its decode must be refused.
+	f.Add([]byte{1, 2, 0x03, 4, 5, 0x82, 7, 8, 0x01, 9, 10, 0x00}, uint16(242), false)
+	f.Add([]byte{3, 0x11, 0x01, 6, 0x22, 0x02, 9, 0x33, 0x03}, uint16(60), true)
 	c, err := core.NewOnion2D(2048)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16, flip bool) {
 		dir := t.TempDir()
-		l, err := openReplLog(vfs.OS{}, dir, 2)
+		l, err := openReplLog(vfs.OS{}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func FuzzReplLog(f *testing.F) {
 				Batch: engine.EncodeBatch(nil, ops),
 			}
 			if data[i+2]&0x80 != 0 {
-				e.Batch = coordBatch(ops, c)
+				e.Batch[0] = 1 // the retired coordinate put tag
 			}
 			if err := l.append([]Entry{e}); err != nil {
 				t.Fatal(err)
@@ -93,7 +94,7 @@ func FuzzReplLog(f *testing.F) {
 		}
 
 		// Invariant 1–2: recovery succeeds and yields a sane log.
-		l2, err := openReplLog(vfs.OS{}, dir, 2)
+		l2, err := openReplLog(vfs.OS{}, dir)
 		if err != nil {
 			t.Fatalf("recovery failed: %v", err)
 		}
@@ -106,11 +107,18 @@ func FuzzReplLog(f *testing.F) {
 			if len(e.Batch) <= 0 || len(e.Batch) > 1<<20 {
 				t.Fatalf("recovered entry %d has payload length %d", e.Index, len(e.Batch))
 			}
-			ops, err := engine.DecodeBatch(nil, e.Batch, c)
-			if n := engine.BatchLen(e.Batch, 2); err != nil || n != len(ops) || n < 1 || n > 4 {
+			n := engine.BatchLen(e.Batch)
+			held += n
+			ops, err := engine.DecodeBatch(nil, e.Batch, c.Universe().Size())
+			if e.Batch[0] == 1 {
+				if !errors.Is(err, engine.ErrRetiredOp) || ops != nil || n != 1 {
+					t.Fatalf("recovered retired entry %d: %d ops decoded of %d counted (%v), want ErrRetiredOp", e.Index, len(ops), n, err)
+				}
+				continue
+			}
+			if err != nil || n != len(ops) || n < 1 || n > 4 {
 				t.Fatalf("recovered entry %d: %d ops decoded of %d counted (%v)", e.Index, len(ops), n, err)
 			}
-			held += len(ops)
 		}
 		if l2.ops != held {
 			t.Fatalf("recovered log counts %d ops, its entries hold %d", l2.ops, held)
@@ -144,7 +152,7 @@ func FuzzReplLog(f *testing.F) {
 		}
 
 		// Invariant 3: reopening is stable.
-		l3, err := openReplLog(vfs.OS{}, dir, 2)
+		l3, err := openReplLog(vfs.OS{}, dir)
 		if err != nil {
 			t.Fatalf("second recovery failed: %v", err)
 		}
@@ -162,26 +170,4 @@ func FuzzReplLog(f *testing.F) {
 			t.Fatal("post-recovery append lost on reopen")
 		}
 	})
-}
-
-// coordBatch is the encoding of ops the store wrote before an op carried
-// its key: per op a coordinate tag (1 a put, 2 a delete), the coordinates
-// of its key's cell under c, and for puts the payload. Nothing writes it
-// any more; the tests write it to check that such logs still replay.
-func coordBatch(ops []engine.BatchOp, c curve.Curve) []byte {
-	var b []byte
-	for _, op := range ops {
-		tag := byte(1)
-		if op.Del {
-			tag = 2
-		}
-		b = append(b, tag)
-		for _, x := range c.Coords(op.Key, nil) {
-			b = binary.LittleEndian.AppendUint32(b, x)
-		}
-		if !op.Del {
-			b = binary.LittleEndian.AppendUint64(b, op.Payload)
-		}
-	}
-	return b
 }

@@ -21,17 +21,16 @@ import (
 // a quorum for it. Open's WAL replay does not pass through the hook, so
 // binding right after engine.Open loses nothing.
 type Hook struct {
-	mu   sync.Mutex
-	g    *Group
-	dims int
+	mu sync.Mutex
+	g  *Group
 }
 
 // errUnbound refuses a batch committed before LeadEngine bound its hook.
 var errUnbound = fmt.Errorf("%w: commit hook not bound to a group", engine.ErrQuorum)
 
-// NewHook returns an unbound commit hook for dims-dimensional points.
-func NewHook(dims int) *Hook {
-	return &Hook{dims: dims}
+// NewHook returns an unbound commit hook.
+func NewHook() *Hook {
+	return &Hook{}
 }
 
 // Append implements engine.CommitHook. It runs under the engine's WAL
@@ -47,7 +46,7 @@ func (h *Hook) Append(_ uint64, batch []byte) {
 	if g == nil {
 		return
 	}
-	b := histEntry{e: Entry{Batch: append([]byte(nil), batch...)}, ops: engine.BatchLen(batch, h.dims)}
+	b := histEntry{e: Entry{Batch: append([]byte(nil), batch...)}, ops: engine.BatchLen(batch)}
 	g.preShip(g.appendBatch(b))
 }
 
@@ -137,7 +136,7 @@ func Lead(dir string, c curve.Curve, cfg Config) (*Group, error) {
 	if ok {
 		return nil, fmt.Errorf("repl: %s was a replication %s (epoch %d); rejoin as a follower and promote instead", dir, st.role, st.epoch)
 	}
-	hook := NewHook(c.Universe().Dims())
+	hook := NewHook()
 	opts := cfg.engineOpts
 	opts.CommitHook = hook
 	eng, err := engine.Open(dir, c, opts)
@@ -1082,9 +1081,8 @@ func Promote(f *Follower, upTo uint64, cfg Config) (*Group, error) {
 	if f.st.base > 0 {
 		marks = append(marks, epochMark{from: f.st.base, epoch: f.st.baseEpoch})
 	}
-	dims := f.c.Universe().Dims()
 	for _, e := range f.log.entries {
-		hist.push(histEntry{e: e, ops: engine.BatchLen(e.Batch, dims)})
+		hist.push(histEntry{e: e, ops: engine.BatchLen(e.Batch)})
 		if n := len(marks); n == 0 || marks[n-1].epoch != e.Epoch {
 			marks = append(marks, epochMark{from: e.Index, epoch: e.Epoch})
 		}
@@ -1102,7 +1100,7 @@ func Promote(f *Follower, upTo uint64, cfg Config) (*Group, error) {
 	if err := f.eng.Close(); err != nil {
 		return nil, err
 	}
-	hook := NewHook(dims)
+	hook := NewHook()
 	opts := f.opts.Engine
 	opts.CommitHook = hook
 	eng, err := engine.Open(f.dir, f.c, opts)

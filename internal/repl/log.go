@@ -21,8 +21,7 @@ import (
 //	entry := index(8 LE) | epoch(8 LE) | batch
 //
 // where batch is the leader's WAL frame payload for the batch, so the
-// frame CRC covers index and epoch as well as the ops. A log written
-// when an entry held one op is a log of one-op batches. The file is
+// frame CRC covers index and epoch as well as the ops. The file is
 // only ever appended to or replaced whole: open, truncation and
 // compaction publish the surviving entries through a tmp + rename and
 // keep appending on that handle.
@@ -67,21 +66,20 @@ func decodeEntry(p []byte) (Entry, bool) {
 type replLog struct {
 	fsys    vfs.FS
 	path    string
-	dims    int
 	w       *framedlog.Writer
 	enc     []byte  // encodeEntry scratch
 	entries []Entry // in log order; indices strictly increasing, gaps legal
 	ops     int     // ops held by entries
 }
 
-// openReplLog replays the log in dir (a missing file is an empty log) of
-// dims-dimensional ops, keeping the longest prefix of intact,
+// openReplLog replays the log in dir (a missing file is an empty log),
+// keeping the longest prefix of intact,
 // index-ordered entries, and republishes that prefix so appends land
 // right after it. The entries' batches alias the one buffer the file is
 // read into, and the entry index is sized once from the frame count, so
 // opening allocates the same whatever the log's length.
-func openReplLog(fsys vfs.FS, dir string, dims int) (*replLog, error) {
-	l := &replLog{fsys: fsys, path: filepath.Join(dir, logName), dims: dims}
+func openReplLog(fsys vfs.FS, dir string) (*replLog, error) {
+	l := &replLog{fsys: fsys, path: filepath.Join(dir, logName)}
 	data, err := vfs.ReadFile(fsys, l.path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, logErr(err)
@@ -135,7 +133,7 @@ func (l *replLog) append(es []Entry) error {
 func (l *replLog) countOps(es []Entry) int {
 	n := 0
 	for _, e := range es {
-		n += engine.BatchLen(e.Batch, l.dims)
+		n += engine.BatchLen(e.Batch)
 	}
 	return n
 }

@@ -6,14 +6,13 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/onioncurve/onion/internal/engine"
-	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/vfs"
 )
 
@@ -70,7 +69,7 @@ func TestReplLogHeaderCorruptionDetected(t *testing.T) {
 	}{{"index", es[victim].Index}, {"epoch", es[victim].Epoch}} {
 		t.Run(field.name, func(t *testing.T) {
 			dir := t.TempDir()
-			l, err := openReplLog(vfs.OS{}, dir, 2)
+			l, err := openReplLog(vfs.OS{}, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +92,7 @@ func TestReplLogHeaderCorruptionDetected(t *testing.T) {
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			l, err = openReplLog(vfs.OS{}, dir, 2)
+			l, err = openReplLog(vfs.OS{}, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +216,8 @@ func TestFollowerRetiredLogLayoutReseeds(t *testing.T) {
 // its 8-byte key and, for puts, its payload. Replay yields the entry
 // back, and its batch decodes to the three ops. A frame of the same entry
 // written with coordinate tags, as logs were before ops carried keys,
-// replays too, and decodes to the keys of its points.
+// replays as an entry too — the log does not read batches — but its
+// batch is refused (engine.ErrRetiredOp), not decoded.
 func TestReplLogGoldenBytes(t *testing.T) {
 	c := rtCurve(t)
 	ops := []engine.BatchOp{
@@ -237,7 +237,7 @@ func TestReplLogGoldenBytes(t *testing.T) {
 		"01" + "05000000" + "06000000" + "0900000000000000") // put (5,6)
 	e := Entry{Index: 7, Epoch: 3, Batch: engine.EncodeBatch(nil, ops)}
 	dir := t.TempDir()
-	l, err := openReplLog(vfs.OS{}, dir, 2)
+	l, err := openReplLog(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,45 +254,49 @@ func TestReplLogGoldenBytes(t *testing.T) {
 	if !bytes.Equal(got, keyFrame) {
 		t.Fatalf("REPL_LOG bytes changed:\n got %x\nwant %x", got, keyFrame)
 	}
-	at := func(x, y uint32) uint64 { return c.Index(geom.Point{x, y}) }
 	for _, tc := range []struct {
 		name  string
 		frame []byte
-		want  []engine.BatchOp
+		want  []engine.BatchOp // nil: the batch is refused
 	}{
 		{"key tags", keyFrame, ops},
-		{"coordinate tags", coordFrame, []engine.BatchOp{
-			{Key: at(1, 2), Payload: 0x0102030405060708},
-			{Key: at(3, 4), Del: true},
-			{Key: at(5, 6), Payload: 9},
-		}},
+		{"coordinate tags", coordFrame, nil},
 	} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, logName), tc.frame, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, err := openReplLog(vfs.OS{}, dir, 2)
+		l, err := openReplLog(vfs.OS{}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer l.close() //nolint:errcheck
-		if len(l.entries) != 1 || l.entries[0].Index != 7 || l.entries[0].Epoch != 3 || l.ops != 3 {
-			t.Fatalf("%s: replayed %+v holding %d ops, want the one 3-op entry", tc.name, l.entries, l.ops)
+		if len(l.entries) != 1 || l.entries[0].Index != 7 || l.entries[0].Epoch != 3 {
+			t.Fatalf("%s: replayed %+v, want the one entry", tc.name, l.entries)
 		}
-		dec, err := engine.DecodeBatch(nil, l.entries[0].Batch, c)
-		if err != nil || !slices.Equal(dec, tc.want) {
-			t.Fatalf("%s: decoded as %+v, %v; want %+v", tc.name, dec, err, tc.want)
+		dec, err := engine.DecodeBatch(nil, l.entries[0].Batch, c.Universe().Size())
+		if tc.want == nil {
+			if !errors.Is(err, engine.ErrRetiredOp) || dec != nil {
+				t.Fatalf("%s: decoded as %+v, %v; want ErrRetiredOp", tc.name, dec, err)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(dec, tc.want) || l.ops != len(tc.want) {
+			t.Fatalf("%s: decoded as %+v, %v (log counts %d ops); want %+v", tc.name, dec, err, l.ops, tc.want)
 		}
 	}
 }
 
-// TestFollowerReplaysOneOpEntryLog: a follower directory written when an
-// entry held one op — these bytes are the REPL_LOG such a follower wrote
-// after its leader ran PutBatch(put 1, put 2, delete 1) and Put(3) — is a
-// valid log of one-op batches. It replays without a version gate and
-// applies to the records the leader held.
-func TestFollowerReplaysOneOpEntryLog(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "f1")
+// TestFollowerRetiredEntryLogReseeds: a follower directory written when
+// an entry held one op in the coordinate encoding — these bytes are the
+// REPL_LOG such a follower wrote after its leader ran PutBatch(put 1,
+// put 2, delete 1) and Put(3) — opens, since the log does not read
+// batches, but its entries cannot be applied. The first apply latches
+// mustSeed, and every append is answered NeedSeed, not an error, until a
+// leader seeds the follower; it then converges on the leader's state.
+func TestFollowerRetiredEntryLogReseeds(t *testing.T) {
+	base := t.TempDir()
+	dir := filepath.Join(base, "f1")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -314,18 +318,43 @@ func TestFollowerReplaysOneOpEntryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close() //nolint:errcheck
-	if st := f.Status(); st.MustSeed || st.Last != 4 || len(f.log.entries) != 4 || f.log.ops != 4 {
-		t.Fatalf("status %+v with %d entries holding %d ops, want 4 one-op entries", st, len(f.log.entries), f.log.ops)
+	if st := f.Status(); st.MustSeed || st.Last != 4 || len(f.log.entries) != 4 {
+		t.Fatalf("status %+v with %d entries, want the 4 entries held", st, len(f.log.entries))
 	}
-	resp, err := appendFrom(f, AppendRequest{Epoch: 1, LeaderID: "leader", PrevIndex: 4, PrevEpoch: 1, Commit: 4})
-	if err != nil || !resp.Ok || resp.Ack != 4 {
-		t.Fatalf("watermark push: %+v, %v", resp, err)
+	for round := 0; round < 2; round++ {
+		resp, err := appendFrom(f, AppendRequest{Epoch: 1, LeaderID: "leader", PrevIndex: 4, PrevEpoch: 1, Commit: 4})
+		if err != nil || !resp.NeedSeed || resp.Ok {
+			t.Fatalf("watermark push %d: %+v, %v; want NeedSeed", round, resp, err)
+		}
 	}
+	if st := f.Status(); !st.MustSeed || st.Applied != 0 {
+		t.Fatalf("status %+v, want MustSeed with nothing applied", st)
+	}
+
+	// A leader of the next epoch, with a second follower for its quorum,
+	// seeds f1, which then holds exactly the leader's state.
 	c := f.c
-	want := map[uint64]uint64{c.Index(rtPoint(2)): 102, c.Index(rtPoint(3)): 103}
-	if got := stateOf(t, c, f.Engine()); !maps.Equal(got, want) {
-		t.Fatalf("applied %v, want %v", got, want)
+	f2, err := lfOpen(t, filepath.Join(base, "f2"), vfs.OS{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer f2.Close() //nolint:errcheck
+	lb := NewLoopback()
+	lb.Register("f1", f)
+	lb.Register("f2", f2)
+	g, err := Lead(filepath.Join(base, "leader"), c, Config{
+		ID: "leader", Peers: []string{"f1", "f2"}, Transport: lb, Epoch: 2,
+		engineOpts: rtEngOpts(), retryBase: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close() //nolint:errcheck
+	putRange(t, g.Engine(), 0, 12)
+	if st := converge(t, g, f); st.Seeds != 1 {
+		t.Fatalf("f1 converged with %d seeds, want 1", st.Seeds)
+	}
+	assertSameState(t, c, stateOf(t, c, g.Engine()), f.Engine(), "f1")
 }
 
 // TestFollowerLogBoundCountsOps: the follower's compaction trigger counts
@@ -534,7 +563,7 @@ func lfCheck(t *testing.T, dir string, acked []Entry, inflight *AppendRequest) {
 		}
 		have := stateOf(t, f.c, f.eng)
 		for _, e := range want[:k] {
-			ops, err := engine.DecodeBatch(nil, e.Batch, f.c)
+			ops, err := engine.DecodeBatch(nil, e.Batch, f.c.Universe().Size())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -67,7 +67,7 @@ func TestLeadEngineReopenReseeds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hook := NewHook(c.Universe().Dims())
+	hook := NewHook()
 	opts := rtEngOpts()
 	opts.CommitHook = hook
 	opts.SyncWrites = true
@@ -229,7 +229,7 @@ func TestReplBatchLargerThanHistory(t *testing.T) {
 // it), append must fail loudly — never "succeed" against a missing or
 // unlinked file and let acknowledged entries vanish on restart.
 func TestReplLogAppendAfterHandleLoss(t *testing.T) {
-	l, err := openReplLog(vfs.OS{}, t.TempDir(), 2)
+	l, err := openReplLog(vfs.OS{}, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

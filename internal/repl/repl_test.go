@@ -318,7 +318,7 @@ func TestReplLogOpenAllocsFlatInLength(t *testing.T) {
 	}
 	opens := func(n int) float64 {
 		dir := t.TempDir()
-		l, err := openReplLog(vfs.OS{}, dir, 2)
+		l, err := openReplLog(vfs.OS{}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func TestReplLogOpenAllocsFlatInLength(t *testing.T) {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(5, func() {
-			l, err := openReplLog(vfs.OS{}, dir, 2)
+			l, err := openReplLog(vfs.OS{}, dir)
 			if err != nil || len(l.entries) != n {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -353,7 +353,7 @@ func TestReplLogOpenAllocsFlatInLength(t *testing.T) {
 // across torn tails, and truncate/compact round-trip durably.
 func TestReplLogRecovery(t *testing.T) {
 	dir := t.TempDir()
-	l, err := openReplLog(vfs.OS{}, dir, 2)
+	l, err := openReplLog(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestReplLogRecovery(t *testing.T) {
 	if err := os.Truncate(path, fi.Size()-2); err != nil {
 		t.Fatal(err)
 	}
-	l, err = openReplLog(vfs.OS{}, dir, 2)
+	l, err = openReplLog(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestReplLogRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.close() //nolint:errcheck
-	l, err = openReplLog(vfs.OS{}, dir, 2)
+	l, err = openReplLog(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestQuorumWatermark(t *testing.T) {
 // instead of acknowledging it on the leader alone.
 func TestUnboundHookRefusesWrites(t *testing.T) {
 	c := rtCurve(t)
-	hook := NewHook(c.Universe().Dims())
+	hook := NewHook()
 	opts := rtEngOpts()
 	opts.CommitHook = hook
 	eng, err := engine.Open(t.TempDir(), c, opts)
@@ -475,7 +475,7 @@ func TestLeadEngineForcesSyncWrites(t *testing.T) {
 		lb.Register(id, f)
 		ids = append(ids, id)
 	}
-	hook := NewHook(c.Universe().Dims())
+	hook := NewHook()
 	opts := rtEngOpts() // SyncWrites off
 	opts.CommitHook = hook
 	dir := filepath.Join(base, "leader")

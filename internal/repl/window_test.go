@@ -287,7 +287,7 @@ func TestWindowCountsOps(t *testing.T) {
 	const historyEntries = 4
 	g := bareGroup(historyEntries, 0, &recordingFollower{})
 	g.peers = nil // nothing to ship: quorum is the leader alone
-	h := NewHook(2)
+	h := NewHook()
 	h.bind(g)
 	batch := engine.EncodeBatch(nil, []engine.BatchOp{
 		{Key: 1, Payload: 3},

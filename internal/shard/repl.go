@@ -34,10 +34,9 @@ type Replicated struct {
 // anything in it.
 func OpenReplicated(dir string, c curve.Curve, opts Options, cfg func(shard int) repl.Config) (*Replicated, error) {
 	opts = opts.withDefaults()
-	dims := c.Universe().Dims()
 	hooks := make([]*repl.Hook, opts.Shards)
 	for i := range hooks {
-		hooks[i] = repl.NewHook(dims)
+		hooks[i] = repl.NewHook()
 	}
 	opts.commitHook = func(i int) engine.CommitHook { return hooks[i] }
 	s, err := Open(dir, c, opts)

@@ -164,7 +164,7 @@ func Open(dir string, c curve.Curve, opts Options) (*Sharded, error) {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	id := curve.IdentityOf(c)
-	check := func(data []byte) error { return checkManifest(string(data), c, id, opts.Shards) }
+	check := func(data []byte) error { return checkManifest(string(data), id, opts.Shards) }
 	if err := vfs.CheckOrCreate(fsys, filepath.Join(dir, manifestName), []byte(manifest(id, opts.Shards)), curve.MaxRecordBytes+1, check); err != nil {
 		return nil, fmt.Errorf("shard: %s: %w", dir, err)
 	}
@@ -215,25 +215,17 @@ func manifest(id curve.Identity, shards int) string {
 	return fmt.Sprintf("onion-sharded v2\nshards %d\n%s", shards, id.Lines())
 }
 
-// checkManifest checks a manifest body against curve c, of identity id,
-// over shards shards (ErrManifest); a v1 body, which has no fingerprint,
-// on its name, dims, side and the cells at eight keys.
-func checkManifest(body string, c curve.Curve, id curve.Identity, shards int) error {
+// checkManifest checks a manifest body against the curve identity id
+// over shards shards (ErrManifest). Only v2 is read: a v1 body, which
+// recorded no fingerprint, is refused as not a manifest.
+func checkManifest(body string, id curve.Identity, shards int) error {
 	lines := strings.Split(body, "\n")
-	if len(body) > curve.MaxRecordBytes || len(lines) != 7 || lines[6] != "" ||
-		lines[0] != "onion-sharded v1" && lines[0] != "onion-sharded v2" {
-		return fmt.Errorf("%w: %w: not a sharded manifest: %.80q", ErrManifest, curve.ErrBadIdentity, body)
+	if len(body) > curve.MaxRecordBytes || len(lines) != 7 || lines[6] != "" || lines[0] != "onion-sharded v2" {
+		return fmt.Errorf("%w: %w: not a v2 sharded manifest: %.80q", ErrManifest, curve.ErrBadIdentity, body)
 	}
-	v1, idEnd := lines[0] == "onion-sharded v1", 6
-	if v1 {
-		idEnd = 5 // the probe line stands where v2 has the fingerprint
-	}
-	got, err := curve.ParseIdentity(lines[2:idEnd])
+	got, err := curve.ParseIdentity(lines[2:6])
 	if err == nil {
 		err = id.Check(got)
-	}
-	if err == nil && v1 && lines[5] != curve.LegacyProbe(c) {
-		err = id.Mismatch(got)
 	}
 	if want := fmt.Sprintf("shards %d", shards); err == nil && lines[1] != want {
 		err = fmt.Errorf("directory records %q, opening with %q", lines[1], want)

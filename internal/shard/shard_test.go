@@ -885,60 +885,33 @@ func TestManifestBody(t *testing.T) {
 	}
 }
 
-// TestParentManifestStillOpens: a MANIFEST in the v1 format earlier
-// releases wrote — name, dims, side and the cells at eight keys, no
-// fingerprint — still opens under its own curve, and is not rewritten. It
-// is checked on what it recorded: another name, universe or probe is
-// refused.
-func TestParentManifestStillOpens(t *testing.T) {
+// v1Manifest is a MANIFEST in the v1 format earlier releases wrote for
+// an Onion2D of side 32 over four shards: name, dims, side and the cells
+// at eight keys, no fingerprint.
+const v1Manifest = "onion-sharded v1\nshards 4\ncurve onion\ndims 2\nside 32\n" +
+	"probe (0,0) (23,1) (29,27) (3,13) (24,26) (24,20) (9,13) (15,16)\n"
+
+// TestV1ManifestIsRefused: a v1 MANIFEST records no curve fingerprint,
+// and its eight-key probe cannot tell some curves of one name apart, so
+// it is refused under any curve, its own included (ErrManifest wrapping
+// curve.ErrBadIdentity). The refused open writes nothing: the manifest
+// is not rewritten and no shard directory is created.
+func TestV1ManifestIsRefused(t *testing.T) {
 	onion2d, _ := core.NewOnion2D(32)
-	hilbert, _ := baseline.NewHilbert(2, 32)
-	onion3d, _ := core.NewOnion3D(16)
-	reversed, _ := core.NewOnion3DWithSegmentOrder(16, [10]int{10, 9, 8, 7, 6, 5, 4, 3, 2, 1})
-	if curve.LegacyProbe(reversed) == curve.LegacyProbe(onion3d) {
-		t.Fatal("the reversed segment order shares the default order's v1 probe")
+	dir := t.TempDir()
+	path := filepath.Join(dir, manifestName)
+	if err := os.WriteFile(path, []byte(v1Manifest), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	const v1Onion2D = "onion-sharded v1\nshards 4\ncurve onion\ndims 2\nside 32\n" +
-		"probe (0,0) (23,1) (29,27) (3,13) (24,26) (24,20) (9,13) (15,16)\n"
-	const v1Onion3D = "onion-sharded v1\nshards 2\ncurve onion\ndims 3\nside 16\n" +
-		"probe (0,0,0) (9,0,2) (14,2,15) (13,1,1) (10,8,14) (3,10,2) (9,9,3) (8,7,8)\n"
-	for _, tc := range []struct {
-		manifest string
-		c        curve.Curve
-		shards   int
-		err      error
-	}{
-		{v1Onion2D, onion2d, 4, nil},
-		{v1Onion3D, onion3d, 2, nil},
-		{v1Onion2D, hilbert, 4, curve.ErrMismatch},
-		{v1Onion2D, onion3d, 4, curve.ErrMismatch},
-		{v1Onion3D, reversed, 2, curve.ErrMismatch},
-		{v1Onion2D, onion2d, 2, ErrManifest},
-	} {
-		dir := t.TempDir()
-		path := filepath.Join(dir, manifestName)
-		if err := os.WriteFile(path, []byte(tc.manifest), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(dir, tc.c, manualShardOpts(tc.shards))
-		if tc.err == nil {
-			if err != nil {
-				t.Fatalf("%.40q under its own curve: %v", tc.manifest, err)
-			}
-			if err := s.Put(tc.c.Coords(3, nil), 3); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got, _ := os.ReadFile(path); string(got) != tc.manifest {
-				t.Fatalf("the v1 manifest was rewritten as %q", got)
-			}
-			continue
-		}
-		if !errors.Is(err, tc.err) || !errors.Is(err, ErrManifest) {
-			t.Fatalf("%.40q under %s %v: %v, want ErrManifest wrapping %v", tc.manifest, tc.c.Name(), tc.c.Universe(), err, tc.err)
-		}
+	_, err := Open(dir, onion2d, manualShardOpts(4))
+	if !errors.Is(err, ErrManifest) || !errors.Is(err, curve.ErrBadIdentity) {
+		t.Fatalf("v1 manifest under its own curve: %v, want ErrManifest wrapping ErrBadIdentity", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != v1Manifest {
+		t.Fatalf("the v1 manifest was rewritten as %q", got)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("directory after the refused open: %d entries, %v; want the manifest alone", len(ents), err)
 	}
 }
 

@@ -52,7 +52,7 @@ func snapshotManifestBody(id curve.Identity, shards int, epoch uint64) string {
 
 // readSnapshotEpoch validates dir as a snapshot of this configuration
 // and returns its epoch.
-func readSnapshotEpoch(fsys vfs.FS, dir string, c curve.Curve, id curve.Identity, shards int) (uint64, error) {
+func readSnapshotEpoch(fsys vfs.FS, dir string, id curve.Identity, shards int) (uint64, error) {
 	data, err := vfs.ReadAtMost(fsys, filepath.Join(dir, snapshotManifestName), maxSnapshotManifestBytes+1)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -71,7 +71,7 @@ func readSnapshotEpoch(fsys vfs.FS, dir string, c curve.Curve, id curve.Identity
 	if !ok {
 		return 0, fmt.Errorf("%w: manifest epoch", ErrSnapshot)
 	}
-	if err := checkManifest(lines[2], c, id, shards); err != nil {
+	if err := checkManifest(lines[2], id, shards); err != nil {
 		return 0, fmt.Errorf("%w: %s: %w", ErrSnapshot, dir, err)
 	}
 	return epoch, nil
@@ -99,7 +99,7 @@ func (s *Sharded) SnapshotSince(dir, parent string) (SnapshotReport, error) {
 	}
 	fsys := vfs.Or(s.opts.FS)
 	if parent != "" {
-		pe, err := readSnapshotEpoch(fsys, parent, s.c, s.engines[0].Identity(), len(s.engines))
+		pe, err := readSnapshotEpoch(fsys, parent, s.engines[0].Identity(), len(s.engines))
 		if err != nil {
 			return rep, err
 		}
@@ -148,7 +148,7 @@ func Restore(snapshotDir, targetDir string, upTo int, c curve.Curve, opts Option
 	}
 	fsys := vfs.Or(opts.FS)
 	id := curve.IdentityOf(c)
-	if _, err := readSnapshotEpoch(fsys, snapshotDir, c, id, opts.Shards); err != nil {
+	if _, err := readSnapshotEpoch(fsys, snapshotDir, id, opts.Shards); err != nil {
 		return nil, err
 	}
 	if _, err := fsys.ReadDir(targetDir); err == nil {

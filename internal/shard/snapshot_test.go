@@ -310,7 +310,8 @@ func TestShardedRepair(t *testing.T) {
 
 // TestSnapshotEpochStrict: the composite manifest's epoch line holds a
 // decimal number and nothing else; a manifest over its size bound is
-// refused after reading only the bound. Both fail as ErrSnapshot.
+// refused after reading only the bound, and one that embeds a v1
+// directory manifest is refused. All fail as ErrSnapshot.
 func TestSnapshotEpochStrict(t *testing.T) {
 	c := snapCurve(t)
 	id := curve.IdentityOf(c)
@@ -328,11 +329,12 @@ func TestSnapshotEpochStrict(t *testing.T) {
 		{"two spaces", strings.Replace(good, "epoch 7\n", "epoch  7\n", 1), false},
 		{"no number", strings.Replace(good, "epoch 7\n", "epoch \n", 1), false},
 		{"oversized", good + strings.Repeat("x", maxSnapshotManifestBytes), false},
+		{"v1 directory manifest", "onion-sharded-snapshot v1\nepoch 7\n" + v1Manifest, false},
 	} {
 		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		epoch, err := readSnapshotEpoch(vfs.OS{}, dir, c, id, 2)
+		epoch, err := readSnapshotEpoch(vfs.OS{}, dir, id, 2)
 		switch {
 		case tc.ok && (err != nil || epoch != 7):
 			t.Errorf("%s: epoch %d, %v; want 7", tc.name, epoch, err)

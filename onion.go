@@ -298,8 +298,9 @@ var (
 	// ErrSnapshot (ErrShardedSnapshot) as well.
 	ErrCurveMismatch = curve.ErrMismatch
 	// ErrCurveIdentity reports a curve identity record that does not
-	// parse: a damaged CURVE file, or a damaged MANIFEST or snapshot
-	// manifest.
+	// parse: a damaged CURVE file, a damaged or v1 MANIFEST, a damaged
+	// snapshot manifest, or an engine directory that holds data but no
+	// CURVE file, as directories written before identities do.
 	ErrCurveIdentity = curve.ErrBadIdentity
 	// ErrShardManifest reports a sharded engine directory opened with a
 	// shard count or curve different from the one it was created with.
@@ -308,6 +309,12 @@ var (
 	// shard owning the written key) degraded to ReadOnly after a WAL
 	// failure or ENOSPC; the driving cause stays on the error chain.
 	ErrReadOnly = engine.ErrReadOnly
+	// ErrRetiredOp reports a write-ahead log frame or replication log
+	// entry in the coordinate-tagged op encoding of releases before ops
+	// carried their curve key. OpenEngine and RestoreEngine refuse a log
+	// or archive that holds one and leave it as it is; a follower whose
+	// log holds one asks its leader for a seed.
+	ErrRetiredOp = engine.ErrRetiredOp
 	// ErrCorrupt reports on-disk corruption detected by a checksum:
 	// queries touching a damaged page return it, and the background
 	// scrub quarantines the segment so later queries stop seeing it.
@@ -581,9 +588,10 @@ func OpenStoreCached(path string, c Curve, cache *PageCache) (*Store, error) {
 //
 // The directory records c's identity in a CURVE file on first open, and
 // every later open checks it: another curve, even one of the same name
-// and universe, fails with ErrCurveMismatch. A directory written before
-// the file existed takes the curve it is next opened with, so reopen an
-// old directory with its own curve first.
+// and universe, fails with ErrCurveMismatch. A directory that holds data
+// but no CURVE file was written before the file existed and is refused
+// (ErrCurveIdentity), as is a log in the retired op encoding
+// (ErrRetiredOp); neither refusal writes to the directory.
 func OpenEngine(dir string, c Curve, opts EngineOptions) (*Engine, error) {
 	return engine.Open(dir, c, opts)
 }
