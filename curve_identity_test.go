@@ -125,6 +125,15 @@ func TestEveryDirectoryRefusesAnotherCurve(t *testing.T) {
 			_, err := onion.OpenEngine(dir, b, onion.EngineOptions{})
 			return err
 		}},
+		{"bulk-loaded store", nil, func(t *testing.T, a, b onion.Curve) error {
+			dir := filepath.Join(t.TempDir(), "store")
+			recs := []onion.Record{{Point: a.Coords(5, nil), Payload: 5}, {Point: a.Coords(200, nil), Payload: 200}}
+			if err := onion.WriteStore(dir, a, recs, 4096); err != nil {
+				t.Fatal(err)
+			}
+			_, err := onion.OpenEngine(dir, b, onion.EngineOptions{})
+			return err
+		}},
 		{"sharded dir", onion.ErrShardManifest, func(t *testing.T, a, b onion.Curve) error {
 			dir := t.TempDir()
 			s, err := onion.OpenShardedEngine(dir, a, sharded)

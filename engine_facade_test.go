@@ -1,10 +1,14 @@
 package onion_test
 
 import (
+	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	onion "github.com/onioncurve/onion"
+	"github.com/onioncurve/onion/internal/pagedstore"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 // TestOptionFieldsPinned pins the exported fields of the five option
@@ -92,16 +96,17 @@ func TestOpenEngineFacade(t *testing.T) {
 	if es.Segments != 1 || es.SegmentRecords != 64*8-1 {
 		t.Fatalf("engine stats %+v", es)
 	}
-	// Physical stats now match a bulk-loaded Store of the same records.
+	// Physical stats now match a store file of the same records, written
+	// and read by the brute-force reference.
 	recsAll, _, err := eng.Query(o.Universe().Rect())
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := dir + "/ref.pst"
-	if err := onion.WriteStore(path, o, recsAll, 512); err != nil {
+	path := filepath.Join(t.TempDir(), "ref.pst")
+	if err := pagedstore.Write(path, o, recsAll, 512); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := onion.OpenStore(path, o)
+	ref, err := pagedstore.Open(path, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +141,9 @@ func TestOpenEngineFacade(t *testing.T) {
 }
 
 // TestPageCacheFacade drives the performance layer through the public
-// facade: a shared PageCache behind a cached Store and a cached Engine,
-// the QueryAppend buffer-reuse path, and the hit-rate summary.
+// facade: a shared PageCache behind a cached Engine and a cached
+// bulk-loaded store, the QueryAppend buffer-reuse path, and the hit-rate
+// summary.
 func TestPageCacheFacade(t *testing.T) {
 	o, err := onion.NewOnion2D(64)
 	if err != nil {
@@ -185,25 +191,118 @@ func TestPageCacheFacade(t *testing.T) {
 		t.Fatalf("cache stats %+v", cst)
 	}
 
-	// The same cache can back a read-only store of the same layout.
+	// The same cache can back a bulk-loaded store.
 	recs := make([]onion.Record, 0, 100)
 	for i := 0; i < 100; i++ {
 		recs = append(recs, onion.Record{Point: onion.Point{uint32(i % 64), uint32(i / 64)}, Payload: uint64(i)})
 	}
-	path := t.TempDir() + "/facade.pst"
+	path := filepath.Join(t.TempDir(), "facade")
 	if err := onion.WriteStore(path, o, recs, 512); err != nil {
 		t.Fatal(err)
 	}
-	st, err := onion.OpenStoreCached(path, o, cache)
+	st, err := onion.OpenEngine(path, o, onion.EngineOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	got, stats, err := st.Query(o.Universe().Rect())
+	hits := cache.Stats().Hits
+	for pass := 0; pass < 2; pass++ {
+		got, stats, err := st.Query(o.Universe().Rect())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 100 || stats.Results != 100 || stats.Segments != 1 {
+			t.Fatalf("pass %d: %d records (stats %+v), want 100 from one segment", pass, len(got), stats)
+		}
+	}
+	if cache.Stats().Hits == hits {
+		t.Fatal("the second pass over the bulk-loaded store took no cache hit")
+	}
+}
+
+// TestWriteStoreMatchesPagedStore holds a bulk-loaded store to the
+// brute-force reference: on records with distinct points, WriteStore then
+// OpenEngine returns the records and the Seeks, PagesRead and
+// RecordsScanned of pagedstore.Write then pagedstore.Open, for every
+// rectangle of a set that includes the whole universe, with a page cache
+// and without. No query pays more seeks than its clustering number.
+func TestWriteStoreMatchesPagedStore(t *testing.T) {
+	o2, err := onion.NewOnion2D(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 100 || stats.Results != 100 {
-		t.Fatalf("%d records (stats %+v), want 100", len(got), stats)
+	o3, err := onion.NewOnion3D(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := onion.NewHilbert(2, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []onion.Curve{o2, o3, h} {
+		rng := rand.New(rand.NewSource(7))
+		u := c.Universe()
+		var recs []onion.Record
+		for _, k := range rng.Perm(int(u.Size()))[:int(u.Size())*3/5] {
+			recs = append(recs, onion.Record{Point: c.Coords(uint64(k), nil), Payload: rng.Uint64()})
+		}
+		rects := []onion.Rect{u.Rect()}
+		for len(rects) < 40 {
+			lo := make(onion.Point, u.Dims())
+			ext := make([]uint32, u.Dims())
+			for d := range lo {
+				lo[d] = uint32(rng.Intn(int(u.Side())))
+				ext[d] = 1 + uint32(rng.Intn(int(u.Side()-lo[d])))
+			}
+			r, err := onion.RectAt(lo, ext)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rects = append(rects, r)
+		}
+		root := t.TempDir()
+		ref := filepath.Join(root, "ref.pst")
+		if err := pagedstore.Write(ref, c, recs, 512); err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(root, "store")
+		if err := onion.WriteStore(dir, c, recs, 512); err != nil {
+			t.Fatal(err)
+		}
+		for _, cached := range []bool{false, true} {
+			var cache *onion.PageCache
+			if cached {
+				cache = onion.NewPageCache(1 << 20)
+			}
+			want, err := pagedstore.OpenCachedFS(vfs.OS{}, ref, c, cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := onion.OpenEngine(dir, c, onion.EngineOptions{Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range rects {
+				wantRecs, wantSt, err := want.Query(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, st, err := eng.Query(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, wantRecs) || st.Stats != wantSt {
+					t.Fatalf("%s cached=%v rect %d: %d records, stats %+v; reference %d records, stats %+v",
+						c.Name(), cached, i, len(got), st.Stats, len(wantRecs), wantSt)
+				}
+				if n, err := onion.ClusterCount(c, r); err != nil || uint64(st.Seeks) > n {
+					t.Fatalf("%s rect %d: %d seeks, clustering number %d (%v)", c.Name(), i, st.Seeks, n, err)
+				}
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want.Close()
+		}
 	}
 }

@@ -52,9 +52,9 @@ func ExampleAverageClustering() {
 }
 
 func ExampleWriteStore() {
-	dir, _ := os.MkdirTemp("", "onion-example")
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "points.tbl")
+	tmp, _ := os.MkdirTemp("", "onion-example")
+	defer os.RemoveAll(tmp)
+	dir := filepath.Join(tmp, "points")
 
 	o, _ := onion.NewOnion2D(64)
 	recs := []onion.Record{
@@ -62,14 +62,14 @@ func ExampleWriteStore() {
 		{Point: onion.Point{50, 60}, Payload: 200},
 		{Point: onion.Point{3, 2}, Payload: 300},
 	}
-	if err := onion.WriteStore(path, o, recs, 4096); err != nil {
+	if err := onion.WriteStore(dir, o, recs, 4096); err != nil {
 		fmt.Println(err)
 		return
 	}
-	st, _ := onion.OpenStore(path, o)
-	defer st.Close()
+	eng, _ := onion.OpenEngine(dir, o, onion.EngineOptions{})
+	defer eng.Close()
 	q, _ := onion.RectAt(onion.Point{0, 0}, []uint32{10, 10})
-	got, stats, _ := st.Query(q)
+	got, stats, _ := eng.Query(q)
 	fmt.Printf("%d records, %d seek(s)\n", len(got), stats.Seeks)
 	// Output: 2 records, 1 seek(s)
 }

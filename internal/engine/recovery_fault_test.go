@@ -289,59 +289,11 @@ func TestRestoreFaultMatrix(t *testing.T) {
 	}
 	want := fwStateAfter(o, ops, len(ops))
 
-	// Enumeration: every operation a full restore performs is a fault
-	// point (the restore touches nothing but its own staging tree and the
-	// read-only snapshot chain + archive).
-	rec := newOpRecorder()
-	inj := vfs.NewInjecting(rec)
-	inj.SetFaults(vfs.Fault{Op: vfs.OpAny})
-	enumTarget := filepath.Join(t.TempDir(), "restored")
-	if _, err := Restore(snapDir, enumTarget, -1, o, snapOpts(inj)); err != nil {
-		t.Fatalf("enumeration restore: %v", err)
+	restore := func(target string, fsys vfs.FS) error {
+		_, err := Restore(snapDir, target, -1, o, snapOpts(fsys))
+		return err
 	}
-	if !maps.Equal(fwRecover(t, enumTarget), want) {
-		t.Fatal("enumeration restore diverges from the source state")
-	}
-	total := inj.Matched(0)
-	if total == 0 {
-		t.Fatal("restore performed no injectable operations")
-	}
-	names := rec.names(t, vfs.Fault{Op: vfs.OpAny}, total)
-
-	for _, kind := range []vfs.Kind{vfs.KindFail, vfs.KindCrash} {
-		for n := int64(1); n <= total; n++ {
-			runFaultCase(t, fmt.Sprintf("%s-n%d", kind, n), names[n-1], func(t *testing.T) {
-				target := filepath.Join(t.TempDir(), "restored")
-				ifs := vfs.NewInjecting(vfs.OS{})
-				ifs.SetFaults(vfs.Fault{Op: vfs.OpAny, N: n, Kind: kind})
-				if _, err := Restore(snapDir, target, -1, o, snapOpts(ifs)); err == nil {
-					t.Fatalf("restore with fault point %d of %d succeeded", n, total)
-				}
-				// Absent-or-complete. A fault after the rename into place
-				// leaves a complete target whose durability failed; a retry
-				// is then refused, since the target exists.
-				if _, err := os.Stat(target); err == nil {
-					if !maps.Equal(fwRecover(t, target), want) {
-						t.Fatal("failed restore left an incomplete target behind")
-					}
-					if _, err := Restore(snapDir, target, -1, o, snapOpts(nil)); err == nil || !strings.Contains(err.Error(), "already exists") {
-						t.Fatalf("retry over a complete target = %v, want already exists", err)
-					}
-					return
-				} else if !errors.Is(err, fs.ErrNotExist) {
-					t.Fatal(err)
-				}
-				// A retry on the healed filesystem clears the staging debris
-				// and completes.
-				if _, err := Restore(snapDir, target, -1, o, snapOpts(nil)); err != nil {
-					t.Fatalf("retry after fault: %v", err)
-				}
-				if !maps.Equal(fwRecover(t, target), want) {
-					t.Fatal("retried restore diverges from the source state")
-				}
-			})
-		}
-	}
+	buildFaultMatrix(t, "restored", want, restore)
 
 	// The read-only inputs took no damage from any of that.
 	if !maps.Equal(fwRecover(t, srcDir), want) {
@@ -459,6 +411,67 @@ func TestRepairFaultMatrix(t *testing.T) {
 					checkBothRows(t, e, o)
 				})
 			}
+		}
+	}
+}
+
+// buildFaultMatrix is the absent-or-complete matrix of an operation that
+// builds a new engine directory (Restore, Load): build(target, fsys)
+// makes one at target, a path of the given base name, through fsys. A
+// fault-free pass under an opRecorder enumerates every operation the
+// build performs (it touches nothing but its own staging tree and
+// read-only inputs); then each is failed, and crashed, one at a time. After each, target is absent or
+// holds want; a retry on the healed filesystem clears the staging debris
+// and completes, or, where the fault came after the rename into place,
+// is refused because target exists.
+func buildFaultMatrix(t *testing.T, base string, want map[uint64]uint64, build func(target string, fsys vfs.FS) error) {
+	t.Helper()
+	rec := newOpRecorder()
+	inj := vfs.NewInjecting(rec)
+	inj.SetFaults(vfs.Fault{Op: vfs.OpAny})
+	enumTarget := filepath.Join(t.TempDir(), base)
+	if err := build(enumTarget, inj); err != nil {
+		t.Fatalf("enumeration build: %v", err)
+	}
+	if !maps.Equal(fwRecover(t, enumTarget), want) {
+		t.Fatal("enumeration build diverges from the expected state")
+	}
+	total := inj.Matched(0)
+	if total == 0 {
+		t.Fatal("build performed no injectable operations")
+	}
+	names := rec.names(t, vfs.Fault{Op: vfs.OpAny}, total)
+
+	for _, kind := range []vfs.Kind{vfs.KindFail, vfs.KindCrash} {
+		for n := int64(1); n <= total; n++ {
+			runFaultCase(t, fmt.Sprintf("%s-n%d", kind, n), names[n-1], func(t *testing.T) {
+				target := filepath.Join(t.TempDir(), base)
+				ifs := vfs.NewInjecting(vfs.OS{})
+				ifs.SetFaults(vfs.Fault{Op: vfs.OpAny, N: n, Kind: kind})
+				if err := build(target, ifs); err == nil {
+					t.Fatalf("build with fault point %d of %d succeeded", n, total)
+				}
+				// Absent-or-complete. A fault after the rename into place
+				// leaves a complete target whose durability failed; a retry
+				// is then refused, since the target exists.
+				if _, err := os.Stat(target); err == nil {
+					if !maps.Equal(fwRecover(t, target), want) {
+						t.Fatal("failed build left an incomplete target behind")
+					}
+					if err := build(target, nil); err == nil || !strings.Contains(err.Error(), "already exists") {
+						t.Fatalf("retry over a complete target = %v, want already exists", err)
+					}
+					return
+				} else if !errors.Is(err, fs.ErrNotExist) {
+					t.Fatal(err)
+				}
+				if err := build(target, nil); err != nil {
+					t.Fatalf("retry after fault: %v", err)
+				}
+				if !maps.Equal(fwRecover(t, target), want) {
+					t.Fatal("retried build diverges from the expected state")
+				}
+			})
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/ranges"
+	"github.com/onioncurve/onion/internal/vfs"
 )
 
 // runCursorQuery executes a rectangle query through a cursor, returning
@@ -80,7 +81,7 @@ func TestCachedStoreBitIdentical(t *testing.T) {
 	}
 	defer bare.Close()
 	cache := NewCache(16 * 512) // two pages per cache shard: constant eviction
-	cached, err := OpenCached(path, o, cache)
+	cached, err := OpenCachedFS(vfs.OS{}, path, o, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestFencePruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bare.Close()
-	cached, err := OpenCached(path, o, NewCache(1<<20))
+	cached, err := OpenCachedFS(vfs.OS{}, path, o, NewCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestCachePurgeOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewCache(1 << 20)
-	s, err := OpenCached(path, o, cache)
+	s, err := OpenCachedFS(vfs.OS{}, path, o, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestCachedParallelQueryRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewCache(8 * 512)
-	s, err := OpenCached(path, o, cache)
+	s, err := OpenCachedFS(vfs.OS{}, path, o, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +387,7 @@ func TestCacheCountersAddUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewCache(16 * 512)
-	s, err := OpenCached(path, o, cache)
+	s, err := OpenCachedFS(vfs.OS{}, path, o, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,13 +551,13 @@ func TestCacheHitsRaceEvictionAndPurge(t *testing.T) {
 	}
 
 	cache := NewCache(cacheShardCount * 2 * pageBytes)
-	a, err := OpenCached(paths[0], o, cache)
+	a, err := OpenCachedFS(vfs.OS{}, paths[0], o, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
 	var bmu sync.RWMutex // readers share b; the reopener swaps it
-	b, err := OpenCached(paths[1], o, cache)
+	b, err := OpenCachedFS(vfs.OS{}, paths[1], o, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +624,7 @@ func TestCacheHitsRaceEvictionAndPurge(t *testing.T) {
 				if n := leftover(closed); n != 0 {
 					err = fmt.Errorf("a closed store left %d slots behind", n)
 				} else {
-					b, err = OpenCached(paths[1], o, cache)
+					b, err = OpenCachedFS(vfs.OS{}, paths[1], o, cache)
 				}
 			}
 			bmu.Unlock()

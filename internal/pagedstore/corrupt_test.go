@@ -138,7 +138,7 @@ func TestV4CorruptPageNeverEntersCache(t *testing.T) {
 	flipByte(t, path, dataMid, 0x81)
 
 	cache := NewCache(1 << 20)
-	s2, err := OpenCached(path, o, cache)
+	s2, err := OpenCachedFS(vfs.OS{}, path, o, cache)
 	if err != nil {
 		t.Fatal(err)
 	}

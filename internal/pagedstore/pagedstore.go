@@ -77,7 +77,6 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/onioncurve/onion/internal/cluster"
 	"github.com/onioncurve/onion/internal/curve"
 	"github.com/onioncurve/onion/internal/geom"
 	"github.com/onioncurve/onion/internal/ranges"
@@ -417,24 +416,20 @@ type Store struct {
 
 // Open validates the file against the curve and loads its metadata: the
 // page index, the marks and the pruning footer. The store is uncached;
-// see OpenCached.
+// see OpenCachedFS.
 func Open(path string, c curve.Curve) (*Store, error) {
-	return OpenCached(path, c, nil)
+	return OpenCachedFS(vfs.OS{}, path, c, nil)
 }
 
-// OpenCached is Open with a shared page cache: logical page visits are
-// served from cache when resident, and misses populate it. A nil cache
-// is equivalent to Open. The cache may back any number of stores; this
-// store's pages are dropped from it on Close.
-func OpenCached(path string, c curve.Curve, cache *Cache) (*Store, error) {
-	return OpenCachedFS(vfs.OS{}, path, c, cache)
-}
-
-// OpenCachedFS is OpenCached through an explicit filesystem — the seam
-// the storage engine's fault injection drives. Every piece of metadata is
-// checksum-verified here, so a corrupted header, page index or footer is
-// rejected as ErrCorrupt before a single record is served; corrupted page
-// data is caught by the per-page checksums at fetch time.
+// OpenCachedFS is Open through an explicit filesystem — the seam the
+// storage engine's fault injection drives — with a shared page cache:
+// logical page visits are served from cache when resident, and misses
+// populate it. A nil cache leaves the store uncached. The cache may back
+// any number of stores; this store's pages are dropped from it on Close.
+// Every piece of metadata is checksum-verified here, so a corrupted
+// header, page index or footer is rejected as ErrCorrupt before a single
+// record is served; corrupted page data is caught by the per-page
+// checksums at fetch time.
 func OpenCachedFS(fsys vfs.FS, path string, c curve.Curve, cache *Cache) (*Store, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -588,22 +583,6 @@ func (s *Store) Close() error {
 // Len returns the number of stored records.
 func (s *Store) Len() int { return int(s.count) }
 
-// EstimateSeeks returns the clustering number of r under the store's
-// curve — an upper bound on the Stats.Seeks Query will report — without
-// touching the file. It does not bound the positioned reads Query issues
-// (IOStats.ReadCalls): a read stops at a cached page and at 32 pages, so
-// one cluster's pages can take several. Curves with an analytic planner
-// (the onion family, Hilbert, Z, Gray, linear orders) answer
-// output-sensitively even for queries spanning billions of cells, cheap
-// enough for a cost-based planner to ask per request.
-func (s *Store) EstimateSeeks(r geom.Rect) (uint64, error) {
-	n, err := cluster.Count(s.c, r)
-	if err != nil {
-		return 0, fmt.Errorf("pagedstore: %w", err)
-	}
-	return n, nil
-}
-
 // Query returns every record whose point lies in r, visiting one page run
 // per cluster range and counting the logical access pattern. The range
 // decomposition routes through the curve's analytic planner when one
@@ -611,23 +590,16 @@ func (s *Store) EstimateSeeks(r geom.Rect) (uint64, error) {
 // the query surface. Records whose mark bit is set are scanned, and
 // counted in Stats.RecordsScanned, but not returned.
 // Query is safe to call from many goroutines at once; each call drives
-// its own Cursor.
+// its own Cursor. The points are rebuilt from the keys once the scan is
+// done (KeyedRecords).
 func (s *Store) Query(r geom.Rect) ([]Record, Stats, error) {
-	return s.QueryAppend(nil, r)
-}
-
-// QueryAppend is Query appending into dst: recycling the same dst across
-// queries reuses both the record slots and their Point buffers. The
-// points are rebuilt from the keys once the scan is done (KeyedRecords).
-// Stats.Results counts only the records this call appended.
-func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) {
 	krs, err := ranges.Decompose(s.c, r, 0)
 	if err != nil {
-		return dst, Stats{}, fmt.Errorf("pagedstore: %w", err)
+		return nil, Stats{}, fmt.Errorf("pagedstore: %w", err)
 	}
-	base := len(dst)
 	cur := s.AcquireCursor()
 	defer cur.Release()
+	var dst []Record
 	var e Entry
 	var out KeyedRecords
 	cur.Plan(krs)
@@ -635,7 +607,7 @@ func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) 
 		for {
 			ok, err := cur.NextInto(&e)
 			if err != nil {
-				return dst[:base], cur.Stats(), err
+				return nil, cur.Stats(), err
 			}
 			if !ok {
 				break
@@ -647,7 +619,7 @@ func (s *Store) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error) 
 	}
 	out.Fill(s.c, dst)
 	st := cur.Stats()
-	st.Results = len(dst) - base
+	st.Results = len(dst)
 	return dst, st, nil
 }
 

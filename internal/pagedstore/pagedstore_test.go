@@ -346,78 +346,6 @@ func TestDuplicateCells(t *testing.T) {
 	}
 }
 
-// TestEstimateSeeks verifies the I/O-free seek estimate: it must equal the
-// exact cluster count, bound the seeks Query actually pays, and answer for
-// paper-scale queries that no enumeration could.
-func TestEstimateSeeks(t *testing.T) {
-	side := uint32(64)
-	u := geom.MustUniverse(2, side)
-	o, _ := core.NewOnion2D(side)
-	recs := buildRecords(t, u, 3000, 23)
-	path := tmpPath(t)
-	if err := Write(path, o, recs, 512); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(path, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 30; trial++ {
-		lo := geom.Point{uint32(rng.Int31n(int32(side))), uint32(rng.Int31n(int32(side)))}
-		hi := geom.Point{uint32(rng.Int31n(int32(side))), uint32(rng.Int31n(int32(side)))}
-		for i := range lo {
-			if lo[i] > hi[i] {
-				lo[i], hi[i] = hi[i], lo[i]
-			}
-		}
-		r := geom.Rect{Lo: lo, Hi: hi}
-		est, err := s.EstimateSeeks(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := cluster.Count(o, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est != want {
-			t.Fatalf("%v: estimate %d, clustering number %d", r, est, want)
-		}
-		_, st, err := s.Query(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if uint64(st.Seeks) > est {
-			t.Fatalf("%v: %d seeks exceed estimate %d", r, st.Seeks, est)
-		}
-	}
-	// Paper-scale estimate through the analytic planner: a big store is
-	// not needed, only a big universe.
-	big, err := core.NewOnion3D(1 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigPath := tmpPath(t)
-	if err := Write(bigPath, big, []Record{{Point: geom.Point{5, 5, 5}}}, 512); err != nil {
-		t.Fatal(err)
-	}
-	bs, err := Open(bigPath, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bs.Close()
-	sb := big.Universe().Side()
-	r := geom.Rect{Lo: geom.Point{8, 8, 8}, Hi: geom.Point{sb - 9, sb - 9, sb - 9}}
-	est, err := bs.EstimateSeeks(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est != 1 {
-		t.Fatalf("paper-scale inset estimate = %d, want 1", est)
-	}
-}
-
 // TestWriteEntriesRejectsBadInput: WriteEntries trusts its caller for the
 // keys' values but not for their shape. A run that steps back and a key
 // outside the curve's key space are each an error, found before the file

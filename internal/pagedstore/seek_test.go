@@ -240,7 +240,7 @@ func FuzzCursorSeek(f *testing.F) {
 			if cache.bytes > 0 {
 				pc = NewCache(cache.bytes)
 			}
-			s, err := OpenCached(path, o, pc)
+			s, err := OpenCachedFS(vfs.OS{}, path, o, pc)
 			if err != nil {
 				t.Fatalf("%s: %v", cache.name, err)
 			}

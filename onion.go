@@ -3,8 +3,8 @@
 // with the classic baseline curves (Hilbert, Z/Morton, Gray-code,
 // row/column-major, snake), exact clustering-number analysis, rectangle
 // range decomposition, the paper's theoretical bounds, and an
-// SFC-clustered spatial store: a file laid out in curve order, and the
-// mutable, sharded, replicated engine built from such files.
+// SFC-clustered spatial store: the mutable, sharded, replicated engine
+// whose segments are files laid out in curve order.
 //
 // # Curves
 //
@@ -30,10 +30,11 @@
 //
 // # Storage
 //
-// WriteStore lays records out in a file clustered by any Curve, and
-// OpenStore serves it; OpenEngine is the mutable counterpart, whose
-// segments are such files. A rectangle query reads one page run per
-// cluster and reports the seeks and pages it actually read.
+// OpenEngine opens a directory of segment files, each laid out in the
+// order of any Curve; WriteStore bulk-loads records into a new such
+// directory. A rectangle query reads one page run per cluster and reports
+// the seeks and pages it actually read. Every directory records its
+// curve, and another curve cannot open it.
 package onion
 
 import (
@@ -94,22 +95,15 @@ type (
 	StretchStats = metrics.StretchStats
 	// Record is one point + payload of a disk-backed clustered store.
 	Record = pagedstore.Record
-	// Store is an open disk-backed clustered table.
-	Store = pagedstore.Store
-	// StoreStats is the logical access pattern of a Store query: seeks,
-	// pages and records, whatever the cache and the read grouping did.
+	// StoreStats is the logical access pattern of a query over segment
+	// files: seeks, pages and records, whatever the cache and the read
+	// grouping did.
 	StoreStats = pagedstore.Stats
-	// StoreCursor streams the stored entries of a plan — ascending key
-	// ranges, handed over once with Plan and walked with NextRange — out
-	// of a Store with the same seek/page accounting as Store.Query; the
-	// storage engine drives one per live segment. An entry is a key, a
-	// payload and a mark: the cursor never maps a key back to its point.
-	StoreCursor = pagedstore.Cursor
-	// PageCache is a shared page cache for Stores and Engine segments:
-	// immutable page images under one byte budget with clock eviction,
-	// shareable across any number of stores, engines and shards. It
-	// changes only physical I/O (StoreIOStats) — the logical Stats
-	// contracts hold bit-identically with caching on or off.
+	// PageCache is a shared page cache for Engine segments: immutable
+	// page images under one byte budget with clock eviction, shareable
+	// across any number of engines and shards. It changes only physical
+	// I/O (StoreIOStats) — the logical Stats contracts hold
+	// bit-identically with caching on or off.
 	PageCache = pagedstore.Cache
 	// PageCacheStats summarizes a PageCache: hits, misses, evictions,
 	// resident pages/bytes and the configured budget.
@@ -534,42 +528,27 @@ func WeightedPartition(c Curve, keys []uint64, k int) (*Partitioner, error) {
 	return partition.ByWeight(c, keys, k)
 }
 
-// WriteStore bulk-loads records into a disk file physically clustered in
-// curve order; pageBytes is the page size (for example 4096). The file is
-// the same checksummed, fence-pruned layout the engine's
-// segments use: a flipped byte surfaces as ErrCorrupt at OpenStore or at
-// the first read of the damaged page, never as a wrong record.
-func WriteStore(path string, c Curve, recs []Record, pageBytes int) error {
-	return pagedstore.Write(path, c, recs, pageBytes)
+// WriteStore bulk-loads records into a new engine directory at dir,
+// physically clustered in curve order, for OpenEngine to serve;
+// pageBytes is the page size (for example 4096). The directory holds one
+// segment and the CURVE file, and is what a run of Puts and a Flush
+// would leave: where points repeat, the last record of each is kept.
+// Every point must lie in c's universe. dir must not exist; the build
+// happens in a sibling directory renamed into place, so a failure leaves
+// dir absent or complete. Opening the directory under another curve
+// fails with ErrCurveMismatch.
+func WriteStore(dir string, c Curve, recs []Record, pageBytes int) error {
+	return engine.Load(dir, c, recs, engine.Options{PageBytes: pageBytes})
 }
-
-// OpenStore opens a clustered store written by WriteStore; the curve must
-// match the one used at write time. A standalone store file records only
-// its universe's dims and side, which OpenStore checks; unlike an engine
-// directory it records no curve identity, so another curve over the same
-// universe opens it and maps its keys to the wrong points. A Store is
-// safe for concurrent
-// readers: all file access is positioned (pread) and per-query state
-// lives in per-call cursors.
-func OpenStore(path string, c Curve) (*Store, error) { return pagedstore.Open(path, c) }
 
 // NewPageCache returns a shared page cache with the given byte budget.
-// Pass it to OpenStoreCached, EngineOptions.Cache, or size one per
-// sharded engine with ShardedEngineOptions.CacheBytes.
+// Pass it to EngineOptions.Cache, or size one per sharded engine with
+// ShardedEngineOptions.CacheBytes.
 func NewPageCache(budgetBytes int64) *PageCache { return pagedstore.NewCache(budgetBytes) }
 
-// OpenStoreCached is OpenStore backed by a shared page cache: logical
-// page visits resident in the cache are served from memory, misses
-// populate it, and the store's pages are dropped from the cache on
-// Close. The logical query Stats are bit-identical to an uncached open;
-// only the physical I/O changes.
-func OpenStoreCached(path string, c Curve, cache *PageCache) (*Store, error) {
-	return pagedstore.OpenCached(path, c, cache)
-}
-
 // OpenEngine opens (creating if needed) a mutable spatial storage engine
-// rooted at dir and clustered by c: the read-write counterpart of
-// WriteStore/OpenStore for workloads that ingest while they serve.
+// rooted at dir and clustered by c, for workloads that ingest while they
+// serve; a directory WriteStore bulk-loaded opens here too.
 //
 // Writes (Put/Delete) are acknowledged after landing in a CRC-framed
 // write-ahead log and a curve-key-ordered memtable, one writer at a time;
@@ -582,7 +561,7 @@ func OpenStoreCached(path string, c Curve, cache *PageCache) (*Store, error) {
 // k-way merge of memtable + segments per cluster range, so the paper's
 // clustering number remains the number of seeks the query pays — on a
 // fully flushed and compacted engine the seek stats are bit-identical to
-// a fresh Store of the same records. All Engine methods
+// a WriteStore of the same records. All Engine methods
 // (Put, Delete, Query, Flush, Compact, Sync, Stats, Close) are safe for
 // concurrent use.
 //
