@@ -542,8 +542,9 @@ type queryState struct {
 	recs    pagedstore.KeyedRecords // the keys of out's new records
 	memHits int
 	// memSearches and memSkips count the (range, memtable) pairs searched
-	// and those the occupancy bitmap ruled out, for telemetry.
-	memSearches, memSkips int
+	// and those the occupancy bitmap ruled out, and drained the ranges
+	// whose one source was a segment, for telemetry.
+	memSearches, memSkips, drained int
 }
 
 var qsPool = sync.Pool{New: func() any { return new(queryState) }}
@@ -565,8 +566,11 @@ func (q *queryState) emit(win *mergeSource) {
 // the logical access pattern. The curve's range planner runs exactly
 // once; each resulting cluster range is then answered by one k-way merge
 // pass over the memtable and every live segment, newest source winning on
-// duplicate keys and tombstones suppressing older versions. The seek and
-// page accounting is pagedstore's, summed over segments.
+// duplicate keys and tombstones suppressing older versions — or, when a
+// segment is the range's one source, by draining that segment's pages
+// with no merge at all (pagedstore.Cursor.AppendLive), which keeps the
+// same records. The seek and page accounting is pagedstore's, summed over
+// segments.
 func (e *Engine) Query(r geom.Rect) ([]Record, Stats, error) {
 	return e.query(context.Background(), nil, &r, nil)
 }
@@ -579,8 +583,9 @@ func (e *Engine) QueryAppend(dst []Record, r geom.Rect) ([]Record, Stats, error)
 	return e.query(context.Background(), dst, &r, nil)
 }
 
-// QueryAppendContext is QueryAppend under a context: the merge checks ctx
-// between ranges and (amortized) inside long range scans, so a timeout or
+// QueryAppendContext is QueryAppend under a context: the query checks ctx
+// between ranges and inside long range scans — between the pages of a
+// drained range, every 1 024 keys of a merged one — so a timeout or
 // cancellation stops the query promptly and returns ctx.Err() with
 // whatever statistics had accumulated.
 func (e *Engine) QueryAppendContext(ctx context.Context, dst []Record, r geom.Rect) ([]Record, Stats, error) {
@@ -630,7 +635,7 @@ func (e *Engine) query(ctx context.Context, dst []Record, r *geom.Rect, krs []cu
 		}
 	}
 	if tel != nil {
-		tel.recordQuery(start, st, qs.memSearches, qs.memSkips, err)
+		tel.recordQuery(start, st, qs.memSearches, qs.memSkips, qs.drained, err)
 	}
 	qsPool.Put(qs)
 	return dst, st, err
@@ -697,7 +702,7 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 	qs.iters = qs.iters[:len(qs.mems)]
 
 	qs.out = dst
-	qs.memHits, qs.memSearches, qs.memSkips = 0, 0, 0
+	qs.memHits, qs.memSearches, qs.memSkips, qs.drained = 0, 0, 0, 0
 	cancel := ctx.Done()
 	var err error
 	for _, kr := range krs {
@@ -727,7 +732,16 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 			qs.memSrcs[j] = mergeSource{mem: it, prio: len(qs.pass)}
 			qs.pass = append(qs.pass, &qs.memSrcs[j])
 		}
-		if err = mergeSources(qs.pass, &qs.live, qs, ctx); err != nil {
+		// A segment alone in the range — the compacted shard with an
+		// empty or unrelated memtable — drains page by page; any other
+		// pass merges.
+		if len(qs.pass) == 1 && qs.pass[0].cur != nil {
+			qs.drained++
+			err = qs.drain(ctx, qs.pass[0].cur)
+		} else {
+			err = mergeSources(qs.pass, &qs.live, qs, ctx)
+		}
+		if err != nil {
 			break
 		}
 	}
@@ -755,6 +769,27 @@ func (e *Engine) queryRanges(ctx context.Context, qs *queryState, dst []Record, 
 	qs.recs.Fill(e.c, out)
 	st.Results = len(out) - base
 	return out, st, nil
+}
+
+// drain appends the live records of the current range of cur, the
+// range's one source, page by page: what mergeSources keeps of a lone
+// source — the first of equal keys, unless it is a tombstone — without a
+// merge step a record. ctx is polled between pages, so cancellation lands
+// at a page boundary.
+func (q *queryState) drain(ctx context.Context, cur *pagedstore.Cursor) error {
+	done := ctx.Done()
+	for {
+		var more bool
+		var err error
+		if q.out, more, err = cur.AppendLive(q.out, &q.recs); err != nil || !more {
+			return err
+		}
+		if done != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+	}
 }
 
 // mergeSink receives the merged stream of mergeSources.
@@ -791,10 +826,12 @@ func mergeSources(srcs []*mergeSource, scratch *[]*mergeSource, sink mergeSink, 
 			}
 		}
 		if len(live) == 1 {
-			// One live source left — the usual range, and the tail of a
-			// merge whose newer sources ran dry: it holds the next key
-			// alone, so it wins without the scans below and is stepped
-			// past that key's duplicates.
+			// One live source left — a memtable alone in its range, or
+			// the tail of a merge whose other sources ran dry (a segment
+			// alone in its range drains by the same rule, in
+			// queryState.drain): it holds the next key alone, so it wins
+			// without the scans below and is stepped past that key's
+			// duplicates.
 			s := live[0]
 			sink.emit(s)
 			for key := s.head.Key; s.ok && s.head.Key == key; {

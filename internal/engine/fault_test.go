@@ -651,6 +651,77 @@ func TestManualEngineCompactsNothingAfterScrub(t *testing.T) {
 	}
 }
 
+// errAfter is a cancellable context whose Err reports context.Canceled
+// from its k-th call on: a cancellation that lands at a chosen poll.
+type errAfter struct {
+	context.Context // a live cancellable context: Done is non-nil, so the query polls
+	k, calls        int
+}
+
+func (c *errAfter) Err() error {
+	if c.calls++; c.calls >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestQueryCanceledMidDrain cancels a one-range plan over a multi-page
+// segment, the range's one source, at each poll in turn. The query polls
+// once before the range and once after every page the drain appends, so a
+// cancellation at the k-th poll returns context.Canceled, exactly
+// dst[:base] and k-1 pages read — never a page past the poll — and counts
+// one engine_query_errors_total. A context that never cancels serves the
+// whole segment.
+func TestQueryCanceledMidDrain(t *testing.T) {
+	o := fwCurve(t)
+	e, err := Open(t.TempDir(), o, Options{PageBytes: 192, FlushEntries: -1, compactFanout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	size := o.Universe().Size()
+	for k := uint64(0); k < size; k += 3 {
+		if err := e.Put(o.Coords(k, nil), k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	krs := []curve.KeyRange{{Lo: 0, Hi: size - 1}}
+	all, full, err := e.QueryRanges(context.Background(), nil, krs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := full.PagesRead
+	if pages < 4 || len(all) != int((size+2)/3) {
+		t.Fatalf("fixture: %d records over %d pages, want %d records over several", len(all), pages, (size+2)/3)
+	}
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dst := []Record{{Point: fwPoint(7), Payload: 7}}
+	for i, k := range []int{1, 2, 3, pages / 2, pages, pages + 1} {
+		ctx := &errAfter{Context: live, k: k}
+		got, st, err := e.QueryRanges(ctx, dst, krs)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at poll %d: %v, want context.Canceled", k, err)
+		}
+		if len(got) != 1 || got[0].Payload != 7 {
+			t.Fatalf("cancel at poll %d: returned %d records, want dst[:base]", k, len(got))
+		}
+		if st.PagesRead != k-1 {
+			t.Fatalf("cancel at poll %d: %d pages read, want %d", k, st.PagesRead, k-1)
+		}
+		if n := e.TelemetrySnapshot().Counter("engine_query_errors_total"); n != uint64(i+1) {
+			t.Fatalf("cancel at poll %d: engine_query_errors_total = %d, want %d", k, n, i+1)
+		}
+	}
+	got, st, err := e.QueryRanges(&errAfter{Context: live, k: pages + 2}, dst, krs)
+	if err != nil || len(got) != 1+len(all) || st.PagesRead != pages {
+		t.Fatalf("uncancelled drain: %d records over %d pages, %v; want %d over %d", len(got), st.PagesRead, err, 1+len(all), pages)
+	}
+}
+
 // TestQueryRangesContextCanceled: a cancelled context stops both the
 // pre-planned and the rectangle path with ctx.Err(), hands back exactly
 // the caller's dst, and counts one query error each — the same ctx check

@@ -26,6 +26,7 @@ type engineTelemetry struct {
 	seekAmp        *telemetry.FloatGauge
 	memSearches    *telemetry.Counter
 	memSkips       *telemetry.Counter
+	rangesDrained  *telemetry.Counter
 
 	walAppends     *telemetry.Counter
 	walAppendBytes *telemetry.Counter
@@ -73,6 +74,7 @@ func newEngineTelemetry(reg *telemetry.Registry) *engineTelemetry {
 		seekAmp:        reg.FloatGauge("engine_query_seek_amplification"),
 		memSearches:    reg.Counter("engine_memtable_searches_total"),
 		memSkips:       reg.Counter("engine_memtable_searches_skipped_total"),
+		rangesDrained:  reg.Counter("engine_ranges_drained_total"),
 
 		walAppends:     reg.Counter("engine_wal_appends_total"),
 		walAppendBytes: reg.Counter("engine_wal_append_bytes_total"),
@@ -111,9 +113,11 @@ func newEngineTelemetry(reg *telemetry.Registry) *engineTelemetry {
 // recordQuery tallies one finished query. start is when the public call
 // began; st is the final logical stat set; searches and skips are the
 // (range, memtable) pairs the query searched and those the occupancy
-// bitmap let it skip. Errors count separately and contribute no latency
-// sample, so the histograms describe served queries only.
-func (t *engineTelemetry) recordQuery(start time.Time, st Stats, searches, skips int, err error) {
+// bitmap let it skip; drained is the ranges whose one source was a
+// segment, drained page by page without a merge. Errors count separately
+// and contribute no latency sample, so the histograms describe served
+// queries only.
+func (t *engineTelemetry) recordQuery(start time.Time, st Stats, searches, skips, drained int, err error) {
 	if err != nil {
 		t.queryErrors.Inc()
 		return
@@ -134,6 +138,7 @@ func (t *engineTelemetry) recordQuery(start time.Time, st Stats, searches, skips
 	t.recordsOut.Add(uint64(st.Results))
 	t.memSearches.Add(uint64(searches))
 	t.memSkips.Add(uint64(skips))
+	t.rangesDrained.Add(uint64(drained))
 }
 
 // registerSampledTelemetry wires the gauges and counters whose truth

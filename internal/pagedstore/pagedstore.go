@@ -629,14 +629,17 @@ func (s *Store) Query(r geom.Rect) ([]Record, Stats, error) {
 // shared between the tail of one range and the head of the next is read
 // once, and every record it yields counts as scanned. The cursor is handed
 // the whole plan once (Plan) and then walks it range by range: NextRange
-// moves to the next range, and NextInto yields its records until it
-// reports the range exhausted. Inside a page it searches — lower bound of
-// the range, stop at the first key past it — so a visit costs a search
-// plus the records it yields, not the page's record count. The seek and
-// page accounting is logical — computed against the in-memory page index —
-// while the page bytes themselves come from the cache, from disk, or
-// (when a visited page's fence ends before the range) from nowhere at
-// all; IO reports the physical remainder.
+// moves to the next range, and NextInto yields its records one at a time
+// until it reports the range exhausted — or AppendLive drains them a page
+// at a time, keeping only what a merge with this cursor as its one source
+// would keep, in one loop a page. Both move from page to page through one
+// step (nextPage), so they visit, fetch and count alike. Inside a page the
+// cursor searches — lower bound of the range, stop at the first key past
+// it — so a visit costs a search plus the records it yields, not the
+// page's record count. The seek and page accounting is logical — computed
+// against the in-memory page index — while the page bytes themselves come
+// from the cache, from disk, or (when a visited page's fence ends before
+// the range) from nowhere at all; IO reports the physical remainder.
 //
 // Holding the whole plan is what lets a miss read more than one page. A
 // cluster's pages often run on across several consecutive ranges of the
@@ -655,7 +658,8 @@ func (s *Store) Query(r geom.Rect) ([]Record, Stats, error) {
 //
 // Each Cursor owns its page state, so any number of cursors can run over
 // the same Store concurrently. The storage engine's merged query path
-// drives one Cursor per live segment.
+// drives one Cursor per live segment, and drains a range whose one source
+// is a segment with AppendLive.
 type Cursor struct {
 	s  *Store
 	st Stats
@@ -671,11 +675,12 @@ type Cursor struct {
 
 	// state of the current range
 	lo, hi uint64
-	p      int  // current page
-	i      int  // next record within the page
-	n      int  // records resident in the current page; 0 = no page of the range visited yet
-	w      uint // key width of the current page
-	pay    int  // offset of the current page's payload column
+	p      int    // current page
+	i      int    // next record within the page
+	n      int    // records resident in the current page; 0 = no page of the range visited yet
+	w      uint   // key width of the current page
+	pay    int    // offset of the current page's payload column
+	from   uint64 // the least key AppendLive may still take: one past the last it met
 	active bool
 
 	// The last physical read: pages [runLo, runLo+runN) of the file in
@@ -774,6 +779,7 @@ func (c *Cursor) NextRange() bool {
 	c.lo, c.hi = kr.Lo, kr.Hi
 	c.p = c.sched[c.k]
 	c.i, c.n = 0, 0
+	c.from = c.lo
 	c.active = true
 	return true
 }
@@ -953,14 +959,85 @@ func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 			}
 			// A key past hi ended the page's in-range records — and the
 			// range: keys are sorted, so the next page starts at or after
-			// that key, which the advance below finds out from the page
-			// index.
+			// that key, which nextPage finds out from the page index.
 			c.i = c.n
 		}
-		// Advance to the next page of the range. c.n > 0 means a page of
-		// this range has been consumed and c.p must move past it; right
-		// after NextRange (c.n == 0) c.p already names the first candidate
-		// page.
+		if ok, err := c.nextPage(); !ok {
+			return false, err
+		}
+	}
+}
+
+// AppendLive appends to dst, through out, the live records of the rest of
+// the current page of the range, in one loop, and reports whether the
+// range may hold more; when the page is used up it first moves to the next
+// page of the range. Live means what a merge of this cursor as the one
+// source of a range keeps: of equal keys only the first, and that one only
+// if it is unmarked — a marked first copy hides the copies after it, on
+// this page or the next. It accounts exactly what a NextInto loop over the
+// same records does, and fetches the same pages, so a range drained by
+// AppendLive and one walked by NextInto have equal Stats and IO. A range
+// is drained by one or the other, not both.
+func (c *Cursor) AppendLive(dst []Record, out *KeyedRecords) ([]Record, bool, error) {
+	if !c.active {
+		return dst, false, nil
+	}
+	if c.i >= c.n {
+		if ok, err := c.nextPage(); !ok {
+			return dst, false, err
+		}
+	}
+	s := c.s
+	data, w, pay := c.data, c.w, c.pay
+	first, hi, from := s.firstKeys[c.p], c.hi, c.from
+	var marks []byte // nil when the store marks nothing: one test a page
+	var bit0 uint
+	if s.anyMarked {
+		marks, bit0 = s.marks, uint(s.before[c.p])
+	}
+	i, n := c.i, c.n
+	for ; i < n; i++ {
+		key := first + keyOffset(data, i, w)
+		if key > hi {
+			break
+		}
+		if key < from {
+			continue // a later copy of a key already taken or hidden
+		}
+		from = key + 1
+		if marks != nil {
+			if j := bit0 + uint(i); marks[j/8]&(1<<(j%8)) != 0 {
+				continue
+			}
+		}
+		dst = out.Append(dst, key, binary.LittleEndian.Uint64(data[pay+8*i:]))
+	}
+	c.st.RecordsScanned += i - c.i
+	c.st.Results += i - c.i
+	c.from = from
+	if i < n {
+		// A key past hi: the range ends on this page (see NextInto).
+		c.i, c.active = n, false
+		return dst, false, nil
+	}
+	c.i = n
+	return dst, true, nil
+}
+
+// nextPage moves the cursor to the next page of the current range whose
+// records it must read, entered at the first key >= lo, and reports
+// whether there was one; false means the range is exhausted, or an error
+// reports an unreadable page. On its way it pays every visit's logical
+// accounting — the seek and the page, identical to a bare store's — and
+// prunes a visit whose page's fence ends before lo, without a fetch. The
+// page it stops at holds a key >= lo, so the cursor stands on a record;
+// whether that key is still <= hi is the caller's test.
+func (c *Cursor) nextPage() (bool, error) {
+	s := c.s
+	for {
+		// c.n > 0 means a page of this range has been visited and c.p
+		// must move past it; right after NextRange (c.n == 0) c.p already
+		// names the first candidate page.
 		if c.n > 0 {
 			c.p++
 			c.n = 0
@@ -998,13 +1075,17 @@ func (c *Cursor) NextInto(e *Entry) (ok bool, err error) {
 		if c.lo > s.firstKeys[c.p] {
 			c.i = lowerBound(c.data, c.n, c.w, c.lo, s.firstKeys[c.p], s.pageMax[c.p])
 		}
+		return true, nil
 	}
 }
 
 // marked reports the mark bit of record i of page p.
 func (s *Store) marked(p, i int) bool {
+	if !s.anyMarked {
+		return false
+	}
 	j := uint(s.before[p] + i) // the record's ordinal: its bit in the mark bitmap
-	return s.anyMarked && s.marks[j/8]&(1<<(j%8)) != 0
+	return s.marks[j/8]&(1<<(j%8)) != 0
 }
 
 // decodeSlot returns record i of the materialized page p.

@@ -118,7 +118,10 @@ type seekArgs struct {
 
 // seekSeeds is FuzzCursorSeek's seed corpus in code. The committed corpus
 // files under testdata/fuzz/FuzzCursorSeek add cases whose pages reach
-// key widths 0, 1, 31 and 32, each named for its width.
+// key widths 0, 1, 31 and 32, each named for its width, and
+// marked-copy-across-page: inside a range, a key's marked first copy ends
+// one page and an unmarked copy of it starts the next — a copy the page
+// drain must hide though it meets it on another page.
 func seekSeeds() []seekArgs {
 	var seeds []seekArgs
 	for seed := int64(0); seed < 48; seed++ {
@@ -186,6 +189,9 @@ func walkRanges(s *Store, krs []curve.KeyRange, fn func(kr curve.KeyRange, e *En
 // reference's own walk: with nothing resident (bare, and the ample cache's
 // first pass) the cursor fetches exactly the pages that walk fetches, in
 // exactly its runs, and on the ample cache's second pass it reads nothing.
+// Beside each opening, AppendLive drains the same plan: it must keep what
+// the brute-force filter keeps of a lone merge source (the first of equal
+// keys, if unmarked) and pay what the NextInto walk pays (checkAppendLive).
 // With wide set, the keys come from a curve of 2³⁴ keys, spread so that
 // the pages' key widths span 0 to 32 and the writer often starts a page
 // before it is full: the next key lies 2³² or more past the page's first.
@@ -290,6 +296,13 @@ func FuzzCursorSeek(f *testing.F) {
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
+			}
+			// The page drain: what a lone merge source keeps, paid for as
+			// the NextInto walk pays, cold and warm.
+			got := checkAppendLive(t, cache.name, path, o, cs.krs, cache.bytes)
+			if live := liveOracle(cs, cs.krs); !slices.Equal(got.pays, live) || got.st != ref {
+				t.Fatalf("%s: AppendLive kept %v paying %+v, brute force keeps %v, the reference pays %+v",
+					cache.name, got.pays, got.st, live, ref)
 			}
 		}
 	})
